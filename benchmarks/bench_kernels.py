@@ -9,6 +9,8 @@ fincov/kernels.py for the import-time selection.
 
 import time
 
+import numpy as np
+
 from fincov import _kernels_py as py_lane
 
 try:
@@ -31,8 +33,9 @@ def timeit(fn, repeat=3):
 def workloads():
     sk3 = set_skeleton(3).category
     top = finite_top_category(3).category
-    a3 = sk3._kernel_args()
-    atop = top._kernel_args()
+    # both lanes get int64 tables: the compiled lane reads no other dtype
+    a3, atop = ((C._comp.astype(np.int64), *C._kernel_args()[1:])
+                for C in (sk3, top))
 
     def validation(lane, a):
         lane.first_composability_violation(*a[:3])

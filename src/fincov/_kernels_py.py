@@ -1,11 +1,12 @@
 """Numpy lane of the enumeration kernels.
 
 Same contract as the compiled lane (``_kernels_c``): all functions take the
-dense table representation of a finite category (``comp`` is morphism x
-morphism with -1 for non-composable pairs, hom sets come as a CSR pair
-``hom_ptr``/``hom_dat`` indexed by src*nobj+tgt) and return plain ints or
-numpy arrays.  Witnesses are always the lexicographically least in the
-documented loop order.
+dense table representation of a finite category and return plain ints or
+numpy arrays.  ``comp`` is morphism x morphism with -1 for non-composable
+pairs; this lane reads any signed integer dtype, the compiled lane only
+int64 (see ``kernels.table_dtype``).  Hom sets come as a CSR pair
+``hom_ptr``/``hom_dat`` indexed by src*nobj+tgt.  Witnesses are always the
+lexicographically least in the documented loop order.
 """
 
 import numpy as np
@@ -18,22 +19,38 @@ def _hom(hom_ptr, hom_dat, nobj, a, b):
     return hom_dat[hom_ptr[k]:hom_ptr[k + 1]]
 
 
+# Table entries per block of rows in first_composability_violation: its
+# temporaries stay a few MB on the 1476-morphism finite_top table instead of
+# a dozen n x n arrays.
+_BLOCK = 1 << 18
+
+
 def first_composability_violation(comp, src, tgt):
     """Least (g, f) where comp is defined off the composable pairs, missing on
-    one, or has wrong endpoints.  Returns (g, f, code) or None."""
+    one, or has wrong endpoints.  Returns (g, f, code) or None.
+
+    Rows g are scanned in blocks, in order, so the first block with any
+    violation holds the least one.
+    """
     n = comp.shape[0]
-    defined = comp >= 0
-    should = src[:, None] == tgt[None, :]
-    bad = defined != should
-    if bad.any():
-        g, f = np.argwhere(bad)[0]
-        return int(g), int(f), ("missing" if should[g, f] else "spurious")
-    gs, fs = np.nonzero(defined)
-    vals = comp[gs, fs]
-    wrong = (src[vals] != src[fs]) | (tgt[vals] != tgt[gs])
-    if wrong.any():
-        i = int(np.nonzero(wrong)[0][0])
-        return int(gs[i]), int(fs[i]), "endpoints"
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        rows = comp[lo:lo + step]
+        defined = rows >= 0
+        should = src[lo:lo + step, None] == tgt[None, :]
+        bad = defined != should
+        k = int(np.argmax(bad))
+        first = divmod(k, n) if bad.flat[k] else None
+        gs, fs = np.nonzero(defined & should)
+        vals = rows[gs, fs]
+        wrong = (src[vals] != src[fs]) | (tgt[vals] != tgt[gs + lo])
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            if first is None or (gs[i], fs[i]) < first:
+                return int(gs[i]) + lo, int(fs[i]), "endpoints"
+        if first is not None:
+            g, f = first
+            return g + lo, f, ("missing" if should[g, f] else "spurious")
     return None
 
 
@@ -51,22 +68,33 @@ def first_identity_violation(comp, src, tgt, ident):
 
 
 def first_assoc_violation(comp):
-    """Least (f, g, h) with h.(g.f) != (h.g).f, ordering (f, g, h)."""
+    """Least (f, g, h) with h.(g.f) != (h.g).f, ordering (f, g, h).
+
+    Only composable triples are visited.  The composable (g, h) pairs
+    depend on f only through the defined-mask of column f (in a valid
+    table: through tgt(f)), so they are built once per distinct mask, in
+    (g, h) order, and each f checks all of its pairs at once.
+    """
     n = comp.shape[0]
+    pairs = {}
     for f in range(n):
         col = comp[:, f]
-        gs = np.nonzero(col >= 0)[0]
-        if len(gs) == 0:
-            continue
-        gf = col[gs]
-        hg = comp[:, gs]                      # n x len(gs)
-        ok = hg >= 0
-        lhs = comp[:, gf]                     # h . (g f); defined iff ok
-        rhs = comp[np.where(ok, hg, 0), f]
-        bad = ok & (lhs != rhs)
+        mask = col >= 0
+        key = mask.tobytes()
+        p = pairs.get(key)
+        if p is None:
+            gs = np.flatnonzero(mask)
+            hg = comp[:, gs].T                # g x h
+            gpos, h = np.nonzero(hg >= 0)
+            # kept in the table's dtype: the pairs of all masks together
+            # are as many as the composable pairs
+            p = pairs[key] = (gs[gpos].astype(comp.dtype),
+                              h.astype(comp.dtype), hg[gpos, h])
+        g, h, hg = p
+        bad = comp[h, col[g]] != comp[hg, f]
         if bad.any():
-            gpos, h = np.argwhere(bad.T)[0]
-            return f, int(gs[gpos]), int(h)
+            i = int(np.argmax(bad))
+            return f, int(g[i]), int(h[i])
     return None
 
 

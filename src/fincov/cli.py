@@ -24,7 +24,7 @@ from .coverage import ClosedFamilyCoverage, DiagramTypeFailure, \
     decide_tau_compact
 from .fincat import FinCategory, category_from_json, classify_morphism, \
     validate_category
-from .instances import standard_corpus
+from .instances import corpus_entry, corpus_names, standard_corpus
 from .morphclass import MorphismClass, builtin_class, \
     check_class_properties, check_factorization_system, check_regular
 from .protomod import check_protomodularity_equivalent, \
@@ -98,15 +98,13 @@ def load_input(spec, max_size=None):
     """Returns (category, entry-or-None, raw data)."""
     if spec.startswith("corpus:"):
         name = spec.split(":", 1)[1]
-        if max_size is not None:
-            corpus = standard_corpus(group_cap=min(max_size, 8),
-                                     monoid_cap=min(max_size, 4))
-        else:
-            corpus = standard_corpus()
-        if name not in corpus.entries:
+        caps = {} if max_size is None else \
+            {"group_cap": min(max_size, 8), "monoid_cap": min(max_size, 4)}
+        names = corpus_names(**caps)
+        if name not in names:
             raise InputError(f"unknown corpus fixture {name!r}; "
-                             f"known: {', '.join(corpus.names())}")
-        entry = corpus[name]
+                             f"known: {', '.join(names)}")
+        entry = corpus_entry(name, **caps)
         return entry.category, entry, None
     try:
         with open(spec, encoding="utf-8") as fh:
@@ -511,24 +509,23 @@ def run_suite(seed=0, cap=256):
     """Fixed battery over the corpus; one canonical JSON report."""
     from .instances import random_category, random_mixed_functor
     from .variance import assemble_mixed_functor, split_mixed_functor
-    corpus = standard_corpus()
     out = {"schema": rp.SCHEMA_VERSION, "check": "suite",
            "params": {"seed": seed, "cap": cap}}
 
     validations = {}
     for nm in ("poset_2chain", "diamond", "set_skeleton_2", "sub_Z8"):
-        cat = corpus[nm].category
+        cat = corpus_entry(nm).category
         validations[nm] = isinstance(validate_category(cat.to_json()),
                                      FinCategory)
     out["validations"] = validations
 
-    sk = corpus["set_skeleton_2"]
+    sk = corpus_entry("set_skeleton_2")
     proto = check_protomodularity_pair(sk.category,
                                        sk.classes["retractions"],
                                        sk.classes["all"])
     out["set2_protomodularity"] = proto.to_json()
 
-    sub = corpus["sub_Z8"]
+    sub = corpus_entry("sub_Z8")
     tau = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
     verdicts = {}
     for c in sorted(sub.category.objects()):
@@ -536,7 +533,7 @@ def run_suite(seed=0, cap=256):
                                          cap=cap).to_json()
     out["sub_Z8_compact"] = verdicts
 
-    top = corpus["finite_top"].extra
+    top = corpus_entry("finite_top").extra
     occ = OpenCoverCoverage(top, kappa=2)
     singles = {}
     for oid in sorted(top.spaces):

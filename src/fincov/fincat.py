@@ -1,7 +1,8 @@
 """Explicit finite categories: validation, limits and morphism classification.
 
-A ``FinCategory`` stores objects, morphisms, identities and the full
-composition table over string ids.  All searches iterate ids in sorted
+A ``FinCategory`` takes objects, morphisms, identities and the full
+composition table over string ids, and keeps the composition only as a
+dense morphism-index table.  All searches iterate ids in sorted
 (lexicographic) order, so every reported witness or canonical choice is
 deterministic.  ``CategoryBase`` is the minimal protocol shared with the
 lazily-enumerated categories (slices, algebra ambients).
@@ -10,6 +11,7 @@ lazily-enumerated categories (slices, algebra ambients).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,7 +261,6 @@ class FinCategory(CategoryBase):
         self._morphisms = tuple(sorted(morphisms))
         self._mor_map = {m: (morphisms[m][0], morphisms[m][1]) for m in morphisms}
         self._identities = dict(identities)
-        self._composition = dict(composition)
         self._oidx = {o: i for i, o in enumerate(self._objects)}
         self._midx = {m: i for i, m in enumerate(self._morphisms)}
         n, no = len(self._morphisms), len(self._objects)
@@ -269,9 +270,12 @@ class FinCategory(CategoryBase):
                              dtype=np.int64)
         self._ident = np.array([self._midx[self._identities[o]] for o in self._objects],
                                dtype=np.int64)
-        comp = np.full((n, n), -1, dtype=np.int64)
-        for (g, f), gf in self._composition.items():
-            comp[self._midx[g], self._midx[f]] = self._midx[gf]
+        # the dense table is the only copy of the composition kept: a dict
+        # of id pairs costs about as much again on large tables
+        comp = np.full((n, n), -1, dtype=kernels.table_dtype(n))
+        midx = self._midx
+        for (g, f), gf in composition.items():
+            comp[midx[g], midx[f]] = midx[gf]
         self._comp = comp
         # CSR hom sets grouped by (src, tgt), morphisms in index (= id) order
         buckets = [[] for _ in range(no * no)]
@@ -313,6 +317,13 @@ class FinCategory(CategoryBase):
         if gf < 0:
             raise CompositionError(f"{g} . {f} undefined")
         return self._morphisms[gf]
+
+    def composition(self):
+        """A fresh {(g, f): g.f} dict of every composable pair."""
+        ms = self._morphisms
+        gs, fs = np.nonzero(self._comp >= 0)
+        return {(ms[g], ms[f]): ms[gf] for g, f, gf in
+                zip(gs.tolist(), fs.tolist(), self._comp[gs, fs].tolist())}
 
     def hom(self, a, b):
         k = self._oidx[a] * len(self._objects) + self._oidx[b]
@@ -396,7 +407,7 @@ class FinCategory(CategoryBase):
                 and self._objects == other._objects
                 and self._mor_map == other._mor_map
                 and self._identities == other._identities
-                and self._composition == other._composition)
+                and np.array_equal(self._comp, other._comp))
 
     def __hash__(self):
         return hash((self._objects, self._morphisms))
@@ -412,7 +423,7 @@ class FinCategory(CategoryBase):
                            "tgt": self._mor_map[m][1]} for m in self._morphisms],
             "identities": {o: self._identities[o] for o in self._objects},
             "composition": sorted([g, f, gf] for (g, f), gf in
-                                  self._composition.items()),
+                                  self.composition().items()),
         }
 
 
@@ -436,7 +447,10 @@ def validate_category(raw, name="C"):
     else:
         objects, morphisms, identities, composition = raw
         morphisms = dict(morphisms)
-        composition = dict(composition)
+        # only read, so a mapping is not copied (large tables hold ~10^5
+        # pairs)
+        if not isinstance(composition, Mapping):
+            composition = dict(composition)
 
     if len(set(objects)) != len(objects):
         return ValidationReport(False, "structure", (), "duplicate object ids")
@@ -458,10 +472,12 @@ def validate_category(raw, name="C"):
         if morphisms[i] != (o, o):
             return ValidationReport(False, "structure", (o, i),
                                     f"identity of {o} is not an endomorphism")
-    for (g, f), gf in sorted(composition.items()):
-        if g not in morphisms or f not in morphisms or gf not in morphisms:
-            return ValidationReport(False, "structure", (g, f),
-                                    "composition entry references unknown id")
+    unknown = [pair for pair, gf in composition.items()
+               if pair[0] not in morphisms or pair[1] not in morphisms
+               or gf not in morphisms]
+    if unknown:
+        return ValidationReport(False, "structure", min(unknown),
+                                "composition entry references unknown id")
 
     cat = FinCategory(objects, morphisms, identities, composition, name=name)
     args = cat._kernel_args()[:3]
@@ -537,7 +553,7 @@ def find_coequalizer(C, f, g):
 def opposite_category(C):
     """Same ids with src/tgt swapped and composition transposed."""
     morphisms = {m: (C.tgt(m), C.src(m)) for m in C.morphisms()}
-    composition = {(f, g): gf for (g, f), gf in C._composition.items()}
+    composition = {(f, g): gf for (g, f), gf in C.composition().items()}
     return FinCategory(C.objects(), morphisms, C._identities, composition,
                        name=f"{C.name}^op")
 
@@ -682,8 +698,9 @@ def product_category(C, D, name=None):
     identities = {f"{a}*{b}": f"{C.identity(a)}*{D.identity(b)}"
                   for a in C.objects() for b in D.objects()}
     composition = {}
-    for (g1, f1), h1 in C._composition.items():
-        for (g2, f2), h2 in D._composition.items():
+    comp_d = D.composition()
+    for (g1, f1), h1 in C.composition().items():
+        for (g2, f2), h2 in comp_d.items():
             composition[(f"{g1}*{g2}", f"{f1}*{f2}")] = f"{h1}*{h2}"
     cat = validate_category((objects, morphisms, identities, composition),
                             name=name or f"{C.name}x{D.name}")

@@ -4,13 +4,22 @@ spaces, algebra ambients and seeded random categories.
 Every builder routes its tables through validate_category, so generated
 fixtures are validated structures by construction.  Ids are zero-padded
 where order matters; all enumeration is deterministic.
+
+The standard corpus is a registry of named fixtures: one zero-argument
+builder per name, listed for given caps (``max_top_points``,
+``group_cap``, ``monoid_cap``) by ``_fixture_builders``.  Nothing is
+built until asked for.  ``corpus_entry(name, ...)`` builds one fixture
+and caches it under (name, caps); ``standard_corpus(...)`` builds every
+name through the same cache, and ``corpus_names(...)`` lists the names.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algkit import FinAlgebra, build_finalg_category, group_theory, \
     monoid_theory, subalgebra_closure
@@ -530,6 +539,7 @@ def finite_top_category(max_points=3, name=None):
             order.append(oid)
     morphisms = {}
     maps = {}
+    ids = {}      # (src, tgt, image) -> id, to name composites
     for a in order:
         na, opa = spaces[a]
         for b in order:
@@ -549,23 +559,63 @@ def finite_top_category(max_points=3, name=None):
                     mid = f"c{a}>{b}:" + "".join(map(str, img))
                     morphisms[mid] = (a, b)
                     maps[mid] = img
+                    ids[(a, b, img)] = mid
     identities = {a: f"c{a}>{a}:" + "".join(map(str, range(spaces[a][0])))
                   for a in order}
-    composition = {}
-    by_src = {}
-    for m, (s, t) in morphisms.items():
-        by_src.setdefault(s, []).append(m)
-    for f, (a, b) in morphisms.items():
-        fi = maps[f]
-        for g in by_src.get(b, []):
-            gi = maps[g]
-            hi = tuple(gi[x] for x in fi)
-            c = morphisms[g][1]
-            composition[(g, f)] = f"c{a}>{c}:" + "".join(map(str, hi))
     cat = _must(validate_category(
-        (order, morphisms, identities, composition),
+        (order, morphisms, identities, _MapComposites(morphisms, maps, ids)),
         name=name or f"top<= {max_points}"))
     return FiniteTopCorpus(cat, spaces, maps)
+
+
+class _MapComposites(Mapping):
+    """{(g, f): g.f} of maps between finite sets, computed when read.
+
+    The 3-point space corpus has about 1.7e5 composable pairs; held as a
+    dict they cost ~15 MB on top of the category's own table while it was
+    validated.  ``ids`` maps (src, tgt, image tuple) to a morphism id.
+    """
+
+    def __init__(self, morphisms, maps, ids):
+        self._morphisms, self._maps, self._ids = morphisms, maps, ids
+        self._by_src = {}
+        for m, (s, _) in morphisms.items():
+            self._by_src.setdefault(s, []).append(m)
+
+    def __getitem__(self, key):
+        g, f = key
+        if self._morphisms[g][0] != self._morphisms[f][1]:
+            raise KeyError(key)
+        gi = self._maps[g]
+        return self._ids[(self._morphisms[f][0], self._morphisms[g][1],
+                          tuple(gi[x] for x in self._maps[f]))]
+
+    def __iter__(self):
+        for f, (_, b) in self._morphisms.items():
+            for g in self._by_src.get(b, ()):
+                yield g, f
+
+    def __len__(self):
+        return sum(len(self._by_src.get(b, ()))
+                   for _, b in self._morphisms.values())
+
+    def items(self):
+        return _MapCompositeItems(self)
+
+    def _items(self):
+        ends, maps, ids = self._morphisms, self._maps, self._ids
+        for f, (a, b) in ends.items():
+            fi = maps[f]
+            for g in self._by_src.get(b, ()):
+                yield (g, f), ids[(a, ends[g][1],
+                                   tuple(map(maps[g].__getitem__, fi)))]
+
+
+class _MapCompositeItems(ItemsView):
+    """Items of a _MapComposites in one pass, without a lookup per key."""
+
+    def __iter__(self):
+        return self._mapping._items()
 
 
 # ---------------------------------------------------------------------------
@@ -753,73 +803,110 @@ def _default_classes(C):
                       "sections", "retractions")}
 
 
+# Fixture builders return (category, extra classes, extra); the default
+# classes are added when the entry is made.
+
+def _plain(build, *args, **kwargs):
+    return build(*args, **kwargs), {}, None
+
+
+def _set_skeleton_fixture(size):
+    sk = set_skeleton(size, name=f"set{size}")
+    return sk.category, {"injections": sk.injections(),
+                         "surjections": sk.surjections()}, sk
+
+
+def _group_fixture(A):
+    return group_category(A), {}, A
+
+
+def _subgroup_fixture(order, name):
+    A = cyclic_group(order)
+    return subgroup_lattice_poset(A, name=name), {}, A
+
+
+def _finite_top_fixture(max_points):
+    top = finite_top_category(max_points)
+    return top.category, {
+        "injections": explicit_class(top.category, "injections",
+                                     [m for m in top.maps
+                                      if top.is_injective(m)]),
+        "surjections": explicit_class(top.category, "surjections",
+                                      [m for m in top.maps
+                                       if top.is_surjective(m)]),
+        "embeddings": top.extremal_monos()}, top
+
+
+def _ambient_fixture(theory, cap, roster):
+    C = build_finalg_category(theory(), cap, roster(cap))
+    return C, {n: builtin_class(C, n)
+               for n in ("all", "isos", "injections", "surjections",
+                         "sections", "retractions", "monos", "epis")}, None
+
+
+def _fixture_builders(max_top_points, group_cap, monoid_cap):
+    """Name -> zero-argument builder for every fixture at these caps.
+
+    Builds nothing; the group roster is listed because ``group_cap``
+    decides which ``group_cat_*`` fixtures exist.
+    """
+    builders = {
+        "poset_2chain": partial(_plain, chain_poset, 1, name="poset_2chain"),
+        "poset_3chain": partial(_plain, chain_poset, 2, name="poset_3chain"),
+        "poset_4chain": partial(_plain, chain_poset, 3, name="poset_4chain"),
+        "diamond": partial(_plain, diamond_lattice),
+        "set_skeleton_2": partial(_set_skeleton_fixture, 2),
+        "set_skeleton_3": partial(_set_skeleton_fixture, 3),
+    }
+    for A in groups_upto(group_cap):
+        if A.size in (2, 4, 8):
+            builders[f"group_cat_{A.name}"] = partial(_group_fixture, A)
+    builders.update({
+        "sub_Z8": partial(_subgroup_fixture, 8, "sub_Z8"),
+        "sub_Z4": partial(_subgroup_fixture, 4, "sub_Z4"),
+        "finite_top": partial(_finite_top_fixture, max_top_points),
+        "groups_ambient": partial(_ambient_fixture, group_theory, group_cap,
+                                  groups_upto),
+        "abelian_ambient": partial(_ambient_fixture, group_theory,
+                                   group_cap, abelian_groups_upto),
+        "monoids_ambient": partial(_ambient_fixture, monoid_theory,
+                                   monoid_cap, monoids_upto),
+    })
+    return builders
+
+
+# (name, max_top_points, group_cap, monoid_cap) -> CorpusEntry
 _corpus_cache = {}
 
 
-def standard_corpus(max_top_points=3, group_cap=8, monoid_cap=4):
-    """The fixed fixture set used across the test and acceptance suites."""
-    key = (max_top_points, group_cap, monoid_cap)
-    if key in _corpus_cache:
-        return _corpus_cache[key]
-    entries = {}
-
-    def add(name, category, classes=None, extra=None):
+def _cached_entry(name, caps, build):
+    key = (name,) + caps
+    if key not in _corpus_cache:
+        category, classes, extra = build()
         cls = _default_classes(category)
-        cls.update(classes or {})
-        entries[name] = CorpusEntry(name, category, cls, extra)
+        cls.update(classes)
+        _corpus_cache[key] = CorpusEntry(name, category, cls, extra)
+    return _corpus_cache[key]
 
-    add("poset_2chain", chain_poset(1, name="poset_2chain"))
-    add("poset_3chain", chain_poset(2, name="poset_3chain"))
-    add("poset_4chain", chain_poset(3, name="poset_4chain"))
-    add("diamond", diamond_lattice())
 
-    sk2 = set_skeleton(2, name="set2")
-    add("set_skeleton_2", sk2.category,
-        {"injections": sk2.injections(), "surjections": sk2.surjections()},
-        extra=sk2)
-    sk3 = set_skeleton(3, name="set3")
-    add("set_skeleton_3", sk3.category,
-        {"injections": sk3.injections(), "surjections": sk3.surjections()},
-        extra=sk3)
+def corpus_names(max_top_points=3, group_cap=8, monoid_cap=4):
+    """Sorted names of the standard fixtures at these caps."""
+    return sorted(_fixture_builders(max_top_points, group_cap, monoid_cap))
 
-    for A in groups_upto(group_cap):
-        if A.size in (2, 4, 8):
-            add(f"group_cat_{A.name}", group_category(A), extra=A)
-    add("sub_Z8", subgroup_lattice_poset(cyclic_group(8), name="sub_Z8"),
-        extra=cyclic_group(8))
-    add("sub_Z4", subgroup_lattice_poset(cyclic_group(4), name="sub_Z4"),
-        extra=cyclic_group(4))
 
-    top = finite_top_category(max_top_points)
-    add("finite_top", top.category,
-        {"injections": explicit_class(top.category, "injections",
-                                      [m for m in top.maps
-                                       if top.is_injective(m)]),
-         "surjections": explicit_class(top.category, "surjections",
-                                       [m for m in top.maps
-                                        if top.is_surjective(m)]),
-         "embeddings": top.extremal_monos()},
-        extra=top)
+def corpus_entry(name, max_top_points=3, group_cap=8, monoid_cap=4):
+    """One standard fixture, built on first use for these caps.
 
-    groups = build_finalg_category(group_theory(), group_cap,
-                                   groups_upto(group_cap))
-    add("groups_ambient", groups,
-        {n: builtin_class(groups, n)
-         for n in ("all", "isos", "injections", "surjections",
-                   "sections", "retractions", "monos", "epis")})
-    abelian = build_finalg_category(group_theory(), group_cap,
-                                    abelian_groups_upto(group_cap))
-    add("abelian_ambient", abelian,
-        {n: builtin_class(abelian, n)
-         for n in ("all", "isos", "injections", "surjections",
-                   "sections", "retractions", "monos", "epis")})
-    monoids = build_finalg_category(monoid_theory(), monoid_cap,
-                                    monoids_upto(monoid_cap))
-    add("monoids_ambient", monoids,
-        {n: builtin_class(monoids, n)
-         for n in ("all", "isos", "injections", "surjections",
-                   "sections", "retractions", "monos", "epis")})
+    Raises KeyError for a name not in ``corpus_names`` at the same caps.
+    """
+    caps = (max_top_points, group_cap, monoid_cap)
+    return _cached_entry(name, caps, _fixture_builders(*caps)[name])
 
-    corpus = Corpus(entries)
-    _corpus_cache[key] = corpus
-    return corpus
+
+def standard_corpus(max_top_points=3, group_cap=8, monoid_cap=4):
+    """The fixed fixture set used across the test and acceptance suites:
+    every fixture at these caps, built through the same per-fixture cache
+    as ``corpus_entry``."""
+    caps = (max_top_points, group_cap, monoid_cap)
+    return Corpus({name: _cached_entry(name, caps, build)
+                   for name, build in _fixture_builders(*caps).items()})

@@ -3,6 +3,13 @@
 Deliberately shares no code with the package: plain dict lookups and
 triple loops, used to cross-check mono/epi/iso flags, pullback universal
 properties, orthogonality and extremality on small categories.
+
+The second half is a reference lane for the enumeration kernels: plain
+loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets) in
+the loop order of the compiled lane (``_kernels_c.pyx``), so witnesses are
+the lexicographically least ones the kernel contract promises.  The kernel
+tests compare the numpy lane with the compiled lane when it is built and
+with these loops otherwise.
 """
 
 
@@ -114,3 +121,93 @@ def extremal_wrt(cat, f, members):
                for g in cat.hom(cat.src[f], cat.src[m])):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference lane over dense tables
+# ---------------------------------------------------------------------------
+
+def _hom_list(hom_ptr, hom_dat, nobj, a, b):
+    k = int(a) * nobj + int(b)
+    return [int(x) for x in hom_dat[hom_ptr[k]:hom_ptr[k + 1]]]
+
+
+def first_composability_violation(comp, src, tgt):
+    n = comp.shape[0]
+    for g in range(n):
+        for f in range(n):
+            gf = comp[g, f]
+            if tgt[f] == src[g]:
+                if gf < 0:
+                    return g, f, "missing"
+                if src[gf] != src[f] or tgt[gf] != tgt[g]:
+                    return g, f, "endpoints"
+            elif gf >= 0:
+                return g, f, "spurious"
+    return None
+
+
+def first_identity_violation(comp, src, tgt, ident):
+    n = comp.shape[0]
+    for f in range(n):
+        if comp[ident[tgt[f]], f] != f:
+            return f, "left"
+    for f in range(n):
+        if comp[f, ident[src[f]]] != f:
+            return f, "right"
+    return None
+
+
+def first_assoc_violation(comp):
+    n = comp.shape[0]
+    for f in range(n):
+        for g in range(n):
+            gf = comp[g, f]
+            if gf < 0:
+                continue
+            for h in range(n):
+                hg = comp[h, g]
+                if hg < 0:
+                    continue
+                if comp[h, gf] != comp[hg, f]:
+                    return f, g, h
+    return None
+
+
+def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
+    n = comp.shape[0]
+    mono = [1] * n
+    epi = [1] * n
+    for f in range(n):
+        for z in range(nobj):
+            us = _hom_list(hom_ptr, hom_dat, nobj, z, src[f])
+            if len({int(comp[f, u]) for u in us}) != len(us):
+                mono[f] = 0
+            vs = _hom_list(hom_ptr, hom_dat, nobj, tgt[f], z)
+            if len({int(comp[v, f]) for v in vs}) != len(vs):
+                epi[f] = 0
+    return mono, epi
+
+
+def lift_report(comp, src, tgt, hom_ptr, hom_dat, nobj, e, m):
+    A, B, X, Y = src[e], tgt[e], src[m], tgt[m]
+    for u in _hom_list(hom_ptr, hom_dat, nobj, A, X):
+        for v in _hom_list(hom_ptr, hom_dat, nobj, B, Y):
+            if comp[v, e] != comp[m, u]:
+                continue
+            cnt = sum(1 for h in _hom_list(hom_ptr, hom_dat, nobj, B, X)
+                      if comp[h, e] == u and comp[m, h] == v)
+            if cnt != 1:
+                return 0, u, v, cnt
+    return 1, -1, -1, 1
+
+
+def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
+    ps, qs = [], []
+    for w in range(nobj):
+        for p in _hom_list(hom_ptr, hom_dat, nobj, w, src[f]):
+            for q in _hom_list(hom_ptr, hom_dat, nobj, w, src[g]):
+                if comp[g, q] == comp[f, p]:
+                    ps.append(p)
+                    qs.append(q)
+    return ps, qs

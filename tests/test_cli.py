@@ -1,8 +1,10 @@
 import json
 import sys
 
+import pytest
 
-from fincov.cli import main
+from fincov import instances
+from fincov.cli import load_input, main
 from fincov.report import SCHEMA_VERSION
 
 
@@ -50,6 +52,54 @@ def test_closure_extensions_hypothesis_exit_code(capsys):
 def test_input_error_exit_code(capsys):
     code = main(["check", "compact", "--input", "corpus:not_a_fixture"])
     assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == (
+        "unknown corpus fixture 'not_a_fixture'; known: abelian_ambient, "
+        "diamond, finite_top, group_cat_D4, group_cat_Q8, group_cat_V4, "
+        "group_cat_Z2, group_cat_Z2^3, group_cat_Z4, group_cat_Z4xZ2, "
+        "group_cat_Z8, groups_ambient, monoids_ambient, poset_2chain, "
+        "poset_3chain, poset_4chain, set_skeleton_2, set_skeleton_3, "
+        "sub_Z4, sub_Z8")
+
+
+def entry_fingerprint(entry):
+    C = entry.category
+    if hasattr(C, "theory"):
+        # ambient classes are predicates over the roster
+        cat = (C.name, C.size_cap, [A.key() for A in C.objects()])
+        classes = {k: cl.to_json() for k, cl in entry.classes.items()}
+    else:
+        cat = C.to_json()
+        classes = {k: (cl.name, cl.member_list())
+                   for k, cl in entry.classes.items()}
+    return cat, classes, type(entry.extra)
+
+
+@pytest.mark.parametrize("max_size", [None, 4])
+def test_lazy_corpus_input_matches_standard_corpus(monkeypatch, max_size):
+    caps = {} if max_size is None else {"group_cap": 4, "monoid_cap": 4}
+    full = instances.standard_corpus(**caps)
+    assert ("group_cat_Z8" in full.names()) == (max_size is None)
+    # each fixture built alone, from an empty cache
+    monkeypatch.setattr(instances, "_corpus_cache", {})
+    for name in full.names():
+        C, entry, data = load_input(f"corpus:{name}", max_size)
+        assert entry is not full[name]
+        assert C is entry.category and data is None
+        assert entry_fingerprint(entry) == entry_fingerprint(full[name])
+    assert sorted(k[0] for k in instances._corpus_cache) == full.names()
+
+
+def test_corpus_input_builds_only_its_fixture(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a fixture that was not asked for")
+
+    monkeypatch.setattr(instances, "_corpus_cache", {})
+    monkeypatch.setattr(instances, "finite_top_category", refuse)
+    monkeypatch.setattr(instances, "build_finalg_category", refuse)
+    C, entry, _ = load_input("corpus:sub_Z8")
+    assert entry.name == "sub_Z8" and len(C.objects()) == 4
+    assert list(instances._corpus_cache) == [("sub_Z8", 3, 8, 4)]
 
 
 def test_unknown_check_exit_code(capsys):

@@ -62,6 +62,30 @@ def test_validate_dangling():
     assert not rep and rep.law == "structure"
 
 
+def test_validate_unknown_composite_reports_least_pair():
+    raw = poset01_raw()
+    raw["composition"] += [["u", "id1", "zz"], ["id1", "id0", "zz"]]
+    rep = validate_category(raw)
+    assert not rep and rep.law == "structure"
+    assert rep.witness == ("id1", "id0")
+
+
+def test_composition_dict_matches_table():
+    cat = set_skeleton(2).category
+    comp = cat.composition()
+    assert len(comp) == sum(1 for g in cat.morphisms()
+                            for f in cat.morphisms()
+                            if cat.src(g) == cat.tgt(f))
+    for (g, f), gf in comp.items():
+        assert cat.compose(g, f) == gf
+    again = FinCategory(cat.objects(), {m: (cat.src(m), cat.tgt(m))
+                                        for m in cat.morphisms()},
+                        {o: cat.identity(o) for o in cat.objects()}, comp)
+    assert again == cat
+    comp[next(iter(comp))] = "changed"
+    assert cat.composition() != comp
+
+
 def test_validate_nonassociative():
     # 4 parallel endo-arrows with a broken table
     mors = [{"id": f"a{i}", "src": "*", "tgt": "*"} for i in range(3)]

@@ -59,6 +59,36 @@ def test_top_morphism_counts_match_bruteforce():
             assert got == expected, (a, b)
 
 
+def test_top_composition_is_composition_of_maps():
+    top = finite_top_category(2)
+    cat = top.category
+    pairs = 0
+    for f in cat.morphisms():
+        for g in cat.morphisms_from(cat.tgt(f)):
+            gf = cat.compose(g, f)
+            assert top.maps[gf] == tuple(top.maps[g][x] for x in top.maps[f])
+            assert (cat.src(gf), cat.tgt(gf)) == (cat.src(f), cat.tgt(g))
+            pairs += 1
+    assert len(cat.composition()) == pairs
+
+
+def test_lazy_top_composites_agree_with_lookups():
+    from fincov.instances import _MapComposites
+    top = finite_top_category(2)
+    ends = {m: (top.category.src(m), top.category.tgt(m))
+            for m in top.category.morphisms()}
+    ids = {(*ends[m], img): m for m, img in top.maps.items()}
+    lazy = _MapComposites(ends, top.maps, ids)
+    items = dict(lazy.items())
+    assert len(lazy) == len(items) == len(list(lazy))
+    assert items == {k: lazy[k] for k in lazy}
+    assert items == top.category.composition()
+    g, f = next((g, f) for g in ends for f in ends
+                if ends[g][0] != ends[f][1])
+    with pytest.raises(KeyError):
+        lazy[(g, f)]
+
+
 def test_discrete_two_point_cover():
     top = finite_top_category(2)
     from fincov.coverage import OpenCoverCoverage

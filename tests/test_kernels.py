@@ -1,14 +1,29 @@
+import random
+
 import numpy as np
 import pytest
 
+import oracles
 from fincov import _kernels_py as kp
-from fincov import kernels as kc
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               group_category, random_category, set_skeleton)
+
+# The numpy lane is checked against a second, independent lane: the
+# compiled kernels when they are built, the reference loops otherwise.
+try:
+    from fincov import _kernels_c as kc
+except ImportError:
+    kc = oracles
 
 
 def args_of(C):
     return C._kernel_args()
+
+
+def wide(args):
+    """The compiled lane reads int64 tables only; the numpy lane's tables
+    may be narrower (kernels.table_dtype)."""
+    return (args[0].astype(np.int64), *args[1:])
 
 
 FIXTURES = [chain_poset(2), diamond_lattice(), set_skeleton(2).category,
@@ -16,39 +31,84 @@ FIXTURES = [chain_poset(2), diamond_lattice(), set_skeleton(2).category,
            [random_category(s) for s in range(6)]
 
 
+def validation_witnesses(lane, comp, src, tgt, ident):
+    return (lane.first_composability_violation(comp, src, tgt),
+            lane.first_identity_violation(comp, src, tgt, ident),
+            lane.first_assoc_violation(comp))
+
+
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
 def test_lanes_agree_on_validation(C):
     a = args_of(C)
-    assert kp.first_composability_violation(*a[:3]) == \
-        kc.first_composability_violation(*a[:3])
-    assert kp.first_identity_violation(*a[:3], C._ident) == \
-        kc.first_identity_violation(*a[:3], C._ident)
-    assert kp.first_assoc_violation(a[0]) == kc.first_assoc_violation(a[0])
+    assert validation_witnesses(kp, *a[:3], C._ident) == \
+        validation_witnesses(kc, *wide(a)[:3], C._ident)
 
 
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
 def test_lanes_agree_on_flags(C):
     a = args_of(C)
     m1, e1 = kp.mono_epi_flags(*a)
-    m2, e2 = kc.mono_epi_flags(*a)
+    m2, e2 = kc.mono_epi_flags(*wide(a))
     assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
 
 
 @pytest.mark.parametrize("C", FIXTURES[:4], ids=lambda c: c.name)
 def test_lanes_agree_on_lifts_and_spans(C):
     a = args_of(C)
+    w = wide(a)
     n = len(C.morphisms())
     for e in range(0, n, max(1, n // 6)):
         for m in range(0, n, max(1, n // 6)):
             assert tuple(kp.lift_report(*a, e, m)) == \
-                tuple(kc.lift_report(*a, e, m))
+                tuple(kc.lift_report(*w, e, m))
     for f in range(0, n, max(1, n // 5)):
         for g in range(n):
             if C._tgt[f] != C._tgt[g]:
                 continue
             p1, q1 = kp.commuting_spans(*a, f, g)
-            p2, q2 = kc.commuting_spans(*a, f, g)
-            assert np.array_equal(np.sort(p1 * n + q1), np.sort(p2 * n + q2))
+            p2, q2 = kc.commuting_spans(*w, f, g)
+            assert np.array_equal(np.sort(p1 * n + q1),
+                                  np.sort(np.asarray(p2) * n + q2))
+
+
+def test_numpy_lane_reads_narrow_tables():
+    # FinCategory tables use kernels.table_dtype; under the numpy lane that
+    # is the narrowest type, and every kernel must answer as on int64
+    C = set_skeleton(3).category
+    a, w = args_of(C), wide(args_of(C))
+    n = len(C.morphisms())
+    assert validation_witnesses(kp, *a[:3], C._ident) == \
+        validation_witnesses(kp, *w[:3], C._ident)
+    for x, y in zip(kp.mono_epi_flags(*a), kp.mono_epi_flags(*w)):
+        assert np.array_equal(x, y)
+    for e in range(0, n, 5):
+        for m in range(0, n, 5):
+            assert tuple(kp.lift_report(*a, e, m)) == \
+                tuple(kp.lift_report(*w, e, m))
+    for f in range(0, n, 3):
+        for g in range(n):
+            if C._tgt[f] == C._tgt[g]:
+                p1, q1 = kp.commuting_spans(*a, f, g)
+                p2, q2 = kp.commuting_spans(*w, f, g)
+                assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
+    for trial in range(20):
+        bad = a[0].copy()
+        rng = random.Random(trial)
+        g, f = rng.randrange(n), rng.randrange(n)
+        bad[g, f] = rng.randrange(-1, n)
+        assert validation_witnesses(kp, bad, *a[1:3], C._ident) == \
+            validation_witnesses(kp, *wide((bad, *a[1:3])), C._ident)
+
+
+def test_table_dtype_holds_every_index():
+    from fincov import kernels
+    for n in (1, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31):
+        info = np.iinfo(kernels.table_dtype(n))
+        assert info.min <= -1 and n - 1 <= info.max
+    if kernels.BACKEND == "python":
+        assert kernels.table_dtype(1476) == np.int16
+    else:
+        assert kernels.table_dtype(3) == np.int64
 
 
 def test_assoc_violation_detected_by_both():
@@ -61,7 +121,6 @@ def test_assoc_violation_detected_by_both():
 
 
 def test_lanes_agree_on_random_broken_tables():
-    import random
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(2, 5)
@@ -73,3 +132,60 @@ def test_lanes_agree_on_random_broken_tables():
                 comp[i, j] = rng.randrange(n)
         assert kp.first_assoc_violation(comp) == \
             kc.first_assoc_violation(comp)
+
+
+MULTI_OBJECT = [set_skeleton(2).category] + \
+    [C for C in (random_category(s) for s in range(140, 200))
+     if len(C.objects()) >= 2
+     and any(len(C.hom(a, b)) >= 2 for a in C.objects()
+             for b in C.objects())]
+
+
+def test_lanes_agree_on_broken_composability():
+    # missing, spurious and wrong-endpoint entries seeded into valid
+    # tables, several per table, so the kinds compete for the least (g, f)
+    rng = random.Random(11)
+    kinds = set()
+    for t in range(300):
+        C = FIXTURES[t % len(FIXTURES)]
+        comp, src, tgt = (x.copy() for x in args_of(C)[:3])
+        n = comp.shape[0]
+        for _ in range(rng.randint(1, 3)):
+            g, f = rng.randrange(n), rng.randrange(n)
+            if comp[g, f] < 0:
+                comp[g, f] = rng.randrange(n)
+            elif rng.random() < 0.5:
+                comp[g, f] = -1
+            else:
+                comp[g, f] = rng.randrange(n)
+        w = kp.first_composability_violation(comp, src, tgt)
+        assert w == kc.first_composability_violation(*wide((comp, src, tgt)))
+        if w is not None:
+            kinds.add(w[2])
+    assert kinds == {"missing", "spurious", "endpoints"}
+
+
+def test_lanes_agree_on_swapped_composites():
+    # a composite replaced by another member of its hom set keeps every
+    # endpoint right, so only the identity and associativity scans (the
+    # latter bucketed by defined-mask) can find it
+    assert len(MULTI_OBJECT) >= 8
+    rng = random.Random(3)
+    found = 0
+    for t in range(240):
+        C = MULTI_OBJECT[t % len(MULTI_OBJECT)]
+        comp, src, tgt = (x.copy() for x in args_of(C)[:3])
+        gs, fs = np.nonzero(comp >= 0)
+        cands = [(g, f) for g, f in zip(gs, fs)
+                 if len(C.hom(C.src(C._morphisms[f]),
+                              C.tgt(C._morphisms[g]))) >= 2]
+        g, f = rng.choice(cands)
+        hom = [C._midx[m] for m in C.hom(C.src(C._morphisms[f]),
+                                         C.tgt(C._morphisms[g]))]
+        comp[g, f] = rng.choice([m for m in hom if m != comp[g, f]])
+        w = validation_witnesses(kp, comp, src, tgt, C._ident)
+        assert w == validation_witnesses(kc, *wide((comp, src, tgt)),
+                                         C._ident)
+        assert w[0] is None
+        found += w[2] is not None
+    assert found >= 120
