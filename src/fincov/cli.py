@@ -63,7 +63,6 @@ def build_parser():
     chk.add_argument("--format", default="text", choices=["text", "json"])
     chk.add_argument("--max-size", type=int, default=None,
                      help="ambient size cap override")
-    chk.add_argument("--jobs", type=int, default=1)
     chk.add_argument("--object", default=None, help="anchor object id")
     chk.add_argument("--objects", default=None,
                      help="comma-separated object pair (products)")
@@ -258,8 +257,7 @@ def run_check(args):
     name = args.name or args.check_flag
     if not name:
         raise InputError("no check name given")
-    params = {"seed": args.seed, "cap": args.cap, "kappa": args.kappa,
-              "jobs": args.jobs}
+    params = {"seed": args.seed, "cap": args.cap, "kappa": args.kappa}
     C, entry, data = load_input(args.input, args.max_size)
     bindings = parse_class_bindings(args.classes)
 
@@ -342,7 +340,7 @@ def run_check(args):
         out = {}
         worst = rp.EXIT_PASS
         for c in objects:
-            v = decide_tau_compact(C, c, tau, cap=args.cap, jobs=args.jobs)
+            v = decide_tau_compact(C, c, tau, cap=args.cap)
             out[str(c)] = v.to_json()
             if v.compact is None:
                 worst = max(worst, rp.EXIT_INCONCLUSIVE)

@@ -11,7 +11,6 @@ coverings lazily under a hard cap; exceeding the cap yields the verdict
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .fincat import SliceCategory
@@ -518,7 +517,7 @@ class CompactnessVerdict:
                 "flags": list(self.flags)}
 
 
-def decide_tau_compact(C, c, tau, cap=None, jobs=1):
+def decide_tau_compact(C, c, tau, cap=None):
     """c is compact iff every covering of c stabilizes at some small.
 
     Exceeding the enumeration cap without finding a failing covering gives
@@ -534,12 +533,7 @@ def decide_tau_compact(C, c, tau, cap=None, jobs=1):
             flags.add("non-directed-smalls")
         flags.update(cov.flags)
 
-    if jobs > 1 and len(covs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(stabilization_small, covs))
-    else:
-        results = [stabilization_small(cov) for cov in covs]
-
+    results = [stabilization_small(cov) for cov in covs]
     witnesses = []
     for cov, w in zip(covs, results):
         if w is None:

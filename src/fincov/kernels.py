@@ -1,43 +1,213 @@
-"""Kernel selection: compiled lane when available, numpy lane otherwise.
+"""The enumeration kernels of fincov, in numpy.
 
-Set FINCOV_PURE=1 to force the numpy lane (used by the benchmark and to test
-both lanes against each other).
+All functions take the dense table representation of a finite category and
+return plain ints or numpy arrays.  ``comp`` is morphism x morphism with -1
+for non-composable pairs, in any signed integer dtype (``FinCategory``
+stores the narrowest, see ``table_dtype``).  Hom sets come as a CSR pair
+``hom_ptr``/``hom_dat`` indexed by src*nobj+tgt.  Witnesses are always the
+lexicographically least in the documented loop order; the tests check them
+witness for witness against the reference loops in ``tests/oracles.py``.
 """
-
-import os
 
 import numpy as np
 
-if os.environ.get("FINCOV_PURE"):
-    from . import _kernels_py as impl
-else:
-    try:
-        from . import _kernels_c as impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as impl
-
-BACKEND = impl.BACKEND
-
-first_composability_violation = impl.first_composability_violation
-first_identity_violation = impl.first_identity_violation
-first_assoc_violation = impl.first_assoc_violation
-mono_epi_flags = impl.mono_epi_flags
-lift_report = impl.lift_report
-commuting_spans = impl.commuting_spans
-span_verify = impl.span_verify
-coequalizer_verify = impl.coequalizer_verify
-
 
 def table_dtype(n):
-    """Integer dtype of an n-morphism composition table for the active lane.
+    """Narrowest signed integer dtype of an n-morphism composition table.
 
-    The compiled lane is typed for int64.  The numpy lane takes the
-    narrowest signed type holding -1..n-1: the 1476-morphism finite_top
-    table is 4.4 MB as int16 and 17.4 MB as int64.
+    It holds -1..n-1: the 1476-morphism finite_top table is 4.4 MB as int16
+    and 17.4 MB as int64.
     """
-    if BACKEND != "python":
-        return np.int64
     for dt in (np.int8, np.int16, np.int32):
         if n <= np.iinfo(dt).max:
             return dt
     return np.int64
+
+
+def _hom(hom_ptr, hom_dat, nobj, a, b):
+    k = a * nobj + b
+    return hom_dat[hom_ptr[k]:hom_ptr[k + 1]]
+
+
+# Table entries per block of rows in first_composability_violation: its
+# temporaries stay a few MB on the 1476-morphism finite_top table instead of
+# a dozen n x n arrays.
+_BLOCK = 1 << 18
+
+
+def first_composability_violation(comp, src, tgt):
+    """Least (g, f) where comp is defined off the composable pairs, missing on
+    one, or has wrong endpoints.  Returns (g, f, code) or None.
+
+    Rows g are scanned in blocks, in order, so the first block with any
+    violation holds the least one.
+    """
+    n = comp.shape[0]
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        rows = comp[lo:lo + step]
+        defined = rows >= 0
+        should = src[lo:lo + step, None] == tgt[None, :]
+        bad = defined != should
+        k = int(np.argmax(bad))
+        first = divmod(k, n) if bad.flat[k] else None
+        gs, fs = np.nonzero(defined & should)
+        vals = rows[gs, fs]
+        wrong = (src[vals] != src[fs]) | (tgt[vals] != tgt[gs + lo])
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            if first is None or (gs[i], fs[i]) < first:
+                return int(gs[i]) + lo, int(fs[i]), "endpoints"
+        if first is not None:
+            g, f = first
+            return g + lo, f, ("missing" if should[g, f] else "spurious")
+    return None
+
+
+def first_identity_violation(comp, src, tgt, ident):
+    """Least f breaking id_tgt(f) . f = f = f . id_src(f); (f, side) or None."""
+    n = comp.shape[0]
+    f = np.arange(n)
+    left = comp[ident[tgt], f]
+    if (left != f).any():
+        return int(np.nonzero(left != f)[0][0]), "left"
+    right = comp[f, ident[src]]
+    if (right != f).any():
+        return int(np.nonzero(right != f)[0][0]), "right"
+    return None
+
+
+def first_assoc_violation(comp):
+    """Least (f, g, h) with h.(g.f) != (h.g).f, ordering (f, g, h).
+
+    Only composable triples are visited.  The composable (g, h) pairs
+    depend on f only through the defined-mask of column f (in a valid
+    table: through tgt(f)), so they are built once per distinct mask, in
+    (g, h) order, and each f checks all of its pairs at once.
+    """
+    n = comp.shape[0]
+    pairs = {}
+    for f in range(n):
+        col = comp[:, f]
+        mask = col >= 0
+        key = mask.tobytes()
+        p = pairs.get(key)
+        if p is None:
+            gs = np.flatnonzero(mask)
+            hg = comp[:, gs].T                # g x h
+            gpos, h = np.nonzero(hg >= 0)
+            # kept in the table's dtype: the pairs of all masks together
+            # are as many as the composable pairs
+            p = pairs[key] = (gs[gpos].astype(comp.dtype),
+                              h.astype(comp.dtype), hg[gpos, h])
+        g, h, hg = p
+        bad = comp[h, col[g]] != comp[hg, f]
+        if bad.any():
+            i = int(np.argmax(bad))
+            return f, int(g[i]), int(h[i])
+    return None
+
+
+def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
+    """Per-morphism left/right cancellation flags, decided by enumeration."""
+    n = comp.shape[0]
+    mono = np.zeros(n, dtype=np.uint8)
+    epi = np.zeros(n, dtype=np.uint8)
+    into = [np.nonzero(tgt == o)[0] for o in range(nobj)]
+    outof = [np.nonzero(src == o)[0] for o in range(nobj)]
+    for f in range(n):
+        u = into[src[f]]
+        keys = src[u].astype(np.int64) * n + comp[f, u]
+        mono[f] = len(np.unique(keys)) == len(u)
+        v = outof[tgt[f]]
+        keys = tgt[v].astype(np.int64) * n + comp[v, f]
+        epi[f] = len(np.unique(keys)) == len(v)
+    return mono, epi
+
+
+def lift_report(comp, src, tgt, hom_ptr, hom_dat, nobj, e, m):
+    """Unique-lift scan for the pair (e, m).
+
+    Returns (ok, u, v, count): ok=1 when every commuting square (u, v) has
+    exactly one diagonal; otherwise (u, v) is the least failing square and
+    count its number of lifts.
+    """
+    A, B = src[e], tgt[e]
+    X, Y = src[m], tgt[m]
+    us = _hom(hom_ptr, hom_dat, nobj, A, X)
+    vs = _hom(hom_ptr, hom_dat, nobj, B, Y)
+    hs = _hom(hom_ptr, hom_dat, nobj, B, X)
+    for u in us:
+        mu = comp[m, u]
+        for v in vs:
+            if comp[v, e] != mu:
+                continue
+            cnt = 0
+            for h in hs:
+                if comp[h, e] == u and comp[m, h] == v:
+                    cnt += 1
+            if cnt != 1:
+                return 0, int(u), int(v), int(cnt)
+    return 1, -1, -1, 1
+
+
+def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
+    """All (p, q) with f.p = g.q, ordered by (apex object, p, q)."""
+    a, b = src[f], src[g]
+    ps_all, qs_all = [], []
+    for w in range(nobj):
+        ps = _hom(hom_ptr, hom_dat, nobj, w, a)
+        qs = _hom(hom_ptr, hom_dat, nobj, w, b)
+        if len(ps) == 0 or len(qs) == 0:
+            continue
+        fp = comp[f, ps]
+        gq = comp[g, qs]
+        eq = fp[:, None] == gq[None, :]
+        pi, qi = np.nonzero(eq)
+        ps_all.append(ps[pi])
+        qs_all.append(qs[qi])
+    if not ps_all:
+        return (np.empty(0, dtype=comp.dtype),) * 2
+    return np.concatenate(ps_all), np.concatenate(qs_all)
+
+
+def span_verify(comp, src, tgt, hom_ptr, hom_dat, nobj, p, q, cone_p, cone_q):
+    """Check the span (p, q) is terminal among the given cones.
+
+    Returns (ok, mediators): mediators[i] is the unique h with p.h=cone_p[i]
+    and q.h=cone_q[i]; on failure ok=0 and mediators[i] = -1 (no lift) or -2
+    (multiple) at the least failing cone, the rest unset.
+    """
+    w = src[p]
+    med = np.full(len(cone_p), -1, dtype=np.int64)
+    for i in range(len(cone_p)):
+        cp, cq = cone_p[i], cone_q[i]
+        hs = _hom(hom_ptr, hom_dat, nobj, src[cp], w)
+        hit = hs[(comp[p, hs] == cp) & (comp[q, hs] == cq)]
+        if len(hit) == 1:
+            med[i] = hit[0]
+        else:
+            med[i] = -1 if len(hit) == 0 else -2
+            return 0, med
+    return 1, med
+
+
+def coequalizer_verify(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g, e):
+    """Check e coequalizes (f, g) and is universal among all coequalizing
+    tests; returns (ok, mediators aligned with the tests, tests)."""
+    b = tgt[f]
+    outs = np.nonzero(src == b)[0]
+    tests = outs[comp[outs, f] == comp[outs, g]]
+    w = tgt[e]
+    med = np.full(len(tests), -1, dtype=np.int64)
+    if comp[e, f] != comp[e, g]:
+        return 0, med, tests
+    for i, d in enumerate(tests):
+        hs = _hom(hom_ptr, hom_dat, nobj, w, tgt[d])
+        hit = hs[comp[hs, e] == d]
+        if len(hit) == 1:
+            med[i] = hit[0]
+        else:
+            med[i] = -1 if len(hit) == 0 else -2
+            return 0, med, tests
+    return 1, med, tests

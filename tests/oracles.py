@@ -5,11 +5,10 @@ triple loops, used to cross-check mono/epi/iso flags, pullback universal
 properties, orthogonality and extremality on small categories.
 
 The second half is a reference lane for the enumeration kernels: plain
-loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets) in
-the loop order of the compiled lane (``_kernels_c.pyx``), so witnesses are
-the lexicographically least ones the kernel contract promises.  The kernel
-tests compare the numpy lane with the compiled lane when it is built and
-with these loops otherwise.
+loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets).
+Their loop order is the witness-order contract of ``fincov.kernels``: the
+first violation these loops meet is the lexicographically least one, and
+the kernel tests require the kernels to return exactly it.
 """
 
 

@@ -39,6 +39,14 @@ def test_compact_pass_exit_code(capsys):
     assert rep["objects"]["X1.0"]["compact"] is True
 
 
+def test_compact_params_echo(capsys):
+    code, out = run_cli(["check", "compact", "--input", "corpus:sub_Z8",
+                         "--object", "u0", "--seed", "3", "--cap", "64",
+                         "--kappa", "3", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"] == {"seed": 3, "cap": 64, "kappa": 3}
+
+
 def test_closure_extensions_hypothesis_exit_code(capsys):
     code, out = run_cli(["check", "closure-extensions",
                          "--input", "corpus:set_skeleton_2",

@@ -1,17 +1,16 @@
-"""Cross-cutting interface tests: JSON loaders, CLI parameter paths,
-parallel reduction determinism, and materialized slices."""
+"""Cross-cutting interface tests: JSON loaders, CLI parameter paths and
+materialized slices."""
 
 import json
 
 import pytest
 
 from fincov.cli import main
-from fincov.coverage import (OpenCoverCoverage, RuleCoverage,
-                             build_chain_type, decide_tau_compact)
+from fincov.coverage import OpenCoverCoverage
 from fincov.fincat import CatFunctor, FinCategory, validate_category
 from fincov.instances import (cyclic_group, diamond_lattice,
                               finite_top_category, group_category,
-                              set_skeleton, subgroup_lattice_poset)
+                              set_skeleton)
 from fincov.morphclass import builtin_class
 from fincov.protomod import transport_classes
 from fincov.variance import mixed_functor_from_json, variance_from_json
@@ -74,16 +73,6 @@ def test_cli_max_size_rebuilds_ambient(capsys):
     assert code == 0
     rep = json.loads(out)
     assert "within size cap 4" in rep["report"]["scope"]
-
-
-def test_jobs_parallel_reduction_deterministic():
-    C = subgroup_lattice_poset(cyclic_group(8))
-    tau = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
-    v1 = decide_tau_compact(C, "u01234567", tau, jobs=1)
-    v4 = decide_tau_compact(C, "u01234567", tau, jobs=4)
-    assert v1.compact == v4.compact
-    assert v1.failing.key() == v4.failing.key()
-    assert v1.witnesses == v4.witnesses
 
 
 def test_slice_materialization_counts():

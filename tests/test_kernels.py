@@ -4,26 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
-from fincov import _kernels_py as kp
+from fincov import kernels
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               group_category, random_category, set_skeleton)
 
-# The numpy lane is checked against a second, independent lane: the
-# compiled kernels when they are built, the reference loops otherwise.
-try:
-    from fincov import _kernels_c as kc
-except ImportError:
-    kc = oracles
+# Each kernel is compared witness for witness with its reference loop in
+# oracles.py, the second lane these tests name.
 
 
 def args_of(C):
     return C._kernel_args()
-
-
-def wide(args):
-    """The compiled lane reads int64 tables only; the numpy lane's tables
-    may be narrower (kernels.table_dtype)."""
-    return (args[0].astype(np.int64), *args[1:])
 
 
 FIXTURES = [chain_poset(2), diamond_lattice(), set_skeleton(2).category,
@@ -40,84 +30,81 @@ def validation_witnesses(lane, comp, src, tgt, ident):
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
 def test_lanes_agree_on_validation(C):
     a = args_of(C)
-    assert validation_witnesses(kp, *a[:3], C._ident) == \
-        validation_witnesses(kc, *wide(a)[:3], C._ident)
+    assert validation_witnesses(kernels, *a[:3], C._ident) == \
+        validation_witnesses(oracles, *a[:3], C._ident)
 
 
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
 def test_lanes_agree_on_flags(C):
     a = args_of(C)
-    m1, e1 = kp.mono_epi_flags(*a)
-    m2, e2 = kc.mono_epi_flags(*wide(a))
+    m1, e1 = kernels.mono_epi_flags(*a)
+    m2, e2 = oracles.mono_epi_flags(*a)
     assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
 
 
 @pytest.mark.parametrize("C", FIXTURES[:4], ids=lambda c: c.name)
 def test_lanes_agree_on_lifts_and_spans(C):
     a = args_of(C)
-    w = wide(a)
     n = len(C.morphisms())
     for e in range(0, n, max(1, n // 6)):
         for m in range(0, n, max(1, n // 6)):
-            assert tuple(kp.lift_report(*a, e, m)) == \
-                tuple(kc.lift_report(*w, e, m))
+            assert tuple(kernels.lift_report(*a, e, m)) == \
+                tuple(oracles.lift_report(*a, e, m))
     for f in range(0, n, max(1, n // 5)):
         for g in range(n):
             if C._tgt[f] != C._tgt[g]:
                 continue
-            p1, q1 = kp.commuting_spans(*a, f, g)
-            p2, q2 = kc.commuting_spans(*w, f, g)
+            p1, q1 = kernels.commuting_spans(*a, f, g)
+            p2, q2 = oracles.commuting_spans(*a, f, g)
             assert np.array_equal(np.sort(p1 * n + q1),
                                   np.sort(np.asarray(p2) * n + q2))
 
 
 def test_numpy_lane_reads_narrow_tables():
-    # FinCategory tables use kernels.table_dtype; under the numpy lane that
-    # is the narrowest type, and every kernel must answer as on int64
+    # FinCategory tables use kernels.table_dtype, the narrowest type, and
+    # every kernel must answer as on an int64 copy
     C = set_skeleton(3).category
-    a, w = args_of(C), wide(args_of(C))
+    a = args_of(C)
+    w = (a[0].astype(np.int64), *a[1:])
     n = len(C.morphisms())
-    assert validation_witnesses(kp, *a[:3], C._ident) == \
-        validation_witnesses(kp, *w[:3], C._ident)
-    for x, y in zip(kp.mono_epi_flags(*a), kp.mono_epi_flags(*w)):
+    assert validation_witnesses(kernels, *a[:3], C._ident) == \
+        validation_witnesses(kernels, *w[:3], C._ident)
+    for x, y in zip(kernels.mono_epi_flags(*a), kernels.mono_epi_flags(*w)):
         assert np.array_equal(x, y)
     for e in range(0, n, 5):
         for m in range(0, n, 5):
-            assert tuple(kp.lift_report(*a, e, m)) == \
-                tuple(kp.lift_report(*w, e, m))
+            assert tuple(kernels.lift_report(*a, e, m)) == \
+                tuple(kernels.lift_report(*w, e, m))
     for f in range(0, n, 3):
         for g in range(n):
             if C._tgt[f] == C._tgt[g]:
-                p1, q1 = kp.commuting_spans(*a, f, g)
-                p2, q2 = kp.commuting_spans(*w, f, g)
+                p1, q1 = kernels.commuting_spans(*a, f, g)
+                p2, q2 = kernels.commuting_spans(*w, f, g)
                 assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
     for trial in range(20):
         bad = a[0].copy()
         rng = random.Random(trial)
         g, f = rng.randrange(n), rng.randrange(n)
         bad[g, f] = rng.randrange(-1, n)
-        assert validation_witnesses(kp, bad, *a[1:3], C._ident) == \
-            validation_witnesses(kp, *wide((bad, *a[1:3])), C._ident)
+        assert validation_witnesses(kernels, bad, *a[1:3], C._ident) == \
+            validation_witnesses(kernels, bad.astype(np.int64), *a[1:3],
+                                 C._ident)
 
 
 def test_table_dtype_holds_every_index():
-    from fincov import kernels
     for n in (1, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31):
         info = np.iinfo(kernels.table_dtype(n))
         assert info.min <= -1 and n - 1 <= info.max
-    if kernels.BACKEND == "python":
-        assert kernels.table_dtype(1476) == np.int16
-    else:
-        assert kernels.table_dtype(3) == np.int64
+    assert kernels.table_dtype(1476) == np.int16
 
 
 def test_assoc_violation_detected_by_both():
     # one-object table with identity a0 and a1.a1 = a2, a2.a2 = a1:
     # a1.(a1.a2) = a2 while (a1.a1).a2 = a1
     comp_bad = np.array([[0, 1, 2], [1, 2, 1], [2, 1, 1]], dtype=np.int64)
-    assert kp.first_assoc_violation(comp_bad) == \
-        kc.first_assoc_violation(comp_bad)
-    assert kp.first_assoc_violation(comp_bad) is not None
+    assert kernels.first_assoc_violation(comp_bad) == \
+        oracles.first_assoc_violation(comp_bad)
+    assert kernels.first_assoc_violation(comp_bad) is not None
 
 
 def test_lanes_agree_on_random_broken_tables():
@@ -130,8 +117,8 @@ def test_lanes_agree_on_random_broken_tables():
         for i in range(1, n):
             for j in range(1, n):
                 comp[i, j] = rng.randrange(n)
-        assert kp.first_assoc_violation(comp) == \
-            kc.first_assoc_violation(comp)
+        assert kernels.first_assoc_violation(comp) == \
+            oracles.first_assoc_violation(comp)
 
 
 MULTI_OBJECT = [set_skeleton(2).category] + \
@@ -158,8 +145,8 @@ def test_lanes_agree_on_broken_composability():
                 comp[g, f] = -1
             else:
                 comp[g, f] = rng.randrange(n)
-        w = kp.first_composability_violation(comp, src, tgt)
-        assert w == kc.first_composability_violation(*wide((comp, src, tgt)))
+        w = kernels.first_composability_violation(comp, src, tgt)
+        assert w == oracles.first_composability_violation(comp, src, tgt)
         if w is not None:
             kinds.add(w[2])
     assert kinds == {"missing", "spurious", "endpoints"}
@@ -183,9 +170,8 @@ def test_lanes_agree_on_swapped_composites():
         hom = [C._midx[m] for m in C.hom(C.src(C._morphisms[f]),
                                          C.tgt(C._morphisms[g]))]
         comp[g, f] = rng.choice([m for m in hom if m != comp[g, f]])
-        w = validation_witnesses(kp, comp, src, tgt, C._ident)
-        assert w == validation_witnesses(kc, *wide((comp, src, tgt)),
-                                         C._ident)
+        w = validation_witnesses(kernels, comp, src, tgt, C._ident)
+        assert w == validation_witnesses(oracles, comp, src, tgt, C._ident)
         assert w[0] is None
         found += w[2] is not None
     assert found >= 120
