@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .fincat import CapExceeded, CategoryBase, CompositionError, PullbackSquare
+from .fincat import CapExceeded, CategoryBase, CompositionError, \
+    PullbackSquare, drop_derived_memos
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +186,14 @@ def _table_total(t, arity, n):
 class AlgHom:
     """Structure-preserving map, stored as the tuple of images."""
 
-    __slots__ = ("src", "tgt", "images")
+    __slots__ = ("src", "tgt", "images", "_hash")
 
     def __init__(self, src, tgt, images):
         self.src = src
         self.tgt = tgt
         self.images = tuple(images)
+        # homs are hashed far more often than built (class memos, caches)
+        self._hash = hash((id(src), id(tgt), self.images))
 
     def __call__(self, x):
         return self.images[x]
@@ -200,7 +203,7 @@ class AlgHom:
                 and self.tgt is other.tgt and self.images == other.images)
 
     def __hash__(self):
-        return hash((id(self.src), id(self.tgt), self.images))
+        return self._hash
 
     def __repr__(self):
         return f"AlgHom({self.src.name}->{self.tgt.name}, {self.images})"
@@ -1087,6 +1090,7 @@ class AlgCategory(CategoryBase):
         self._roster.sort(key=lambda A: A.key())
         self._into_cache.clear()
         self._from_cache.clear()
+        drop_derived_memos(self)
         return algebra
 
     def _find_iso(self, A, B):

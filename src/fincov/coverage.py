@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .fincat import SliceCategory
+from .fincat import SliceCategory, derived_memo
 from .instances import chain_poset, poset_category
 from .morphclass import builtin_class
 from .variance import MissingPullback, MixedFunctor, Variance, \
@@ -257,19 +257,24 @@ class RuleCoverage:
     def coverings_of(self, C, c, cap=None):
         """Deterministically ordered M-subordinated coverings of c.
 
-        Returns (list, capped); enumeration stops once cap coverings have
-        been produced.
+        Returns (tuple, capped); enumeration stops once cap coverings have
+        been produced.  The result is memoized on C per coverage object,
+        object and cap.
         """
+        memo = derived_memo(C, "rule_coverings", self)
+        if (c, cap) not in memo:
+            memo[c, cap] = self._enumerate(C, c, cap)
+        return memo[c, cap]
+
+    def _enumerate(self, C, c, cap):
         M = self.resolve_M(C)
         out = []
-        capped = False
         for dt in self.J:
             for cov in _enumerate_type_coverings(C, c, dt, M):
                 out.append(cov)
                 if cap is not None and len(out) >= cap:
-                    capped = True
-                    return out, capped
-        return out, capped
+                    return tuple(out), True
+        return tuple(out), False
 
     def contains(self, C, cov):
         if not any(cov.diagram_type == dt for dt in self.J):
@@ -367,8 +372,10 @@ def _key(m):
 
 
 def enumerate_coverings(C, c, J, M, cap=None):
-    """All M-subordinated coverings of c over the diagram types J."""
-    return RuleCoverage(J, M).coverings_of(C, c, cap=cap)
+    """All M-subordinated coverings of c over the diagram types J, as a
+    fresh list."""
+    covs, capped = RuleCoverage(J, M).coverings_of(C, c, cap=cap)
+    return list(covs), capped
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +540,9 @@ def decide_tau_compact(C, c, tau, cap=None):
             flags.add("non-directed-smalls")
         flags.update(cov.flags)
 
-    results = [stabilization_small(cov) for cov in covs]
     witnesses = []
-    for cov, w in zip(covs, results):
+    for cov in covs:
+        w = stabilization_small(cov)
         if w is None:
             return CompactnessVerdict(False, witnesses, cov, len(covs),
                                       capped, tuple(sorted(flags)))

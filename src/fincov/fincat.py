@@ -11,6 +11,7 @@ lazily-enumerated categories (slices, algebra ambients).
 from __future__ import annotations
 
 import json
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -38,6 +39,26 @@ def try_pullback(C, f, g):
         return C.find_pullback(f, g)
     except CapExceeded:
         return None
+
+
+def derived_memo(C, name, owner):
+    """Memo table ``name`` of results derived from the whole category C
+    for one owner (a morphism class or a coverage), compared by identity.
+
+    The tables live in ``C.__dict__`` and hold the owner weakly, so an
+    entry lasts no longer than either.  Categories and owners are assumed
+    not to change after construction; a category that grows drops all of
+    its tables (``drop_derived_memos``).
+    """
+    tables = C.__dict__.setdefault("_derived_memos", {})
+    per_owner = tables.setdefault(name, weakref.WeakKeyDictionary())
+    return per_owner.setdefault(owner, {})
+
+
+def drop_derived_memos(C):
+    """Forget every ``derived_memo`` table of C.  A result being computed
+    while C grows is stored in a dropped table and never served."""
+    C.__dict__.pop("_derived_memos", None)
 
 
 @dataclass

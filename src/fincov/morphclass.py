@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import kernels
-from .fincat import FinCategory, try_pullback
+from .fincat import FinCategory, derived_memo, try_pullback
 
 
 class MorphismClass:
@@ -34,9 +34,10 @@ class MorphismClass:
     def contains(self, m):
         if self.members is not None:
             return m in self.members
-        if m not in self._memo:
-            self._memo[m] = self.predicate(m)
-        return self._memo[m]
+        hit = self._memo.get(m)
+        if hit is None:
+            hit = self._memo[m] = self.predicate(m)
+        return hit
 
     def member_list(self):
         if self.members is not None:
@@ -127,7 +128,18 @@ class ClassPropertyReport:
 
 
 def check_class_properties(C, A, probe_cap=None):
-    """Decide system/stable/left-/right-cancelable exhaustively."""
+    """Decide system/stable/left-/right-cancelable exhaustively.
+
+    The report is memoized on C per class object and probe cap; callers
+    must not mutate it.
+    """
+    memo = derived_memo(C, "class_properties", A)
+    if probe_cap not in memo:
+        memo[probe_cap] = _class_properties(C, A, probe_cap)
+    return memo[probe_cap]
+
+
+def _class_properties(C, A, probe_cap):
     witnesses = {}
     system = True
     for m in C.morphisms():
@@ -137,9 +149,10 @@ def check_class_properties(C, A, probe_cap=None):
             break
     if system:
         for g in C.morphisms():
+            if not A.contains(g):
+                continue
             for f in C.morphisms_into(C.src(g)):
-                if A.contains(g) and A.contains(f) and \
-                        not A.contains(C.compose(g, f)):
+                if A.contains(f) and not A.contains(C.compose(g, f)):
                     system = False
                     witnesses["system"] = (g, f)
                     break
@@ -150,17 +163,25 @@ def check_class_properties(C, A, probe_cap=None):
     if wit:
         witnesses["stable"] = wit
 
+    # a pair (g, f) can refute left-cancelability only when g is in A and
+    # right-cancelability only when it is not, so each g scans for the one
+    # property it can refute, and g.f is composed only for candidates
     left = True
     right = True
     for g in C.morphisms():
+        g_in = A.contains(g)
+        if not (left if g_in else right):
+            continue
         for f in C.morphisms_into(C.src(g)):
-            gf = C.compose(g, f)
-            if left and A.contains(gf) and A.contains(g) and not A.contains(f):
+            if A.contains(f) == g_in or not A.contains(C.compose(g, f)):
+                continue
+            if g_in:
                 left = False
                 witnesses["left_cancelable"] = (g, f)
-            if right and A.contains(gf) and A.contains(f) and not A.contains(g):
+            else:
                 right = False
                 witnesses["right_cancelable"] = (g, f)
+            break
         if not left and not right:
             break
     return ClassPropertyReport(system, stable, left, right, witnesses,
@@ -225,19 +246,36 @@ def _ambient_class_images(C, A, z):
 def _ambient_stability_scan(C, A):
     """Stability of an injective-members ambient class via image closure:
     the pullback of an injective m along g is the corestriction onto the
-    preimage of its image (an iso-saturated membership test)."""
+    preimage of its image (an iso-saturated membership test).
+
+    Members with one target and one image have the same pullbacks, so the
+    morphisms into that target are scanned once per image (again if the
+    roster grew in between)."""
+    scans = {}
     for f in C.morphisms():
         if not A.contains(f):
             continue
-        imf = frozenset(f.images)
-        for g in C.morphisms_into(f.tgt):
-            pre = frozenset(b for b in g.src.carrier if g(b) in imf)
-            if not pre:
-                continue  # constant-free theories are outside the corpus
-            _, proj = C.subalgebra_object(g.src, pre)
-            if not A.contains(proj):
-                return False, False, (f, g, proj)
+        into = C.morphisms_into(f.tgt)
+        key = (f.tgt, frozenset(f.images))
+        if key not in scans or scans[key][0] is not into:
+            scans[key] = (into, _first_unstable_pullback(C, A, key[1], into))
+        bad = scans[key][1]
+        if bad is not None:
+            return False, False, (f,) + bad
     return True, False, None
+
+
+def _first_unstable_pullback(C, A, img, into):
+    """Least (g, proj) among the morphisms g into the target of an
+    A-member with image img whose pullback projection proj is not in A."""
+    for g in into:
+        pre = frozenset(b for b in g.src.carrier if g(b) in img)
+        if not pre:
+            continue  # constant-free theories are outside the corpus
+        _, proj = C.subalgebra_object(g.src, pre)
+        if not A.contains(proj):
+            return g, proj
+    return None
 
 
 def is_stably_in(C, f, A, probe_cap=None):

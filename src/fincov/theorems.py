@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .coverage import RuleCoverage, check_coverage, \
     check_image_compatibility, check_subordination, decide_tau_compact
-from .fincat import try_pullback
+from .fincat import derived_memo, try_pullback
 from .morphclass import MorphismClass, builtin_class, check_class_properties, \
     is_stably_extremal, is_stably_in
 from .protomod import check_protomodularity_pair
@@ -57,14 +57,12 @@ class ClosureReport:
                 "details": {k: str(v) for k, v in sorted(self.details.items())}}
 
 
-_proto_cache = {}
-
-
 def _protomodularity(C, E, M):
-    key = (id(C), E.name, M.name)
-    if key not in _proto_cache:
-        _proto_cache[key] = check_protomodularity_pair(C, E, M)
-    return _proto_cache[key]
+    """check_protomodularity_pair, memoized on C per (E, M) class objects."""
+    memo = derived_memo(C, "protomodularity", E)
+    if M not in memo:
+        memo[M] = check_protomodularity_pair(C, E, M)
+    return memo[M]
 
 
 def _class_hypotheses(rep, C, M, label, need=("system", "stable",

@@ -5,9 +5,11 @@ lines; every tolerance and cap is pinned here.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -405,11 +407,15 @@ def test_criterion_8_compactness_fixtures(corpus):
 def test_criterion_9_determinism(tmp_path):
     t0 = time.time()
     outputs = []
+    # the child imports fincov from this checkout, as the tests do
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     for _ in range(3):
         proc = subprocess.run(
             [sys.executable, "-m", "fincov.cli", "suite", "--seed", "7",
              "--cap", "128", "--format", "json"],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=env)
         outputs.append(proc.stdout)
     identical = outputs[0] == outputs[1] == outputs[2]
     json.loads(outputs[0])

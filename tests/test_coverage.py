@@ -280,3 +280,82 @@ def test_open_cover_membership_semantic(top3):
         for cov in covs:
             pulled, _ = pullback_covering(C, f, cov)
             assert occ.contains(C, pulled)
+
+
+def test_decide_tau_compact_stops_at_first_failing_covering(monkeypatch):
+    import fincov.coverage as coverage
+    C = subgroup_lattice_poset(cyclic_group(8))
+    tau = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
+    covs, _ = tau.coverings_of(C, "u01234567")
+    first_bad = next(i for i, cov in enumerate(covs)
+                     if stabilization_small(cov) is None)
+    assert first_bad == 1
+    calls = []
+
+    def counting(cov):
+        calls.append(cov)
+        return stabilization_small(cov)
+
+    monkeypatch.setattr(coverage, "stabilization_small", counting)
+    v = decide_tau_compact(C, "u01234567", tau)
+    assert len(calls) == first_bad + 1
+    assert v.compact is False and v.failing == covs[first_bad]
+    # flags and the enumeration count still cover every covering
+    assert v.enumerated == len(covs) == 20
+    assert len(v.witnesses) == first_bad
+
+
+def test_rule_coverings_memo_returns_one_immutable_result():
+    C = chain_poset(1)
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], "monos")
+    covs, capped = tau.coverings_of(C, "o1")
+    assert isinstance(covs, tuple) and not capped
+    again = tau.coverings_of(C, "o1")
+    assert again[0] is covs
+    # a category built alike gets its own, equal, enumeration
+    fresh = chain_poset(1)
+    fresh_covs, fresh_capped = tau.coverings_of(fresh, "o1")
+    assert fresh_covs is not covs
+    assert all(cov.category is fresh for cov in fresh_covs)
+    assert [cov.key() for cov in fresh_covs] == [cov.key() for cov in covs]
+    assert fresh_capped == capped
+    listed, _ = enumerate_coverings(fresh, "o1", tau.J, "monos")
+    assert [cov.key() for cov in listed] == [cov.key() for cov in covs]
+
+
+def test_rule_coverings_memo_keeps_caps_apart():
+    C = chain_poset(1)
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], "monos")
+    one, capped_one = tau.coverings_of(C, "o1", cap=1)
+    full, capped_full = tau.coverings_of(C, "o1")
+    assert (len(one), capped_one) == (1, True)
+    assert (len(full), capped_full) == (3, False)
+    assert tau.coverings_of(C, "o1", cap=1) == (one, True)
+    # another coverage with the same shapes has its own entry
+    other = RuleCoverage([build_chain_type(1, 1, "cov")], "isos")
+    assert len(other.coverings_of(C, "o1")[0]) == 1
+
+
+def test_closure_extensions_enumerates_each_object_and_cap_once(monkeypatch):
+    from fincov.instances import random_category
+    from fincov.theorems import verify_closure_extensions
+    C = random_category(0, (4, 12))
+    M = builtin_class(C, "monos")
+    E = builtin_class(C, "isos")
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+    square = C.find_pullback("r0>1", "r0>1")
+    seen = []
+    real = RuleCoverage._enumerate
+
+    def counting(self, C_, c, cap):
+        seen.append((c, cap))
+        return real(self, C_, c, cap)
+
+    monkeypatch.setattr(RuleCoverage, "_enumerate", counting)
+    first = verify_closure_extensions(C, tau, E, M, square, cap=64)
+    enumerated = list(seen)
+    second = verify_closure_extensions(C, tau, E, M, square, cap=64)
+    assert second.to_json() == first.to_json()
+    assert first.hypotheses_ok and first.conclusion_ok is True
+    assert sorted(enumerated) == [("o0", 64), ("o1", 64)]
+    assert seen == enumerated

@@ -200,3 +200,132 @@ def test_class_json_roundtrip(sk2):
     A = explicit_class(C, "E", ["f1>1:0"])
     again = MorphismClass.from_json(C, A.to_json())
     assert set(again.member_list()) == set(A.member_list())
+
+
+def _reference_class_properties(C, A):
+    """The plain scans: system, then left/right cancelability over every
+    composable pair (g, f), in morphism order; least witness per flag."""
+    out = {"system": True, "left_cancelable": True,
+           "right_cancelable": True}
+    wit = {}
+    iso_out = [m for m in C.morphisms() if C.is_iso(m) and m not in A]
+    if iso_out:
+        out["system"], wit["system"] = False, (iso_out[0],)
+    pairs = [(g, f) for g in C.morphisms()
+             for f in C.morphisms_into(C.src(g))]
+    if out["system"]:
+        for g, f in pairs:
+            if g in A and f in A and C.compose(g, f) not in A:
+                out["system"], wit["system"] = False, (g, f)
+                break
+    for g, f in pairs:
+        gf_in = C.compose(g, f) in A
+        if out["left_cancelable"] and gf_in and g in A and f not in A:
+            out["left_cancelable"], wit["left_cancelable"] = False, (g, f)
+        if out["right_cancelable"] and gf_in and f in A and g not in A:
+            out["right_cancelable"], wit["right_cancelable"] = False, (g, f)
+    return out, wit
+
+
+def _reference_ambient_stability(C, A):
+    for f in C.morphisms():
+        if f not in A:
+            continue
+        imf = frozenset(f.images)
+        for g in C.morphisms_into(f.tgt):
+            pre = frozenset(b for b in g.src.carrier if g(b) in imf)
+            _, proj = C.subalgebra_object(g.src, pre)
+            if proj not in A:
+                return False, (f, g, proj)
+    return True, None
+
+
+def _assert_matches_reference(C, A, rep):
+    flags, wit = _reference_class_properties(C, A)
+    for prop, ok in flags.items():
+        assert getattr(rep, prop) == ok, (A.name, prop)
+        assert rep.witnesses.get(prop) == wit.get(prop), (A.name, prop)
+
+
+def test_class_properties_match_reference_scans():
+    import random
+
+    from fincov.instances import random_category
+    for seed in range(12):
+        C = random_category(seed, (4, 12))
+        rng = random.Random(seed)
+        classes = [builtin_class(C, name) for name in
+                   ("all", "identities", "isos", "monos", "epis",
+                    "sections", "retractions")]
+        classes += [explicit_class(C, f"rand{k}",
+                                   [m for m in C.morphisms()
+                                    if rng.random() < 0.5])
+                    for k in range(4)]
+        for A in classes:
+            _assert_matches_reference(C, A, check_class_properties(C, A))
+
+
+def test_ambient_class_properties_match_reference_scans():
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    ob = {A.name: A for A in amb.objects()}
+    Z1 = ob["Z1"]
+    # grow the roster by Z2 x Z3, as product closure does
+    amb.find_pullback(amb.hom(ob["Z2"], Z1)[0], amb.hom(ob["Z3"], Z1)[0])
+    n = len(amb.objects())
+    # classes of injective homs: stability by image closure, no new objects
+    for name in ("injections", "sections", "isos", "identities"):
+        A = builtin_class(amb, name)
+        rep = check_class_properties(amb, A)
+        _assert_matches_reference(amb, A, rep)
+        stable, wit = _reference_ambient_stability(amb, A)
+        assert (rep.stable, rep.witnesses.get("stable")) == (stable, wit)
+    assert len(amb.objects()) == n
+
+
+def test_class_properties_memo_matches_fresh_category():
+    C = set_skeleton(2).category
+    A = builtin_class(C, "epis")
+    rep = check_class_properties(C, A)
+    assert check_class_properties(C, A) is rep
+    fresh = set_skeleton(2).category
+    again = check_class_properties(fresh, builtin_class(fresh, "epis"))
+    assert again is not rep
+    assert again.to_json() == rep.to_json()
+
+
+def test_class_properties_memo_keyed_by_class_object_and_probe_cap():
+    C = set_skeleton(2).category
+    every = explicit_class(C, "M", C.morphisms())
+    ids = explicit_class(C, "M", [C.identity(o) for o in C.objects()])
+    assert check_class_properties(C, every).system is True
+    # same name, different members: no shared entry
+    rep = check_class_properties(C, ids)
+    assert rep.system is False and rep.witnesses["system"] == ("f2>2:10",)
+    fresh = set_skeleton(2).category
+    assert rep.to_json() == check_class_properties(
+        fresh, explicit_class(fresh, "M", ids.members)).to_json()
+    D = diamond_lattice()  # every pullback exists
+    monos = builtin_class(D, "monos")
+    capped = check_class_properties(D, monos, probe_cap=1)
+    full = check_class_properties(D, monos)
+    assert capped.restricted is True and full.restricted is False
+    assert check_class_properties(D, monos, probe_cap=1) is capped
+
+
+def test_class_properties_memo_dropped_when_ambient_grows():
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    A = builtin_class(amb, "injections")
+    before = check_class_properties(amb, A)
+    assert check_class_properties(amb, A) is before
+    ob = {G.name: G for G in amb.objects()}
+    n = len(amb.objects())
+    amb.find_pullback(amb.hom(ob["Z2"], ob["Z1"])[0],
+                      amb.hom(ob["Z4"], ob["Z1"])[0])
+    assert len(amb.objects()) == n + 1
+    after = check_class_properties(amb, A)
+    assert after is not before
+    _assert_matches_reference(amb, A, after)

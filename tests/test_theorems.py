@@ -11,6 +11,7 @@ from fincov.instances import (abelian_groups_upto, chain_poset, cyclic_group,
 from fincov.morphclass import (FactorizationSystem, MorphismClass,
                                builtin_class, check_factorization_system,
                                explicit_class)
+from fincov.protomod import check_protomodularity_pair
 from fincov.theorems import (check_mono_reflective, check_tau_well_behaved,
                              generated_system, hopfian_naturality_ok,
                              run_hopfian_construction,
@@ -136,6 +137,25 @@ def test_closure_extensions_set_skeleton_hypothesis_failure():
     failed = [n for n, ok, _ in rep.hypotheses if ok is not True]
     assert any("protomodularity" in n for n in failed)
     assert rep.counterexample is None
+
+
+def test_protomodularity_hypothesis_not_shared_between_same_named_classes():
+    # two explicit classes named "M" on one category: the second check must
+    # see its own class, not the verdict cached for the first
+    C = set_skeleton(2).category
+    E = builtin_class(C, "retractions")
+    every = explicit_class(C, "M", C.morphisms())
+    ids = explicit_class(C, "M", [C.identity(o) for o in C.objects()])
+    square = C.find_pullback("f0>1:", C.identity("S1"))
+    verdicts = []
+    for M in (every, ids):
+        tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+        rep = verify_closure_extensions(C, tau, E, M, square, cap=64)
+        verdicts.append(next(ok for name, ok, _ in rep.hypotheses
+                             if name == "(E, M) protomodularity"))
+    assert verdicts == [check_protomodularity_pair(C, E, every).satisfied,
+                        check_protomodularity_pair(C, E, ids).satisfied]
+    assert verdicts == [False, True]
 
 
 def test_tau_well_behaved_abelian(abelian4):
