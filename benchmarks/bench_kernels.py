@@ -2,15 +2,21 @@
 """Time the enumeration kernels.
 
 Runs the hot enumeration workloads (table validation, cancellation flags,
-lifting-square scans, pullback-span searches) on corpus categories, each on
-the category's own (narrowest-dtype) tables, and prints the best of three
-runs per workload.
+lifting-square scans, pullback-span searches, class-composite scans) on
+corpus categories, each on the category's own (narrowest-dtype) tables,
+and prints the best of three runs per workload.  The class-composite rows
+also run on the abelian-groups ambient grown by three products to 8
+objects and 1010 morphisms, as product closure grows it.
 """
 
 import time
 
+import numpy as np
+
 from fincov import kernels
-from fincov.instances import finite_top_category, set_skeleton
+from fincov.algkit import build_finalg_category, group_theory
+from fincov.instances import abelian_groups_upto, finite_top_category, \
+    set_skeleton
 
 
 def timeit(fn, repeat=3):
@@ -51,6 +57,22 @@ def workloads():
                 if len(cp):
                     kernels.span_verify(*a, int(cp[0]), int(cq[0]), cp, cq)
 
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    ob = {A.name: A for A in amb.objects()}
+    for a, b in (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4")):
+        amb.find_pullback(amb.hom(ob[a], ob["Z1"])[0],
+                          amb.hom(ob[b], ob["Z1"])[0])
+    injective = np.array([m.is_injective() for m in amb.morphisms()])
+
+    def index(C):
+        C._composites = None
+        C.composite_index()
+
+    def composites(C, member):
+        kernels.first_class_composites(
+            C.composite_blocks(), member,
+            ("system", "left_cancelable", "right_cancelable"))
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -58,13 +80,18 @@ def workloads():
         ("mono/epi flags top<=3", lambda: flags(atop)),
         ("lifting scans set<=3", lambda: lifts(a3)),
         ("pullback spans set<=3", lambda: spans(a3)),
+        ("class composites top<=3 (monos)",
+         lambda: composites(top, top._flags()[0].astype(bool))),
+        ("composite index ambient (1010 mor)", lambda: index(amb)),
+        ("class composites ambient (injective)",
+         lambda: composites(amb, injective)),
     ]
 
 
 def main():
-    print(f"{'workload':34s} {'time':>10s}")
+    print(f"{'workload':38s} {'time':>10s}")
     for name, work in workloads():
-        print(f"{name:34s} {timeit(work) * 1e3:9.1f}ms")
+        print(f"{name:38s} {timeit(work) * 1e3:9.1f}ms")
 
 
 if __name__ == "__main__":

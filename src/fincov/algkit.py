@@ -13,6 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import kernels
 from .fincat import CapExceeded, CategoryBase, CompositionError, \
     PullbackSquare, drop_derived_memos
 
@@ -137,6 +140,21 @@ class FinAlgebra:
             t = t[a]
         return t
 
+    def op_tables(self):
+        """Per symbol (args, values, table): every argument tuple, as one
+        index array per argument position; the operation's value at each;
+        and its table as an array with one axis per argument.  Cached."""
+        tables = self.__dict__.get("_op_tables")
+        if tables is None:
+            tables = self._op_tables = {}
+            for s, a in self.theory.symbols:
+                table = np.array(self.ops[s], dtype=np.intp).reshape(
+                    (self.size,) * a)
+                args = tuple(np.indices(table.shape).reshape(
+                    a, self.size ** a))
+                tables[s] = (args, table[args], table)
+        return tables
+
     def validate(self):
         """None when every table is total and every equation holds under
         every assignment; else (kind, witness)."""
@@ -212,13 +230,13 @@ class AlgHom:
         return (self.src.key(), self.tgt.key(), self.images)
 
     def is_valid(self):
-        A, B = self.src, self.tgt
-        for s, a in A.theory.symbols:
-            for args in itertools.product(A.carrier, repeat=a):
-                lhs = self.images[A.apply(s, args)]
-                rhs = B.apply(s, [self.images[x] for x in args])
-                if lhs != rhs:
-                    return False
+        """Whether the images commute with every operation, over all
+        argument tuples at once."""
+        im = np.array(self.images, dtype=np.intp)
+        tgt = self.tgt.op_tables()
+        for s, (args, values, _) in self.src.op_tables().items():
+            if (im[values] != tgt[s][2][tuple(im[x] for x in args)]).any():
+                return False
         return True
 
     def is_injective(self):
@@ -1070,6 +1088,7 @@ class AlgCategory(CategoryBase):
         self._hom_cache = {}
         self._into_cache = {}
         self._from_cache = {}
+        self._composites = None
         self._fresh = 0
 
     # -- roster management -----------------------------------------------------
@@ -1090,6 +1109,7 @@ class AlgCategory(CategoryBase):
         self._roster.sort(key=lambda A: A.key())
         self._into_cache.clear()
         self._from_cache.clear()
+        self._composites = None
         drop_derived_memos(self)
         return algebra
 
@@ -1139,6 +1159,16 @@ class AlgCategory(CategoryBase):
 
     def tgt(self, m):
         return m.tgt
+
+    def composite_index(self):
+        """The roster's CompositeIndex; built on first use, dropped when
+        the roster grows."""
+        if self._composites is None:
+            self._composites = _build_composite_index(self)
+        return self._composites
+
+    def composite_blocks(self):
+        return self.composite_index().blocks.values()
 
     def identity(self, A):
         return identity_hom(A)
@@ -1269,6 +1299,96 @@ class AlgCategory(CategoryBase):
         incl = AlgHom(R, A, tuple(elems[iso.images[i]] for i in range(R.size)))
         cache[cache_key] = (R, incl)
         return R, incl
+
+
+@dataclass
+class CompositeIndex:
+    """Every composite of an algebra ambient, as morphism indices.
+
+    ``blocks`` maps id(b), per roster object b in roster order, to
+    (rows, cols, table): the ascending indices in ``morphisms`` of the
+    homs out of and into b, and table[i, j], the index of
+    rows[i] . cols[j] (the composite-index protocol of ``CategoryBase``).
+    """
+
+    morphisms: tuple
+    position: dict  # hom -> its index in morphisms
+    blocks: dict
+
+
+# Composites coded at once while the index is built: the codes and their
+# positions stay well under a MB on the largest block.
+_CODE_CHUNK = 1 << 14
+
+
+def _build_composite_index(C):
+    """Composite index of an algebra ambient from its hom sets' images.
+
+    Each hom m: A -> B gets the code (pos(A) * r + pos(B)) * span +
+    sum_k m(k) * base^(|A| - 1 - k), over the r roster objects, with base
+    the largest carrier and span = base^base.  Codes increase along
+    ``morphisms()``, which orders by (A, B, image tuple), so
+    ``searchsorted`` finds a composite's index from its code.  The code of
+    g.f is computed without its images: sum_k g(f(k)) base^(...) is
+    sum_y g(y) W[f, y], where W[f, y] sums the weights of the k with
+    f(k) = y.  Python ints (object dtype) code past int64.
+    """
+    roster = C._roster
+    ms = C.morphisms()
+    if not roster:
+        return CompositeIndex(ms, {}, {})
+    r = len(roster)
+    pos = {id(A): i for i, A in enumerate(roster)}
+    base = max(A.size for A in roster)
+    span = base ** base
+    dtype = np.int64 if r * r * span < 2 ** 63 else object
+    weights = {A.size: np.array([base ** k for k in range(A.size - 1, -1,
+                                                          -1)], dtype=dtype)
+               for A in roster}
+    images, offset, codes = {}, {}, []
+    n = 0
+    for A in roster:
+        for B in roster:
+            homs = C.hom(A, B)
+            img = np.array([h.images for h in homs],
+                           dtype=np.int64).reshape(len(homs), A.size)
+            images[id(A), id(B)] = img
+            offset[id(A), id(B)] = n
+            n += len(homs)
+            codes.append((pos[id(A)] * r + pos[id(B)]) * span
+                         + img.astype(dtype) @ weights[A.size])
+    codes = np.concatenate(codes)
+    index_dtype = kernels.table_dtype(len(ms))
+    blocks = {}
+    for b in roster:
+        # the homs out of b are contiguous in morphisms(), those into b
+        # come one hom set per source A
+        outs = [images[id(b), id(c)] for c in roster]
+        ins = [images[id(A), id(b)] for A in roster]
+        rows = offset[id(b), id(roster[0])] + np.arange(sum(map(len, outs)))
+        cols = np.concatenate([offset[id(A), id(b)] + np.arange(len(F))
+                               for A, F in zip(roster, ins)])
+        row_code = np.concatenate([np.full(len(G), pos[id(c)] * span,
+                                           dtype=dtype)
+                                   for c, G in zip(roster, outs)])
+        col_code = np.concatenate([np.full(len(F), pos[id(A)] * r * span,
+                                           dtype=dtype)
+                                   for A, F in zip(roster, ins)])
+        W = np.zeros((len(cols), b.size), dtype=dtype)
+        lo = 0
+        for A, F in zip(roster, ins):
+            for k, w in enumerate(weights[A.size]):
+                W[lo + np.arange(len(F)), F[:, k]] += w
+            lo += len(F)
+        G = np.concatenate(outs).astype(dtype)
+        table = np.empty((len(rows), len(cols)), dtype=index_dtype)
+        step = max(1, _CODE_CHUNK // max(len(cols), 1))
+        for lo in range(0, len(rows), step):
+            code = (G[lo:lo + step] @ W.T + row_code[lo:lo + step, None]
+                    + col_code[None, :])
+            table[lo:lo + step] = np.searchsorted(codes, code)
+        blocks[id(b)] = (rows, cols, table)
+    return CompositeIndex(ms, {m: i for i, m in enumerate(ms)}, blocks)
 
 
 def build_finalg_category(theory, size_cap, seeds=()):

@@ -147,36 +147,45 @@ def parse_class_bindings(spec):
     return out
 
 
+def diagram_type(spec):
+    """One diagram type from its JSON spec ({"chain": ...} or
+    {"powerset": ...})."""
+    try:
+        if "chain" in spec:
+            c = spec["chain"]
+            return build_chain_type(c["n"], c["smalls"], c.get("dir", "cov"))
+        if "powerset" in spec:
+            pw = spec["powerset"]
+            dt = build_powerset_type(pw["index"], pw["kappa"],
+                                     pw.get("dir", "cov"))
+        else:
+            raise InputError(f"unknown diagram type spec {spec}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"diagram type spec {spec} invalid: {exc}")
+    if isinstance(dt, DiagramTypeFailure):
+        raise InputError(f"diagram type invalid: {dt.to_json()}")
+    return dt
+
+
 def parse_diagram_types(args):
     if args.diagram_types:
         text = args.diagram_types
-        if text.strip().startswith(("[", "{")):
-            specs = json.loads(text)
-        else:
-            with open(text, encoding="utf-8") as fh:
-                specs = json.load(fh)
+        try:
+            if text.strip().startswith(("[", "{")):
+                specs = json.loads(text)
+            else:
+                with open(text, encoding="utf-8") as fh:
+                    specs = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read diagram types {text}: {exc}")
         if isinstance(specs, dict):
             specs = [specs]
-        out = []
-        for spec in specs:
-            if "chain" in spec:
-                c = spec["chain"]
-                out.append(build_chain_type(c["n"], c["smalls"],
-                                            c.get("dir", "cov")))
-            elif "powerset" in spec:
-                pw = spec["powerset"]
-                dt = build_powerset_type(pw["index"], pw["kappa"],
-                                         pw.get("dir", "cov"))
-                if isinstance(dt, DiagramTypeFailure):
-                    raise InputError(f"diagram type invalid: {dt.to_json()}")
-                out.append(dt)
-            else:
-                raise InputError(f"unknown diagram type spec {spec}")
-        return out
+        return [diagram_type(spec) for spec in specs]
     smalls = args.chain_smalls
     if smalls is None:
         smalls = max(args.chain_n - 1, 0)
-    return [build_chain_type(args.chain_n, smalls, args.direction)]
+    return [diagram_type({"chain": {"n": args.chain_n, "smalls": smalls,
+                                    "dir": args.direction}})]
 
 
 def resolve_coverage(C, entry, data, args, M):
@@ -192,27 +201,21 @@ def resolve_coverage(C, entry, data, args, M):
     if data and "coverage" in data and args.coverage is None:
         body = data["coverage"]
         if "rule" in body:
-            types = []
-            for spec in body["rule"]["J"]:
-                if "chain" in spec:
-                    c = spec["chain"]
-                    types.append(build_chain_type(c["n"], c["smalls"],
-                                                  c.get("dir", "cov")))
-                elif "powerset" in spec:
-                    pw = spec["powerset"]
-                    dt = build_powerset_type(pw["index"], pw["kappa"],
-                                             pw.get("dir", "cov"))
-                    if isinstance(dt, DiagramTypeFailure):
-                        raise InputError(
-                            f"diagram type invalid: {dt.to_json()}")
-                    types.append(dt)
-                else:
-                    raise InputError(f"unknown diagram type spec {spec}")
+            types = [diagram_type(spec) for spec in body["rule"]["J"]]
             return RuleCoverage(types,
                                 resolve_class(C, entry, data,
                                               body["rule"]["M"]))
         raise InputError("coverage entry must carry a rule specification")
     return RuleCoverage(parse_diagram_types(args), M)
+
+
+def resolve_object(C, oid):
+    """The object named oid: its id in an explicit category, the roster
+    algebra of that name in an algebra ambient."""
+    for o in C.objects():
+        if getattr(o, "name", o) == oid:
+            return o
+    raise InputError(f"unknown object {oid!r}")
 
 
 def resolve_morphism(C, mid):
@@ -221,6 +224,11 @@ def resolve_morphism(C, mid):
     if mid not in C.morphisms():
         raise InputError(f"unknown morphism {mid!r}")
     return mid
+
+
+def check_cap(cap):
+    if cap < 1:
+        raise InputError(f"--cap must be at least 1, got {cap}")
 
 
 def resolve_hom(data, spec):
@@ -237,12 +245,20 @@ def resolve_hom(data, spec):
         algebras[A.name] = A
     if spec is None:
         raise InputError("this check needs --hom src>tgt:images")
-    head, images = spec.split(":", 1)
-    sname, tname = head.split(">", 1)
+    try:
+        head, images = spec.split(":", 1)
+        sname, tname = head.split(">", 1)
+        images = tuple(int(ch) for ch in images)
+    except ValueError:
+        raise InputError(f"malformed hom spec {spec!r}; expected "
+                         "src>tgt:images, one digit per source element")
     if sname not in algebras or tname not in algebras:
         raise InputError(f"unknown algebra in hom spec {spec!r}")
     src, tgt = algebras[sname], algebras[tname]
-    h = AlgHom(src, tgt, tuple(int(ch) for ch in images))
+    if len(images) != src.size or any(y >= tgt.size for y in images):
+        raise InputError(f"hom spec {spec!r} needs {src.size} images, each "
+                         f"below {tgt.size}")
+    h = AlgHom(src, tgt, images)
     if not h.is_valid():
         raise InputError("hom spec does not preserve the operations")
     t = term_from_json(data["t"]) if "t" in data else theory.default_t
@@ -258,6 +274,7 @@ def run_check(args):
     if not name:
         raise InputError("no check name given")
     params = {"seed": args.seed, "cap": args.cap, "kappa": args.kappa}
+    check_cap(args.cap)
     C, entry, data = load_input(args.input, args.max_size)
     bindings = parse_class_bindings(args.classes)
 
@@ -335,8 +352,8 @@ def run_check(args):
     if name == "compact":
         M = cls("M", "monos")
         tau = resolve_coverage(C, entry, data, args, M)
-        objects = [args.object] if args.object else sorted(C.objects(),
-                                                           key=str)
+        objects = [resolve_object(C, args.object)] if args.object else \
+            sorted(C.objects(), key=str)
         out = {}
         worst = rp.EXIT_PASS
         for c in objects:
@@ -424,7 +441,7 @@ def run_check(args):
         tau = resolve_coverage(C, entry, data, args, M)
         if not args.objects or "," not in args.objects:
             raise InputError("product-closure needs --objects a,b")
-        a, b = args.objects.split(",", 1)
+        a, b = (resolve_object(C, o) for o in args.objects.split(",", 1))
         res = verify_product_closure(C, tau, E, M, a, b, cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
                                report=res.to_json()), None
@@ -448,8 +465,8 @@ def run_check(args):
             chain=chain.to_json() if chain else None), None
 
     if name == "mono-reflective":
-        objects = [args.object] if args.object else sorted(C.objects(),
-                                                           key=str)
+        objects = [resolve_object(C, args.object)] if args.object else \
+            sorted(C.objects(), key=str)
         out = {}
         worst = rp.EXIT_PASS
         for c in objects:
@@ -566,6 +583,7 @@ def main(argv=None):
         if args.command == "export-corpus":
             return export_corpus(args.outdir)
         if args.command == "suite":
+            check_cap(args.cap)
             rep = run_suite(args.seed, args.cap)
             if args.format == "json":
                 sys.stdout.write(rp.dumps_canonical(rep))

@@ -127,6 +127,23 @@ class CategoryBase:
     def morphisms_from(self, o):
         return tuple(m for m in self.morphisms() if self.src(m) == o)
 
+    def composite_blocks(self):
+        """The composite index: per object b, (rows, cols, table) with rows
+        and cols the ascending ``morphisms()`` indices of the morphisms out
+        of and into b, and table[i, j] the index of rows[i] . cols[j].
+
+        Generic path: composes every pair.  Explicit categories and
+        algebra ambients read the index from their own tables.
+        """
+        pos = {m: i for i, m in enumerate(self.morphisms())}
+        for b in self.objects():
+            gs, fs = self.morphisms_from(b), self.morphisms_into(b)
+            table = np.array([[pos[self.compose(g, f)] for f in fs]
+                              for g in gs], dtype=np.int64)
+            yield (np.array([pos[g] for g in gs], dtype=np.int64),
+                   np.array([pos[f] for f in fs], dtype=np.int64),
+                   table.reshape(len(gs), len(fs)))
+
     def iso_inverse(self, m):
         """Two-sided inverse of m, or None; cached."""
         if m in self._iso_cache:
@@ -312,6 +329,9 @@ class FinCategory(CategoryBase):
         self._homcount = np.zeros((no, no), dtype=np.int64)
         for i in range(n):
             self._homcount[self._src[i], self._tgt[i]] += 1
+        # per object: (indices, ids) of the morphisms into / out of it
+        self._into = {}
+        self._from = {}
         self._mono = None
         self._epi = None
         self._has_all_pullbacks = None
@@ -352,12 +372,24 @@ class FinCategory(CategoryBase):
         return tuple(self._morphisms[i] for i in self._hom_dat[lo:hi])
 
     def morphisms_into(self, o):
-        oi = self._oidx[o]
-        return tuple(self._morphisms[i] for i in np.nonzero(self._tgt == oi)[0])
+        return self._incident(self._into, self._tgt, o)[1]
 
     def morphisms_from(self, o):
-        oi = self._oidx[o]
-        return tuple(self._morphisms[i] for i in np.nonzero(self._src == oi)[0])
+        return self._incident(self._from, self._src, o)[1]
+
+    def _incident(self, cache, ends, o):
+        hit = cache.get(o)
+        if hit is None:
+            idx = np.flatnonzero(ends == self._oidx[o])
+            hit = cache[o] = (idx, tuple(self._morphisms[i] for i in idx))
+        return hit
+
+    def composite_blocks(self):
+        # computed block by block from the dense table, never kept
+        for o in self._objects:
+            rows = self._incident(self._from, self._src, o)[0]
+            cols = self._incident(self._into, self._tgt, o)[0]
+            yield rows, cols, self._comp[np.ix_(rows, cols)]
 
     # -- kernel-backed flags ---------------------------------------------------
 

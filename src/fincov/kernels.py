@@ -1,7 +1,8 @@
 """The enumeration kernels of fincov, in numpy.
 
-All functions take the dense table representation of a finite category and
-return plain ints or numpy arrays.  ``comp`` is morphism x morphism with -1
+The functions take the dense table representation of a finite category
+(``first_class_composites`` takes a composite index instead) and return
+plain ints or numpy arrays.  ``comp`` is morphism x morphism with -1
 for non-composable pairs, in any signed integer dtype (``FinCategory``
 stores the narrowest, see ``table_dtype``).  Hom sets come as a CSR pair
 ``hom_ptr``/``hom_dat`` indexed by src*nobj+tgt.  Witnesses are always the
@@ -123,6 +124,55 @@ def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
         keys = tgt[v].astype(np.int64) * n + comp[v, f]
         epi[f] = len(np.unique(keys)) == len(v)
     return mono, epi
+
+
+# (g in A, f in A, g.f in A) patterns that refute each composite flag
+_COMPOSITE_PATTERNS = {"system": (True, True, False),
+                       "left_cancelable": (True, False, True),
+                       "right_cancelable": (False, True, True)}
+
+# Table entries gathered at once by first_class_composites: its masks stay
+# well under a MB on the 666 x 666 block of the grown algebra ambient.
+_CHUNK = 1 << 14
+
+
+def first_class_composites(blocks, member, flags):
+    """Least composable (g, f) refuting each flag of a morphism class.
+
+    ``blocks`` is a composite index: per middle object, (rows, cols,
+    table) with rows and cols the ascending indices of the morphisms out
+    of and into it, and table[i, j] the index of rows[i] . cols[j].
+    ``member`` is the class's membership mask over all morphisms.  A flag
+    is refuted by a pair matching its pattern: "system" by g, f in A with
+    g.f not, "left_cancelable" by g, g.f in A with f not, and
+    "right_cancelable" by f, g.f in A with g not.  Returns {flag: (g, f)
+    or None}, the least (g, f) in index order.
+    """
+    best = dict.fromkeys(flags)
+    for rows, cols, table in blocks:
+        g_in = member[rows]
+        f_in = member[cols]
+        for flag in flags:
+            want_g, want_f, want_gf = _COMPOSITE_PATTERNS[flag]
+            ri = np.flatnonzero(g_in == want_g)
+            ci = np.flatnonzero(f_in == want_f)
+            if not len(ri) or not len(ci):
+                continue
+            step = max(1, _CHUNK // len(ci))
+            for lo in range(0, len(ri), step):
+                r = ri[lo:lo + step]
+                # rows ascend, so a known witness with a smaller g stops it
+                if best[flag] is not None and best[flag][0] < rows[r[0]]:
+                    break
+                hit = member[table[np.ix_(r, ci)]] == want_gf
+                k = int(np.argmax(hit))
+                if hit.flat[k]:
+                    i, j = divmod(k, len(ci))
+                    pair = (int(rows[r[i]]), int(cols[ci[j]]))
+                    if best[flag] is None or pair < best[flag]:
+                        best[flag] = pair
+                    break
+    return best
 
 
 def lift_report(comp, src, tgt, hom_ptr, hom_dat, nobj, e, m):

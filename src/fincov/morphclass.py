@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import kernels
 from .fincat import FinCategory, derived_memo, try_pullback
 
@@ -141,51 +143,49 @@ def check_class_properties(C, A, probe_cap=None):
 
 def _class_properties(C, A, probe_cap):
     witnesses = {}
-    system = True
-    for m in C.morphisms():
-        if C.is_iso(m) and not A.contains(m):
-            system = False
-            witnesses["system"] = (m,)
-            break
-    if system:
-        for g in C.morphisms():
-            if not A.contains(g):
-                continue
-            for f in C.morphisms_into(C.src(g)):
-                if A.contains(f) and not A.contains(C.compose(g, f)):
-                    system = False
-                    witnesses["system"] = (g, f)
-                    break
-            if not system:
-                break
+    ms, member = _membership(C, A)
+    iso_out = next((m for m, inside in zip(ms, member)
+                    if not inside and C.is_iso(m)), None)
+    if iso_out is not None:
+        system = False
+        witnesses["system"] = (iso_out,)
+    else:
+        found = _composite_witnesses(C, ms, member, ("system",))
+        system = not found
+        witnesses.update(found)
 
+    n_objects = len(C.objects())
     stable, restricted, wit = _stability_scan(C, A, probe_cap)
     if wit:
         witnesses["stable"] = wit
+    if len(C.objects()) != n_objects:
+        # the generic stability scan takes pullbacks, which can grow an
+        # algebra ambient; the cancelability scans read the grown roster
+        ms, member = _membership(C, A)
 
-    # a pair (g, f) can refute left-cancelability only when g is in A and
-    # right-cancelability only when it is not, so each g scans for the one
-    # property it can refute, and g.f is composed only for candidates
-    left = True
-    right = True
-    for g in C.morphisms():
-        g_in = A.contains(g)
-        if not (left if g_in else right):
-            continue
-        for f in C.morphisms_into(C.src(g)):
-            if A.contains(f) == g_in or not A.contains(C.compose(g, f)):
-                continue
-            if g_in:
-                left = False
-                witnesses["left_cancelable"] = (g, f)
-            else:
-                right = False
-                witnesses["right_cancelable"] = (g, f)
-            break
-        if not left and not right:
-            break
-    return ClassPropertyReport(system, stable, left, right, witnesses,
+    found = _composite_witnesses(C, ms, member,
+                                 ("left_cancelable", "right_cancelable"))
+    witnesses.update(found)
+    return ClassPropertyReport(system, stable,
+                               "left_cancelable" not in found,
+                               "right_cancelable" not in found, witnesses,
                                restricted)
+
+
+def _membership(C, A):
+    """C's morphisms and A's membership mask over them."""
+    ms = C.morphisms()
+    return ms, np.fromiter((A.contains(m) for m in ms), dtype=bool,
+                           count=len(ms))
+
+
+def _composite_witnesses(C, ms, member, flags):
+    """{flag: least refuting (g, f)} over C's composite index, for the
+    refuted flags only."""
+    found = kernels.first_class_composites(C.composite_blocks(), member,
+                                           flags)
+    return {flag: (ms[hit[0]], ms[hit[1]])
+            for flag, hit in found.items() if hit is not None}
 
 
 def _stability_scan(C, A, probe_cap=None):

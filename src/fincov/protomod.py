@@ -13,7 +13,10 @@ within the size cap" rather than a proof.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .morphclass import MorphismClass
 
@@ -250,29 +253,46 @@ def _check_ambient(C, E, M, form):
     The kernel of e is the pullback of the unique 0 -> c along e; beta is a
     violation when it restricts to a bijection between the kernels of
     e.beta and e without being bijective itself.
+
+    e.beta is read from the composite index, and the candidate betas into
+    each b (non-bijective M-members, sorted) are listed once, before the
+    scan over e.
     """
     I0 = C.initial()
     if I0 is None:
         raise ValueError("ambient protomodularity scan needs an initial object")
     if not getattr(E, "iso_saturated", True):
         raise ValueError("ambient scan needs an iso-saturated E")
+    index = C.composite_index()
+    ms = index.morphisms
+    in_E = np.fromiter((E.contains(m) for m in ms), dtype=bool,
+                       count=len(ms))
+    # per b: the non-bijective M-members into b, sorted, and their
+    # columns in b's block
+    candidates = {}
+    for b in C.objects():
+        into = enumerate(C.morphisms_into(b))
+        betas = sorted(((beta, j) for j, beta in into
+                        if M.contains(beta) and not beta.is_bijective()),
+                       key=lambda bj: _key(bj[0]))
+        candidates[id(b)] = ([beta for beta, _ in betas],
+                             np.array([j for _, j in betas], dtype=int))
     count = 0
-    for e in sorted((m for m in C.morphisms() if E.contains(m)),
-                    key=_key):
+    for e in sorted(itertools.compress(ms, in_E), key=_key):
         b, c = e.src, e.tgt
+        rows, _, table = index.blocks[id(b)]
+        betas, cols = candidates[id(b)]
+        ebs = table[np.searchsorted(rows, index.position[e]), cols]
+        # the definition form asks for an iso gamma with gamma^-1.e.beta in
+        # E; E is iso-saturated here, so that reduces to e.beta in E
+        passing = np.flatnonzero(in_E[ebs])
+        if not len(passing):
+            continue
         theta = C.hom(I0, c)[0]
         ker_e = {(u, y) for u in I0.carrier for y in b.carrier
                  if theta(u) == e(y)}
-        for beta in sorted(C.morphisms_into(b), key=_key):
-            if not M.contains(beta):
-                continue
-            if beta.is_bijective():
-                continue
-            eb = C.compose(e, beta)
-            # the definition form asks for an iso gamma with gamma^-1.e.beta
-            # in E; E is iso-saturated here, so that reduces to e.beta in E
-            if not E.contains(eb):
-                continue
+        for k in passing:
+            beta, eb = betas[k], ms[ebs[k]]
             count += 1
             ker_eb = [(u, z) for u in I0.carrier for z in beta.src.carrier
                       if theta(u) == eb(z)]

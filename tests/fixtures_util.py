@@ -1,5 +1,6 @@
 """Shared test fixtures: concrete-function categories closed under
-composition, and the hand-built non-regular category."""
+composition, the hand-built non-regular category, and the abelian-groups
+ambient grown by products."""
 
 from fincov.fincat import FinCategory, validate_category
 
@@ -72,3 +73,21 @@ def non_regular_category():
         "m": ("W", "Z", (0, 1, 1)),
     }
     return close_concrete(objects, gens, name="nonreg")
+
+
+def grown_ambient(*products):
+    """The abelian groups of order <= 4 under size cap 8, grown by the
+    products of the named pairs (as product closure grows it): after
+    ("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4") it has 8 objects and 1010
+    morphisms."""
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    ob = {A.name: A for A in amb.objects()}
+    for a, b in products:
+        amb.find_pullback(amb.hom(ob[a], ob["Z1"])[0],
+                          amb.hom(ob[b], ob["Z1"])[0])
+    return amb
+
+
+FULL_GROWTH = (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4"))

@@ -210,3 +210,41 @@ def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
                     ps.append(p)
                     qs.append(q)
     return ps, qs
+
+
+# ---------------------------------------------------------------------------
+# reference scan of ambient protomodularity
+# ---------------------------------------------------------------------------
+
+def _hom_key(m):
+    return m.key()
+
+
+def ambient_protomodularity(C, E, M):
+    """The initial-object anchored scan over an algebra ambient as plain
+    loops: e in E and the betas into src(e) in key order, each list
+    sorted where it is used, and e.beta composed per pair.  Its order is
+    the witness-order contract of ``protomod.check_protomodularity_pair``
+    on ambients.  Returns (satisfied, (e, theta, beta, e.beta) or None,
+    diagrams checked)."""
+    I0 = C.initial()
+    count = 0
+    for e in sorted((m for m in C.morphisms() if E.contains(m)),
+                    key=_hom_key):
+        b, c = e.src, e.tgt
+        theta = C.hom(I0, c)[0]
+        ker_e = {(u, y) for u in I0.carrier for y in b.carrier
+                 if theta(u) == e(y)}
+        for beta in sorted(C.morphisms_into(b), key=_hom_key):
+            if not M.contains(beta) or beta.is_bijective():
+                continue
+            eb = C.compose(e, beta)
+            if not E.contains(eb):
+                continue
+            count += 1
+            ker_eb = [(u, z) for u in I0.carrier for z in beta.src.carrier
+                      if theta(u) == eb(z)]
+            image = {(u, beta(z)) for u, z in ker_eb}
+            if len(image) == len(ker_eb) and image == ker_e:
+                return False, (e, theta, beta, eb), count
+    return True, None, count

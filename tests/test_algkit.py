@@ -277,3 +277,29 @@ def test_theory_json_roundtrip():
     again = Theory.from_json(T.to_json(), name="groups")
     assert again.symbols == T.symbols
     assert again.equations == T.equations
+
+
+def _valid_by_loops(h):
+    """Plain reference: h(s(args)) == s(h(args)) for every symbol and
+    every argument tuple of the source."""
+    import itertools
+    A, B = h.src, h.tgt
+    for s, a in A.theory.symbols:
+        for args in itertools.product(A.carrier, repeat=a):
+            if h.images[A.apply(s, args)] != \
+                    B.apply(s, [h.images[x] for x in args]):
+                return False
+    return True
+
+
+def test_hom_validity_matches_reference_loops():
+    import itertools
+    algebras = [groups_upto(4), monoids_upto(3)]
+    for family in algebras:
+        for A in family:
+            for B in family:
+                if B.size ** A.size > 256:
+                    continue
+                for images in itertools.product(B.carrier, repeat=A.size):
+                    h = AlgHom(A, B, images)
+                    assert h.is_valid() == _valid_by_loops(h), (A, B, images)

@@ -57,7 +57,7 @@ def test_closure_extensions_hypothesis_exit_code(capsys):
     assert code == 2
 
 
-def test_input_error_exit_code(capsys):
+def test_input_error_exit_code(capsys, tmp_path):
     code = main(["check", "compact", "--input", "corpus:not_a_fixture"])
     assert code == 4
     err = json.loads(capsys.readouterr().err)
@@ -68,6 +68,58 @@ def test_input_error_exit_code(capsys):
         "group_cat_Z8, groups_ambient, monoids_ambient, poset_2chain, "
         "poset_3chain, poset_4chain, set_skeleton_2, set_skeleton_3, "
         "sub_Z4, sub_Z8")
+    # bad arguments end with exit 4 and a message, not a traceback, a
+    # hypothesis failure or a capped verdict
+    compact = ["check", "compact", "--input", "corpus:sub_Z8",
+               "--object", "u0"]
+    rule = json.dumps({"category": instances.set_skeleton(2).category
+                       .to_json(),
+                       "coverage": {"rule": {"J": [{"chain": {
+                           "n": 1, "smalls": 5}}], "M": "monos"}}})
+    rule_path = tmp_path / "rule.json"
+    rule_path.write_text(rule, encoding="utf-8")
+    from fincov.algkit import group_theory
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps({
+        "theory": group_theory().to_json(),
+        "algebras": [instances.cyclic_group(4).to_json(),
+                     instances.cyclic_group(2).to_json()]}), encoding="utf-8")
+    hom = ["check", "uniformity", "--input", str(alg_path), "--hom"]
+    cases = [
+        (["check", "compact", "--input", "corpus:sub_Z8", "--object",
+          "nope"], "unknown object 'nope'"),
+        (compact + ["--chain-n", "-1"], "need 0 <= small_prefix <= n"),
+        (compact + ["--chain-smalls", "5"], "need 0 <= small_prefix <= n"),
+        (compact + ["--diagram-types", "chain:x"],
+         "cannot read diagram types chain:x"),
+        (["check", "compact", "--input", str(rule_path), "--object", "S1"],
+         "need 0 <= small_prefix <= n"),
+        (["check", "product-closure", "--input", "corpus:sub_Z8",
+          "--objects", "u0,nope"], "unknown object 'nope'"),
+        (compact + ["--cap", "0"], "--cap must be at least 1, got 0"),
+        (compact + ["--cap", "-3"], "--cap must be at least 1, got -3"),
+        (["suite", "--cap", "0"], "--cap must be at least 1, got 0"),
+        (hom + ["Z4>Z2:9999"], "needs 4 images, each below 2"),
+        (hom + ["Z4>Z2:01"], "needs 4 images, each below 2"),
+        (hom + ["Z4Z2:0101"], "malformed hom spec"),
+        (hom + ["Z4>Z2:01x1"], "malformed hom spec"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 4, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == 4 and message in err["error"], argv
+
+
+def test_ambient_objects_by_name(capsys):
+    code, out = run_cli(["check", "product-closure",
+                         "--input", "corpus:abelian_ambient",
+                         "--objects", "Z2,Z3",
+                         "--classes", "E=surjections,M=injections",
+                         "--format", "json"], capsys)
+    rep = json.loads(out)["report"]
+    assert code == 2 and rep["details"] == {"a": "FinAlgebra(Z2, |2|)",
+                                            "b": "FinAlgebra(Z3, |3|)"}
+    assert ["(E, M) protomodularity", True, None] in rep["hypotheses"]
 
 
 def entry_fingerprint(entry):

@@ -175,3 +175,26 @@ def test_lanes_agree_on_swapped_composites():
         assert w[0] is None
         found += w[2] is not None
     assert found >= 120
+
+
+def test_class_composites_least_pair_across_blocks():
+    """Blocks interleave in g: the least (g, f) over all blocks wins, not
+    the first or the last block's hit."""
+    member = np.zeros(10, dtype=bool)
+    member[[0, 1, 2, 3, 4, 5, 6, 9]] = True
+
+    def block(rows, cols, table):
+        return np.array(rows), np.array(cols), np.array(table)
+
+    first = block([0, 5], [2, 3], [[2, 3], [7, 2]])    # hit at (5, 2)
+    later = block([1, 9], [4, 6], [[4, 6], [8, 4]])    # hit at (9, 4)
+    earlier = block([1, 9], [4, 6], [[4, 8], [8, 4]])  # hit at (1, 6)
+    hit = kernels.first_class_composites
+    assert hit([first, later], member, ("system",)) == {"system": (5, 2)}
+    assert hit([later, first], member, ("system",)) == {"system": (5, 2)}
+    assert hit([first, earlier], member, ("system",)) == {"system": (1, 6)}
+    # left: g, g.f in A with f not; right: f, g.f in A with g not
+    member[7] = True
+    cancel = block([0, 8], [7, 8], [[1, 5], [2, 8]])
+    assert hit([cancel], member, ("left_cancelable", "right_cancelable")) \
+        == {"left_cancelable": (0, 8), "right_cancelable": (8, 7)}

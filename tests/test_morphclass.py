@@ -265,14 +265,101 @@ def test_class_properties_match_reference_scans():
             _assert_matches_reference(C, A, check_class_properties(C, A))
 
 
-def test_ambient_class_properties_match_reference_scans():
+def test_class_composites_kernel_matches_reference_scans():
+    """kernels.first_class_composites over the dense-table blocks and over
+    the generic protocol's blocks returns the plain loops' witnesses."""
+    import random
+
+    import numpy as np
+
+    from fincov import kernels
+    from fincov.fincat import CategoryBase
+    from fincov.instances import random_category
+    flags = ("system", "left_cancelable", "right_cancelable")
+    for seed in range(12):
+        C = random_category(seed, (4, 12))
+        rng = random.Random(seed)
+        ms = C.morphisms()
+        isos = [m for m in ms if C.is_iso(m)]
+        classes = [builtin_class(C, name) for name in
+                   ("all", "identities", "isos", "monos", "epis",
+                    "sections", "retractions")]
+        # with the isos added, the system scan runs past its iso step
+        classes += [explicit_class(C, f"rand{k}",
+                                   [m for m in ms if rng.random() < 0.5]
+                                   + (isos if k % 2 else []))
+                    for k in range(6)]
+        generic = list(CategoryBase.composite_blocks(C))
+        for (r1, c1, t1), (r2, c2, t2) in zip(C.composite_blocks(), generic):
+            assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
+            assert np.array_equal(t1, t2)
+        for A in classes:
+            member = np.array([A.contains(m) for m in ms], dtype=bool)
+            _, wit = _reference_class_properties(C, A)
+            for blocks in (C.composite_blocks(), generic):
+                found = kernels.first_class_composites(blocks, member, flags)
+                got = {flag: hit and (ms[hit[0]], ms[hit[1]])
+                       for flag, hit in found.items()}
+                for flag in flags:
+                    if flag == "system" and len(wit.get(flag, ())) == 1:
+                        continue  # refuted by an iso outside A first
+                    assert got[flag] == wit.get(flag), (seed, A.name, flag)
+
+
+def test_ambient_composite_index_codes_past_int64():
+    """Hom sets of 16-element algebras code image tuples past int64 (16^16
+    > 2^63); the index then codes them as Python ints."""
     from fincov.algkit import build_finalg_category, group_theory
-    from fincov.instances import abelian_groups_upto
-    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
-    ob = {A.name: A for A in amb.objects()}
-    Z1 = ob["Z1"]
-    # grow the roster by Z2 x Z3, as product closure does
-    amb.find_pullback(amb.hom(ob["Z2"], Z1)[0], amb.hom(ob["Z3"], Z1)[0])
+    from fincov.instances import cyclic_group
+    amb = build_finalg_category(group_theory(), 16,
+                                [cyclic_group(n) for n in (1, 2, 16)])
+    for name in ("injections", "isos", "identities"):
+        A = builtin_class(amb, name)
+        _assert_matches_reference(amb, A, check_class_properties(amb, A))
+    _assert_index_composes(amb)
+
+
+def test_ambient_composite_index_without_constants():
+    """Homs of a constant-free theory need not fix element 0, so every
+    digit of an image code is used; the stability scans register the empty
+    semilattice."""
+    from fincov.algkit import FinAlgebra, Theory, build_finalg_category
+    x, y, z = ("x",), ("y",), ("z",)
+
+    def join(a, b):
+        return ("join", a, b)
+
+    T = Theory("semilattices", (("join", 2),), (
+        (("x", "y", "z"), join(join(x, y), z), join(x, join(y, z))),
+        (("x", "y"), join(x, y), join(y, x)),
+        (("x",), join(x, x), x)))
+    chains = [FinAlgebra(T, f"C{n}", n, {"join": tuple(
+        tuple(max(a, b) for b in range(n)) for a in range(n))})
+        for n in (1, 2, 3)]
+    vee = FinAlgebra(T, "V3", 3, {"join": ((0, 2, 2), (2, 1, 2),
+                                           (2, 2, 2))})
+    amb = build_finalg_category(T, 3, chains + [vee])
+    for name in ("injections", "surjections", "all"):
+        A = builtin_class(amb, name)
+        _assert_matches_reference(amb, A, check_class_properties(amb, A))
+    assert min(A.size for A in amb.objects()) == 0
+    _assert_index_composes(amb)
+
+
+def _assert_index_composes(amb):
+    index = amb.composite_index()
+    assert index.morphisms == amb.morphisms()
+    for rows, cols, table in index.blocks.values():
+        for i, g in enumerate(rows):
+            for j, f in enumerate(cols):
+                gf = amb.compose(index.morphisms[g], index.morphisms[f])
+                assert index.morphisms[table[i, j]] == gf
+
+
+def test_ambient_class_properties_match_reference_scans():
+    from fixtures_util import grown_ambient
+    # the roster grown by Z2 x Z3, as product closure grows it
+    amb = grown_ambient(("Z2", "Z3"))
     n = len(amb.objects())
     # classes of injective homs: stability by image closure, no new objects
     for name in ("injections", "sections", "isos", "identities"):
@@ -282,6 +369,21 @@ def test_ambient_class_properties_match_reference_scans():
         stable, wit = _reference_ambient_stability(amb, A)
         assert (rep.stable, rep.witnesses.get("stable")) == (stable, wit)
     assert len(amb.objects()) == n
+    # the generic stability scan takes pullbacks and may grow the roster
+    # in between: the system scan reads the roster before it, the
+    # cancelability scans the roster after it ("all" is probe-capped, as
+    # its uncapped scan takes pullbacks of every cospan)
+    for name, probe_cap in (("surjections", None), ("all", 200)):
+        A = builtin_class(amb, name)
+        flags, wit = _reference_class_properties(amb, A)
+        rep = check_class_properties(amb, A, probe_cap)
+        assert (rep.system, rep.witnesses.get("system")) == \
+            (flags["system"], wit.get("system")), name
+        flags, wit = _reference_class_properties(amb, A)
+        for prop in ("left_cancelable", "right_cancelable"):
+            assert (getattr(rep, prop), rep.witnesses.get(prop)) == \
+                (flags[prop], wit.get(prop)), (name, prop)
+    assert len(amb.objects()) == 8
 
 
 def test_class_properties_memo_matches_fresh_category():

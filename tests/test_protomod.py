@@ -158,3 +158,35 @@ def test_pullback_preservation_check():
                    {m: m for m in C.morphisms()})
     ok, _ = preserves_pullbacks(F)
     assert ok
+
+
+def test_ambient_scan_matches_reference_loops():
+    """Satisfied flag, counterexample and diagrams_checked equal the plain
+    loops of oracles.ambient_protomodularity on the ambient grown to 8
+    objects, for builtin and explicit iso-saturated classes."""
+    import oracles
+    from fixtures_util import FULL_GROWTH, grown_ambient
+    amb = grown_ambient(*FULL_GROWTH)
+    ms = amb.morphisms()
+    assert (len(amb.objects()), len(ms)) == (8, 1010)
+    pairs = [
+        (builtin_class(amb, "surjections"), builtin_class(amb, "injections")),
+        # surjections plus injections into groups of order >= 6: fails
+        (explicit_class(amb, "E", [m for m in ms if m.is_surjective() or (
+            m.is_injective() and m.tgt.size >= 6)]),
+         builtin_class(amb, "all")),
+        (explicit_class(amb, "E", [m for m in ms if m.is_surjective()
+                                   and m.src.size >= 4]),
+         explicit_class(amb, "M", [m for m in ms if not m.is_surjective()
+                                   or m.src.size >= 6])),
+    ]
+    verdicts = []
+    for E, M in pairs:
+        rep = check_protomodularity_pair(amb, E, M)
+        ok, diag, count = oracles.ambient_protomodularity(amb, E, M)
+        cx = rep.counterexample
+        assert rep.satisfied == ok and rep.diagrams_checked == count
+        assert (cx and (cx.e, cx.theta, cx.beta, cx.e_prime)) == diag
+        verdicts.append((ok, count))
+    assert verdicts == [(True, 1415), (False, 46), (True, 13301)]
+    assert len(amb.objects()) == 8
