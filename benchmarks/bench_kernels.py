@@ -6,17 +6,29 @@ lifting-square scans, pullback-span searches, class-composite scans) on
 corpus categories, each on the category's own (narrowest-dtype) tables,
 and prints the best of three runs per workload.  The class-composite rows
 also run on the abelian-groups ambient grown by three products to 8
-objects and 1010 morphisms, as product closure grows it.
+objects and 1010 morphisms, as product closure grows it.  The last two
+rows enumerate the mono-subordinated coverings of every object of the 64
+closure-harness categories over the four chain types the harness uses:
+the depth-first enumerator, and the generate-and-test loop of
+``tests/oracles.py`` that it replaced.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
 
 from fincov import kernels
 from fincov.algkit import build_finalg_category, group_theory
+from fincov.coverage import _enumerate_type_coverings, build_chain_type
 from fincov.instances import abelian_groups_upto, finite_top_category, \
-    set_skeleton
+    random_category, set_skeleton
+from fincov.morphclass import builtin_class
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "tests"))
+import oracles  # noqa: E402
 
 
 def timeit(fn, repeat=3):
@@ -73,6 +85,18 @@ def workloads():
             C.composite_blocks(), member,
             ("system", "left_cancelable", "right_cancelable"))
 
+    harness = [(C, builtin_class(C, "monos"))
+               for C in (random_category(s, (4, 12)) for s in range(64))]
+    chains = [build_chain_type(n, k, "cov")
+              for n, k in ((1, 0), (1, 1), (2, 1), (2, 2))]
+
+    def enumeration(enumerate_type):
+        for C, M in harness:
+            for dt in chains:
+                for c in C.objects():
+                    for _ in enumerate_type(C, c, dt, M):
+                        pass
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -85,6 +109,10 @@ def workloads():
         ("composite index ambient (1010 mor)", lambda: index(amb)),
         ("class composites ambient (injective)",
          lambda: composites(amb, injective)),
+        ("coverings harness x 4 chains",
+         lambda: enumeration(_enumerate_type_coverings)),
+        ("coverings, generate-and-test oracle",
+         lambda: enumeration(oracles.type_coverings)),
     ]
 
 

@@ -1320,6 +1320,10 @@ class CompositeIndex:
 # positions stay well under a MB on the largest block.
 _CODE_CHUNK = 1 << 14
 
+# Most table entries (composable pairs) one composite index may hold: 64 MB
+# at int32 indices.  The 8-object ambient of the CLI needs about 0.5M.
+_INDEX_BUDGET = 1 << 24
+
 
 def _build_composite_index(C):
     """Composite index of an algebra ambient from its hom sets' images.
@@ -1331,9 +1335,16 @@ def _build_composite_index(C):
     ``searchsorted`` finds a composite's index from its code.  The code of
     g.f is computed without its images: sum_k g(f(k)) base^(...) is
     sum_y g(y) W[f, y], where W[f, y] sums the weights of the k with
-    f(k) = y.  Python ints (object dtype) code past int64.
+    f(k) = y.  Python ints (object dtype) code past int64.  Raises
+    CapExceeded, before anything is allocated, when the index would hold
+    more than ``_INDEX_BUDGET`` entries.
     """
     roster = C._roster
+    entries = sum(len(C.morphisms_from(b)) * len(C.morphisms_into(b))
+                  for b in roster)
+    if entries > _INDEX_BUDGET:
+        raise CapExceeded(f"composite index needs {entries} entries "
+                          f"> budget {_INDEX_BUDGET}")
     ms = C.morphisms()
     if not roster:
         return CompositeIndex(ms, {}, {})

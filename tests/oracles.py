@@ -248,3 +248,49 @@ def ambient_protomodularity(C, E, M):
             if len(image) == len(ker_eb) and image == ker_e:
                 return False, (e, theta, beta, eb), count
     return True, None, count
+
+
+# ---------------------------------------------------------------------------
+# reference covering enumeration (generate and test)
+# ---------------------------------------------------------------------------
+
+def type_coverings(C, c, dt, M):
+    """Every M-subordinated mixed functor I -> C/c of the diagram type as
+    plain loops: the product of M-legs over the sorted index objects, then
+    the product of the triangles over the sorted non-identity arrows, each
+    candidate kept when ``validate_mixed_functor`` accepts it.  Its order
+    is the covering-order contract of ``coverage.RuleCoverage``."""
+    import itertools
+
+    from fincov.coverage import Covering, _key, slice_view
+    from fincov.variance import MixedFunctor, validate_mixed_functor
+    I = dt.I
+    sl = slice_view(C, c)
+    legs = [m for m in sorted(C.morphisms_into(c), key=_key)
+            if M.contains(m)]
+    objs = sorted(I.objects())
+    non_id = [k for k in sorted(I.morphisms()) if not I.is_identity(k)]
+    out = []
+    for assignment in itertools.product(legs, repeat=len(objs)):
+        obj_map = dict(zip(objs, assignment))
+        cands = []
+        for k in non_id:
+            ks, kt = dt.variance.source_stage(k), dt.variance.target_stage(k)
+            p, q = obj_map[ks], obj_map[kt]
+            cs = [h for h in C.hom(C.src(p), C.src(q))
+                  if C.compose(q, h) == p]
+            if not cs:
+                break
+            cands.append(sorted(cs, key=_key))
+        else:
+            for combo in itertools.product(*cands):
+                mor_map = {I.identity(o): sl.identity(obj_map[o])
+                           for o in objs}
+                for k, h in zip(non_id, combo):
+                    ks = dt.variance.source_stage(k)
+                    kt = dt.variance.target_stage(k)
+                    mor_map[k] = (h, obj_map[ks], obj_map[kt])
+                F = MixedFunctor(dt.variance, sl, obj_map, mor_map)
+                if validate_mixed_functor(F) is None:
+                    out.append(Covering(C, c, dt, F))
+    return out

@@ -12,7 +12,7 @@ from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               finite_top_category, set_skeleton,
                               subgroup_lattice_poset)
 from fincov.morphclass import builtin_class, check_factorization_system
-from fincov.variance import standard_variances
+from fincov.variance import standard_variances, validate_mixed_functor
 
 
 def test_validate_chain_type_directed():
@@ -303,6 +303,15 @@ def test_decide_tau_compact_stops_at_first_failing_covering(monkeypatch):
     # flags and the enumeration count still cover every covering
     assert v.enumerated == len(covs) == 20
     assert len(v.witnesses) == first_bad
+    # the memo serves the same coverage again without a scan; a fresh
+    # coverage object decides afresh and stops at the same covering
+    calls.clear()
+    assert decide_tau_compact(C, "u01234567", tau) is v
+    assert calls == []
+    fresh = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
+    again = decide_tau_compact(C, "u01234567", fresh)
+    assert len(calls) == first_bad + 1
+    assert again is not v and again.to_json() == v.to_json()
 
 
 def test_rule_coverings_memo_returns_one_immutable_result():
@@ -359,3 +368,200 @@ def test_closure_extensions_enumerates_each_object_and_cap_once(monkeypatch):
     assert first.hypotheses_ok and first.conclusion_ok is True
     assert sorted(enumerated) == [("o0", 64), ("o1", 64)]
     assert seen == enumerated
+
+
+# ---------------------------------------------------------------------------
+# depth-first covering enumeration against generate-and-test
+# ---------------------------------------------------------------------------
+
+def test_enumerated_coverings_match_generate_and_test():
+    """The depth-first enumerator yields the coverings of the plain
+    product-and-validate loop, in its order and with equal maps, on the
+    closure harness categories."""
+    from fincov.coverage import _enumerate_type_coverings
+    from fincov.instances import random_category
+    import oracles
+    types = [build_chain_type(1, 0, "cov"), build_chain_type(1, 1, "cov"),
+             build_chain_type(2, 1, "cov"), build_chain_type(2, 2, "cov"),
+             build_chain_type(2, 0, "contr")]
+    total = 0
+    for seed in range(64):
+        C = random_category(seed, (4, 12))
+        for name in ("monos", "all"):
+            M = builtin_class(C, name)
+            for dt in types:
+                for c in sorted(C.objects()):
+                    got = list(_enumerate_type_coverings(C, c, dt, M))
+                    want = oracles.type_coverings(C, c, dt, M)
+                    where = (seed, name, dt.name, c)
+                    assert [(cov.functor.obj_map,
+                             list(cov.functor.mor_map.items()))
+                            for cov in got] == \
+                        [(cov.functor.obj_map,
+                          list(cov.functor.mor_map.items()))
+                         for cov in want], where
+                    for cov in got:
+                        assert validate_mixed_functor(cov.functor) is None, \
+                            where
+                    total += len(got)
+    assert total > 10000
+
+
+def test_enumerated_coverings_match_generate_and_test_mixed_variances():
+    """Where hexagon laws reject candidates: a target with parallel arrows
+    (sets <= 2, M = all) and index variances with non-identity arrows on
+    both sides of a factorization (a grid of a covariant and a
+    contravariant chain, and the Klein four-group)."""
+    from fincov.coverage import _enumerate_type_coverings
+    from fincov.instances import grid_variance, klein_variance
+    import oracles
+    types = [build_chain_type(2, 1, "cov"), build_chain_type(2, 0, "contr")]
+    for v, name in ((grid_variance(1, 1), "grid1x1"),
+                    (klein_variance(), "klein")):
+        types.append(DiagramType(v.category, v.category.objects(), v,
+                                 name=name))
+    C = set_skeleton(2).category
+    for name in ("monos", "all"):
+        M = builtin_class(C, name)
+        for dt in types:
+            for c in sorted(C.objects()):
+                got = [(cov.functor.obj_map, list(cov.functor.mor_map.items()))
+                       for cov in _enumerate_type_coverings(C, c, dt, M)]
+                want = [(cov.functor.obj_map,
+                         list(cov.functor.mor_map.items()))
+                        for cov in oracles.type_coverings(C, c, dt, M)]
+                assert got == want, (name, dt.name, c)
+
+
+def test_induced_open_and_closed_coverings_are_functors(top3):
+    """Open-cover and closed-family coverings are functors of their
+    powerset variance by construction; validate them here."""
+    for kind in (OpenCoverCoverage, ClosedFamilyCoverage):
+        tau = kind(top3, kappa=2)
+        for oid, (n, _) in sorted(top3.spaces.items()):
+            if n > 2:
+                continue
+            covs, _ = tau.coverings_of(top3.category, oid)
+            assert covs
+            for cov in covs:
+                assert validate_mixed_functor(cov.functor) is None, \
+                    (kind.__name__, oid)
+
+
+def test_chain_and_powerset_types_share_one_variance_build(monkeypatch):
+    import fincov.coverage as coverage
+    built = []
+    real = coverage.standard_variances
+
+    def counting(I):
+        built.append(I.name)
+        return real(I)
+
+    monkeypatch.setattr(coverage, "_shape_cache", {})
+    monkeypatch.setattr(coverage, "_powerset_cache", {})
+    monkeypatch.setattr(coverage, "standard_variances", counting)
+    a = build_chain_type(2, 0, "cov")
+    b = build_chain_type(2, 1, "contr")
+    assert a.I is b.I and built == ["chain2"]
+    assert a.variance.cov == frozenset(a.I.morphisms())
+    assert b.variance.contr == frozenset(b.I.morphisms())
+    for kappa in (1, 2, 3):
+        for direction in ("cov", "contr"):
+            coverage._powerset_type_relaxed(2, kappa, direction)
+    assert built == ["chain2", "P(2)"]
+
+
+# ---------------------------------------------------------------------------
+# coverings handed out cannot be changed by the caller
+# ---------------------------------------------------------------------------
+
+def test_coverings_of_returns_tuples_callers_cannot_change(top3):
+    C = top3.category
+    diamond = diamond_lattice()
+    listed, _ = RuleCoverage([build_chain_type(1, 0, "cov")],
+                             "monos").coverings_of(diamond, "o1")
+    cases = [(OpenCoverCoverage(top3, kappa=2), C, "X1.0"),
+             (ClosedFamilyCoverage(top3, kappa=2), C, "X1.0"),
+             (ExplicitCoverage({"o1": list(listed)}), diamond, "o1")]
+    for tau, cat, obj in cases:
+        covs, capped = tau.coverings_of(cat, obj)
+        assert isinstance(covs, tuple) and covs and not capped
+        keys = [cov.key() for cov in covs]
+        with pytest.raises(TypeError):
+            covs[0] = None
+        with pytest.raises(AttributeError):
+            covs.append(covs[0])
+        again, _ = tau.coverings_of(cat, obj)
+        assert [cov.key() for cov in again] == keys
+        head, hit = tau.coverings_of(cat, obj, cap=1)
+        assert isinstance(head, tuple) and len(head) == 1
+        assert hit is (len(keys) > 1)
+
+
+# ---------------------------------------------------------------------------
+# memoized compactness and image compatibility verdicts
+# ---------------------------------------------------------------------------
+
+def test_compactness_memo_shares_one_verdict_per_coverage_object_and_cap():
+    C = subgroup_lattice_poset(cyclic_group(8))
+    tau = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
+    v = decide_tau_compact(C, "u01234567", tau)
+    assert decide_tau_compact(C, "u01234567", tau) is v
+    assert isinstance(v.witnesses, tuple)
+    capped = decide_tau_compact(C, "u01234567", tau, cap=1)
+    assert capped is not v and capped.capped and capped.enumerated == 1
+    assert decide_tau_compact(C, "u01234567", tau, cap=1) is capped
+    other = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
+    w = decide_tau_compact(C, "u01234567", other)
+    assert w is not v and w.to_json() == v.to_json()
+    # a category built alike gets its own, equal, verdict
+    twin = subgroup_lattice_poset(cyclic_group(8))
+    t = decide_tau_compact(twin, "u01234567", tau)
+    assert t is not v and t.to_json() == v.to_json()
+    assert t.failing.category is twin
+
+
+def test_image_compatibility_memo_keys_fs_cap_and_coverage():
+    sk = set_skeleton(2)
+    C = sk.category
+    E, M = sk.surjections(), sk.injections()
+    FS = check_factorization_system(C, E, M)
+    FS2 = check_factorization_system(C, E, M)
+    tau = RuleCoverage([build_chain_type(1, 0, "cov")], M)
+    f = sorted(C.morphisms())[7]
+    rep = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=64)
+    assert rep.compatible is True
+    assert check_image_compatibility(C, f, tau, E, M, FS=FS, cap=64) is rep
+    for kwargs in ({"FS": FS2, "cap": 64}, {"FS": None, "cap": 64},
+                   {"FS": FS, "cap": 1}):
+        other = check_image_compatibility(C, f, tau, E, M, **kwargs)
+        assert other is not rep, kwargs
+        assert check_image_compatibility(C, f, tau, E, M, **kwargs) is other
+    fresh = RuleCoverage([build_chain_type(1, 0, "cov")], M)
+    again = check_image_compatibility(C, f, fresh, E, M, FS=FS, cap=64)
+    assert again is not rep and again.to_json() == rep.to_json()
+    # the memo holds FS itself, so its id cannot be reused while keyed
+    del FS2
+    assert check_image_compatibility(C, f, tau, E, M, FS=FS, cap=64) is rep
+
+
+def test_verdict_memos_dropped_when_the_ambient_grows():
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.morphclass import FactorizationSystem
+    amb = build_finalg_category(group_theory(), 4,
+                                [cyclic_group(n) for n in (1, 2)])
+    E = builtin_class(amb, "surjections")
+    M = builtin_class(amb, "injections")
+    FS = FactorizationSystem(amb, E, M, {})
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+    Z1, Z2 = sorted(amb.objects(), key=lambda A: A.size)
+    f = amb.hom(Z2, Z1)[0]
+    v = decide_tau_compact(amb, Z2, tau, cap=64)
+    r = check_image_compatibility(amb, f, tau, E, M, FS=FS, cap=64)
+    assert decide_tau_compact(amb, Z2, tau, cap=64) is v
+    assert check_image_compatibility(amb, f, tau, E, M, FS=FS, cap=64) is r
+    amb.register(cyclic_group(4))
+    v2 = decide_tau_compact(amb, Z2, tau, cap=64)
+    r2 = check_image_compatibility(amb, f, tau, E, M, FS=FS, cap=64)
+    assert v2 is not v and v2.to_json() == v.to_json()
+    assert r2 is not r and r2.to_json() == r.to_json()

@@ -346,6 +346,26 @@ def test_ambient_composite_index_without_constants():
     _assert_index_composes(amb)
 
 
+def test_ambient_composite_index_budget(monkeypatch):
+    """The index counts its entries before allocating: past the budget it
+    raises CapExceeded with the count, and the 8-object ambient builds
+    within the default budget."""
+    import fincov.algkit as algkit
+    from fincov.fincat import CapExceeded
+    from fixtures_util import FULL_GROWTH, grown_ambient
+    amb = grown_ambient(*FULL_GROWTH)
+    assert len(amb.objects()) == 8
+    entries = sum(len(amb.morphisms_from(b)) * len(amb.morphisms_into(b))
+                  for b in amb.objects())
+    with monkeypatch.context() as m:
+        m.setattr(algkit, "_INDEX_BUDGET", entries - 1)
+        with pytest.raises(CapExceeded, match=f"needs {entries} entries"):
+            amb.composite_index()
+    index = amb.composite_index()
+    assert entries <= algkit._INDEX_BUDGET
+    assert sum(table.size for _, _, table in index.blocks.values()) == entries
+
+
 def _assert_index_composes(amb):
     index = amb.composite_index()
     assert index.morphisms == amb.morphisms()
