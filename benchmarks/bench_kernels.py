@@ -10,7 +10,11 @@ objects and 1010 morphisms, as product closure grows it.  The last two
 rows enumerate the mono-subordinated coverings of every object of the 64
 closure-harness categories over the four chain types the harness uses:
 the depth-first enumerator, and the generate-and-test loop of
-``tests/oracles.py`` that it replaced.
+``tests/oracles.py`` that it replaced.  The last row builds the coverings
+of the open-cover and closed-family coverages (kappa 2) from fresh
+coverage objects over every space of ``finite_top`` but X3.0, whose
+families of 7 sets need the variances of P(7); the powerset diagram types
+are built once, before the best run.
 """
 
 import os
@@ -21,7 +25,8 @@ import numpy as np
 
 from fincov import kernels
 from fincov.algkit import build_finalg_category, group_theory
-from fincov.coverage import _enumerate_type_coverings, build_chain_type
+from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
+    _enumerate_type_coverings, build_chain_type
 from fincov.instances import abelian_groups_upto, finite_top_category, \
     random_category, set_skeleton
 from fincov.morphclass import builtin_class
@@ -42,7 +47,8 @@ def timeit(fn, repeat=3):
 
 def workloads():
     sk3 = set_skeleton(3).category
-    top = finite_top_category(3).category
+    top3 = finite_top_category(3)
+    top = top3.category
     a3, atop = sk3._kernel_args(), top._kernel_args()
 
     def validation(C, a):
@@ -97,6 +103,14 @@ def workloads():
                     for _ in enumerate_type(C, c, dt, M):
                         pass
 
+    spaces = [c for c in sorted(top3.spaces) if c != "X3.0"]
+
+    def topological_coverings():
+        for kind in (OpenCoverCoverage, ClosedFamilyCoverage):
+            tau = kind(top3, kappa=2)
+            for c in spaces:
+                tau.coverings_of(top, c)
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -113,6 +127,7 @@ def workloads():
          lambda: enumeration(_enumerate_type_coverings)),
         ("coverings, generate-and-test oracle",
          lambda: enumeration(oracles.type_coverings)),
+        ("open + closed coverings_of, 13 spaces", topological_coverings),
     ]
 
 

@@ -726,93 +726,88 @@ class OpenCoverCoverage:
     the leg image at a subset is the union of its singleton images, and the
     full index covers the anchor.  These properties are preserved by
     pullbacks (preimages), so the family is a coverage by construction.
+
+    The enumeration, the induced coverings and membership are written once
+    against four hooks: the sets a family draws from (``_members``), how a
+    family combines (``_combine``), the leg predicate (``_is_leg``) and
+    what a covering family combines to (``_goal``).
+    ``ClosedFamilyCoverage`` is the dual that overrides only these.
     """
 
-    def __init__(self, top, kappa=2, max_cover_size=None):
+    direction = "cov"
+    label = "open-covers"
+
+    def __init__(self, top, kappa=2):
         self.top = top
         self.kappa = kappa
-        self.max_cover_size = max_cover_size
-        self.name = f"open-covers(kappa={kappa})"
+        self.name = f"{self.label}(kappa={kappa})"
         self._leg_cache = {}
         self._cov_cache = {}
 
+    def _members(self, c):
+        """The nonempty opens of c."""
+        return [u for u in self.top.opens(c) if u]
+
+    def _combine(self, c, sets):
+        """Union, so the empty family combines to the empty set."""
+        mask = 0
+        for u in sets:
+            mask |= u
+        return mask
+
+    def _is_leg(self, m):
+        return self.top.is_open_embedding(m)
+
+    def _goal(self, c):
+        """A cover's union is the whole space."""
+        return (1 << self.top.npoints(c)) - 1
+
     def _covers(self, c):
-        """Set covers of the space by nonempty opens, by (size, masks)."""
-        n, opens = self.top.spaces[c]
-        full = (1 << n) - 1
-        usable = [u for u in opens if u != 0] if n else []
-        covers = []
-        # the empty space is covered exactly by the empty family (r = 0)
-        for r in range(0 if n == 0 else 1, len(usable) + 1):
-            if self.max_cover_size is not None and r > self.max_cover_size:
-                break
-            for fam in itertools.combinations(usable, r):
-                mask = 0
-                for u in fam:
-                    mask |= u
-                if mask == full:
-                    covers.append(fam)
-        return covers
+        """Covering families of c, by (size, masks).  Only the empty space
+        is covered by the empty family."""
+        usable = self._members(c)
+        goal = self._goal(c)
+        return [fam for r in range(len(usable) + 1)
+                for fam in itertools.combinations(usable, r)
+                if self._combine(c, fam) == goal]
 
     def _leg(self, c, mask):
-        """Canonical open-embedding morphism with the given image."""
+        """Canonical embedding of the leg kind with the given image."""
         if (c, mask) not in self._leg_cache:
+            cat = self.top.category
             for m in sorted(self.top.maps):
-                cat = self.top.category
-                if cat.tgt(m) != c:
-                    continue
-                if self.top.image_mask(m) != mask:
-                    continue
-                if self.top.is_open_embedding(m):
+                if cat.tgt(m) == c and self.top.image_mask(m) == mask \
+                        and self._is_leg(m):
                     self._leg_cache[(c, mask)] = m
                     break
             else:
-                raise AssertionError(f"no embedding onto mask {mask} of {c}")
+                raise AssertionError(f"no {self.label} leg onto mask {mask} "
+                                     f"of {c}")
         return self._leg_cache[(c, mask)]
 
     def coverings_of(self, C, c, cap=None):
         if c not in self._cov_cache:
-            out = []
-            for fam in self._covers(c):
-                dt = _powerset_type_relaxed(len(fam), self.kappa, "cov")
-                out.append(self._covering_from_family(C, c, dt, fam,
-                                                      union=True))
-            self._cov_cache[c] = tuple(out)
+            self._cov_cache[c] = tuple(self._covering_from_family(C, c, fam)
+                                       for fam in self._covers(c))
         out = self._cov_cache[c]
         if cap is not None and len(out) > cap:
             return out[:cap], True
         return out, False
 
-    def _covering_from_family(self, C, c, dt, fam, union):
-        """The covering induced by a family of opens (union) or closed sets
-        (intersection).  Embedding legs force unique triangles, which makes
-        it a functor of the powerset variance by construction."""
+    def _covering_from_family(self, C, c, fam):
+        """The covering induced by a family.  Embedding legs force unique
+        triangles, which makes it a functor of the powerset variance by
+        construction."""
         k = len(fam)
-        full_m = (1 << self.top.spaces[c][0]) - 1
-        obj_map = {}
-        masks = {}
-        for sub in range(1 << k):
-            if union:
-                mask = 0
-                for i in range(k):
-                    if sub & (1 << i):
-                        mask |= fam[i]
-            else:
-                mask = full_m
-                for i in range(k):
-                    if sub & (1 << i):
-                        mask &= fam[i]
-            name = f"s{_mask_name(sub, k)}"
-            masks[name] = mask
-            obj_map[name] = self._leg(c, mask) if union else \
-                self._closed_leg(c, mask)
+        dt = _powerset_type_relaxed(k, self.kappa, self.direction)
+        obj_map = {f"s{_mask_name(sub, k)}":
+                   self._leg(c, self._combine(c, _subfamily(fam, sub)))
+                   for sub in range(1 << k)}
         sl = slice_view(C, c)
-        I = dt.I
         mor_map = {}
-        for km in I.morphisms():
-            ks = dt.variance.source_stage(km)
-            kt = dt.variance.target_stage(km)
-            p, q = obj_map[ks], obj_map[kt]
+        for km in dt.I.morphisms():
+            p = obj_map[dt.variance.source_stage(km)]
+            q = obj_map[dt.variance.target_stage(km)]
             hs = [h for h in C.hom(C.src(p), C.src(q))
                   if C.compose(q, h) == p]
             assert len(hs) == 1, "embedding legs force unique triangles"
@@ -823,116 +818,59 @@ class OpenCoverCoverage:
 
     def contains(self, C, cov):
         dt = cov.diagram_type
-        if dt.shape != "powerset" or dt.shape_params.get("dir") != "cov" \
+        if dt.shape != "powerset" \
+                or dt.shape_params.get("dir") != self.direction \
                 or dt.shape_params.get("kappa") != self.kappa:
             return False
         k = dt.shape_params["size"]
         c = cov.anchor
-        imgs = {}
+        imgs = []
         for sub in range(1 << k):
-            name = f"s{_mask_name(sub, k)}"
-            leg = cov.leg(name)
-            if not self.top.is_open_embedding(leg):
+            leg = cov.leg(f"s{_mask_name(sub, k)}")
+            if not self._is_leg(leg):
                 return False
-            imgs[sub] = self.top.image_mask(leg)
-        for sub in range(1 << k):
-            mask = 0
-            for i in range(k):
-                if sub & (1 << i):
-                    mask |= imgs[1 << i]
-            if imgs[sub] != mask:
-                return False
-        full = (1 << self.top.spaces[c][0]) - 1
-        return imgs[(1 << k) - 1] == full
+            imgs.append(self.top.image_mask(leg))
+        singles = [imgs[1 << i] for i in range(k)]
+        if any(imgs[sub] != self._combine(c, _subfamily(singles, sub))
+               for sub in range(1 << k)):
+            return False
+        return imgs[-1] == self._goal(c)
 
     def subordination_class(self, C):
         return self.top.extremal_monos()
 
     def to_json(self):
-        return {"open_covers": {"kappa": self.kappa}}
+        return {self.label.replace("-", "_"): {"kappa": self.kappa}}
 
 
 class ClosedFamilyCoverage(OpenCoverCoverage):
     """Contravariant coverings from closed families with empty total
     intersection; stabilization at a small recovers the finite
-    intersection property."""
+    intersection property.  The dual of ``OpenCoverCoverage``."""
 
-    def __init__(self, top, kappa=2, max_cover_size=None):
-        super().__init__(top, kappa, max_cover_size)
-        self.name = f"closed-families(kappa={kappa})"
+    direction = "contr"
+    label = "closed-families"
 
-    def _covers(self, c):
-        n, opens = self.top.spaces[c]
-        full = (1 << n) - 1
-        closed = sorted({full ^ u for u in opens})
-        usable = [x for x in closed if x != full]
-        covers = []
-        for r in range(1, len(usable) + 1):
-            if self.max_cover_size is not None and r > self.max_cover_size:
-                break
-            for fam in itertools.combinations(usable, r):
-                mask = full
-                for u in fam:
-                    mask &= u
-                if mask == 0:
-                    covers.append(fam)
-        if n == 0:
-            covers.insert(0, ())
-        return covers
+    def _members(self, c):
+        """The proper closed sets of c, ascending."""
+        full = (1 << self.top.npoints(c)) - 1
+        return sorted(full ^ u for u in self.top.opens(c) if u)
 
-    def _closed_leg(self, c, mask):
-        if (c, mask) not in self._leg_cache:
-            for m in sorted(self.top.maps):
-                cat = self.top.category
-                if cat.tgt(m) != c:
-                    continue
-                if self.top.image_mask(m) != mask:
-                    continue
-                if self.top.is_closed_embedding(m):
-                    self._leg_cache[(c, mask)] = m
-                    break
-            else:
-                raise AssertionError(
-                    f"no closed embedding onto mask {mask} of {c}")
-        return self._leg_cache[(c, mask)]
+    def _combine(self, c, sets):
+        """Intersection, so the empty family combines to the whole space."""
+        mask = (1 << self.top.npoints(c)) - 1
+        for x in sets:
+            mask &= x
+        return mask
 
-    def coverings_of(self, C, c, cap=None):
-        if c not in self._cov_cache:
-            out = []
-            for fam in self._covers(c):
-                dt = _powerset_type_relaxed(len(fam), self.kappa, "contr")
-                out.append(self._covering_from_family(C, c, dt, fam,
-                                                      union=False))
-            self._cov_cache[c] = tuple(out)
-        out = self._cov_cache[c]
-        if cap is not None and len(out) > cap:
-            return out[:cap], True
-        return out, False
+    def _is_leg(self, m):
+        return self.top.is_closed_embedding(m)
 
-    def contains(self, C, cov):
-        dt = cov.diagram_type
-        if dt.shape != "powerset" or dt.shape_params.get("dir") != "contr" \
-                or dt.shape_params.get("kappa") != self.kappa:
-            return False
-        k = dt.shape_params["size"]
-        c = cov.anchor
-        n = self.top.spaces[c][0]
-        full = (1 << n) - 1
-        imgs = {}
-        for sub in range(1 << k):
-            name = f"s{_mask_name(sub, k)}"
-            leg = cov.leg(name)
-            if not self.top.is_closed_embedding(leg):
-                return False
-            imgs[sub] = self.top.image_mask(leg)
-        for sub in range(1 << k):
-            mask = full
-            for i in range(k):
-                if sub & (1 << i):
-                    mask &= imgs[1 << i]
-            if imgs[sub] != mask:
-                return False
-        return imgs[(1 << k) - 1] == 0 or k == 0
+    def _goal(self, c):
+        """A covering family's intersection is empty."""
+        return 0
 
-    def to_json(self):
-        return {"closed_families": {"kappa": self.kappa}}
+
+def _subfamily(fam, sub):
+    """The members of fam whose index bits are set in sub."""
+    return [x for i, x in enumerate(fam) if sub >> i & 1]

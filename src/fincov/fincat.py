@@ -763,8 +763,11 @@ def product_category(C, D, name=None):
 
 def verify_pullback_square(C, square, cap=None):
     """Re-verify the universal property of a returned square against every
-    cone (or the first ``cap`` cones); used by tests and reports."""
+    cone (or the first ``cap`` cones); used by tests and reports.  A
+    square that does not commute is not a pullback."""
     f, g = square.f, square.g
+    if C.compose(f, square.proj1) != C.compose(g, square.proj2):
+        return False
     a, b = C.src(f), C.src(g)
     w = square.apex
     n = 0

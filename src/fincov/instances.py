@@ -415,72 +415,39 @@ class FiniteTopCorpus:
                 out |= 1 << x
         return out
 
-    def is_open_embedding(self, m):
-        """Injective, open image, and open onto its image (subspace topology
-        matches)."""
+    def is_embedding(self, m):
+        """Injective, and the source's opens pushed forward are exactly the
+        relative opens of the image (the subspace topology)."""
         if not self.is_injective(m):
             return False
-        src, tgt = self.category.src(m), self.category.tgt(m)
-        img = self.image_mask(m)
-        if img not in self.opens(tgt):
-            return False
-        fwd = {}
-        for x, y in enumerate(self.maps[m]):
-            fwd[x] = y
-        src_opens = set(self.opens(src))
         pushed = set()
-        for u in src_opens:
+        for u in self.opens(self.category.src(m)):
             mask = 0
-            for x in range(self.npoints(src)):
-                if u & (1 << x):
-                    mask |= 1 << fwd[x]
+            for x, y in enumerate(self.maps[m]):
+                if u >> x & 1:
+                    mask |= 1 << y
             pushed.add(mask)
-        relative = {v & img for v in self.opens(tgt)}
-        return pushed == relative
+        mask = self.image_mask(m)
+        return pushed == {v & mask for v in self.opens(self.category.tgt(m))}
+
+    def is_open_embedding(self, m):
+        """An embedding with open image."""
+        tgt = self.category.tgt(m)
+        return self.image_mask(m) in self.opens(tgt) and self.is_embedding(m)
 
     def is_closed_embedding(self, m):
-        if not self.is_injective(m):
-            return False
-        src, tgt = self.category.src(m), self.category.tgt(m)
-        nt = self.npoints(tgt)
-        full = (1 << nt) - 1
-        img = self.image_mask(m)
-        closed = {full ^ u for u in self.opens(tgt)}
-        if img not in closed:
-            return False
-        fwd = dict(enumerate(self.maps[m]))
-        ns = self.npoints(src)
-        fulls = (1 << ns) - 1
-        src_closed = {fulls ^ u for u in self.opens(src)}
-        pushed = set()
-        for c in src_closed:
-            mask = 0
-            for x in range(ns):
-                if c & (1 << x):
-                    mask |= 1 << fwd[x]
-            pushed.add(mask)
-        return pushed == {v & img for v in closed}
+        """An embedding with closed image.  For an injective map the pushed
+        closed sets are the relative closed sets exactly when the pushed
+        opens are the relative opens, as complements within the image."""
+        tgt = self.category.tgt(m)
+        full = (1 << self.npoints(tgt)) - 1
+        return full ^ self.image_mask(m) in self.opens(tgt) \
+            and self.is_embedding(m)
 
     def extremal_monos(self):
         """Embeddings (subspace inclusions up to homeomorphism)."""
-        members = []
-        for m in self.maps:
-            if not self.is_injective(m):
-                continue
-            src, tgt = self.category.src(m), self.category.tgt(m)
-            img = self.image_mask(m)
-            fwd = dict(enumerate(self.maps[m]))
-            ns = self.npoints(src)
-            pushed = set()
-            for u in self.opens(src):
-                mask = 0
-                for x in range(ns):
-                    if u & (1 << x):
-                        mask |= 1 << fwd[x]
-                pushed.add(mask)
-            if pushed == {v & img for v in self.opens(tgt)}:
-                members.append(m)
-        return explicit_class(self.category, "embeddings", members)
+        return explicit_class(self.category, "embeddings",
+                              [m for m in self.maps if self.is_embedding(m)])
 
 
 def _all_topologies(n):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fincat import PullbackSquare, verify_pullback_square
 from .morphclass import MorphismClass
 
 
@@ -339,23 +340,6 @@ class TransportReport:
                 "verdict": self.verdict.to_json() if self.verdict else None}
 
 
-def _is_pullback_square(D, f, g, p1, p2):
-    if D.compose(f, p1) != D.compose(g, p2):
-        return False
-    w = D.src(p1)
-    for z in D.objects():
-        for p in D.hom(z, D.src(f)):
-            fp = D.compose(f, p)
-            for q in D.hom(z, D.src(g)):
-                if fp != D.compose(g, q):
-                    continue
-                hits = [h for h in D.hom(z, w)
-                        if D.compose(p1, h) == p and D.compose(p2, h) == q]
-                if len(hits) != 1:
-                    return False
-    return True
-
-
 def preserves_pullbacks(F):
     """Exhaustively check that F sends canonical pullback squares to
     pullback squares; returns (ok, witness cospan)."""
@@ -365,8 +349,10 @@ def preserves_pullbacks(F):
             sq = C.find_pullback(f, g)
             if sq is None:
                 continue
-            if not _is_pullback_square(D, F.on_mor(f), F.on_mor(g),
-                                       F.on_mor(sq.proj1), F.on_mor(sq.proj2)):
+            p1 = F.on_mor(sq.proj1)
+            image = PullbackSquare(D, F.on_mor(f), F.on_mor(g), D.src(p1),
+                                   p1, F.on_mor(sq.proj2))
+            if not verify_pullback_square(D, image):
                 return False, (f, g)
     return True, None
 

@@ -109,22 +109,24 @@ def verify_closure_subobjects(C, J, M, cap=None):
     return rep.finish(None if inconclusive else True)
 
 
-def _subordination_hypothesis(rep, C, tau, M, cap):
+def _subordination(C, tau, M, cap):
+    """(ok, witness) for "every covering of tau has legs in M": the witness
+    is "by construction" when tau is subordinated to M by definition, else
+    the first failing (covering key, index object) or None."""
     sub = tau.subordination_class(C)
     if sub is not None and sub.name == M.name:
-        rep.add_hypothesis("tau subordinated to M", True, "by construction")
-        return
-    ok = True
-    wit = None
+        return True, "by construction"
     for c in sorted(C.objects(), key=str):
         covs, _ = tau.coverings_of(C, c, cap=cap)
         for cov in covs:
             good, i = check_subordination(cov, M)
             if not good:
-                ok, wit = False, (cov.key(), i)
-                break
-        if not ok:
-            break
+                return False, (cov.key(), i)
+    return True, None
+
+
+def _subordination_hypothesis(rep, C, tau, M, cap):
+    ok, wit = _subordination(C, tau, M, cap)
     rep.add_hypothesis("tau subordinated to M", ok, wit)
 
 
@@ -223,22 +225,11 @@ def check_tau_well_behaved(C, tau, E, M, cap=None, probe_cap=None, FS=None):
     rep = WellBehavedReport()
     props = check_class_properties(C, M, probe_cap)
     cond1 = props.system and props.stable and props.left_cancelable
-    sub_ok = True
-    wit = None
-    sub = tau.subordination_class(C)
-    if sub is None or sub.name != M.name:
-        for c in sorted(C.objects(), key=str):
-            covs, _ = tau.coverings_of(C, c, cap=cap)
-            for cov in covs:
-                good, i = check_subordination(cov, M)
-                if not good:
-                    sub_ok, wit = False, (cov.key(), i)
-                    break
-            if not sub_ok:
-                break
+    sub_ok, wit = _subordination(C, tau, M, cap)
     rep.conditions.append(("subordinated to stable left-cancelable M",
                            cond1 and sub_ok,
-                           wit or props.witnesses or None))
+                           (None if sub_ok else wit)
+                           or props.witnesses or None))
 
     proto = _protomodularity(C, E, M)
     compat_ok = True

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernels
 from .fincat import SliceCategory, try_pullback
 
 
@@ -77,17 +80,21 @@ class Variance:
                 "contr": sorted(map(str, self.contr))}
 
 
-def _is_wide_system(C, members, witnesses, label):
+def _system_failure(C, members):
+    """None when members is a wide composition-closed class of C, else
+    ("non-wide", o) or ("not composition closed", g, f) with the least
+    (g, f) in ``morphisms()`` order."""
     for o in C.objects():
         if C.identity(o) not in members:
-            witnesses[label] = ("non-wide", o)
-            return False
-    for g in members:
-        for f in members:
-            if C.tgt(f) == C.src(g) and C.compose(g, f) not in members:
-                witnesses[label] = ("not composition closed", g, f)
-                return False
-    return True
+            return ("non-wide", o)
+    ms = C.morphisms()
+    member = np.fromiter((m in members for m in ms), dtype=bool,
+                         count=len(ms))
+    hit = kernels.first_class_composites(C.composite_blocks(), member,
+                                         ("system",))["system"]
+    if hit is not None:
+        return ("not composition closed", ms[hit[0]], ms[hit[1]])
+    return None
 
 
 def _unique_factorizations(C, first, second):
@@ -116,12 +123,12 @@ def validate_variance(I, cov_members, contr_members):
     contr = frozenset(contr_members)
     mors = set(I.morphisms())
     if not cov <= mors or not contr <= mors:
-        return VarianceFailure("members", tuple((cov | contr) - mors))
-    wit = {}
-    if not _is_wide_system(I, cov, wit, "cov"):
-        return VarianceFailure("cov " + wit["cov"][0], wit["cov"][1:])
-    if not _is_wide_system(I, contr, wit, "contr"):
-        return VarianceFailure("contr " + wit["contr"][0], wit["contr"][1:])
+        return VarianceFailure("members",
+                               tuple(sorted((cov | contr) - mors, key=str)))
+    for label, members in (("cov", cov), ("contr", contr)):
+        fail = _system_failure(I, members)
+        if fail is not None:
+            return VarianceFailure(f"{label} {fail[0]}", fail[1:])
     cov_first, w = _unique_factorizations(I, cov, contr)
     if cov_first is None:
         return VarianceFailure("cov-first factorization", w)

@@ -294,3 +294,65 @@ def type_coverings(C, c, dt, M):
                 if validate_mixed_functor(F) is None:
                     out.append(Covering(C, c, dt, F))
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed forms on finite spaces (point bitmasks)
+# ---------------------------------------------------------------------------
+
+def _space_families(n, opens, closed):
+    """(sets, combine, goal): the nonempty opens with union and the whole
+    space as goal, or the proper closed sets with intersection and the
+    empty set as goal."""
+    full = (1 << n) - 1
+    if closed:
+        def meet(fam):
+            out = full
+            for x in fam:
+                out &= x
+            return out
+        return [full ^ u for u in opens if u], meet, 0
+
+    def join(fam):
+        out = 0
+        for u in fam:
+            out |= u
+        return out
+    return [u for u in opens if u], join, full
+
+
+def space_covers(n, opens, closed=False):
+    """Every family of nonempty opens whose union is the space, or of
+    proper closed sets whose intersection is empty, as frozensets."""
+    import itertools
+    sets, combine, goal = _space_families(n, opens, closed)
+    return {frozenset(fam) for r in range(len(sets) + 1)
+            for fam in itertools.combinations(sets, r)
+            if combine(fam) == goal}
+
+
+def space_compact(n, opens, kappa, closed=False):
+    """kappa-compactness of a finite space: every cover by nonempty opens
+    has a subfamily of fewer than kappa members that still covers (closed:
+    every family of closed sets with empty intersection has a subfamily of
+    fewer than kappa members with empty intersection)."""
+    import itertools
+    _, combine, goal = _space_families(n, opens, closed)
+    return all(any(combine(sub) == goal
+                   for r in range(min(kappa, len(fam) + 1))
+                   for sub in itertools.combinations(sorted(fam), r))
+               for fam in space_covers(n, opens, closed))
+
+
+def embedding_kinds(images, src_opens, tgt_opens, tgt_points):
+    """(embedding, open embedding, closed embedding) for a continuous map
+    of finite spaces given by its image tuple: an embedding is injective
+    and every open of the source is the preimage of an open of the target;
+    an open (closed) embedding also has an open (closed) image."""
+    preimages = {sum(1 << x for x, y in enumerate(images) if v >> y & 1)
+                 for v in tgt_opens}
+    emb = len(set(images)) == len(images) and set(src_opens) <= preimages
+    image = sum(1 << y for y in set(images))
+    full = (1 << tgt_points) - 1
+    return (emb, emb and image in tgt_opens,
+            emb and full ^ image in tgt_opens)

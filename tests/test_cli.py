@@ -251,3 +251,38 @@ def test_hopfian_cli(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["chain"]["stable_index"] == 0
+
+
+def test_variance_failure_witnesses_do_not_depend_on_hash_seed(tmp_path):
+    """A variance failure names the least non-closed pair (g, f) and sorts
+    unknown members, so two hash seeds give byte-identical reports."""
+    import os
+    import subprocess
+    from pathlib import Path
+    ids = [f"o{i}<o{i}" for i in range(4)]
+    cases = {"closure": ids + ["o0<o2", "o1<o2", "o2<o3"],
+             "members": ids + ["x", "y", "z", "w"]}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for label, cov in cases.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(
+            {"category": instances.chain_poset(3).to_json(),
+             "variance": {"cov": cov, "contr": ids}}))
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "fincov.cli", "check", "variance",
+                 "--input", str(path), "--format", "json"],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 1, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], label
+        report = json.loads(outs[0])["report"]
+        if label == "closure":
+            assert report["reason"] == "cov not composition closed"
+            assert report["witness"] == ["o2<o3", "o0<o2"]
+        else:
+            assert report["witness"] == ["w", "x", "y", "z"]

@@ -1,18 +1,20 @@
 import pytest
 
-from fincov.coverage import (ClosedFamilyCoverage, DiagramType,
+from fincov.coverage import (ClosedFamilyCoverage, Covering, DiagramType,
                              DiagramTypeFailure, ExplicitCoverage,
                              OpenCoverCoverage, RuleCoverage,
                              build_chain_type, build_powerset_type,
                              check_coverage, check_image_compatibility,
                              check_subordination, decide_tau_compact,
                              enumerate_coverings, pullback_covering,
-                             stabilization_small, validate_diagram_type)
+                             slice_view, stabilization_small,
+                             validate_diagram_type)
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               finite_top_category, set_skeleton,
                               subgroup_lattice_poset)
 from fincov.morphclass import builtin_class, check_factorization_system
-from fincov.variance import standard_variances, validate_mixed_functor
+from fincov.variance import (MixedFunctor, standard_variances,
+                             validate_mixed_functor)
 
 
 def test_validate_chain_type_directed():
@@ -280,6 +282,71 @@ def test_open_cover_membership_semantic(top3):
         for cov in covs:
             pulled, _ = pullback_covering(C, f, cov)
             assert occ.contains(C, pulled)
+
+
+def test_empty_family_covers_only_the_empty_space(top3):
+    """The empty family combines to the whole space under intersection, so
+    a closed-family covering of size 0 over a nonempty space is not one."""
+    C = top3.category
+    for tau in (OpenCoverCoverage(top3, kappa=2),
+                ClosedFamilyCoverage(top3, kappa=2)):
+        (empty,), _ = tau.coverings_of(C, "X0.0")
+        assert empty.flags == ("empty-family",) and tau.contains(C, empty)
+        dt = empty.diagram_type
+        for c in ("X1.0", "X2.0"):
+            ident = C.identity(c)
+            F = MixedFunctor(dt.variance, slice_view(C, c), {"s_": ident},
+                             {k: (ident, ident, ident)
+                              for k in dt.I.morphisms()})
+            assert validate_mixed_functor(F) is None
+            cov = Covering(C, c, dt, F, ("empty-family",))
+            assert not tau.contains(C, cov), (tau.name, c)
+            covs, _ = tau.coverings_of(C, c)
+            assert all(cv.diagram_type.shape_params["size"] for cv in covs)
+
+
+# spaces whose coverings are affordable: X3.0 has families of 7 sets, and
+# the variances of P(7) take tens of seconds to build
+SMALL_SPACES = ["X0.0", "X1.0", "X2.0", "X2.1", "X2.2", "X3.1", "X3.2",
+                "X3.3", "X3.4", "X3.5", "X3.6", "X3.7", "X3.8"]
+
+
+def _families(top, cov):
+    """The sets a topological covering is induced by: its singleton legs'
+    images."""
+    k = cov.diagram_type.shape_params["size"]
+    return frozenset(top.image_mask(cov.leg(f"s{i}")) for i in range(k))
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_topological_compactness_matches_bitmask_oracle(top3, kappa):
+    import oracles
+    C = top3.category
+    assert sorted(set(top3.spaces) - set(SMALL_SPACES)) == ["X3.0"]
+    for kind in (OpenCoverCoverage, ClosedFamilyCoverage):
+        tau = kind(top3, kappa=kappa)
+        for c in SMALL_SPACES:
+            n, opens = top3.spaces[c]
+            want = oracles.space_compact(n, opens, kappa,
+                                         closed=kind is ClosedFamilyCoverage)
+            assert decide_tau_compact(C, c, tau).compact is want, \
+                (tau.name, c)
+
+
+def test_closed_families_are_complements_of_open_covers(top3):
+    import oracles
+    C = top3.category
+    occ = OpenCoverCoverage(top3, kappa=2)
+    cfc = ClosedFamilyCoverage(top3, kappa=2)
+    for c in SMALL_SPACES:
+        n, opens = top3.spaces[c]
+        full = (1 << n) - 1
+        covers = {_families(top3, cov) for cov in occ.coverings_of(C, c)[0]}
+        closed = {_families(top3, cov) for cov in cfc.coverings_of(C, c)[0]}
+        assert covers == oracles.space_covers(n, opens), c
+        assert closed == oracles.space_covers(n, opens, closed=True), c
+        assert closed == {frozenset(full ^ u for u in fam)
+                          for fam in covers}, c
 
 
 def test_decide_tau_compact_stops_at_first_failing_covering(monkeypatch):

@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 import oracles
-from fincov.fincat import (CompositionError, FinCategory, classify_morphism,
-                           find_coequalizer, opposite_category,
-                           product_category, slice_category,
-                           validate_category, verify_pullback_square)
+from fincov.fincat import (CompositionError, FinCategory, PullbackSquare,
+                           classify_morphism, find_coequalizer,
+                           opposite_category, product_category,
+                           slice_category, validate_category,
+                           verify_pullback_square)
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               group_category, poset_category, set_skeleton)
 
@@ -129,6 +130,18 @@ def test_pullback_set_skeleton_disjoint_points():
     sq = sk.category.find_pullback(f, g)
     assert sq is not None and sq.apex == "S0"
     assert verify_pullback_square(sk.category, sq)
+
+
+def test_verify_pullback_square_rejects_non_commuting_square():
+    # the two points 1 -> 2 have only the empty cone, which factors
+    # uniquely through id_1, yet id_1 does not make the square commute
+    C = set_skeleton(2).category
+    f, g = "f1>2:0", "f1>2:1"
+    one = C.identity("S1")
+    assert C.compose(f, one) != C.compose(g, one)
+    assert not verify_pullback_square(C, PullbackSquare(C, f, g, "S1",
+                                                        one, one))
+    assert verify_pullback_square(C, C.find_pullback(f, g))
 
 
 def test_pullback_matches_oracle_on_corpus():

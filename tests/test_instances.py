@@ -100,6 +100,23 @@ def test_discrete_two_point_cover():
     assert 2 in sizes  # the cover by the two singletons
 
 
+def test_embedding_predicates_match_preimage_oracle():
+    top = finite_top_category(3)
+    C = top.category
+    embeddings = set(top.extremal_monos().member_list())
+    kinds = set()
+    for m, images in top.maps.items():
+        src, tgt = C.src(m), C.tgt(m)
+        want = oracles.embedding_kinds(images, top.opens(src),
+                                       top.opens(tgt), top.npoints(tgt))
+        got = (top.is_embedding(m), top.is_open_embedding(m),
+               top.is_closed_embedding(m))
+        assert got == want, m
+        assert (m in embeddings) == want[0], m
+        kinds.add(want)
+    assert len(top.maps) == 1476 and len(kinds) == 5
+
+
 def test_random_category_deterministic():
     a = random_category(42)
     b = random_category(42)
