@@ -10,11 +10,13 @@ objects and 1010 morphisms, as product closure grows it.  The last two
 rows enumerate the mono-subordinated coverings of every object of the 64
 closure-harness categories over the four chain types the harness uses:
 the depth-first enumerator, and the generate-and-test loop of
-``tests/oracles.py`` that it replaced.  The last row builds the coverings
+``tests/oracles.py`` that it replaced.  The next row builds the coverings
 of the open-cover and closed-family coverages (kappa 2) from fresh
-coverage objects over every space of ``finite_top`` but X3.0, whose
-families of 7 sets need the variances of P(7); the powerset diagram types
-are built once, before the best run.
+coverage objects over all 14 spaces of ``finite_top``; the powerset
+diagram types, up to P(7) for the 7 nonempty opens of X3.0, are built
+once, before the best run.  The last row builds the two standard
+variances of the powerset posets P(4) to P(7) (81 to 2187 morphisms),
+the posets themselves built beforehand.
 """
 
 import os
@@ -26,10 +28,11 @@ import numpy as np
 from fincov import kernels
 from fincov.algkit import build_finalg_category, group_theory
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
-    _enumerate_type_coverings, build_chain_type
+    _enumerate_type_coverings, _powerset_poset, build_chain_type
 from fincov.instances import abelian_groups_upto, finite_top_category, \
     random_category, set_skeleton
 from fincov.morphclass import builtin_class
+from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "tests"))
@@ -103,13 +106,17 @@ def workloads():
                     for _ in enumerate_type(C, c, dt, M):
                         pass
 
-    spaces = [c for c in sorted(top3.spaces) if c != "X3.0"]
-
     def topological_coverings():
         for kind in (OpenCoverCoverage, ClosedFamilyCoverage):
             tau = kind(top3, kappa=2)
-            for c in spaces:
+            for c in sorted(top3.spaces):
                 tau.coverings_of(top, c)
+
+    powersets = [_powerset_poset(k) for k in range(4, 8)]
+
+    def powerset_variances():
+        for I in powersets:
+            standard_variances(I)
 
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
@@ -127,7 +134,8 @@ def workloads():
          lambda: enumeration(_enumerate_type_coverings)),
         ("coverings, generate-and-test oracle",
          lambda: enumeration(oracles.type_coverings)),
-        ("open + closed coverings_of, 13 spaces", topological_coverings),
+        ("open + closed coverings_of, 14 spaces", topological_coverings),
+        ("standard_variances P(4..7)", powerset_variances),
     ]
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import SliceCategory, derived_memo
+from .fincat import derived_memo, mor_key, slice_view
 from .instances import chain_poset, poset_category
 from .morphclass import builtin_class
-from .variance import MissingPullback, MixedFunctor, Variance, \
-    pullback_induced, image_induced, standard_variances, validate_mixed_functor
+from .variance import MissingPullback, MixedFunctor, Variance, broken_law, \
+    pullback_induced, image_induced, standard_variances, \
+    validate_mixed_functor, validate_variance
 
 
 @dataclass
@@ -82,13 +83,13 @@ def _smalls_directed(I, smalls):
 
 def validate_diagram_type(I, smalls, cov, contr, name="J"):
     """Variance must validate and the smalls must be directed."""
-    from .variance import validate_variance
     v = validate_variance(I, cov, contr)
     if not isinstance(v, Variance):
         return DiagramTypeFailure("variance", (v.reason,))
     smalls = frozenset(smalls)
     if not smalls <= set(I.objects()):
-        return DiagramTypeFailure("smalls", tuple(smalls - set(I.objects())))
+        return DiagramTypeFailure("smalls", tuple(sorted(
+            smalls - set(I.objects()), key=str)))
     w = _smalls_directed(I, smalls)
     if w is not None:
         return DiagramTypeFailure("non-directed", w)
@@ -330,19 +331,6 @@ class ExplicitCoverage:
                                                    key=lambda kv: str(kv[0]))}}
 
 
-def _slice_cache_for(C):
-    if not hasattr(C, "_slice_views"):
-        C._slice_views = {}
-    return C._slice_views
-
-
-def slice_view(C, c):
-    cache = _slice_cache_for(C)
-    if c not in cache:
-        cache[c] = SliceCategory(C, c)
-    return cache[c]
-
-
 def _enumerate_type_coverings(C, c, dt, M):
     """Valid M-subordinated mixed functors I -> C/c of the given type, in
     deterministic order, built depth-first.
@@ -350,16 +338,18 @@ def _enumerate_type_coverings(C, c, dt, M):
     Index objects take M-legs into c in sorted order; an index arrow is
     tested for a triangle as soon as both of its stage objects are set.
     The non-identity arrows then take triangles in sorted order, and each
-    hexagon law is checked as soon as all of its arrows are set.  Dead
+    law of the variance's ``LawPlan`` is checked as soon as all of its
+    arrows are set, on base legs: both paths of a law run between the
+    same slice objects, so triangles compare by leg.  Dead
     prefixes are cut, so the output is the product order of the plain
     generate-and-test loop.  Totality, stage endpoints and identities hold
     by construction; stage coherence is a property of the variance.
     """
-    plan = _law_plan(dt.variance)
-    if not plan.coherent:
+    plan = dt.variance.law_plan
+    if plan.incoherent is not None:
         return
     sl = slice_view(C, c)
-    legs = [m for m in sorted(C.morphisms_into(c), key=_key)
+    legs = [m for m in sorted(C.morphisms_into(c), key=mor_key)
             if M.contains(m)]
     triangles = {}
 
@@ -367,7 +357,7 @@ def _enumerate_type_coverings(C, c, dt, M):
         if (p, q) not in triangles:
             triangles[p, q] = sorted(
                 (h for h in C.hom(C.src(p), C.src(q))
-                 if C.compose(q, h) == p), key=_key)
+                 if C.compose(q, h) == p), key=mor_key)
         return triangles[p, q]
 
     obj_map = {}
@@ -382,7 +372,7 @@ def _enumerate_type_coverings(C, c, dt, M):
 
     def place_arrow(j, choice):
         base[plan.non_id[j]] = cands[j][choice[j]]
-        return _laws_hold(C, base, plan.laws_at[j])
+        return broken_law(C.compose, base, plan.laws_at[j]) is None
 
     for _ in _depth_first([len(legs)] * len(plan.objs), place_object):
         om = dict(obj_map)
@@ -422,93 +412,6 @@ def _depth_first(sizes, place):
                 p += 1
 
 
-def _laws_hold(C, base, laws):
-    """Each path, composed on the base legs of its triangles, equals the
-    leg of gf."""
-    compose = C.compose
-    for gf, path in laws:
-        leg = base[path[0]]
-        for k in path[1:]:
-            leg = compose(base[k], leg)
-        if leg != base[gf]:
-            return False
-    return True
-
-
-class _LawPlan:
-    """The laws ``validate_mixed_functor`` checks for one variance, laid out
-    for the depth-first enumeration.
-
-    ``objs`` and ``non_id`` are the assignment orders, ``ids`` the
-    identities with their objects and ``stages`` the (source, target)
-    stage objects of each non-identity arrow.  ``arrows_at[p]`` holds the
-    stages of the arrows whose later stage object is ``objs[p]``.
-
-    A hexagon law says that both paths v_cov.f.u_contr and v_contr.g.u_cov
-    equal gf.  It is kept as (gf, path) per path, the path innermost
-    first.  Identity arrows, sent to identity legs, are left out of a path
-    (one is kept when all are identities), and a path that is just gf
-    holds for every candidate; a law among identities alone is such a
-    one.  ``laws_at[j]`` holds the laws whose last assigned arrow is
-    ``non_id[j]``.  ``coherent`` is False when some composable pair fails
-    stage coherence, which rejects every functor of the variance.
-    """
-
-    def __init__(self, V):
-        I = V.category
-        self.objs = sorted(I.objects())
-        self.ids = [(I.identity(o), o) for o in self.objs]
-        self.non_id = [k for k in sorted(I.morphisms())
-                       if not I.is_identity(k)]
-        self.stages = [(V.source_stage(k), V.target_stage(k))
-                       for k in self.non_id]
-        opos = {o: p for p, o in enumerate(self.objs)}
-        self.arrows_at = [[] for _ in self.objs]
-        for ks, kt in self.stages:
-            self.arrows_at[max(opos[ks], opos[kt])].append((ks, kt))
-        last = {k: j for j, k in enumerate(self.non_id)}
-        self.laws_at = [[] for _ in self.non_id]
-        self.coherent = True
-        seen = set()
-        for g in I.morphisms():
-            for f in I.morphisms_into(I.src(g)):
-                gf = I.compose(g, f)
-                f_lo_contr, f_lo_cov = V.factor_contr_cov(f)
-                g_lo_contr, _ = V.factor_contr_cov(g)
-                u_contr, u_cov = V.factor_contr_cov(
-                    I.compose(g_lo_contr, f_lo_cov))
-                f_up_cov, f_up_contr = V.factor_cov_contr(f)
-                g_up_cov, _ = V.factor_cov_contr(g)
-                v_cov, v_contr = V.factor_cov_contr(
-                    I.compose(g_up_cov, f_up_contr))
-                if I.tgt(u_contr) != V.source_stage(gf) or \
-                   I.tgt(v_cov) != V.target_stage(gf):
-                    self.coherent = False
-                    return
-                # with coherence, both paths run from the source stage to
-                # the target stage of gf, so the triangles compare by leg
-                for path in ((u_contr, f, v_cov), (u_cov, g, v_contr)):
-                    path = tuple(k for k in path if k in last) or path[:1]
-                    if path == (gf,) or (gf, path) in seen:
-                        continue
-                    seen.add((gf, path))
-                    self.laws_at[max(last.get(k, -1)
-                                     for k in path + (gf,))].append(
-                        (gf, path))
-
-
-def _law_plan(V):
-    """The variance's _LawPlan, compiled on first use."""
-    plan = V.__dict__.get("_covering_plan")
-    if plan is None:
-        plan = V._covering_plan = _LawPlan(V)
-    return plan
-
-
-def _key(m):
-    return m if isinstance(m, str) else (m.key() if hasattr(m, "key") else repr(m))
-
-
 def enumerate_coverings(C, c, J, M, cap=None):
     """All M-subordinated coverings of c over the diagram types J, as a
     fresh list."""
@@ -541,7 +444,7 @@ def check_coverage(C, tau, cap=None, morphism_cap=None):
     """Pullback stability: f^*(covering of tgt f) must again belong to tau."""
     checked = 0
     capped = False
-    mors = [m for m in sorted(C.morphisms(), key=_key)]
+    mors = [m for m in sorted(C.morphisms(), key=mor_key)]
     if morphism_cap is not None and len(mors) > morphism_cap:
         mors = mors[:morphism_cap]
         capped = True
@@ -641,7 +544,7 @@ def _search_compatible(C, f, cov, tau, E, M, cap):
             if not cands:
                 feasible = False
                 break
-            per_obj.append((i, sorted(cands, key=_key)))
+            per_obj.append((i, sorted(cands, key=mor_key)))
         if not feasible:
             continue
         names = [i for i, _ in per_obj]

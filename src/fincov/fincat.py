@@ -41,6 +41,12 @@ def try_pullback(C, f, g):
         return None
 
 
+def mor_key(m):
+    """Sort key of a morphism: string ids sort as themselves, hom-set
+    morphisms by their ``key()``."""
+    return m if isinstance(m, str) else (m.key() if hasattr(m, "key") else repr(m))
+
+
 def derived_memo(C, name, owner):
     """Memo table ``name`` of results derived from the whole category C
     for one owner (a morphism class or a coverage), compared by identity.
@@ -56,9 +62,11 @@ def derived_memo(C, name, owner):
 
 
 def drop_derived_memos(C):
-    """Forget every ``derived_memo`` table of C.  A result being computed
-    while C grows is stored in a dropped table and never served."""
+    """Forget every ``derived_memo`` table and ``slice_view`` of C.  A
+    result being computed while C grows is stored in a dropped table and
+    never served."""
     C.__dict__.pop("_derived_memos", None)
+    C.__dict__.pop("_slice_views", None)
 
 
 @dataclass
@@ -733,6 +741,15 @@ class SliceCategory(CategoryBase):
                     comp[(names[g], names[f])] = names[self.compose(g, f)]
         return validate_category((list(objs.values()), mors, identities, comp),
                                  name=self.name)
+
+
+def slice_view(C, c):
+    """The slice of C over c, built once per category and anchor (and
+    again after C grows)."""
+    views = C.__dict__.setdefault("_slice_views", {})
+    if c not in views:
+        views[c] = SliceCategory(C, c)
+    return views[c]
 
 
 def slice_category(C, c):

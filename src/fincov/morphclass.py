@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .fincat import FinCategory, derived_memo, try_pullback
+from .fincat import FinCategory, derived_memo, mor_key, try_pullback
 
 
 class MorphismClass:
@@ -43,7 +43,7 @@ class MorphismClass:
 
     def member_list(self):
         if self.members is not None:
-            return sorted(self.members, key=_mor_key)
+            return sorted(self.members, key=mor_key)
         return [m for m in self.category.morphisms() if self.predicate(m)]
 
     def __contains__(self, m):
@@ -62,10 +62,6 @@ class MorphismClass:
     def from_json(category, obj):
         body = obj["class"]
         return MorphismClass(category, body["name"], members=body["members"])
-
-
-def _mor_key(m):
-    return m if isinstance(m, str) else (m.key() if hasattr(m, "key") else repr(m))
 
 
 BUILTIN_CLASS_NAMES = ("all", "identities", "isos", "monos", "epis",
@@ -319,7 +315,7 @@ def is_extremal_wrt(C, family, M):
                            for f in family)
                 return False, (m, gs)
         return True, None
-    for m in sorted(M.member_list(), key=_mor_key):
+    for m in sorted(M.member_list(), key=mor_key):
         if C.tgt(m) != x or C.is_iso(m):
             continue
         gs = []

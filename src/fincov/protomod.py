@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fincat import PullbackSquare, verify_pullback_square
+from .fincat import PullbackSquare, mor_key, verify_pullback_square
 from .morphclass import MorphismClass
 
 
@@ -69,10 +69,6 @@ class ProtoReport:
                 "form": self.form}
 
 
-def _key(m):
-    return m if isinstance(m, str) else (m.key() if hasattr(m, "key") else repr(m))
-
-
 def _iso_saturation(C, E):
     """All gamma . e with e in E and gamma iso; explicit categories only."""
     sat = set()
@@ -89,7 +85,7 @@ def _iso_saturation(C, E):
 def _extract_gamma(C, E, e_beta, c):
     """Concrete (gamma, e') with gamma iso into c, e' in E, gamma.e' = e.beta."""
     for gamma in sorted((g for g in C.morphisms_into(c) if C.is_iso(g)),
-                        key=_key):
+                        key=mor_key):
         e_pr = C.compose(C.iso_inverse(gamma), e_beta)
         if E.contains(e_pr):
             return gamma, e_pr
@@ -109,11 +105,11 @@ def check_protomodularity_pair(C, E, M, theta_anchor=None):
     sat = _iso_saturation(C, E)
     count = 0
     restricted = False
-    for e in sorted(E.member_list(), key=_key):
+    for e in sorted(E.member_list(), key=mor_key):
         b, c = C.src(e), C.tgt(e)
         thetas = [theta_anchor] if theta_anchor is not None else \
-            sorted(C.morphisms_into(c), key=_key)
-        for beta in sorted(C.morphisms_into(b), key=_key):
+            sorted(C.morphisms_into(c), key=mor_key)
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
             if not M.contains(beta):
                 continue
             if C.compose(e, beta) not in sat:
@@ -149,13 +145,13 @@ def check_protomodularity_equivalent(C, E, M):
     initial = _initial_object(C)
     count = 0
     restricted = False
-    for e in sorted(E.member_list(), key=_key):
+    for e in sorted(E.member_list(), key=mor_key):
         b, c = C.src(e), C.tgt(e)
         if initial is not None:
             thetas = [C.hom(initial, c)[0]]
         else:
-            thetas = sorted(C.morphisms_into(c), key=_key)
-        for beta in sorted(C.morphisms_into(b), key=_key):
+            thetas = sorted(C.morphisms_into(c), key=mor_key)
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
             if not M.contains(beta):
                 continue
             if not E.contains(C.compose(e, beta)):
@@ -193,7 +189,7 @@ def check_protomodularity_mono_part(C, E, M):
     mono_parts = {}
     for theta in C.morphisms():
         part = None
-        for e0 in sorted(C.morphisms_from(C.src(theta)), key=_key):
+        for e0 in sorted(C.morphisms_from(C.src(theta)), key=mor_key):
             ok, _, _ = is_stably_extremal(C, e0, monos)
             if not ok:
                 continue
@@ -207,15 +203,15 @@ def check_protomodularity_mono_part(C, E, M):
     sat = _iso_saturation(C, E)
     count = 0
     restricted = False
-    for e in sorted(E.member_list(), key=_key):
+    for e in sorted(E.member_list(), key=mor_key):
         b, c = C.src(e), C.tgt(e)
-        for beta in sorted(C.morphisms_into(b), key=_key):
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
             if not M.contains(beta):
                 continue
             if C.compose(e, beta) not in sat:
                 continue
             beta_iso = C.is_iso(beta)
-            for theta in sorted(C.morphisms_into(c), key=_key):
+            for theta in sorted(C.morphisms_into(c), key=mor_key):
                 anchor = mono_parts[theta]
                 if anchor is None:
                     restricted = True
@@ -275,11 +271,11 @@ def _check_ambient(C, E, M, form):
         into = enumerate(C.morphisms_into(b))
         betas = sorted(((beta, j) for j, beta in into
                         if M.contains(beta) and not beta.is_bijective()),
-                       key=lambda bj: _key(bj[0]))
+                       key=lambda bj: mor_key(bj[0]))
         candidates[id(b)] = ([beta for beta, _ in betas],
                              np.array([j for _, j in betas], dtype=int))
     count = 0
-    for e in sorted(itertools.compress(ms, in_E), key=_key):
+    for e in sorted(itertools.compress(ms, in_E), key=mor_key):
         b, c = e.src, e.tgt
         rows, _, table = index.blocks[id(b)]
         betas, cols = candidates[id(b)]
@@ -302,7 +298,8 @@ def _check_ambient(C, E, M, form):
                 diag = ProtoDiagram(
                     e=e, theta=theta, m=None, p=None, beta=beta,
                     gamma=None, e_prime=eb, m_prime=None, alpha=None,
-                    apex=f"ker({_key(e)})", apex_prime=f"ker({_key(eb)})")
+                    apex=f"ker({mor_key(e)})",
+                    apex_prime=f"ker({mor_key(eb)})")
                 return ProtoReport(False, diag, count, False,
                                    scope=f"within size cap {C.size_cap}",
                                    form=form)

@@ -6,18 +6,19 @@ A functor of variance acts covariantly on the first class and
 contravariantly on the second; every index morphism k is sent to
 F(k): F(source_stage k) -> F(target_stage k) and the composition law is the
 two-path hexagon through the stage objects.  Mixed functors store their
-full morphism map; index categories are tiny and explicitness keeps the
-hexagon check direct.
+full morphism map.  A variance compiles its hexagon laws once
+(``LawPlan``); validation and the covering enumerator both check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .fincat import SliceCategory, try_pullback
+from .fincat import slice_view, try_pullback
 
 
 class MissingPullback(Exception):
@@ -67,6 +68,11 @@ class Variance:
         c, _ = self._cov_first[f]
         return self.category.tgt(c)
 
+    @cached_property
+    def law_plan(self):
+        """The variance's ``LawPlan``, compiled on first use."""
+        return LawPlan(self)
+
     def __eq__(self, other):
         return (isinstance(other, Variance)
                 and self.category == other.category
@@ -98,21 +104,21 @@ def _system_failure(C, members):
 
 
 def _unique_factorizations(C, first, second):
-    """f -> (a, b) with f = b.a, a in `first`, b in `second`; None when some
-    morphism has zero or several factorizations (with witness)."""
+    """f -> (a, b) with f = b.a, a in `first`, b in `second`, from one pass
+    over the composable pairs; None when some morphism has zero or several
+    factorizations, with the least such f in ``morphisms()`` order and its
+    count (which no scan order changes) as witness."""
+    found = {}
+    for a in first:
+        for b in C.morphisms_from(C.tgt(a)):
+            if b in second:
+                found.setdefault(C.compose(b, a), []).append((a, b))
     table = {}
     for f in C.morphisms():
-        found = []
-        for a in sorted(first, key=str):
-            if C.src(a) != C.src(f):
-                continue
-            for b in sorted(second, key=str):
-                if C.src(b) == C.tgt(a) and C.tgt(b) == C.tgt(f) \
-                        and C.compose(b, a) == f:
-                    found.append((a, b))
-        if len(found) != 1:
-            return None, (f, len(found))
-        table[f] = found[0]
+        pairs = found.get(f, ())
+        if len(pairs) != 1:
+            return None, (f, len(pairs))
+        table[f] = pairs[0]
     return table, None
 
 
@@ -205,11 +211,97 @@ class MixedFunctor:
                 "morphisms": {str(k): str(v) for k, v in self.mor_map.items()}}
 
 
+class LawPlan:
+    """The composition laws of a variance, compiled once
+    (``Variance.law_plan``) for ``validate_mixed_functor`` and the
+    covering enumerator.
+
+    With f = f_up_contr.f_up_cov = f_lo_cov.f_lo_contr (likewise g),
+    u = g_lo_contr.f_lo_cov = u_cov.u_contr and
+    v = g_up_cov.f_up_contr = v_contr.v_cov, the hexagon law of a
+    composable pair (g, f) says that both paths v_cov.f.u_contr and
+    v_contr.g.u_cov equal gf.  ``laws`` holds (gf, path, (g, f)) per path,
+    innermost arrow first, in the order of (g, f), the least pair stating
+    it.  Identity arrows, which a functor sends to identities, are left
+    out of a path (one is kept when all are identities); a path that is
+    just gf, or repeats a law, is dropped.  So the first law a functor
+    breaks names the least pair it breaks.  ``incoherent`` is the least
+    pair whose u_contr or v_cov misses the source or target stage of gf,
+    or None; it rejects every functor, so laws come only from the pairs
+    before it.
+
+    For the depth-first enumeration, ``objs`` and ``non_id`` are the
+    assignment orders, ``ids`` the identities with their objects,
+    ``stages`` the stage objects of each non-identity arrow,
+    ``arrows_at[p]`` the stages whose later object is ``objs[p]`` and
+    ``laws_at[j]`` the laws whose last assigned arrow is ``non_id[j]``.
+    """
+
+    def __init__(self, V):
+        I = V.category
+        self.objs = sorted(I.objects())
+        self.ids = [(I.identity(o), o) for o in self.objs]
+        self.non_id = [k for k in sorted(I.morphisms())
+                       if not I.is_identity(k)]
+        self.stages = [(V.source_stage(k), V.target_stage(k))
+                       for k in self.non_id]
+        opos = {o: p for p, o in enumerate(self.objs)}
+        self.arrows_at = [[] for _ in self.objs]
+        for ks, kt in self.stages:
+            self.arrows_at[max(opos[ks], opos[kt])].append((ks, kt))
+        last = {k: j for j, k in enumerate(self.non_id)}
+        self.laws = []
+        self.laws_at = [[] for _ in self.non_id]
+        self.incoherent = None
+        seen = set()
+        for g in I.morphisms():
+            for f in I.morphisms_into(I.src(g)):
+                gf = I.compose(g, f)
+                _, f_lo_cov = V.factor_contr_cov(f)
+                g_lo_contr, _ = V.factor_contr_cov(g)
+                u_contr, u_cov = V.factor_contr_cov(
+                    I.compose(g_lo_contr, f_lo_cov))
+                _, f_up_contr = V.factor_cov_contr(f)
+                g_up_cov, _ = V.factor_cov_contr(g)
+                v_cov, v_contr = V.factor_cov_contr(
+                    I.compose(g_up_cov, f_up_contr))
+                if I.tgt(u_contr) != V.source_stage(gf) or \
+                   I.tgt(v_cov) != V.target_stage(gf):
+                    self.incoherent = (g, f)
+                    return
+                # with coherence, both paths run from the source stage to
+                # the target stage of gf
+                for path in ((u_contr, f, v_cov), (u_cov, g, v_contr)):
+                    path = tuple(k for k in path if k in last) or path[:1]
+                    if path == (gf,) or (gf, path) in seen:
+                        continue
+                    seen.add((gf, path))
+                    law = (gf, path, (g, f))
+                    self.laws.append(law)
+                    self.laws_at[max(last.get(k, -1)
+                                     for k in path + (gf,))].append(law)
+
+
+def broken_law(compose, image, laws):
+    """The first of ``laws`` whose path, composed with ``compose`` on the
+    images of its arrows, differs from the image of gf; else None."""
+    for law in laws:
+        gf, path, _ = law
+        leg = image[path[0]]
+        for k in path[1:]:
+            leg = compose(image[k], leg)
+        if leg != image[gf]:
+            return law
+    return None
+
+
 def validate_mixed_functor(F):
     """None when F is a functor of its variance; else (law, witness).
 
-    Checks totality, stage endpoints, identity preservation and the
-    two-path composition hexagon for every composable pair.
+    Checks totality, stage endpoints and identity preservation, then the
+    variance's composition laws in the order of its ``LawPlan``: a
+    ``"hexagon"`` or ``"stage coherence"`` witness is the least composable
+    pair (g, f) in (g, f) order that fails.
     """
     V = F.variance
     I = V.category
@@ -227,26 +319,12 @@ def validate_mixed_functor(F):
     for i in I.objects():
         if F.mor_map[I.identity(i)] != D.identity(F.obj_map[i]):
             return ("identities", (i,))
-    for g in I.morphisms():
-        for f in I.morphisms_into(I.src(g)):
-            gf = I.compose(g, f)
-            f_lo_contr, f_lo_cov = V.factor_contr_cov(f)
-            g_lo_contr, _ = V.factor_contr_cov(g)
-            u = I.compose(g_lo_contr, f_lo_cov)
-            u_contr, u_cov = V.factor_contr_cov(u)
-            f_up_cov, f_up_contr = V.factor_cov_contr(f)
-            g_up_cov, _ = V.factor_cov_contr(g)
-            v = I.compose(g_up_cov, f_up_contr)
-            v_cov, v_contr = V.factor_cov_contr(v)
-            if I.tgt(u_contr) != V.source_stage(gf) or \
-               I.tgt(v_cov) != V.target_stage(gf):
-                return ("stage coherence", (g, f))
-            path1 = D.compose(F.mor_map[v_cov],
-                              D.compose(F.mor_map[f], F.mor_map[u_contr]))
-            path2 = D.compose(F.mor_map[v_contr],
-                              D.compose(F.mor_map[g], F.mor_map[u_cov]))
-            if path1 != F.mor_map[gf] or path2 != F.mor_map[gf]:
-                return ("hexagon", (g, f))
+    plan = V.law_plan
+    law = broken_law(D.compose, F.mor_map, plan.laws)
+    if law is not None:
+        return ("hexagon", law[2])
+    if plan.incoherent is not None:
+        return ("stage coherence", plan.incoherent)
     return None
 
 
@@ -351,7 +429,7 @@ def assemble_mixed_functor(pair):
 def pushforward_functor(C, f, F):
     """Post-compose a functor into C/src(f) with f, landing in C/tgt(f)."""
     y = C.tgt(f)
-    slice_y = SliceCategory(C, y)
+    slice_y = slice_view(C, y)
     obj_map = {i: C.compose(f, F.obj_map[i]) for i in F.obj_map}
     mor_map = {}
     for k, tri in F.mor_map.items():
@@ -373,7 +451,7 @@ def pullback_induced(C, f, G):
     V = G.variance
     I = V.category
     x, y = C.src(f), C.tgt(f)
-    slice_x = SliceCategory(C, x)
+    slice_x = slice_view(C, x)
     squares = {}
     obj_map = {}
     comp_base = {}
@@ -414,7 +492,7 @@ def image_induced(C, FS, f, F):
     V = F.variance
     I = V.category
     y = C.tgt(f)
-    slice_y = SliceCategory(C, y)
+    slice_y = slice_view(C, y)
     obj_map = {}
     comp_base = {}
     for i in I.objects():

@@ -9,7 +9,15 @@ loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets).
 Their loop order is the witness-order contract of ``fincov.kernels``: the
 first violation these loops meet is the lexicographically least one, and
 the kernel tests require the kernels to return exactly it.
+
+The later sections are references over package categories: the
+variance laws as plain per-morphism and per-pair loops, and the covering
+enumeration as generate and test.  They share only the morphism sort
+order (``fincat.mor_key``), which is the order the package's witnesses
+are defined by.
 """
+
+from fincov.fincat import mor_key
 
 
 class RawCat:
@@ -216,10 +224,6 @@ def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
 # reference scan of ambient protomodularity
 # ---------------------------------------------------------------------------
 
-def _hom_key(m):
-    return m.key()
-
-
 def ambient_protomodularity(C, E, M):
     """The initial-object anchored scan over an algebra ambient as plain
     loops: e in E and the betas into src(e) in key order, each list
@@ -230,12 +234,12 @@ def ambient_protomodularity(C, E, M):
     I0 = C.initial()
     count = 0
     for e in sorted((m for m in C.morphisms() if E.contains(m)),
-                    key=_hom_key):
+                    key=mor_key):
         b, c = e.src, e.tgt
         theta = C.hom(I0, c)[0]
         ker_e = {(u, y) for u in I0.carrier for y in b.carrier
                  if theta(u) == e(y)}
-        for beta in sorted(C.morphisms_into(b), key=_hom_key):
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
             if not M.contains(beta) or beta.is_bijective():
                 continue
             eb = C.compose(e, beta)
@@ -251,6 +255,75 @@ def ambient_protomodularity(C, E, M):
 
 
 # ---------------------------------------------------------------------------
+# reference variance laws
+# ---------------------------------------------------------------------------
+
+def unique_factorizations(C, first, second):
+    """f -> (a, b) with f = b.a, a in `first`, b in `second`, found per f
+    by scanning both classes; None with the first f in ``morphisms()``
+    order that has zero or several factorizations, and their count.  The
+    reference for ``variance._unique_factorizations``."""
+    table = {}
+    for f in C.morphisms():
+        found = []
+        for a in sorted(first, key=str):
+            if C.src(a) != C.src(f):
+                continue
+            for b in sorted(second, key=str):
+                if C.src(b) == C.tgt(a) and C.tgt(b) == C.tgt(f) \
+                        and C.compose(b, a) == f:
+                    found.append((a, b))
+        if len(found) != 1:
+            return None, (f, len(found))
+        table[f] = found[0]
+    return table, None
+
+
+def mixed_functor_violation(F):
+    """None when F is a functor of its variance, else (law, witness): the
+    totality, stage-endpoint and identity checks, then both hexagon paths
+    composed in the target for every composable pair (g, f) in order.
+    The reference for ``variance.validate_mixed_functor``."""
+    V = F.variance
+    I = V.category
+    D = F.target
+    for i in I.objects():
+        if i not in F.obj_map:
+            return ("totality", (i,))
+    for k in I.morphisms():
+        fk = F.mor_map.get(k)
+        if fk is None:
+            return ("totality", (k,))
+        if D.src(fk) != F.obj_map[V.source_stage(k)] or \
+           D.tgt(fk) != F.obj_map[V.target_stage(k)]:
+            return ("stage endpoints", (k,))
+    for i in I.objects():
+        if F.mor_map[I.identity(i)] != D.identity(F.obj_map[i]):
+            return ("identities", (i,))
+    for g in I.morphisms():
+        for f in I.morphisms_into(I.src(g)):
+            gf = I.compose(g, f)
+            f_lo_contr, f_lo_cov = V.factor_contr_cov(f)
+            g_lo_contr, _ = V.factor_contr_cov(g)
+            u = I.compose(g_lo_contr, f_lo_cov)
+            u_contr, u_cov = V.factor_contr_cov(u)
+            f_up_cov, f_up_contr = V.factor_cov_contr(f)
+            g_up_cov, _ = V.factor_cov_contr(g)
+            v = I.compose(g_up_cov, f_up_contr)
+            v_cov, v_contr = V.factor_cov_contr(v)
+            if I.tgt(u_contr) != V.source_stage(gf) or \
+               I.tgt(v_cov) != V.target_stage(gf):
+                return ("stage coherence", (g, f))
+            path1 = D.compose(F.mor_map[v_cov],
+                              D.compose(F.mor_map[f], F.mor_map[u_contr]))
+            path2 = D.compose(F.mor_map[v_contr],
+                              D.compose(F.mor_map[g], F.mor_map[u_cov]))
+            if path1 != F.mor_map[gf] or path2 != F.mor_map[gf]:
+                return ("hexagon", (g, f))
+    return None
+
+
+# ---------------------------------------------------------------------------
 # reference covering enumeration (generate and test)
 # ---------------------------------------------------------------------------
 
@@ -258,15 +331,16 @@ def type_coverings(C, c, dt, M):
     """Every M-subordinated mixed functor I -> C/c of the diagram type as
     plain loops: the product of M-legs over the sorted index objects, then
     the product of the triangles over the sorted non-identity arrows, each
-    candidate kept when ``validate_mixed_functor`` accepts it.  Its order
+    candidate kept when ``mixed_functor_violation`` accepts it.  Its order
     is the covering-order contract of ``coverage.RuleCoverage``."""
     import itertools
 
-    from fincov.coverage import Covering, _key, slice_view
-    from fincov.variance import MixedFunctor, validate_mixed_functor
+    from fincov.coverage import Covering
+    from fincov.fincat import slice_view
+    from fincov.variance import MixedFunctor
     I = dt.I
     sl = slice_view(C, c)
-    legs = [m for m in sorted(C.morphisms_into(c), key=_key)
+    legs = [m for m in sorted(C.morphisms_into(c), key=mor_key)
             if M.contains(m)]
     objs = sorted(I.objects())
     non_id = [k for k in sorted(I.morphisms()) if not I.is_identity(k)]
@@ -281,7 +355,7 @@ def type_coverings(C, c, dt, M):
                   if C.compose(q, h) == p]
             if not cs:
                 break
-            cands.append(sorted(cs, key=_key))
+            cands.append(sorted(cs, key=mor_key))
         else:
             for combo in itertools.product(*cands):
                 mor_map = {I.identity(o): sl.identity(obj_map[o])
@@ -291,7 +365,7 @@ def type_coverings(C, c, dt, M):
                     kt = dt.variance.target_stage(k)
                     mor_map[k] = (h, obj_map[ks], obj_map[kt])
                 F = MixedFunctor(dt.variance, sl, obj_map, mor_map)
-                if validate_mixed_functor(F) is None:
+                if mixed_functor_violation(F) is None:
                     out.append(Covering(C, c, dt, F))
     return out
 
