@@ -14,9 +14,13 @@ the depth-first enumerator, and the generate-and-test loop of
 of the open-cover and closed-family coverages (kappa 2) from fresh
 coverage objects over all 14 spaces of ``finite_top``; the powerset
 diagram types, up to P(7) for the 7 nonempty opens of X3.0, are built
-once, before the best run.  The last row builds the two standard
+once, before the best run.  The next row builds the two standard
 variances of the powerset posets P(4) to P(7) (81 to 2187 morphisms),
-the posets themselves built beforehand.
+the posets themselves built beforehand.  The last three rows time
+construction: the powerset posets P(4) to P(7) themselves, the finite
+spaces of at most 3 points with their 1476 continuous maps, and the
+seeded mixed functors of seeds 0-99, each run from an empty variance
+shape cache.
 """
 
 import os
@@ -25,12 +29,12 @@ import time
 
 import numpy as np
 
-from fincov import kernels
+from fincov import instances, kernels
 from fincov.algkit import build_finalg_category, group_theory
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
     _enumerate_type_coverings, _powerset_poset, build_chain_type
 from fincov.instances import abelian_groups_upto, finite_top_category, \
-    random_category, set_skeleton
+    random_category, random_mixed_functor, set_skeleton
 from fincov.morphclass import builtin_class
 from fincov.variance import standard_variances
 
@@ -118,6 +122,11 @@ def workloads():
         for I in powersets:
             standard_variances(I)
 
+    def mixed_functors():
+        instances._variance_shapes.clear()
+        for seed in range(100):
+            random_mixed_functor(seed)
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -136,6 +145,9 @@ def workloads():
          lambda: enumeration(oracles.type_coverings)),
         ("open + closed coverings_of, 14 spaces", topological_coverings),
         ("standard_variances P(4..7)", powerset_variances),
+        ("build P(4..7)", lambda: [_powerset_poset(k) for k in range(4, 8)]),
+        ("build finite_top_category(3)", lambda: finite_top_category(3)),
+        ("random_mixed_functor 0-99, cold shapes", mixed_functors),
     ]
 
 

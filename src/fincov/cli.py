@@ -110,12 +110,18 @@ def load_input(spec, max_size=None):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input {spec}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"input {spec} must be a JSON object, "
+                         f"not {type(data).__name__}")
     if "objects" in data:
         body = data
     elif "category" in data:
         body = data["category"]
     else:
         return None, None, data
+    if not isinstance(body, dict):
+        raise InputError(f"the category in {spec} must be a JSON object, "
+                         f"not {type(body).__name__}")
     cat = category_from_json(body, name=spec)
     if not isinstance(cat, FinCategory):
         raise InputError(f"input category invalid: {cat.to_json()}")
@@ -231,6 +237,11 @@ def check_cap(cap):
         raise InputError(f"--cap must be at least 1, got {cap}")
 
 
+def check_kappa(kappa):
+    if kappa < 0:
+        raise InputError(f"--kappa must be at least 0, got {kappa}")
+
+
 def resolve_hom(data, spec):
     if not data or "theory" not in data:
         raise InputError("algebra checks need a theory/algebras input file")
@@ -275,6 +286,7 @@ def run_check(args):
         raise InputError("no check name given")
     params = {"seed": args.seed, "cap": args.cap, "kappa": args.kappa}
     check_cap(args.cap)
+    check_kappa(args.kappa)
     C, entry, data = load_input(args.input, args.max_size)
     bindings = parse_class_bindings(args.classes)
 

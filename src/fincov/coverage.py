@@ -148,6 +148,8 @@ _powerset_cache = {}
 def build_powerset_type(index_set, kappa, direction="cov"):
     """Poset of subsets with smalls of size < kappa; fails when the smalls
     are not directed (two maximal smalls lack a common small join)."""
+    if kappa < 0:
+        raise ValueError(f"kappa must be at least 0, got {kappa}")
     k = len(tuple(index_set))
     dt = _powerset_type_relaxed(k, kappa, direction)
     if not dt.directed:

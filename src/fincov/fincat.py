@@ -14,6 +14,7 @@ import json
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -494,6 +495,7 @@ def validate_category(raw, name="C"):
     ``raw`` is either the JSON schema dict ({"objects", "morphisms",
     "identities", "composition"}) or a (objects, morphisms, identities,
     composition) tuple with python containers.  The check order is fixed:
+    the schema of a JSON dict (the four fields, every id a string),
     structural references, composability exactness, identity laws,
     associativity; witnesses are lexicographically least.
     """
@@ -503,8 +505,15 @@ def validate_category(raw, name="C"):
             morphisms = {m["id"]: (m["src"], m["tgt"]) for m in raw["morphisms"]}
             identities = dict(raw["identities"])
             composition = {(g, f): gf for g, f, gf in raw["composition"]}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             return ValidationReport(False, "schema", (), f"malformed input: {exc}")
+        ids = chain(objects, morphisms, identities, identities.values(),
+                    composition.values(),
+                    chain.from_iterable(morphisms.values()),
+                    chain.from_iterable(composition))
+        if not {str}.issuperset(map(type, ids)):
+            return ValidationReport(False, "schema", (),
+                                    "malformed input: every id must be a string")
     else:
         objects, morphisms, identities, composition = raw
         morphisms = dict(morphisms)
@@ -758,13 +767,22 @@ def slice_category(C, c):
 
 
 def product_category(C, D, name=None):
-    """Explicit product category with componentwise composition."""
+    """Explicit product of two explicit categories, ids joined by ``*``.
+
+    Componentwise composition of two lawful tables is lawful, so the table
+    goes to the trusted constructor.  Raises ValueError when ids holding
+    ``*`` give two component pairs the same product id.
+    """
     objects = [f"{a}*{b}" for a in C.objects() for b in D.objects()]
     morphisms = {}
     for m in C.morphisms():
         for n in D.morphisms():
             morphisms[f"{m}*{n}"] = (f"{C.src(m)}*{D.src(n)}",
                                      f"{C.tgt(m)}*{D.tgt(n)}")
+    if len(set(objects)) != len(objects) or \
+            len(morphisms) != len(C.morphisms()) * len(D.morphisms()):
+        raise ValueError(f"ids of {C.name} and {D.name} holding '*' give "
+                         "two component pairs one product id")
     identities = {f"{a}*{b}": f"{C.identity(a)}*{D.identity(b)}"
                   for a in C.objects() for b in D.objects()}
     composition = {}
@@ -772,10 +790,8 @@ def product_category(C, D, name=None):
     for (g1, f1), h1 in C.composition().items():
         for (g2, f2), h2 in comp_d.items():
             composition[(f"{g1}*{g2}", f"{f1}*{f2}")] = f"{h1}*{h2}"
-    cat = validate_category((objects, morphisms, identities, composition),
-                            name=name or f"{C.name}x{D.name}")
-    assert isinstance(cat, FinCategory)
-    return cat
+    return FinCategory(objects, morphisms, identities, composition,
+                       name=name or f"{C.name}x{D.name}")
 
 
 def verify_pullback_square(C, square, cap=None):

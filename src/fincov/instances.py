@@ -1,9 +1,15 @@
 """Corpus builders: posets and lattices, set skeletons, finite topological
 spaces, algebra ambients and seeded random categories.
 
-Every builder routes its tables through validate_category, so generated
-fixtures are validated structures by construction.  Ids are zero-padded
-where order matters; all enumeration is deterministic.
+Set skeletons, group tables and random preorders route their tables
+through validate_category.  Posets, finite spaces and products
+(``fincat.product_category``) satisfy the category laws by construction
+(thin orders, composition of maps, componentwise composition), so they
+call the trusted ``FinCategory`` constructor; posets and products first
+check that their ids are distinct.  The tests re-validate them through
+validate_category.
+The grid and Klein variances are built once per shape.  Ids are
+zero-padded where order matters; all enumeration is deterministic.
 
 The standard corpus is a registry of named fixtures: one zero-argument
 builder per name, listed for given caps (``max_top_points``,
@@ -41,31 +47,43 @@ def poset_category(elements, le_pairs, name="poset"):
     """Thin category of a finite partial order.
 
     ``le_pairs`` generates the order; the reflexive-transitive closure is
-    taken and antisymmetry is rejected.
+    taken and antisymmetry is rejected, naming the least pair (a, b) with
+    a < b in id order, a <= b and b <= a.  A thin category's laws hold by
+    construction, so the table goes to the trusted constructor.
     """
     elems = sorted(str(x) for x in elements)
-    le = {(x, x) for x in elems}
-    le |= {(str(a), str(b)) for a, b in le_pairs}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(le):
-            for c, d in list(le):
-                if b == c and (a, d) not in le:
-                    le.add((a, d))
-                    changed = True
-    for a, b in le:
-        if a != b and (b, a) in le:
-            raise ValueError(f"relation is not antisymmetric at ({a}, {b})")
-    morphisms = {f"{a}<{b}": (a, b) for a, b in le}
+    succ = {a: set() for a in elems}
+    if len(succ) != len(elems):
+        raise ValueError("poset elements are not distinct")
+    for a, b in le_pairs:
+        a, b = str(a), str(b)
+        if a not in succ or b not in succ:
+            raise ValueError(f"pair ({a}, {b}) names an unknown element")
+        succ[a].add(b)
+    up = {}            # a -> every b with a <= b, a itself included
+    for a in elems:
+        seen, todo = {a}, [a]
+        while todo:
+            for c in succ[todo.pop()] - seen:
+                seen.add(c)
+                todo.append(c)
+        up[a] = seen
+    for a in elems:
+        cycle = [b for b in up[a] if b > a and a in up[b]]
+        if cycle:
+            raise ValueError(f"relation is not antisymmetric at "
+                             f"({a}, {min(cycle)})")
+    down = {b: [] for b in elems}
+    for a in elems:
+        for b in up[a]:
+            down[b].append(a)
+    morphisms = {f"{a}<{b}": (a, b) for a in elems for b in up[a]}
+    if len(morphisms) != sum(map(len, up.values())):
+        raise ValueError("element ids containing '<' give two arrows one id")
     identities = {a: f"{a}<{a}" for a in elems}
-    composition = {}
-    for a, b in le:
-        for c, d in le:
-            if b == c:
-                composition[(f"{c}<{d}", f"{a}<{b}")] = f"{a}<{d}"
-    return _must(validate_category((elems, morphisms, identities, composition),
-                                   name=name))
+    composition = {(f"{b}<{c}", f"{a}<{b}"): f"{a}<{c}"
+                   for b in elems for a in down[b] for c in up[b]}
+    return FinCategory(elems, morphisms, identities, composition, name=name)
 
 
 def chain_poset(n, name=None):
@@ -529,9 +547,11 @@ def finite_top_category(max_points=3, name=None):
                     ids[(a, b, img)] = mid
     identities = {a: f"c{a}>{a}:" + "".join(map(str, range(spaces[a][0])))
                   for a in order}
-    cat = _must(validate_category(
-        (order, morphisms, identities, _MapComposites(morphisms, maps, ids)),
-        name=name or f"top<= {max_points}"))
+    # ids are unique (one per space and image tuple) and composites are
+    # composites of maps, so the laws hold by construction
+    cat = FinCategory(order, morphisms, identities,
+                      _MapComposites(morphisms, maps, ids),
+                      name=name or f"top<= {max_points}")
     return FiniteTopCorpus(cat, spaces, maps)
 
 
@@ -539,8 +559,9 @@ class _MapComposites(Mapping):
     """{(g, f): g.f} of maps between finite sets, computed when read.
 
     The 3-point space corpus has about 1.7e5 composable pairs; held as a
-    dict they cost ~15 MB on top of the category's own table while it was
-    validated.  ``ids`` maps (src, tgt, image tuple) to a morphism id.
+    dict they cost ~15 MB on top of the category's own table while the
+    constructor reads them.  ``ids`` maps (src, tgt, image tuple) to a
+    morphism id.
     """
 
     def __init__(self, morphisms, maps, ids):
@@ -635,39 +656,52 @@ def random_category(seed, size_bounds=(4, 24), name=None):
 # random mixed-variance instances
 # ---------------------------------------------------------------------------
 
+# variance shape -> its Variance, built and validated on first use and
+# never dropped: ("grid", rows, cols) or ("klein",).  Every functor over a
+# shape shares one index category and one law plan.
+_variance_shapes = {}
+
+
 def grid_variance(rows, cols):
     """Product of a covariant chain and a contravariant chain: morphisms
     moving in the first coordinate are covariant, in the second
-    contravariant.  A genuinely mixed variance on a thin index."""
-    from .variance import Variance, validate_variance
-    A = chain_poset(rows)
-    B = chain_poset(cols)
-    I = product_category(A, B, name=f"grid{rows}x{cols}")
-    cov = []
-    contr = []
-    for m in I.morphisms():
-        left, right = m.split("*")
-        a0, a1 = left.split("<")
-        b0, b1 = right.split("<")
-        if b0 == b1:
-            cov.append(m)
-        if a0 == a1:
-            contr.append(m)
-    v = validate_variance(I, cov, contr)
-    assert isinstance(v, Variance)
-    return v
+    contravariant.  A genuinely mixed variance on a thin index; built once
+    per (rows, cols)."""
+    key = ("grid", rows, cols)
+    if key not in _variance_shapes:
+        from .variance import Variance, validate_variance
+        A = chain_poset(rows)
+        B = chain_poset(cols)
+        I = product_category(A, B, name=f"grid{rows}x{cols}")
+        cov = []
+        contr = []
+        for m in I.morphisms():
+            left, right = m.split("*")
+            a0, a1 = left.split("<")
+            b0, b1 = right.split("<")
+            if b0 == b1:
+                cov.append(m)
+            if a0 == a1:
+                contr.append(m)
+        v = validate_variance(I, cov, contr)
+        assert isinstance(v, Variance)
+        _variance_shapes[key] = v
+    return _variance_shapes[key]
 
 
 def klein_variance():
     """The Klein four-group as a one-object groupoid with its two
-    two-element subgroups as the covariant and contravariant classes."""
-    from .variance import Variance, validate_variance
-    V4 = klein_four_group()
-    I = group_category(V4, name="BV4")
-    # elements: g0 = e, g1 = a, g2 = b, g3 = ab (product encoding)
-    v = validate_variance(I, ["g0", "g2"], ["g0", "g1"])
-    assert isinstance(v, Variance)
-    return v
+    two-element subgroups as the covariant and contravariant classes;
+    built once."""
+    key = ("klein",)
+    if key not in _variance_shapes:
+        from .variance import Variance, validate_variance
+        I = group_category(klein_four_group(), name="BV4")
+        # elements: g0 = e, g1 = a, g2 = b, g3 = ab (product encoding)
+        v = validate_variance(I, ["g0", "g2"], ["g0", "g1"])
+        assert isinstance(v, Variance)
+        _variance_shapes[key] = v
+    return _variance_shapes[key]
 
 
 def _random_klein_functor(rng):

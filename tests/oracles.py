@@ -2,7 +2,8 @@
 
 Deliberately shares no code with the package: plain dict lookups and
 triple loops, used to cross-check mono/epi/iso flags, pullback universal
-properties, orthogonality and extremality on small categories.
+properties, orthogonality and extremality on small categories, and to
+rebuild a poset's table by the all-pairs closure fixpoint.
 
 The second half is a reference lane for the enumeration kernels: plain
 loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets).
@@ -128,6 +129,42 @@ def extremal_wrt(cat, f, members):
                for g in cat.hom(cat.src[f], cat.src[m])):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference poset table (all-pairs fixpoint)
+# ---------------------------------------------------------------------------
+
+def poset_json(elements, le_pairs):
+    """The JSON form of the thin category of a partial order, closed by
+    the all-pairs fixpoint and composed over all pairs of relations.
+    Raises ValueError at the least pair (a, b) with a != b, a <= b and
+    b <= a.  The reference for ``instances.poset_category``."""
+    elems = sorted(str(x) for x in elements)
+    le = {(x, x) for x in elems}
+    le |= {(str(a), str(b)) for a, b in le_pairs}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(le):
+            for c, d in list(le):
+                if b == c and (a, d) not in le:
+                    le.add((a, d))
+                    changed = True
+    for a, b in sorted(le):
+        if a != b and (b, a) in le:
+            raise ValueError(f"relation is not antisymmetric at ({a}, {b})")
+    composition = []
+    for a, b in le:
+        for c, d in le:
+            if b == c:
+                composition.append([f"{c}<{d}", f"{a}<{b}", f"{a}<{d}"])
+    arrows = sorted((f"{a}<{b}", a, b) for a, b in le)
+    return {"objects": elems,
+            "morphisms": [{"id": m, "src": a, "tgt": b}
+                          for m, a, b in arrows],
+            "identities": {a: f"{a}<{a}" for a in elems},
+            "composition": sorted(composition)}
 
 
 # ---------------------------------------------------------------------------

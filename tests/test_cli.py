@@ -85,7 +85,30 @@ def test_input_error_exit_code(capsys, tmp_path):
         "algebras": [instances.cyclic_group(4).to_json(),
                      instances.cyclic_group(2).to_json()]}), encoding="utf-8")
     hom = ["check", "uniformity", "--input", str(alg_path), "--hom"]
-    cases = [
+    not_objects = []
+    for i, text in enumerate(["[]", "5", '"str"', '{"category": 5}',
+                              '{"category": []}']):
+        path = tmp_path / f"not_object{i}.json"
+        path.write_text(text, encoding="utf-8")
+        not_objects.append((["check", "validate", "--input", str(path)],
+                            "must be a JSON object"))
+    bad_tables = []
+    for i, composition in enumerate([[["x", "y"]], []]):
+        path = tmp_path / f"bad_table{i}.json"
+        path.write_text(json.dumps({
+            "objects": ["a", ["b"]], "morphisms": [], "identities": {},
+            "composition": composition}), encoding="utf-8")
+        bad_tables.append(["check", "validate", "--input", str(path)])
+    top = ["check", "compact", "--input", "corpus:finite_top", "--coverage",
+           "open-covers", "--object", "X1.0"]
+    cases = not_objects + [
+        (bad_tables[0], "not enough values to unpack"),
+        (bad_tables[1], "every id must be a string"),
+        (top + ["--kappa", "-1"], "--kappa must be at least 0, got -1"),
+        (compact + ["--kappa", "-2"], "--kappa must be at least 0, got -2"),
+        (compact + ["--diagram-types",
+                    '{"powerset": {"index": [1, 2], "kappa": -1}}'],
+         "kappa must be at least 0, got -1"),
         (["check", "compact", "--input", "corpus:sub_Z8", "--object",
           "nope"], "unknown object 'nope'"),
         (compact + ["--chain-n", "-1"], "need 0 <= small_prefix <= n"),
@@ -108,6 +131,16 @@ def test_input_error_exit_code(capsys, tmp_path):
         assert main(argv) == 4, argv
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 4 and message in err["error"], argv
+
+
+def test_kappa_zero_keeps_empty_smalls_report(capsys):
+    code, out = run_cli(["check", "compact", "--input", "corpus:finite_top",
+                         "--coverage", "open-covers", "--kappa", "0",
+                         "--object", "X1.0", "--format", "json"], capsys)
+    rep = json.loads(out)["objects"]["X1.0"]
+    assert code == 1 and rep["compact"] is False
+    assert rep["flags"] == ["empty-smalls"]
+    assert rep["failing"]["diagram_type"] == "P(1)kappa0cov"
 
 
 def test_ambient_objects_by_name(capsys):

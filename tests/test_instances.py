@@ -1,21 +1,124 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fincov.fincat import FinCategory, validate_category
-from fincov.instances import (cyclic_group, diamond_lattice,
-                              finite_top_category, groups_upto, monoids_upto,
-                              poset_category, random_category,
-                              random_mixed_functor, set_skeleton,
-                              standard_corpus, subgroup_lattice_poset)
+from fincov import instances
+from fincov.coverage import _mask_name
+from fincov.fincat import FinCategory, product_category, validate_category
+from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
+                              finite_top_category, grid_variance,
+                              group_category, groups_upto, klein_four_group,
+                              klein_variance, monoids_upto, poset_category,
+                              random_category, random_mixed_functor,
+                              set_skeleton, standard_corpus,
+                              subgroup_lattice_poset)
+from fincov.variance import validate_variance
 
 
 def test_poset_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         poset_category(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def _poset_cases():
+    """(elements, generating pairs) of P(1..6), the chains, the diamond and
+    50 seeded random relations."""
+    for k in range(1, 7):
+        elems = [f"s{_mask_name(m, k)}" for m in range(1 << k)]
+        yield elems, [(elems[a], elems[b]) for a in range(1 << k)
+                      for b in range(1 << k) if a != b and a & b == a]
+    for n in range(5):
+        elems = [f"o{i}" for i in range(n + 1)]
+        yield elems, list(zip(elems, elems[1:]))
+    yield ["o0", "oa", "ob", "o1"], [("o0", "oa"), ("o0", "ob"),
+                                     ("oa", "o1"), ("ob", "o1")]
+    for seed in range(50):
+        rng = random.Random(seed)
+        elems = [f"e{i}" for i in range(rng.randint(1, 7))]
+        density = rng.random() * 0.5
+        yield elems, [(a, b) for a in elems for b in elems
+                      if a != b and rng.random() < density]
+
+
+def test_poset_table_matches_fixpoint_reference():
+    rejected = 0
+    for elems, pairs in _poset_cases():
+        try:
+            want = oracles.poset_json(elems, pairs)
+        except ValueError as exc:
+            rejected += 1
+            with pytest.raises(ValueError) as got:
+                poset_category(elems, pairs)
+            assert str(got.value) == str(exc)
+            continue
+        assert poset_category(elems, pairs).to_json() == want
+    assert 0 < rejected < 50
+
+
+def test_poset_antisymmetry_witness_is_least_pair():
+    cycle = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "b")]
+    with pytest.raises(ValueError, match=r"antisymmetric at \(a, b\)"):
+        poset_category(["d", "c", "b", "a"], cycle)
+
+
+def test_trusted_builders_reject_colliding_ids():
+    with pytest.raises(ValueError, match="unknown element"):
+        poset_category(["a"], [("a", "b")])
+    with pytest.raises(ValueError, match="not distinct"):
+        poset_category(["a", "a"], [])
+    with pytest.raises(ValueError, match="one id"):
+        poset_category(["a<b", "c", "a", "b<c"],
+                       [("a<b", "c"), ("a", "b<c")])
+    # (a, *b) and (a*, b) would both be a**b
+    with pytest.raises(ValueError, match="one product id"):
+        product_category(poset_category(["a", "a*"], []),
+                         poset_category(["b", "*b"], []))
+
+
+def test_products_with_groups_revalidate():
+    for seed in range(50):
+        C = random_category(seed, (3, 10))
+        P = product_category(C, group_category(cyclic_group(2 + seed % 2)))
+        assert isinstance(validate_category(P.to_json()), FinCategory)
+        assert len(P.morphisms()) == len(C.morphisms()) * (2 + seed % 2)
+
+
+def test_variance_shapes_are_built_once():
+    shapes = {(r, c): grid_variance(r, c) for r in (1, 2) for c in (1, 2)}
+    for (r, c), v in shapes.items():
+        assert grid_variance(r, c) is v
+        I = product_category(chain_poset(r), chain_poset(c),
+                             name=f"grid{r}x{c}")
+        fresh = validate_variance(I, v.cov, v.contr)
+        assert fresh == v
+        assert fresh._cov_first == v._cov_first
+        assert fresh._contr_first == v._contr_first
+    kv = klein_variance()
+    assert klein_variance() is kv
+    fresh = validate_variance(group_category(klein_four_group(), name="BV4"),
+                              kv.cov, kv.contr)
+    assert fresh == kv and fresh._cov_first == kv._cov_first
+
+
+def test_random_mixed_functors_do_not_depend_on_shape_cache():
+    def sweep():
+        out = []
+        for seed in range(100):
+            F = random_mixed_functor(seed)
+            out.append((F.variance.category.name, F.to_json(),
+                        F.target.to_json()))
+        return out
+
+    instances._variance_shapes.clear()
+    first = sweep()
+    instances._variance_shapes.clear()
+    assert sweep() == first
+    # one shared variance (and law plan) per shape
+    assert random_mixed_functor(0).variance is random_mixed_functor(0).variance
 
 
 def test_poset_pullbacks_are_meets():
