@@ -16,11 +16,15 @@ coverage objects over all 14 spaces of ``finite_top``; the powerset
 diagram types, up to P(7) for the 7 nonempty opens of X3.0, are built
 once, before the best run.  The next row builds the two standard
 variances of the powerset posets P(4) to P(7) (81 to 2187 morphisms),
-the posets themselves built beforehand.  The last three rows time
+the posets themselves built beforehand.  The next three rows time
 construction: the powerset posets P(4) to P(7) themselves, the finite
 spaces of at most 3 points with their 1476 continuous maps, and the
 seeded mixed functors of seeds 0-99, each run from an empty variance
-shape cache.
+shape cache.  The last two rows time the algebra ambient: the equation
+checks of ``FinAlgebra.validate`` over the 8 algebras of the grown
+ambient, and ``check_class_properties`` of the injections on a fresh
+ambient grown by Z2 x Z3 (its hom sets and composite index built
+beforehand, no subobject registered, no stability verdict kept).
 """
 
 import os
@@ -35,7 +39,7 @@ from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
     _enumerate_type_coverings, _powerset_poset, build_chain_type
 from fincov.instances import abelian_groups_upto, finite_top_category, \
     random_category, random_mixed_functor, set_skeleton
-from fincov.morphclass import builtin_class
+from fincov.morphclass import builtin_class, check_class_properties
 from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -127,6 +131,22 @@ def workloads():
         for seed in range(100):
             random_mixed_functor(seed)
 
+    def grown_by_z2xz3():
+        C = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+        ob = {A.name: A for A in C.objects()}
+        C.find_pullback(C.hom(ob["Z2"], ob["Z1"])[0],
+                        C.hom(ob["Z3"], ob["Z1"])[0])
+        C.composite_index()
+        return C
+
+    # one fresh ambient per timed run: no subobject yet registered, no
+    # verdict kept
+    fresh = [grown_by_z2xz3() for _ in range(3)]
+
+    def injection_properties():
+        C = fresh.pop()
+        check_class_properties(C, builtin_class(C, "injections"))
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -148,6 +168,9 @@ def workloads():
         ("build P(4..7)", lambda: [_powerset_poset(k) for k in range(4, 8)]),
         ("build finite_top_category(3)", lambda: finite_top_category(3)),
         ("random_mixed_functor 0-99, cold shapes", mixed_functors),
+        ("validate ambient algebras (8)",
+         lambda: [A.validate() for A in amb.objects()]),
+        ("injections properties, ambient + Z2xZ3", injection_properties),
     ]
 
 

@@ -120,6 +120,48 @@ def eval_term(A, term, env):
     return env[head]
 
 
+def term_grid(A, term, vars_):
+    """The value of term at every assignment of vars_ over A's carrier.
+
+    An array with one axis of length |A| per variable, in the order of
+    vars_, so its C order is ``itertools.product`` order; as in
+    ``dict(zip(vars_, vals))``, a repeated variable takes its last axis.
+    Operations are read from ``A.op_tables()`` (so A must be total).
+    Raises eval_term's ValueErrors.
+    """
+    k = len(vars_)
+    env = {}
+    for i, v in enumerate(vars_):
+        env[v] = np.arange(A.size).reshape((1,) * i + (A.size,)
+                                           + (1,) * (k - 1 - i))
+    tables = A.op_tables()
+
+    def grid(t):
+        head = t[0]
+        if A.theory.has_symbol(head):
+            args = tuple(grid(s) for s in t[1:])
+            if len(args) != A.theory.arity(head):
+                raise ValueError(f"arity mismatch at {head}")
+            return tables[head][2][args]
+        if t[1:]:
+            raise ValueError(f"variable {head} applied to arguments")
+        if head not in env:
+            raise ValueError(f"unbound variable {head}")
+        return env[head]
+
+    return np.broadcast_to(grid(term), (A.size,) * k)
+
+
+def equation_failure(A, vars_, lhs, rhs):
+    """First assignment of vars_, in ``itertools.product`` order over A's
+    carrier, where lhs and rhs differ, as a tuple; None if none does."""
+    bad = np.flatnonzero(term_grid(A, lhs, vars_) != term_grid(A, rhs, vars_))
+    if not len(bad):
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad[0],
+                                                  (A.size,) * len(vars_)))
+
+
 # ---------------------------------------------------------------------------
 # algebras and homomorphisms
 # ---------------------------------------------------------------------------
@@ -164,10 +206,9 @@ class FinAlgebra:
             if not _table_total(self.ops[s], a, self.size):
                 return ("totality", (s,))
         for i, (vars_, lhs, rhs) in enumerate(self.theory.equations):
-            for vals in itertools.product(self.carrier, repeat=len(vars_)):
-                env = dict(zip(vars_, vals))
-                if eval_term(self, lhs, env) != eval_term(self, rhs, env):
-                    return ("equation", (i, vals))
+            vals = equation_failure(self, vars_, lhs, rhs)
+            if vals is not None:
+                return ("equation", (i, vals))
         return None
 
     def key(self):
@@ -184,7 +225,9 @@ class FinAlgebra:
 def _as_table(t):
     if isinstance(t, int):
         return t
-    return tuple(_as_table(x) for x in t)
+    if isinstance(t, (list, tuple)):
+        return tuple(_as_table(x) for x in t)
+    raise ValueError(f"operation table entry {t!r} is not an int")
 
 
 def _table_json(t):
@@ -558,10 +601,9 @@ def validate_theory_witnesses(theory, witnesses, corpus):
 
     def holds(vars_, lhs, rhs):
         for A in corpus:
-            for vals in itertools.product(A.carrier, repeat=len(vars_)):
-                env = dict(zip(vars_, vals))
-                if eval_term(A, lhs, env) != eval_term(A, rhs, env):
-                    return False, (A.name, vals)
+            vals = equation_failure(A, vars_, lhs, rhs)
+            if vals is not None:
+                return False, (A.name, vals)
         return True, None
 
     if "pointed" in witnesses:
@@ -660,14 +702,9 @@ class UniformityReport:
 
 
 def _t_mul(A, t):
-    cache = {}
-
-    def mul(x, y):
-        if (x, y) not in cache:
-            cache[(x, y)] = eval_term(A, t, {"x": x, "y": y})
-        return cache[(x, y)]
-
-    return mul
+    """The binary operation x, y -> t(x, y) on A, read from its table."""
+    table = term_grid(A, t, ("x", "y")).tolist()
+    return lambda x, y: table[x][y]
 
 
 def classify_uniformity(f, t=None, normals=None):
@@ -1086,6 +1123,7 @@ class AlgCategory(CategoryBase):
         self.name = name or f"{theory.name}<= {size_cap}"
         self._roster = []
         self._hom_cache = {}
+        self._images_cache = {}
         self._into_cache = {}
         self._from_cache = {}
         self._composites = None
@@ -1137,6 +1175,17 @@ class AlgCategory(CategoryBase):
         if key not in self._hom_cache:
             self._hom_cache[key] = tuple(enumerate_homs(A, B))
         return self._hom_cache[key]
+
+    def hom_images(self, A, B):
+        """hom(A, B) as an int64 array with one row of images per hom, in
+        hom order; cached, like the hom set, for the category's life."""
+        key = (id(A), id(B))
+        if key not in self._images_cache:
+            homs = self.hom(A, B)
+            self._images_cache[key] = np.array(
+                [h.images for h in homs], dtype=np.int64).reshape(len(homs),
+                                                                  A.size)
+        return self._images_cache[key]
 
     def morphisms_into(self, B):
         if id(B) not in self._into_cache:
@@ -1360,12 +1409,9 @@ def _build_composite_index(C):
     n = 0
     for A in roster:
         for B in roster:
-            homs = C.hom(A, B)
-            img = np.array([h.images for h in homs],
-                           dtype=np.int64).reshape(len(homs), A.size)
-            images[id(A), id(B)] = img
+            img = images[id(A), id(B)] = C.hom_images(A, B)
             offset[id(A), id(B)] = n
-            n += len(homs)
+            n += len(img)
             codes.append((pos[id(A)] * r + pos[id(B)]) * span
                          + img.astype(dtype) @ weights[A.size])
     codes = np.concatenate(codes)

@@ -17,7 +17,7 @@ import time
 
 from . import report as rp
 from .algkit import AlgHom, FinAlgebra, Theory, classify_uniformity, \
-    check_monic_pullback_corollary, term_from_json
+    check_monic_pullback_corollary, term_from_json, term_grid
 from .coverage import ClosedFamilyCoverage, DiagramTypeFailure, \
     OpenCoverCoverage, RuleCoverage, build_chain_type, build_powerset_type, \
     check_coverage, check_image_compatibility, check_subordination, \
@@ -245,15 +245,24 @@ def check_kappa(kappa):
 def resolve_hom(data, spec):
     if not data or "theory" not in data:
         raise InputError("algebra checks need a theory/algebras input file")
-    theory = Theory.from_json(data["theory"])
-    algebras = {}
-    for item in data.get("algebras", []):
-        A = FinAlgebra(theory, item["name"], len(item["carrier"]),
-                       item["ops"])
-        err = A.validate()
-        if err is not None:
-            raise InputError(f"algebra {A.name} invalid: {err}")
-        algebras[A.name] = A
+    try:
+        theory = Theory.from_json(data["theory"])
+        algebras = {}
+        for item in data.get("algebras", []):
+            A = FinAlgebra(theory, item["name"], len(item["carrier"]),
+                           item["ops"])
+            err = A.validate()
+            if err is not None:
+                raise InputError(f"algebra {A.name} invalid: {err}")
+            algebras[A.name] = A
+        t = term_from_json(data["t"]) if "t" in data else theory.default_t
+        if t is not None:
+            for A in algebras.values():
+                term_grid(A, t, ("x", "y"))
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise InputError(f"theory/algebras input invalid: "
+                         f"{type(exc).__name__}: {exc}") from None
     if spec is None:
         raise InputError("this check needs --hom src>tgt:images")
     try:
@@ -272,7 +281,9 @@ def resolve_hom(data, spec):
     h = AlgHom(src, tgt, images)
     if not h.is_valid():
         raise InputError("hom spec does not preserve the operations")
-    t = term_from_json(data["t"]) if "t" in data else theory.default_t
+    if t is None:
+        raise InputError("no binary term t: the input has no \"t\" and "
+                         "its theory no default")
     return h, t, algebras, theory
 
 

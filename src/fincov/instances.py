@@ -60,14 +60,7 @@ def poset_category(elements, le_pairs, name="poset"):
         if a not in succ or b not in succ:
             raise ValueError(f"pair ({a}, {b}) names an unknown element")
         succ[a].add(b)
-    up = {}            # a -> every b with a <= b, a itself included
-    for a in elems:
-        seen, todo = {a}, [a]
-        while todo:
-            for c in succ[todo.pop()] - seen:
-                seen.add(c)
-                todo.append(c)
-        up[a] = seen
+    up = _up_sets(succ)
     for a in elems:
         cycle = [b for b in up[a] if b > a and a in up[b]]
         if cycle:
@@ -84,6 +77,20 @@ def poset_category(elements, le_pairs, name="poset"):
     composition = {(f"{b}<{c}", f"{a}<{b}"): f"{a}<{c}"
                    for b in elems for a in down[b] for c in up[b]}
     return FinCategory(elems, morphisms, identities, composition, name=name)
+
+
+def _up_sets(succ):
+    """Reflexive-transitive closure of a successor relation {a: set of b}:
+    per a, in succ's order, every b reachable from a, a itself included."""
+    up = {}
+    for a in succ:
+        seen, todo = {a}, [a]
+        while todo:
+            for c in succ[todo.pop()] - seen:
+                seen.add(c)
+                todo.append(c)
+        up[a] = seen
+    return up
 
 
 def chain_poset(n, name=None):
@@ -618,27 +625,18 @@ def random_category(seed, size_bounds=(4, 24), name=None):
     for _ in range(64):
         k = rng.randint(1, max_obj)
         density = rng.random() * 0.6
-        rel = {(i, i) for i in range(k)}
+        succ = {i: set() for i in range(k)}
         for i in range(k):
             for j in range(k):
                 if i != j and rng.random() < density:
-                    rel.add((i, j))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+                    succ[i].add(j)
+        up = _up_sets(succ)
         elems = [f"o{i}" for i in range(k)]
-        morphisms = {f"r{a}>{b}": (f"o{a}", f"o{b}") for a, b in rel}
+        morphisms = {f"r{a}>{b}": (f"o{a}", f"o{b}")
+                     for a in range(k) for b in up[a]}
         identities = {f"o{i}": f"r{i}>{i}" for i in range(k)}
-        composition = {}
-        for a, b in rel:
-            for c, d in rel:
-                if b == c:
-                    composition[(f"r{c}>{d}", f"r{a}>{b}")] = f"r{a}>{d}"
+        composition = {(f"r{b}>{c}", f"r{a}>{b}"): f"r{a}>{c}"
+                       for a in range(k) for b in up[a] for c in up[b]}
         cat = validate_category((elems, morphisms, identities, composition),
                                 name=name or f"rand{seed}")
         assert isinstance(cat, FinCategory)
@@ -704,12 +702,23 @@ def klein_variance():
     return _variance_shapes[key]
 
 
+# target groups of the seeded Klein functors, in the order they are drawn
+_KLEIN_TARGETS = {"Z2": lambda: cyclic_group(2), "V4": klein_four_group,
+                  "Z4": lambda: cyclic_group(4),
+                  "S3": lambda: symmetric_group(3, "S3")}
+
+# target group name -> its one-object category, built on first use and
+# never dropped
+_klein_target_categories = {}
+
+
 def _random_klein_functor(rng):
     from .variance import MixedFunctor
     v = klein_variance()
-    G = group_category(rng.choice(
-        [cyclic_group(2), klein_four_group(), cyclic_group(4),
-         symmetric_group(3, "S3")]))
+    key = rng.choice(list(_KLEIN_TARGETS))
+    if key not in _klein_target_categories:
+        _klein_target_categories[key] = group_category(_KLEIN_TARGETS[key]())
+    G = _klein_target_categories[key]
     ident = G.identity("*")
     invol = [g for g in G.morphisms() if G.compose(g, g) == ident]
     x = rng.choice(invol)

@@ -110,19 +110,26 @@ def first_assoc_violation(comp):
 
 
 def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
-    """Per-morphism left/right cancellation flags, decided by enumeration."""
+    """Per-morphism left/right cancellation flags, decided by enumeration.
+
+    f is mono when the composites f.u, u into src(f), are distinct per
+    source of u, and epi when the v.f, v out of tgt(f), are distinct per
+    target of v.  Both read one block per object o, the composites of
+    the morphisms out of o with those into o: a row of it is f.u for one
+    f, a column v.f for one f.  Each row and column is sorted and checked
+    for repeats.
+    """
     n = comp.shape[0]
-    mono = np.zeros(n, dtype=np.uint8)
-    epi = np.zeros(n, dtype=np.uint8)
-    into = [np.nonzero(tgt == o)[0] for o in range(nobj)]
-    outof = [np.nonzero(src == o)[0] for o in range(nobj)]
-    for f in range(n):
-        u = into[src[f]]
-        keys = src[u].astype(np.int64) * n + comp[f, u]
-        mono[f] = len(np.unique(keys)) == len(u)
-        v = outof[tgt[f]]
-        keys = tgt[v].astype(np.int64) * n + comp[v, f]
-        epi[f] = len(np.unique(keys)) == len(v)
+    mono = np.ones(n, dtype=np.uint8)
+    epi = np.ones(n, dtype=np.uint8)
+    for o in range(nobj):
+        out = np.flatnonzero(src == o)
+        into = np.flatnonzero(tgt == o)
+        block = comp[np.ix_(out, into)].astype(np.int64)
+        keys = np.sort(src[into].astype(np.int64) * n + block, axis=1)
+        mono[out] = ~(keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        keys = np.sort(tgt[out, None].astype(np.int64) * n + block, axis=0)
+        epi[into] = ~(keys[1:] == keys[:-1]).any(axis=0)
     return mono, epi
 
 

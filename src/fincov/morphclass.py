@@ -225,18 +225,21 @@ def _ambient_injective_only(C, A):
 
 
 def _ambient_class_images(C, A, z):
-    """(image set, least witness) per non-iso A-member into z; cached."""
+    """(image set, least witness) per non-iso A-member into z; cached
+    until the roster grows (a new source can bring a new image)."""
     cache = A.__dict__.setdefault("_noniso_images", {})
-    if id(z) not in cache:
+    into = C.morphisms_into(z)
+    if id(z) not in cache or cache[id(z)][0] is not into:
         table = {}
-        for m in C.morphisms_into(z):
+        for m in into:
             if m.is_bijective() or not A.contains(m):
                 continue
             img = frozenset(m.images)
             if img not in table:
                 table[img] = m
-        cache[id(z)] = sorted(table.items(), key=lambda kv: sorted(kv[0]))
-    return cache[id(z)]
+        cache[id(z)] = (into, sorted(table.items(),
+                                     key=lambda kv: sorted(kv[0])))
+    return cache[id(z)][1]
 
 
 def _ambient_stability_scan(C, A):
@@ -263,14 +266,37 @@ def _ambient_stability_scan(C, A):
 
 def _first_unstable_pullback(C, A, img, into):
     """Least (g, proj) among the morphisms g into the target of an
-    A-member with image img whose pullback projection proj is not in A."""
-    for g in into:
-        pre = frozenset(b for b in g.src.carrier if g(b) in img)
-        if not pre:
-            continue  # constant-free theories are outside the corpus
-        _, proj = C.subalgebra_object(g.src, pre)
-        if not A.contains(proj):
-            return g, proj
+    A-member with image img whose pullback projection proj is not in A.
+
+    ``into`` is walked one hom set hom(X, z) at a time (the roster may grow
+    during the scan).  The preimages of img along all of them are coded at
+    once as bitmasks from the hom set's images; each distinct nonempty
+    (X, preimage) is decided once, in first-occurrence order, and the
+    verdict is kept on A (projections are cached by ``subalgebra_object``
+    for the category's life).  So the subobjects are registered, and
+    named, in the order of a hom-by-hom scan."""
+    verdicts = A.__dict__.setdefault("_pullback_verdicts", {})
+    z = into[0].tgt
+    inside = np.zeros(z.size, dtype=bool)
+    inside[list(img)] = True
+    lo = 0
+    while lo < len(into):
+        X = into[lo].src
+        homs = C.hom(X, z)
+        lo += len(homs)
+        dtype = np.int64 if X.size < 63 else object
+        bits = np.array([1 << k for k in range(X.size)], dtype=dtype)
+        codes = inside[C.hom_images(X, z)].astype(dtype) @ bits
+        for code in dict.fromkeys(codes.tolist()):
+            if not code:
+                continue  # constant-free theories are outside the corpus
+            hit = verdicts.get((id(X), code))
+            if hit is None:
+                _, proj = C.subalgebra_object(X, frozenset(
+                    k for k in X.carrier if code >> k & 1))
+                hit = verdicts[id(X), code] = (proj, A.contains(proj))
+            if not hit[1]:
+                return homs[int(np.flatnonzero(codes == code)[0])], hit[0]
     return None
 
 

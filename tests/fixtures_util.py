@@ -83,11 +83,18 @@ def grown_ambient(*products):
     from fincov.algkit import build_finalg_category, group_theory
     from fincov.instances import abelian_groups_upto
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
-    ob = {A.name: A for A in amb.objects()}
-    for a, b in products:
-        amb.find_pullback(amb.hom(ob[a], ob["Z1"])[0],
-                          amb.hom(ob[b], ob["Z1"])[0])
+    for pair in products:
+        grow_ambient(amb, pair)
     return amb
+
+
+def grow_ambient(amb, pair):
+    """Register the product of the named pair of roster algebras, as the
+    pullback of their maps to Z1."""
+    ob = {A.name: A for A in amb.objects()}
+    a, b = pair
+    amb.find_pullback(amb.hom(ob[a], ob["Z1"])[0],
+                      amb.hom(ob[b], ob["Z1"])[0])
 
 
 FULL_GROWTH = (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4"))

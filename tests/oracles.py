@@ -15,7 +15,10 @@ The later sections are references over package categories: the
 variance laws as plain per-morphism and per-pair loops, and the covering
 enumeration as generate and test.  They share only the morphism sort
 order (``fincat.mor_key``), which is the order the package's witnesses
-are defined by.
+are defined by.  The last sections are plain-loop references for table
+code: the ambient stability scan one hom at a time, equations checked
+one assignment at a time, and the seeded inputs built by the all-pairs
+preorder fixpoint with every candidate group rebuilt.
 """
 
 from fincov.fincat import mor_key
@@ -467,3 +470,143 @@ def embedding_kinds(images, src_opens, tgt_opens, tgt_points):
     full = (1 << tgt_points) - 1
     return (emb, emb and image in tgt_opens,
             emb and full ^ image in tgt_opens)
+
+
+# ---------------------------------------------------------------------------
+# reference ambient stability scan
+# ---------------------------------------------------------------------------
+
+def first_unstable_pullback(C, A, img, into):
+    """Least (g, proj) among the morphisms g in ``into`` whose pullback
+    projection proj (the inclusion of the g-preimage of img) is not in A,
+    one preimage and one ``subalgebra_object`` call per g.  The reference
+    for ``morphclass._first_unstable_pullback``."""
+    for g in into:
+        pre = frozenset(b for b in g.src.carrier if g(b) in img)
+        if not pre:
+            continue
+        _, proj = C.subalgebra_object(g.src, pre)
+        if not A.contains(proj):
+            return g, proj
+    return None
+
+
+# ---------------------------------------------------------------------------
+# reference equation check
+# ---------------------------------------------------------------------------
+
+def equation_failure(A, vars_, lhs, rhs):
+    """First assignment of vars_ in ``itertools.product`` order over A's
+    carrier where lhs and rhs differ, evaluated one assignment at a time
+    with ``eval_term``; None when the equation holds.  The reference for
+    ``algkit.equation_failure``."""
+    import itertools
+
+    from fincov.algkit import eval_term
+    for vals in itertools.product(A.carrier, repeat=len(vars_)):
+        env = dict(zip(vars_, vals))
+        if eval_term(A, lhs, env) != eval_term(A, rhs, env):
+            return vals
+    return None
+
+
+# ---------------------------------------------------------------------------
+# reference seeded inputs
+# ---------------------------------------------------------------------------
+
+def random_category(seed, size_bounds=(4, 24), name=None):
+    """``instances.random_category`` with its preorder closed by the
+    all-pairs fixpoint and composed over all pairs of relations."""
+    import random
+
+    from fincov.fincat import FinCategory, product_category, \
+        validate_category
+    from fincov.instances import cyclic_group, group_category
+    max_obj, max_mor = size_bounds
+    rng = random.Random(seed)
+    for _ in range(64):
+        k = rng.randint(1, max_obj)
+        density = rng.random() * 0.6
+        rel = {(i, i) for i in range(k)}
+        for i in range(k):
+            for j in range(k):
+                if i != j and rng.random() < density:
+                    rel.add((i, j))
+        changed = True
+        while changed:
+            changed = False
+            for a, b in list(rel):
+                for c, d in list(rel):
+                    if b == c and (a, d) not in rel:
+                        rel.add((a, d))
+                        changed = True
+        elems = [f"o{i}" for i in range(k)]
+        morphisms = {f"r{a}>{b}": (f"o{a}", f"o{b}") for a, b in rel}
+        identities = {f"o{i}": f"r{i}>{i}" for i in range(k)}
+        composition = {}
+        for a, b in rel:
+            for c, d in rel:
+                if b == c:
+                    composition[(f"r{c}>{d}", f"r{a}>{b}")] = f"r{a}>{d}"
+        cat = validate_category((elems, morphisms, identities, composition),
+                                name=name or f"rand{seed}")
+        assert isinstance(cat, FinCategory)
+        if rng.random() < 0.3:
+            g = group_category(cyclic_group(rng.choice([2, 3])))
+            prod = product_category(cat, g, name=name or f"rand{seed}")
+            if len(prod.morphisms()) <= max_mor:
+                return prod
+        if len(cat.morphisms()) <= max_mor:
+            return cat
+    return cat
+
+
+def random_mixed_functor(seed):
+    """``instances.random_mixed_functor`` with every Klein attempt building
+    all four candidate groups and the chosen group's category, and every
+    grid attempt drawing its target from ``random_category`` above."""
+    import random
+
+    from fincov.instances import cyclic_group, grid_variance, \
+        group_category, klein_four_group, klein_variance, symmetric_group
+    from fincov.variance import MixedFunctor, validate_mixed_functor
+
+    def klein(rng):
+        v = klein_variance()
+        G = group_category(rng.choice(
+            [cyclic_group(2), klein_four_group(), cyclic_group(4),
+             symmetric_group(3, "S3")]))
+        ident = G.identity("*")
+        invol = [g for g in G.morphisms() if G.compose(g, g) == ident]
+        x = rng.choice(invol)
+        y = rng.choice([g for g in invol
+                        if G.compose(g, x) == G.compose(x, g)])
+        mor_map = {}
+        for k in v.category.morphisms():
+            c1, _ = v.factor_cov_contr(k)
+            d1, _ = v.factor_contr_cov(k)
+            gx = x if c1 == "g2" else ident
+            hy = y if d1 == "g1" else ident
+            mor_map[k] = G.compose(gx, hy)
+        return MixedFunctor(v, G, {"*": "*"}, mor_map)
+
+    def grid(rng):
+        v = grid_variance(rng.randint(1, 2), rng.randint(1, 2))
+        D = random_category(rng.randrange(10 ** 6), (4, 30))
+        obj_map = {o: rng.choice(sorted(D.objects()))
+                   for o in sorted(v.category.objects())}
+        mor_map = {}
+        for k in v.category.morphisms():
+            ks, kt = v.source_stage(k), v.target_stage(k)
+            cands = sorted(D.hom(obj_map[ks], obj_map[kt]))
+            if not cands:
+                return None
+            mor_map[k] = rng.choice(cands)
+        return MixedFunctor(v, D, obj_map, mor_map)
+
+    rng = random.Random(seed)
+    for _ in range(400):
+        F = klein(rng) if rng.random() < 0.25 else grid(rng)
+        if F is not None and validate_mixed_functor(F) is None:
+            return F
+    raise AssertionError(f"no valid mixed functor found for seed {seed}")

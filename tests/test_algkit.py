@@ -5,10 +5,11 @@ from fincov.algkit import (AlgHom, CapExceeded, FinAlgebra, Theory,
                            build_finalg_category, check_monic_pullback_corollary,
                            classify_uniformity, congruences,
                            derived_malcev_term, enumerate_homs,
-                           enumerate_normal_subalgebras, eval_term,
-                           find_isomorphism, group_theory, identity_hom,
-                           is_right_unital, minimal_subalgebra, monoid_theory,
-                           quotient_algebra, validate_theory_witnesses)
+                           enumerate_normal_subalgebras, equation_failure,
+                           eval_term, find_isomorphism, group_theory,
+                           identity_hom, is_right_unital, minimal_subalgebra,
+                           monoid_theory, quotient_algebra, term_grid,
+                           validate_theory_witnesses)
 from fincov.instances import (cyclic_group, groups_upto, klein_four_group,
                               monoids_upto)
 
@@ -303,3 +304,99 @@ def test_hom_validity_matches_reference_loops():
                 for images in itertools.product(B.carrier, repeat=A.size):
                     h = AlgHom(A, B, images)
                     assert h.is_valid() == _valid_by_loops(h), (A, B, images)
+
+
+def _one_entry_changed(A, rng, per_symbol=3):
+    """Copies of A, each with one operation-table entry moved to another
+    element."""
+    out = []
+    for s, a in A.theory.symbols:
+        table = A.op_tables()[s][2]
+        for _ in range(per_symbol if A.size > 1 else 0):
+            t = table.copy()
+            at = tuple(rng.randrange(A.size) for _ in range(a))
+            t[at] = (t[at] + rng.randrange(1, A.size)) % A.size
+            out.append(FinAlgebra(A.theory, f"{A.name}~{s}{at}", A.size,
+                                  {**A.ops, s: t.tolist()}))
+    return out
+
+
+def test_equation_tables_match_assignment_loop(monkeypatch):
+    """validate and equation_failure read each equation from the
+    operation tables, and name the assignment the per-assignment loop
+    meets first, on the roster algebras of the three ambients and on
+    copies with one table entry changed."""
+    import random
+
+    import fincov.algkit as algkit
+    import oracles
+    from fincov.instances import corpus_entry
+    rng = random.Random(0)
+    algebras = []
+    for name in ("groups_ambient", "abelian_ambient", "monoids_ambient"):
+        for A in corpus_entry(name).category.objects():
+            algebras += [A] + _one_entry_changed(A, rng)
+
+    def witnesses(lane):
+        return [(A.validate(), [lane(A, *eq) for eq in A.theory.equations])
+                for A in algebras]
+
+    got = witnesses(algkit.equation_failure)
+    monkeypatch.setattr(algkit, "equation_failure", oracles.equation_failure)
+    assert got == witnesses(oracles.equation_failure)
+    assert sum(err is not None for err, _ in got) > len(algebras) // 2
+
+
+def test_theory_witness_verdicts_match_assignment_loop(monkeypatch):
+    import fincov.algkit as algkit
+    import oracles
+    x, y, z = ("x",), ("y",), ("z",)
+
+    def mul(a, b):
+        return ("mul", a, b)
+
+    groups = groups_upto(8)
+    monoids = monoids_upto(3)
+    M = monoid_theory()
+    cases = [
+        (T, group_witnesses(), groups),
+        (T, {"malcev": mul(x, mul(("inv", y), z))}, groups),
+        (T, {"malcev": mul(x, z),
+             "protomodular": (mul(y, ("z1",)), [mul(x, ("inv", y))],
+                              [("e",)])}, groups),
+        (T, {"pointed": ("inv", ("e",))}, groups),
+        (M, {"pointed": ("e",), "malcev": mul(x, mul(y, z)),
+             "protomodular": (mul(("z1",), y), [mul(x, y)], [("e",)])},
+         monoids),
+    ]
+
+    def verdicts():
+        return [validate_theory_witnesses(th, w, corpus)
+                for th, w, corpus in cases]
+
+    got = verdicts()
+    monkeypatch.setattr(algkit, "equation_failure", oracles.equation_failure)
+    assert got == verdicts()
+    assert [v[0] for rep in got for v in rep.values()].count(False) >= 4
+
+
+def test_equations_on_the_empty_carrier_hold():
+    x, y = ("x",), ("y",)
+    S = Theory("semigroups", (("mul", 2),),
+               ((("x", "y"), ("mul", x, y), ("mul", y, x)),))
+    E = FinAlgebra(S, "empty", 0, {"mul": ()})
+    assert E.validate() is None
+    assert equation_failure(E, ("x", "y"), ("mul", x, y), x) is None
+
+
+def test_term_grid_raises_eval_term_errors():
+    for term, message in ((("mul", ("y",)), "arity mismatch at mul"),
+                          (("x",), "unbound variable x"),
+                          (("y", ("x",)), "variable y applied")):
+        with pytest.raises(ValueError, match=message):
+            eval_term(Z4, term, {"y": 0})
+        with pytest.raises(ValueError, match=message):
+            term_grid(Z4, term, ("y",))
+    assert term_grid(Z4, ("mul", ("x",), ("y",)), ("x", "y")).tolist() == \
+        [[eval_term(Z4, ("mul", ("x",), ("y",)), {"x": a, "y": b})
+          for b in range(4)] for a in range(4)]

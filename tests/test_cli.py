@@ -319,3 +319,80 @@ def test_variance_failure_witnesses_do_not_depend_on_hash_seed(tmp_path):
             assert report["witness"] == ["o2<o3", "o0<o2"]
         else:
             assert report["witness"] == ["w", "x", "y", "z"]
+
+
+def _z2_input(**changes):
+    """A groups theory with the algebra A = Z2, as JSON, with the named
+    parts replaced: theory, algebra, t (None drops them)."""
+    from fincov.algkit import group_theory
+    theory = group_theory().to_json()
+    algebra = {"name": "A", "carrier": [0, 1],
+               "ops": {"mul": [[0, 1], [1, 0]], "inv": [0, 1], "e": 0}}
+    data = {"theory": changes.get("theory", theory),
+            "algebras": [changes.get("algebra", algebra)]}
+    if "t" in changes:
+        data["t"] = changes["t"]
+    return data, theory, algebra
+
+
+def test_malformed_algebra_input_exit_code(tmp_path, capsys):
+    """Malformed theories, algebras and terms end with exit 4 and an
+    InputError through both algebra checks, never a traceback."""
+    _, theory, algebra = _z2_input()
+
+    def with_theory(**kw):
+        return _z2_input(theory={**theory, **kw})[0]
+
+    def with_equation(lhs, vars_=("x",)):
+        eqs = theory["equations"] + [{"vars": list(vars_), "lhs": lhs,
+                                      "rhs": ["x"]}]
+        return with_theory(equations=eqs)
+
+    no_t = {k: v for k, v in theory.items() if k != "t"}
+    cases = [
+        (_z2_input(algebra={k: v for k, v in algebra.items()
+                            if k != "name"})[0], "KeyError: 'name'"),
+        (with_theory(symbols="x"), "TypeError"),
+        (with_equation("x"), "malformed term: 'x'"),
+        (_z2_input(algebra={**algebra, "ops": {
+            **algebra["ops"], "mul": [[0, "z"], [1, 0]]}})[0],
+         "operation table entry 'z' is not an int"),
+        (with_equation(["mul", ["x"]]), "arity mismatch at mul"),
+        (with_equation(["mul", ["x"], ["y"]]), "unbound variable y"),
+        (_z2_input(t="bad")[0], "malformed term: 'bad'"),
+        (_z2_input(t=["mul", ["x"], ["z"]])[0], "unbound variable z"),
+        (_z2_input(theory=no_t)[0], "no binary term t"),
+    ]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"alg{i}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for check in ("uniformity", "monic-pullback"):
+            argv = ["check", check, "--input", str(path), "--hom", "A>A:01"]
+            assert main(argv) == 4, (i, check)
+            err = json.loads(capsys.readouterr().err)
+            assert err["exit_code"] == 4 and message in err["error"], \
+                (i, check, err["error"])
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_z2_input()[0]), encoding="utf-8")
+    assert main(["check", "uniformity", "--input", str(path), "--hom",
+                 "A>A:01"]) == 0
+
+
+def test_classify_check_does_not_import_numpy_ma():
+    """The classify kernel sorts instead of calling np.unique, whose first
+    call imports numpy.ma (about 11-13 ms per process)."""
+    import os
+    import subprocess
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "from fincov.cli import main\n"
+              "code = main(['check', 'classify', '--input',\n"
+              "             'corpus:group_cat_D4', '--format', 'json'])\n"
+              "sys.stdout.write(f'\\n{code} {\"numpy.ma\" in sys.modules}')\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rsplit("\n", 1)[1] == "0 False"

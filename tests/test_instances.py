@@ -121,6 +121,24 @@ def test_random_mixed_functors_do_not_depend_on_shape_cache():
     assert random_mixed_functor(0).variance is random_mixed_functor(0).variance
 
 
+def test_seeded_inputs_match_reference_loops():
+    """random_category closes its preorder from successor sets, and the
+    Klein functors build each target group category once: the tables
+    equal those of the all-pairs fixpoint and per-attempt group builds
+    kept in oracles."""
+    for bounds in ((4, 12), (4, 24)):
+        for seed in range(200):
+            assert random_category(seed, bounds).to_json() == \
+                oracles.random_category(seed, bounds).to_json(), \
+                (bounds, seed)
+    for seed in range(400):
+        F, R = random_mixed_functor(seed), oracles.random_mixed_functor(seed)
+        assert (F.to_json(), F.target.to_json()) == \
+            (R.to_json(), R.target.to_json()), seed
+    assert set(instances._klein_target_categories) == \
+        set(instances._KLEIN_TARGETS)
+
+
 def test_poset_pullbacks_are_meets():
     dia = diamond_lattice()
     sq = dia.find_pullback("oa<o1", "ob<o1")

@@ -202,27 +202,36 @@ def test_class_json_roundtrip(sk2):
     assert set(again.member_list()) == set(A.member_list())
 
 
-def _reference_class_properties(C, A):
+def _composable_triples(C):
+    """Every composable (g, f, g.f) of C, in morphism order."""
+    return [(g, f, C.compose(g, f)) for g in C.morphisms()
+            for f in C.morphisms_into(C.src(g))]
+
+
+def _reference_class_properties(C, A, triples=None):
     """The plain scans: system, then left/right cancelability over every
-    composable pair (g, f), in morphism order; least witness per flag."""
+    composable pair (g, f), in morphism order; least witness per flag.
+    ``triples`` may pass C's ``_composable_triples``."""
     out = {"system": True, "left_cancelable": True,
            "right_cancelable": True}
     wit = {}
     iso_out = [m for m in C.morphisms() if C.is_iso(m) and m not in A]
     if iso_out:
         out["system"], wit["system"] = False, (iso_out[0],)
-    pairs = [(g, f) for g in C.morphisms()
-             for f in C.morphisms_into(C.src(g))]
+    if triples is None:
+        triples = _composable_triples(C)
+    inside = {m: m in A for m in C.morphisms()}
     if out["system"]:
-        for g, f in pairs:
-            if g in A and f in A and C.compose(g, f) not in A:
+        for g, f, gf in triples:
+            if inside[g] and inside[f] and not inside[gf]:
                 out["system"], wit["system"] = False, (g, f)
                 break
-    for g, f in pairs:
-        gf_in = C.compose(g, f) in A
-        if out["left_cancelable"] and gf_in and g in A and f not in A:
+    for g, f, gf in triples:
+        if not inside[gf]:
+            continue
+        if out["left_cancelable"] and inside[g] and not inside[f]:
             out["left_cancelable"], wit["left_cancelable"] = False, (g, f)
-        if out["right_cancelable"] and gf_in and f in A and g not in A:
+        if out["right_cancelable"] and inside[f] and not inside[g]:
             out["right_cancelable"], wit["right_cancelable"] = False, (g, f)
     return out, wit
 
@@ -240,8 +249,8 @@ def _reference_ambient_stability(C, A):
     return True, None
 
 
-def _assert_matches_reference(C, A, rep):
-    flags, wit = _reference_class_properties(C, A)
+def _assert_matches_reference(C, A, rep, triples=None):
+    flags, wit = _reference_class_properties(C, A, triples)
     for prop, ok in flags.items():
         assert getattr(rep, prop) == ok, (A.name, prop)
         assert rep.witnesses.get(prop) == wit.get(prop), (A.name, prop)
@@ -377,29 +386,40 @@ def _assert_index_composes(amb):
 
 
 def test_ambient_class_properties_match_reference_scans():
-    from fixtures_util import grown_ambient
-    # the roster grown by Z2 x Z3, as product closure grows it
+    from fixtures_util import grow_ambient, grown_ambient
+    # the roster grown by Z2 x Z3, then Z2 x Z4 and Z2 x V4, as product
+    # closure grows it; the classes, and the stability verdicts they keep,
+    # carry over each growth
     amb = grown_ambient(("Z2", "Z3"))
-    n = len(amb.objects())
-    # classes of injective homs: stability by image closure, no new objects
-    for name in ("injections", "sections", "isos", "identities"):
-        A = builtin_class(amb, name)
-        rep = check_class_properties(amb, A)
-        _assert_matches_reference(amb, A, rep)
-        stable, wit = _reference_ambient_stability(amb, A)
-        assert (rep.stable, rep.witnesses.get("stable")) == (stable, wit)
-    assert len(amb.objects()) == n
+    for growth in ((), ("Z2", "Z4"), ("Z2", "V4")):
+        n = len(amb.objects())
+        if growth:
+            grow_ambient(amb, growth)
+            assert len(amb.objects()) == n + 1
+            n += 1
+        # classes of injective homs: stability by image closure, no new
+        # objects
+        triples = _composable_triples(amb)
+        for name in ("injections", "sections", "isos", "identities"):
+            A = builtin_class(amb, name)
+            rep = check_class_properties(amb, A)
+            _assert_matches_reference(amb, A, rep, triples)
+            stable, wit = _reference_ambient_stability(amb, A)
+            assert (rep.stable, rep.witnesses.get("stable")) == (stable, wit)
+        assert len(amb.objects()) == n
     # the generic stability scan takes pullbacks and may grow the roster
     # in between: the system scan reads the roster before it, the
     # cancelability scans the roster after it ("all" is probe-capped, as
     # its uncapped scan takes pullbacks of every cospan)
     for name, probe_cap in (("surjections", None), ("all", 200)):
         A = builtin_class(amb, name)
-        flags, wit = _reference_class_properties(amb, A)
+        flags, wit = _reference_class_properties(amb, A, triples)
         rep = check_class_properties(amb, A, probe_cap)
         assert (rep.system, rep.witnesses.get("system")) == \
             (flags["system"], wit.get("system")), name
-        flags, wit = _reference_class_properties(amb, A)
+        if len(amb.objects()) != n:
+            n, triples = len(amb.objects()), _composable_triples(amb)
+        flags, wit = _reference_class_properties(amb, A, triples)
         for prop in ("left_cancelable", "right_cancelable"):
             assert (getattr(rep, prop), rep.witnesses.get(prop)) == \
                 (flags[prop], wit.get(prop)), (name, prop)
@@ -451,3 +471,108 @@ def test_class_properties_memo_dropped_when_ambient_grows():
     after = check_class_properties(amb, A)
     assert after is not before
     _assert_matches_reference(amb, A, after)
+
+
+def _ambient_closure_reports(amb):
+    """The closure instances that the closure_harness benchmark runs on
+    the abelian-groups ambient, in its order: quotients along surjections
+    out of groups of order <= 4, extensions along them, then products
+    with first factor Z1 or Z2.  Returns the reports as JSON."""
+    from fincov.coverage import RuleCoverage, build_chain_type
+    from fincov.morphclass import FactorizationSystem
+    from fincov.theorems import verify_closure_extensions, \
+        verify_closure_quotients, verify_product_closure
+    E = builtin_class(amb, "surjections")
+    M = builtin_class(amb, "injections")
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+    roster = list(amb.objects())
+    surjections = [f for G in roster if G.size <= 4 for H in roster
+                   for f in amb.hom(G, H) if f.is_surjective()]
+    out = [verify_closure_quotients(amb, tau, E, M, f, cap=512).to_json()
+           for f in surjections]
+    FS = FactorizationSystem(amb, E, M, {})
+    Z1 = next(A for A in roster if A.name == "Z1")
+    for f in surjections:
+        sq = amb.find_pullback(f, amb.hom(Z1, f.tgt)[0])
+        out.append(verify_closure_extensions(
+            amb, tau, E, M, sq, cap=64, FS=FS, probe_cap=60).to_json())
+    for a in roster:
+        if a.name not in ("Z1", "Z2"):
+            continue
+        for b in roster:
+            if a.size * b.size <= amb.size_cap and b.size <= 4:
+                out.append(verify_product_closure(
+                    amb, tau, E, M, a, b, cap=64, FS=FS,
+                    probe_cap=60).to_json())
+    return out
+
+
+def test_ambient_closure_sequence_matches_reference_stability_scan(
+        monkeypatch):
+    """The stability scan by distinct preimage gives the reports, roster
+    and subobject names of the hom-by-hom scan over the benchmark's
+    ambient instances."""
+    import fincov.morphclass as morphclass
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+
+    def run():
+        amb = build_finalg_category(group_theory(), 8,
+                                    abelian_groups_upto(4))
+        reports = _ambient_closure_reports(amb)
+        return (reports, [A.name for A in amb.objects()],
+                len(amb.objects()), amb.fresh_name("probe"))
+
+    got = run()
+    monkeypatch.setattr(morphclass, "_first_unstable_pullback",
+                        oracles.first_unstable_pullback)
+    assert run() == got
+    assert got[2] == 8
+
+
+def test_ambient_stability_registers_subobjects_in_scan_order(monkeypatch):
+    """Over rosters that lack the subgroups of their largest member, the
+    injective-class stability scans register them: names, order and the
+    witness of the unstable sections equal the hom-by-hom scan's."""
+    import fincov.morphclass as morphclass
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import direct_product_group
+
+    def run():
+        out = []
+        for top in (cyclic_group(6), cyclic_group(8),
+                    direct_product_group(cyclic_group(2), cyclic_group(4))):
+            amb = build_finalg_category(group_theory(), 8,
+                                        [cyclic_group(1), top])
+            for name in ("injections", "sections", "isos"):
+                rep = check_class_properties(amb, builtin_class(amb, name))
+                out.append((name, rep.to_json()))
+            out.append([A.name for A in amb.objects()])
+        return out
+
+    got = run()
+    monkeypatch.setattr(morphclass, "_first_unstable_pullback",
+                        oracles.first_unstable_pullback)
+    assert run() == got
+    assert got[-1] == ["Z1", "sub#4", "sub#3", "sub#7", "Z2xZ4"]
+    assert got[-3][1]["stable"] is False
+
+
+def test_ambient_extremality_sees_subobjects_registered_later():
+    """x -> 3x on Z6 factors through the subgroup {0, 3} once the
+    stability scan has registered it, whether or not extremality was
+    asked before the roster grew."""
+    from fincov.algkit import build_finalg_category, group_theory
+    verdicts = []
+    for ask_first in (False, True):
+        amb = build_finalg_category(group_theory(), 8,
+                                    [cyclic_group(1), cyclic_group(6)])
+        M = builtin_class(amb, "injections")
+        z6 = amb.objects()[-1]
+        f = next(h for h in amb.hom(z6, z6) if h.images == (0, 3) * 3)
+        if ask_first:
+            assert is_extremal_wrt(amb, [f], M) == (True, None)
+        check_class_properties(amb, M)
+        ok, (m, _) = is_extremal_wrt(amb, [f], M)
+        verdicts.append((ok, m.images))
+    assert verdicts == [(False, (0, 3))] * 2
