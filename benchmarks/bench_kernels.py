@@ -25,6 +25,14 @@ checks of ``FinAlgebra.validate`` over the 8 algebras of the grown
 ambient, and ``check_class_properties`` of the injections on a fresh
 ambient grown by Z2 x Z3 (its hom sets and composite index built
 beforehand, no subobject registered, no stability verdict kept).
+The image-compatibility row runs ``check_image_compatibility`` as the
+closure harness does: the first 8 morphisms of the 64 harness
+categories (E = isos, M = monos, no factorization system) and the 20
+surjections out of groups of order at most 4 in the abelian-groups
+ambient (E = surjections, M = injections, with a factorization system),
+over the chain type chain[1]k1.  Each timed run gets fresh coverage
+objects, so no report is served from the memo; their coverings are
+enumerated beforehand.
 """
 
 import os
@@ -36,10 +44,12 @@ import numpy as np
 from fincov import instances, kernels
 from fincov.algkit import build_finalg_category, group_theory
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
-    _enumerate_type_coverings, _powerset_poset, build_chain_type
+    RuleCoverage, _enumerate_type_coverings, _powerset_poset, \
+    build_chain_type, check_image_compatibility
 from fincov.instances import abelian_groups_upto, finite_top_category, \
     random_category, random_mixed_functor, set_skeleton
-from fincov.morphclass import builtin_class, check_class_properties
+from fincov.morphclass import FactorizationSystem, builtin_class, \
+    check_class_properties
 from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -147,6 +157,33 @@ def workloads():
         C = fresh.pop()
         check_class_properties(C, builtin_class(C, "injections"))
 
+    # (C, f, E, M, FS, cap) per question, as in the closure harness
+    questions = [(C, f, builtin_class(C, "isos"), M, None, 512)
+                 for C, M in harness for f in sorted(C.morphisms())[:8]]
+    amb4 = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    Ea = builtin_class(amb4, "surjections")
+    Ma = builtin_class(amb4, "injections")
+    FS = FactorizationSystem(amb4, Ea, Ma, {})
+    questions += [(amb4, f, Ea, Ma, FS, 64) for G in amb4.objects()
+                  if G.size <= 4 for H in amb4.objects()
+                  for f in amb4.hom(G, H) if f.is_surjective()]
+
+    def fresh_coverages():
+        taus = {}
+        for C, f, _, M, _, cap in questions:
+            if C not in taus:
+                taus[C] = RuleCoverage([chains[1]], M)
+            for c in (C.src(f), C.tgt(f)):
+                taus[C].coverings_of(C, c, cap=cap)
+        return taus
+
+    coverages = [fresh_coverages() for _ in range(3)]
+
+    def image_compatibility():
+        taus = coverages.pop()
+        for C, f, E, M, FS, cap in questions:
+            check_image_compatibility(C, f, taus[C], E, M, FS=FS, cap=cap)
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -171,6 +208,7 @@ def workloads():
         ("validate ambient algebras (8)",
          lambda: [A.validate() for A in amb.objects()]),
         ("injections properties, ambient + Z2xZ3", injection_properties),
+        ("image compatibility, harness + ambient", image_compatibility),
     ]
 
 

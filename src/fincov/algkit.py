@@ -291,9 +291,6 @@ class AlgHom:
     def is_bijective(self):
         return self.is_injective() and self.is_surjective()
 
-    def image_set(self):
-        return frozenset(self.images)
-
     def preimage(self, subset):
         return frozenset(x for x in self.src.carrier if self.images[x] in subset)
 

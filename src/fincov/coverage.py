@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from .fincat import derived_memo, mor_key, slice_view
 from .instances import chain_poset, poset_category
 from .morphclass import builtin_class
-from .variance import MissingPullback, MixedFunctor, Variance, broken_law, \
-    pullback_induced, image_induced, standard_variances, \
-    validate_mixed_functor, validate_variance
+from .variance import MissingPullback, MixedFunctor, MixedNatTrans, \
+    Variance, broken_law, image_induced, pullback_induced, \
+    pushforward_functor, standard_variances, validate_mixed_functor, \
+    validate_variance
 
 
 @dataclass
@@ -55,6 +56,8 @@ class DiagramType:
         self.directed = directed
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, DiagramType)
                 and self.I == other.I and self.smalls == other.smalls
                 and self.variance == other.variance)
@@ -504,21 +507,32 @@ def check_image_compatibility(C, f, tau, E, M, FS=None, cap=None):
 
 
 def _image_compatibility(C, f, tau, E, M, FS, cap):
+    """The report of one question, each piece of it decided once: the
+    lifts and image functors (``image_induced`` with one memo), whether
+    an image covering is subordinated and in tau (per image functor and
+    diagram type), and the search's target lists and E-candidates
+    (``_CompatibleSearch``)."""
     c, d = C.src(f), C.tgt(f)
     covs, capped = tau.coverings_of(C, c, cap=cap)
+    images = {}
+    # (id G, id type) -> verdict; G lives in images and the type in covs
+    image_ok = {}
+    search = _CompatibleSearch(C, f, tau, E, M, cap)
     checked = 0
     for cov in covs:
         checked += 1
         ok = False
         if FS is not None:
-            G, eta = image_induced(C, FS, f, cov.functor)
-            gcov = Covering(C, d, cov.diagram_type, G, cov.flags)
-            if all(E.contains(comp[0]) for comp in eta.components.values()) \
-                    and check_subordination(gcov, M)[0] \
-                    and tau.contains(C, gcov):
-                ok = True
+            G, eta = image_induced(C, FS, f, cov.functor, images)
+            if all(E.contains(comp[0]) for comp in eta.components.values()):
+                key = (id(G), id(cov.diagram_type))
+                if key not in image_ok:
+                    gcov = Covering(C, d, cov.diagram_type, G, cov.flags)
+                    image_ok[key] = check_subordination(gcov, M)[0] \
+                        and tau.contains(C, gcov)
+                ok = image_ok[key]
         if not ok:
-            ok = _search_compatible(C, f, cov, tau, E, M, cap)
+            ok = search.compatible(cov)
         if not ok:
             return CompatibilityReport(False, (cov.key(),), checked, capped)
     if capped:
@@ -526,37 +540,65 @@ def _image_compatibility(C, f, tau, E, M, FS, cap):
     return CompatibilityReport(True, (), checked, capped)
 
 
-def _search_compatible(C, f, cov, tau, E, M, cap):
-    from .variance import MixedNatTrans, pushforward_functor
-    d = C.tgt(f)
-    push = pushforward_functor(C, f, cov.functor)
-    I = cov.diagram_type.I
-    targets, _ = tau.coverings_of(C, d, cap=cap)
-    for gcov in targets:
-        if gcov.diagram_type != cov.diagram_type:
-            continue
-        if not check_subordination(gcov, M)[0]:
-            continue
-        per_obj = []
-        feasible = True
-        for i in sorted(I.objects()):
-            p, q = push.obj_map[i], gcov.functor.obj_map[i]
-            cands = [h for h in C.hom(C.src(p), C.src(q))
-                     if C.compose(q, h) == p and E.contains(h)]
-            if not cands:
-                feasible = False
-                break
-            per_obj.append((i, sorted(cands, key=mor_key)))
-        if not feasible:
-            continue
-        names = [i for i, _ in per_obj]
-        for combo in itertools.product(*[cs for _, cs in per_obj]):
-            comps = {i: (h, push.obj_map[i], gcov.functor.obj_map[i])
-                     for i, h in zip(names, combo)}
-            eta = MixedNatTrans(push, gcov.functor, comps)
-            if eta.validate() is None:
-                return True
-    return False
+class _CompatibleSearch:
+    """The search half of one image-compatibility question: is there a
+    subordinated covering of tgt(f) of the same diagram type that
+    receives an E-component transformation from the pushforward?
+
+    The target coverings of tgt(f) are fetched once, and filtered by
+    type and subordination once per diagram type, in coverage order.
+    The sorted E-candidates h with q.h = p are found once per leg pair
+    (p, q).  Candidate combinations are tried in product order, so the
+    first transformation found does not depend on the caching.
+    """
+
+    def __init__(self, C, f, tau, E, M, cap):
+        self.C, self.f, self.tau, self.E, self.M, self.cap = \
+            C, f, tau, E, M, cap
+        self._targets = None
+        self._by_type = {}
+        self._cands = {}
+
+    def targets(self, dt):
+        """The M-subordinated coverings of tgt(f) of type dt."""
+        if dt not in self._by_type:
+            if self._targets is None:
+                self._targets, _ = self.tau.coverings_of(
+                    self.C, self.C.tgt(self.f), cap=self.cap)
+            self._by_type[dt] = [g for g in self._targets
+                                 if g.diagram_type == dt
+                                 and check_subordination(g, self.M)[0]]
+        return self._by_type[dt]
+
+    def candidates(self, p, q):
+        """The E-morphisms h with q.h = p, sorted."""
+        if (p, q) not in self._cands:
+            C = self.C
+            self._cands[p, q] = sorted(
+                (h for h in C.hom(C.src(p), C.src(q))
+                 if C.compose(q, h) == p and self.E.contains(h)),
+                key=mor_key)
+        return self._cands[p, q]
+
+    def compatible(self, cov):
+        push = pushforward_functor(self.C, self.f, cov.functor)
+        objs = sorted(cov.diagram_type.I.objects())
+        for gcov in self.targets(cov.diagram_type):
+            legs = gcov.functor.obj_map
+            per_obj = []
+            for i in objs:
+                cands = self.candidates(push.obj_map[i], legs[i])
+                if not cands:
+                    break
+                per_obj.append(cands)
+            else:
+                for combo in itertools.product(*per_obj):
+                    comps = {i: (h, push.obj_map[i], legs[i])
+                             for i, h in zip(objs, combo)}
+                    eta = MixedNatTrans(push, gcov.functor, comps)
+                    if eta.validate() is None:
+                        return True
+        return False
 
 
 @dataclass

@@ -249,8 +249,11 @@ class CategoryBase:
 class PullbackSquare:
     """A verified pullback: f.proj1 = g.proj2, terminal among all cones.
 
-    ``mediators`` maps each competing cone (p, q) to its unique mediating
-    morphism into the apex.
+    ``mediator(p, q)`` is the unique mediating morphism into the apex of
+    a competing cone (p, q); ``mediators`` holds them by cone.  A square
+    found by the kernel search keeps the kernel's index arrays
+    (``cones``: cone legs and mediators) and builds the dict on the first
+    ``mediator`` call.
     """
 
     category: CategoryBase
@@ -259,19 +262,17 @@ class PullbackSquare:
     apex: object
     proj1: object  # apex -> src(f)
     proj2: object  # apex -> src(g)
-    mediators: dict = field(repr=False, default_factory=dict)
+    mediators: dict = field(repr=False, compare=False, default_factory=dict)
+    cones: tuple = field(repr=False, compare=False, default=None)
 
     def mediator(self, p, q):
+        if self.cones is not None:
+            ms = self.category.morphisms()
+            cp, cq, med = (a.tolist() for a in self.cones)
+            self.mediators = {(ms[a], ms[b]): ms[h]
+                              for a, b, h in zip(cp, cq, med)}
+            self.cones = None
         return self.mediators[(p, q)]
-
-    @property
-    def pullback_of_f(self):
-        """The pullback of f along g (the projection over src(g))."""
-        return self.proj2
-
-    @property
-    def pullback_of_g(self):
-        return self.proj1
 
 
 @dataclass
@@ -338,7 +339,9 @@ class FinCategory(CategoryBase):
         self._homcount = np.zeros((no, no), dtype=np.int64)
         for i in range(n):
             self._homcount[self._src[i], self._tgt[i]] += 1
-        # per object: (indices, ids) of the morphisms into / out of it
+        # hom sets by (a, b), and per object: (indices, ids) of the
+        # morphisms into / out of it; all built on first use
+        self._homs = {}
         self._into = {}
         self._from = {}
         self._mono = None
@@ -376,9 +379,13 @@ class FinCategory(CategoryBase):
                 zip(gs.tolist(), fs.tolist(), self._comp[gs, fs].tolist())}
 
     def hom(self, a, b):
-        k = self._oidx[a] * len(self._objects) + self._oidx[b]
-        lo, hi = self._hom_ptr[k], self._hom_ptr[k + 1]
-        return tuple(self._morphisms[i] for i in self._hom_dat[lo:hi])
+        hit = self._homs.get((a, b))
+        if hit is None:
+            k = self._oidx[a] * len(self._objects) + self._oidx[b]
+            lo, hi = self._hom_ptr[k], self._hom_ptr[k + 1]
+            hit = self._homs[a, b] = tuple(
+                self._morphisms[i] for i in self._hom_dat[lo:hi].tolist())
+        return hit
 
     def morphisms_into(self, o):
         return self._incident(self._into, self._tgt, o)[1]
@@ -440,10 +447,9 @@ class FinCategory(CategoryBase):
                                           int(cp[i]), int(cq[i]), cp, cq)
             if ok:
                 ms = self._morphisms
-                mediators = {(ms[cp[j]], ms[cq[j]]): ms[med[j]]
-                             for j in range(len(cp))}
                 square = PullbackSquare(self, f, g, self._objects[w],
-                                        ms[cp[i]], ms[cq[i]], mediators)
+                                        ms[cp[i]], ms[cq[i]],
+                                        cones=(cp, cq, med))
                 break
         self._pullback_cache[key] = square
         return square
@@ -637,9 +643,6 @@ class CatFunctor:
     obj_map: dict
     mor_map: dict
     name: str = "F"
-
-    def on_obj(self, o):
-        return self.obj_map[o]
 
     def on_mor(self, m):
         return self.mor_map[m]

@@ -17,10 +17,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INPUT = 4
 
 
-def report_schema_version():
-    return SCHEMA_VERSION
-
-
 def build_report(check, exit_code, params=None, **body):
     rep = {"schema": SCHEMA_VERSION, "check": check, "exit_code": exit_code,
            "params": params or {}}

@@ -184,9 +184,6 @@ class MixedFunctor:
     mor_map: dict
     name: str = "F"
 
-    def on_obj(self, i):
-        return self.obj_map[i]
-
     def on_mor(self, k):
         return self.mor_map[k]
 
@@ -482,37 +479,50 @@ def pullback_induced(C, f, G):
     return F, eta
 
 
-def image_induced(C, FS, f, F):
+def image_induced(C, FS, f, F, memo=None):
     """Push a covering of src(f) forward along f through (E, M)-images.
 
     For each index object the composite f.F(i) factors as G(i).eta_i with
     eta_i in E and G(i) in M; connecting morphisms are the unique lifts.
     Returns (G, eta: pushforward(F) => G).
+
+    ``memo`` is a dict shared by calls with the same C, FS and f.  It keeps
+    each lift per square (e_ks, u, m_kt, m_ks) and each image functor per
+    variance and object and arrow legs, so a lift is searched and a
+    functor validated once; calls that meet the same G get the same
+    object.  The transformation is new and validated on every call.
     """
+    if memo is None:
+        memo = {}
+    lifts = memo.setdefault("lifts", {})
+    functors = memo.setdefault("functors", {})
     V = F.variance
     I = V.category
-    y = C.tgt(f)
-    slice_y = slice_view(C, y)
     obj_map = {}
     comp_base = {}
     for i in I.objects():
         e_i, m_i = FS.factorize(C.compose(f, F.obj_map[i]))
         obj_map[i] = m_i
         comp_base[i] = e_i
-    mor_map = {}
+    legs = []
     for k in I.morphisms():
         ks, kt = V.source_stage(k), V.target_stage(k)
-        fk = F.mor_map[k][0]
-        u = C.compose(comp_base[kt], fk)
-        lifts = [h for h in C.hom(C.src(obj_map[ks]), C.src(obj_map[kt]))
-                 if C.compose(h, comp_base[ks]) == u
-                 and C.compose(obj_map[kt], h) == obj_map[ks]]
-        assert len(lifts) == 1, \
-            f"orthogonality should force a unique connecting lift at {k}"
-        mor_map[k] = (lifts[0], obj_map[ks], obj_map[kt])
-    G = MixedFunctor(V, slice_y, obj_map, mor_map, name=f"{f}!{F.name}")
-    err = validate_mixed_functor(G)
-    assert err is None, f"image-induced functor fails {err}"
+        square = (comp_base[ks], C.compose(comp_base[kt], F.mor_map[k][0]),
+                  obj_map[kt], obj_map[ks])
+        if square not in lifts:
+            lifts[square] = _unique_lift(C, *square, k)
+        legs.append(lifts[square])
+    key = (id(V), F.name, tuple(obj_map.values()), tuple(legs))
+    G = functors.get(key)
+    if G is None:
+        mor_map = {k: (h, obj_map[V.source_stage(k)],
+                       obj_map[V.target_stage(k)])
+                   for k, h in zip(I.morphisms(), legs)}
+        G = MixedFunctor(V, slice_view(C, C.tgt(f)), obj_map, mor_map,
+                         name=f"{f}!{F.name}")
+        err = validate_mixed_functor(G)
+        assert err is None, f"image-induced functor fails {err}"
+        functors[key] = G
     push = pushforward_functor(C, f, F)
     components = {i: (comp_base[i], push.obj_map[i], obj_map[i])
                   for i in I.objects()}
@@ -520,3 +530,13 @@ def image_induced(C, FS, f, F):
     err = eta.validate()
     assert err is None, f"image-induced transformation fails {err}"
     return G, eta
+
+
+def _unique_lift(C, e, u, m, v, k):
+    """The h with h.e = u and m.h = v, which orthogonality makes unique;
+    k names the index arrow of the square."""
+    lifts = [h for h in C.hom(C.tgt(e), C.src(m))
+             if C.compose(h, e) == u and C.compose(m, h) == v]
+    assert len(lifts) == 1, \
+        f"orthogonality should force a unique connecting lift at {k}"
+    return lifts[0]

@@ -17,8 +17,10 @@ enumeration as generate and test.  They share only the morphism sort
 order (``fincat.mor_key``), which is the order the package's witnesses
 are defined by.  The last sections are plain-loop references for table
 code: the ambient stability scan one hom at a time, equations checked
-one assignment at a time, and the seeded inputs built by the all-pairs
-preorder fixpoint with every candidate group rebuilt.
+one assignment at a time, the seeded inputs built by the all-pairs
+preorder fixpoint with every candidate group rebuilt, and image
+compatibility decided covering by covering with nothing kept between
+coverings.
 """
 
 from fincov.fincat import mor_key
@@ -610,3 +612,103 @@ def random_mixed_functor(seed):
         if F is not None and validate_mixed_functor(F) is None:
             return F
     raise AssertionError(f"no valid mixed functor found for seed {seed}")
+
+
+# ---------------------------------------------------------------------------
+# reference image compatibility (covering by covering)
+# ---------------------------------------------------------------------------
+
+def image_induced(C, FS, f, F):
+    """``variance.image_induced`` with every lift found by its own scan of
+    the hom set and every image functor built and validated anew."""
+    from fincov.fincat import slice_view
+    from fincov.variance import MixedFunctor, MixedNatTrans, \
+        pushforward_functor, validate_mixed_functor
+    V = F.variance
+    I = V.category
+    obj_map = {}
+    comp_base = {}
+    for i in I.objects():
+        e_i, m_i = FS.factorize(C.compose(f, F.obj_map[i]))
+        obj_map[i] = m_i
+        comp_base[i] = e_i
+    mor_map = {}
+    for k in I.morphisms():
+        ks, kt = V.source_stage(k), V.target_stage(k)
+        u = C.compose(comp_base[kt], F.mor_map[k][0])
+        lifts = [h for h in C.hom(C.src(obj_map[ks]), C.src(obj_map[kt]))
+                 if C.compose(h, comp_base[ks]) == u
+                 and C.compose(obj_map[kt], h) == obj_map[ks]]
+        assert len(lifts) == 1, k
+        mor_map[k] = (lifts[0], obj_map[ks], obj_map[kt])
+    G = MixedFunctor(V, slice_view(C, C.tgt(f)), obj_map, mor_map,
+                     name=f"{f}!{F.name}")
+    assert validate_mixed_functor(G) is None
+    push = pushforward_functor(C, f, F)
+    eta = MixedNatTrans(push, G, {i: (comp_base[i], push.obj_map[i],
+                                      obj_map[i]) for i in I.objects()})
+    assert eta.validate() is None
+    return G, eta
+
+
+def search_compatible(C, f, cov, tau, E, M, cap):
+    """Some subordinated covering of tgt(f) of the same type receives an
+    E-component transformation from the pushforward: every target
+    covering re-fetched, re-filtered and its candidates rescanned for
+    each covering, combinations in product order."""
+    import itertools
+
+    from fincov.coverage import check_subordination
+    from fincov.variance import MixedNatTrans, pushforward_functor
+    push = pushforward_functor(C, f, cov.functor)
+    targets, _ = tau.coverings_of(C, C.tgt(f), cap=cap)
+    for gcov in targets:
+        if gcov.diagram_type != cov.diagram_type:
+            continue
+        if not check_subordination(gcov, M)[0]:
+            continue
+        per_obj = []
+        for i in sorted(cov.diagram_type.I.objects()):
+            p, q = push.obj_map[i], gcov.functor.obj_map[i]
+            cands = [h for h in C.hom(C.src(p), C.src(q))
+                     if C.compose(q, h) == p and E.contains(h)]
+            if not cands:
+                break
+            per_obj.append((i, sorted(cands, key=mor_key)))
+        else:
+            names = [i for i, _ in per_obj]
+            for combo in itertools.product(*[cs for _, cs in per_obj]):
+                comps = {i: (h, push.obj_map[i], gcov.functor.obj_map[i])
+                         for i, h in zip(names, combo)}
+                if MixedNatTrans(push, gcov.functor, comps).validate() \
+                        is None:
+                    return True
+    return False
+
+
+def image_compatibility(C, f, tau, E, M, FS=None, cap=None):
+    """``coverage.check_image_compatibility`` without its memo, one
+    covering at a time: the image covering when FS is given, else (or
+    when it fails) the search.  The reference for
+    ``coverage._image_compatibility``."""
+    from fincov.coverage import CompatibilityReport, Covering, \
+        check_subordination
+    covs, capped = tau.coverings_of(C, C.src(f), cap=cap)
+    checked = 0
+    for cov in covs:
+        checked += 1
+        ok = False
+        if FS is not None:
+            G, eta = image_induced(C, FS, f, cov.functor)
+            gcov = Covering(C, C.tgt(f), cov.diagram_type, G, cov.flags)
+            ok = all(E.contains(comp[0])
+                     for comp in eta.components.values()) \
+                and check_subordination(gcov, M)[0] \
+                and tau.contains(C, gcov)
+        if not ok:
+            ok = search_compatible(C, f, cov, tau, E, M, cap)
+        if not ok:
+            return CompatibilityReport(False, (cov.key(),), checked, capped)
+    if capped:
+        return CompatibilityReport(None, (), checked, True)
+    return CompatibilityReport(True, (), checked, False)

@@ -655,3 +655,140 @@ def test_verdict_memos_dropped_when_the_ambient_grows():
     assert r2 is not r and r2.to_json() == r.to_json()
     # the slice views are dropped too: Z4 brings two more maps into Z2
     assert len(slice_view(amb, Z2).objects()) == 5
+
+
+# ---------------------------------------------------------------------------
+# image compatibility against the covering-by-covering reference
+# ---------------------------------------------------------------------------
+
+def _report_fields(rep):
+    return (rep.compatible, rep.witness, rep.checked, rep.capped,
+            rep.to_json())
+
+
+def test_image_compatibility_matches_reference_on_harness_categories():
+    """The search path (no factorization system) on the closure
+    harness's categories: the first 8 morphisms of each, E = isos with
+    M = monos (all compatible) and M = isos (the non-isos fail), the
+    latter also over a coverage subordinated to monos only."""
+    import oracles
+    from fincov.instances import random_category
+    verdicts = set()
+    for C in (random_category(s, (4, 12)) for s in range(64)):
+        E = builtin_class(C, "isos")
+        monos = builtin_class(C, "monos")
+        for tau_M, M in ((monos, monos), (E, E), (monos, E)):
+            tau = RuleCoverage([build_chain_type(1, 1, "cov")], tau_M)
+            for f in sorted(C.morphisms())[:8]:
+                got = check_image_compatibility(C, f, tau, E, M, cap=512)
+                want = oracles.image_compatibility(C, f, tau, E, M,
+                                                   cap=512)
+                assert _report_fields(got) == _report_fields(want), \
+                    (C.name, tau_M.name, M.name, f)
+                verdicts.add(got.compatible)
+    assert verdicts == {True, False}
+
+
+def test_image_compatibility_matches_reference_on_abelian_ambient():
+    """The image path with the closure harness's factorization system,
+    for every surjection out of a group of order at most 4."""
+    import oracles
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    from fincov.morphclass import FactorizationSystem
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    E = builtin_class(amb, "surjections")
+    M = builtin_class(amb, "injections")
+    FS = FactorizationSystem(amb, E, M, {})
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+    roster = list(amb.objects())
+    surjections = [f for G in roster if G.size <= 4 for H in roster
+                   for f in amb.hom(G, H) if f.is_surjective()]
+    verdicts = set()
+    for f in surjections:
+        got = check_image_compatibility(amb, f, tau, E, M, FS=FS, cap=64)
+        want = oracles.image_compatibility(amb, f, tau, E, M, FS=FS, cap=64)
+        assert _report_fields(got) == _report_fields(want), f
+        verdicts.add(got.compatible)
+    assert len(surjections) == 20 and verdicts == {True, None}
+    assert len(amb.objects()) == len(roster)
+
+
+def test_image_compatibility_matches_reference_with_non_mono_images():
+    """With E = isos and M = all on Set_2, coverings that differ only in
+    their connecting arrows push forward to equal object legs, so only
+    the arrow legs tell their lifts and image functors apart."""
+    import oracles
+    C = set_skeleton(2).category
+    E = builtin_class(C, "isos")
+    M = builtin_class(C, "all")
+    FS = check_factorization_system(C, E, M)
+    for dt in (build_chain_type(1, 0, "cov"), build_chain_type(2, 1, "contr")):
+        tau = RuleCoverage([dt], M)
+        for f in sorted(C.morphisms()):
+            got = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=512)
+            want = oracles.image_compatibility(C, f, tau, E, M, FS=FS,
+                                               cap=512)
+            assert _report_fields(got) == _report_fields(want), (dt.name, f)
+
+
+def test_image_compatibility_decides_each_piece_once(monkeypatch):
+    """Within one call each distinct image functor is validated once, and
+    each target covering is checked for subordination at most once."""
+    from collections import Counter
+
+    from fincov import coverage, variance
+    from fincov.instances import random_category
+    validated = Counter()
+    subordinated = Counter()
+    real_validate = variance.validate_mixed_functor
+    real_subordination = coverage.check_subordination
+
+    def counting_validate(F):
+        validated[F.key()] += 1
+        return real_validate(F)
+
+    def counting_subordination(cov, M):
+        subordinated[id(cov)] += 1
+        return real_subordination(cov, M)
+
+    monkeypatch.setattr(variance, "validate_mixed_functor", counting_validate)
+    monkeypatch.setattr(coverage, "check_subordination",
+                        counting_subordination)
+
+    # image path: E = isos, M = all on Set_2 (see above)
+    C = set_skeleton(2).category
+    E = builtin_class(C, "isos")
+    M = builtin_class(C, "all")
+    FS = check_factorization_system(C, E, M)
+    tau = RuleCoverage([build_chain_type(1, 0, "cov")], M)
+    f = "f2>1:00"
+    covs, _ = tau.coverings_of(C, C.src(f))
+    assert check_image_compatibility(C, f, tau, E, M, FS=FS).compatible
+    assert len(covs) > len(validated) > 1
+    assert set(validated.values()) == {1}
+
+    # search path: no factorization system, 27 coverings on either side
+    C = random_category(1, (4, 12))
+    M = builtin_class(C, "monos")
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+    f = sorted(C.morphisms())[0]
+    covs, _ = tau.coverings_of(C, C.src(f))
+    targets, _ = tau.coverings_of(C, C.tgt(f))
+    subordinated.clear()
+    assert check_image_compatibility(C, f, tau, builtin_class(C, "isos"),
+                                     M).compatible
+    assert len(covs) > 1
+    assert {id(g): 1 for g in targets} == dict(subordinated)
+
+
+def test_separately_built_diagram_types_are_equal():
+    """Equality short-cuts on identity but still compares separately
+    built types by their tables."""
+    dt = build_chain_type(2, 1, "cov")
+    I = chain_poset(2)
+    cov, _ = standard_variances(I)
+    twin = DiagramType(I, ["o0", "o1"], cov)
+    assert dt == dt and twin is not dt and twin.I is not dt.I
+    assert twin == dt and dt == twin and hash(twin) == hash(dt)
+    assert DiagramType(I, ["o0"], cov) != dt
