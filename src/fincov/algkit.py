@@ -346,34 +346,27 @@ def generating_trace(A):
     return gens, trace
 
 
+def _replay(A, B, trace, assign):
+    """The map A -> B sending generator i to assign[i] and extended along
+    the production trace of A (which produces each element once)."""
+    img = {}
+    for entry in trace:
+        if entry[0] == "const":
+            img[entry[2]] = B.apply(entry[1], [])
+        elif entry[0] == "gen":
+            img[entry[2]] = assign[entry[1]]
+        else:
+            _, s, args, v = entry
+            img[v] = B.apply(s, [img[x] for x in args])
+    return AlgHom(A, B, tuple(img[x] for x in A.carrier))
+
+
 def enumerate_homs(A, B):
     """All homomorphisms A -> B in deterministic (image-tuple) order."""
     gens, trace = generating_trace(A)
-    out = []
-    for assign in itertools.product(B.carrier, repeat=len(gens)):
-        img = {}
-        ok = True
-        for entry in trace:
-            if entry[0] == "const":
-                _, s, v = entry
-                w = B.apply(s, [])
-            elif entry[0] == "gen":
-                _, i, v = entry
-                w = assign[i]
-            else:
-                _, s, args, v = entry
-                w = B.apply(s, [img[x] for x in args])
-            if v in img:
-                if img[v] != w:
-                    ok = False
-                    break
-            else:
-                img[v] = w
-        if not ok:
-            continue
-        h = AlgHom(A, B, tuple(img[x] for x in A.carrier))
-        if h.is_valid():
-            out.append(h)
+    out = [h for h in (_replay(A, B, trace, assign) for assign in
+                       itertools.product(B.carrier, repeat=len(gens)))
+           if h.is_valid()]
     out.sort(key=lambda h: h.images)
     return out
 
@@ -416,27 +409,7 @@ def find_isomorphism(A, B):
     for y in B.carrier:
         by_color.setdefault(cb[y], []).append(y)
     for assign in itertools.product(*[by_color.get(ca[g], ()) for g in gens]):
-        img = {}
-        ok = True
-        for entry in trace:
-            if entry[0] == "const":
-                _, s, v = entry
-                w = B.apply(s, [])
-            elif entry[0] == "gen":
-                _, i, v = entry
-                w = assign[i]
-            else:
-                _, s, args, v = entry
-                w = B.apply(s, [img[x] for x in args])
-            if v in img:
-                if img[v] != w:
-                    ok = False
-                    break
-            else:
-                img[v] = w
-        if not ok:
-            continue
-        h = AlgHom(A, B, tuple(img[x] for x in A.carrier))
+        h = _replay(A, B, trace, assign)
         if h.is_bijective() and h.is_valid():
             return h
     return None
@@ -446,26 +419,11 @@ def find_isomorphism(A, B):
 # subalgebras, congruences, quotients
 # ---------------------------------------------------------------------------
 
-def minimal_subalgebra(A):
-    """Closure of the constant interpretations; empty for constant-free
-    signatures."""
-    S = {A.apply(s, []) for s in A.theory.constants()}
-    changed = True
-    while changed:
-        changed = False
-        for s, a in A.theory.symbols:
-            if a == 0:
-                continue
-            for args in itertools.product(sorted(S), repeat=a):
-                v = A.apply(s, args)
-                if v not in S:
-                    S.add(v)
-                    changed = True
-    return frozenset(S)
-
-
 def subalgebra_closure(A, seed):
-    S = set(seed) | set(minimal_subalgebra(A))
+    """The least subalgebra holding ``seed`` and the constants; with an
+    empty seed the minimal subalgebra (empty for constant-free
+    signatures)."""
+    S = set(seed) | {A.apply(s, []) for s in A.theory.constants()}
     changed = True
     while changed:
         changed = False
@@ -548,6 +506,17 @@ def congruences(A):
     return sorted(known)
 
 
+def _induced_ops(theory, n, value):
+    """Operation tables of an algebra on range(n) whose operation s takes
+    the argument tuple args to value(s, args); nested tuples, one level
+    per argument."""
+    def build(s, a, prefix):
+        if len(prefix) == a:
+            return value(s, prefix)
+        return tuple(build(s, a, prefix + (i,)) for i in range(n))
+    return {s: build(s, a, ()) for s, a in theory.symbols}
+
+
 def quotient_algebra(A, theta, name=None):
     """Quotient by a congruence, with the projection hom."""
     ncls = max(theta) + 1
@@ -555,17 +524,8 @@ def quotient_algebra(A, theta, name=None):
     for i, c in enumerate(theta):
         if rep[c] is None:
             rep[c] = i
-    ops = {}
-    for s, a in A.theory.symbols:
-        if a == 0:
-            ops[s] = theta[A.apply(s, [])]
-        else:
-            def build(prefix, depth):
-                if depth == a:
-                    return theta[A.apply(s, [rep[c] for c in prefix])]
-                return tuple(build(prefix + (c,), depth + 1)
-                             for c in range(ncls))
-            ops[s] = build((), 0)
+    ops = _induced_ops(A.theory, ncls, lambda s, cs: theta[
+        A.apply(s, [rep[c] for c in cs])])
     Q = FinAlgebra(A.theory, name or f"{A.name}/~", ncls, ops)
     return Q, AlgHom(A, Q, theta)
 
@@ -576,7 +536,7 @@ def enumerate_normal_subalgebras(A):
     out = set()
     for theta in congruences(A):
         Q, q = quotient_algebra(A, theta)
-        out.add(q.preimage(minimal_subalgebra(Q)))
+        out.add(q.preimage(subalgebra_closure(Q, ())))
     return sorted(out, key=sorted)
 
 
@@ -615,15 +575,9 @@ def validate_theory_witnesses(theory, witnesses, corpus):
     if "malcev" in witnesses:
         p = witnesses["malcev"]
 
-        def subst(term, env):
-            head = term[0]
-            if head in env and not term[1:]:
-                return env[head]
-            return (head,) + tuple(subst(t, env) for t in term[1:])
-
         x, y = ("x",), ("y",)
-        eq1 = subst(p, {"x": x, "y": y, "z": y})
-        eq2 = subst(p, {"x": x, "y": x, "z": y})
+        eq1 = _subst_env(p, {"x": x, "y": y, "z": y})
+        eq2 = _subst_env(p, {"x": x, "y": x, "z": y})
         ok1, w1 = holds(("x", "y"), eq1, x)
         ok2, w2 = holds(("x", "y"), eq2, y)
         verdicts["malcev"] = (ok1 and ok2, w1 or w2)
@@ -712,7 +666,7 @@ def classify_uniformity(f, t=None, normals=None):
         raise ValueError("no binary term supplied")
     mulM = _t_mul(M, t)
     mulN = _t_mul(N, t)
-    K = sorted(f.preimage(minimal_subalgebra(N)))
+    K = sorted(f.preimage(subalgebra_closure(N, ())))
     wit = {}
 
     weak = True
@@ -916,24 +870,7 @@ def verify_uniformity_theorem(cat, t=None, pullback_cap=24,
                 break
             n_probe += 1
             probes += 1
-            pairs = sorted((g, m) for g in f.src.carrier
-                           for m in h.src.carrier if f(g) == h(m))
-            index = {p: i for i, p in enumerate(pairs)}
-            ops = {}
-            for s, a in cat.theory.symbols:
-                if a == 0:
-                    ops[s] = index[(f.src.apply(s, []), h.src.apply(s, []))]
-                else:
-                    def build(prefix, depth):
-                        if depth == a:
-                            xs = [pairs[i][0] for i in prefix]
-                            ys = [pairs[i][1] for i in prefix]
-                            return index[(f.src.apply(s, xs),
-                                          h.src.apply(s, ys))]
-                        return tuple(build(prefix + (i,), depth + 1)
-                                     for i in range(len(pairs)))
-                    ops[s] = build((), 0)
-            P = FinAlgebra(cat.theory, "pb", len(pairs), ops)
+            P, pairs = cat._pair_algebra(f, h, name="pb")
             proj2 = AlgHom(P, h.src, tuple(p[1] for p in pairs))
             if not is_strongly_t_uniform(proj2, t,
                                          flags.normals_of(h.src)):
@@ -961,7 +898,7 @@ def _rectangle_clauses(cat, t, flags, cap):
     weak_wit = None
 
     def K_of(h):
-        return h.preimage(minimal_subalgebra(h.tgt))
+        return h.preimage(subalgebra_closure(h.tgt, ()))
 
     # surjectivity clause: gamma is determined by f.beta through the
     # surjective f'
@@ -1078,7 +1015,7 @@ def check_monic_pullback_corollary(f, t=None):
         return {"ok": None, "hypothesis_failures": [
             k for k in ("weakly_t_uniform", "weakly_t_cancelative")
             if not getattr(rep, k)]}
-    K = sorted(f.preimage(minimal_subalgebra(f.tgt)))
+    K = sorted(f.preimage(subalgebra_closure(f.tgt, ())))
     restr_inj = len({f(k) for k in K}) == len(K)
     return {"ok": f.is_injective() == restr_inj,
             "injective": f.is_injective(), "restriction_injective": restr_inj}
@@ -1249,25 +1186,18 @@ class AlgCategory(CategoryBase):
 
     # -- pullbacks -----------------------------------------------------------------
 
-    def _pair_algebra(self, f, g):
+    def _pair_algebra(self, f, g, name=None):
+        """The algebra on the sorted pairs (a, b) with f(a) = g(b), operated
+        componentwise, named ``name`` or a fresh "pb" name; with the
+        pairs."""
         pairs = tuple(sorted((a, b) for a in f.src.carrier
                              for b in g.src.carrier if f(a) == g(b)))
         index = {p: i for i, p in enumerate(pairs)}
-        n = len(pairs)
-        ops = {}
-        for s, a in self.theory.symbols:
-            if a == 0:
-                ops[s] = index[(f.src.apply(s, []), g.src.apply(s, []))]
-            else:
-                def build(prefix, depth):
-                    if depth == a:
-                        xs = [pairs[i][0] for i in prefix]
-                        ys = [pairs[i][1] for i in prefix]
-                        return index[(f.src.apply(s, xs), g.src.apply(s, ys))]
-                    return tuple(build(prefix + (i,), depth + 1)
-                                 for i in range(n))
-                ops[s] = build((), 0)
-        return FinAlgebra(self.theory, self.fresh_name("pb"), n, ops), pairs
+        ops = _induced_ops(self.theory, len(pairs), lambda s, args: index[
+            (f.src.apply(s, [pairs[i][0] for i in args]),
+             g.src.apply(s, [pairs[i][1] for i in args]))])
+        return FinAlgebra(self.theory, name or self.fresh_name("pb"),
+                          len(pairs), ops), pairs
 
     def find_pullback(self, f, g):
         key = (f, g)
@@ -1328,17 +1258,8 @@ class AlgCategory(CategoryBase):
             return cache[cache_key]
         elems = sorted(subset)
         index = {x: i for i, x in enumerate(elems)}
-        ops = {}
-        for s, a in self.theory.symbols:
-            if a == 0:
-                ops[s] = index[A.apply(s, [])]
-            else:
-                def build(prefix, depth):
-                    if depth == a:
-                        return index[A.apply(s, [elems[i] for i in prefix])]
-                    return tuple(build(prefix + (i,), depth + 1)
-                                 for i in range(len(elems)))
-                ops[s] = build((), 0)
+        ops = _induced_ops(self.theory, len(elems), lambda s, args: index[
+            A.apply(s, [elems[i] for i in args])])
         S = FinAlgebra(self.theory, self.fresh_name(stem), len(elems), ops)
         R = self.register(S)
         iso = self._find_iso(R, S) if R is not S else identity_hom(S)

@@ -319,7 +319,7 @@ def run_check(args):
         return rp.build_report(
             name, rp.EXIT_PASS if ok else rp.EXIT_COUNTEREXAMPLE,
             params, ok=ok,
-            report=None if ok else res.to_json()), None
+            report=None if ok else res.to_json())
 
     if name == "classify":
         if args.morphism:
@@ -328,7 +328,7 @@ def run_check(args):
             targets = sorted(C.morphisms(), key=str)
         out = [classify_morphism(C, m).to_json() for m in targets]
         return rp.build_report(name, rp.EXIT_PASS, params,
-                               morphisms=out), None
+                               morphisms=out)
 
     if name == "variance":
         from .variance import Variance, validate_variance
@@ -340,27 +340,27 @@ def run_check(args):
         ok = isinstance(v, Variance)
         return rp.build_report(
             name, rp.EXIT_PASS if ok else rp.EXIT_COUNTEREXAMPLE, params,
-            ok=ok, report=v.to_json()), None
+            ok=ok, report=v.to_json())
 
     if name == "class-properties":
         E = cls("E", "all")
         repq = check_class_properties(C, E)
         code = rp.EXIT_PASS if repq.system else rp.EXIT_COUNTEREXAMPLE
         return rp.build_report(name, code, params,
-                               report=repq.to_json()), None
+                               report=repq.to_json())
 
     if name == "factorization-system":
         res = check_factorization_system(C, cls("E"), cls("M"))
         ok = bool(res)
         return rp.build_report(
             name, rp.EXIT_PASS if ok else rp.EXIT_COUNTEREXAMPLE, params,
-            ok=ok, report=res.to_json()), None
+            ok=ok, report=res.to_json())
 
     if name == "regular":
         res = check_regular(C)
         return rp.build_report(
             name, rp.EXIT_PASS if res.regular else rp.EXIT_COUNTEREXAMPLE,
-            params, report=res.to_json()), None
+            params, report=res.to_json())
 
     if name in ("protomodularity", "protomodularity-equivalent"):
         E = cls("E", "retractions")
@@ -370,7 +370,7 @@ def run_check(args):
         res = fn(C, E, M)
         code = rp.EXIT_PASS if res.satisfied else rp.EXIT_COUNTEREXAMPLE
         return rp.build_report(name, code, params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "compact":
         M = cls("M", "monos")
@@ -386,7 +386,7 @@ def run_check(args):
                 worst = max(worst, rp.EXIT_INCONCLUSIVE)
             elif not v.compact:
                 worst = max(worst, rp.EXIT_COUNTEREXAMPLE)
-        return rp.build_report(name, worst, params, objects=out), None
+        return rp.build_report(name, worst, params, objects=out)
 
     if name == "coverage":
         M = cls("M", "monos")
@@ -396,7 +396,7 @@ def run_check(args):
             rp.EXIT_INCONCLUSIVE if res.is_coverage is None
             else rp.EXIT_COUNTEREXAMPLE)
         return rp.build_report(name, code, params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "subordination":
         M = cls("M", "monos")
@@ -409,8 +409,8 @@ def run_check(args):
                     return rp.build_report(
                         name, rp.EXIT_COUNTEREXAMPLE, params,
                         ok=False, witness={"covering": cov.to_json(),
-                                           "object": str(i)}), None
-        return rp.build_report(name, rp.EXIT_PASS, params, ok=True), None
+                                           "object": str(i)})
+        return rp.build_report(name, rp.EXIT_PASS, params, ok=True)
 
     if name == "image-compatibility":
         E, M = cls("E"), cls("M")
@@ -421,7 +421,7 @@ def run_check(args):
             rp.EXIT_INCONCLUSIVE if res.compatible is None
             else rp.EXIT_COUNTEREXAMPLE)
         return rp.build_report(name, code, params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     def closure_code(res):
         if "inconclusive" in res.details:
@@ -437,7 +437,7 @@ def run_check(args):
         res = verify_closure_subobjects(C, parse_diagram_types(args), M,
                                         cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "closure-quotients":
         E, M = cls("E", "epis"), cls("M", "monos")
@@ -445,7 +445,7 @@ def run_check(args):
         f = resolve_morphism(C, args.morphism)
         res = verify_closure_quotients(C, tau, E, M, f, cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "closure-extensions":
         E, M = cls("E", "epis"), cls("M", "monos")
@@ -457,7 +457,7 @@ def run_check(args):
             raise InputError("the cospan has no pullback in the category")
         res = verify_closure_extensions(C, tau, E, M, square, cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "product-closure":
         E, M = cls("E", "epis"), cls("M", "monos")
@@ -467,7 +467,7 @@ def run_check(args):
         a, b = (resolve_object(C, o) for o in args.objects.split(",", 1))
         res = verify_product_closure(C, tau, E, M, a, b, cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "well-behaved":
         E, M = cls("E", "epis"), cls("M", "monos")
@@ -475,7 +475,7 @@ def run_check(args):
         res = check_tau_well_behaved(C, tau, E, M, cap=args.cap)
         code = rp.EXIT_PASS if res.well_behaved else rp.EXIT_COUNTEREXAMPLE
         return rp.build_report(name, code, params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "hopfian":
         M = cls("M", "monos")
@@ -485,7 +485,7 @@ def run_check(args):
                                               N=args.truncation)
         return rp.build_report(
             name, closure_code(res), params, report=res.to_json(),
-            chain=chain.to_json() if chain else None), None
+            chain=chain.to_json() if chain else None)
 
     if name == "mono-reflective":
         objects = [resolve_object(C, args.object)] if args.object else \
@@ -500,14 +500,14 @@ def run_check(args):
         return rp.build_report(name, worst, params, objects={
             k: {"reflective": v["reflective"],
                 "witness": list(v["witness"]) if v["witness"] else None,
-                "restricted": v["restricted"]} for k, v in out.items()}), None
+                "restricted": v["restricted"]} for k, v in out.items()})
 
     if name == "image-closure":
         E, M, K = cls("E", "epis"), cls("M", "monos"), cls("K")
         FS = check_factorization_system(C, E, M)
         if not FS:
             return rp.build_report(name, rp.EXIT_HYPOTHESIS, params,
-                                   report=FS.to_json()), None
+                                   report=FS.to_json())
         tau = resolve_coverage(C, entry, data, args, M)
         parts = run_image_closure_suite(C, FS, tau, K, cap=args.cap)
         oks = [parts[p].conclusion_ok for p in
@@ -519,13 +519,13 @@ def run_check(args):
             code = rp.EXIT_PASS if all(oks) else rp.EXIT_COUNTEREXAMPLE
         return rp.build_report(
             name, code, params,
-            report={k: v.to_json() for k, v in parts.items()}), None
+            report={k: v.to_json() for k, v in parts.items()})
 
     if name == "uniformity":
         h, t, _, _ = resolve_hom(data, args.hom)
         res = classify_uniformity(h, t)
         return rp.build_report(name, rp.EXIT_PASS, params,
-                               report=res.to_json()), None
+                               report=res.to_json())
 
     if name == "monic-pullback":
         h, t, _, _ = resolve_hom(data, args.hom)
@@ -534,7 +534,7 @@ def run_check(args):
             code = rp.EXIT_HYPOTHESIS
         else:
             code = rp.EXIT_PASS if res["ok"] else rp.EXIT_COUNTEREXAMPLE
-        return rp.build_report(name, code, params, report=res), None
+        return rp.build_report(name, code, params, report=res)
 
     raise InputError(f"unknown check {name!r}")
 
@@ -613,7 +613,7 @@ def main(argv=None):
             else:
                 sys.stdout.write(rp.render_text(rep, time.time() - t0))
             return 0
-        rep, _ = run_check(args)
+        rep = run_check(args)
     except InputError as exc:
         rep = rp.build_report("input-error", rp.EXIT_INPUT, {},
                               error=str(exc))

@@ -91,8 +91,11 @@ class CategoryBase:
     """Protocol shared by explicit categories, slices and algebra ambients.
 
     Subclasses provide: ``objects``, ``morphisms``, ``src``, ``tgt``,
-    ``identity``, ``compose`` and ``hom``.  Objects and morphisms are opaque
-    sortable keys; both enumerations must be deterministically ordered.
+    ``identity``, ``compose`` and ``hom``, and ``find_pullback`` where
+    pullbacks are asked for (explicit categories search the kernel tables,
+    algebra ambients build equalizing subalgebras).  Objects and morphisms
+    are opaque sortable keys; both enumerations must be deterministically
+    ordered.
     """
 
     name = "category"
@@ -123,6 +126,11 @@ class CategoryBase:
         raise NotImplementedError
 
     def hom(self, a, b):
+        raise NotImplementedError
+
+    def find_pullback(self, f, g):
+        """Canonical pullback square of the cospan (f, g), or None when
+        the cospan has none; deterministic and cached per cospan."""
         raise NotImplementedError
 
     # -- generic derived operations ------------------------------------------
@@ -203,46 +211,6 @@ class CategoryBase:
         a, b = self.src(f), self.tgt(f)
         idb = self.identity(b)
         return any(self.compose(f, s) == idb for s in self.hom(b, a))
-
-    def find_pullback(self, f, g):
-        """Canonical pullback of the cospan (f, g); None when absent.
-
-        Generic brute-force path: enumerate commuting spans, test each as a
-        terminal span.  Explicit categories override this with the kernel
-        search.  Results are cached per cospan.
-        """
-        key = (f, g)
-        if key in self._pullback_cache:
-            return self._pullback_cache[key]
-        if self.tgt(f) != self.tgt(g):
-            raise CompositionError("cospan legs must share a target")
-        a, b = self.src(f), self.src(g)
-        cones = []
-        for z in self.objects():
-            for p in self.hom(z, a):
-                fp = self.compose(f, p)
-                for q in self.hom(z, b):
-                    if fp == self.compose(g, q):
-                        cones.append((p, q))
-        square = None
-        for p, q in cones:
-            ok, mediators = self._verify_span(p, q, cones)
-            if ok:
-                square = PullbackSquare(self, f, g, self.src(p), p, q, mediators)
-                break
-        self._pullback_cache[key] = square
-        return square
-
-    def _verify_span(self, p, q, cones):
-        w = self.src(p)
-        mediators = {}
-        for cp, cq in cones:
-            hits = [h for h in self.hom(self.src(cp), w)
-                    if self.compose(p, h) == cp and self.compose(q, h) == cq]
-            if len(hits) != 1:
-                return False, None
-            mediators[(cp, cq)] = hits[0]
-        return True, mediators
 
 
 @dataclass

@@ -610,6 +610,11 @@ class _MapCompositeItems(ItemsView):
 # random categories
 # ---------------------------------------------------------------------------
 
+# group order -> the category of the cyclic group a random category may
+# be multiplied by; built on first use and never dropped
+_cyclic_group_categories = {}
+
+
 def random_category(seed, size_bounds=(4, 24), name=None):
     """Seeded random valid category: a random preorder, sometimes multiplied
     by a small cyclic group category.  The preorder is closed from its
@@ -635,7 +640,11 @@ def random_category(seed, size_bounds=(4, 24), name=None):
         cat = FinCategory(elems, morphisms, identities, composition,
                           name=name or f"rand{seed}")
         if rng.random() < 0.3:
-            g = group_category(cyclic_group(rng.choice([2, 3])))
+            order = rng.choice([2, 3])
+            if order not in _cyclic_group_categories:
+                _cyclic_group_categories[order] = group_category(
+                    cyclic_group(order))
+            g = _cyclic_group_categories[order]
             prod = product_category(cat, g, name=name or f"rand{seed}")
             if len(prod.morphisms()) <= max_mor:
                 return prod

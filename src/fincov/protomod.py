@@ -4,11 +4,13 @@ conservative pullback-preserving functors.
 
 A counterexample is a commuting diagram built from two pullbacks in which
 the middle comparison morphism satisfies every hypothesis but is not an
-isomorphism.  Enumeration is (e, beta, theta)-lexicographic with canonical
+isomorphism.  One scan serves the definition, the rectangle form and the
+mono-part cross-check; they differ in the theta range and in how e.beta is
+let in.  Enumeration is (e, beta, theta)-lexicographic with canonical
 pullback choices, so the reported counterexample is deterministic.  For
-on-demand algebra ambients the scan is anchored at the initial object (the
-equivalent form with I replaced by 0) and the verdict is "no violation
-within the size cap" rather than a proof.
+on-demand algebra ambients every form takes the scan anchored at the
+initial object (the equivalent form with I replaced by 0) and the verdict
+is "no violation within the size cap" rather than a proof.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fincat import PullbackSquare, mor_key, verify_pullback_square
-from .morphclass import MorphismClass
+from .morphclass import MorphismClass, builtin_class, is_stably_extremal
 
 
 class InternalConsistencyError(AssertionError):
@@ -92,131 +94,61 @@ def _extract_gamma(C, E, e_beta, c):
     raise AssertionError("saturation test passed but no witness found")
 
 
-def check_protomodularity_pair(C, E, M, theta_anchor=None):
+def check_protomodularity_pair(C, E, M):
     """Exhaustive scan of the defining diagram shape.
 
-    Enumerates e in E, beta in M into src... the middle object, and theta
-    into the common target; builds the two canonical pullbacks and tests
-    whether an isomorphic left projection forces beta isomorphic.  Returns
-    the least counterexample diagram when the condition fails.
+    Enumerates e in E, beta in M into src(e) with e.beta in the iso
+    saturation of E, and every theta into tgt(e); builds the two canonical
+    pullbacks and tests whether an isomorphic left projection forces beta
+    isomorphic.  Returns the least counterexample diagram when the
+    condition fails.
     """
-    if hasattr(C, "theory"):
-        return _check_ambient(C, E, M, form="definition")
-    sat = _iso_saturation(C, E)
-    count = 0
-    restricted = False
-    for e in sorted(E.member_list(), key=mor_key):
-        b, c = C.src(e), C.tgt(e)
-        thetas = [theta_anchor] if theta_anchor is not None else \
-            sorted(C.morphisms_into(c), key=mor_key)
-        for beta in sorted(C.morphisms_into(b), key=mor_key):
-            if not M.contains(beta):
-                continue
-            if C.compose(e, beta) not in sat:
-                continue
-            beta_iso = C.is_iso(beta)
-            for theta in thetas:
-                sq1 = C.find_pullback(theta, e)
-                if sq1 is None:
-                    restricted = True
-                    continue
-                sq2 = C.find_pullback(sq1.proj2, beta)
-                if sq2 is None:
-                    restricted = True
-                    continue
-                count += 1
-                if C.is_iso(sq2.proj1) and not beta_iso:
-                    gamma, e_pr = _extract_gamma(C, E, C.compose(e, beta), c)
-                    diag = ProtoDiagram(
-                        e=e, theta=theta, m=sq1.proj2, p=sq1.proj1,
-                        beta=beta, gamma=gamma, e_prime=e_pr,
-                        m_prime=sq2.proj2, alpha=sq2.proj1,
-                        apex=sq1.apex, apex_prime=sq2.apex)
-                    return ProtoReport(False, diag, count, restricted,
-                                       form="definition")
-    return ProtoReport(True, None, count, restricted, form="definition")
+    return _scan(C, E, M, "definition", _definition_plan)
 
 
 def check_protomodularity_equivalent(C, E, M):
     """The rectangle formulation: e and e.beta in E directly (isomorphisms
     absorbed); theta anchored at the initial object when one exists."""
-    if hasattr(C, "theory"):
-        return _check_ambient(C, E, M, form="rectangle")
-    initial = _initial_object(C)
-    count = 0
-    restricted = False
-    for e in sorted(E.member_list(), key=mor_key):
-        b, c = C.src(e), C.tgt(e)
-        if initial is not None:
-            thetas = [C.hom(initial, c)[0]]
-        else:
-            thetas = sorted(C.morphisms_into(c), key=mor_key)
-        for beta in sorted(C.morphisms_into(b), key=mor_key):
-            if not M.contains(beta):
-                continue
-            if not E.contains(C.compose(e, beta)):
-                continue
-            beta_iso = C.is_iso(beta)
-            for theta in thetas:
-                sq1 = C.find_pullback(theta, e)
-                if sq1 is None:
-                    restricted = True
-                    continue
-                sq2 = C.find_pullback(sq1.proj2, beta)
-                if sq2 is None:
-                    restricted = True
-                    continue
-                count += 1
-                if C.is_iso(sq2.proj1) and not beta_iso:
-                    diag = ProtoDiagram(
-                        e=e, theta=theta, m=sq1.proj2, p=sq1.proj1,
-                        beta=beta, gamma=None, e_prime=C.compose(e, beta),
-                        m_prime=sq2.proj2, alpha=sq2.proj1,
-                        apex=sq1.apex, apex_prime=sq2.apex)
-                    return ProtoReport(False, diag, count, restricted,
-                                       form="rectangle")
-    return ProtoReport(True, None, count, restricted, form="rectangle")
+    return _scan(C, E, M, "rectangle", _rectangle_plan)
 
 
 def check_protomodularity_mono_part(C, E, M):
     """Third cross-check: theta replaced by the monic part of its
     (mono, stably extremal epi) factorization, where that factorization
     exists; skipped thetas are counted as restricted."""
-    from .morphclass import builtin_class, is_stably_extremal
+    return _scan(C, E, M, "mono-part", _mono_part_plan,
+                 ambient_form="rectangle")
+
+
+def _scan(C, E, M, form, plan, ambient_form=None):
+    """The two-pullback scan behind every form.
+
+    Algebra ambients take the anchored shortcut.  Otherwise ``plan(C, E)``
+    gives (thetas, admits, witness): ``thetas(c)``, the theta range into
+    the target c, where None is skipped as restricted; ``admits(eb)``,
+    whether e.beta is let in; and ``witness(eb, c)``, the (gamma, e') of a
+    counterexample.
+    """
     if hasattr(C, "theory"):
-        return _check_ambient(C, E, M, form="rectangle")
-    monos = builtin_class(C, "monos")
-    mono_parts = {}
-    for theta in C.morphisms():
-        part = None
-        for e0 in sorted(C.morphisms_from(C.src(theta)), key=mor_key):
-            ok, _, _ = is_stably_extremal(C, e0, monos)
-            if not ok:
-                continue
-            for m0 in C.hom(C.tgt(e0), C.tgt(theta)):
-                if monos.contains(m0) and C.compose(m0, e0) == theta:
-                    part = m0
-                    break
-            if part:
-                break
-        mono_parts[theta] = part
-    sat = _iso_saturation(C, E)
+        return _check_ambient(C, E, M, form=ambient_form or form)
+    thetas_into, admits, witness = plan(C, E)
     count = 0
     restricted = False
     for e in sorted(E.member_list(), key=mor_key):
         b, c = C.src(e), C.tgt(e)
+        thetas = thetas_into(c)
         for beta in sorted(C.morphisms_into(b), key=mor_key):
             if not M.contains(beta):
                 continue
-            if C.compose(e, beta) not in sat:
+            eb = C.compose(e, beta)
+            if not admits(eb):
                 continue
             beta_iso = C.is_iso(beta)
-            for theta in sorted(C.morphisms_into(c), key=mor_key):
-                anchor = mono_parts[theta]
-                if anchor is None:
+            for theta in thetas:
+                if theta is None:
                     restricted = True
                     continue
-                sq1 = C.find_pullback(anchor, e)
+                sq1 = C.find_pullback(theta, e)
                 if sq1 is None:
                     restricted = True
                     continue
@@ -226,15 +158,61 @@ def check_protomodularity_mono_part(C, E, M):
                     continue
                 count += 1
                 if C.is_iso(sq2.proj1) and not beta_iso:
-                    gamma, e_pr = _extract_gamma(C, E, C.compose(e, beta), c)
+                    gamma, e_pr = witness(eb, c)
                     diag = ProtoDiagram(
-                        e=e, theta=anchor, m=sq1.proj2, p=sq1.proj1,
+                        e=e, theta=theta, m=sq1.proj2, p=sq1.proj1,
                         beta=beta, gamma=gamma, e_prime=e_pr,
                         m_prime=sq2.proj2, alpha=sq2.proj1,
                         apex=sq1.apex, apex_prime=sq2.apex)
                     return ProtoReport(False, diag, count, restricted,
-                                       form="mono-part")
-    return ProtoReport(True, None, count, restricted, form="mono-part")
+                                       form=form)
+    return ProtoReport(True, None, count, restricted, form=form)
+
+
+def _thetas_into(C, c):
+    return sorted(C.morphisms_into(c), key=mor_key)
+
+
+def _definition_plan(C, E):
+    """Every theta; e.beta up to an iso gamma in E."""
+    sat = _iso_saturation(C, E)
+    return (lambda c: _thetas_into(C, c), sat.__contains__,
+            lambda eb, c: _extract_gamma(C, E, eb, c))
+
+
+def _rectangle_plan(C, E):
+    """The theta out of the initial object (every theta without one);
+    e.beta itself in E."""
+    initial = _initial_object(C)
+
+    def thetas(c):
+        if initial is None:
+            return _thetas_into(C, c)
+        return [C.hom(initial, c)[0]]
+    return thetas, E.contains, lambda eb, c: (None, eb)
+
+
+def _mono_part_plan(C, E):
+    """The monic part of every theta, None where it has none; e.beta as
+    in the definition."""
+    monos = builtin_class(C, "monos")
+    mono_parts = {theta: _mono_part(C, theta, monos)
+                  for theta in C.morphisms()}
+    _, admits, witness = _definition_plan(C, E)
+    return (lambda c: [mono_parts[t] for t in _thetas_into(C, c)],
+            admits, witness)
+
+
+def _mono_part(C, theta, monos):
+    """m0 of theta = m0.e0, from the first stably extremal e0 out of
+    src(theta) that admits a mono m0; None when there is none."""
+    for e0 in sorted(C.morphisms_from(C.src(theta)), key=mor_key):
+        if not is_stably_extremal(C, e0, monos)[0]:
+            continue
+        for m0 in C.hom(C.tgt(e0), C.tgt(theta)):
+            if monos.contains(m0) and C.compose(m0, e0) == theta:
+                return m0
+    return None
 
 
 def _initial_object(C):

@@ -18,12 +18,14 @@ order (``fincat.mor_key``), which is the order the package's witnesses
 are defined by.  The last sections are plain-loop references for table
 code: the ambient stability scan one hom at a time, equations checked
 one assignment at a time, the seeded inputs built by the all-pairs
-preorder fixpoint with every candidate group rebuilt, and image
+preorder fixpoint with every candidate group rebuilt, image
 compatibility decided covering by covering with nothing kept between
-coverings.
+coverings, and the three protomodularity forms on explicit categories as
+one loop each.
 """
 
 from fincov.fincat import mor_key
+from fincov.protomod import ProtoDiagram, ProtoReport
 
 
 class RawCat:
@@ -712,3 +714,164 @@ def image_compatibility(C, f, tau, E, M, FS=None, cap=None):
     if capped:
         return CompatibilityReport(None, (), checked, True)
     return CompatibilityReport(True, (), checked, False)
+
+
+# ---------------------------------------------------------------------------
+# reference protomodularity forms on explicit categories
+# ---------------------------------------------------------------------------
+
+# The three forms as separate plain loops, one per form, over explicit
+# categories.  They share the package's report types, so reports compare
+# whole.
+
+
+def _iso_saturation(C, E):
+    return {C.compose(g, e) for e in E.member_list()
+            for g in C.morphisms_from(C.tgt(e)) if C.is_iso(g)}
+
+
+def _extract_gamma(C, E, e_beta, c):
+    for gamma in sorted(C.morphisms_into(c), key=mor_key):
+        if C.is_iso(gamma):
+            e_pr = C.compose(C.iso_inverse(gamma), e_beta)
+            if E.contains(e_pr):
+                return gamma, e_pr
+    raise AssertionError("saturation test passed but no witness found")
+
+
+def _initial_object(C):
+    for o in sorted(C.objects()):
+        if all(len(C.hom(o, z)) == 1 for z in C.objects()):
+            return o
+    return None
+
+
+def protomodularity_definition(C, E, M):
+    """The definition: every theta, e.beta = gamma.e' with gamma iso."""
+    sat = _iso_saturation(C, E)
+    count = 0
+    restricted = False
+    for e in sorted(E.member_list(), key=mor_key):
+        b, c = C.src(e), C.tgt(e)
+        thetas = sorted(C.morphisms_into(c), key=mor_key)
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
+            if not M.contains(beta):
+                continue
+            if C.compose(e, beta) not in sat:
+                continue
+            beta_iso = C.is_iso(beta)
+            for theta in thetas:
+                sq1 = C.find_pullback(theta, e)
+                if sq1 is None:
+                    restricted = True
+                    continue
+                sq2 = C.find_pullback(sq1.proj2, beta)
+                if sq2 is None:
+                    restricted = True
+                    continue
+                count += 1
+                if C.is_iso(sq2.proj1) and not beta_iso:
+                    gamma, e_pr = _extract_gamma(C, E, C.compose(e, beta), c)
+                    diag = ProtoDiagram(
+                        e=e, theta=theta, m=sq1.proj2, p=sq1.proj1,
+                        beta=beta, gamma=gamma, e_prime=e_pr,
+                        m_prime=sq2.proj2, alpha=sq2.proj1,
+                        apex=sq1.apex, apex_prime=sq2.apex)
+                    return ProtoReport(False, diag, count, restricted,
+                                       form="definition")
+    return ProtoReport(True, None, count, restricted, form="definition")
+
+
+def protomodularity_rectangle(C, E, M):
+    """The rectangle form: e.beta in E; theta out of the initial object,
+    every theta without one."""
+    initial = _initial_object(C)
+    count = 0
+    restricted = False
+    for e in sorted(E.member_list(), key=mor_key):
+        b, c = C.src(e), C.tgt(e)
+        if initial is not None:
+            thetas = [C.hom(initial, c)[0]]
+        else:
+            thetas = sorted(C.morphisms_into(c), key=mor_key)
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
+            if not M.contains(beta):
+                continue
+            if not E.contains(C.compose(e, beta)):
+                continue
+            beta_iso = C.is_iso(beta)
+            for theta in thetas:
+                sq1 = C.find_pullback(theta, e)
+                if sq1 is None:
+                    restricted = True
+                    continue
+                sq2 = C.find_pullback(sq1.proj2, beta)
+                if sq2 is None:
+                    restricted = True
+                    continue
+                count += 1
+                if C.is_iso(sq2.proj1) and not beta_iso:
+                    diag = ProtoDiagram(
+                        e=e, theta=theta, m=sq1.proj2, p=sq1.proj1,
+                        beta=beta, gamma=None, e_prime=C.compose(e, beta),
+                        m_prime=sq2.proj2, alpha=sq2.proj1,
+                        apex=sq1.apex, apex_prime=sq2.apex)
+                    return ProtoReport(False, diag, count, restricted,
+                                       form="rectangle")
+    return ProtoReport(True, None, count, restricted, form="rectangle")
+
+
+def protomodularity_mono_part(C, E, M):
+    """The mono-part form: theta replaced by its monic part, None
+    (restricted) where it has none."""
+    from fincov.morphclass import builtin_class, is_stably_extremal
+    monos = builtin_class(C, "monos")
+    mono_parts = {}
+    for theta in C.morphisms():
+        part = None
+        for e0 in sorted(C.morphisms_from(C.src(theta)), key=mor_key):
+            ok, _, _ = is_stably_extremal(C, e0, monos)
+            if not ok:
+                continue
+            for m0 in C.hom(C.tgt(e0), C.tgt(theta)):
+                if monos.contains(m0) and C.compose(m0, e0) == theta:
+                    part = m0
+                    break
+            if part:
+                break
+        mono_parts[theta] = part
+    sat = _iso_saturation(C, E)
+    count = 0
+    restricted = False
+    for e in sorted(E.member_list(), key=mor_key):
+        b, c = C.src(e), C.tgt(e)
+        for beta in sorted(C.morphisms_into(b), key=mor_key):
+            if not M.contains(beta):
+                continue
+            if C.compose(e, beta) not in sat:
+                continue
+            beta_iso = C.is_iso(beta)
+            for theta in sorted(C.morphisms_into(c), key=mor_key):
+                anchor = mono_parts[theta]
+                if anchor is None:
+                    restricted = True
+                    continue
+                sq1 = C.find_pullback(anchor, e)
+                if sq1 is None:
+                    restricted = True
+                    continue
+                sq2 = C.find_pullback(sq1.proj2, beta)
+                if sq2 is None:
+                    restricted = True
+                    continue
+                count += 1
+                if C.is_iso(sq2.proj1) and not beta_iso:
+                    gamma, e_pr = _extract_gamma(C, E, C.compose(e, beta), c)
+                    diag = ProtoDiagram(
+                        e=e, theta=anchor, m=sq1.proj2, p=sq1.proj1,
+                        beta=beta, gamma=gamma, e_prime=e_pr,
+                        m_prime=sq2.proj2, alpha=sq2.proj1,
+                        apex=sq1.apex, apex_prime=sq2.apex)
+                    return ProtoReport(False, diag, count, restricted,
+                                       form="mono-part")
+    return ProtoReport(True, None, count, restricted, form="mono-part")

@@ -16,8 +16,8 @@ import pytest
 import oracles
 from fincov.algkit import (build_finalg_category,
                            classify_uniformity, _UniformityFlags,
-                           group_theory, is_right_unital, minimal_subalgebra,
-                           monoid_theory, verify_uniformity_theorem)
+                           group_theory, is_right_unital, monoid_theory,
+                           subalgebra_closure, verify_uniformity_theorem)
 from fincov.coverage import (ExplicitCoverage,
                              OpenCoverCoverage, RuleCoverage,
                              build_chain_type, check_coverage,
@@ -356,7 +356,7 @@ def test_criterion_7_appendix_suite():
             r = fl.report(h)
             if not (r.weakly_t_uniform and r.weakly_t_cancelative):
                 continue
-            K = sorted(h.preimage(minimal_subalgebra(h.tgt)))
+            K = sorted(h.preimage(subalgebra_closure(h.tgt, ())))
             restr_inj = len({h(k) for k in K}) == len(K)
             if h.is_injective() != restr_inj:
                 cor2_ok = False

@@ -7,8 +7,8 @@ from fincov.algkit import (AlgHom, CapExceeded, FinAlgebra, Theory,
                            derived_malcev_term, enumerate_homs,
                            enumerate_normal_subalgebras, equation_failure,
                            eval_term, find_isomorphism, group_theory,
-                           identity_hom, is_right_unital, minimal_subalgebra,
-                           monoid_theory, quotient_algebra, term_grid,
+                           identity_hom, is_right_unital, monoid_theory,
+                           quotient_algebra, subalgebra_closure, term_grid,
                            validate_theory_witnesses)
 from fincov.instances import (cyclic_group, groups_upto, klein_four_group,
                               monoids_upto)
@@ -73,13 +73,13 @@ def test_empty_signature_candidates_fail():
 
 
 def test_minimal_subalgebra_group():
-    assert minimal_subalgebra(Z4) == frozenset({0})
+    assert subalgebra_closure(Z4, ()) == frozenset({0})
 
 
 def test_minimal_subalgebra_empty_signature():
     bare = Theory("sets", (), ())
     A = FinAlgebra(bare, "two", 2, {})
-    assert minimal_subalgebra(A) == frozenset()
+    assert subalgebra_closure(A, ()) == frozenset()
 
 
 def test_minimal_subalgebra_monoid_with_two_constants():
@@ -91,7 +91,7 @@ def test_minimal_subalgebra_monoid_with_two_constants():
     mul = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
     A = FinAlgebra(Tm, "M", 3, {"mul": mul, "e": 0, "z": 1})
     assert A.validate() is None
-    assert minimal_subalgebra(A) == frozenset({0, 1})
+    assert subalgebra_closure(A, ()) == frozenset({0, 1})
 
 
 def test_enumerate_homs_z4_z2():
@@ -134,7 +134,7 @@ def test_normal_subalgebras_agree_with_hom_search():
             if B.size > A.size:
                 continue
             for h in enumerate_homs(A, B):
-                via_homs.add(h.preimage(minimal_subalgebra(B)))
+                via_homs.add(h.preimage(subalgebra_closure(B, ())))
         assert set(enumerate_normal_subalgebras(A)) == via_homs, A.name
 
 
@@ -155,7 +155,7 @@ def test_uniformity_mod2_hom():
     assert rep.weakly_t_uniform and rep.t_uniform and rep.strongly_t_uniform
     assert rep.t_cancelative and rep.weakly_t_cancelative
     # the defining instance: 1 + preimage of 0 is the preimage of 1 + {0}
-    K = sorted(f.preimage(minimal_subalgebra(Z2)))
+    K = sorted(f.preimage(subalgebra_closure(Z2, ())))
     assert K == [0, 2]
     assert sorted((1 + k) % 4 for k in K) == [1, 3]
 

@@ -139,6 +139,29 @@ def test_seeded_inputs_match_reference_loops():
         set(instances._KLEIN_TARGETS)
 
 
+def test_random_category_builds_each_group_category_once(monkeypatch):
+    """Over seeds 0-199 random_category validates at most the two cyclic
+    group categories it multiplies by, once each, and its tables still
+    equal those of the reference loops, which rebuild the group per
+    attempt."""
+    calls = []
+    validate = instances.validate_category
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "_cyclic_group_categories", {})
+    monkeypatch.setattr(instances, "validate_category", counting)
+    bounds = ((4, 12), (4, 24))
+    built = {(b, seed): random_category(seed, b).to_json()
+             for b in bounds for seed in range(200)}
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    for (b, seed), table in built.items():
+        assert table == oracles.random_category(seed, b).to_json(), (b, seed)
+
+
 def test_poset_pullbacks_are_meets():
     dia = diamond_lattice()
     sq = dia.find_pullback("oa<o1", "ob<o1")

@@ -1,7 +1,13 @@
 
-from fincov.fincat import CatFunctor, product_category
+import oracles
+import pytest
+
+from fincov.fincat import (CatFunctor, FinCategory, PullbackSquare,
+                           product_category, validate_category,
+                           verify_pullback_square)
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
-                              group_category, klein_four_group, set_skeleton)
+                              group_category, klein_four_group,
+                              random_category, set_skeleton)
 from fincov.morphclass import builtin_class, explicit_class
 from fincov.protomod import (ProtoReport,
                              check_protomodularity_equivalent,
@@ -164,7 +170,6 @@ def test_ambient_scan_matches_reference_loops():
     """Satisfied flag, counterexample and diagrams_checked equal the plain
     loops of oracles.ambient_protomodularity on the ambient grown to 8
     objects, for builtin and explicit iso-saturated classes."""
-    import oracles
     from fixtures_util import FULL_GROWTH, grown_ambient
     amb = grown_ambient(*FULL_GROWTH)
     ms = amb.morphisms()
@@ -190,3 +195,94 @@ def test_ambient_scan_matches_reference_loops():
         verdicts.append((ok, count))
     assert verdicts == [(True, 1415), (False, 46), (True, 13301)]
     assert len(amb.objects()) == 8
+
+
+CLASS_PAIRS = (("retractions", "all"), ("isos", "all"), ("epis", "monos"),
+               ("all", "all"), ("sections", "monos"))
+FORMS = ((check_protomodularity_pair, oracles.protomodularity_definition),
+         (check_protomodularity_equivalent,
+          oracles.protomodularity_rectangle),
+         (check_protomodularity_mono_part, oracles.protomodularity_mono_part))
+
+
+def point_in_three():
+    """A point p and X = {0, 1, 2}: the point 0 of X, and the maps of X
+    fixing 0 and keeping {1, 2}: the identity, the swap 021 and the
+    idempotents 011 and 022, which have no monic part."""
+    maps = {"p>p": ("p", "p", (0,)), "p>X": ("p", "X", (0,))}
+    maps.update({f"X:{''.join(map(str, images))}": ("X", "X", images)
+                 for images in ((0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2))})
+    by_map = {v: k for k, v in maps.items()}
+    composition = {
+        (g, f): by_map[maps[f][0], maps[g][1],
+                       tuple(maps[g][2][x] for x in maps[f][2])]
+        for f in maps for g in maps if maps[g][0] == maps[f][1]}
+    return validate_category(
+        (["X", "p"], {k: v[:2] for k, v in maps.items()},
+         {"p": "p>p", "X": "X:012"}, composition), name="point_in_three")
+
+
+@pytest.fixture(scope="module")
+def form_reports(corpus):
+    """Per category set (explicit corpus categories but finite_top; the 64
+    harness categories; a category where some theta has no monic part):
+    (C, E, M, report, oracle report) for every class pair and form."""
+    sets = {
+        "corpus": [corpus[n].category for n in corpus.names()
+                   if n != "finite_top"
+                   and isinstance(corpus[n].category, FinCategory)],
+        "harness": [random_category(s, (4, 12)) for s in range(64)],
+        "no monic part": [point_in_three()],
+    }
+    out = {}
+    for label, cats in sets.items():
+        out[label] = [
+            (C, E, M, check(C, E, M), reference(C, E, M))
+            for C in cats for E, M in (
+                (builtin_class(C, e), builtin_class(C, m))
+                for e, m in CLASS_PAIRS)
+            for check, reference in FORMS]
+    return out
+
+
+def test_forms_match_reference_loops(form_reports):
+    """Every field of the definition, rectangle and mono-part reports equals
+    the form's own plain loop in oracles; both verdicts occur."""
+    failing = {}
+    for label, rows in form_reports.items():
+        for C, E, M, rep, ref in rows:
+            assert rep.to_json() == ref.to_json(), \
+                (label, C.name, E.name, M.name, rep.form)
+        failing[label] = (sum(not rep.satisfied for *_, rep, _ in rows),
+                          len(rows))
+    assert failing == {"corpus": (60, 240), "harness": (120, 960),
+                       "no monic part": (3, 15)}
+
+
+def test_counterexamples_are_diagrams(form_reports):
+    """Each counterexample is the two-pullback diagram it claims to be: both
+    squares are pullbacks, alpha is iso and beta is not, and e.beta
+    factors as gamma.e' (definition, mono-part) or is e' in E
+    (rectangle)."""
+    checked = 0
+    for rows in form_reports.values():
+        for C, E, M, rep, _ in rows:
+            cx = rep.counterexample
+            if cx is None:
+                continue
+            outer = PullbackSquare(C, cx.theta, cx.e, cx.apex, cx.p, cx.m)
+            inner = PullbackSquare(C, cx.m, cx.beta, cx.apex_prime,
+                                   cx.alpha, cx.m_prime)
+            assert verify_pullback_square(C, outer)
+            assert verify_pullback_square(C, inner)
+            assert C.is_iso(cx.alpha) and not C.is_iso(cx.beta)
+            assert E.contains(cx.e) and M.contains(cx.beta)
+            assert E.contains(cx.e_prime)
+            eb = C.compose(cx.e, cx.beta)
+            if rep.form == "rectangle":
+                assert cx.gamma is None and cx.e_prime == eb
+            else:
+                assert C.is_iso(cx.gamma)
+                assert C.compose(cx.gamma, cx.e_prime) == eb
+            checked += 1
+    assert checked == 183
