@@ -32,7 +32,12 @@ surjections out of groups of order at most 4 in the abelian-groups
 ambient (E = surjections, M = injections, with a factorization system),
 over the chain type chain[1]k1.  Each timed run gets fresh coverage
 objects, so no report is served from the memo; their coverings are
-enumerated beforehand.
+enumerated beforehand.  The compactness row runs ``decide_tau_compact``
+on every object of the first 16 harness categories under each of the
+four harness chain types (M = monos, cap 2048), one coverage object per
+type, on categories built fresh for each timed run.  It prints the
+covering functors enumerated against the coverings served: the types
+of one shape share their functors.
 """
 
 import os
@@ -44,8 +49,9 @@ import numpy as np
 from fincov import instances, kernels
 from fincov.algkit import build_finalg_category, group_theory
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
-    RuleCoverage, _enumerate_type_coverings, _powerset_poset, \
-    build_chain_type, check_image_compatibility
+    RuleCoverage, _enumerate_functors, _powerset_poset, build_chain_type, \
+    check_image_compatibility, decide_tau_compact
+from fincov.fincat import derived_memo
 from fincov.instances import abelian_groups_upto, finite_top_category, \
     random_category, random_mixed_functor, set_skeleton
 from fincov.morphclass import FactorizationSystem, builtin_class, \
@@ -58,12 +64,13 @@ import oracles  # noqa: E402
 
 
 def timeit(fn, repeat=3):
+    """Best time of repeat runs, and what the last run returned."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
 
 
 def workloads():
@@ -184,6 +191,26 @@ def workloads():
         for C, f, E, M, FS, cap in questions:
             check_image_compatibility(C, f, taus[C], E, M, FS=FS, cap=cap)
 
+    # one fresh set of categories per timed run: no verdict and no
+    # functor sequence is kept from an earlier run
+    compact_sets = [[(C, builtin_class(C, "monos"))
+                     for C in (random_category(s, (4, 12))
+                               for s in range(16))] for _ in range(3)]
+
+    def compactness():
+        cats = compact_sets.pop()
+        served = 0
+        for C, M in cats:
+            for dt in chains:
+                tau = RuleCoverage([dt], M)
+                for c in C.objects():
+                    v = decide_tau_compact(C, c, tau, cap=2048)
+                    served += v.enumerated
+        built = sum(len(done) for C, M in cats
+                    for done, _ in derived_memo(C, "covering_functors",
+                                                M).values())
+        return f"{built} functors for {served} coverings"
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
@@ -197,7 +224,8 @@ def workloads():
         ("class composites ambient (injective)",
          lambda: composites(amb, injective)),
         ("coverings harness x 4 chains",
-         lambda: enumeration(_enumerate_type_coverings)),
+         lambda: enumeration(lambda C, c, dt, M:
+                             _enumerate_functors(C, c, dt.variance, M))),
         ("coverings, generate-and-test oracle",
          lambda: enumeration(oracles.type_coverings)),
         ("open + closed coverings_of, 14 spaces", topological_coverings),
@@ -209,13 +237,16 @@ def workloads():
          lambda: [A.validate() for A in amb.objects()]),
         ("injections properties, ambient + Z2xZ3", injection_properties),
         ("image compatibility, harness + ambient", image_compatibility),
+        ("compactness, 16 harness x 4 chains", compactness),
     ]
 
 
 def main():
     print(f"{'workload':38s} {'time':>10s}")
     for name, work in workloads():
-        print(f"{name:38s} {timeit(work) * 1e3:9.1f}ms")
+        best, note = timeit(work)
+        line = f"{name:38s} {best * 1e3:9.1f}ms"
+        print(f"{line}  ({note})" if isinstance(note, str) else line)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import derived_memo, mor_key, slice_view
 from .instances import chain_poset, poset_category
@@ -219,15 +220,18 @@ class Covering:
 
 
 def stabilizes_at(cov, i0):
-    """F(k) iso for every composable pair i0 -> i -> j of the index."""
-    I = cov.diagram_type.I
-    C = cov.category
-    for l in I.morphisms_from(i0):
-        i = I.tgt(l)
-        for k in I.morphisms_from(i):
-            if not C.is_iso(cov.connecting(k)):
-                return False
-    return True
+    """F(k) iso for every composable pair i0 -> i -> j of the index.
+
+    Decided once per functor and i0 (``MixedFunctor.stable_at``), so the
+    diagram types that share a covering functor share the answer."""
+    known = cov.functor.stable_at
+    if i0 not in known:
+        I = cov.diagram_type.I
+        C = cov.category
+        known[i0] = all(C.is_iso(cov.connecting(k))
+                        for l in I.morphisms_from(i0)
+                        for k in I.morphisms_from(I.tgt(l)))
+    return known[i0]
 
 
 def stabilization_small(cov):
@@ -284,11 +288,14 @@ class RuleCoverage:
         return memo[c, cap]
 
     def _enumerate(self, C, c, cap):
+        """The functors of each type's variance (``_covering_functors``)
+        as coverings of that type, types in J order, stopping once cap
+        coverings are made."""
         M = self.resolve_M(C)
         out = []
         for dt in self.J:
-            for cov in _enumerate_type_coverings(C, c, dt, M):
-                out.append(cov)
+            for F in _covering_functors(C, c, dt.variance, M):
+                out.append(Covering(C, c, dt, F))
                 if cap is not None and len(out) >= cap:
                     return tuple(out), True
         return tuple(out), False
@@ -336,8 +343,34 @@ class ExplicitCoverage:
                                                    key=lambda kv: str(kv[0]))}}
 
 
-def _enumerate_type_coverings(C, c, dt, M):
-    """Valid M-subordinated mixed functors I -> C/c of the given type, in
+def _covering_functors(C, c, V, M):
+    """The valid mixed functors of variance V into C/c with M-legs, in
+    ``_enumerate_functors`` order.
+
+    One sequence per (V, c) is kept on C for the class object M and
+    extended only as far as a caller reads it, so the diagram types of
+    one variance, which differ only in their smalls and name, share their
+    functors, and so do coverage objects over the same M.  Covariant and
+    contravariant types on one index poset have different variances and
+    do not share.  The sequences go with the other memos when C grows.
+    """
+    memo = derived_memo(C, "covering_functors", M)
+    if (V, c) not in memo:
+        memo[V, c] = ([], _enumerate_functors(C, c, V, M))
+    done, rest = memo[V, c]
+    i = 0
+    while True:
+        if i == len(done):
+            F = next(rest, None)
+            if F is None:
+                return
+            done.append(F)
+        yield done[i]
+        i += 1
+
+
+def _enumerate_functors(C, c, V, M):
+    """Valid mixed functors I -> C/c of variance V with M-legs, in
     deterministic order, built depth-first.
 
     Index objects take M-legs into c in sorted order; an index arrow is
@@ -350,19 +383,22 @@ def _enumerate_type_coverings(C, c, dt, M):
     generate-and-test loop.  Totality, stage endpoints and identities hold
     by construction; stage coherence is a property of the variance.
     """
-    plan = dt.variance.law_plan
+    plan = V.law_plan
     if plan.incoherent is not None:
         return
     sl = slice_view(C, c)
     legs = [m for m in sorted(C.morphisms_into(c), key=mor_key)
             if M.contains(m)]
+    # slice morphisms as (base, p, q) triples, built once and shared by
+    # every functor that uses them
+    units = {p: (C.identity(C.src(p)), p, p) for p in legs}
     triangles = {}
 
     def tri(p, q):
         if (p, q) not in triangles:
-            triangles[p, q] = sorted(
+            triangles[p, q] = [(h, p, q) for h in sorted(
                 (h for h in C.hom(C.src(p), C.src(q))
-                 if C.compose(q, h) == p), key=mor_key)
+                 if C.compose(q, h) == p), key=mor_key)]
         return triangles[p, q]
 
     obj_map = {}
@@ -376,21 +412,20 @@ def _enumerate_type_coverings(C, c, dt, M):
     cands = []
 
     def place_arrow(j, choice):
-        base[plan.non_id[j]] = cands[j][choice[j]]
+        base[plan.non_id[j]] = cands[j][choice[j]][0]
         return broken_law(C.compose, base, plan.laws_at[j]) is None
 
     for _ in _depth_first([len(legs)] * len(plan.objs), place_object):
         om = dict(obj_map)
+        ids = [(k, units[om[o]]) for k, o in plan.ids]
         base.clear()
-        for k, o in plan.ids:
-            base[k] = C.identity(C.src(om[o]))
+        base.update((k, unit[0]) for k, unit in ids)
         cands[:] = [tri(om[ks], om[kt]) for ks, kt in plan.stages]
-        for _ in _depth_first([len(cs) for cs in cands], place_arrow):
-            mor_map = {k: (base[k], om[o], om[o]) for k, o in plan.ids}
-            for k, (ks, kt) in zip(plan.non_id, plan.stages):
-                mor_map[k] = (base[k], om[ks], om[kt])
-            F = MixedFunctor(dt.variance, sl, om, mor_map)
-            yield Covering(C, c, dt, F)
+        for choice in _depth_first([len(cs) for cs in cands], place_arrow):
+            mor_map = dict(ids)
+            mor_map.update(zip(plan.non_id,
+                               (cs[x] for cs, x in zip(cands, choice))))
+            yield MixedFunctor(V, sl, om, mor_map)
 
 
 def _depth_first(sizes, place):
@@ -603,10 +638,14 @@ class _CompatibleSearch:
 
 @dataclass
 class CompactnessVerdict:
-    """Per-covering stabilization witnesses, or the least failing covering."""
+    """Per-covering stabilization witnesses, or the least failing covering.
+
+    ``stable`` holds (covering, small) for each covering that stabilizes,
+    in enumeration order; ``witnesses`` holds (covering key, small) in its
+    place, built on first access."""
 
     compact: bool | None
-    witnesses: tuple = ()
+    stable: tuple = ()
     failing: Covering | None = None
     enumerated: int = 0
     capped: bool = False
@@ -614,6 +653,10 @@ class CompactnessVerdict:
 
     def __bool__(self):
         return bool(self.compact)
+
+    @cached_property
+    def witnesses(self):
+        return tuple((cov.key(), small) for cov, small in self.stable)
 
     def to_json(self):
         return {"compact": self.compact,
@@ -648,17 +691,17 @@ def _decide_tau_compact(C, c, tau, cap):
             flags.add("non-directed-smalls")
         flags.update(cov.flags)
 
-    witnesses = []
+    stable = []
     for cov in covs:
         w = stabilization_small(cov)
         if w is None:
-            return CompactnessVerdict(False, tuple(witnesses), cov,
+            return CompactnessVerdict(False, tuple(stable), cov,
                                       len(covs), capped, tuple(sorted(flags)))
-        witnesses.append((cov.key(), w))
+        stable.append((cov, w))
     if capped:
-        return CompactnessVerdict(None, tuple(witnesses), None, len(covs),
+        return CompactnessVerdict(None, tuple(stable), None, len(covs),
                                   True, tuple(sorted(flags)))
-    return CompactnessVerdict(True, tuple(witnesses), None, len(covs), False,
+    return CompactnessVerdict(True, tuple(stable), None, len(covs), False,
                               tuple(sorted(flags)))
 
 

@@ -221,7 +221,9 @@ class PullbackSquare:
     a competing cone (p, q); ``mediators`` holds them by cone.  A square
     found by the kernel search keeps the kernel's index arrays
     (``cones``: cone legs and mediators) and builds the dict on the first
-    ``mediator`` call.
+    ``mediator`` call.  A square with an iso projection keeps no mediator
+    array (``None``): the mediator of (p, q) is then that projection's
+    inverse after p or q.
     """
 
     category: CategoryBase
@@ -235,10 +237,18 @@ class PullbackSquare:
 
     def mediator(self, p, q):
         if self.cones is not None:
-            ms = self.category.morphisms()
-            cp, cq, med = (a.tolist() for a in self.cones)
-            self.mediators = {(ms[a], ms[b]): ms[h]
-                              for a, b, h in zip(cp, cq, med)}
+            C = self.category
+            ms = C.morphisms()
+            cp, cq, med = self.cones
+            cones = list(zip(cp.tolist(), cq.tolist()))
+            if med is not None:
+                hs = [ms[h] for h in med.tolist()]
+            else:
+                side = 0 if C.is_iso(self.proj1) else 1
+                inv = C.iso_inverse((self.proj1, self.proj2)[side])
+                hs = [C.compose(inv, ms[cone[side]]) for cone in cones]
+            self.mediators = {(ms[a], ms[b]): h
+                              for (a, b), h in zip(cones, hs)}
             self.cones = None
         return self.mediators[(p, q)]
 
@@ -401,6 +411,18 @@ class FinCategory(CategoryBase):
         fi, gi = self._midx[f], self._midx[g]
         comp, src, tgt, hp, hd, no = self._kernel_args()
         cp, cq = kernels.commuting_spans(comp, src, tgt, hp, hd, no, fi, gi)
+        ms = self._morphisms
+        g_iso = self.is_iso(g)
+        if g_iso or self.is_iso(f):
+            # along an iso leg, a commuting span is a pullback iff its
+            # other leg is an iso, and (id, g^-1 f) or (f^-1 g, id) is one
+            legs = (cp if g_iso else cq).tolist()
+            i = next(i for i, m in enumerate(legs) if self.is_iso(ms[m]))
+            square = PullbackSquare(self, f, g, self._objects[src[cp[i]]],
+                                    ms[cp[i]], ms[cq[i]],
+                                    cones=(cp, cq, None))
+            self._pullback_cache[key] = square
+            return square
         # cone counts per test object: a candidate apex w must satisfy
         # |hom(z, w)| == #cones(z) for every z, a cheap necessary filter
         kappa = np.zeros(no, dtype=np.int64)
@@ -414,7 +436,6 @@ class FinCategory(CategoryBase):
             ok, med = kernels.span_verify(comp, src, tgt, hp, hd, no,
                                           int(cp[i]), int(cq[i]), cp, cq)
             if ok:
-                ms = self._morphisms
                 square = PullbackSquare(self, f, g, self._objects[w],
                                         ms[cp[i]], ms[cq[i]],
                                         cones=(cp, cq, med))

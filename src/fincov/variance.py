@@ -12,7 +12,7 @@ full morphism map.  A variance compiles its hexagon laws once
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -183,6 +183,10 @@ class MixedFunctor:
     obj_map: dict
     mor_map: dict
     name: str = "F"
+    # index object -> whether the functor stabilizes there, filled in by
+    # ``coverage.stabilizes_at``; a functor is not changed once built
+    stable_at: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def on_mor(self, k):
         return self.mor_map[k]

@@ -9,19 +9,22 @@ The second half is a reference lane for the enumeration kernels: plain
 loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets).
 Their loop order is the witness-order contract of ``fincov.kernels``: the
 first violation these loops meet is the lexicographically least one, and
-the kernel tests require the kernels to return exactly it.
+the kernel tests require the kernels to return exactly it.  Beside them
+sits the explicit category's kernel pullback search without its iso-leg
+shortcut.
 
 The later sections are references over package categories: the
-variance laws as plain per-morphism and per-pair loops, and the covering
-enumeration as generate and test.  They share only the morphism sort
-order (``fincat.mor_key``), which is the order the package's witnesses
-are defined by.  The last sections are plain-loop references for table
-code: the ambient stability scan one hom at a time, equations checked
-one assignment at a time, the seeded inputs built by the all-pairs
-preorder fixpoint with every candidate group rebuilt, image
-compatibility decided covering by covering with nothing kept between
-coverings, and the three protomodularity forms on explicit categories as
-one loop each.
+variance laws as plain per-morphism and per-pair loops, the covering
+enumeration as generate and test, rule coverages enumerated type by
+type, and compactness verdicts decided covering by covering.  They share
+only the morphism sort order (``fincat.mor_key``), which is the order
+the package's witnesses are defined by.  The last sections are
+plain-loop references for table code: the ambient stability scan one
+hom at a time, equations checked one assignment at a time, the seeded
+inputs built by the all-pairs preorder fixpoint with every candidate
+group rebuilt, image compatibility decided covering by covering with
+nothing kept between coverings, and the three protomodularity forms on
+explicit categories as one loop each.
 """
 
 from fincov.fincat import mor_key
@@ -264,6 +267,35 @@ def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
     return ps, qs
 
 
+def pullback_search(C, f, g):
+    """``FinCategory.find_pullback`` without its iso-leg shortcut, over
+    the package's kernels: the first commuting span, in
+    ``commuting_spans`` order, that passes the hom-count filter and
+    ``span_verify``.  Returns (apex, proj1, proj2, {cone: mediator}), or
+    None when the cospan has no pullback."""
+    import numpy as np
+
+    from fincov import kernels
+    comp, src, tgt, hp, hd, no = C._kernel_args()
+    ms = C.morphisms()
+    fi, gi = ms.index(f), ms.index(g)
+    cp, cq = kernels.commuting_spans(comp, src, tgt, hp, hd, no, fi, gi)
+    cones = np.bincount(src[cp], minlength=no)
+    homcount = np.zeros((no, no), dtype=np.int64)
+    np.add.at(homcount, (src, tgt), 1)
+    for i in range(len(cp)):
+        w = src[cp[i]]
+        if not np.array_equal(homcount[:, w], cones):
+            continue
+        ok, med = kernels.span_verify(comp, src, tgt, hp, hd, no,
+                                      int(cp[i]), int(cq[i]), cp, cq)
+        if ok:
+            meds = {(ms[a], ms[b]): ms[h] for a, b, h in
+                    zip(cp.tolist(), cq.tolist(), med.tolist())}
+            return C.objects()[w], ms[cp[i]], ms[cq[i]], meds
+    return None
+
+
 # ---------------------------------------------------------------------------
 # reference scan of ambient protomodularity
 # ---------------------------------------------------------------------------
@@ -411,6 +443,52 @@ def type_coverings(C, c, dt, M):
                 F = MixedFunctor(dt.variance, sl, obj_map, mor_map)
                 if mixed_functor_violation(F) is None:
                     out.append(Covering(C, c, dt, F))
+    return out
+
+
+def rule_coverings(C, c, J, M, cap=None):
+    """The coverings of ``RuleCoverage(J, M).coverings_of(C, c, cap)``:
+    ``type_coverings`` of each diagram type in J order, enumerated afresh
+    per type, cut once cap coverings are listed.  Returns (list, capped)."""
+    out = []
+    for dt in J:
+        for cov in type_coverings(C, c, dt, M):
+            out.append(cov)
+            if cap is not None and len(out) >= cap:
+                return out, True
+    return out, False
+
+
+def tau_compact(C, c, J, M, cap=None):
+    """The ``to_json()`` of ``decide_tau_compact`` for ``RuleCoverage(J,
+    M)``: over ``rule_coverings``, each covering's least stabilizing small
+    decided from the definition (every F(k) on a composable pair
+    i0 -> i -> j of the index is an iso), nothing kept between coverings.
+    """
+    covs, capped = rule_coverings(C, c, J, M, cap)
+    flags = set()
+    for cov in covs:
+        if not cov.diagram_type.smalls:
+            flags.add("empty-smalls")
+        if not cov.diagram_type.directed:
+            flags.add("non-directed-smalls")
+    out = {"compact": None if capped else True, "witnesses": [],
+           "failing": None, "enumerated": len(covs), "capped": capped,
+           "flags": sorted(flags)}
+    for cov in covs:
+        I = cov.diagram_type.I
+        small = None
+        for i0 in sorted(cov.diagram_type.smalls):
+            if all(C.is_iso(cov.functor.mor_map[k][0])
+                   for l in I.morphisms() if I.src(l) == i0
+                   for k in I.morphisms() if I.src(k) == I.tgt(l)):
+                small = i0
+                break
+        if small is None:
+            out["compact"] = False
+            out["failing"] = cov.to_json()
+            return out
+        out["witnesses"].append([str(cov.key()), str(small)])
     return out
 
 

@@ -465,7 +465,6 @@ def test_enumerated_coverings_match_generate_and_test():
     """The depth-first enumerator yields the coverings of the plain
     product-and-validate loop, in its order and with equal maps, on the
     closure harness categories."""
-    from fincov.coverage import _enumerate_type_coverings
     from fincov.instances import random_category
     import oracles
     types = [build_chain_type(1, 0, "cov"), build_chain_type(1, 1, "cov"),
@@ -478,7 +477,7 @@ def test_enumerated_coverings_match_generate_and_test():
             M = builtin_class(C, name)
             for dt in types:
                 for c in sorted(C.objects()):
-                    got = list(_enumerate_type_coverings(C, c, dt, M))
+                    got = RuleCoverage([dt], M).coverings_of(C, c)[0]
                     want = oracles.type_coverings(C, c, dt, M)
                     where = (seed, name, dt.name, c)
                     assert [(cov.functor.obj_map,
@@ -499,7 +498,6 @@ def test_enumerated_coverings_match_generate_and_test_mixed_variances():
     (sets <= 2, M = all) and index variances with non-identity arrows on
     both sides of a factorization (a grid of a covariant and a
     contravariant chain, and the Klein four-group)."""
-    from fincov.coverage import _enumerate_type_coverings
     from fincov.instances import grid_variance, klein_variance
     import oracles
     types = [build_chain_type(2, 1, "cov"), build_chain_type(2, 0, "contr")]
@@ -513,7 +511,7 @@ def test_enumerated_coverings_match_generate_and_test_mixed_variances():
         for dt in types:
             for c in sorted(C.objects()):
                 got = [(cov.functor.obj_map, list(cov.functor.mor_map.items()))
-                       for cov in _enumerate_type_coverings(C, c, dt, M)]
+                       for cov in RuleCoverage([dt], M).coverings_of(C, c)[0]]
                 want = [(cov.functor.obj_map,
                          list(cov.functor.mor_map.items()))
                         for cov in oracles.type_coverings(C, c, dt, M)]
@@ -792,3 +790,165 @@ def test_separately_built_diagram_types_are_equal():
     assert dt == dt and twin is not dt and twin.I is not dt.I
     assert twin == dt and dt == twin and hash(twin) == hash(dt)
     assert DiagramType(I, ["o0"], cov) != dt
+
+
+# ---------------------------------------------------------------------------
+# covering functors shared between diagram types and coverage objects
+# ---------------------------------------------------------------------------
+
+def _functor_maps(covs):
+    return [(cov.diagram_type, cov.functor.obj_map,
+             list(cov.functor.mor_map.items())) for cov in covs]
+
+
+def _memoized_type_coverings(monkeypatch):
+    """Serve repeated reference enumerations of one (C, c, type, M) from a
+    dict kept for the test; the reference still enumerates each type
+    afresh for every category."""
+    import oracles
+    real = oracles.type_coverings
+    seen = {}
+
+    def memo(C, c, dt, M):
+        key = (id(C), c, id(dt), id(M))
+        if key not in seen:
+            seen[key] = (C, dt, M, real(C, c, dt, M))
+        return seen[key][3]
+
+    monkeypatch.setattr(oracles, "type_coverings", memo)
+
+
+def test_shared_rule_coverings_match_per_type_reference(monkeypatch):
+    """Chain types of one shape and direction share one functor sequence
+    per object.  Coverings and verdicts still equal the per-type
+    reference, byte for byte, for every J list and cap.  The caps run
+    from 1 up to uncapped on one category, so a capped coverage stops
+    inside a sequence that later coverages extend."""
+    import json
+
+    import oracles
+    from fincov.instances import group_category, random_category
+    _memoized_type_coverings(monkeypatch)
+    cats = [chain_poset(3), diamond_lattice(),
+            subgroup_lattice_poset(cyclic_group(8)),
+            group_category(cyclic_group(2)), group_category(cyclic_group(3))]
+    cats += [random_category(seed, (4, 12)) for seed in range(8)]
+    Js = []
+    for d in ("cov", "contr"):
+        types = {(n, k): build_chain_type(n, k, d)
+                 for n in range(3) for k in range(n + 1)}
+        Js += [[dt] for dt in types.values()]
+        Js += [[types[1, 0], types[1, 1]],
+               [types[2, 1], types[2, 0], types[2, 2]],
+               [types[2, 0], types[1, 1], types[2, 2]]]
+    Js.append([build_chain_type(1, 1, "cov"), build_chain_type(1, 1, "contr")])
+    checked = capped_inside = 0
+    for C in cats:
+        M = builtin_class(C, "monos")
+        for c in sorted(C.objects()):
+            for J in Js:
+                full, _ = oracles.rule_coverings(C, c, J, M)
+                count = len(full)
+                caps = sorted({cap for cap in (1, count - 1, count)
+                               if cap >= 1})
+                for cap in caps + [None]:
+                    got = RuleCoverage(J, M).coverings_of(C, c, cap=cap)
+                    want = oracles.rule_coverings(C, c, J, M, cap)
+                    where = (C.name, c, [dt.name for dt in J], cap)
+                    assert got[1] == want[1], where
+                    assert _functor_maps(got[0]) == _functor_maps(want[0]), \
+                        where
+                    assert all(x.diagram_type is y.diagram_type
+                               for x, y in zip(got[0], want[0])), where
+                    verdict = decide_tau_compact(C, c, RuleCoverage(J, M),
+                                                 cap=cap)
+                    assert json.dumps(verdict.to_json()) == json.dumps(
+                        oracles.tau_compact(C, c, J, M, cap)), where
+                    checked += 1
+                    capped_inside += cap is not None and cap < count
+    assert checked > 2000 and capped_inside > 900
+
+
+def test_harness_chain_types_enumerate_each_variance_once(monkeypatch):
+    """The four chain types of the closure harness have two variances.
+    Deciding every object under each of them, one fresh coverage object
+    per type as the harness builds them, enumerates each (variance, M,
+    object) once."""
+    import collections
+
+    import fincov.coverage as coverage
+    from fincov.instances import random_category
+    calls = collections.Counter()
+    real = coverage._enumerate_functors
+
+    def counting(C, c, V, M):
+        calls[id(C), c, V, M] += 1
+        return real(C, c, V, M)
+
+    monkeypatch.setattr(coverage, "_enumerate_functors", counting)
+    objects = served = 0
+    for seed in range(8):
+        C = random_category(seed, (4, 12))
+        M = builtin_class(C, "monos")
+        for n, k in ((1, 0), (1, 1), (2, 1), (2, 2)):
+            tau = RuleCoverage([build_chain_type(n, k, "cov")], M)
+            for c in C.objects():
+                served += decide_tau_compact(C, c, tau, cap=2048).enumerated
+        objects += len(C.objects())
+    assert set(calls.values()) == {1}
+    assert len(calls) == 2 * objects
+    assert served > 0
+
+
+def test_covariant_and_contravariant_chains_do_not_share():
+    """chain[1]k0 in the two directions has one index poset but two
+    variances.  Over o1 of the two-element chain both fail, at different
+    coverings: the index runs from the leg of o0 to that of o1 in one
+    direction and back in the other.  Each verdict is its own
+    reference's."""
+    import oracles
+    C = chain_poset(1)
+    M = builtin_class(C, "monos")
+    cov, contr = (build_chain_type(1, 0, d) for d in ("cov", "contr"))
+    assert cov.I is contr.I and cov.variance != contr.variance
+    verdicts = [decide_tau_compact(C, "o1", RuleCoverage([dt], M))
+                for dt in (cov, contr)]
+    assert [v.to_json() for v in verdicts] == \
+        [oracles.tau_compact(C, "o1", [dt], M) for dt in (cov, contr)]
+    assert verdicts[0].compact is verdicts[1].compact is False
+    assert verdicts[0].to_json() != verdicts[1].to_json()
+    assert verdicts[0].failing.functor.obj_map == {"o0": "o0<o1",
+                                                   "o1": "o1<o1"}
+    assert verdicts[1].failing.functor.obj_map == {"o0": "o1<o1",
+                                                   "o1": "o0<o1"}
+
+
+def test_growing_the_ambient_drops_the_shared_functors(monkeypatch):
+    """The shared sequences are dropped with the other memos when the
+    algebra ambient grows: the next enumeration starts afresh and sees
+    the new maps."""
+    import fincov.coverage as coverage
+    import oracles
+    from fincov.algkit import build_finalg_category, group_theory
+    amb = build_finalg_category(group_theory(), 4,
+                                [cyclic_group(n) for n in (1, 2)])
+    M = builtin_class(amb, "all")
+    J = [build_chain_type(1, 1, "cov")]
+    calls = []
+    real = coverage._enumerate_functors
+
+    def counting(C, c, V, M_):
+        calls.append(c)
+        return real(C, c, V, M_)
+
+    monkeypatch.setattr(coverage, "_enumerate_functors", counting)
+    Z1, Z2 = sorted(amb.objects(), key=lambda A: A.size)
+    before, _ = RuleCoverage(J, M).coverings_of(amb, Z2)
+    RuleCoverage(J, M).coverings_of(amb, Z2)
+    assert calls == [Z2]
+    amb.register(cyclic_group(4))
+    after, _ = RuleCoverage(J, M).coverings_of(amb, Z2)
+    assert calls == [Z2, Z2]
+    want, _ = oracles.rule_coverings(amb, Z2, J, M)
+    assert _functor_maps(after) == _functor_maps(want)
+    assert len(after) > len(before)

@@ -377,3 +377,39 @@ def test_master_soundness_no_genuine_counterexamples():
             C, tau, builtin_class(C, "isos"), M, f, cap=64))
     for rep in reports:
         assert rep.counterexample is None
+
+
+def test_artinian_closure_on_random_categories():
+    """The descending (Artinian) half: contravariant chains through the
+    subobject theorem (chain[1]k0, chain[1]k1, chain[2]k1) and the
+    quotient theorem (chain[1]k0 and chain[1]k1, first 12 morphisms) on
+    random_category seeds 0-39.  No conclusion fails under verified
+    hypotheses; instances whose hypotheses fail are counted apart."""
+    from fincov.instances import random_category
+
+    def contr(n, k):
+        return build_chain_type(n, k, "contr")
+
+    failures = []
+    tally = {"held": 0, "hypothesis failed": 0, "inconclusive": 0}
+    for seed in range(40):
+        C = random_category(seed, (4, 12))
+        M = builtin_class(C, "monos")
+        E = builtin_class(C, "isos")
+        reports = [verify_closure_subobjects(C, [contr(n, k)], M, cap=2048)
+                   for n, k in ((1, 0), (1, 1), (2, 1))]
+        for k in (0, 1):
+            tau = RuleCoverage([contr(1, k)], M)
+            reports += [verify_closure_quotients(C, tau, E, M, f, cap=512)
+                        for f in sorted(C.morphisms())[:12]]
+        for rep in reports:
+            if rep.counterexample is not None:
+                failures.append((seed, rep.to_json()))
+            elif not rep.hypotheses_ok:
+                tally["hypothesis failed"] += 1
+            elif rep.conclusion_ok:
+                tally["held"] += 1
+            else:
+                tally["inconclusive"] += 1
+    assert failures == []
+    assert tally["held"] > 0 and tally["hypothesis failed"] > 0, tally
