@@ -37,7 +37,11 @@ on every object of the first 16 harness categories under each of the
 four harness chain types (M = monos, cap 2048), one coverage object per
 type, on categories built fresh for each timed run.  It prints the
 covering functors enumerated against the coverings served: the types
-of one shape share their functors.
+of one shape share their functors.  The last row runs the closure
+harness's quotient and extension instances on its 64 categories (E =
+isos, M = monos, chain[1]k1, cap 512) after one untimed pass, so every
+hypothesis is answered from the tables: the cost of asking a question
+again.
 """
 
 import os
@@ -56,6 +60,8 @@ from fincov.instances import abelian_groups_upto, finite_top_category, \
     random_category, random_mixed_functor, set_skeleton
 from fincov.morphclass import FactorizationSystem, builtin_class, \
     check_class_properties
+from fincov.theorems import verify_closure_extensions, \
+    verify_closure_quotients
 from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -206,10 +212,35 @@ def workloads():
                 for c in C.objects():
                     v = decide_tau_compact(C, c, tau, cap=2048)
                     served += v.enumerated
-        built = sum(len(done) for C, M in cats
-                    for done, _ in derived_memo(C, "covering_functors",
-                                                M).values())
+        # a finished sequence is a tuple, one being read [done, generator]
+        built = sum(len(seq) if isinstance(seq, tuple) else len(seq[0])
+                    for C, M in cats
+                    for seq in derived_memo(C, "covering_functors",
+                                            M).values())
         return f"{built} functors for {served} coverings"
+
+    # the closure harness's quotient and extension instances, as
+    # (check, args) with the memos of their categories filled beforehand
+    closure_instances = []
+    for C, M in harness:
+        E = builtin_class(C, "isos")
+        tau = RuleCoverage([chains[1]], M)
+        mors = sorted(C.morphisms())
+        closure_instances += [(verify_closure_quotients,
+                               (C, tau, E, M, f)) for f in mors[:12]]
+        for f in mors[:8]:
+            for phi in C.morphisms_into(C.tgt(f))[:3]:
+                sq = C.find_pullback(f, phi)
+                if sq is not None:
+                    closure_instances.append((verify_closure_extensions,
+                                              (C, tau, E, M, sq)))
+
+    def closure_hypotheses():
+        for check, args in closure_instances:
+            check(*args, cap=512)
+        return f"{len(closure_instances)} instances"
+
+    closure_hypotheses()
 
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
@@ -238,14 +269,16 @@ def workloads():
         ("injections properties, ambient + Z2xZ3", injection_properties),
         ("image compatibility, harness + ambient", image_compatibility),
         ("compactness, 16 harness x 4 chains", compactness),
+        ("closure hypotheses, warm, 64 harness categories",
+         closure_hypotheses),
     ]
 
 
 def main():
-    print(f"{'workload':38s} {'time':>10s}")
+    print(f"{'workload':48s} {'time':>10s}")
     for name, work in workloads():
         best, note = timeit(work)
-        line = f"{name:38s} {best * 1e3:9.1f}ms"
+        line = f"{name:48s} {best * 1e3:9.1f}ms"
         print(f"{line}  ({note})" if isinstance(note, str) else line)
 
 

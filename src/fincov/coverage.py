@@ -225,6 +225,8 @@ def stabilizes_at(cov, i0):
     Decided once per functor and i0 (``MixedFunctor.stable_at``), so the
     diagram types that share a covering functor share the answer."""
     known = cov.functor.stable_at
+    if known is None:
+        known = cov.functor.stable_at = {}
     if i0 not in known:
         I = cov.diagram_type.I
         C = cov.category
@@ -353,16 +355,24 @@ def _covering_functors(C, c, V, M):
     functors, and so do coverage objects over the same M.  Covariant and
     contravariant types on one index poset have different variances and
     do not share.  The sequences go with the other memos when C grows.
+
+    A sequence being read is kept as [functors so far, generator]; once
+    the generator is spent, as the tuple of all its functors.
     """
     memo = derived_memo(C, "covering_functors", M)
-    if (V, c) not in memo:
-        memo[V, c] = ([], _enumerate_functors(C, c, V, M))
-    done, rest = memo[V, c]
+    seq = memo.get((V, c))
+    if seq is None:
+        seq = memo[V, c] = [[], _enumerate_functors(C, c, V, M)]
+    if isinstance(seq, tuple):
+        yield from seq
+        return
+    done, rest = seq
     i = 0
     while True:
         if i == len(done):
             F = next(rest, None)
             if F is None:
+                memo[V, c] = tuple(done)
                 return
             done.append(F)
         yield done[i]

@@ -56,10 +56,18 @@ def derived_memo(C, name, owner):
     entry lasts no longer than either.  Categories and owners are assumed
     not to change after construction; a category that grows drops all of
     its tables (``drop_derived_memos``).
+
+    A hit allocates nothing: tables are made only on a miss.
     """
+    try:
+        return C.__dict__["_derived_memos"][name][owner]
+    except KeyError:
+        pass
     tables = C.__dict__.setdefault("_derived_memos", {})
-    per_owner = tables.setdefault(name, weakref.WeakKeyDictionary())
-    return per_owner.setdefault(owner, {})
+    if name not in tables:
+        tables[name] = weakref.WeakKeyDictionary()
+    memo = tables[name][owner] = {}
+    return memo
 
 
 def drop_derived_memos(C):

@@ -42,9 +42,21 @@ class MorphismClass:
         return hit
 
     def member_list(self):
-        if self.members is not None:
-            return sorted(self.members, key=mor_key)
-        return [m for m in self.category.morphisms() if self.predicate(m)]
+        """The members as a tuple: explicit members sorted by ``mor_key``,
+        predicate members in the order of ``category.morphisms()``.
+        Listed once per roster of the category, under the key None of the
+        class's "class_members" table (``_extremal_candidates`` keeps its
+        lists per target object there)."""
+        memo = derived_memo(self.category, "class_members", self)
+        hit = memo.get(None)
+        if hit is None:
+            if self.members is not None:
+                hit = tuple(sorted(self.members, key=mor_key))
+            else:
+                hit = tuple(m for m in self.category.morphisms()
+                            if self.contains(m))
+            memo[None] = hit
+        return hit
 
     def __contains__(self, m):
         return self.contains(m)
@@ -225,21 +237,20 @@ def _ambient_injective_only(C, A):
 
 
 def _ambient_class_images(C, A, z):
-    """(image set, least witness) per non-iso A-member into z; cached
-    until the roster grows (a new source can bring a new image)."""
-    cache = A.__dict__.setdefault("_noniso_images", {})
-    into = C.morphisms_into(z)
-    if id(z) not in cache or cache[id(z)][0] is not into:
+    """(image set, least witness) per non-iso A-member into z, listed
+    once per roster (a new source can bring a new image)."""
+    memo = derived_memo(C, "ambient_class_images", A)
+    hit = memo.get(z)
+    if hit is None:
         table = {}
-        for m in into:
+        for m in C.morphisms_into(z):
             if m.is_bijective() or not A.contains(m):
                 continue
             img = frozenset(m.images)
             if img not in table:
                 table[img] = m
-        cache[id(z)] = (into, sorted(table.items(),
-                                     key=lambda kv: sorted(kv[0])))
-    return cache[id(z)][1]
+        hit = memo[z] = sorted(table.items(), key=lambda kv: sorted(kv[0]))
+    return hit
 
 
 def _ambient_stability_scan(C, A):
@@ -341,9 +352,7 @@ def is_extremal_wrt(C, family, M):
                            for f in family)
                 return False, (m, gs)
         return True, None
-    for m in sorted(M.member_list(), key=mor_key):
-        if C.tgt(m) != x or C.is_iso(m):
-            continue
+    for m in _extremal_candidates(C, M, x):
         gs = []
         for f in family:
             g = next((g for g in C.hom(C.src(f), C.src(m))
@@ -356,9 +365,45 @@ def is_extremal_wrt(C, family, M):
     return True, None
 
 
+def _extremal_candidates(C, M, x):
+    """The non-iso M-members into x, sorted by ``mor_key``; listed once
+    per (class, target) and roster."""
+    memo = derived_memo(C, "class_members", M)
+    hit = memo.get(x)
+    if hit is None:
+        hit = memo[x] = tuple(m for m in sorted(M.member_list(), key=mor_key)
+                              if C.tgt(m) == x and not C.is_iso(m))
+    return hit
+
+
+def _is_extremal(C, f, M):
+    """``is_extremal_wrt(C, [f], M)``, decided once per (class, morphism)
+    and roster; kept under (f,) in the class's "extremality" table."""
+    memo = derived_memo(C, "extremality", M)
+    key = (f,)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = is_extremal_wrt(C, [f], M)
+    return hit
+
+
 def is_stably_extremal(C, f, M, probe_cap=None):
-    """f and all its existing pullbacks are M-extremal."""
-    ok, wit = is_extremal_wrt(C, [f], M)
+    """f and all its existing pullbacks are M-extremal.
+
+    Decided once per (class, morphism, probe cap) and roster, and kept
+    under (f, probe_cap) in the class's "extremality" table; a roster
+    that grows while the question is answered keeps the answer out of
+    the new tables."""
+    memo = derived_memo(C, "extremality", M)
+    key = (f, probe_cap)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _stably_extremal(C, f, M, probe_cap)
+    return hit
+
+
+def _stably_extremal(C, f, M, probe_cap):
+    ok, wit = _is_extremal(C, f, M)
     if not ok:
         return False, False, wit
     if _ambient_injective_only(C, M):
@@ -380,7 +425,7 @@ def is_stably_extremal(C, f, M, probe_cap=None):
         if sq is None:
             restricted = True
             continue
-        ok, wit = is_extremal_wrt(C, [sq.proj2], M)
+        ok, wit = _is_extremal(C, sq.proj2, M)
         if not ok:
             return False, restricted, (g,) + wit
     return True, restricted, None

@@ -216,7 +216,7 @@ def _mono_part(C, theta, monos):
 
 
 def _initial_object(C):
-    for o in sorted(C.objects()):
+    for o in sorted(C.objects(), key=mor_key):
         if all(len(C.hom(o, z)) == 1 for z in C.objects()):
             return o
     return None

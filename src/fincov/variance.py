@@ -183,10 +183,11 @@ class MixedFunctor:
     obj_map: dict
     mor_map: dict
     name: str = "F"
-    # index object -> whether the functor stabilizes there, filled in by
-    # ``coverage.stabilizes_at``; a functor is not changed once built
-    stable_at: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    # index object -> whether the functor stabilizes there, made and
+    # filled in by ``coverage.stabilizes_at``; a functor is not changed
+    # once built
+    stable_at: dict | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def on_mor(self, k):
         return self.mor_map[k]

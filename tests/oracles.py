@@ -24,10 +24,11 @@ hom at a time, equations checked one assignment at a time, the seeded
 inputs built by the all-pairs preorder fixpoint with every candidate
 group rebuilt, image compatibility decided covering by covering with
 nothing kept between coverings, and the three protomodularity forms on
-explicit categories as one loop each.
+explicit categories as one loop each.  The last section lists class
+members and decides extremality with nothing kept between calls.
 """
 
-from fincov.fincat import mor_key
+from fincov.fincat import mor_key, try_pullback
 from fincov.protomod import ProtoDiagram, ProtoReport
 
 
@@ -953,3 +954,60 @@ def protomodularity_mono_part(C, E, M):
                     return ProtoReport(False, diag, count, restricted,
                                        form="mono-part")
     return ProtoReport(True, None, count, restricted, form="mono-part")
+
+
+# ---------------------------------------------------------------------------
+# class members and extremality, nothing kept
+# ---------------------------------------------------------------------------
+# Membership is asked of the class's own member set or predicate, and the
+# members are listed again for every question.  Extremality is the
+# generic factor search, so these serve explicit categories and ambient
+# classes that are not all injective.
+
+
+def member_list(A):
+    """Explicit members sorted by mor_key; predicate members in the order
+    of the category's morphisms."""
+    if A.members is not None:
+        return tuple(sorted(A.members, key=mor_key))
+    return tuple(m for m in A.category.morphisms() if A.predicate(m))
+
+
+def is_extremal_wrt(C, family, M):
+    """The least non-iso M-member m into the common target through which
+    every f of the family factors, with the least factors; (True, None)
+    when there is none."""
+    x = C.tgt(family[0])
+    for m in sorted(member_list(M), key=mor_key):
+        if C.tgt(m) != x or C.is_iso(m):
+            continue
+        gs = []
+        for f in family:
+            g = next((g for g in C.hom(C.src(f), C.src(m))
+                      if C.compose(m, g) == f), None)
+            if g is None:
+                break
+            gs.append(g)
+        if len(gs) == len(family):
+            return False, (m, tuple(gs))
+    return True, None
+
+
+def is_stably_extremal(C, f, M, probe_cap=None):
+    """f and its pullbacks along the morphisms into its target (at most
+    probe_cap of them) are M-extremal; (verdict, restricted, witness)."""
+    ok, wit = is_extremal_wrt(C, [f], M)
+    if not ok:
+        return False, False, wit
+    restricted = False
+    for probes, g in enumerate(C.morphisms_into(C.tgt(f))):
+        if probe_cap is not None and probes >= probe_cap:
+            return True, True, None
+        sq = try_pullback(C, f, g)
+        if sq is None:
+            restricted = True
+            continue
+        ok, wit = is_extremal_wrt(C, [sq.proj2], M)
+        if not ok:
+            return False, restricted, (g,) + wit
+    return True, restricted, None

@@ -405,3 +405,38 @@ def test_iso_leg_pullbacks_match_unshortcut_search(corpus, monkeypatch):
                 cospans += 1
                 cones += len(meds)
     assert cospans > 2500 and cones > cospans
+
+
+def test_derived_memo_hit_builds_no_table(monkeypatch):
+    """A derived_memo miss builds the tables it lacks; a hit returns the
+    same table and constructs no WeakKeyDictionary and stores nothing
+    (an eagerly built default dict would be passed to setdefault)."""
+    import weakref
+    from fincov import fincat
+    from fincov.morphclass import builtin_class
+    events = []
+
+    class Counting(weakref.WeakKeyDictionary):
+        def __init__(self, *args):
+            events.append("table")
+            super().__init__(*args)
+
+        def __setitem__(self, key, value):
+            events.append("store")
+            super().__setitem__(key, value)
+
+        def setdefault(self, key, default=None):
+            events.append("setdefault")
+            return super().setdefault(key, default)
+
+    monkeypatch.setattr(fincat.weakref, "WeakKeyDictionary", Counting)
+    C = chain_poset(2)
+    A, B = builtin_class(C, "all"), builtin_class(C, "isos")
+    table = fincat.derived_memo(C, "probe", A)
+    assert events == ["table", "store"]
+    assert fincat.derived_memo(C, "probe", B) is not table
+    assert events == ["table", "store", "store"]
+    del events[:]
+    for _ in range(3):
+        assert fincat.derived_memo(C, "probe", A) is table
+    assert events == []

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 import oracles
@@ -576,3 +578,127 @@ def test_ambient_extremality_sees_subobjects_registered_later():
         ok, (m, _) = is_extremal_wrt(amb, [f], M)
         verdicts.append((ok, m.images))
     assert verdicts == [(False, (0, 3))] * 2
+
+
+ORACLE_CLASSES = ("monos", "epis", "isos", "all", "sections", "retractions")
+
+
+def _extremality_answers(C, M, ask):
+    """member list, then per morphism f: is_extremal_wrt([f]) and
+    is_stably_extremal at probe caps None and 3; per target, the family
+    of all morphisms into it."""
+    out = [ask.member_list(M)]
+    for f in C.morphisms():
+        out.append(ask.is_extremal_wrt(C, [f], M))
+        for cap in (None, 3):
+            out.append(ask.is_stably_extremal(C, f, M, cap))
+    for x in C.objects():
+        family = list(C.morphisms_into(x))
+        if family:
+            out.append(ask.is_extremal_wrt(C, family, M))
+    return out
+
+
+# the package's answers, asked the way the oracle is
+_PACKAGE = SimpleNamespace(member_list=lambda M: M.member_list(),
+                           is_extremal_wrt=is_extremal_wrt,
+                           is_stably_extremal=is_stably_extremal)
+
+
+def test_extremality_matches_reference_loops(corpus):
+    """Member lists and extremality verdicts with their witnesses equal the
+    plain loops of oracles, asked cold and again from the tables, on the
+    explicit corpus categories but finite_top and the 64 harness
+    categories, for builtin classes and explicit copies of them."""
+    from fincov.fincat import FinCategory
+    from fincov.instances import random_category
+    cats = [corpus[n].category for n in corpus.names()
+            if n != "finite_top"
+            and isinstance(corpus[n].category, FinCategory)]
+    cats += [random_category(s, (4, 12)) for s in range(64)]
+    verdicts = set()
+    for C in cats:
+        for name in ORACLE_CLASSES:
+            builtin = builtin_class(C, name)
+            fresh = MorphismClass(C, name, predicate=builtin.predicate)
+            explicit = explicit_class(C, name, builtin.member_list())
+            for M in (fresh, explicit):
+                want = _extremality_answers(C, M, oracles)
+                assert _extremality_answers(C, M, _PACKAGE) == want
+                assert _extremality_answers(C, M, _PACKAGE) == want
+                verdicts.update(v[0] for v in want[1:])
+    assert verdicts == {True, False}
+
+
+def test_ambient_extremality_dropped_when_roster_grows():
+    """On the abelian ambient with the class of all homs, the tables are
+    dropped when register adds Z6: id_Z3 is extremal before and factors
+    through the projection Z6 -> Z3 after."""
+    from fincov.fincat import mor_key
+    from fixtures_util import grown_ambient
+    amb = grown_ambient()
+    M = builtin_class(amb, "all")
+    z3 = next(A for A in amb.objects() if A.name == "Z3")
+    id3 = amb.identity(z3)
+    answers = []
+    for grow in (False, True):
+        if grow:
+            amb.register(cyclic_group(6))
+        fs = sorted(amb.morphisms(), key=mor_key)
+        n = len(amb.objects())
+        want = [oracles.member_list(M)]
+        want += [oracles.is_stably_extremal(amb, f, M, cap)
+                 for f in fs for cap in (None, 3)]
+        for _ in range(2):
+            got = [M.member_list()]
+            got += [is_stably_extremal(amb, f, M, cap)
+                    for f in fs for cap in (None, 3)]
+            assert got == want
+        assert len(amb.objects()) == n
+        answers.append(is_extremal_wrt(amb, [id3], M))
+    assert answers[0] == (True, None)
+    assert answers[1][0] is False and answers[1][1][0].src.size == 6
+
+
+def test_predicate_asked_once_per_morphism_and_roster():
+    """Repeated member lists, extremality questions and quotient-closure
+    checks ask a predicate class's predicate at most once per morphism
+    and roster: monos on 8 harness categories, and injections on the
+    abelian ambient before and after register adds Z6."""
+    from collections import Counter
+    from fixtures_util import grown_ambient
+    from fincov.coverage import RuleCoverage, build_chain_type
+    from fincov.instances import random_category
+    from fincov.theorems import verify_closure_quotients
+    calls = Counter()
+
+    def counted(C, predicate):
+        def ask(m):
+            calls[C.name, len(C.objects()), m] += 1
+            return predicate(m)
+        return ask
+
+    def ask_all(C, M, E, fs):
+        tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+        for _ in range(3):
+            M.member_list()
+            for f in fs:
+                is_extremal_wrt(C, [f], M)
+                is_stably_extremal(C, f, M)
+                is_stably_extremal(C, f, M, 3)
+                verify_closure_quotients(C, tau, E, M, f, cap=64)
+
+    for s in range(8):
+        C = random_category(s, (4, 12))
+        M = MorphismClass(C, "monos", predicate=counted(C, C.is_mono))
+        ask_all(C, M, builtin_class(C, "isos"), C.morphisms())
+    amb = grown_ambient()
+    M = MorphismClass(amb, "injections",
+                      predicate=counted(amb, lambda m: m.is_injective()))
+    E = builtin_class(amb, "surjections")
+    for grow in (False, True):
+        if grow:
+            amb.register(cyclic_group(6))
+        ask_all(amb, M, E, [f for f in amb.morphisms()
+                            if f.src.size <= 4 and f.is_surjective()])
+    assert len(calls) > 100 and set(calls.values()) == {1}

@@ -286,3 +286,21 @@ def test_counterexamples_are_diagrams(form_reports):
                 assert C.compose(cx.gamma, cx.e_prime) == eb
             checked += 1
     assert checked == 183
+
+
+@pytest.mark.parametrize("name", ["abelian_ambient", "groups_ambient"])
+def test_initial_object_on_ambients(corpus, name):
+    """The rectangle form's initial object is found on algebra ambients,
+    whose objects do not compare with <, and is the ambient's own."""
+    from fincov.protomod import _initial_object
+    C = corpus[name].category
+    assert _initial_object(C) is C.initial() is not None
+
+
+def test_initial_object_on_explicit_categories(corpus):
+    """Sorting by mor_key keeps the string order of explicit objects."""
+    from fincov.protomod import _initial_object
+    for n in corpus.names():
+        C = corpus[n].category
+        if isinstance(C, FinCategory) and n != "finite_top":
+            assert _initial_object(C) == oracles._initial_object(C)
