@@ -20,11 +20,14 @@ the posets themselves built beforehand.  The next three rows time
 construction: the powerset posets P(4) to P(7) themselves, the finite
 spaces of at most 3 points with their 1476 continuous maps, and the
 seeded mixed functors of seeds 0-99, each run from an empty variance
-shape cache.  The last two rows time the algebra ambient: the equation
-checks of ``FinAlgebra.validate`` over the 8 algebras of the grown
-ambient, and ``check_class_properties`` of the injections on a fresh
-ambient grown by Z2 x Z3 (its hom sets and composite index built
-beforehand, no subobject registered, no stability verdict kept).
+shape cache.  The next four rows time the algebra ambient: the 64 hom
+sets of the grown ambient, enumerated afresh; the three product
+registrations that grow a fresh abelian-groups ambient (its seed hom
+sets built beforehand); the equation checks of ``FinAlgebra.validate``
+over the 8 algebras of the grown ambient; and ``check_class_properties``
+of the injections on a fresh ambient grown by Z2 x Z3 (its hom sets and
+composite index built beforehand, no subobject registered, no stability
+verdict kept).
 The image-compatibility row runs ``check_image_compatibility`` as the
 closure harness does: the first 8 morphisms of the 64 harness
 categories (E = isos, M = monos, no factorization system) and the 20
@@ -51,7 +54,8 @@ import time
 import numpy as np
 
 from fincov import instances, kernels
-from fincov.algkit import build_finalg_category, group_theory
+from fincov.algkit import build_finalg_category, enumerate_homs, \
+    group_theory
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
     RuleCoverage, _enumerate_functors, _powerset_poset, build_chain_type, \
     check_image_compatibility, decide_tau_compact
@@ -115,6 +119,26 @@ def workloads():
         amb.find_pullback(amb.hom(ob[a], ob["Z1"])[0],
                           amb.hom(ob[b], ob["Z1"])[0])
     injective = np.array([m.is_injective() for m in amb.morphisms()])
+
+    def hom_sets():
+        n = sum(len(enumerate_homs(A, B)) for A in amb.objects()
+                for B in amb.objects())
+        return f"{n} homs"
+
+    # one fresh ambient per timed run, its seed hom sets built beforehand
+    seeded = []
+    for _ in range(3):
+        C = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+        C.morphisms()
+        seeded.append(C)
+
+    def products():
+        C = seeded.pop()
+        ob = {A.name: A for A in C.objects()}
+        for a, b in (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4")):
+            C.find_pullback(C.hom(ob[a], ob["Z1"])[0],
+                            C.hom(ob[b], ob["Z1"])[0])
+        return f"{len(C.objects())} objects"
 
     def index(C):
         C._composites = None
@@ -264,6 +288,8 @@ def workloads():
         ("build P(4..7)", lambda: [_powerset_poset(k) for k in range(4, 8)]),
         ("build finite_top_category(3)", lambda: finite_top_category(3)),
         ("random_mixed_functor 0-99, cold shapes", mixed_functors),
+        ("hom sets, ambient grown to 8 objects (64 pairs)", hom_sets),
+        ("register Z2xZ3, Z2xV4, Z2xZ4 on a fresh ambient", products),
         ("validate ambient algebras (8)",
          lambda: [A.validate() for A in amb.objects()]),
         ("injections properties, ambient + Z2xZ3", injection_properties),

@@ -11,6 +11,7 @@ reports therefore say "holds on corpus", never "provable".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,17 +310,19 @@ def generating_trace(A):
     """Greedy generator choice plus a production trace for hom extension.
 
     Returns (gens, trace); trace entries are ("const", sym, elt),
-    ("gen", i, elt) or ("op", sym, args, elt) in production order.
+    ("gen", i, elt) or ("op", sym, args, elt) in production order, and
+    produce each element of A once.  Cached on A.
     """
+    cached = A.__dict__.get("_trace")
+    if cached is not None:
+        return cached
     produced = {}
     trace = []
-    frontier = []
     for s in A.theory.constants():
         v = A.apply(s, [])
         if v not in produced:
             produced[v] = len(trace)
             trace.append(("const", s, v))
-            frontier.append(v)
     gens = []
 
     def close():
@@ -343,37 +346,77 @@ def generating_trace(A):
             produced[x] = len(trace)
             trace.append(("gen", len(gens) - 1, x))
             close()
-    return gens, trace
+    A._trace = (tuple(gens), tuple(trace))
+    return A._trace
 
 
-def _replay(A, B, trace, assign):
-    """The map A -> B sending generator i to assign[i] and extended along
-    the production trace of A (which produces each element once)."""
-    img = {}
-    for entry in trace:
-        if entry[0] == "const":
-            img[entry[2]] = B.apply(entry[1], [])
-        elif entry[0] == "gen":
-            img[entry[2]] = assign[entry[1]]
-        else:
-            _, s, args, v = entry
-            img[v] = B.apply(s, [img[x] for x in args])
-    return AlgHom(A, B, tuple(img[x] for x in A.carrier))
+# Most entries one chunk of a grid replay compares at once: rows times the
+# argument tuples of A's widest operation (0.5 MB of intp).
+_GRID_CHUNK = 1 << 16
+
+
+def _replay_grid(A, B, choices):
+    """Replay A's generating trace into B over the generator-assignment
+    grid ``itertools.product(*choices)``, one bounded chunk at a time.
+
+    Yields (images, valid) per chunk, in grid order: ``images`` has one
+    row per assignment, the image of each element of A under the map that
+    sends generator i to the assignment's i-th entry and is extended along
+    the trace; ``valid`` says which rows commute with every operation.
+    """
+    _, trace = generating_trace(A)
+    shape = tuple(len(c) for c in choices)
+    total = math.prod(shape)
+    choices = [np.asarray(c, dtype=np.intp) for c in choices]
+    src, tgt = A.op_tables(), B.op_tables()
+    width = max([A.size ** a for _, a in A.theory.symbols] + [A.size, 1])
+    step = max(1, _GRID_CHUNK // width)
+    for lo in range(0, total, step):
+        n = min(step, total - lo)
+        digits = np.unravel_index(np.arange(lo, lo + n), shape) \
+            if shape else ()
+        img = np.empty((n, A.size), dtype=np.intp)
+        for entry in trace:
+            if entry[0] == "const":
+                img[:, entry[2]] = tgt[entry[1]][2]
+            elif entry[0] == "gen":
+                img[:, entry[2]] = choices[entry[1]][digits[entry[1]]]
+            else:
+                _, s, args, v = entry
+                img[:, v] = tgt[s][2][tuple(img[:, x] for x in args)]
+        valid = np.ones(n, dtype=bool)
+        for s, (args, values, _) in src.items():
+            rhs = tgt[s][2][tuple(img[:, x] for x in args)]
+            valid &= (img[:, values] == rhs).reshape(n, -1).all(axis=1)
+        yield img, valid
+
+
+def hom_rows(A, B):
+    """The image tuples of all homomorphisms A -> B, as an int64 array
+    with one row per hom, rows in ascending lexicographic order.
+
+    Generator i is the least element that the constants and the earlier
+    generators do not produce, so every element before it in the carrier
+    has its image fixed by the earlier generators.  Hence the grid's
+    product order over B's ascending carrier is already the lexicographic
+    order of the rows."""
+    rows = [img[valid] for img, valid in
+            _replay_grid(A, B, [B.carrier] * len(generating_trace(A)[0]))]
+    rows = np.concatenate(rows) if rows else np.empty((0, A.size), np.intp)
+    return rows.astype(np.int64, copy=False)
 
 
 def enumerate_homs(A, B):
     """All homomorphisms A -> B in deterministic (image-tuple) order."""
-    gens, trace = generating_trace(A)
-    out = [h for h in (_replay(A, B, trace, assign) for assign in
-                       itertools.product(B.carrier, repeat=len(gens)))
-           if h.is_valid()]
-    out.sort(key=lambda h: h.images)
-    return out
+    return [AlgHom(A, B, row) for row in hom_rows(A, B).tolist()]
 
 
 def _element_profile(A):
     """Per-element invariant refined through the tables; isomorphism
-    invariant, used to prune the isomorphism search."""
+    invariant, used to prune the isomorphism search.  Cached on A."""
+    cached = A.__dict__.get("_profile")
+    if cached is not None:
+        return cached
     colors = [0] * A.size
     for _ in range(3):
         sigs = []
@@ -394,24 +437,30 @@ def _element_profile(A):
         for sig in sorted(set(sigs)):
             relabel[sig] = len(relabel)
         colors = [relabel[s] for s in sigs]
-    return colors
+    A._profile = tuple(colors)
+    return A._profile
 
 
 def find_isomorphism(A, B):
-    """First isomorphism A -> B in generator-assignment order, or None."""
+    """First isomorphism A -> B in generator-assignment order, or None.
+
+    Each generator ranges over the elements of B of its own profile
+    colour, in carrier order."""
     if A.size != B.size:
         return None
     ca, cb = _element_profile(A), _element_profile(B)
     if sorted(ca) != sorted(cb):
         return None
-    gens, trace = generating_trace(A)
     by_color = {}
     for y in B.carrier:
         by_color.setdefault(cb[y], []).append(y)
-    for assign in itertools.product(*[by_color.get(ca[g], ()) for g in gens]):
-        h = _replay(A, B, trace, assign)
-        if h.is_bijective() and h.is_valid():
-            return h
+    choices = [by_color.get(ca[g], ()) for g in generating_trace(A)[0]]
+    carrier = np.arange(A.size)
+    for img, valid in _replay_grid(A, B, choices):
+        valid &= (np.sort(img, axis=1) == carrier).all(axis=1)
+        hit = np.flatnonzero(valid)
+        if len(hit):
+            return AlgHom(A, B, img[hit[0]].tolist())
     return None
 
 
@@ -1074,19 +1123,25 @@ class AlgCategory(CategoryBase):
         err = algebra.validate()
         if err is not None:
             raise ValueError(f"{algebra.name} fails {err}")
+        return self._admit(algebra)[0]
+
+    def _admit(self, algebra):
+        """Roster representative R of a model of the theory, with an
+        isomorphism R -> algebra (the identity when the algebra joins the
+        roster).  Not validated: callers pass models, such as subalgebras
+        and equalizers of roster algebras."""
         for R in self._roster:
-            if R.size == algebra.size and self._find_iso(algebra, R) is not None:
-                return R
+            if R.size == algebra.size:
+                iso = find_isomorphism(R, algebra)
+                if iso is not None:
+                    return R, iso
         self._roster.append(algebra)
         self._roster.sort(key=lambda A: A.key())
         self._into_cache.clear()
         self._from_cache.clear()
         self._composites = None
         drop_derived_memos(self)
-        return algebra
-
-    def _find_iso(self, A, B):
-        return find_isomorphism(A, B)
+        return algebra, identity_hom(algebra)
 
     def fresh_name(self, stem):
         self._fresh += 1
@@ -1106,20 +1161,19 @@ class AlgCategory(CategoryBase):
 
     def hom(self, A, B):
         key = (id(A), id(B))
-        if key not in self._hom_cache:
-            self._hom_cache[key] = tuple(enumerate_homs(A, B))
-        return self._hom_cache[key]
+        homs = self._hom_cache.get(key)
+        if homs is None:
+            rows = self._images_cache[key] = hom_rows(A, B)
+            homs = self._hom_cache[key] = tuple(
+                AlgHom(A, B, row) for row in rows.tolist())
+        return homs
 
     def hom_images(self, A, B):
         """hom(A, B) as an int64 array with one row of images per hom, in
-        hom order; cached, like the hom set, for the category's life."""
-        key = (id(A), id(B))
-        if key not in self._images_cache:
-            homs = self.hom(A, B)
-            self._images_cache[key] = np.array(
-                [h.images for h in homs], dtype=np.int64).reshape(len(homs),
-                                                                  A.size)
-        return self._images_cache[key]
+        hom order; built with the hom set and cached, like it, for the
+        category's life."""
+        self.hom(A, B)
+        return self._images_cache[id(A), id(B)]
 
     def morphisms_into(self, B):
         if id(B) not in self._into_cache:
@@ -1217,8 +1271,7 @@ class AlgCategory(CategoryBase):
         if P.size > self.size_cap:
             raise CapExceeded(
                 f"pullback of ({f!r}, {g!r}) has size {P.size} > cap")
-        R = self.register(P)
-        iso = self._find_iso(R, P) if R is not P else identity_hom(P)
+        R, iso = self._admit(P)
         proj1 = AlgHom(R, f.src, tuple(pairs[iso.images[i]][0]
                                        for i in range(R.size)))
         proj2 = AlgHom(R, g.src, tuple(pairs[iso.images[i]][1]
@@ -1261,8 +1314,7 @@ class AlgCategory(CategoryBase):
         ops = _induced_ops(self.theory, len(elems), lambda s, args: index[
             A.apply(s, [elems[i] for i in args])])
         S = FinAlgebra(self.theory, self.fresh_name(stem), len(elems), ops)
-        R = self.register(S)
-        iso = self._find_iso(R, S) if R is not S else identity_hom(S)
+        R, iso = self._admit(S)
         incl = AlgHom(R, A, tuple(elems[iso.images[i]] for i in range(R.size)))
         cache[cache_key] = (R, incl)
         return R, incl

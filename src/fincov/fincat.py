@@ -52,21 +52,25 @@ def derived_memo(C, name, owner):
     """Memo table ``name`` of results derived from the whole category C
     for one owner (a morphism class or a coverage), compared by identity.
 
-    The tables live in ``C.__dict__`` and hold the owner weakly, so an
-    entry lasts no longer than either.  Categories and owners are assumed
-    not to change after construction; a category that grows drops all of
-    its tables (``drop_derived_memos``).
+    C keeps one table of owners in ``C.__dict__``, holding each owner
+    weakly with a dict of its memo tables by name, so an entry lasts no
+    longer than either.  Categories and owners are assumed not to change
+    after construction; a category that grows drops all of its tables
+    (``drop_derived_memos``).
 
     A hit allocates nothing: tables are made only on a miss.
     """
     try:
-        return C.__dict__["_derived_memos"][name][owner]
+        return C.__dict__["_derived_memos"][owner][name]
     except KeyError:
         pass
-    tables = C.__dict__.setdefault("_derived_memos", {})
-    if name not in tables:
-        tables[name] = weakref.WeakKeyDictionary()
-    memo = tables[name][owner] = {}
+    owners = C.__dict__.get("_derived_memos")
+    if owners is None:
+        owners = C.__dict__["_derived_memos"] = weakref.WeakKeyDictionary()
+    tables = owners.get(owner)
+    if tables is None:
+        tables = owners[owner] = {}
+    memo = tables[name] = {}
     return memo
 
 

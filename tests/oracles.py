@@ -24,8 +24,10 @@ hom at a time, equations checked one assignment at a time, the seeded
 inputs built by the all-pairs preorder fixpoint with every candidate
 group rebuilt, image compatibility decided covering by covering with
 nothing kept between coverings, and the three protomodularity forms on
-explicit categories as one loop each.  The last section lists class
-members and decides extremality with nothing kept between calls.
+explicit categories as one loop each.  Then class members are listed
+and extremality decided with nothing kept between calls.  The last
+section enumerates algebra hom sets and searches isomorphisms one
+generator assignment at a time.
 """
 
 from fincov.fincat import mor_key, try_pullback
@@ -1011,3 +1013,95 @@ def is_stably_extremal(C, f, M, probe_cap=None):
         if not ok:
             return False, restricted, (g,) + wit
     return True, restricted, None
+
+
+# ---------------------------------------------------------------------------
+# algebra hom sets and isomorphisms, one assignment at a time
+# ---------------------------------------------------------------------------
+# Each generator assignment is replayed along the generating trace in
+# Python and its validity tested as one hom; the element profile is
+# computed again for every search.
+
+
+def replay(A, B, trace, assign):
+    """The map A -> B sending generator i to assign[i] and extended along
+    the production trace of A (which produces each element once)."""
+    from fincov.algkit import AlgHom
+    img = {}
+    for entry in trace:
+        if entry[0] == "const":
+            img[entry[2]] = B.apply(entry[1], [])
+        elif entry[0] == "gen":
+            img[entry[2]] = assign[entry[1]]
+        else:
+            _, s, args, v = entry
+            img[v] = B.apply(s, [img[x] for x in args])
+    return AlgHom(A, B, tuple(img[x] for x in A.carrier))
+
+
+def enumerate_homs(A, B):
+    """All homomorphisms A -> B, sorted by image tuple."""
+    import itertools
+
+    from fincov.algkit import generating_trace
+    gens, trace = generating_trace(A)
+    out = [h for h in (replay(A, B, trace, assign) for assign in
+                       itertools.product(B.carrier, repeat=len(gens)))
+           if h.is_valid()]
+    out.sort(key=lambda h: h.images)
+    return out
+
+
+def hom_rows(A, B):
+    """``enumerate_homs`` as an int64 array of image rows."""
+    import numpy as np
+    homs = enumerate_homs(A, B)
+    return np.array([h.images for h in homs],
+                    dtype=np.int64).reshape(len(homs), A.size)
+
+
+def element_profile(A):
+    """Per-element colours refined three times through the tables."""
+    colors = [0] * A.size
+    for _ in range(3):
+        sigs = []
+        for x in A.carrier:
+            sig = [colors[x]]
+            for s, a in A.theory.symbols:
+                if a == 0:
+                    sig.append(int(A.apply(s, []) == x))
+                elif a == 1:
+                    sig.append(colors[A.apply(s, [x])])
+                elif a == 2:
+                    sig.append(tuple(sorted(colors[A.apply(s, [x, y])]
+                                            for y in A.carrier)))
+                    sig.append(tuple(sorted(colors[A.apply(s, [y, x])]
+                                            for y in A.carrier)))
+            sigs.append(tuple(sig))
+        relabel = {}
+        for sig in sorted(set(sigs)):
+            relabel[sig] = len(relabel)
+        colors = [relabel[s] for s in sigs]
+    return colors
+
+
+def find_isomorphism(A, B):
+    """First bijective hom A -> B in the product order of the generators'
+    same-colour choices, or None."""
+    import itertools
+
+    from fincov.algkit import generating_trace
+    if A.size != B.size:
+        return None
+    ca, cb = element_profile(A), element_profile(B)
+    if sorted(ca) != sorted(cb):
+        return None
+    gens, trace = generating_trace(A)
+    by_color = {}
+    for y in B.carrier:
+        by_color.setdefault(cb[y], []).append(y)
+    for assign in itertools.product(*[by_color.get(ca[g], ()) for g in gens]):
+        h = replay(A, B, trace, assign)
+        if h.is_bijective() and h.is_valid():
+            return h
+    return None

@@ -440,3 +440,37 @@ def test_derived_memo_hit_builds_no_table(monkeypatch):
     for _ in range(3):
         assert fincat.derived_memo(C, "probe", A) is table
     assert events == []
+
+
+def test_derived_memo_one_owner_table_per_category():
+    """A category keeps one weak table of owners, each with one dict of
+    its named tables; an owner's tables go with it, and a growing algebra
+    ambient drops them all."""
+    import gc
+
+    from fincov import fincat
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import groups_upto
+
+    class Owner:
+        pass
+
+    C = chain_poset(2)
+    A, B = Owner(), Owner()
+    t1 = fincat.derived_memo(C, "one", A)
+    t2 = fincat.derived_memo(C, "two", A)
+    t3 = fincat.derived_memo(C, "one", B)
+    assert len({id(t1), id(t2), id(t3)}) == 3
+    owners = C.__dict__["_derived_memos"]
+    assert len(owners) == 2 and set(owners[A]) == {"one", "two"}
+    assert owners[A]["one"] is t1 and owners[A]["two"] is t2
+    assert fincat.derived_memo(C, "two", A) is t2
+    del B
+    gc.collect()
+    assert len(owners) == 1
+
+    amb = build_finalg_category(group_theory(), 8, groups_upto(4))
+    old = fincat.derived_memo(amb, "one", A)
+    amb.register(cyclic_group(6))
+    assert "_derived_memos" not in amb.__dict__
+    assert fincat.derived_memo(amb, "one", A) is not old
