@@ -1099,6 +1099,8 @@ class AlgCategory(CategoryBase):
     to the roster (a CapExceeded is raised past the cap).
     """
 
+    concrete = True
+
     def __init__(self, theory, size_cap, name=None):
         super().__init__()
         self.theory = theory
@@ -1216,6 +1218,12 @@ class AlgCategory(CategoryBase):
     def is_iso(self, m):
         # a bijective hom between finite algebras has a hom inverse
         return m.is_bijective()
+
+    def is_mono(self, m):
+        return m.is_injective()
+
+    def is_epi(self, m):
+        return m.is_surjective()
 
     def iso_inverse(self, m):
         if not m.is_bijective():

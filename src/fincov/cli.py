@@ -24,7 +24,8 @@ from .coverage import ClosedFamilyCoverage, DiagramTypeFailure, \
     decide_tau_compact
 from .fincat import FinCategory, category_from_json, classify_morphism, \
     validate_category
-from .instances import corpus_entry, corpus_names, standard_corpus
+from .instances import FiniteTopCorpus, corpus_entry, corpus_names, \
+    standard_corpus
 from .morphclass import MorphismClass, builtin_class, \
     check_class_properties, check_factorization_system, check_regular
 from .protomod import check_protomodularity_equivalent, \
@@ -198,7 +199,7 @@ def resolve_coverage(C, entry, data, args, M):
     kind = args.coverage or "rule"
     if kind in ("open-covers", "closed-families"):
         top = entry.extra if entry is not None else None
-        if top is None or not hasattr(top, "spaces"):
+        if not isinstance(top, FiniteTopCorpus):
             raise InputError("topological coverages need the finite_top "
                              "corpus fixture")
         cls = OpenCoverCoverage if kind == "open-covers" else \
@@ -633,7 +634,7 @@ def export_corpus(outdir):
     manifest = {"schema": rp.SCHEMA_VERSION, "fixtures": {}}
     for nm in corpus.names():
         entry = corpus[nm]
-        if hasattr(entry.category, "theory"):
+        if not isinstance(entry.category, FinCategory):
             continue  # ambient handles are constructed, not serialized
         payload = {"category": entry.category.to_json(),
                    "classes": [entry.classes[k].to_json()

@@ -108,9 +108,14 @@ class CategoryBase:
     algebra ambients build equalizing subalgebras).  Objects and morphisms
     are opaque sortable keys; both enumerations must be deterministically
     ordered.
+
+    ``concrete`` is True for the algebra ambient, whose morphisms are homs
+    of finite algebras with injective monos and surjective epis; the
+    element-wise shortcuts read it, other categories take generic scans.
     """
 
     name = "category"
+    concrete = False
 
     def __init__(self):
         self._iso_cache = {}

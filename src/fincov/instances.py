@@ -463,9 +463,12 @@ class FiniteTopCorpus:
             and self.is_embedding(m)
 
     def extremal_monos(self):
-        """Embeddings (subspace inclusions up to homeomorphism)."""
-        return explicit_class(self.category, "embeddings",
-                              [m for m in self.maps if self.is_embedding(m)])
+        """Embeddings (subspace inclusions up to homeomorphism), one class
+        object per corpus: the topological coverages are subordinated to it."""
+        if "_embeddings" not in self.__dict__:
+            self._embeddings = explicit_class(self.category, "embeddings", [
+                m for m in self.maps if self.is_embedding(m)])
+        return self._embeddings
 
 
 def _all_topologies(n):
@@ -802,7 +805,7 @@ class Corpus:
         for n in self.names():
             e = self.entries[n]
             size = len(e.category.morphisms()) \
-                if not hasattr(e.category, "theory") else \
+                if isinstance(e.category, FinCategory) else \
                 f"ambient cap {e.category.size_cap}"
             out[n] = {"category": e.category.name,
                       "classes": sorted(e.classes),

@@ -1,8 +1,9 @@
 """Morphism-class calculus: systems, stability, cancelability, extremal
 (epi)morphisms, orthogonality and stable orthogonal factorization systems.
 
-Classes over explicit categories are finite member sets; over lazily
-enumerated categories they are predicates with iso-saturated builtins.
+Classes are finite member sets or predicates.  A builtin keeps the name
+it is asked by; what a shortcut needs of a class (every member mono, iso
+saturation) is decided from its members once per roster, not its name.
 "stable" is always evaluated over the pullbacks that exist in the category;
 incomplete categories yield a qualified verdict.
 """
@@ -18,19 +19,16 @@ from .fincat import FinCategory, derived_memo, mor_key, try_pullback
 
 
 class MorphismClass:
-    """A class of morphisms of one category: explicit members or a predicate."""
+    """A class of morphisms of one category: explicit members or a
+    predicate, under a name that labels it and decides nothing."""
 
-    def __init__(self, category, name, members=None, predicate=None,
-                 iso_saturated=True):
+    def __init__(self, category, name, members=None, predicate=None):
         if (members is None) == (predicate is None):
             raise ValueError("give exactly one of members/predicate")
         self.category = category
         self.name = name
         self.members = frozenset(members) if members is not None else None
         self.predicate = predicate
-        # closed under pre/postcomposition with isomorphisms; true for all
-        # builtins, needed by the anchored protomodularity scan
-        self.iso_saturated = iso_saturated
         self._memo = {}
 
     def contains(self, m):
@@ -93,8 +91,7 @@ def _make_builtin_class(C, name):
     if name == "all":
         return MorphismClass(C, name, predicate=lambda m: True)
     if name == "identities":
-        return MorphismClass(C, name, predicate=C.is_identity,
-                             iso_saturated=False)
+        return MorphismClass(C, name, predicate=C.is_identity)
     if name == "isos":
         return MorphismClass(C, name, predicate=C.is_iso)
     if name == "sections":
@@ -102,14 +99,9 @@ def _make_builtin_class(C, name):
     if name == "retractions":
         return MorphismClass(C, name, predicate=C.is_retraction)
     if name in ("monos", "injections"):
-        if hasattr(C, "theory"):
-            # algebra ambient: injective homs (monos of the full variety)
-            return MorphismClass(C, name, predicate=lambda m: m.is_injective())
-        return MorphismClass(C, "monos", predicate=C.is_mono)
+        return MorphismClass(C, name, predicate=C.is_mono)
     if name in ("epis", "surjections"):
-        if hasattr(C, "theory"):
-            return MorphismClass(C, name, predicate=lambda m: m.is_surjective())
-        return MorphismClass(C, "epis", predicate=C.is_epi)
+        return MorphismClass(C, name, predicate=C.is_epi)
     raise KeyError(f"unknown builtin class {name}")
 
 
@@ -219,21 +211,16 @@ def _stability_scan(C, A, probe_cap=None):
 
 
 def _ambient_injective_only(C, A):
-    """Ambient classes whose members are all injective homs: extremality
-    and stability reduce to image comparisons (unique corestrictions).
-    Requires iso saturation, which all such builtins and generated systems
-    over them satisfy."""
-    if not hasattr(C, "theory"):
+    """Whether A is a class of monos (injective homs) of a concrete
+    category: extremality and stability then reduce to image comparisons
+    (unique corestrictions).  Decided once per roster."""
+    if not C.concrete:
         return False
-    if A.name in ("monos", "injections", "sections", "isos", "identities"):
-        return True
-    if A.members is not None and A.iso_saturated:
-        flag = A.__dict__.get("_all_injective")
-        if flag is None:
-            flag = all(m.is_injective() for m in A.members)
-            A.__dict__["_all_injective"] = flag
-        return flag
-    return False
+    memo = derived_memo(C, "class_facts", A)
+    hit = memo.get("monos")
+    if hit is None:
+        hit = memo["monos"] = all(map(C.is_mono, A.member_list()))
+    return hit
 
 
 def _ambient_class_images(C, A, z):
@@ -256,7 +243,7 @@ def _ambient_class_images(C, A, z):
 def _ambient_stability_scan(C, A):
     """Stability of an injective-members ambient class via image closure:
     the pullback of an injective m along g is the corestriction onto the
-    preimage of its image (an iso-saturated membership test).
+    preimage of its image, the projection ``find_pullback`` builds.
 
     Members with one target and one image have the same pullbacks, so the
     morphisms into that target are scanned once per image (again if the

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fincat import PullbackSquare, mor_key, verify_pullback_square
+from .fincat import PullbackSquare, derived_memo, mor_key, \
+    verify_pullback_square
 from .morphclass import MorphismClass, builtin_class, is_stably_extremal
 
 
@@ -129,7 +130,7 @@ def _scan(C, E, M, form, plan, ambient_form=None):
     whether e.beta is let in; and ``witness(eb, c)``, the (gamma, e') of a
     counterexample.
     """
-    if hasattr(C, "theory"):
+    if C.concrete:
         return _check_ambient(C, E, M, form=ambient_form or form)
     thetas_into, admits, witness = plan(C, E)
     count = 0
@@ -231,17 +232,18 @@ def _check_ambient(C, E, M, form):
 
     e.beta is read from the composite index, and the candidate betas into
     each b (non-bijective M-members, sorted) are listed once, before the
-    scan over e.
+    scan over e.  Raises ValueError when E is not closed under composition
+    with isos, which the reduction of the definition form needs.
     """
     I0 = C.initial()
     if I0 is None:
         raise ValueError("ambient protomodularity scan needs an initial object")
-    if not getattr(E, "iso_saturated", True):
-        raise ValueError("ambient scan needs an iso-saturated E")
     index = C.composite_index()
     ms = index.morphisms
     in_E = np.fromiter((E.contains(m) for m in ms), dtype=bool,
                        count=len(ms))
+    if not _closed_under_isos(C, E, index, in_E):
+        raise ValueError("ambient scan needs an iso-saturated E")
     # per b: the non-bijective M-members into b, sorted, and their
     # columns in b's block
     candidates = {}
@@ -283,6 +285,21 @@ def _check_ambient(C, E, M, form):
                                    form=form)
     return ProtoReport(True, None, count, False,
                        scope=f"within size cap {C.size_cap}", form=form)
+
+
+def _closed_under_isos(C, E, index, in_E):
+    """Whether iso . e and e . iso lie in E for every member e of E (in_E,
+    over the composite index's morphisms); decided once per roster."""
+    memo = derived_memo(C, "class_facts", E)
+    hit = memo.get("closed_under_isos")
+    if hit is None:
+        ms = index.morphisms
+        iso = np.fromiter(map(C.is_iso, ms), dtype=bool, count=len(ms))
+        hit = memo["closed_under_isos"] = all(
+            in_E[table[np.ix_(iso[rows], in_E[cols])]].all()
+            and in_E[table[np.ix_(in_E[rows], iso[cols])]].all()
+            for rows, cols, table in index.blocks.values())
+    return hit
 
 
 def cross_validate_protomodularity(C, E, M):

@@ -111,10 +111,10 @@ def verify_closure_subobjects(C, J, M, cap=None):
 
 def _subordination(C, tau, M, cap):
     """(ok, witness) for "every covering of tau has legs in M": the witness
-    is "by construction" when tau is subordinated to M by definition, else
-    the first failing (covering key, index object) or None."""
-    sub = tau.subordination_class(C)
-    if sub is not None and sub.name == M.name:
+    is "by construction" when tau's coverings are built with legs in the
+    class object M itself, else the first failing (covering key, index
+    object) or None."""
+    if tau.subordination_class(C) is M:
         return True, "by construction"
     for c in sorted(C.objects(), key=str):
         covs, _ = tau.coverings_of(C, c, cap=cap)
@@ -440,7 +440,7 @@ def hopfian_naturality_ok(C, chain, samples=None):
 
 def check_mono_reflective(C, c, probe_cap=None):
     """No morphism out of c has a monic pullback without being monic."""
-    if hasattr(C, "theory"):
+    if C.concrete:
         return _mono_reflective_ambient(C, c)
     restricted = False
     for f in sorted(C.morphisms_from(c), key=str):
@@ -542,7 +542,6 @@ def _images_closed(C, FS, E, M, K, source_class, cap=None):
     quantifies all factorizations of f.k through E then M."""
     checked = 0
     e_members = sorted(E.member_list(), key=str)
-    ambient = hasattr(C, "theory")
     by_src = {}
     for fbar in e_members:
         by_src.setdefault(C.src(fbar), []).append(fbar)
@@ -552,29 +551,6 @@ def _images_closed(C, FS, E, M, K, source_class, cap=None):
                 continue
             fk = C.compose(f, k)
             for fbar in by_src.get(C.src(k), ()):
-                if ambient and fbar.is_surjective():
-                    # the M-leg is determined pointwise through fbar
-                    gmap = {}
-                    ok = True
-                    for x in fbar.src.carrier:
-                        y = fbar(x)
-                        if y in gmap and gmap[y] != fk(x):
-                            ok = False
-                            break
-                        gmap[y] = fk(x)
-                    if not ok:
-                        continue
-                    from .algkit import AlgHom
-                    kbar = AlgHom(fbar.tgt, f.tgt,
-                                  tuple(gmap[y] for y in fbar.tgt.carrier))
-                    if not kbar.is_valid() or not M.contains(kbar):
-                        continue
-                    checked += 1
-                    if cap is not None and checked > cap:
-                        return None, None
-                    if not K.contains(kbar):
-                        return False, (k, f, fbar, kbar)
-                    continue
                 for kbar in C.hom(C.tgt(fbar), C.tgt(f)):
                     if not M.contains(kbar):
                         continue
@@ -594,8 +570,7 @@ def run_image_closure_suite(C, FS, tau, K, cap=None, probe_cap=None,
     E, M = FS.E, FS.M
     out = {}
     hyp = ClosureReport("image-closure-hypotheses")
-    mono_M = all(C.is_mono(m) if not hasattr(C, "theory")
-                 else m.is_injective() for m in M.member_list())
+    mono_M = all(map(C.is_mono, M.member_list()))
     hyp.add_hypothesis("M consists of monos", mono_M)
     hyp.add_hypothesis("K contained in M",
                        all(M.contains(k) for k in K.member_list()))

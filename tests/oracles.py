@@ -13,21 +13,21 @@ the kernel tests require the kernels to return exactly it.  Beside them
 sits the explicit category's kernel pullback search without its iso-leg
 shortcut.
 
-The later sections are references over package categories: the
-variance laws as plain per-morphism and per-pair loops, the covering
-enumeration as generate and test, rule coverages enumerated type by
-type, and compactness verdicts decided covering by covering.  They share
-only the morphism sort order (``fincat.mor_key``), which is the order
-the package's witnesses are defined by.  The last sections are
-plain-loop references for table code: the ambient stability scan one
-hom at a time, equations checked one assignment at a time, the seeded
-inputs built by the all-pairs preorder fixpoint with every candidate
-group rebuilt, image compatibility decided covering by covering with
-nothing kept between coverings, and the three protomodularity forms on
-explicit categories as one loop each.  Then class members are listed
-and extremality decided with nothing kept between calls.  The last
-section enumerates algebra hom sets and searches isomorphisms one
-generator assignment at a time.
+The later sections are references over package categories: the variance
+laws as plain per-morphism and per-pair loops, the covering enumeration
+as generate and test, rule coverages enumerated type by type, and
+compactness verdicts decided covering by covering.  They share only the
+morphism sort order (``fincat.mor_key``), which is the order the
+package's witnesses are defined by.  The last sections are plain-loop
+references for table code: the ambient stability scan one hom at a time
+and as the generic pullback scan, equations checked one assignment at a
+time, the seeded inputs built by the all-pairs preorder fixpoint with
+every candidate group rebuilt, image compatibility decided covering by
+covering with nothing kept between coverings, and the three
+protomodularity forms on explicit categories as one loop each.  Then
+class members are listed and extremality decided with nothing kept
+between calls.  The last section enumerates algebra hom sets and
+searches isomorphisms one generator assignment at a time.
 """
 
 from fincov.fincat import mor_key, try_pullback
@@ -574,6 +574,22 @@ def first_unstable_pullback(C, A, img, into):
         if not A.contains(proj):
             return g, proj
     return None
+
+
+def stability_scan(C, A):
+    """The generic pullback scan of A's stability: every member f in
+    morphism order, every g into its target, the canonical pullback
+    through ``find_pullback``.  Returns (stable, least (f, g, proj2)),
+    skipping the cospans without a pullback; no class facts, no image
+    shortcut."""
+    for f in C.morphisms():
+        if not A.contains(f):
+            continue
+        for g in C.morphisms_into(C.tgt(f)):
+            sq = try_pullback(C, f, g)
+            if sq is not None and not A.contains(sq.proj2):
+                return False, (f, g, sq.proj2)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,24 @@ def test_ambient_pullback_mediators():
     assert amb.compose(sq.proj1, med) == identity_hom(Z4a)
 
 
+@pytest.mark.parametrize("name", ["abelian_ambient", "groups_ambient",
+                                  "monoids_ambient"])
+def test_ambient_monos_and_epis_match_generic_definitions(corpus, name):
+    """The ambient's monos (injective homs) and epis (surjective homs) are
+    CategoryBase's cancellation tests over the roster, on every morphism
+    of the corpus ambients, and the ambient says it is concrete."""
+    from fincov.fincat import CategoryBase
+    C = corpus[name].category
+    assert C.concrete and not CategoryBase.concrete
+    ms = C.morphisms()
+    assert [C.is_mono(m) for m in ms] == \
+        [CategoryBase.is_mono(C, m) for m in ms]
+    assert [C.is_epi(m) for m in ms] == \
+        [CategoryBase.is_epi(C, m) for m in ms]
+    assert {C.is_mono(m) for m in ms} == {C.is_epi(m) for m in ms} == \
+        {True, False}
+
+
 def test_find_isomorphism_detects_nonisomorphic():
     assert find_isomorphism(cyclic_group(4), klein_four_group()) is None
     iso = find_isomorphism(cyclic_group(4), cyclic_group(4))

@@ -157,7 +157,7 @@ def test_ambient_objects_by_name(capsys):
 
 def entry_fingerprint(entry):
     C = entry.category
-    if hasattr(C, "theory"):
+    if C.concrete:
         # ambient classes are predicates over the roster
         cat = (C.name, C.size_cap, [A.key() for A in C.objects()])
         classes = {k: cl.to_json() for k, cl in entry.classes.items()}

@@ -313,7 +313,7 @@ def test_corpus_members_validate(corpus):
     assert corpus.names()
     for name in corpus.names():
         cat = corpus[name].category
-        if hasattr(cat, "theory"):
+        if cat.concrete:
             for A in cat.objects():
                 assert A.validate() is None
         else:

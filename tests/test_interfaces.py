@@ -123,3 +123,26 @@ def test_open_cover_cache_consistency():
     assert a == b
     capped, flag = occ.coverings_of(top.category, "X2.0", cap=1)
     assert flag is True and len(capped) == 1
+
+
+def test_no_attribute_probing_for_category_kinds():
+    """The package asks what a category or class is through
+    ``CategoryBase.concrete``, ``isinstance`` and facts decided from the
+    members: no ``hasattr(_, "theory")``, ``hasattr(_, "spaces")`` or
+    ``getattr(_, "iso_saturated", ...)`` anywhere in src/fincov."""
+    import ast
+    from pathlib import Path
+
+    import fincov
+    banned = {("hasattr", "theory"), ("hasattr", "spaces"),
+              ("getattr", "iso_saturated")}
+    found = []
+    for path in sorted(Path(fincov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant) \
+                    and (node.func.id, node.args[1].value) in banned:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

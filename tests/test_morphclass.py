@@ -408,6 +408,8 @@ def test_ambient_class_properties_match_reference_scans():
             _assert_matches_reference(amb, A, rep, triples)
             stable, wit = _reference_ambient_stability(amb, A)
             assert (rep.stable, rep.witnesses.get("stable")) == (stable, wit)
+        if not growth:
+            _assert_injective_classes_match_generic_scan(amb, triples)
         assert len(amb.objects()) == n
     # the generic stability scan takes pullbacks and may grow the roster
     # in between: the system scan reads the roster before it, the
@@ -426,6 +428,56 @@ def test_ambient_class_properties_match_reference_scans():
             assert (getattr(rep, prop), rep.witnesses.get(prop)) == \
                 (flags[prop], wit.get(prop)), (name, prop)
     assert len(amb.objects()) == 8
+
+
+def _assert_injective_classes_match_generic_scan(amb, triples):
+    """40 seeded explicit classes of injective homs, none of them closed
+    under composition with isos: the image shortcut that their members
+    select gives the verdict and witness of the generic pullback scan."""
+    import random
+    injections = builtin_class(amb, "injections").member_list()
+    isos = [m for m in amb.morphisms() if amb.is_iso(m)]
+    witnesses = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        A = explicit_class(amb, f"inj{seed}",
+                           [m for m in injections if rng.random() < 0.5])
+        assert any(amb.compose(g, m) not in A for m in A.member_list()
+                   for g in isos if g.src is m.tgt), seed
+        rep = check_class_properties(amb, A)
+        _assert_matches_reference(amb, A, rep, triples)
+        want = oracles.stability_scan(amb, A)
+        assert (rep.stable, rep.witnesses.get("stable")) == want, seed
+        assert _reference_ambient_stability(amb, A) == want, seed
+        witnesses.add(want[1])
+    assert len(witnesses) > 10
+
+
+def test_ambient_stability_reads_members_not_class_name():
+    """On the roster {Z1, Z2, Z4}, an explicit class named "monos" that
+    holds the surjection Z4 -> Z2, the identities and the maps to Z1 is
+    judged by its members: its stability verdict and witness equal those
+    of the same members under another name and those of the generic
+    pullback scan, each asked on a fresh ambient."""
+    from fincov.algkit import build_finalg_category, group_theory
+
+    def fresh_class(name):
+        amb = build_finalg_category(group_theory(), 8,
+                                    [cyclic_group(n) for n in (1, 2, 4)])
+        z1, z2, z4 = amb.objects()
+        members = [h for h in amb.hom(z4, z2) if h.is_surjective()]
+        members += [amb.identity(o) for o in amb.objects()]
+        members += [h for o in amb.objects() for h in amb.hom(o, z1)]
+        return amb, explicit_class(amb, name, members)
+
+    got = []
+    for name in ("monos", "other"):
+        amb, A = fresh_class(name)
+        rep = check_class_properties(amb, A)
+        got.append((rep.stable, repr(rep.witnesses.get("stable"))))
+    stable, wit = oracles.stability_scan(*fresh_class("monos"))
+    assert stable is False
+    assert got == [(stable, repr(wit))] * 2
 
 
 def test_class_properties_memo_matches_fresh_category():

@@ -304,3 +304,67 @@ def test_initial_object_on_explicit_categories(corpus):
         C = corpus[n].category
         if isinstance(C, FinCategory) and n != "finite_top":
             assert _initial_object(C) == oracles._initial_object(C)
+
+
+AMBIENTS = ("abelian_ambient", "groups_ambient", "monoids_ambient")
+
+
+def _closed_under_isos_by_loops(C, E):
+    """iso . e and e . iso in E for every member e, one composite at a
+    time."""
+    isos = [m for m in C.morphisms() if C.is_iso(m)]
+    return all(C.compose(g, e) in E for e in E.member_list()
+               for g in isos if g.src is e.tgt) \
+        and all(C.compose(e, g) in E for e in E.member_list()
+                for g in isos if g.tgt is e.src)
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_ambient_iso_closure_decided_from_members(corpus, name):
+    """The anchored scan's iso-closure test over the composite index
+    equals the plain loops: every builtin but identities is closed on the
+    corpus ambients, and identities is not, since an object has a
+    nontrivial automorphism, so the scan raises for it."""
+    import numpy as np
+
+    from fincov.protomod import _closed_under_isos
+    C = corpus[name].category
+    index = C.composite_index()
+    verdicts = {}
+    for cls in ("all", "identities", "isos", "monos", "epis", "injections",
+                "surjections", "sections", "retractions"):
+        E = builtin_class(C, cls)
+        in_E = np.array([E.contains(m) for m in index.morphisms])
+        verdicts[cls] = _closed_under_isos(C, E, index, in_E)
+        assert verdicts[cls] == _closed_under_isos_by_loops(C, E), cls
+    assert any(C.is_iso(m) and not C.is_identity(m) for m in C.morphisms())
+    assert [c for c, ok in verdicts.items() if not ok] == ["identities"]
+    with pytest.raises(ValueError, match="iso-saturated"):
+        check_protomodularity_pair(C, builtin_class(C, "identities"),
+                                   builtin_class(C, "all"))
+
+
+def test_ambient_explicit_E_must_be_closed_under_isos():
+    """An explicit copy of the surjections gives the builtin's report; the
+    copy without one composite iso . e raises.  On a roster without
+    nontrivial automorphisms, identities are closed and the scan runs."""
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    E, M = builtin_class(amb, "surjections"), builtin_class(amb, "all")
+    copy = explicit_class(amb, "surjections", E.member_list())
+    assert check_protomodularity_pair(amb, copy, M).to_json() == \
+        check_protomodularity_pair(amb, E, M).to_json()
+    autos = [h for h in amb.morphisms()
+             if amb.is_iso(h) and not amb.is_identity(h)]
+    ge = next(amb.compose(g, e) for e in E.member_list() for g in autos
+              if g.src is e.tgt and amb.compose(g, e) != e)
+    short = explicit_class(amb, "surjections",
+                           [m for m in E.member_list() if m != ge])
+    with pytest.raises(ValueError, match="iso-saturated"):
+        check_protomodularity_pair(amb, short, M)
+    small = build_finalg_category(group_theory(), 4,
+                                  [cyclic_group(1), cyclic_group(2)])
+    rep = check_protomodularity_pair(small, builtin_class(small, "identities"),
+                                     builtin_class(small, "all"))
+    assert rep.satisfied is True

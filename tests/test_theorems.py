@@ -158,6 +158,38 @@ def test_protomodularity_hypothesis_not_shared_between_same_named_classes():
     assert verdicts == [False, True]
 
 
+def test_subordination_by_construction_needs_the_class_object():
+    """A chain[1]k0 coverage over the builtin monos is subordinated to
+    them by construction, but not to an identities-only class that is
+    also named "monos": the hypothesis then enumerates the coverings and
+    reports the first one with a leg outside the class, as the reference
+    enumeration finds it."""
+    import oracles
+    from fincov.coverage import check_subordination
+    C = set_skeleton(2).category
+    monos = builtin_class(C, "monos")
+    ids = explicit_class(C, "monos", [C.identity(o) for o in C.objects()])
+    tau = RuleCoverage([build_chain_type(1, 0, "cov")], monos)
+    want = None
+    for c in sorted(C.objects(), key=str):
+        for cov in oracles.rule_coverings(C, c, tau.J, monos)[0]:
+            good, i = check_subordination(cov, ids)
+            if not good:
+                want = (cov.key(), i)
+                break
+        if want is not None:
+            break
+    assert want is not None
+    f = C.identity("S1")
+    got = []
+    for M in (monos, ids):
+        rep = verify_closure_quotients(C, tau, builtin_class(C, "isos"), M,
+                                       f, cap=64)
+        got.append(next((ok, wit) for name, ok, wit in rep.hypotheses
+                        if name == "tau subordinated to M"))
+    assert got == [(True, "by construction"), (False, want)]
+
+
 def test_tau_well_behaved_abelian(abelian4):
     amb, E, M, FS = abelian4
     tau = RuleCoverage([build_chain_type(1, 0, "cov")], M)
