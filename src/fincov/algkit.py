@@ -1225,6 +1225,20 @@ class AlgCategory(CategoryBase):
     def is_epi(self, m):
         return m.is_surjective()
 
+    def is_section(self, f):
+        """Some r in hom(b, a) has r.f = id_a, read off all of hom(b, a)
+        at once from its image rows."""
+        R = self.hom_images(f.tgt, f.src)
+        fim = np.array(f.images, dtype=np.intp)
+        return bool((R[:, fim] == np.arange(f.src.size)).all(axis=1).any())
+
+    def is_retraction(self, f):
+        """Some s in hom(b, a) has f.s = id_b, read off all of hom(b, a)
+        at once from its image rows."""
+        S = self.hom_images(f.tgt, f.src)
+        fim = np.array(f.images, dtype=np.intp)
+        return bool((fim[S] == np.arange(f.tgt.size)).all(axis=1).any())
+
     def iso_inverse(self, m):
         if not m.is_bijective():
             return None

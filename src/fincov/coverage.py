@@ -17,10 +17,9 @@ from functools import cached_property
 from .fincat import derived_memo, mor_key, slice_view
 from .instances import chain_poset, poset_category
 from .morphclass import builtin_class
-from .variance import MissingPullback, MixedFunctor, MixedNatTrans, \
-    Variance, broken_law, image_induced, pullback_induced, \
-    pushforward_functor, standard_variances, validate_mixed_functor, \
-    validate_variance
+from .variance import ImageTable, MissingPullback, MixedFunctor, \
+    Variance, broken_law, pullback_induced, standard_variances, \
+    validate_mixed_functor, validate_variance
 
 
 @dataclass
@@ -552,24 +551,27 @@ def check_image_compatibility(C, f, tau, E, M, FS=None, cap=None):
 
 
 def _image_compatibility(C, f, tau, E, M, FS, cap):
-    """The report of one question, each piece of it decided once: the
-    lifts and image functors (``image_induced`` with one memo), whether
-    an image covering is subordinated and in tau (per image functor and
-    diagram type), and the search's target lists and E-candidates
-    (``_CompatibleSearch``)."""
+    """The report of one question, each piece of it decided once.
+
+    One ``ImageTable`` for the call holds every composite, each object
+    leg's pushforward and image factorization, each arrow's lift and each
+    image functor, and is dropped when the call returns.  Per image
+    functor and diagram type, whether the image covering is subordinated
+    and in tau is decided once; the search (``_CompatibleSearch``) reads
+    the same table."""
     c, d = C.src(f), C.tgt(f)
     covs, capped = tau.coverings_of(C, c, cap=cap)
-    images = {}
-    # (id G, id type) -> verdict; G lives in images and the type in covs
+    table = ImageTable(C, f, FS)
+    # (id G, id type) -> verdict; G lives in the table and the type in covs
     image_ok = {}
-    search = _CompatibleSearch(C, f, tau, E, M, cap)
+    search = _CompatibleSearch(C, f, tau, E, M, cap, table)
     checked = 0
     for cov in covs:
         checked += 1
         ok = False
         if FS is not None:
-            G, eta = image_induced(C, FS, f, cov.functor, images)
-            if all(E.contains(comp[0]) for comp in eta.components.values()):
+            G, es = table.image(cov.functor)
+            if all(E.contains(e) for e in es):
                 key = (id(G), id(cov.diagram_type))
                 if key not in image_ok:
                     gcov = Covering(C, d, cov.diagram_type, G, cov.flags)
@@ -593,13 +595,16 @@ class _CompatibleSearch:
     The target coverings of tgt(f) are fetched once, and filtered by
     type and subordination once per diagram type, in coverage order.
     The sorted E-candidates h with q.h = p are found once per leg pair
-    (p, q).  Candidate combinations are tried in product order, so the
+    (p, q).  The pushforward legs f.x and every composite come from the
+    question's ``ImageTable``.  Candidate combinations are tried in
+    product order, each checked arrow by arrow for naturality, so the
     first transformation found does not depend on the caching.
     """
 
-    def __init__(self, C, f, tau, E, M, cap):
+    def __init__(self, C, f, tau, E, M, cap, table):
         self.C, self.f, self.tau, self.E, self.M, self.cap = \
             C, f, tau, E, M, cap
+        self.table = table
         self._targets = None
         self._by_type = {}
         self._cands = {}
@@ -618,32 +623,39 @@ class _CompatibleSearch:
     def candidates(self, p, q):
         """The E-morphisms h with q.h = p, sorted."""
         if (p, q) not in self._cands:
-            C = self.C
+            C, compose = self.C, self.table.compose
             self._cands[p, q] = sorted(
                 (h for h in C.hom(C.src(p), C.src(q))
-                 if C.compose(q, h) == p and self.E.contains(h)),
+                 if compose(q, h) == p and self.E.contains(h)),
                 key=mor_key)
         return self._cands[p, q]
 
     def compatible(self, cov):
-        push = pushforward_functor(self.C, self.f, cov.functor)
+        F = cov.functor
         objs = sorted(cov.diagram_type.I.objects())
+        push = [self.table.compose(self.f, F.obj_map[i]) for i in objs]
         for gcov in self.targets(cov.diagram_type):
             legs = gcov.functor.obj_map
             per_obj = []
-            for i in objs:
-                cands = self.candidates(push.obj_map[i], legs[i])
+            for i, p in zip(objs, push):
+                cands = self.candidates(p, legs[i])
                 if not cands:
                     break
                 per_obj.append(cands)
             else:
                 for combo in itertools.product(*per_obj):
-                    comps = {i: (h, push.obj_map[i], legs[i])
-                             for i, h in zip(objs, combo)}
-                    eta = MixedNatTrans(push, gcov.functor, comps)
-                    if eta.validate() is None:
+                    if self._natural(F, gcov.functor, dict(zip(objs, combo))):
                         return True
         return False
+
+    def _natural(self, F, G, h):
+        """h: pushforward(F) => G is natural: G(k).h_ks = h_kt.F(k) on
+        base legs at every index arrow k, since the pushforward keeps the
+        base legs of F."""
+        compose = self.table.compose
+        return all(compose(G.mor_map[k][0], h[ks])
+                   == compose(h[kt], F.mor_map[k][0])
+                   for k, ks, kt in F.variance.arrows)
 
 
 @dataclass

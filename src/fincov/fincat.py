@@ -275,7 +275,7 @@ class MorphismReport:
     """Exhaustively decided flags for one morphism.
 
     ``regular_epi`` is None ("unknown") when the kernel pair does not exist
-    in the category.
+    in the category or would leave an ambient's size cap.
     """
 
     morphism: object
@@ -441,15 +441,13 @@ class FinCategory(CategoryBase):
             self._pullback_cache[key] = square
             return square
         # cone counts per test object: a candidate apex w must satisfy
-        # |hom(z, w)| == #cones(z) for every z, a cheap necessary filter
-        kappa = np.zeros(no, dtype=np.int64)
-        for z in src[cp]:
-            kappa[z] += 1
+        # |hom(z, w)| == #cones(z) for every z, a cheap necessary filter,
+        # decided for every apex object at once
+        kappa = np.bincount(src[cp], minlength=no)
+        apex_ok = (self._homcount == kappa[:, None]).all(axis=0)
         square = None
-        for i in range(len(cp)):
+        for i in np.flatnonzero(apex_ok[src[cp]]).tolist():
             w = src[cp[i]]
-            if not np.array_equal(self._homcount[:, w], kappa):
-                continue
             ok, med = kernels.span_verify(comp, src, tgt, hp, hd, no,
                                           int(cp[i]), int(cq[i]), cp, cq)
             if ok:
@@ -591,9 +589,10 @@ def category_from_json(text_or_obj, name="C"):
 
 def classify_morphism(C, f):
     """Decide all flags for f by enumeration; regular_epi is None when the
-    kernel pair does not exist."""
+    kernel pair does not exist, or when it would leave the ambient size
+    cap (``try_pullback``)."""
     iso = C.is_iso(f)
-    kp = C.find_pullback(f, f)
+    kp = try_pullback(C, f, f)
     if kp is None:
         regular_epi = None
     else:

@@ -69,6 +69,13 @@ class Variance:
         return self.category.tgt(c)
 
     @cached_property
+    def arrows(self):
+        """(k, source stage, target stage) for every index morphism k, in
+        ``morphisms()`` order; listed on first use."""
+        return tuple((k, self.source_stage(k), self.target_stage(k))
+                     for k in self.category.morphisms())
+
+    @cached_property
     def law_plan(self):
         """The variance's ``LawPlan``, compiled on first use."""
         return LawPlan(self)
@@ -311,12 +318,11 @@ def validate_mixed_functor(F):
     for i in I.objects():
         if i not in F.obj_map:
             return ("totality", (i,))
-    for k in I.morphisms():
+    for k, ks, kt in V.arrows:
         fk = F.mor_map.get(k)
         if fk is None:
             return ("totality", (k,))
-        if D.src(fk) != F.obj_map[V.source_stage(k)] or \
-           D.tgt(fk) != F.obj_map[V.target_stage(k)]:
+        if D.src(fk) != F.obj_map[ks] or D.tgt(fk) != F.obj_map[kt]:
             return ("stage endpoints", (k,))
     for i in I.objects():
         if F.mor_map[I.identity(i)] != D.identity(F.obj_map[i]):
@@ -344,8 +350,7 @@ class MixedNatTrans:
         for i in V.category.objects():
             if i not in self.components:
                 return ("totality", (i,))
-        for f in V.category.morphisms():
-            ks, kt = V.source_stage(f), V.target_stage(f)
+        for f, ks, kt in V.arrows:
             lhs = D.compose(self.target.mor_map[f], self.components[ks])
             rhs = D.compose(self.components[kt], self.source.mor_map[f])
             if lhs != rhs:
@@ -433,11 +438,8 @@ def pushforward_functor(C, f, F):
     y = C.tgt(f)
     slice_y = slice_view(C, y)
     obj_map = {i: C.compose(f, F.obj_map[i]) for i in F.obj_map}
-    mor_map = {}
-    for k, tri in F.mor_map.items():
-        V = F.variance
-        ks, kt = V.source_stage(k), V.target_stage(k)
-        mor_map[k] = (tri[0], obj_map[ks], obj_map[kt])
+    mor_map = {k: (F.mor_map[k][0], obj_map[ks], obj_map[kt])
+               for k, ks, kt in F.variance.arrows}
     return MixedFunctor(F.variance, slice_y, obj_map, mor_map,
                         name=f"{f}*{F.name}")
 
@@ -465,8 +467,7 @@ def pullback_induced(C, f, G):
         obj_map[i] = sq.proj2          # apex -> x, the new slice object
         comp_base[i] = sq.proj1        # apex -> dom G(i), the eta component
     mor_map = {}
-    for k in I.morphisms():
-        ks, kt = V.source_stage(k), V.target_stage(k)
+    for k, ks, kt in V.arrows:
         gk = G.mor_map[k][0]           # base leg of the slice morphism
         q1 = C.compose(gk, comp_base[ks])
         q2 = obj_map[ks]
@@ -484,64 +485,101 @@ def pullback_induced(C, f, G):
     return F, eta
 
 
-def image_induced(C, FS, f, F, memo=None):
+class ImageTable:
+    """What pushing coverings of src(f) forward along f asks, each
+    answered once: one table per question, dropped when it returns.
+
+    * ``compose(g, h)``: each composite of the base category, once;
+    * ``image_leg(x)``: for an object leg x of a covering of src(f), the
+      ``FS.factorize`` pair (e, m) of its pushforward f.x = m.e, once;
+    * ``lift(tri)``: for a slice morphism tri = (h, x, y) of a covering,
+      the unique d with d.e_x = e_y.h and m_y.d = m_x, which orthogonality
+      of E and M forces; searched once per square (e_x, e_y.h, m_y, m_x)
+      and looked up once per triple.  d.e_x = e_y.h is naturality of
+      eta: pushforward(F) => G at every index arrow over tri, so finding
+      the lift asserts it, and no transformation is rebuilt per covering;
+    * ``image(F)``: the image functor G, built and validated once per
+      distinct (variance, name, object legs, arrow legs).
+
+    The search half of image compatibility uses ``compose`` alone, so FS
+    may be None there.  Nothing here outlives the table, so a long-lived
+    category keeps no composites.
+    """
+
+    def __init__(self, C, f, FS=None):
+        self.C, self.f, self.FS = C, f, FS
+        self._composites = {}
+        self._legs = {}
+        self._arrows = {}
+        self._lifts = {}
+        self._functors = {}
+
+    def compose(self, g, h):
+        gh = self._composites.get((g, h))
+        if gh is None:
+            gh = self._composites[g, h] = self.C.compose(g, h)
+        return gh
+
+    def image_leg(self, x):
+        em = self._legs.get(x)
+        if em is None:
+            em = self._legs[x] = self.FS.factorize(self.compose(self.f, x))
+        return em
+
+    def lift(self, tri):
+        d = self._arrows.get(tri)
+        if d is None:
+            h, x, y = tri
+            e_x, m_x = self.image_leg(x)
+            e_y, m_y = self.image_leg(y)
+            square = (e_x, self.compose(e_y, h), m_y, m_x)
+            d = self._lifts.get(square)
+            if d is None:
+                d = self._lifts[square] = self._unique_lift(*square)
+            self._arrows[tri] = d
+        return d
+
+    def _unique_lift(self, e, u, m, v):
+        C, compose = self.C, self.compose
+        lifts = [h for h in C.hom(C.tgt(e), C.src(m))
+                 if compose(h, e) == u and compose(m, h) == v]
+        assert len(lifts) == 1, \
+            f"orthogonality should force a unique lift of {(e, u, m, v)}"
+        return lifts[0]
+
+    def image(self, F):
+        """(G, es): the image functor G of F into C/tgt(f) and the E-parts
+        e_i of its legs in ``objects()`` order of the index, the base
+        legs of eta's components."""
+        V = F.variance
+        objs = V.category.objects()
+        legs = [self.image_leg(F.obj_map[i]) for i in objs]
+        lifts = tuple(self.lift(F.mor_map[k]) for k, _, _ in V.arrows)
+        key = (id(V), F.name, tuple(m for _, m in legs), lifts)
+        G = self._functors.get(key)
+        if G is None:
+            obj_map = {i: m for i, (_, m) in zip(objs, legs)}
+            mor_map = {k: (d, obj_map[ks], obj_map[kt])
+                       for (k, ks, kt), d in zip(V.arrows, lifts)}
+            G = MixedFunctor(V, slice_view(self.C, self.C.tgt(self.f)),
+                             obj_map, mor_map, name=f"{self.f}!{F.name}")
+            err = validate_mixed_functor(G)
+            assert err is None, f"image-induced functor fails {err}"
+            self._functors[key] = G
+        return G, tuple(e for e, _ in legs)
+
+
+def image_induced(C, FS, f, F):
     """Push a covering of src(f) forward along f through (E, M)-images.
 
     For each index object the composite f.F(i) factors as G(i).eta_i with
     eta_i in E and G(i) in M; connecting morphisms are the unique lifts.
-    Returns (G, eta: pushforward(F) => G).
-
-    ``memo`` is a dict shared by calls with the same C, FS and f.  It keeps
-    each lift per square (e_ks, u, m_kt, m_ks) and each image functor per
-    variance and object and arrow legs, so a lift is searched and a
-    functor validated once; calls that meet the same G get the same
-    object.  The transformation is new and validated on every call.
+    Returns (G, eta: pushforward(F) => G), from a fresh ``ImageTable``:
+    G is validated, and eta is natural because every lift is.
+    Image compatibility asks its table directly, one table per question.
     """
-    if memo is None:
-        memo = {}
-    lifts = memo.setdefault("lifts", {})
-    functors = memo.setdefault("functors", {})
-    V = F.variance
-    I = V.category
-    obj_map = {}
-    comp_base = {}
-    for i in I.objects():
-        e_i, m_i = FS.factorize(C.compose(f, F.obj_map[i]))
-        obj_map[i] = m_i
-        comp_base[i] = e_i
-    legs = []
-    for k in I.morphisms():
-        ks, kt = V.source_stage(k), V.target_stage(k)
-        square = (comp_base[ks], C.compose(comp_base[kt], F.mor_map[k][0]),
-                  obj_map[kt], obj_map[ks])
-        if square not in lifts:
-            lifts[square] = _unique_lift(C, *square, k)
-        legs.append(lifts[square])
-    key = (id(V), F.name, tuple(obj_map.values()), tuple(legs))
-    G = functors.get(key)
-    if G is None:
-        mor_map = {k: (h, obj_map[V.source_stage(k)],
-                       obj_map[V.target_stage(k)])
-                   for k, h in zip(I.morphisms(), legs)}
-        G = MixedFunctor(V, slice_view(C, C.tgt(f)), obj_map, mor_map,
-                         name=f"{f}!{F.name}")
-        err = validate_mixed_functor(G)
-        assert err is None, f"image-induced functor fails {err}"
-        functors[key] = G
+    G, es = ImageTable(C, f, FS).image(F)
     push = pushforward_functor(C, f, F)
-    components = {i: (comp_base[i], push.obj_map[i], obj_map[i])
-                  for i in I.objects()}
-    eta = MixedNatTrans(push, G, components)
-    err = eta.validate()
-    assert err is None, f"image-induced transformation fails {err}"
-    return G, eta
-
-
-def _unique_lift(C, e, u, m, v, k):
-    """The h with h.e = u and m.h = v, which orthogonality makes unique;
-    k names the index arrow of the square."""
-    lifts = [h for h in C.hom(C.tgt(e), C.src(m))
-             if C.compose(h, e) == u and C.compose(m, h) == v]
-    assert len(lifts) == 1, \
-        f"orthogonality should force a unique connecting lift at {k}"
-    return lifts[0]
+    components = {i: (e, push.obj_map[i], G.obj_map[i])
+                  for i, e in zip(F.variance.category.objects(), es)}
+    return G, MixedNatTrans(push, G, components)

@@ -10,8 +10,8 @@ from fincov.algkit import (AlgHom, CapExceeded, FinAlgebra, Theory,
                            identity_hom, is_right_unital, monoid_theory,
                            quotient_algebra, subalgebra_closure, term_grid,
                            validate_theory_witnesses)
-from fincov.instances import (cyclic_group, groups_upto, klein_four_group,
-                              monoids_upto)
+from fincov.instances import (abelian_groups_upto, cyclic_group,
+                              groups_upto, klein_four_group, monoids_upto)
 
 T = group_theory()
 Z4 = cyclic_group(4)
@@ -279,6 +279,25 @@ def test_ambient_monos_and_epis_match_generic_definitions(corpus, name):
         [CategoryBase.is_epi(C, m) for m in ms]
     assert {C.is_mono(m) for m in ms} == {C.is_epi(m) for m in ms} == \
         {True, False}
+
+
+@pytest.mark.parametrize("theory, seeds, cap", [
+    (group_theory, lambda: abelian_groups_upto(4), 8),
+    (monoid_theory, lambda: monoids_upto(3), 3)])
+def test_ambient_sections_and_retractions_match_generic_definitions(
+        theory, seeds, cap):
+    """The ambient reads sections and retractions off the image rows of
+    hom(b, a); they equal CategoryBase's composition scans on every hom,
+    and both verdicts occur."""
+    from fincov.fincat import CategoryBase
+    C = build_finalg_category(theory(), cap, seeds())
+    ms = C.morphisms()
+    assert [C.is_section(m) for m in ms] == \
+        [CategoryBase.is_section(C, m) for m in ms]
+    assert [C.is_retraction(m) for m in ms] == \
+        [CategoryBase.is_retraction(C, m) for m in ms]
+    assert {C.is_section(m) for m in ms} == \
+        {C.is_retraction(m) for m in ms} == {True, False}
 
 
 def test_find_isomorphism_detects_nonisomorphic():

@@ -730,6 +730,213 @@ def test_image_compatibility_matches_reference_with_non_mono_images():
             assert _report_fields(got) == _report_fields(want), (dt.name, f)
 
 
+def test_image_compatibility_matches_reference_on_grown_ambient():
+    """After product closure registers Z2 x Z3, an order-6 object new to
+    the ambient, every surjection out of it gets the reference's
+    report."""
+    import oracles
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    from fincov.morphclass import FactorizationSystem
+    from fincov.theorems import verify_product_closure
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    E = builtin_class(amb, "surjections")
+    M = builtin_class(amb, "injections")
+    FS = FactorizationSystem(amb, E, M, {})
+    tau = RuleCoverage([build_chain_type(1, 1, "cov")], M)
+    roster = list(amb.objects())
+    Z2, Z3 = (next(A for A in roster if A.name == n) for n in ("Z2", "Z3"))
+    verify_product_closure(amb, tau, E, M, Z2, Z3, cap=64, FS=FS,
+                           probe_cap=60)
+    new = [A for A in amb.objects() if A not in roster]
+    assert [A.size for A in new] == [6]
+    surjections = [f for B in amb.objects() for f in amb.hom(new[0], B)
+                   if f.is_surjective()]
+    for f in surjections:
+        got = check_image_compatibility(amb, f, tau, E, M, FS=FS, cap=64)
+        want = oracles.image_compatibility(amb, f, tau, E, M, FS=FS, cap=64)
+        assert _report_fields(got) == _report_fields(want), f
+        assert got.checked > 1
+    assert len(surjections) == 6
+
+
+def test_image_compatibility_matches_reference_where_the_search_decides():
+    """Inputs where the search, not the image covering, gives the
+    verdict: no factorization system, and a system whose E-parts are not
+    all in the question's E (surjections against E = isos)."""
+    import oracles
+    sk = set_skeleton(2)
+    C = sk.category
+    isos = builtin_class(C, "isos")
+    FS = check_factorization_system(C, sk.surjections(), sk.injections())
+    verdicts = set()
+    for dt in (build_chain_type(1, 0, "cov"), build_chain_type(2, 1, "contr")):
+        for fs, M in ((None, builtin_class(C, "all")),
+                      (FS, sk.injections())):
+            tau = RuleCoverage([dt], M)
+            for f in sorted(C.morphisms()):
+                got = check_image_compatibility(C, f, tau, isos, M, FS=fs,
+                                                cap=512)
+                want = oracles.image_compatibility(C, f, tau, isos, M,
+                                                   FS=fs, cap=512)
+                assert _report_fields(got) == _report_fields(want), \
+                    (dt.name, M.name, f)
+                verdicts.add(got.compatible)
+    assert verdicts == {True, False}
+
+
+def test_image_table_matches_reference_functors():
+    """One ImageTable per question, shared by all its coverings, gives
+    each covering the reference's image functor and E-parts (whose
+    transformation the reference validates), on Set_2 with non-mono
+    images and on the abelian ambient."""
+    import oracles
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    from fincov.morphclass import FactorizationSystem
+    from fincov.variance import ImageTable
+    C = set_skeleton(2).category
+    E, M = builtin_class(C, "isos"), builtin_class(C, "all")
+    cases = [(C, check_factorization_system(C, E, M), M, dt, f, 512)
+             for dt in (build_chain_type(1, 0, "cov"),
+                        build_chain_type(2, 1, "contr"))
+             for f in sorted(C.morphisms())]
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    Ea = builtin_class(amb, "surjections")
+    Ma = builtin_class(amb, "injections")
+    FSa = FactorizationSystem(amb, Ea, Ma, {})
+    cases += [(amb, FSa, Ma, build_chain_type(1, 1, "cov"), f, 64)
+              for G in amb.objects() if G.size <= 4
+              for H in amb.objects() for f in amb.hom(G, H)
+              if f.is_surjective()]
+    checked = 0
+    for D, FS, M, dt, f, cap in cases:
+        covs, _ = RuleCoverage([dt], M).coverings_of(D, D.src(f), cap=cap)
+        table = ImageTable(D, f, FS)
+        for cov in covs:
+            G, es = table.image(cov.functor)
+            ref, eta = oracles.image_induced(D, FS, f, cov.functor)
+            assert (G.obj_map, G.mor_map, G.name) == \
+                (ref.obj_map, ref.mor_map, ref.name), (f, cov.key())
+            assert es == tuple(eta.components[i][0]
+                               for i in dt.I.objects()), (f, cov.key())
+            checked += 1
+    assert checked > 1000
+
+
+def test_search_naturality_matches_transformation_check():
+    """The search checks a candidate combination arrow by arrow; on every
+    combination it tries, over every covering and target of Set_2 with
+    E = isos and M = all, that equals validating the transformation."""
+    import itertools
+
+    from fincov.coverage import _CompatibleSearch
+    from fincov.variance import ImageTable, MixedNatTrans, \
+        pushforward_functor
+    C = set_skeleton(2).category
+    E, M = builtin_class(C, "isos"), builtin_class(C, "all")
+    verdicts = []
+    for dt in (build_chain_type(1, 0, "cov"), build_chain_type(2, 1, "contr")):
+        tau = RuleCoverage([dt], M)
+        for f in sorted(C.morphisms()):
+            search = _CompatibleSearch(C, f, tau, E, M, 512,
+                                       ImageTable(C, f))
+            objs = sorted(dt.I.objects())
+            for cov in tau.coverings_of(C, C.src(f), cap=512)[0]:
+                push = pushforward_functor(C, f, cov.functor)
+                for gcov in search.targets(dt):
+                    legs = gcov.functor.obj_map
+                    per_obj = [search.candidates(push.obj_map[i], legs[i])
+                               for i in objs]
+                    for combo in itertools.product(*per_obj):
+                        h = dict(zip(objs, combo))
+                        comps = {i: (h[i], push.obj_map[i], legs[i])
+                                 for i in objs}
+                        want = MixedNatTrans(push, gcov.functor,
+                                             comps).validate() is None
+                        assert search._natural(cov.functor, gcov.functor,
+                                               h) == want
+                        verdicts.append(want)
+    assert set(verdicts) == {True, False}
+
+
+def test_image_compatibility_keeps_no_table(monkeypatch):
+    """The per-call ImageTable is dropped when the call returns: nothing
+    reachable from the category (its memos included) keeps one alive,
+    on the image path and on the search path."""
+    import gc
+    import weakref
+
+    from fincov import coverage
+    from fincov.instances import random_category
+    tables = []
+
+    class Tracked(coverage.ImageTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(coverage, "ImageTable", Tracked)
+    C = set_skeleton(2).category
+    E = builtin_class(C, "isos")
+    M = builtin_class(C, "all")
+    FS = check_factorization_system(C, E, M)
+    tau = RuleCoverage([build_chain_type(1, 0, "cov")], M)
+    assert check_image_compatibility(C, "f2>1:00", tau, E, M, FS=FS).compatible
+    D = random_category(1, (4, 12))
+    monos = builtin_class(D, "monos")
+    tau_d = RuleCoverage([build_chain_type(1, 1, "cov")], monos)
+    f = sorted(D.morphisms())[0]
+    assert check_image_compatibility(D, f, tau_d, builtin_class(D, "isos"),
+                                     monos).compatible
+    gc.collect()
+    assert len(tables) == 2 and all(ref() is None for ref in tables)
+    assert "_composites" not in vars(C) and "_composites" not in vars(D)
+
+
+def test_image_compatibility_factorizes_each_leg_and_lifts_each_square_once(
+        monkeypatch):
+    """Within one call each object leg's pushforward is factorized once
+    per leg and each square's lift searched once, however many coverings
+    share them."""
+    from collections import Counter
+
+    from fincov import variance
+    factorized = Counter()
+    lifted = Counter()
+    real_lift = variance.ImageTable._unique_lift
+
+    def counting_lift(self, *square):
+        lifted[square] += 1
+        return real_lift(self, *square)
+
+    monkeypatch.setattr(variance.ImageTable, "_unique_lift", counting_lift)
+    C = set_skeleton(2).category
+    E = builtin_class(C, "isos")
+    M = builtin_class(C, "all")
+    FS = check_factorization_system(C, E, M)
+    real_factorize = FS.factorize
+
+    def counting_factorize(m):
+        factorized[m] += 1
+        return real_factorize(m)
+
+    FS.factorize = counting_factorize
+    for dt in (build_chain_type(1, 0, "cov"), build_chain_type(2, 1, "contr")):
+        tau = RuleCoverage([dt], M)
+        for f in sorted(C.morphisms()):
+            covs, _ = tau.coverings_of(C, C.src(f), cap=512)
+            factorized.clear()
+            lifted.clear()
+            rep = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=512)
+            legs = {cov.leg(i) for cov in covs[:rep.checked]
+                    for i in dt.I.objects()}
+            assert factorized == Counter(C.compose(f, x) for x in legs), \
+                (dt.name, f)
+            assert set(lifted.values()) == {1}, (dt.name, f)
+            assert rep.checked * len(dt.I.morphisms()) > len(lifted)
+
+
 def test_image_compatibility_decides_each_piece_once(monkeypatch):
     """Within one call each distinct image functor is validated once, and
     each target covering is checked for subordination at most once."""

@@ -203,6 +203,24 @@ def test_classify_surjection():
     assert rep4.epi and rep4.retraction and rep4.regular_epi is True
 
 
+def test_classify_ambient_kernel_pair_past_cap():
+    """The kernel pair of V4 -> V4 zero has 16 elements, past the cap of
+    8: classify reports regular_epi None instead of raising."""
+    from fincov.algkit import CapExceeded, build_finalg_category, \
+        group_theory
+    from fincov.instances import abelian_groups_upto
+    amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    V4 = next(A for A in amb.objects() if A.name == "V4")
+    zero = amb.hom(V4, V4)[0]
+    assert zero.images == (0, 0, 0, 0)
+    with pytest.raises(CapExceeded):
+        amb.find_pullback(zero, zero)
+    rep = classify_morphism(amb, zero)
+    assert rep.regular_epi is None
+    assert not (rep.iso or rep.mono or rep.epi or rep.section
+                or rep.retraction)
+
+
 def test_classify_poset_arrow():
     cat = validate_category(poset01_raw())
     rep = classify_morphism(cat, "u")
@@ -405,6 +423,52 @@ def test_iso_leg_pullbacks_match_unshortcut_search(corpus, monkeypatch):
                 cospans += 1
                 cones += len(meds)
     assert cospans > 2500 and cones > cospans
+
+
+def test_pullbacks_match_per_candidate_filter(corpus, monkeypatch):
+    """find_pullback decides the cone-count filter for every apex object
+    at once; its apex, projections and mediators, and the spans it
+    verifies, equal the per-candidate filter's, on every cospan of the
+    explicit corpus categories up to 200 morphisms and of
+    random_category seeds 0-39."""
+    from fincov import kernels
+    from fincov.instances import random_category
+    verified = []
+    real = kernels.span_verify
+
+    def counting(*args):
+        verified.append(args[6:8])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "span_verify", counting)
+    cats = [corpus[name].category for name in corpus.names()]
+    cats = [C for C in cats
+            if isinstance(C, FinCategory) and len(C.morphisms()) <= 200]
+    cats += [random_category(seed) for seed in range(40)]
+    found = missing = 0
+    for C in cats:
+        for f in C.morphisms():
+            for g in C.morphisms_into(C.tgt(f)):
+                if C.is_iso(f) or C.is_iso(g):
+                    continue
+                del verified[:]
+                want = oracles.pullback_search(C, f, g)
+                expected = list(verified)
+                C._pullback_cache.pop((f, g), None)
+                del verified[:]
+                sq = C.find_pullback(f, g)
+                assert verified == expected, (C.name, f, g)
+                if want is None:
+                    assert sq is None, (C.name, f, g)
+                    missing += 1
+                    continue
+                apex, p1, p2, meds = want
+                assert (sq.apex, sq.proj1, sq.proj2) == (apex, p1, p2), \
+                    (C.name, f, g)
+                for p, q in meds:
+                    assert sq.mediator(p, q) == meds[p, q], (C.name, f, g)
+                found += 1
+    assert found > 1000 and missing > 0
 
 
 def test_derived_memo_hit_builds_no_table(monkeypatch):
