@@ -20,14 +20,16 @@ the posets themselves built beforehand.  The next three rows time
 construction: the powerset posets P(4) to P(7) themselves, the finite
 spaces of at most 3 points with their 1476 continuous maps, and the
 seeded mixed functors of seeds 0-99, each run from an empty variance
-shape cache.  The next four rows time the algebra ambient: the 64 hom
+shape cache.  The next five rows time the algebra ambient: the 64 hom
 sets of the grown ambient, enumerated afresh; the three product
 registrations that grow a fresh abelian-groups ambient (its seed hom
 sets built beforehand); the equation checks of ``FinAlgebra.validate``
-over the 8 algebras of the grown ambient; and ``check_class_properties``
+over the 8 algebras of the grown ambient; ``check_class_properties``
 of the injections on a fresh ambient grown by Z2 x Z3 (its hom sets and
-composite index built beforehand, no subobject registered, no stability
-verdict kept).
+composite index built beforehand, no subobject registered); and
+``check_class_properties`` of the surjections on a fresh 5-object
+abelian-groups ambient at cap 8, whose stability scan builds and
+registers pair pullbacks (it prints the roster size after the check).
 The image-compatibility row runs ``check_image_compatibility`` as the
 closure harness does: the first 8 morphisms of the 64 harness
 categories (E = isos, M = monos, no factorization system) and the 20
@@ -194,6 +196,16 @@ def workloads():
         C = fresh.pop()
         check_class_properties(C, builtin_class(C, "injections"))
 
+    # one fresh 5-object ambient per timed run; the check grows it
+    seeds_only = [build_finalg_category(group_theory(), 8,
+                                        abelian_groups_upto(4))
+                  for _ in range(3)]
+
+    def surjection_properties():
+        C = seeds_only.pop()
+        check_class_properties(C, builtin_class(C, "surjections"))
+        return f"{len(C.objects())} objects after"
+
     # (C, f, E, M, FS, cap) per question, as in the closure harness
     questions = [(C, f, builtin_class(C, "isos"), M, None, 512)
                  for C, M in harness for f in sorted(C.morphisms())[:8]]
@@ -293,6 +305,8 @@ def workloads():
         ("validate ambient algebras (8)",
          lambda: [A.validate() for A in amb.objects()]),
         ("injections properties, ambient + Z2xZ3", injection_properties),
+        ("surjections properties, fresh 5-object ambient",
+         surjection_properties),
         ("image compatibility, harness + ambient", image_compatibility),
         ("compactness, 16 harness x 4 chains", compactness),
         ("closure hypotheses, warm, 64 harness categories",

@@ -555,28 +555,46 @@ def congruences(A):
     return sorted(known)
 
 
-def _induced_ops(theory, n, value):
-    """Operation tables of an algebra on range(n) whose operation s takes
-    the argument tuple args to value(s, args); nested tuples, one level
-    per argument."""
-    def build(s, a, prefix):
-        if len(prefix) == a:
-            return value(s, prefix)
-        return tuple(build(s, a, prefix + (i,)) for i in range(n))
-    return {s: build(s, a, ()) for s, a in theory.symbols}
+def _coded_algebra(theory, name, factors, codes, relabel=None):
+    """The algebra on ``codes``, the ascending codes of a subset of
+    factors[0] x ... x factors[-1] that every operation maps into itself,
+    operated coordinatewise; (x_1, ..., x_k) is coded in mixed radix, x_k
+    the last digit.  With ``relabel``, an array over the codes, it is the
+    quotient whose classes ``codes`` represents: a computed code c stands
+    for the class of relabel[c], its representative.
+
+    Each operation table is one gather per coordinate through
+    ``FinAlgebra.op_tables()``, then one ``searchsorted`` into the codes.
+    """
+    codes = np.asarray(codes, dtype=np.intp)
+    n = len(codes)
+    coords = np.unravel_index(codes, [X.size for X in factors])
+    ops = {}
+    for s, a in theory.symbols:
+        args = np.indices((n,) * a).reshape(a, n ** a)
+        value = 0
+        for X, c in zip(factors, coords):
+            value = value * X.size + X.op_tables()[s][2][tuple(c[args])]
+        if relabel is not None:
+            value = relabel[value]
+        ops[s] = np.searchsorted(codes, value).reshape((n,) * a).tolist()
+    return FinAlgebra(theory, name, n, ops)
+
+
+def _pair_codes(f, g):
+    """The pairs (a, b) with f(a) = g(b), coded a * |src g| + b, ascending."""
+    return np.flatnonzero(np.equal.outer(f.images, g.images))
 
 
 def quotient_algebra(A, theta, name=None):
-    """Quotient by a congruence, with the projection hom."""
-    ncls = max(theta) + 1
-    rep = [None] * ncls
-    for i, c in enumerate(theta):
-        if rep[c] is None:
-            rep[c] = i
-    ops = _induced_ops(A.theory, ncls, lambda s, cs: theta[
-        A.apply(s, [rep[c] for c in cs])])
-    Q = FinAlgebra(A.theory, name or f"{A.name}/~", ncls, ops)
-    return Q, AlgHom(A, Q, theta)
+    """Quotient by a congruence (a partition tuple), with the projection
+    hom; its elements are the classes in the order of their least
+    elements."""
+    _, first, label = np.unique(theta, return_index=True, return_inverse=True)
+    rep = first[label]  # the least element of each element's class
+    codes = np.sort(first)
+    Q = _coded_algebra(A.theory, name or f"{A.name}/~", (A,), codes, rep)
+    return Q, AlgHom(A, Q, np.searchsorted(codes, rep).tolist())
 
 
 def enumerate_normal_subalgebras(A):
@@ -919,8 +937,9 @@ def verify_uniformity_theorem(cat, t=None, pullback_cap=24,
                 break
             n_probe += 1
             probes += 1
-            P, pairs = cat._pair_algebra(f, h, name="pb")
-            proj2 = AlgHom(P, h.src, tuple(p[1] for p in pairs))
+            codes = _pair_codes(f, h)
+            P = _coded_algebra(cat.theory, "pb", (f.src, h.src), codes)
+            proj2 = AlgHom(P, h.src, (codes % h.src.size).tolist())
             if not is_strongly_t_uniform(proj2, t,
                                          flags.normals_of(h.src)):
                 ok, wit = False, ("pullback not strongly uniform", f, h)
@@ -1077,17 +1096,19 @@ def check_monic_pullback_corollary(f, t=None):
 class AlgPullbackSquare(PullbackSquare):
     """Pullback square over the algebra ambient with on-demand mediators.
 
-    The pairing function maps a cone element pair (a, b) to the apex
-    element; it is attached by the constructing category.
+    The apex element i is coded proj1(i) * |src g| + proj2(i); the
+    mediator of a cone (p, q) sends x to the element coded
+    p(x) * |src g| + q(x).
     """
-
-    pair_to_apex: dict = None
 
     def mediator(self, p, q):
         if (p, q) not in self.mediators:
-            images = tuple(self.pair_to_apex[(p(x), q(x))]
-                           for x in p.src.carrier)
-            self.mediators[(p, q)] = AlgHom(p.src, self.apex, images)
+            n = self.proj2.tgt.size
+            apex = np.zeros(self.proj1.tgt.size * n, dtype=np.intp)
+            apex[np.array(self.proj1.images, dtype=np.intp) * n
+                 + self.proj2.images] = np.arange(self.apex.size)
+            images = apex[np.array(p.images, dtype=np.intp) * n + q.images]
+            self.mediators[(p, q)] = AlgHom(p.src, self.apex, images.tolist())
         return self.mediators[(p, q)]
 
 
@@ -1112,6 +1133,7 @@ class AlgCategory(CategoryBase):
         self._into_cache = {}
         self._from_cache = {}
         self._composites = None
+        self._sub_cache = {}
         self._fresh = 0
 
     # -- roster management -----------------------------------------------------
@@ -1262,19 +1284,6 @@ class AlgCategory(CategoryBase):
 
     # -- pullbacks -----------------------------------------------------------------
 
-    def _pair_algebra(self, f, g, name=None):
-        """The algebra on the sorted pairs (a, b) with f(a) = g(b), operated
-        componentwise, named ``name`` or a fresh "pb" name; with the
-        pairs."""
-        pairs = tuple(sorted((a, b) for a in f.src.carrier
-                             for b in g.src.carrier if f(a) == g(b)))
-        index = {p: i for i, p in enumerate(pairs)}
-        ops = _induced_ops(self.theory, len(pairs), lambda s, args: index[
-            (f.src.apply(s, [pairs[i][0] for i in args]),
-             g.src.apply(s, [pairs[i][1] for i in args]))])
-        return FinAlgebra(self.theory, name or self.fresh_name("pb"),
-                          len(pairs), ops), pairs
-
     def find_pullback(self, f, g):
         key = (f, g)
         if key in self._pullback_cache:
@@ -1289,57 +1298,48 @@ class AlgCategory(CategoryBase):
         return square
 
     def _pair_pullback(self, f, g):
-        P, pairs = self._pair_algebra(f, g)
-        if P.size > self.size_cap:
+        """The apex on the pairs (a, b) with f(a) = g(b), coded
+        a * |src g| + b.  It takes a fresh "pb" name, then is sized from
+        its codes before any table is built."""
+        codes = _pair_codes(f, g)
+        name = self.fresh_name("pb")
+        if len(codes) > self.size_cap:
             raise CapExceeded(
-                f"pullback of ({f!r}, {g!r}) has size {P.size} > cap")
-        R, iso = self._admit(P)
-        proj1 = AlgHom(R, f.src, tuple(pairs[iso.images[i]][0]
-                                       for i in range(R.size)))
-        proj2 = AlgHom(R, g.src, tuple(pairs[iso.images[i]][1]
-                                       for i in range(R.size)))
-        square = AlgPullbackSquare(self, f, g, R, proj1, proj2, {})
-        square.pair_to_apex = {(proj1(i), proj2(i)): i
-                               for i in range(R.size)}
-        return square
+                f"pullback of ({f!r}, {g!r}) has size {len(codes)} > cap")
+        R, iso = self._admit(
+            _coded_algebra(self.theory, name, (f.src, g.src), codes))
+        apex = codes[list(iso.images)]
+        n = g.src.size
+        return AlgPullbackSquare(self, f, g, R,
+                                 AlgHom(R, f.src, (apex // n).tolist()),
+                                 AlgHom(R, g.src, (apex % n).tolist()), {})
 
     def _preimage_pullback(self, f, g):
-        """When one leg is injective the equalizing subalgebra is a
-        corestriction: no fresh registration beyond the subobject."""
-        if g.is_injective():
-            img = {y: i for i, y in enumerate(g.images)}
-            pre = frozenset(a for a in f.src.carrier if f(a) in img)
-            R, incl = self.subalgebra_object(f.src, pre)
-            proj1 = incl
-            proj2 = AlgHom(R, g.src, tuple(img[f(incl(i))]
-                                           for i in range(R.size)))
-        else:
-            img = {y: i for i, y in enumerate(f.images)}
-            pre = frozenset(b for b in g.src.carrier if g(b) in img)
-            R, incl = self.subalgebra_object(g.src, pre)
-            proj2 = incl
-            proj1 = AlgHom(R, f.src, tuple(img[g(incl(i))]
-                                           for i in range(R.size)))
-        square = AlgPullbackSquare(self, f, g, R, proj1, proj2, {})
-        square.pair_to_apex = {(proj1(i), proj2(i)): i
-                               for i in range(R.size)}
-        return square
+        """When a leg m is injective (g when both are), the apex is the
+        subalgebra of the other leg's source over the preimage of m's
+        image: no fresh registration beyond that subobject."""
+        swap = not g.is_injective()
+        m, h = (f, g) if swap else (g, f)
+        inv = {y: i for i, y in enumerate(m.images)}
+        R, incl = self.subalgebra_object(
+            h.src, sum(1 << x for x, y in enumerate(h.images) if y in inv))
+        other = AlgHom(R, m.src, [inv[h.images[x]] for x in incl.images])
+        proj1, proj2 = (other, incl) if swap else (incl, other)
+        return AlgPullbackSquare(self, f, g, R, proj1, proj2, {})
 
-    def subalgebra_object(self, A, subset, stem="sub"):
-        """Roster representative of a subset-closed carrier, with inclusion."""
-        cache_key = (id(A), frozenset(subset))
-        cache = self.__dict__.setdefault("_sub_cache", {})
-        if cache_key in cache:
-            return cache[cache_key]
-        elems = sorted(subset)
-        index = {x: i for i, x in enumerate(elems)}
-        ops = _induced_ops(self.theory, len(elems), lambda s, args: index[
-            A.apply(s, [elems[i] for i in args])])
-        S = FinAlgebra(self.theory, self.fresh_name(stem), len(elems), ops)
-        R, iso = self._admit(S)
-        incl = AlgHom(R, A, tuple(elems[iso.images[i]] for i in range(R.size)))
-        cache[cache_key] = (R, incl)
-        return R, incl
+    def subalgebra_object(self, A, mask):
+        """Roster representative of the subset of A with bitmask ``mask``
+        (element x when bit x is set), which the operations must
+        preserve, with the inclusion; cached per (id(A), mask) for the
+        category's life."""
+        hit = self._sub_cache.get((id(A), mask))
+        if hit is None:
+            elems = [x for x in A.carrier if mask >> x & 1]
+            R, iso = self._admit(_coded_algebra(
+                self.theory, self.fresh_name("sub"), (A,), elems))
+            hit = self._sub_cache[id(A), mask] = (
+                R, AlgHom(R, A, [elems[i] for i in iso.images]))
+        return hit
 
 
 @dataclass

@@ -610,12 +610,14 @@ def _coequalizes_universally(C, p1, p2, e):
         return bool(ok)
     if C.compose(e, p1) != C.compose(e, p2):
         return False
+    # every d out of b with d.p1 = d.p2 is h.e for exactly one h, read off
+    # whole hom sets hom(b, c) and hom(w, c) at once from their image rows
     b, w = C.tgt(p1), C.tgt(e)
-    for d in C.morphisms_from(b):
-        if C.compose(d, p1) != C.compose(d, p2):
-            continue
-        hits = [h for h in C.hom(w, C.tgt(d)) if C.compose(h, e) == d]
-        if len(hits) != 1:
+    for c in C.objects():
+        D = C.hom_images(b, c)
+        D = D[(D[:, list(p1.images)] == D[:, list(p2.images)]).all(axis=1)]
+        HE = C.hom_images(w, c)[:, list(e.images)]
+        if ((D[:, None] == HE[None]).all(axis=2).sum(axis=1) != 1).any():
             return False
     return True
 

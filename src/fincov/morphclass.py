@@ -269,11 +269,10 @@ def _first_unstable_pullback(C, A, img, into):
     ``into`` is walked one hom set hom(X, z) at a time (the roster may grow
     during the scan).  The preimages of img along all of them are coded at
     once as bitmasks from the hom set's images; each distinct nonempty
-    (X, preimage) is decided once, in first-occurrence order, and the
-    verdict is kept on A (projections are cached by ``subalgebra_object``
-    for the category's life).  So the subobjects are registered, and
-    named, in the order of a hom-by-hom scan."""
-    verdicts = A.__dict__.setdefault("_pullback_verdicts", {})
+    (X, preimage) is decided once, in first-occurrence order, from the
+    projection ``subalgebra_object`` keeps per (X, bitmask) for the
+    category's life and A's own membership memo.  So the subobjects are
+    registered, and named, in the order of a hom-by-hom scan."""
     z = into[0].tgt
     inside = np.zeros(z.size, dtype=bool)
     inside[list(img)] = True
@@ -288,13 +287,9 @@ def _first_unstable_pullback(C, A, img, into):
         for code in dict.fromkeys(codes.tolist()):
             if not code:
                 continue  # constant-free theories are outside the corpus
-            hit = verdicts.get((id(X), code))
-            if hit is None:
-                _, proj = C.subalgebra_object(X, frozenset(
-                    k for k in X.carrier if code >> k & 1))
-                hit = verdicts[id(X), code] = (proj, A.contains(proj))
-            if not hit[1]:
-                return homs[int(np.flatnonzero(codes == code)[0])], hit[0]
+            _, proj = C.subalgebra_object(X, code)
+            if not A.contains(proj):
+                return homs[int(np.flatnonzero(codes == code)[0])], proj
     return None
 
 

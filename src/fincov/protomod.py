@@ -117,11 +117,10 @@ def check_protomodularity_mono_part(C, E, M):
     """Third cross-check: theta replaced by the monic part of its
     (mono, stably extremal epi) factorization, where that factorization
     exists; skipped thetas are counted as restricted."""
-    return _scan(C, E, M, "mono-part", _mono_part_plan,
-                 ambient_form="rectangle")
+    return _scan(C, E, M, "mono-part", _mono_part_plan)
 
 
-def _scan(C, E, M, form, plan, ambient_form=None):
+def _scan(C, E, M, form, plan):
     """The two-pullback scan behind every form.
 
     Algebra ambients take the anchored shortcut.  Otherwise ``plan(C, E)``
@@ -131,7 +130,7 @@ def _scan(C, E, M, form, plan, ambient_form=None):
     counterexample.
     """
     if C.concrete:
-        return _check_ambient(C, E, M, form=ambient_form or form)
+        return _check_ambient(C, E, M, form=form)
     thetas_into, admits, witness = plan(C, E)
     count = 0
     restricted = False

@@ -130,6 +130,17 @@ def _subordination_hypothesis(rep, C, tau, M, cap):
     rep.add_hypothesis("tau subordinated to M", ok, wit)
 
 
+def _right_cancelable_bundle(C, E, M, probe_cap, f=None):
+    """Whether E is a right-cancelable stable system whose members in M
+    are all isos and, when f is given, f is stably in E."""
+    props = check_class_properties(C, E, probe_cap)
+    ok = (props.system and props.stable and props.right_cancelable
+          and all(C.is_iso(m) for m in E.member_list() if M.contains(m)))
+    # f's pullbacks are taken whatever the verdict so far: on an algebra
+    # ambient they name and register apexes
+    return (f is None or is_stably_in(C, f, E, probe_cap)[0]) and ok
+
+
 def verify_closure_quotients(C, tau, E, M, f, cap=None, probe_cap=None):
     """Compactness descends along f under either hypothesis bundle."""
     rep = ClosureReport("closure-quotients", details={"morphism": f})
@@ -137,14 +148,7 @@ def verify_closure_quotients(C, tau, E, M, f, cap=None, probe_cap=None):
     _subordination_hypothesis(rep, C, tau, M, cap)
 
     okA, _, witA = is_stably_extremal(C, f, M, probe_cap)
-    bundleB = False
-    if not okA:
-        props = check_class_properties(C, E, probe_cap)
-        inter_iso = all(C.is_iso(m) for m in E.member_list()
-                        if M.contains(m))
-        stably_e, _, witB = is_stably_in(C, f, E, probe_cap)
-        bundleB = (props.system and props.stable and props.right_cancelable
-                   and inter_iso and stably_e)
+    bundleB = not okA and _right_cancelable_bundle(C, E, M, probe_cap, f)
     if okA:
         rep.add_hypothesis("f stably M-extremal", True)
         rep.details["bundle"] = "stably-extremal"
@@ -254,10 +258,7 @@ def check_tau_well_behaved(C, tau, E, M, cap=None, probe_cap=None, FS=None):
     if all_ext:
         rep.conditions.append(("E-condition", True, "all stably M-extremal"))
     else:
-        eprops = check_class_properties(C, E, probe_cap)
-        inter_iso = all(C.is_iso(m) for m in E.member_list() if M.contains(m))
-        alt = (eprops.system and eprops.stable and eprops.right_cancelable
-               and inter_iso)
+        alt = _right_cancelable_bundle(C, E, M, probe_cap)
         rep.conditions.append(("E-condition", alt,
                                ext_wit if not alt else
                                "right-cancelable stable, E&M isos"))

@@ -26,8 +26,10 @@ every candidate group rebuilt, image compatibility decided covering by
 covering with nothing kept between coverings, and the three
 protomodularity forms on explicit categories as one loop each.  Then
 class members are listed and extremality decided with nothing kept
-between calls.  The last section enumerates algebra hom sets and
-searches isomorphisms one generator assignment at a time.
+between calls.  Then algebra hom sets are enumerated and isomorphisms
+searched one generator assignment at a time.  The last section builds
+the operation tables of derived algebras (pair pullbacks, subalgebras,
+quotients) one entry at a time.
 """
 
 from fincov.fincat import mor_key, try_pullback
@@ -570,7 +572,7 @@ def first_unstable_pullback(C, A, img, into):
         pre = frozenset(b for b in g.src.carrier if g(b) in img)
         if not pre:
             continue
-        _, proj = C.subalgebra_object(g.src, pre)
+        _, proj = C.subalgebra_object(g.src, sum(1 << b for b in pre))
         if not A.contains(proj):
             return g, proj
     return None
@@ -1121,3 +1123,65 @@ def find_isomorphism(A, B):
         if h.is_bijective() and h.is_valid():
             return h
     return None
+
+
+def coequalizes_universally(C, p1, p2, e):
+    """Whether e coequalizes (p1, p2) universally: every d with
+    d.p1 = d.p2 is h.e for exactly one h, one composite at a time."""
+    if C.compose(e, p1) != C.compose(e, p2):
+        return False
+    for d in C.morphisms_from(C.tgt(p1)):
+        if C.compose(d, p1) == C.compose(d, p2) and sum(
+                C.compose(h, e) == d
+                for h in C.hom(C.tgt(e), C.tgt(d))) != 1:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# derived algebra tables, one entry at a time
+# ---------------------------------------------------------------------------
+# Each table entry is one Python call on the argument tuple; the reference
+# for ``algkit._coded_algebra``.
+
+
+def _induced_ops(theory, n, value):
+    """Operation tables of an algebra on range(n) whose operation s takes
+    the argument tuple args to value(s, args); nested tuples, one level
+    per argument."""
+    def build(s, a, prefix):
+        if len(prefix) == a:
+            return value(s, prefix)
+        return tuple(build(s, a, prefix + (i,)) for i in range(n))
+    return {s: build(s, a, ()) for s, a in theory.symbols}
+
+
+def pair_ops(X, Y, pairs):
+    """Tables of the algebra on the listed pairs of X x Y (closed under
+    the operations), operated componentwise."""
+    index = {p: i for i, p in enumerate(pairs)}
+    return _induced_ops(X.theory, len(pairs), lambda s, args: index[
+        (X.apply(s, [pairs[i][0] for i in args]),
+         Y.apply(s, [pairs[i][1] for i in args]))])
+
+
+def pullback_pairs(f, g):
+    """The sorted pairs (a, b) with f(a) = g(b)."""
+    return sorted((a, b) for a in f.src.carrier for b in g.src.carrier
+                  if f(a) == g(b))
+
+
+def subalgebra_ops(A, elems):
+    """Tables of the subalgebra of A on the sorted elements ``elems``."""
+    index = {x: i for i, x in enumerate(elems)}
+    return _induced_ops(A.theory, len(elems), lambda s, args: index[
+        A.apply(s, [elems[i] for i in args])])
+
+
+def quotient_ops(A, theta):
+    """Tables of the quotient of A by the canonical partition theta."""
+    rep = {}
+    for i, c in enumerate(theta):
+        rep.setdefault(c, i)
+    return _induced_ops(A.theory, len(rep), lambda s, cs: theta[
+        A.apply(s, [rep[c] for c in cs])])

@@ -221,6 +221,26 @@ def test_classify_ambient_kernel_pair_past_cap():
                 or rep.retraction)
 
 
+def test_ambient_regular_epi_matches_composition_loop():
+    """On algebra ambients, classify's regular-epi flag (read from hom
+    image rows) equals the loop composing every candidate h with e."""
+    from fincov.algkit import build_finalg_category, group_theory, \
+        monoid_theory
+    from fincov.fincat import try_pullback
+    from fincov.instances import abelian_groups_upto, monoids_upto
+    seen = set()
+    for amb in (build_finalg_category(group_theory(), 8,
+                                      abelian_groups_upto(4)),
+                build_finalg_category(monoid_theory(), 3, monoids_upto(3))):
+        for m in amb.morphisms():
+            kp = try_pullback(amb, m, m)
+            want = None if kp is None else \
+                oracles.coequalizes_universally(amb, kp.proj1, kp.proj2, m)
+            assert classify_morphism(amb, m).regular_epi == want, m
+            seen.add(want)
+    assert seen == {None, True, False}
+
+
 def test_classify_poset_arrow():
     cat = validate_category(poset01_raw())
     rep = classify_morphism(cat, "u")

@@ -146,3 +146,28 @@ def test_no_attribute_probing_for_category_kinds():
                     and (node.func.id, node.args[1].value) in banned:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_coded_construction_for_derived_algebras():
+    """The per-entry table builder, the pullback pair dicts, the verdicts
+    kept on class objects and the ambient form label are gone from
+    src/fincov: derived algebras come from ``algkit._coded_algebra``,
+    mediators from the apex codes, stability verdicts from the
+    subalgebra cache and the class's own memo."""
+    import ast
+    from pathlib import Path
+
+    import fincov
+    banned = {"_induced_ops", "pair_to_apex", "_pullback_verdicts",
+              "ambient_form"}
+    found = []
+    for path in sorted(Path(fincov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "arg", None)}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            if names & banned:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []

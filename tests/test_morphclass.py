@@ -245,7 +245,7 @@ def _reference_ambient_stability(C, A):
         imf = frozenset(f.images)
         for g in C.morphisms_into(f.tgt):
             pre = frozenset(b for b in g.src.carrier if g(b) in imf)
-            _, proj = C.subalgebra_object(g.src, pre)
+            _, proj = C.subalgebra_object(g.src, sum(1 << b for b in pre))
             if proj not in A:
                 return False, (f, g, proj)
     return True, None

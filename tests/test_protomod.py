@@ -368,3 +368,17 @@ def test_ambient_explicit_E_must_be_closed_under_isos():
     rep = check_protomodularity_pair(small, builtin_class(small, "identities"),
                                      builtin_class(small, "all"))
     assert rep.satisfied is True
+
+
+def test_mono_part_on_ambient_reports_its_own_form():
+    """On an algebra ambient every form takes the anchored shortcut; the
+    mono-part report carries its own form label and otherwise equals the
+    rectangle report."""
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import groups_upto
+    C = build_finalg_category(group_theory(), 8, groups_upto(8))
+    E, M = builtin_class(C, "retractions"), builtin_class(C, "all")
+    rect = check_protomodularity_equivalent(C, E, M)
+    mono = check_protomodularity_mono_part(C, E, M)
+    assert (rect.form, mono.form) == ("rectangle", "mono-part")
+    assert dict(mono.to_json(), form="rectangle") == rect.to_json()
