@@ -6,7 +6,13 @@ lifting-square scans, pullback-span searches, class-composite scans) on
 corpus categories, each on the category's own (narrowest-dtype) tables,
 and prints the best of three runs per workload.  The class-composite rows
 also run on the abelian-groups ambient grown by three products to 8
-objects and 1010 morphisms, as product closure grows it.  The last two
+objects and 1010 morphisms, as product closure grows it.  Beside them,
+the composite-index rows assemble that ambient's index again from its
+kept tables, build the index of a fresh 8-object ambient (its hom sets
+built beforehand), and build it again after Z8 is registered on an
+indexed one; the protomodularity row runs
+``check_protomodularity_pair(surjections, injections)`` on a fresh
+8-object ambient whose index is built beforehand.  The last two
 rows enumerate the mono-subordinated coverings of every object of the 64
 closure-harness categories over the four chain types the harness uses:
 the depth-first enumerator, and the generate-and-test loop of
@@ -62,10 +68,11 @@ from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
     RuleCoverage, _enumerate_functors, _powerset_poset, build_chain_type, \
     check_image_compatibility, decide_tau_compact
 from fincov.fincat import derived_memo
-from fincov.instances import abelian_groups_upto, finite_top_category, \
-    random_category, random_mixed_functor, set_skeleton
+from fincov.instances import abelian_groups_upto, cyclic_group, \
+    finite_top_category, random_category, random_mixed_functor, set_skeleton
 from fincov.morphclass import FactorizationSystem, builtin_class, \
     check_class_properties
+from fincov.protomod import check_protomodularity_pair
 from fincov.theorems import verify_closure_extensions, \
     verify_closure_quotients
 from fincov.variance import standard_variances
@@ -73,6 +80,7 @@ from fincov.variance import standard_variances
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "tests"))
 import oracles  # noqa: E402
+from fixtures_util import FULL_GROWTH, grown_ambient  # noqa: E402
 
 
 def timeit(fn, repeat=3):
@@ -145,6 +153,30 @@ def workloads():
     def index(C):
         C._composites = None
         C.composite_index()
+
+    # fresh 8-object ambients, their hom sets built beforehand: one per
+    # timed run of each of the next three rows
+    def grown(with_index):
+        C = grown_ambient(*FULL_GROWTH)
+        C.morphisms()
+        if with_index:
+            C.composite_index()
+        return C
+
+    unindexed = [grown(False) for _ in range(3)]
+    registered = []
+    for _ in range(3):
+        C = grown(True)
+        C.register(cyclic_group(8))
+        C.morphisms()
+        registered.append(C)
+    indexed = [grown(True) for _ in range(3)]
+
+    def protomodularity():
+        C = indexed.pop()
+        rep = check_protomodularity_pair(C, builtin_class(C, "surjections"),
+                                         builtin_class(C, "injections"))
+        return f"{rep.diagrams_checked} diagrams"
 
     def composites(C, member):
         kernels.first_class_composites(
@@ -288,6 +320,12 @@ def workloads():
         ("class composites top<=3 (monos)",
          lambda: composites(top, top._flags()[0].astype(bool))),
         ("composite index ambient (1010 mor)", lambda: index(amb)),
+        ("composite index, fresh 8-object ambient",
+         lambda: unindexed.pop().composite_index()),
+        ("composite index after registering Z8 (9 objects)",
+         lambda: registered.pop().composite_index()),
+        ("protomodularity (surjections, injections), 8 objects",
+         protomodularity),
         ("class composites ambient (injective)",
          lambda: composites(amb, injective)),
         ("coverings harness x 4 chains",

@@ -413,31 +413,36 @@ def enumerate_homs(A, B):
 
 def _element_profile(A):
     """Per-element invariant refined through the tables; isomorphism
-    invariant, used to prune the isomorphism search.  Cached on A."""
+    invariant, used to prune the isomorphism search.  Cached on A.
+
+    Three rounds of colour refinement over ``op_tables()``.  An element's
+    signature is its colour and, per symbol, whether it is the constant,
+    the colour of its unary image, or the sorted colours of its binary row
+    and of its binary column; the new colours number the distinct
+    signatures in lexicographic order (the rows are few: ranked as
+    tuples)."""
     cached = A.__dict__.get("_profile")
     if cached is not None:
         return cached
-    colors = [0] * A.size
-    for _ in range(3):
-        sigs = []
-        for x in A.carrier:
-            sig = [colors[x]]
-            for s, a in A.theory.symbols:
-                if a == 0:
-                    sig.append(int(A.apply(s, []) == x))
-                elif a == 1:
-                    sig.append(colors[A.apply(s, [x])])
-                elif a == 2:
-                    sig.append(tuple(sorted(colors[A.apply(s, [x, y])]
-                                            for y in A.carrier)))
-                    sig.append(tuple(sorted(colors[A.apply(s, [y, x])]
-                                            for y in A.carrier)))
-            sigs.append(tuple(sig))
-        relabel = {}
-        for sig in sorted(set(sigs)):
-            relabel[sig] = len(relabel)
-        colors = [relabel[s] for s in sigs]
-    A._profile = tuple(colors)
+    n = A.size
+    colors = np.zeros(n, dtype=np.intp)
+    tables = A.op_tables()
+    for _ in range(3 if n else 0):
+        sig = [colors[:, None]]
+        for s, a in A.theory.symbols:
+            table = tables[s][2]
+            if a == 0:
+                sig.append(np.arange(n)[:, None] == table)
+            elif a == 1:
+                sig.append(colors[table][:, None])
+            elif a == 2:
+                sig.append(np.sort(colors[table], axis=1))
+                sig.append(np.sort(colors[table.T], axis=1))
+        rows = list(map(tuple, np.concatenate(sig, axis=1,
+                                              dtype=np.intp).tolist()))
+        rank = {r: i for i, r in enumerate(sorted(set(rows)))}
+        colors = np.array([rank[r] for r in rows], dtype=np.intp)
+    A._profile = tuple(colors.tolist())
     return A._profile
 
 
@@ -569,7 +574,7 @@ def _coded_algebra(theory, name, factors, codes, relabel=None):
     codes = np.asarray(codes, dtype=np.intp)
     n = len(codes)
     coords = np.unravel_index(codes, [X.size for X in factors])
-    ops = {}
+    ops, tables = {}, {}
     for s, a in theory.symbols:
         args = np.indices((n,) * a).reshape(a, n ** a)
         value = 0
@@ -577,8 +582,13 @@ def _coded_algebra(theory, name, factors, codes, relabel=None):
             value = value * X.size + X.op_tables()[s][2][tuple(c[args])]
         if relabel is not None:
             value = relabel[value]
-        ops[s] = np.searchsorted(codes, value).reshape((n,) * a).tolist()
-    return FinAlgebra(theory, name, n, ops)
+        value = np.searchsorted(codes, value)
+        table = value.reshape((n,) * a)
+        ops[s] = table.tolist()
+        tables[s] = (tuple(args), value, table)
+    algebra = FinAlgebra(theory, name, n, ops)
+    algebra._op_tables = tables  # what op_tables() would rebuild from ops
+    return algebra
 
 
 def _pair_codes(f, g):
@@ -1129,7 +1139,10 @@ class AlgCategory(CategoryBase):
         self.name = name or f"{theory.name}<= {size_cap}"
         self._roster = []
         self._hom_cache = {}
+        self._hom_pos = {}       # hom -> its position in its hom set
         self._images_cache = {}
+        self._levels = {}        # (id A, id C) -> _position_levels
+        self._triples = {}       # (id A, id b, id C) -> _composite_table
         self._into_cache = {}
         self._from_cache = {}
         self._composites = None
@@ -1190,14 +1203,18 @@ class AlgCategory(CategoryBase):
             rows = self._images_cache[key] = hom_rows(A, B)
             homs = self._hom_cache[key] = tuple(
                 AlgHom(A, B, row) for row in rows.tolist())
+            self._hom_pos.update((h, i) for i, h in enumerate(homs))
         return homs
 
     def hom_images(self, A, B):
         """hom(A, B) as an int64 array with one row of images per hom, in
         hom order; built with the hom set and cached, like it, for the
         category's life."""
-        self.hom(A, B)
-        return self._images_cache[id(A), id(B)]
+        rows = self._images_cache.get((id(A), id(B)))
+        if rows is None:
+            self.hom(A, B)
+            rows = self._images_cache[id(A), id(B)]
+        return rows
 
     def morphisms_into(self, B):
         if id(B) not in self._into_cache:
@@ -1222,11 +1239,112 @@ class AlgCategory(CategoryBase):
         return m.tgt
 
     def composite_index(self):
-        """The roster's CompositeIndex; built on first use, dropped when
-        the roster grows."""
+        """The roster's CompositeIndex, assembled from the kept composite
+        tables.  Dropped when the roster grows; the next one computes only
+        the tables of the hom-set triples that involve new objects.
+
+        Raises CapExceeded, before any table is computed or allocated,
+        when the index would hold more than ``_INDEX_BUDGET`` entries.
+        """
         if self._composites is None:
-            self._composites = _build_composite_index(self)
+            roster = self._roster
+            r = len(roster)
+            # sizes[a, c] = |hom(roster[a], roster[c])|; start[a, c] is
+            # where that hom set starts in morphisms()
+            sizes = np.array([len(self.hom(A, C)) for A in roster
+                              for C in roster], dtype=np.intp).reshape(r, r)
+            entries = int(sizes.sum(axis=1) @ sizes.sum(axis=0))
+            if entries > _INDEX_BUDGET:
+                raise CapExceeded(f"composite index needs {entries} entries "
+                                  f"> budget {_INDEX_BUDGET}")
+            start = (np.cumsum(sizes) - sizes.ravel()).reshape(r, r)
+            ms = self.morphisms()
+            dtype = kernels.table_dtype(len(ms))
+            blocks = {}
+            for bi, b in enumerate(roster):
+                # the homs out of b are contiguous in morphisms(), those
+                # into b come one hom set per source A
+                rows = start[bi, 0] + np.arange(sizes[bi].sum())
+                cols = np.concatenate([start[a, bi] + np.arange(sizes[a, bi])
+                                       for a in range(r)])
+                table = np.empty((len(rows), len(cols)), dtype=dtype)
+                i = 0
+                for ci, C in enumerate(roster):
+                    stripe = table[i:i + sizes[bi, ci]]
+                    j = 0
+                    for A in roster:
+                        T = self._composite_table(A, b, C)
+                        stripe[:, j:j + T.shape[1]] = T
+                        j += T.shape[1]
+                    # positions in each hom(A, C) -> indices in morphisms()
+                    stripe += np.repeat(start[:, ci], sizes[:, bi]).astype(
+                        dtype)
+                    i += sizes[bi, ci]
+                blocks[id(b)] = (rows, cols, table)
+            self._composites = CompositeIndex(
+                ms, {m: i for i, m in enumerate(ms)}, blocks)
         return self._composites
+
+    def _composite_table(self, A, b, C):
+        """Entry [i, j] is the position in hom(A, C) of hom(b, C)[i] .
+        hom(A, b)[j], read off the composite's images of A's generators
+        through ``_position_levels``.  Computed on first use and kept for
+        the category's life, like the hom sets."""
+        key = (id(A), id(b), id(C))
+        table = self._triples.get(key)
+        if table is None:
+            levels = self._position_levels(A, C)
+            # G[y, i] = hom(b, C)[i](y); F[t, j] = hom(A, b)[j](generator t)
+            G = np.array(self.hom_images(b, C).T, dtype=np.int32)
+            F = self.hom_images(A, b)[:, list(generating_trace(A)[0])].T
+            if not levels:
+                # no generators: hom(A, C) has at most one hom
+                node = np.zeros((F.shape[1], G.shape[1]), dtype=np.int8)
+            else:
+                first = levels[0][G]
+                node = np.empty((F.shape[1], G.shape[1]),
+                                dtype=levels[-1].dtype)
+                step = max(1, _TABLE_CHUNK // max(G.shape[1], 1))
+                for lo in range(0, len(node), step):
+                    part = first[F[0, lo:lo + step]]
+                    for level, digit in zip(levels[1:], F[1:, lo:lo + step]):
+                        part += G[digit]
+                        part = level[part]
+                    node[lo:lo + step] = part
+            table = self._triples[key] = node.T
+        return table
+
+    def _position_levels(self, A, C):
+        """The tables that read a hom A -> C's position in hom(A, C) off
+        its images of A's generators, one generator at a time.
+
+        hom(A, C) lists the homs in generator-grid order, so the homs that
+        agree on generators 0..t are contiguous; call each such run a node
+        of level t.  Level t maps node * |C| + the image of generator t,
+        from the level before (no node before generator 0), to its node,
+        times |C| below the last level; the nodes of the last level are
+        the positions, in the narrowest dtype that holds them.  Every entry
+        is below |hom(A, C)| * |C|.  Kept for the category's life."""
+        key = (id(A), id(C))
+        levels = self._levels.get(key)
+        if levels is None:
+            H = self.hom_images(A, C)[:, list(generating_trace(A)[0])]
+            dtype = kernels.table_dtype(len(H))
+            levels = self._levels[key] = []
+            node = np.zeros(len(H), dtype=np.int32)
+            fresh = np.zeros(len(H), dtype=bool)
+            for t, digit in enumerate(H.T):
+                fresh[:1] = True
+                fresh[1:] |= digit[1:] != digit[:-1]
+                child = np.cumsum(fresh, dtype=np.int32) - 1
+                last = t == H.shape[1] - 1
+                level = np.zeros(C.size if t == 0 else
+                                 (node[-1] + C.size if len(H) else 0),
+                                 dtype=dtype if last else np.int32)
+                level[node + digit] = child if last else child * C.size
+                levels.append(level)
+                node = child * C.size
+        return levels
 
     def composite_blocks(self):
         return self.composite_index().blocks.values()
@@ -1235,7 +1353,16 @@ class AlgCategory(CategoryBase):
         return identity_hom(A)
 
     def compose(self, g, f):
-        return compose_homs(g, f)
+        """g . f, the roster's own hom, read from the kept composite table
+        of (src f, src g, tgt g)."""
+        if f.tgt is not g.src:
+            raise CompositionError("algebra homs not composable")
+        A, C = id(f.src), id(g.tgt)
+        table = self._triples.get((A, id(g.src), C))
+        if table is None:
+            table = self._composite_table(f.src, g.src, g.tgt)
+        return self._hom_cache[A, C][table.item(self._hom_pos[g],
+                                                self._hom_pos[f])]
 
     def is_iso(self, m):
         # a bijective hom between finite algebras has a hom inverse
@@ -1357,87 +1484,13 @@ class CompositeIndex:
     blocks: dict
 
 
-# Composites coded at once while the index is built: the codes and their
-# positions stay well under a MB on the largest block.
-_CODE_CHUNK = 1 << 14
+# Composites of one hom-set triple read at once: the temporaries stay
+# under a MB on the largest triple.
+_TABLE_CHUNK = 1 << 15
 
 # Most table entries (composable pairs) one composite index may hold: 64 MB
 # at int32 indices.  The 8-object ambient of the CLI needs about 0.5M.
 _INDEX_BUDGET = 1 << 24
-
-
-def _build_composite_index(C):
-    """Composite index of an algebra ambient from its hom sets' images.
-
-    Each hom m: A -> B gets the code (pos(A) * r + pos(B)) * span +
-    sum_k m(k) * base^(|A| - 1 - k), over the r roster objects, with base
-    the largest carrier and span = base^base.  Codes increase along
-    ``morphisms()``, which orders by (A, B, image tuple), so
-    ``searchsorted`` finds a composite's index from its code.  The code of
-    g.f is computed without its images: sum_k g(f(k)) base^(...) is
-    sum_y g(y) W[f, y], where W[f, y] sums the weights of the k with
-    f(k) = y.  Python ints (object dtype) code past int64.  Raises
-    CapExceeded, before anything is allocated, when the index would hold
-    more than ``_INDEX_BUDGET`` entries.
-    """
-    roster = C._roster
-    entries = sum(len(C.morphisms_from(b)) * len(C.morphisms_into(b))
-                  for b in roster)
-    if entries > _INDEX_BUDGET:
-        raise CapExceeded(f"composite index needs {entries} entries "
-                          f"> budget {_INDEX_BUDGET}")
-    ms = C.morphisms()
-    if not roster:
-        return CompositeIndex(ms, {}, {})
-    r = len(roster)
-    pos = {id(A): i for i, A in enumerate(roster)}
-    base = max(A.size for A in roster)
-    span = base ** base
-    dtype = np.int64 if r * r * span < 2 ** 63 else object
-    weights = {A.size: np.array([base ** k for k in range(A.size - 1, -1,
-                                                          -1)], dtype=dtype)
-               for A in roster}
-    images, offset, codes = {}, {}, []
-    n = 0
-    for A in roster:
-        for B in roster:
-            img = images[id(A), id(B)] = C.hom_images(A, B)
-            offset[id(A), id(B)] = n
-            n += len(img)
-            codes.append((pos[id(A)] * r + pos[id(B)]) * span
-                         + img.astype(dtype) @ weights[A.size])
-    codes = np.concatenate(codes)
-    index_dtype = kernels.table_dtype(len(ms))
-    blocks = {}
-    for b in roster:
-        # the homs out of b are contiguous in morphisms(), those into b
-        # come one hom set per source A
-        outs = [images[id(b), id(c)] for c in roster]
-        ins = [images[id(A), id(b)] for A in roster]
-        rows = offset[id(b), id(roster[0])] + np.arange(sum(map(len, outs)))
-        cols = np.concatenate([offset[id(A), id(b)] + np.arange(len(F))
-                               for A, F in zip(roster, ins)])
-        row_code = np.concatenate([np.full(len(G), pos[id(c)] * span,
-                                           dtype=dtype)
-                                   for c, G in zip(roster, outs)])
-        col_code = np.concatenate([np.full(len(F), pos[id(A)] * r * span,
-                                           dtype=dtype)
-                                   for A, F in zip(roster, ins)])
-        W = np.zeros((len(cols), b.size), dtype=dtype)
-        lo = 0
-        for A, F in zip(roster, ins):
-            for k, w in enumerate(weights[A.size]):
-                W[lo + np.arange(len(F)), F[:, k]] += w
-            lo += len(F)
-        G = np.concatenate(outs).astype(dtype)
-        table = np.empty((len(rows), len(cols)), dtype=index_dtype)
-        step = max(1, _CODE_CHUNK // max(len(cols), 1))
-        for lo in range(0, len(rows), step):
-            code = (G[lo:lo + step] @ W.T + row_code[lo:lo + step, None]
-                    + col_code[None, :])
-            table[lo:lo + step] = np.searchsorted(codes, code)
-        blocks[id(b)] = (rows, cols, table)
-    return CompositeIndex(ms, {m: i for i, m in enumerate(ms)}, blocks)
 
 
 def build_finalg_category(theory, size_cap, seeds=()):

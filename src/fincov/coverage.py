@@ -310,6 +310,8 @@ class RuleCoverage:
         return ok
 
     def subordination_class(self, C):
+        """The class object every member's legs lie in (``contains``
+        checks it); None for a coverage without one."""
         return self.resolve_M(C)
 
     def to_json(self):
@@ -557,8 +559,10 @@ def _image_compatibility(C, f, tau, E, M, FS, cap):
     leg's pushforward and image factorization, each arrow's lift and each
     image functor, and is dropped when the call returns.  Per image
     functor and diagram type, whether the image covering is subordinated
-    and in tau is decided once; the search (``_CompatibleSearch``) reads
-    the same table."""
+    and in tau is decided once: tau's membership validates the functor
+    (for a rule coverage), and covers subordination when M is tau's own
+    subordination class, since every member of tau is subordinated to
+    it.  The search (``_CompatibleSearch``) reads the same table."""
     c, d = C.src(f), C.tgt(f)
     covs, capped = tau.coverings_of(C, c, cap=cap)
     table = ImageTable(C, f, FS)
@@ -575,7 +579,9 @@ def _image_compatibility(C, f, tau, E, M, FS, cap):
                 key = (id(G), id(cov.diagram_type))
                 if key not in image_ok:
                     gcov = Covering(C, d, cov.diagram_type, G, cov.flags)
-                    image_ok[key] = check_subordination(gcov, M)[0] \
+                    image_ok[key] = (
+                        tau.subordination_class(C) is M
+                        or check_subordination(gcov, M)[0]) \
                         and tau.contains(C, gcov)
                 ok = image_ok[key]
         if not ok:

@@ -114,21 +114,23 @@ def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
 
     f is mono when the composites f.u, u into src(f), are distinct per
     source of u, and epi when the v.f, v out of tgt(f), are distinct per
-    target of v.  Both read one block per object o, the composites of
-    the morphisms out of o with those into o: a row of it is f.u for one
-    f, a column v.f for one f.  Each row and column is sorted and checked
-    for repeats.
+    target of v.  A composite lies in the hom set of its outer ends, so
+    composites through different sources (targets) never coincide: f is
+    mono when all the f.u are distinct, and epi when all the v.f are.
+    Both read one block per object o, the composites of the morphisms out
+    of o with those into o, in the table's own dtype: a row of it is f.u
+    for one f, a column v.f for one f.  Each row and column is sorted and
+    checked for repeats.
     """
     n = comp.shape[0]
     mono = np.ones(n, dtype=np.uint8)
     epi = np.ones(n, dtype=np.uint8)
     for o in range(nobj):
-        out = np.flatnonzero(src == o)
-        into = np.flatnonzero(tgt == o)
-        block = comp[np.ix_(out, into)].astype(np.int64)
-        keys = np.sort(src[into].astype(np.int64) * n + block, axis=1)
+        out, into = src == o, tgt == o
+        block = comp[out][:, into]
+        keys = np.sort(block, axis=1)
         mono[out] = ~(keys[:, 1:] == keys[:, :-1]).any(axis=1)
-        keys = np.sort(tgt[out, None].astype(np.int64) * n + block, axis=0)
+        keys = np.sort(block, axis=0)
         epi[into] = ~(keys[1:] == keys[:-1]).any(axis=0)
     return mono, epi
 

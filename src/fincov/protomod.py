@@ -225,14 +225,19 @@ def _initial_object(C):
 def _check_ambient(C, E, M, form):
     """Initial-object anchored scan over an algebra ambient.
 
-    The kernel of e is the pullback of the unique 0 -> c along e; beta is a
-    violation when it restricts to a bijection between the kernels of
-    e.beta and e without being bijective itself.
+    The kernel of e is the pullback of the unique theta: 0 -> c along e;
+    beta is a violation when it restricts to a bijection between the
+    kernels of e.beta and e without being bijective itself: for every
+    value t of theta, beta maps {z : e(beta z) = t} bijectively onto
+    {y : e(y) = t}.
 
-    e.beta is read from the composite index, and the candidate betas into
-    each b (non-bijective M-members, sorted) are listed once, before the
-    scan over e.  Raises ValueError when E is not closed under composition
-    with isos, which the reduction of the definition form needs.
+    e.beta is read from the composite index.  The candidate betas into
+    each b (non-bijective M-members) are listed once, before the scan
+    over e, with their image rows; all candidates that pass for one e
+    are decided at once.  ``morphisms()`` and ``morphisms_into`` are in
+    ``mor_key`` order on an ambient, so the scan is too.  Raises
+    ValueError when E is not closed under composition with isos, which
+    the reduction of the definition form needs.
     """
     I0 = C.initial()
     if I0 is None:
@@ -243,47 +248,59 @@ def _check_ambient(C, E, M, form):
                        count=len(ms))
     if not _closed_under_isos(C, E, index, in_E):
         raise ValueError("ambient scan needs an iso-saturated E")
-    # per b: the non-bijective M-members into b, sorted, and their
-    # columns in b's block
+    # per b: the candidate betas into b, their columns in b's block, and
+    # their image rows, padded with |b| to the widest source
+    width = max((A.size for A in C.objects()), default=0)
     candidates = {}
     for b in C.objects():
-        into = enumerate(C.morphisms_into(b))
-        betas = sorted(((beta, j) for j, beta in into
-                        if M.contains(beta) and not beta.is_bijective()),
-                       key=lambda bj: mor_key(bj[0]))
-        candidates[id(b)] = ([beta for beta, _ in betas],
-                             np.array([j for _, j in betas], dtype=int))
+        into = C.morphisms_into(b)
+        cols = [j for j, beta in enumerate(into)
+                if M.contains(beta) and not beta.is_bijective()]
+        images = np.full((len(into), width), b.size, dtype=np.intp)
+        lo = 0
+        for A in C.objects():
+            rows = C.hom_images(A, b)
+            images[lo:lo + len(rows), :A.size] = rows
+            lo += len(rows)
+        candidates[id(b)] = ([into[j] for j in cols],
+                             np.array(cols, dtype=np.intp), images[cols])
+    scope = f"within size cap {C.size_cap}"
     count = 0
-    for e in sorted(itertools.compress(ms, in_E), key=mor_key):
+    for e in itertools.compress(ms, in_E):
         b, c = e.src, e.tgt
         rows, _, table = index.blocks[id(b)]
-        betas, cols = candidates[id(b)]
-        ebs = table[np.searchsorted(rows, index.position[e]), cols]
+        betas, cols, images = candidates[id(b)]
+        ebs = table[index.position[e] - rows[0], cols]
         # the definition form asks for an iso gamma with gamma^-1.e.beta in
         # E; E is iso-saturated here, so that reduces to e.beta in E
         passing = np.flatnonzero(in_E[ebs])
         if not len(passing):
             continue
         theta = C.hom(I0, c)[0]
-        ker_e = {(u, y) for u in I0.carrier for y in b.carrier
-                 if theta(u) == e(y)}
-        for k in passing:
-            beta, eb = betas[k], ms[ebs[k]]
-            count += 1
-            ker_eb = [(u, z) for u in I0.carrier for z in beta.src.carrier
-                      if theta(u) == eb(z)]
-            image = {(u, beta(z)) for u, z in ker_eb}
-            if len(image) == len(ker_eb) and image == ker_e:
-                diag = ProtoDiagram(
-                    e=e, theta=theta, m=None, p=None, beta=beta,
-                    gamma=None, e_prime=eb, m_prime=None, alpha=None,
-                    apex=f"ker({mor_key(e)})",
-                    apex_prime=f"ker({mor_key(eb)})")
-                return ProtoReport(False, diag, count, False,
-                                   scope=f"within size cap {C.size_cap}",
-                                   form=form)
-    return ProtoReport(True, None, count, False,
-                       scope=f"within size cap {C.size_cap}", form=form)
+        beta_z = images[passing]
+        # e(beta z) per candidate and z, -1 past the end of src(beta)
+        e_beta_z = np.array(e.images + (-1,), dtype=np.intp)[beta_z]
+        kernel_iso = np.ones(len(passing), dtype=bool)
+        for t in set(theta.images):
+            size = e.images.count(t)
+            hit = e_beta_z == t
+            onto = np.zeros((len(passing), b.size + 1), dtype=bool)
+            onto[np.nonzero(hit)[0], beta_z[hit]] = True
+            kernel_iso &= (hit.sum(axis=1) == size) \
+                & (onto.sum(axis=1) == size)
+        k = int(np.argmax(kernel_iso))
+        if kernel_iso[k]:
+            count += k + 1
+            beta, eb = betas[passing[k]], ms[ebs[passing[k]]]
+            diag = ProtoDiagram(
+                e=e, theta=theta, m=None, p=None, beta=beta,
+                gamma=None, e_prime=eb, m_prime=None, alpha=None,
+                apex=f"ker({mor_key(e)})",
+                apex_prime=f"ker({mor_key(eb)})")
+            return ProtoReport(False, diag, count, False, scope=scope,
+                               form=form)
+        count += len(passing)
+    return ProtoReport(True, None, count, False, scope=scope, form=form)
 
 
 def _closed_under_isos(C, E, index, in_E):

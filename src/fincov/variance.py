@@ -498,8 +498,11 @@ class ImageTable:
       and looked up once per triple.  d.e_x = e_y.h is naturality of
       eta: pushforward(F) => G at every index arrow over tri, so finding
       the lift asserts it, and no transformation is rebuilt per covering;
-    * ``image(F)``: the image functor G, built and validated once per
-      distinct (variance, name, object legs, arrow legs).
+    * ``image(F)``: the image functor G, built once per distinct
+      (variance, name, object legs, arrow legs).  G is a functor by
+      construction, since every lift is unique; ``image_induced``
+      validates it, and image compatibility asks tau's membership of it,
+      which for a rule coverage validates it, once per question.
 
     The search half of image compatibility uses ``compose`` alone, so FS
     may be None there.  Nothing here outlives the table, so a long-lived
@@ -561,11 +564,9 @@ class ImageTable:
             obj_map = {i: m for i, (_, m) in zip(objs, legs)}
             mor_map = {k: (d, obj_map[ks], obj_map[kt])
                        for (k, ks, kt), d in zip(V.arrows, lifts)}
-            G = MixedFunctor(V, slice_view(self.C, self.C.tgt(self.f)),
-                             obj_map, mor_map, name=f"{self.f}!{F.name}")
-            err = validate_mixed_functor(G)
-            assert err is None, f"image-induced functor fails {err}"
-            self._functors[key] = G
+            G = self._functors[key] = MixedFunctor(
+                V, slice_view(self.C, self.C.tgt(self.f)), obj_map, mor_map,
+                name=f"{self.f}!{F.name}")
         return G, tuple(e for e, _ in legs)
 
 
@@ -575,10 +576,12 @@ def image_induced(C, FS, f, F):
     For each index object the composite f.F(i) factors as G(i).eta_i with
     eta_i in E and G(i) in M; connecting morphisms are the unique lifts.
     Returns (G, eta: pushforward(F) => G), from a fresh ``ImageTable``:
-    G is validated, and eta is natural because every lift is.
+    G is validated here, and eta is natural because every lift is.
     Image compatibility asks its table directly, one table per question.
     """
     G, es = ImageTable(C, f, FS).image(F)
+    err = validate_mixed_functor(G)
+    assert err is None, f"image-induced functor fails {err}"
     push = pushforward_functor(C, f, F)
     components = {i: (e, push.obj_map[i], G.obj_map[i])
                   for i, e in zip(F.variance.category.objects(), es)}

@@ -1185,3 +1185,133 @@ def quotient_ops(A, theta):
         rep.setdefault(c, i)
     return _induced_ops(A.theory, len(rep), lambda s, cs: theta[
         A.apply(s, [rep[c] for c in cs])])
+
+
+# ---------------------------------------------------------------------------
+# the algebra ambient's composite index and anchored scan, from scratch
+# ---------------------------------------------------------------------------
+# The composite index is rebuilt whole from the hom sets' images, each hom
+# coded by its whole image tuple and each composite found by one
+# ``searchsorted`` over every morphism's code; the anchored protomodularity
+# scan reads it and compares kernels as Python sets.  The references for
+# ``AlgCategory.composite_index`` and ``protomod._check_ambient``.
+
+
+def build_composite_index(C):
+    """Composite index of an algebra ambient from its hom sets' images.
+
+    Each hom m: A -> B gets the code (pos(A) * r + pos(B)) * span +
+    sum_k m(k) * base^(|A| - 1 - k), over the r roster objects, with base
+    the largest carrier and span = base^base.  Codes increase along
+    ``morphisms()``, so ``searchsorted`` finds a composite's index from its
+    code.  The code of g.f is sum_y g(y) W[f, y], where W[f, y] sums the
+    weights of the k with f(k) = y.  Python ints (object dtype) code past
+    int64; rows are coded a chunk at a time."""
+    import numpy as np
+
+    from fincov import kernels
+    from fincov.algkit import CompositeIndex
+    roster = C.objects()
+    ms = C.morphisms()
+    if not roster:
+        return CompositeIndex(ms, {}, {})
+    r = len(roster)
+    pos = {id(A): i for i, A in enumerate(roster)}
+    base = max(A.size for A in roster)
+    span = base ** base
+    dtype = np.int64 if r * r * span < 2 ** 63 else object
+    weights = {A.size: np.array([base ** k for k in range(A.size - 1, -1,
+                                                          -1)], dtype=dtype)
+               for A in roster}
+    images, offset, codes = {}, {}, []
+    n = 0
+    for A in roster:
+        for B in roster:
+            img = images[id(A), id(B)] = C.hom_images(A, B)
+            offset[id(A), id(B)] = n
+            n += len(img)
+            codes.append((pos[id(A)] * r + pos[id(B)]) * span
+                         + img.astype(dtype) @ weights[A.size])
+    codes = np.concatenate(codes)
+    index_dtype = kernels.table_dtype(len(ms))
+    blocks = {}
+    for b in roster:
+        outs = [images[id(b), id(c)] for c in roster]
+        ins = [images[id(A), id(b)] for A in roster]
+        rows = offset[id(b), id(roster[0])] + np.arange(sum(map(len, outs)))
+        cols = np.concatenate([offset[id(A), id(b)] + np.arange(len(F))
+                               for A, F in zip(roster, ins)])
+        row_code = np.concatenate([np.full(len(G), pos[id(c)] * span,
+                                           dtype=dtype)
+                                   for c, G in zip(roster, outs)])
+        col_code = np.concatenate([np.full(len(F), pos[id(A)] * r * span,
+                                           dtype=dtype)
+                                   for A, F in zip(roster, ins)])
+        W = np.zeros((len(cols), b.size), dtype=dtype)
+        lo = 0
+        for A, F in zip(roster, ins):
+            for k, w in enumerate(weights[A.size]):
+                W[lo + np.arange(len(F)), F[:, k]] += w
+            lo += len(F)
+        G = np.concatenate(outs).astype(dtype)
+        table = np.empty((len(rows), len(cols)), dtype=index_dtype)
+        step = max(1, (1 << 14) // max(len(cols), 1))
+        for lo in range(0, len(rows), step):
+            code = (G[lo:lo + step] @ W.T + row_code[lo:lo + step, None]
+                    + col_code[None, :])
+            table[lo:lo + step] = np.searchsorted(codes, code)
+        blocks[id(b)] = (rows, cols, table)
+    return CompositeIndex(ms, {m: i for i, m in enumerate(ms)}, blocks)
+
+
+def check_ambient(C, E, M, form, index=None):
+    """The anchored scan over ``index``, by default
+    ``build_composite_index(C)``: e in E in key order, the non-bijective
+    M-members beta into src(e) sorted by key, e.beta read from the index,
+    and the kernels of e and e.beta compared as sets of pairs (u, y) per
+    beta.  Returns the package's report."""
+    import itertools
+
+    import numpy as np
+    I0 = C.initial()
+    if index is None:
+        index = build_composite_index(C)
+    ms = index.morphisms
+    in_E = np.fromiter((E.contains(m) for m in ms), dtype=bool,
+                       count=len(ms))
+    scope = f"within size cap {C.size_cap}"
+    candidates = {}
+    for b in C.objects():
+        into = enumerate(C.morphisms_into(b))
+        betas = sorted(((beta, j) for j, beta in into
+                        if M.contains(beta) and not beta.is_bijective()),
+                       key=lambda bj: mor_key(bj[0]))
+        candidates[id(b)] = ([beta for beta, _ in betas],
+                             np.array([j for _, j in betas], dtype=int))
+    count = 0
+    for e in sorted(itertools.compress(ms, in_E), key=mor_key):
+        b, c = e.src, e.tgt
+        rows, _, table = index.blocks[id(b)]
+        betas, cols = candidates[id(b)]
+        ebs = table[np.searchsorted(rows, index.position[e]), cols]
+        passing = np.flatnonzero(in_E[ebs])
+        if not len(passing):
+            continue
+        theta = C.hom(I0, c)[0]
+        ker_e = {(u, y) for u in I0.carrier for y in b.carrier
+                 if theta(u) == e(y)}
+        for k in passing:
+            beta, eb = betas[k], ms[ebs[k]]
+            count += 1
+            ker_eb = [(u, z) for u in I0.carrier for z in beta.src.carrier
+                      if theta(u) == eb(z)]
+            image = {(u, beta(z)) for u, z in ker_eb}
+            if len(image) == len(ker_eb) and image == ker_e:
+                diag = ProtoDiagram(
+                    e=e, theta=theta, m=None, p=None, beta=beta,
+                    gamma=None, e_prime=eb, m_prime=None, alpha=None,
+                    apex=f"ker({mor_key(e)})",
+                    apex_prime=f"ker({mor_key(eb)})")
+                return ProtoReport(False, diag, count, False, scope=scope,
+                                   form=form)
+    return ProtoReport(True, None, count, False, scope=scope, form=form)

@@ -938,8 +938,9 @@ def test_image_compatibility_factorizes_each_leg_and_lifts_each_square_once(
 
 
 def test_image_compatibility_decides_each_piece_once(monkeypatch):
-    """Within one call each distinct image functor is validated once, and
-    each target covering is checked for subordination at most once."""
+    """Within one call each distinct image functor is validated once,
+    wherever the package validates functors, and each target covering is
+    checked for subordination at most once."""
     from collections import Counter
 
     from fincov import coverage, variance
@@ -957,7 +958,9 @@ def test_image_compatibility_decides_each_piece_once(monkeypatch):
         subordinated[id(cov)] += 1
         return real_subordination(cov, M)
 
-    monkeypatch.setattr(variance, "validate_mixed_functor", counting_validate)
+    for module in (variance, coverage):
+        monkeypatch.setattr(module, "validate_mixed_functor",
+                            counting_validate)
     monkeypatch.setattr(coverage, "check_subordination",
                         counting_subordination)
 
@@ -970,8 +973,10 @@ def test_image_compatibility_decides_each_piece_once(monkeypatch):
     f = "f2>1:00"
     covs, _ = tau.coverings_of(C, C.src(f))
     assert check_image_compatibility(C, f, tau, E, M, FS=FS).compatible
-    assert len(covs) > len(validated) > 1
-    assert set(validated.values()) == {1}
+    table = variance.ImageTable(C, f, FS)
+    images = {table.image(cov.functor)[0].key() for cov in covs}
+    assert len(covs) > len(images) > 1
+    assert validated == Counter(images)
 
     # search path: no factorization system, 27 coverings on either side
     C = random_category(1, (4, 12))

@@ -120,6 +120,32 @@ def test_find_isomorphism_matches_reference_search():
     assert twins >= 20
 
 
+def test_element_profile_of_coded_algebras():
+    """The colours read from ``op_tables()`` equal the per-entry
+    reference on every pair-pullback apex of at most 8 elements over the
+    5-object abelian-groups ambient; the op tables the coded construction
+    hands over equal those rebuilt from the nested tuples."""
+    C = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+    checked = 0
+    for f in C.morphisms():
+        for g in C.morphisms_into(f.tgt):
+            codes = algkit._pair_codes(f, g)
+            if len(codes) > 8:
+                continue
+            P = algkit._coded_algebra(C.theory, "P", (f.src, g.src), codes)
+            assert algkit._element_profile(P) == \
+                tuple(oracles.element_profile(P))
+            rebuilt = FinAlgebra(P.theory, "Q", P.size, P.ops).op_tables()
+            for s, (args, values, table) in P.op_tables().items():
+                want = rebuilt[s]
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(args, want[0]))
+                assert np.array_equal(values, want[1])
+                assert np.array_equal(table, want[2])
+            checked += 1
+    assert checked > 100
+
+
 def test_zero_generator_algebras():
     Z1 = groups_upto(1)[0]
     assert algkit.generating_trace(Z1)[0] == ()

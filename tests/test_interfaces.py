@@ -148,18 +148,13 @@ def test_no_attribute_probing_for_category_kinds():
     assert found == []
 
 
-def test_one_coded_construction_for_derived_algebras():
-    """The per-entry table builder, the pullback pair dicts, the verdicts
-    kept on class objects and the ambient form label are gone from
-    src/fincov: derived algebras come from ``algkit._coded_algebra``,
-    mediators from the apex codes, stability verdicts from the
-    subalgebra cache and the class's own memo."""
+def _src_uses(banned):
+    """Where src/fincov names any of ``banned``: as a name, attribute,
+    definition, argument or string constant."""
     import ast
     from pathlib import Path
 
     import fincov
-    banned = {"_induced_ops", "pair_to_apex", "_pullback_verdicts",
-              "ambient_form"}
     found = []
     for path in sorted(Path(fincov.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -170,4 +165,21 @@ def test_one_coded_construction_for_derived_algebras():
                 names.add(node.value)
             if names & banned:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
-    assert found == []
+    return found
+
+
+def test_one_coded_construction_for_derived_algebras():
+    """The per-entry table builder, the pullback pair dicts, the verdicts
+    kept on class objects and the ambient form label are gone from
+    src/fincov: derived algebras come from ``algkit._coded_algebra``,
+    mediators from the apex codes, stability verdicts from the
+    subalgebra cache and the class's own memo."""
+    assert _src_uses({"_induced_ops", "pair_to_apex", "_pullback_verdicts",
+                      "ambient_form"}) == []
+
+
+def test_composite_index_has_no_chunked_coder():
+    """The whole-image coder of the ambient's composite index is gone from
+    src/fincov: no ``_CODE_CHUNK`` loop and no ``_build_composite_index``
+    (the from-scratch builder lives on in ``tests/oracles.py``)."""
+    assert _src_uses({"_CODE_CHUNK", "_build_composite_index"}) == []
