@@ -183,19 +183,26 @@ class FinAlgebra:
             t = t[a]
         return t
 
+    @classmethod
+    def from_arrays(cls, theory, name, size, arrays):
+        """The algebra whose operation s has the intp array arrays[s], one
+        axis of length size per argument; ``op_tables()`` reads them as
+        given instead of rebuilding them from nested tuples."""
+        algebra = cls(theory, name, size,
+                      {s: t.tolist() for s, t in arrays.items()})
+        algebra._op_tables = {s: _op_table(t) for s, t in arrays.items()}
+        return algebra
+
     def op_tables(self):
         """Per symbol (args, values, table): every argument tuple, as one
         index array per argument position; the operation's value at each;
         and its table as an array with one axis per argument.  Cached."""
         tables = self.__dict__.get("_op_tables")
         if tables is None:
-            tables = self._op_tables = {}
-            for s, a in self.theory.symbols:
-                table = np.array(self.ops[s], dtype=np.intp).reshape(
-                    (self.size,) * a)
-                args = tuple(np.indices(table.shape).reshape(
-                    a, self.size ** a))
-                tables[s] = (args, table[args], table)
+            tables = self._op_tables = {
+                s: _op_table(np.array(self.ops[s], dtype=np.intp).reshape(
+                    (self.size,) * a))
+                for s, a in self.theory.symbols}
         return tables
 
     def validate(self):
@@ -221,6 +228,12 @@ class FinAlgebra:
     def to_json(self):
         return {"name": self.name, "carrier": list(self.carrier),
                 "ops": {s: _table_json(t) for s, t in self.ops.items()}}
+
+
+def _op_table(table):
+    """(args, values, table) of ``FinAlgebra.op_tables()`` for one table."""
+    args = tuple(np.indices(table.shape).reshape(table.ndim, table.size))
+    return args, table[args], table
 
 
 def _as_table(t):
@@ -574,7 +587,7 @@ def _coded_algebra(theory, name, factors, codes, relabel=None):
     codes = np.asarray(codes, dtype=np.intp)
     n = len(codes)
     coords = np.unravel_index(codes, [X.size for X in factors])
-    ops, tables = {}, {}
+    arrays = {}
     for s, a in theory.symbols:
         args = np.indices((n,) * a).reshape(a, n ** a)
         value = 0
@@ -582,13 +595,8 @@ def _coded_algebra(theory, name, factors, codes, relabel=None):
             value = value * X.size + X.op_tables()[s][2][tuple(c[args])]
         if relabel is not None:
             value = relabel[value]
-        value = np.searchsorted(codes, value)
-        table = value.reshape((n,) * a)
-        ops[s] = table.tolist()
-        tables[s] = (tuple(args), value, table)
-    algebra = FinAlgebra(theory, name, n, ops)
-    algebra._op_tables = tables  # what op_tables() would rebuild from ops
-    return algebra
+        arrays[s] = np.searchsorted(codes, value).reshape((n,) * a)
+    return FinAlgebra.from_arrays(theory, name, n, arrays)
 
 
 def _pair_codes(f, g):
@@ -1353,16 +1361,24 @@ class AlgCategory(CategoryBase):
         return identity_hom(A)
 
     def compose(self, g, f):
-        """g . f, the roster's own hom, read from the kept composite table
-        of (src f, src g, tgt g)."""
+        """g . f, read from the composite table of (src f, src g, tgt g)
+        when it is kept, or when its three hom sets are listed and it has
+        at most ``_TRIPLE_BUDGET`` entries; else composed image by image.
+        The roster's own hom whenever hom(src f, tgt g) is listed: compose
+        lists no hom set itself."""
         if f.tgt is not g.src:
             raise CompositionError("algebra homs not composable")
-        A, C = id(f.src), id(g.tgt)
-        table = self._triples.get((A, id(g.src), C))
+        A, b, C = id(f.src), id(g.src), id(g.tgt)
+        homs = self._hom_cache.get((A, C))
+        table = self._triples.get((A, b, C))
         if table is None:
+            G, F = self._hom_cache.get((b, C)), self._hom_cache.get((A, b))
+            if (homs is None or G is None or F is None
+                    or len(G) * len(F) > _TRIPLE_BUDGET):
+                gf = compose_homs(g, f)
+                return gf if homs is None else homs[self._hom_pos[gf]]
             table = self._composite_table(f.src, g.src, g.tgt)
-        return self._hom_cache[A, C][table.item(self._hom_pos[g],
-                                                self._hom_pos[f])]
+        return homs[table.item(self._hom_pos[g], self._hom_pos[f])]
 
     def is_iso(self, m):
         # a bijective hom between finite algebras has a hom inverse
@@ -1487,6 +1503,12 @@ class CompositeIndex:
 # Composites of one hom-set triple read at once: the temporaries stay
 # under a MB on the largest triple.
 _TABLE_CHUNK = 1 << 15
+
+# Most entries of a composite table that ``AlgCategory.compose`` computes
+# for one call: the largest triple of the 8-object ambient, End(Z2^3) twice
+# (512 x 512).  The composite index computes its tables under its own
+# budget.
+_TRIPLE_BUDGET = 1 << 18
 
 # Most table entries (composable pairs) one composite index may hold: 64 MB
 # at int32 indices.  The 8-object ambient of the CLI needs about 0.5M.

@@ -559,8 +559,9 @@ def _image_compatibility(C, f, tau, E, M, FS, cap):
     leg's pushforward and image factorization, each arrow's lift and each
     image functor, and is dropped when the call returns.  Per image
     functor and diagram type, whether the image covering is subordinated
-    and in tau is decided once: tau's membership validates the functor
-    (for a rule coverage), and covers subordination when M is tau's own
+    and in tau is decided once: the table validates the functor when it
+    builds it, and a rule coverage's membership reads the verdict kept on
+    the functor; membership covers subordination when M is tau's own
     subordination class, since every member of tau is subordinated to
     it.  The search (``_CompatibleSearch``) reads the same table."""
     c, d = C.src(f), C.tgt(f)

@@ -177,6 +177,10 @@ def standard_variances(I):
     return covariant, contravariant
 
 
+# ``MixedFunctor.verdict`` before ``validate_mixed_functor`` decides it
+_UNDECIDED = object()
+
+
 @dataclass
 class MixedFunctor:
     """Functor of a variance into a target category.
@@ -195,6 +199,9 @@ class MixedFunctor:
     # once built
     stable_at: dict | None = field(default=None, init=False, repr=False,
                                    compare=False)
+    # ``validate_mixed_functor``'s verdict, kept by it once decided
+    verdict: object = field(default=_UNDECIDED, init=False, repr=False,
+                            compare=False)
 
     def on_mor(self, k):
         return self.mor_map[k]
@@ -306,6 +313,17 @@ def broken_law(compose, image, laws):
 
 def validate_mixed_functor(F):
     """None when F is a functor of its variance; else (law, witness).
+
+    Decided once per functor (``_functor_verdict``) and kept on it
+    (``MixedFunctor.verdict``), since a functor is not changed once built.
+    """
+    if F.verdict is _UNDECIDED:
+        F.verdict = _functor_verdict(F)
+    return F.verdict
+
+
+def _functor_verdict(F):
+    """``validate_mixed_functor``'s verdict, decided afresh.
 
     Checks totality, stage endpoints and identity preservation, then the
     variance's composition laws in the order of its ``LawPlan``: a
@@ -498,11 +516,8 @@ class ImageTable:
       and looked up once per triple.  d.e_x = e_y.h is naturality of
       eta: pushforward(F) => G at every index arrow over tri, so finding
       the lift asserts it, and no transformation is rebuilt per covering;
-    * ``image(F)``: the image functor G, built once per distinct
-      (variance, name, object legs, arrow legs).  G is a functor by
-      construction, since every lift is unique; ``image_induced``
-      validates it, and image compatibility asks tau's membership of it,
-      which for a rule coverage validates it, once per question.
+    * ``image(F)``: the image functor G, built and validated once per
+      distinct (variance, name, object legs, arrow legs).
 
     The search half of image compatibility uses ``compose`` alone, so FS
     may be None there.  Nothing here outlives the table, so a long-lived
@@ -564,9 +579,11 @@ class ImageTable:
             obj_map = {i: m for i, (_, m) in zip(objs, legs)}
             mor_map = {k: (d, obj_map[ks], obj_map[kt])
                        for (k, ks, kt), d in zip(V.arrows, lifts)}
-            G = self._functors[key] = MixedFunctor(
-                V, slice_view(self.C, self.C.tgt(self.f)), obj_map, mor_map,
-                name=f"{self.f}!{F.name}")
+            G = MixedFunctor(V, slice_view(self.C, self.C.tgt(self.f)),
+                             obj_map, mor_map, name=f"{self.f}!{F.name}")
+            err = validate_mixed_functor(G)
+            assert err is None, f"image-induced functor fails {err}"
+            self._functors[key] = G
         return G, tuple(e for e, _ in legs)
 
 
@@ -576,12 +593,10 @@ def image_induced(C, FS, f, F):
     For each index object the composite f.F(i) factors as G(i).eta_i with
     eta_i in E and G(i) in M; connecting morphisms are the unique lifts.
     Returns (G, eta: pushforward(F) => G), from a fresh ``ImageTable``:
-    G is validated here, and eta is natural because every lift is.
+    G is validated, and eta is natural because every lift is.
     Image compatibility asks its table directly, one table per question.
     """
     G, es = ImageTable(C, f, FS).image(F)
-    err = validate_mixed_functor(G)
-    assert err is None, f"image-induced functor fails {err}"
     push = pushforward_functor(C, f, F)
     components = {i: (e, push.obj_map[i], G.obj_map[i])
                   for i, e in zip(F.variance.category.objects(), es)}

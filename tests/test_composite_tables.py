@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
-from fincov.algkit import build_finalg_category, compose_homs, \
-    monoid_theory
-from fincov.fincat import CompositionError, mor_key
-from fincov.instances import monoids_upto
+import fincov.algkit as algkit
+from fincov.algkit import FinAlgebra, Theory, build_finalg_category, \
+    compose_homs, group_theory, hom_rows, monoid_theory
+from fincov.fincat import CapExceeded, CompositionError, mor_key
+from fincov.instances import cyclic_group, direct_product_group, \
+    monoids_upto
 from fincov.morphclass import BUILTIN_CLASS_NAMES, builtin_class
 from fincov.protomod import _check_ambient
 from fixtures_util import FULL_GROWTH, grow_ambient, grown_ambient
@@ -29,9 +31,30 @@ def harness_stages():
         yield amb
 
 
+def semilattices():
+    """The theory of join-semilattices, which has no constants, and the
+    chains C0 (empty) to C3 and the three-element V3 = {a, b, a v b}."""
+    x, y, z = ("x",), ("y",), ("z",)
+
+    def join(a, b):
+        return ("join", a, b)
+
+    T = Theory("semilattices", (("join", 2),), (
+        (("x", "y", "z"), join(join(x, y), z), join(x, join(y, z))),
+        (("x", "y"), join(x, y), join(y, x)),
+        (("x",), join(x, x), x)))
+    chains = [FinAlgebra(T, f"C{n}", n, {"join": tuple(
+        tuple(max(a, b) for b in range(n)) for a in range(n))})
+        for n in (0, 1, 2, 3)]
+    vee = FinAlgebra(T, "V3", 3, {"join": ((0, 2, 2), (2, 1, 2),
+                                           (2, 2, 2))})
+    return T, chains, vee
+
+
 def _assert_tables_compose(amb, literal=False):
     """Every kept triple table names the composite's images: G[i][F[j]]
-    for all i, j at once, and compose_homs pair by pair when literal."""
+    for all i, j at once; when literal, also compose_homs pair by pair,
+    and compose returns that roster hom."""
     objs = amb.objects()
     for A in objs:
         for b in objs:
@@ -44,7 +67,9 @@ def _assert_tables_compose(amb, literal=False):
                     homs = amb.hom(A, C)
                     for i, g in enumerate(amb.hom(b, C)):
                         for j, f in enumerate(amb.hom(A, b)):
-                            assert homs[table[i, j]] == compose_homs(g, f)
+                            gf = homs[table[i, j]]
+                            assert gf == compose_homs(g, f)
+                            assert amb.compose(g, f) is gf
 
 
 @pytest.mark.parametrize("name", AMBIENTS)
@@ -55,6 +80,58 @@ def test_triple_tables_equal_composed_images_on_corpus(corpus, name):
 def test_triple_tables_equal_compose_homs_on_harness_ambient():
     for amb in harness_stages():
         _assert_tables_compose(amb, literal=len(amb.objects()) <= 6)
+
+
+def test_triple_tables_past_int64_and_without_constants():
+    """Hom sets of Z16, whose image tuples code past int64 (16^16 >
+    2^63), and a constant-free theory, whose homs need not fix element 0
+    and whose empty algebra has exactly one hom to each algebra and none
+    from a non-empty one: no generators at all."""
+    amb = build_finalg_category(group_theory(), 16,
+                                [cyclic_group(n) for n in (1, 2, 16)])
+    _assert_tables_compose(amb, literal=True)
+    T, chains, vee = semilattices()
+    amb = build_finalg_category(T, 3, chains + [vee])
+    assert [A.name for A in amb.objects()] == ["C0", "C1", "C2", "C3", "V3"]
+    _assert_tables_compose(amb, literal=True)
+
+
+def test_compose_within_its_budgets(monkeypatch):
+    """compose lists no hom set and computes no composite table past
+    ``_TRIPLE_BUDGET``: on Z2^4 (65536 endomorphisms, so the triple
+    (Z2^4, Z2^4, Z2^4) has 2^32 composites, and the index is past its
+    budget) it composes image by image, and returns the roster's hom
+    once End(Z2^4) is listed.  Under a zero budget a listed triple is
+    composed the same way."""
+    v4 = direct_product_group(cyclic_group(2), cyclic_group(2), "V4")
+    amb = build_finalg_category(group_theory(), 16, [
+        cyclic_group(1), direct_product_group(v4, v4, "V16")])
+    v = amb.objects()[1]
+    rows = hom_rows(v, v)
+    g, f = (algkit.AlgHom(v, v, rows[k].tolist()) for k in (12345, 54321))
+    gf = amb.compose(g, f)
+    assert gf == compose_homs(g, f)
+    assert not amb._hom_cache and not amb._triples
+    homs = amb.hom(v, v)
+    assert len(homs) == 1 << 16
+    gf = amb.compose(homs[12345], homs[54321])
+    assert gf == compose_homs(homs[12345], homs[54321])
+    assert any(h is gf for h in homs) and not amb._triples
+    with pytest.raises(CapExceeded, match="composite index needs"):
+        amb.composite_index()
+    assert not amb._triples
+
+    amb = grown_ambient(*FULL_GROWTH)
+    objs = amb.objects()
+    A, b, C = objs[-1], objs[-2], objs[-1]
+    homs, G, F = amb.hom(A, C), amb.hom(b, C), amb.hom(A, b)
+    with monkeypatch.context() as m:
+        m.setattr(algkit, "_TRIPLE_BUDGET", len(G) * len(F) - 1)
+        gf = amb.compose(G[-1], F[-1])
+        assert gf is homs[homs.index(compose_homs(G[-1], F[-1]))]
+        assert not amb._triples
+    assert amb.compose(G[-1], F[-1]) is gf
+    assert list(amb._triples) == [(id(A), id(b), id(C))]
 
 
 def test_composite_index_extends_like_a_rebuild():
@@ -162,19 +239,7 @@ def test_ambient_scan_without_constants():
     """A constant-free theory's initial object is empty, so every kernel
     is empty: the first candidate beta that passes is a violation, in the
     scan and in the reference alike."""
-    from fincov.algkit import FinAlgebra, Theory
-    x, y, z = ("x",), ("y",), ("z",)
-
-    def join(a, b):
-        return ("join", a, b)
-
-    T = Theory("semilattices", (("join", 2),), (
-        (("x", "y", "z"), join(join(x, y), z), join(x, join(y, z))),
-        (("x", "y"), join(x, y), join(y, x)),
-        (("x",), join(x, x), x)))
-    chains = [FinAlgebra(T, f"C{n}", n, {"join": tuple(
-        tuple(max(a, b) for b in range(n)) for a in range(n))})
-        for n in (0, 1, 2, 3)]
+    T, chains, _ = semilattices()
     C = build_finalg_category(T, 3, chains)
     assert C.initial().size == 0
     verdicts = []

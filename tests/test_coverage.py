@@ -939,15 +939,16 @@ def test_image_compatibility_factorizes_each_leg_and_lifts_each_square_once(
 
 def test_image_compatibility_decides_each_piece_once(monkeypatch):
     """Within one call each distinct image functor is validated once,
-    wherever the package validates functors, and each target covering is
-    checked for subordination at most once."""
+    when the image table builds it (tau's membership reads the verdict
+    kept on the functor), and each target covering is checked for
+    subordination at most once."""
     from collections import Counter
 
     from fincov import coverage, variance
     from fincov.instances import random_category
     validated = Counter()
     subordinated = Counter()
-    real_validate = variance.validate_mixed_functor
+    real_validate = variance._functor_verdict
     real_subordination = coverage.check_subordination
 
     def counting_validate(F):
@@ -958,9 +959,7 @@ def test_image_compatibility_decides_each_piece_once(monkeypatch):
         subordinated[id(cov)] += 1
         return real_subordination(cov, M)
 
-    for module in (variance, coverage):
-        monkeypatch.setattr(module, "validate_mixed_functor",
-                            counting_validate)
+    monkeypatch.setattr(variance, "_functor_verdict", counting_validate)
     monkeypatch.setattr(coverage, "check_subordination",
                         counting_subordination)
 
@@ -973,10 +972,11 @@ def test_image_compatibility_decides_each_piece_once(monkeypatch):
     f = "f2>1:00"
     covs, _ = tau.coverings_of(C, C.src(f))
     assert check_image_compatibility(C, f, tau, E, M, FS=FS).compatible
+    decided = Counter(validated)
     table = variance.ImageTable(C, f, FS)
     images = {table.image(cov.functor)[0].key() for cov in covs}
     assert len(covs) > len(images) > 1
-    assert validated == Counter(images)
+    assert decided == Counter(images)
 
     # search path: no factorization system, 27 coverings on either side
     C = random_category(1, (4, 12))

@@ -182,6 +182,33 @@ def test_contravariant_functor_is_mixed_functor():
     assert validate_mixed_functor(F) is None
 
 
+def test_verdict_is_kept_on_the_functor(monkeypatch):
+    """validate_mixed_functor decides each functor once and keeps the
+    verdict, a witness as well as None, on it; an equal functor built
+    apart is decided afresh."""
+    from fincov import variance
+    decided = Counter()
+    real = variance._functor_verdict
+
+    def counting(F):
+        decided[id(F)] += 1
+        return real(F)
+
+    monkeypatch.setattr(variance, "_functor_verdict", counting)
+    # each functor beside an equal one built apart, all kept alive so
+    # that their ids stay apart
+    pairs = [(G, MixedFunctor(G.variance, G.target, G.obj_map, G.mor_map))
+             for G in _perturbed_functors(3)]
+    verdicts = set()
+    for G, twin in pairs:
+        got = validate_mixed_functor(G)
+        assert validate_mixed_functor(G) == got == G.verdict
+        assert validate_mixed_functor(twin) == got
+        assert decided[id(G)] == decided[id(twin)] == 1
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
 def test_corrupted_mor_map_detected():
     F = random_mixed_functor(7)
     k = next(m for m in F.mor_map
