@@ -48,7 +48,9 @@ on every object of the first 16 harness categories under each of the
 four harness chain types (M = monos, cap 2048), one coverage object per
 type, on categories built fresh for each timed run.  It prints the
 covering functors enumerated against the coverings served: the types
-of one shape share their functors.  The last row runs the closure
+of one shape share their functors.  The next row does the same on all 64
+harness categories, as the closure harness's subobject instances decide
+them.  The last row runs the closure
 harness's quotient and extension instances on its 64 categories (E =
 isos, M = monos, chain[1]k1, cap 512) after one untimed pass, so every
 hypothesis is answered from the tables: the cost of asking a question
@@ -265,14 +267,17 @@ def workloads():
         for C, f, E, M, FS, cap in questions:
             check_image_compatibility(C, f, taus[C], E, M, FS=FS, cap=cap)
 
-    # one fresh set of categories per timed run: no verdict and no
-    # functor sequence is kept from an earlier run
-    compact_sets = [[(C, builtin_class(C, "monos"))
-                     for C in (random_category(s, (4, 12))
-                               for s in range(16))] for _ in range(3)]
+    # one fresh set of categories per timed run: no verdict, slice hom
+    # set or functor sequence is kept from an earlier run
+    def fresh_harness(count):
+        return [[(C, builtin_class(C, "monos"))
+                 for C in (random_category(s, (4, 12)) for s in range(count))]
+                for _ in range(3)]
 
-    def compactness():
-        cats = compact_sets.pop()
+    compact_sets = {16: fresh_harness(16), 64: fresh_harness(64)}
+
+    def compactness(count):
+        cats = compact_sets[count].pop()
         served = 0
         for C, M in cats:
             for dt in chains:
@@ -280,11 +285,13 @@ def workloads():
                 for c in C.objects():
                     v = decide_tau_compact(C, c, tau, cap=2048)
                     served += v.enumerated
-        # a finished sequence is a tuple, one being read [done, generator]
+        # functor sequences are kept by (variance, object), coverings by
+        # (name, type, object); a finished sequence is a tuple, one being
+        # read [done, generator]
         built = sum(len(seq) if isinstance(seq, tuple) else len(seq[0])
                     for C, M in cats
-                    for seq in derived_memo(C, "covering_functors",
-                                            M).values())
+                    for key, seq in derived_memo(C, "coverings", M).items()
+                    if len(key) == 2)
         return f"{built} functors for {served} coverings"
 
     # the closure harness's quotient and extension instances, as
@@ -346,7 +353,8 @@ def workloads():
         ("surjections properties, fresh 5-object ambient",
          surjection_properties),
         ("image compatibility, harness + ambient", image_compatibility),
-        ("compactness, 16 harness x 4 chains", compactness),
+        ("compactness, 16 harness x 4 chains", lambda: compactness(16)),
+        ("compactness, 64 harness x 4 chains", lambda: compactness(64)),
         ("closure hypotheses, warm, 64 harness categories",
          closure_hypotheses),
     ]

@@ -55,6 +55,18 @@ class DiagramType:
             directed = _smalls_directed(I, self.smalls) is None
         self.directed = directed
 
+    @cached_property
+    def stabilization_plan(self):
+        """(i0, arrows) per small i0, in sorted order: the non-identity
+        index arrows on a composable pair i0 -> i -> j, which a covering
+        must send to isomorphisms to stabilize at i0 (identities go to
+        identities)."""
+        I = self.I
+        return tuple((i0, frozenset(k for l in I.morphisms_from(i0)
+                                    for k in I.morphisms_from(I.tgt(l))
+                                    if not I.is_identity(k)))
+                     for i0 in sorted(self.smalls))
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -103,12 +115,12 @@ _shape_cache = {}
 
 
 def _shape(kind, size):
-    """(I, covariant, contravariant) for the chain 0 < ... < size or the
-    powerset poset P(size), built once per shape and shared by every
-    diagram type of that shape."""
+    """(I, covariant, contravariant, types) for the chain 0 < ... < size
+    or the powerset poset P(size), built once per shape and shared by
+    every diagram type of that shape; ``types`` keeps the chain types."""
     if (kind, size) not in _shape_cache:
         I = chain_poset(size) if kind == "chain" else _powerset_poset(size)
-        _shape_cache[kind, size] = (I,) + standard_variances(I)
+        _shape_cache[kind, size] = (I,) + standard_variances(I) + ({},)
     return _shape_cache[kind, size]
 
 
@@ -117,18 +129,20 @@ def build_chain_type(n, small_prefix, direction="cov"):
 
     A proper prefix makes stabilization nontrivial (the finite model of an
     unbounded ascending or descending chain); small_prefix = n gives the
-    vacuous type where every covering stabilizes at the top.
+    vacuous type where every covering stabilizes at the top.  Built once
+    per (n, small_prefix, direction), so its coverings are shared.
     """
     if not 0 <= small_prefix <= n:
         raise ValueError("need 0 <= small_prefix <= n")
-    I, cov, contr = _shape("chain", n)
-    v = cov if direction == "cov" else contr
-    smalls = frozenset(f"o{i}" for i in range(small_prefix + 1))
-    dt = DiagramType(I, smalls, v, name=f"chain[{n}]k{small_prefix}{direction}",
-                     directed=True, shape="chain",
-                     shape_params={"n": n, "smalls": small_prefix,
-                                   "dir": direction})
-    return dt
+    I, cov, contr, types = _shape("chain", n)
+    if (small_prefix, direction) not in types:
+        v = cov if direction == "cov" else contr
+        smalls = frozenset(f"o{i}" for i in range(small_prefix + 1))
+        types[small_prefix, direction] = DiagramType(
+            I, smalls, v, name=f"chain[{n}]k{small_prefix}{direction}",
+            directed=True, shape="chain",
+            shape_params={"n": n, "smalls": small_prefix, "dir": direction})
+    return types[small_prefix, direction]
 
 
 def _powerset_poset(k):
@@ -165,7 +179,7 @@ def _powerset_type_relaxed(k, kappa, direction="cov"):
     key = (k, kappa, direction)
     if key in _powerset_cache:
         return _powerset_cache[key]
-    I, cov, contr = _shape("powerset", k)
+    I, cov, contr, _ = _shape("powerset", k)
     v = cov if direction == "cov" else contr
     smalls = frozenset(f"s{_mask_name(m, k)}" for m in range(1 << k)
                        if bin(m).count("1") < kappa)
@@ -182,7 +196,7 @@ def _powerset_type_relaxed(k, kappa, direction="cov"):
 # coverings
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Covering:
     """A tuple (F: I -> C/c, smalls, variance) with F a valid mixed functor."""
 
@@ -195,10 +209,6 @@ class Covering:
     def leg(self, i):
         """The underlying morphism into the anchor at index object i."""
         return self.functor.obj_map[i]
-
-    def connecting(self, k):
-        """Base leg of the slice morphism at index morphism k."""
-        return self.functor.mor_map[k][0]
 
     def key(self):
         return (self.diagram_type.name, self.functor.key())
@@ -218,27 +228,19 @@ class Covering:
                 "flags": list(self.flags)}
 
 
-def stabilizes_at(cov, i0):
-    """F(k) iso for every composable pair i0 -> i -> j of the index.
-
-    Decided once per functor and i0 (``MixedFunctor.stable_at``), so the
-    diagram types that share a covering functor share the answer."""
-    known = cov.functor.stable_at
-    if known is None:
-        known = cov.functor.stable_at = {}
-    if i0 not in known:
-        I = cov.diagram_type.I
-        C = cov.category
-        known[i0] = all(C.is_iso(cov.connecting(k))
-                        for l in I.morphisms_from(i0)
-                        for k in I.morphisms_from(I.tgt(l)))
-    return known[i0]
-
-
 def stabilization_small(cov):
-    """Least designated small object at which the covering stabilizes."""
-    for i0 in sorted(cov.diagram_type.smalls):
-        if stabilizes_at(cov, i0):
+    """Least designated small object at which the covering stabilizes:
+    the first small of the type's ``stabilization_plan`` none of whose
+    arrows the functor sends to a non-isomorphism.  Which arrows those
+    are is decided once per functor (``MixedFunctor.non_isos``), so the
+    diagram types that share a covering functor share the answer."""
+    F = cov.functor
+    if F.non_isos is None:
+        C = cov.category
+        F.non_isos = tuple(k for k in F.variance.law_plan.non_id
+                           if not C.is_iso(F.mor_map[k][0]))
+    for i0, arrows in cov.diagram_type.stabilization_plan:
+        if arrows.isdisjoint(F.non_isos):
             return i0
     return None
 
@@ -289,16 +291,17 @@ class RuleCoverage:
         return memo[c, cap]
 
     def _enumerate(self, C, c, cap):
-        """The functors of each type's variance (``_covering_functors``)
-        as coverings of that type, types in J order, stopping once cap
-        coverings are made."""
+        """The coverings of each type (``_type_coverings``), types in J
+        order, stopping once cap coverings are listed."""
         M = self.resolve_M(C)
         out = []
         for dt in self.J:
-            for F in _covering_functors(C, c, dt.variance, M):
-                out.append(Covering(C, c, dt, F))
-                if cap is not None and len(out) >= cap:
-                    return tuple(out), True
+            # a type adds at least one covering before the cap can stop
+            got = _type_coverings(C, c, dt, M, None if cap is None
+                                  else max(cap - len(out), 1))
+            out += got
+            if got and cap is not None and len(out) >= cap:
+                return tuple(out), True
         return tuple(out), False
 
     def contains(self, C, cov):
@@ -346,121 +349,111 @@ class ExplicitCoverage:
                                                    key=lambda kv: str(kv[0]))}}
 
 
-def _covering_functors(C, c, V, M):
-    """The valid mixed functors of variance V into C/c with M-legs, in
+def _type_coverings(C, c, dt, M, limit):
+    """The first limit (all when None) coverings of c of type dt with
+    M-legs, one per functor of the type's variance, in
     ``_enumerate_functors`` order.
 
-    One sequence per (V, c) is kept on C for the class object M and
-    extended only as far as a caller reads it, so the diagram types of
-    one variance, which differ only in their smalls and name, share their
-    functors, and so do coverage objects over the same M.  Covariant and
-    contravariant types on one index poset have different variances and
-    do not share.  The sequences go with the other memos when C grows.
-
-    A sequence being read is kept as [functors so far, generator]; once
-    the generator is spent, as the tuple of all its functors.
+    Both are kept in one table on C for the class object M and made only
+    as far as a caller asks: the functors by (variance, c) (``_prefix``),
+    which the diagram types of one variance share, since they differ only
+    in their smalls and name, and their coverings by (name, type, c),
+    which coverage objects and caps share.  Covariant and contravariant
+    types on one index poset have different variances and do not share.
+    The table goes with the other memos when C grows.
     """
-    memo = derived_memo(C, "covering_functors", M)
-    seq = memo.get((V, c))
+    V = dt.variance
+    memo = derived_memo(C, "coverings", M)
+    fs = _prefix(memo, (V, c), lambda: _enumerate_functors(C, c, V, M),
+                 limit)
+    covs = memo.setdefault((dt.name, dt, c), [])
+    covs += [Covering(C, c, dt, F) for F in fs[len(covs):]]
+    return covs[:len(fs)]
+
+
+def _prefix(memo, key, make, limit):
+    """The first limit (all when None) items of the sequence memo[key],
+    started with make() and read only as far as a caller asks.  It is
+    kept as [items so far, iterator] until the iterator is spent, then as
+    the tuple of all its items."""
+    seq = memo.get(key)
     if seq is None:
-        seq = memo[V, c] = [[], _enumerate_functors(C, c, V, M)]
-    if isinstance(seq, tuple):
-        yield from seq
-        return
-    done, rest = seq
-    i = 0
-    while True:
-        if i == len(done):
-            F = next(rest, None)
-            if F is None:
-                memo[V, c] = tuple(done)
-                return
-            done.append(F)
-        yield done[i]
-        i += 1
+        seq = memo[key] = [[], make()]
+    if isinstance(seq, list):
+        done, rest = seq
+        if limit is not None and len(done) >= limit:
+            return done[:limit]
+        done += itertools.islice(rest, None if limit is None
+                                 else limit - len(done))
+        if limit is not None and len(done) == limit:
+            return done
+        seq = memo[key] = tuple(done)
+    return seq[:limit]
 
 
 def _enumerate_functors(C, c, V, M):
     """Valid mixed functors I -> C/c of variance V with M-legs, in
-    deterministic order, built depth-first.
+    deterministic order: one flat depth-first walk over the levels of the
+    variance's ``LawPlan``.
 
-    Index objects take M-legs into c in sorted order; an index arrow is
-    tested for a triangle as soon as both of its stage objects are set.
-    The non-identity arrows then take triangles in sorted order, and each
-    law of the variance's ``LawPlan`` is checked as soon as all of its
-    arrows are set, on base legs: both paths of a law run between the
-    same slice objects, so triangles compare by leg.  Dead
-    prefixes are cut, so the output is the product order of the plain
-    generate-and-test loop.  Totality, stage endpoints and identities hold
-    by construction; stage coherence is a property of the variance.
+    Object levels take M-legs into c in sorted order, arrow levels the
+    triangles of the slice hom set between their stage objects' legs
+    (``SliceCategory.hom_sets``, sorted).  A level's checks run as soon
+    as it is set: an object level needs a triangle for every arrow whose
+    stages are then set, and an arrow level every law it completes, on
+    base legs, since both paths of a law run between the same slice
+    objects.  Dead prefixes are cut, so the output is the product order
+    of the plain generate-and-test loop.  Totality, stage endpoints and
+    identities hold by construction; stage coherence is a property of the
+    variance.
     """
     plan = V.law_plan
     if plan.incoherent is not None:
         return
     sl = slice_view(C, c)
+    homs, compose = sl.hom_sets, C.compose
     legs = [m for m in sorted(C.morphisms_into(c), key=mor_key)
             if M.contains(m)]
-    # slice morphisms as (base, p, q) triples, built once and shared by
-    # every functor that uses them
-    units = {p: (C.identity(C.src(p)), p, p) for p in legs}
-    triangles = {}
-
-    def tri(p, q):
-        if (p, q) not in triangles:
-            triangles[p, q] = [(h, p, q) for h in sorted(
-                (h for h in C.hom(C.src(p), C.src(q))
-                 if C.compose(q, h) == p), key=mor_key)]
-        return triangles[p, q]
-
-    obj_map = {}
-
-    def place_object(p, choice):
-        obj_map[plan.objs[p]] = legs[choice[p]]
-        return all(tri(obj_map[ks], obj_map[kt])
-                   for ks, kt in plan.arrows_at[p])
-
-    base = {}
-    cands = []
-
-    def place_arrow(j, choice):
-        base[plan.non_id[j]] = cands[j][choice[j]][0]
-        return broken_law(C.compose, base, plan.laws_at[j]) is None
-
-    for _ in _depth_first([len(legs)] * len(plan.objs), place_object):
-        om = dict(obj_map)
-        ids = [(k, units[om[o]]) for k, o in plan.ids]
-        base.clear()
-        base.update((k, unit[0]) for k, unit in ids)
-        cands[:] = [tri(om[ks], om[kt]) for ks, kt in plan.stages]
-        for choice in _depth_first([len(cs) for cs in cands], place_arrow):
-            mor_map = dict(ids)
-            mor_map.update(zip(plan.non_id,
-                               (cs[x] for cs, x in zip(cands, choice))))
-            yield MixedFunctor(V, sl, om, mor_map)
-
-
-def _depth_first(sizes, place):
-    """Every choice vector with 0 <= choice[p] < sizes[p] such that
-    place(p, choice) holds at each p, in lexicographic order.  place sees
-    choice[:p + 1] and records choice[p]; a failing place cuts every
-    extension of the prefix.  Iterative, so the depth is not bounded by
-    the recursion limit; yields the same list each time."""
-    n = len(sizes)
-    if n == 0:
-        yield []
+    units = {p: sl.identity(p) for p in legs}
+    levels, n = plan.levels, len(plan.objs)
+    if not levels:
+        yield MixedFunctor(V, sl, {}, {})
         return
-    choice = [-1] * n
+    # each level's leg or triangle, its image (a unit triangle for an
+    # object) and base leg by arrow
+    vals = [None] * len(levels)
+    images = vals[:]
+    its = [iter(legs)] + vals[1:]
+    base = {}
     p = 0
     while p >= 0:
-        choice[p] += 1
-        if choice[p] == sizes[p]:
-            choice[p] = -1
-            p -= 1
-        elif place(p, choice):
-            if p + 1 == n:
-                yield choice
+        k, stage, checks = levels[p]
+        for x in its[p]:
+            vals[p] = x
+            if stage is None:
+                images[p] = units[x]
+                base[k] = images[p][0]
+                for a, b in checks:
+                    if not homs[vals[a], vals[b]]:
+                        break
+                else:  # every check holds: keep x
+                    break
             else:
-                p += 1
+                images[p] = x
+                base[k] = x[0]
+                if not checks or broken_law(compose, base, checks) is None:
+                    break
+        else:
+            p -= 1
+            continue
+        if p + 1 < len(levels):
+            p += 1
+            stage = levels[p][1]
+            its[p] = iter(legs if stage is None
+                          else homs[vals[stage[0]], vals[stage[1]]])
+        else:
+            yield MixedFunctor(V, sl, dict(zip(plan.objs, vals)),
+                               dict(zip(plan.arrows, images)))
 
 
 def enumerate_coverings(C, c, J, M, cap=None):
@@ -601,9 +594,10 @@ class _CompatibleSearch:
 
     The target coverings of tgt(f) are fetched once, and filtered by
     type and subordination once per diagram type, in coverage order.
-    The sorted E-candidates h with q.h = p are found once per leg pair
-    (p, q).  The pushforward legs f.x and every composite come from the
-    question's ``ImageTable``.  Candidate combinations are tried in
+    The sorted E-candidates h with q.h = p are the slice hom set p -> q
+    over tgt(f) (``SliceCategory.hom_sets``) filtered by E, once per leg
+    pair (p, q).  The pushforward legs f.x and every composite come from
+    the question's ``ImageTable``.  Candidate combinations are tried in
     product order, each checked arrow by arrow for naturality, so the
     first transformation found does not depend on the caching.
     """
@@ -630,11 +624,9 @@ class _CompatibleSearch:
     def candidates(self, p, q):
         """The E-morphisms h with q.h = p, sorted."""
         if (p, q) not in self._cands:
-            C, compose = self.C, self.table.compose
-            self._cands[p, q] = sorted(
-                (h for h in C.hom(C.src(p), C.src(q))
-                 if compose(q, h) == p and self.E.contains(h)),
-                key=mor_key)
+            homs = slice_view(self.C, self.C.tgt(self.f)).hom_sets
+            self._cands[p, q] = [h for h, _, _ in homs[p, q]
+                                 if self.E.contains(h)]
         return self._cands[p, q]
 
     def compatible(self, cov):
@@ -658,11 +650,12 @@ class _CompatibleSearch:
     def _natural(self, F, G, h):
         """h: pushforward(F) => G is natural: G(k).h_ks = h_kt.F(k) on
         base legs at every index arrow k, since the pushforward keeps the
-        base legs of F."""
+        base legs of F; identities, which both functors send to
+        identities, hold at once."""
         compose = self.table.compose
         return all(compose(G.mor_map[k][0], h[ks])
                    == compose(h[kt], F.mor_map[k][0])
-                   for k, ks, kt in F.variance.arrows)
+                   for k, ks, kt in F.variance.law_plan.moving)
 
 
 @dataclass
@@ -712,26 +705,28 @@ def decide_tau_compact(C, c, tau, cap=None):
 
 def _decide_tau_compact(C, c, tau, cap):
     covs, capped = tau.coverings_of(C, c, cap=cap)
-    flags = set()
+    # a type's flags once per run of its coverings: a rule coverage lists
+    # the coverings of each type together
+    flags, dt = set(), None
     for cov in covs:
-        if not cov.diagram_type.smalls:
-            flags.add("empty-smalls")
-        if not cov.diagram_type.directed:
-            flags.add("non-directed-smalls")
-        flags.update(cov.flags)
-
+        if cov.diagram_type is not dt:
+            dt = cov.diagram_type
+            if not dt.smalls:
+                flags.add("empty-smalls")
+            if not dt.directed:
+                flags.add("non-directed-smalls")
+        if cov.flags:
+            flags.update(cov.flags)
+    flags = tuple(sorted(flags))
     stable = []
     for cov in covs:
         w = stabilization_small(cov)
         if w is None:
             return CompactnessVerdict(False, tuple(stable), cov,
-                                      len(covs), capped, tuple(sorted(flags)))
+                                      len(covs), capped, flags)
         stable.append((cov, w))
-    if capped:
-        return CompactnessVerdict(None, tuple(stable), None, len(covs),
-                                  True, tuple(sorted(flags)))
-    return CompactnessVerdict(True, tuple(stable), None, len(covs), False,
-                              tuple(sorted(flags)))
+    return CompactnessVerdict(None if capped else True, tuple(stable), None,
+                              len(covs), capped, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -824,13 +819,10 @@ class OpenCoverCoverage:
                    for sub in range(1 << k)}
         sl = slice_view(C, c)
         mor_map = {}
-        for km in dt.I.morphisms():
-            p = obj_map[dt.variance.source_stage(km)]
-            q = obj_map[dt.variance.target_stage(km)]
-            hs = [h for h in C.hom(C.src(p), C.src(q))
-                  if C.compose(q, h) == p]
+        for km, ks, kt in dt.variance.arrows:
+            hs = sl.hom_sets[obj_map[ks], obj_map[kt]]
             assert len(hs) == 1, "embedding legs force unique triangles"
-            mor_map[km] = (hs[0], p, q)
+            mor_map[km] = hs[0]
         F = MixedFunctor(dt.variance, sl, obj_map, mor_map)
         flags = ("empty-family",) if k == 0 else ()
         return Covering(C, c, dt, F, flags)

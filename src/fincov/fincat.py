@@ -675,11 +675,32 @@ class CatFunctor:
         return None
 
 
+class SliceHomSets(dict):
+    """(p, q) -> the slice hom set p -> q over legs p and q into one
+    anchor: the triangles (h, p, q) with q . h = p, sorted by ``mor_key``
+    of h, as a tuple.  Each is made on its first lookup and kept, so a
+    hit is a plain dict lookup."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, key):
+        p, q = key
+        B = self.base
+        hs = sorted((h for h in B.hom(B.src(p), B.src(q))
+                     if B.compose(q, h) == p), key=mor_key)
+        out = self[key] = tuple((h, p, q) for h in hs)
+        return out
+
+
 class SliceCategory(CategoryBase):
     """Slice over an anchor object, enumerated lazily from the base.
 
     Objects are the base morphisms into the anchor; a morphism p -> q is a
-    triple (h, p, q) with q . h = p in the base.
+    triple (h, p, q) with q . h = p in the base.  ``hom_sets`` keeps the
+    slice hom sets it is asked for (``SliceHomSets``), so the view shared
+    by ``slice_view`` holds the one table of them per category and anchor.
     """
 
     def __init__(self, base, anchor):
@@ -690,6 +711,7 @@ class SliceCategory(CategoryBase):
         self._objects = tuple(sorted(base.morphisms_into(anchor),
                                      key=self._okey))
         self._morphisms_cache = None
+        self.hom_sets = SliceHomSets(base)
 
     @staticmethod
     def _okey(p):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fincat import PullbackSquare, derived_memo, mor_key, \
+from .fincat import PullbackSquare, derived_memo, mor_key, try_pullback, \
     verify_pullback_square
 from .morphclass import MorphismClass, builtin_class, is_stably_extremal
 
@@ -127,7 +127,9 @@ def _scan(C, E, M, form, plan):
     gives (thetas, admits, witness): ``thetas(c)``, the theta range into
     the target c, where None is skipped as restricted; ``admits(eb)``,
     whether e.beta is let in; and ``witness(eb, c)``, the (gamma, e') of a
-    counterexample.
+    counterexample.  Both pullbacks go through ``try_pullback``, so a
+    cospan past an ambient's size cap is skipped as restricted, like one
+    without a pullback.
     """
     if C.concrete:
         return _check_ambient(C, E, M, form=form)
@@ -148,11 +150,11 @@ def _scan(C, E, M, form, plan):
                 if theta is None:
                     restricted = True
                     continue
-                sq1 = C.find_pullback(theta, e)
+                sq1 = try_pullback(C, theta, e)
                 if sq1 is None:
                     restricted = True
                     continue
-                sq2 = C.find_pullback(sq1.proj2, beta)
+                sq2 = try_pullback(C, sq1.proj2, beta)
                 if sq2 is None:
                     restricted = True
                     continue
@@ -193,14 +195,22 @@ def _rectangle_plan(C, E):
 
 
 def _mono_part_plan(C, E):
-    """The monic part of every theta, None where it has none; e.beta as
-    in the definition."""
+    """The monic part of every theta, None where it has none, decided
+    when ``thetas`` first asks for it: deciding one can register pullback
+    apexes on an algebra ambient, and thetas out of them are asked for
+    later.  e.beta as in the definition."""
     monos = builtin_class(C, "monos")
-    mono_parts = {theta: _mono_part(C, theta, monos)
-                  for theta in C.morphisms()}
+    mono_parts = {}
+
+    def thetas(c):
+        out = []
+        for t in _thetas_into(C, c):
+            if t not in mono_parts:
+                mono_parts[t] = _mono_part(C, t, monos)
+            out.append(mono_parts[t])
+        return out
     _, admits, witness = _definition_plan(C, E)
-    return (lambda c: [mono_parts[t] for t in _thetas_into(C, c)],
-            admits, witness)
+    return thetas, admits, witness
 
 
 def _mono_part(C, theta, monos):

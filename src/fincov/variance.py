@@ -181,7 +181,7 @@ def standard_variances(I):
 _UNDECIDED = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class MixedFunctor:
     """Functor of a variance into a target category.
 
@@ -194,10 +194,9 @@ class MixedFunctor:
     obj_map: dict
     mor_map: dict
     name: str = "F"
-    # index object -> whether the functor stabilizes there, made and
-    # filled in by ``coverage.stabilizes_at``; a functor is not changed
-    # once built
-    stable_at: dict | None = field(default=None, init=False, repr=False,
+    # the non-identity index arrows sent to non-isomorphisms, decided by
+    # ``coverage.stabilization_small``; a functor is not changed once built
+    non_isos: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
     # ``validate_mixed_functor``'s verdict, kept by it once decided
     verdict: object = field(default=_UNDECIDED, init=False, repr=False,
@@ -246,28 +245,36 @@ class LawPlan:
     or None; it rejects every functor, so laws come only from the pairs
     before it.
 
-    For the depth-first enumeration, ``objs`` and ``non_id`` are the
-    assignment orders, ``ids`` the identities with their objects,
-    ``stages`` the stage objects of each non-identity arrow,
-    ``arrows_at[p]`` the stages whose later object is ``objs[p]`` and
-    ``laws_at[j]`` the laws whose last assigned arrow is ``non_id[j]``.
+    For the covering walk (``coverage._enumerate_functors``), ``objs``
+    and ``non_id`` are the assignment orders, ``ids`` the identities of
+    ``objs`` and ``arrows`` the ids, then ``non_id``; ``moving`` holds
+    (k, source stage, target stage) per arrow of ``non_id``.  ``levels``
+    has one entry per object, then one per non-identity arrow: (arrow,
+    stage, checks).  An object level names the object's identity, has no
+    stage and checks the (earlier, own) object positions of every arrow
+    whose later stage object it is: their slice hom set must not be
+    empty.  An arrow level has the object positions of its stages and
+    checks the laws whose last assigned arrow it is.
     """
 
     def __init__(self, V):
         I = V.category
         self.objs = sorted(I.objects())
-        self.ids = [(I.identity(o), o) for o in self.objs]
+        self.ids = [I.identity(o) for o in self.objs]
         self.non_id = [k for k in sorted(I.morphisms())
                        if not I.is_identity(k)]
-        self.stages = [(V.source_stage(k), V.target_stage(k))
+        self.arrows = self.ids + self.non_id
+        self.moving = [(k, V.source_stage(k), V.target_stage(k))
                        for k in self.non_id]
         opos = {o: p for p, o in enumerate(self.objs)}
-        self.arrows_at = [[] for _ in self.objs]
-        for ks, kt in self.stages:
-            self.arrows_at[max(opos[ks], opos[kt])].append((ks, kt))
+        stages = [(opos[ks], opos[kt]) for _, ks, kt in self.moving]
+        self.levels = [(k, None, []) for k in self.ids] + \
+            [(k, st, []) for k, st in zip(self.non_id, stages)]
+        for st in stages:
+            self.levels[max(st)][2].append(st)
+        n = len(self.objs)
         last = {k: j for j, k in enumerate(self.non_id)}
         self.laws = []
-        self.laws_at = [[] for _ in self.non_id]
         self.incoherent = None
         seen = set()
         for g in I.morphisms():
@@ -294,8 +301,9 @@ class LawPlan:
                     seen.add((gf, path))
                     law = (gf, path, (g, f))
                     self.laws.append(law)
-                    self.laws_at[max(last.get(k, -1)
-                                     for k in path + (gf,))].append(law)
+                    self.levels[n + max(last.get(k, -1)
+                                        for k in path + (gf,))][2] \
+                        .append(law)
 
 
 def broken_law(compose, image, laws):

@@ -1164,3 +1164,71 @@ def test_growing_the_ambient_drops_the_shared_functors(monkeypatch):
     want, _ = oracles.rule_coverings(amb, Z2, J, M)
     assert _functor_maps(after) == _functor_maps(want)
     assert len(after) > len(before)
+
+
+# ---------------------------------------------------------------------------
+# the slice hom sets kept per category and anchor
+# ---------------------------------------------------------------------------
+
+CORPUS_POSETS = ("poset_2chain", "poset_3chain", "poset_4chain", "diamond",
+                 "sub_Z4", "sub_Z8")
+
+
+def _plain_slice_hom(C, p, q):
+    """The h with q.h = p, as the plain loop over the sorted hom set."""
+    from fincov.fincat import mor_key
+    return [h for h in sorted(C.hom(C.src(p), C.src(q)), key=mor_key)
+            if C.compose(q, h) == p]
+
+
+def _check_slice_hom_sets(C, anchors):
+    """Every pair of legs into each anchor: the kept slice hom set is the
+    plain loop's, as triangles (h, p, q), and is kept.  Returns the number
+    of pairs checked."""
+    pairs = 0
+    for c in anchors:
+        sl = slice_view(C, c)
+        legs = C.morphisms_into(c)
+        for p in legs:
+            for q in legs:
+                got = sl.hom_sets[p, q]
+                assert [h for h, _, _ in got] == _plain_slice_hom(C, p, q), \
+                    (C.name, c, p, q)
+                assert all((x, y) == (p, q) for _, x, y in got)
+                assert sl.hom_sets[p, q] is got
+                pairs += 1
+    return pairs
+
+
+def test_slice_hom_sets_match_the_plain_loop(corpus):
+    """The corpus posets, the group categories, eight harness categories
+    and one anchor of an algebra ambient grown by Z2 x Z3."""
+    from fincov.instances import random_category
+    from fixtures_util import grown_ambient
+    cats = [corpus[name].category for name in CORPUS_POSETS]
+    cats += [corpus[name].category for name in corpus.names()
+             if name.startswith("group_cat_")]
+    cats += [random_category(s, (4, 12)) for s in range(8)]
+    pairs = sum(_check_slice_hom_sets(C, C.objects()) for C in cats)
+    amb = grown_ambient(("Z2", "Z3"))
+    Z6 = max(amb.objects(), key=lambda A: A.size)
+    pairs += _check_slice_hom_sets(amb, [Z6])
+    assert pairs > 900
+
+
+def test_growing_the_ambient_drops_the_slice_hom_sets():
+    """The slice view, and the hom sets kept on it, go with the other
+    memos when the algebra ambient grows; the new view sees the new legs."""
+    from fincov.algkit import build_finalg_category, group_theory
+    amb = build_finalg_category(group_theory(), 4,
+                                [cyclic_group(n) for n in (1, 2)])
+    Z1, Z2 = sorted(amb.objects(), key=lambda A: A.size)
+    old = slice_view(amb, Z2)
+    legs = amb.morphisms_into(Z2)
+    kept = {(p, q): old.hom_sets[p, q] for p in legs for q in legs}
+    amb.register(cyclic_group(4))
+    new = slice_view(amb, Z2)
+    assert new is not old and not new.hom_sets
+    assert len(amb.morphisms_into(Z2)) > len(legs)
+    _check_slice_hom_sets(amb, [Z2])
+    assert all(new.hom_sets[p, q] == hs for (p, q), hs in kept.items())

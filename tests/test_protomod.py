@@ -382,3 +382,70 @@ def test_mono_part_on_ambient_reports_its_own_form():
     mono = check_protomodularity_mono_part(C, E, M)
     assert (rect.form, mono.form) == ("rectangle", "mono-part")
     assert dict(mono.to_json(), form="rectangle") == rect.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the generic scans on small algebra ambients
+# ---------------------------------------------------------------------------
+
+# (theory, size cap, roster, roster order cap)
+SMALL_AMBIENTS = {
+    "groups_upto(6)": ("group_theory", 6, "groups_upto", 6),
+    "monoids_upto(3)": ("monoid_theory", 3, "monoids_upto", 3)}
+
+
+def _fresh_ambient(theory, cap, roster, order_cap, concrete=True):
+    """A fresh algebra ambient; concrete=False on the instance sends every
+    protomodularity form down the generic scan."""
+    from fincov import algkit, instances
+    C = algkit.build_finalg_category(getattr(algkit, theory)(), cap,
+                                     getattr(instances, roster)(order_cap))
+    C.concrete = concrete
+    return C, builtin_class(C, "surjections"), builtin_class(C, "injections")
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_AMBIENTS))
+@pytest.mark.parametrize("check", [check_protomodularity_pair,
+                                   check_protomodularity_equivalent,
+                                   check_protomodularity_mono_part])
+def test_generic_forms_match_the_shortcut_on_small_ambients(name, check):
+    """With the concrete dispatch bypassed, each form scans the ambient
+    itself, each on a fresh ambient: pullbacks past the size cap are
+    skipped as restricted rather than raising CapExceeded, and the
+    verdict is the anchored shortcut's (a violation on the monoids)."""
+    spec = SMALL_AMBIENTS[name]
+    short = check_protomodularity_pair(*_fresh_ambient(*spec))
+    assert short.satisfied is (name == "groups_upto(6)")
+    rep = check(*_fresh_ambient(*spec, concrete=False))
+    assert rep.satisfied is short.satisfied
+    assert rep.diagrams_checked > 0
+    assert (rep.counterexample is None) is rep.satisfied
+
+
+def test_generic_definition_form_skips_cospans_past_the_cap():
+    """V4 -> Z1 <- Z2 has a pullback of 8 elements, past the cap of 6: the
+    generic definition form counts it as restricted."""
+    from fincov.fincat import try_pullback
+    C, E, M = _fresh_ambient(*SMALL_AMBIENTS["groups_upto(6)"],
+                             concrete=False)
+    ob = {A.name: A for A in C.objects()}
+    assert try_pullback(C, C.hom(ob["V4"], ob["Z1"])[0],
+                        C.hom(ob["Z2"], ob["Z1"])[0]) is None
+    assert check_protomodularity_pair(C, E, M).restricted is True
+
+
+def test_generic_mono_parts_are_decided_on_demand():
+    """On the abelian ambient at cap 8, deciding mono parts registers
+    pullback apexes; the theta range of every roster object still
+    answers, each theta with its mono part or None."""
+    from fincov.protomod import _mono_part_plan
+    C, E, _ = _fresh_ambient("group_theory", 8, "abelian_groups_upto", 4,
+                             concrete=False)
+    thetas, _, _ = _mono_part_plan(C, E)
+    roster = list(C.objects())
+    monos = builtin_class(C, "monos")
+    for c in roster:
+        parts = thetas(c)
+        assert parts and len(parts) <= len(C.morphisms_into(c))
+        assert all(m is None or monos.contains(m) for m in parts)
+    assert len(C.objects()) > len(roster)
