@@ -237,7 +237,7 @@ def stabilization_small(cov):
     F = cov.functor
     if F.non_isos is None:
         C = cov.category
-        F.non_isos = tuple(k for k in F.variance.law_plan.non_id
+        F.non_isos = tuple(k for k, _, _ in F.variance.moving
                            if not C.is_iso(F.mor_map[k][0]))
     for i0, arrows in cov.diagram_type.stabilization_plan:
         if arrows.isdisjoint(F.non_isos):
@@ -655,7 +655,7 @@ class _CompatibleSearch:
         compose = self.table.compose
         return all(compose(G.mor_map[k][0], h[ks])
                    == compose(h[kt], F.mor_map[k][0])
-                   for k, ks, kt in F.variance.law_plan.moving)
+                   for k, ks, kt in F.variance.moving)
 
 
 @dataclass

@@ -76,6 +76,13 @@ class Variance:
                      for k in self.category.morphisms())
 
     @cached_property
+    def moving(self):
+        """``arrows`` without the identities, which every functor sends
+        to identities."""
+        return tuple(a for a in self.arrows
+                     if not self.category.is_identity(a[0]))
+
+    @cached_property
     def law_plan(self):
         """The variance's ``LawPlan``, compiled on first use."""
         return LawPlan(self)
@@ -247,10 +254,9 @@ class LawPlan:
 
     For the covering walk (``coverage._enumerate_functors``), ``objs``
     and ``non_id`` are the assignment orders, ``ids`` the identities of
-    ``objs`` and ``arrows`` the ids, then ``non_id``; ``moving`` holds
-    (k, source stage, target stage) per arrow of ``non_id``.  ``levels``
-    has one entry per object, then one per non-identity arrow: (arrow,
-    stage, checks).  An object level names the object's identity, has no
+    ``objs`` and ``arrows`` the ids, then ``non_id``.  ``levels`` has one
+    entry per object, then one per non-identity arrow: (arrow, stage,
+    checks).  An object level names the object's identity, has no
     stage and checks the (earlier, own) object positions of every arrow
     whose later stage object it is: their slice hom set must not be
     empty.  An arrow level has the object positions of its stages and
@@ -264,10 +270,9 @@ class LawPlan:
         self.non_id = [k for k in sorted(I.morphisms())
                        if not I.is_identity(k)]
         self.arrows = self.ids + self.non_id
-        self.moving = [(k, V.source_stage(k), V.target_stage(k))
-                       for k in self.non_id]
         opos = {o: p for p, o in enumerate(self.objs)}
-        stages = [(opos[ks], opos[kt]) for _, ks, kt in self.moving]
+        stages = [(opos[V.source_stage(k)], opos[V.target_stage(k)])
+                  for k in self.non_id]
         self.levels = [(k, None, []) for k in self.ids] + \
             [(k, st, []) for k, st in zip(self.non_id, stages)]
         for st in stages:
