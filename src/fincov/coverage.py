@@ -611,15 +611,17 @@ class _CompatibleSearch:
         self._cands = {}
 
     def targets(self, dt):
-        """The M-subordinated coverings of tgt(f) of type dt."""
-        if dt not in self._by_type:
+        """The M-subordinated coverings of tgt(f) of type dt, kept by the
+        type's id: the question's coverings keep their types alive."""
+        got = self._by_type.get(id(dt))
+        if got is None:
             if self._targets is None:
                 self._targets, _ = self.tau.coverings_of(
                     self.C, self.C.tgt(self.f), cap=self.cap)
-            self._by_type[dt] = [g for g in self._targets
-                                 if g.diagram_type == dt
-                                 and check_subordination(g, self.M)[0]]
-        return self._by_type[dt]
+            got = self._by_type[id(dt)] = [
+                g for g in self._targets if g.diagram_type == dt
+                and check_subordination(g, self.M)[0]]
+        return got
 
     def candidates(self, p, q):
         """The E-morphisms h with q.h = p, sorted."""

@@ -525,8 +525,9 @@ class ImageTable:
       ``FS.factorize`` pair (e, m) of its pushforward f.x = m.e, once;
     * ``lift(tri)``: for a slice morphism tri = (h, x, y) of a covering,
       the unique d with d.e_x = e_y.h and m_y.d = m_x, which orthogonality
-      of E and M forces; searched once per square (e_x, e_y.h, m_y, m_x)
-      and looked up once per triple.  d.e_x = e_y.h is naturality of
+      of E and M forces; searched once per square (e_x, e_y.h, m_y, m_x),
+      among the slice hom set m_x -> m_y over tgt(f) that the category's
+      slice view keeps, and looked up once per triple.  d.e_x = e_y.h is naturality of
       eta: pushforward(F) => G at every index arrow over tri, so finding
       the lift asserts it, and no transformation is rebuilt per covering;
     * ``image(F)``: the image functor G, built and validated once per
@@ -571,9 +572,8 @@ class ImageTable:
         return d
 
     def _unique_lift(self, e, u, m, v):
-        C, compose = self.C, self.compose
-        lifts = [h for h in C.hom(C.tgt(e), C.src(m))
-                 if compose(h, e) == u and compose(m, h) == v]
+        homs = slice_view(self.C, self.C.tgt(self.f)).hom_sets
+        lifts = [h for h, _, _ in homs[v, m] if self.compose(h, e) == u]
         assert len(lifts) == 1, \
             f"orthogonality should force a unique lift of {(e, u, m, v)}"
         return lifts[0]
