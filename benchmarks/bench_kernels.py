@@ -3,8 +3,9 @@
 
 Runs the hot enumeration workloads (table validation, cancellation flags,
 lifting-square scans, pullback-span searches, class-composite scans) on
-corpus categories, each on the category's own (narrowest-dtype) tables,
-and prints the best of three runs per workload.  The class-composite rows
+corpus categories, each on the category's own tables: its Python rows,
+or for validation the rows packed into one numpy table of the narrowest
+dtype, and prints the best of three runs per workload.  The class-composite rows
 also run on the abelian-groups ambient grown by three products to 8
 objects and 1010 morphisms, as product closure grows it.  Beside them,
 the composite-index rows assemble that ambient's index again from its
@@ -50,18 +51,19 @@ type, on categories built fresh for each timed run.  It prints the
 covering functors enumerated against the coverings served: the types
 of one shape share their functors.  The next row does the same on all 64
 harness categories, as the closure harness's subobject instances decide
-them.  The last row runs the closure
+them.  The next row runs the closure
 harness's quotient and extension instances on its 64 categories (E =
 isos, M = monos, chain[1]k1, cap 512) after one untimed pass, so every
 hypothesis is answered from the tables: the cost of asking a question
-again.
+again.  The last two rows run, on the 64 harness categories built fresh
+for each timed run, ``check_class_properties`` of the monos (mono flags,
+class composites and the stability scan's pullbacks) and
+``find_pullback`` on every cospan.
 """
 
 import os
 import sys
 import time
-
-import numpy as np
 
 from fincov import instances, kernels
 from fincov.algkit import build_finalg_category, enumerate_homs, \
@@ -101,10 +103,11 @@ def workloads():
     top = top3.category
     a3, atop = sk3._kernel_args(), top._kernel_args()
 
-    def validation(C, a):
-        kernels.first_composability_violation(*a[:3])
-        kernels.first_identity_violation(*a[:3], C._ident)
-        kernels.first_assoc_violation(a[0])
+    def validation(C):
+        comp, src, tgt, ident = C._packed()
+        kernels.first_composability_violation(comp, src, tgt)
+        kernels.first_identity_violation(comp, src, tgt, ident)
+        kernels.first_assoc_violation(comp)
 
     def flags(a):
         kernels.mono_epi_flags(*a)
@@ -122,15 +125,15 @@ def workloads():
                 if a[2][f] != a[2][g]:
                     continue
                 cp, cq = kernels.commuting_spans(*a, f, g)
-                if len(cp):
-                    kernels.span_verify(*a, int(cp[0]), int(cq[0]), cp, cq)
+                if cp:
+                    kernels.span_verify(*a, cp[0], cq[0], cp, cq)
 
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
     ob = {A.name: A for A in amb.objects()}
     for a, b in (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4")):
         amb.find_pullback(amb.hom(ob[a], ob["Z1"])[0],
                           amb.hom(ob[b], ob["Z1"])[0])
-    injective = np.array([m.is_injective() for m in amb.morphisms()])
+    injective = [m.is_injective() for m in amb.morphisms()]
 
     def hom_sets():
         n = sum(len(enumerate_homs(A, B)) for A in amb.objects()
@@ -181,9 +184,8 @@ def workloads():
         return f"{rep.diagrams_checked} diagrams"
 
     def composites(C, member):
-        kernels.first_class_composites(
-            C.composite_blocks(), member,
-            ("system", "left_cancelable", "right_cancelable"))
+        C.first_class_composites(
+            member, ("system", "left_cancelable", "right_cancelable"))
 
     harness = [(C, builtin_class(C, "monos"))
                for C in (random_category(s, (4, 12)) for s in range(64))]
@@ -317,15 +319,31 @@ def workloads():
 
     closure_hypotheses()
 
+    property_sets = fresh_harness(64)
+
+    def mono_properties():
+        for C, M in property_sets.pop():
+            check_class_properties(C, M)
+
+    pullback_sets = fresh_harness(64)
+
+    def all_pullbacks():
+        found = 0
+        for C, _ in pullback_sets.pop():
+            for f in C.morphisms():
+                for g in C.morphisms_into(C.tgt(f)):
+                    found += C.find_pullback(f, g) is not None
+        return f"{found} pullbacks"
+
     return [
-        ("validate set<=3 (60 mor)", lambda: validation(sk3, a3)),
-        ("validate top<=3 (1476 mor)", lambda: validation(top, atop)),
+        ("validate set<=3 (60 mor)", lambda: validation(sk3)),
+        ("validate top<=3 (1476 mor)", lambda: validation(top)),
         ("mono/epi flags set<=3", lambda: flags(a3)),
         ("mono/epi flags top<=3", lambda: flags(atop)),
         ("lifting scans set<=3", lambda: lifts(a3)),
         ("pullback spans set<=3", lambda: spans(a3)),
         ("class composites top<=3 (monos)",
-         lambda: composites(top, top._flags()[0].astype(bool))),
+         lambda: composites(top, top._flags[0])),
         ("composite index ambient (1010 mor)", lambda: index(amb)),
         ("composite index, fresh 8-object ambient",
          lambda: unindexed.pop().composite_index()),
@@ -357,6 +375,10 @@ def workloads():
         ("compactness, 64 harness x 4 chains", lambda: compactness(64)),
         ("closure hypotheses, warm, 64 harness categories",
          closure_hypotheses),
+        ("class properties (monos), 64 harness categories",
+         mono_properties),
+        ("find_pullback on every cospan, 64 harness categories",
+         all_pullbacks),
     ]
 
 

@@ -1357,6 +1357,34 @@ class AlgCategory(CategoryBase):
     def composite_blocks(self):
         return self.composite_index().blocks.values()
 
+    def first_class_composites(self, member, flags):
+        """The kernel's answer, read off the numpy composite index: blocks
+        of up to 666 x 666 are too large to turn into Python rows."""
+        member = np.array(member, dtype=bool)
+        best = dict.fromkeys(flags)
+        for rows, cols, table in self.composite_blocks():
+            for flag in flags:
+                want_g, want_f, want_gf = kernels.COMPOSITE_PATTERNS[flag]
+                ri = np.flatnonzero(member[rows] == want_g)
+                ci = np.flatnonzero(member[cols] == want_f)
+                if not len(ri) or not len(ci):
+                    continue
+                step = max(1, _CHUNK // len(ci))
+                for lo in range(0, len(ri), step):
+                    r = ri[lo:lo + step]
+                    # rows ascend: a witness with a smaller g stops it
+                    if best[flag] is not None and best[flag][0] < rows[r[0]]:
+                        break
+                    hit = member[table[np.ix_(r, ci)]] == want_gf
+                    k = int(np.argmax(hit))
+                    if hit.flat[k]:
+                        i, j = divmod(k, len(ci))
+                        pair = (int(rows[r[i]]), int(cols[ci[j]]))
+                        if best[flag] is None or pair < best[flag]:
+                            best[flag] = pair
+                        break
+        return best
+
     def identity(self, A):
         return identity_hom(A)
 
@@ -1503,6 +1531,10 @@ class CompositeIndex:
 # Composites of one hom-set triple read at once: the temporaries stay
 # under a MB on the largest triple.
 _TABLE_CHUNK = 1 << 15
+
+# Index entries ``first_class_composites`` gathers at once: its masks stay
+# well under a MB on the 666 x 666 block of the grown ambient.
+_CHUNK = 1 << 14
 
 # Most entries of a composite table that ``AlgCategory.compose`` computes
 # for one call: the largest triple of the 8-object ambient, End(Z2^3) twice

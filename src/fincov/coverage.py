@@ -593,7 +593,8 @@ class _CompatibleSearch:
     receives an E-component transformation from the pushforward?
 
     The target coverings of tgt(f) are fetched once, and filtered by
-    type and subordination once per diagram type, in coverage order.
+    type and subordination (none when M is tau's own subordination
+    class) once per diagram type, in coverage order.
     The sorted E-candidates h with q.h = p are the slice hom set p -> q
     over tgt(f) (``SliceCategory.hom_sets``) filtered by E, once per leg
     pair (p, q).  The pushforward legs f.x and every composite come from
@@ -618,9 +619,10 @@ class _CompatibleSearch:
             if self._targets is None:
                 self._targets, _ = self.tau.coverings_of(
                     self.C, self.C.tgt(self.f), cap=self.cap)
+            own = self.tau.subordination_class(self.C) is self.M
             got = self._by_type[id(dt)] = [
                 g for g in self._targets if g.diagram_type == dt
-                and check_subordination(g, self.M)[0]]
+                and (own or check_subordination(g, self.M)[0])]
         return got
 
     def candidates(self, p, q):

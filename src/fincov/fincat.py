@@ -2,18 +2,24 @@
 
 A ``FinCategory`` takes objects, morphisms, identities and the full
 composition table over string ids, and keeps the composition only as a
-dense morphism-index table.  All searches iterate ids in sorted
-(lexicographic) order, so every reported witness or canonical choice is
-deterministic.  ``CategoryBase`` is the minimal protocol shared with the
-lazily-enumerated categories (slices, algebra ambients).
+dense morphism-index table of Python rows, one ``array.array`` per
+morphism, beside index lists of ends and one index tuple per hom set.
+Queries read a few rows of small tables, so compose, hom, pullbacks and
+the flag kernels loop over the rows; only validation packs them into one
+numpy table, for its whole-table scans.  All searches iterate ids in
+sorted (lexicographic) order, so every reported witness or canonical
+choice is deterministic.  ``CategoryBase`` is the minimal protocol
+shared with the lazily-enumerated categories (slices, algebra ambients).
 """
 
 from __future__ import annotations
 
 import json
 import weakref
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -164,7 +170,7 @@ class CategoryBase:
     def composite_blocks(self):
         """The composite index: per object b, (rows, cols, table) with rows
         and cols the ascending ``morphisms()`` indices of the morphisms out
-        of and into b, and table[i, j] the index of rows[i] . cols[j].
+        of and into b, and table[i][j] the index of rows[i] . cols[j].
 
         Generic path: composes every pair.  Explicit categories and
         algebra ambients read the index from their own tables.
@@ -172,11 +178,14 @@ class CategoryBase:
         pos = {m: i for i, m in enumerate(self.morphisms())}
         for b in self.objects():
             gs, fs = self.morphisms_from(b), self.morphisms_into(b)
-            table = np.array([[pos[self.compose(g, f)] for f in fs]
-                              for g in gs], dtype=np.int64)
-            yield (np.array([pos[g] for g in gs], dtype=np.int64),
-                   np.array([pos[f] for f in fs], dtype=np.int64),
-                   table.reshape(len(gs), len(fs)))
+            yield ([pos[g] for g in gs], [pos[f] for f in fs],
+                   [[pos[self.compose(g, f)] for f in fs] for g in gs])
+
+    def first_class_composites(self, member, flags):
+        """``kernels.first_class_composites`` over ``composite_blocks``,
+        with ``member`` a flag per morphism in ``morphisms()`` order."""
+        return kernels.first_class_composites(self.composite_blocks(),
+                                              member, flags)
 
     def iso_inverse(self, m):
         """Two-sided inverse of m, or None; cached."""
@@ -236,10 +245,10 @@ class PullbackSquare:
 
     ``mediator(p, q)`` is the unique mediating morphism into the apex of
     a competing cone (p, q); ``mediators`` holds them by cone.  A square
-    found by the kernel search keeps the kernel's index arrays
+    found by the kernel search keeps the kernel's index lists
     (``cones``: cone legs and mediators) and builds the dict on the first
     ``mediator`` call.  A square with an iso projection keeps no mediator
-    array (``None``): the mediator of (p, q) is then that projection's
+    list (``None``): the mediator of (p, q) is then that projection's
     inverse after p or q.
     """
 
@@ -257,9 +266,9 @@ class PullbackSquare:
             C = self.category
             ms = C.morphisms()
             cp, cq, med = self.cones
-            cones = list(zip(cp.tolist(), cq.tolist()))
+            cones = list(zip(cp, cq))
             if med is not None:
-                hs = [ms[h] for h in med.tolist()]
+                hs = [ms[h] for h in med]
             else:
                 side = 0 if C.is_iso(self.proj1) else 1
                 inv = C.iso_inverse((self.proj1, self.proj2)[side])
@@ -304,44 +313,35 @@ class FinCategory(CategoryBase):
         self._morphisms = tuple(sorted(morphisms))
         self._mor_map = {m: (morphisms[m][0], morphisms[m][1]) for m in morphisms}
         self._identities = dict(identities)
-        self._oidx = {o: i for i, o in enumerate(self._objects)}
-        self._midx = {m: i for i, m in enumerate(self._morphisms)}
+        self._oidx = oidx = {o: i for i, o in enumerate(self._objects)}
+        self._midx = midx = {m: i for i, m in enumerate(self._morphisms)}
         n, no = len(self._morphisms), len(self._objects)
-        self._src = np.array([self._oidx[self._mor_map[m][0]] for m in self._morphisms],
-                             dtype=np.int64)
-        self._tgt = np.array([self._oidx[self._mor_map[m][1]] for m in self._morphisms],
-                             dtype=np.int64)
-        self._ident = np.array([self._midx[self._identities[o]] for o in self._objects],
-                               dtype=np.int64)
-        # the dense table is the only copy of the composition kept: a dict
-        # of id pairs costs about as much again on large tables
-        comp = np.full((n, n), -1, dtype=kernels.table_dtype(n))
-        midx = self._midx
+        self._src = [oidx[self._mor_map[m][0]] for m in self._morphisms]
+        self._tgt = [oidx[self._mor_map[m][1]] for m in self._morphisms]
+        # the rows are the only copy of the composition kept, in the
+        # narrowest typecode that holds -1..n-1: a dict of id pairs costs
+        # about as much again on large tables
+        row = array(np.dtype(kernels.table_dtype(n)).char, [-1]) * n
+        comp = self._comp = [row[:] for _ in range(n)]
         for (g, f), gf in composition.items():
-            comp[midx[g], midx[f]] = midx[gf]
-        self._comp = comp
-        # CSR hom sets grouped by (src, tgt), morphisms in index (= id) order
-        buckets = [[] for _ in range(no * no)]
-        for i in range(n):
-            buckets[self._src[i] * no + self._tgt[i]].append(i)
-        ptr = np.zeros(no * no + 1, dtype=np.int64)
-        dat = []
-        for k, bucket in enumerate(buckets):
-            dat.extend(bucket)
-            ptr[k + 1] = len(dat)
-        self._hom_ptr = ptr
-        self._hom_dat = np.array(dat, dtype=np.int64)
-        self._homcount = np.zeros((no, no), dtype=np.int64)
-        for i in range(n):
-            self._homcount[self._src[i], self._tgt[i]] += 1
-        # hom sets by (a, b), and per object: (indices, ids) of the
-        # morphisms into / out of it; all built on first use
+            comp[midx[g]][midx[f]] = midx[gf]
+        # ascending morphism indices per hom set (a, b), at a * no + b, and
+        # per object index: those out of and into it
+        homs = [[] for _ in range(no * no)]
+        self._out_idx, self._into_idx = ([[] for _ in range(no)]
+                                         for _ in range(2))
+        for i, (a, b) in enumerate(zip(self._src, self._tgt)):
+            homs[a * no + b].append(i)
+            self._out_idx[a].append(i)
+            self._into_idx[b].append(i)
+        self._hom_idx = list(map(tuple, homs))
+        ms = self._morphisms
+        self._from, self._into = (
+            {o: tuple(ms[i] for i in idx[k])
+             for k, o in enumerate(self._objects)}
+            for idx in (self._out_idx, self._into_idx))
+        # hom sets by (a, b), built on first use
         self._homs = {}
-        self._into = {}
-        self._from = {}
-        self._mono = None
-        self._epi = None
-        self._has_all_pullbacks = None
 
     # -- identity-based protocol ---------------------------------------------
 
@@ -361,63 +361,63 @@ class FinCategory(CategoryBase):
         return self._identities[o]
 
     def compose(self, g, f):
-        gf = self._comp[self._midx[g], self._midx[f]]
+        gf = self._comp[self._midx[g]][self._midx[f]]
         if gf < 0:
             raise CompositionError(f"{g} . {f} undefined")
         return self._morphisms[gf]
 
     def composition(self):
         """A fresh {(g, f): g.f} dict of every composable pair."""
-        ms = self._morphisms
-        gs, fs = np.nonzero(self._comp >= 0)
-        return {(ms[g], ms[f]): ms[gf] for g, f, gf in
-                zip(gs.tolist(), fs.tolist(), self._comp[gs, fs].tolist())}
+        ms, into = self._morphisms, self._into_idx
+        return {(ms[g], ms[f]): ms[row[f]]
+                for g, (row, a) in enumerate(zip(self._comp, self._src))
+                for f in into[a] if row[f] >= 0}
 
     def hom(self, a, b):
         hit = self._homs.get((a, b))
         if hit is None:
-            k = self._oidx[a] * len(self._objects) + self._oidx[b]
-            lo, hi = self._hom_ptr[k], self._hom_ptr[k + 1]
-            hit = self._homs[a, b] = tuple(
-                self._morphisms[i] for i in self._hom_dat[lo:hi].tolist())
+            idx = self._hom_idx[self._oidx[a] * len(self._objects)
+                                + self._oidx[b]]
+            hit = self._homs[a, b] = tuple(self._morphisms[i] for i in idx)
         return hit
 
     def morphisms_into(self, o):
-        return self._incident(self._into, self._tgt, o)[1]
+        return self._into[o]
 
     def morphisms_from(self, o):
-        return self._incident(self._from, self._src, o)[1]
-
-    def _incident(self, cache, ends, o):
-        hit = cache.get(o)
-        if hit is None:
-            idx = np.flatnonzero(ends == self._oidx[o])
-            hit = cache[o] = (idx, tuple(self._morphisms[i] for i in idx))
-        return hit
+        return self._from[o]
 
     def composite_blocks(self):
-        # computed block by block from the dense table, never kept
-        for o in self._objects:
-            rows = self._incident(self._from, self._src, o)[0]
-            cols = self._incident(self._into, self._tgt, o)[0]
-            yield rows, cols, self._comp[np.ix_(rows, cols)]
+        # computed block by block from the rows, never kept
+        comp = self._comp
+        for rows, cols in zip(self._out_idx, self._into_idx):
+            yield rows, cols, [list(map(comp[g].__getitem__, cols))
+                               for g in rows]
 
     # -- kernel-backed flags ---------------------------------------------------
 
     def _kernel_args(self):
-        return (self._comp, self._src, self._tgt, self._hom_ptr,
-                self._hom_dat, len(self._objects))
+        return (self._comp, self._src, self._tgt, self._hom_idx,
+                len(self._objects))
 
+    def _packed(self):
+        """The rows packed into one numpy table, and src, tgt and the
+        identities as index arrays: the validation scans' arguments."""
+        n = len(self._morphisms)
+        comp = np.frombuffer(b"".join(self._comp), kernels.table_dtype(n))
+        ident = [self._midx[self._identities[o]] for o in self._objects]
+        return (comp.reshape(n, n),
+                *map(np.array, (self._src, self._tgt, ident)))
+
+    @cached_property
     def _flags(self):
-        if self._mono is None:
-            self._mono, self._epi = kernels.mono_epi_flags(*self._kernel_args())
-        return self._mono, self._epi
+        return kernels.mono_epi_flags(*self._kernel_args())
 
     def is_mono(self, f):
-        return bool(self._flags()[0][self._midx[f]])
+        return self._flags[0][self._midx[f]]
 
     def is_epi(self, f):
-        return bool(self._flags()[1][self._midx[f]])
+        return self._flags[1][self._midx[f]]
 
     def find_pullback(self, f, g):
         key = (f, g)
@@ -426,14 +426,14 @@ class FinCategory(CategoryBase):
         if self.tgt(f) != self.tgt(g):
             raise CompositionError("cospan legs must share a target")
         fi, gi = self._midx[f], self._midx[g]
-        comp, src, tgt, hp, hd, no = self._kernel_args()
-        cp, cq = kernels.commuting_spans(comp, src, tgt, hp, hd, no, fi, gi)
+        comp, src, tgt, homs, no = self._kernel_args()
+        cp, cq = kernels.commuting_spans(comp, src, tgt, homs, no, fi, gi)
         ms = self._morphisms
         g_iso = self.is_iso(g)
         if g_iso or self.is_iso(f):
             # along an iso leg, a commuting span is a pullback iff its
             # other leg is an iso, and (id, g^-1 f) or (f^-1 g, id) is one
-            legs = (cp if g_iso else cq).tolist()
+            legs = cp if g_iso else cq
             i = next(i for i, m in enumerate(legs) if self.is_iso(ms[m]))
             square = PullbackSquare(self, f, g, self._objects[src[cp[i]]],
                                     ms[cp[i]], ms[cq[i]],
@@ -443,34 +443,33 @@ class FinCategory(CategoryBase):
         # cone counts per test object: a candidate apex w must satisfy
         # |hom(z, w)| == #cones(z) for every z, a cheap necessary filter,
         # decided for every apex object at once
-        kappa = np.bincount(src[cp], minlength=no)
-        apex_ok = (self._homcount == kappa[:, None]).all(axis=0)
+        kappa = [0] * no
+        for p in cp:
+            kappa[src[p]] += 1
+        apex_ok = [all(len(homs[z * no + w]) == k for z, k in enumerate(kappa))
+                   for w in range(no)]
         square = None
-        for i in np.flatnonzero(apex_ok[src[cp]]).tolist():
-            w = src[cp[i]]
-            ok, med = kernels.span_verify(comp, src, tgt, hp, hd, no,
-                                          int(cp[i]), int(cq[i]), cp, cq)
+        for p, q in zip(cp, cq):
+            if not apex_ok[src[p]]:
+                continue
+            ok, med = kernels.span_verify(comp, src, tgt, homs, no, p, q,
+                                          cp, cq)
             if ok:
-                square = PullbackSquare(self, f, g, self._objects[w],
-                                        ms[cp[i]], ms[cq[i]],
-                                        cones=(cp, cq, med))
+                square = PullbackSquare(self, f, g, self._objects[src[p]],
+                                        ms[p], ms[q], cones=(cp, cq, med))
                 break
         self._pullback_cache[key] = square
         return square
 
     def has_all_pullbacks(self):
         """Whether every cospan has a pullback; computed once, cached."""
-        if self._has_all_pullbacks is None:
-            res = True
-            for f in self._morphisms:
-                for g in self.morphisms_into(self.tgt(f)):
-                    if self.find_pullback(f, g) is None:
-                        res = False
-                        break
-                if not res:
-                    break
-            self._has_all_pullbacks = res
-        return self._has_all_pullbacks
+        return self._all_pullbacks
+
+    @cached_property
+    def _all_pullbacks(self):
+        return all(self.find_pullback(f, g) is not None
+                   for f in self._morphisms
+                   for g in self.morphisms_into(self.tgt(f)))
 
     # -- structural equality (used by the opposite-involution law) ------------
 
@@ -479,7 +478,7 @@ class FinCategory(CategoryBase):
                 and self._objects == other._objects
                 and self._mor_map == other._mor_map
                 and self._identities == other._identities
-                and np.array_equal(self._comp, other._comp))
+                and self._comp == other._comp)
 
     def __hash__(self):
         return hash((self._objects, self._morphisms))
@@ -560,23 +559,21 @@ def validate_category(raw, name="C"):
                                 "composition entry references unknown id")
 
     cat = FinCategory(objects, morphisms, identities, composition, name=name)
-    args = cat._kernel_args()[:3]
-
-    v = kernels.first_composability_violation(*args)
+    comp, src, tgt, ident = cat._packed()
+    ms = cat._morphisms
+    v = kernels.first_composability_violation(comp, src, tgt)
     if v is not None:
         g, f, code = v
-        ms = cat._morphisms
         return ValidationReport(False, "composability", (ms[g], ms[f]),
                                 f"composition {code} at ({ms[g]}, {ms[f]})")
-    v = kernels.first_identity_violation(*args, cat._ident)
+    v = kernels.first_identity_violation(comp, src, tgt, ident)
     if v is not None:
         f, side = v
-        return ValidationReport(False, "identity", (cat._morphisms[f],),
-                                f"{side} identity law fails at {cat._morphisms[f]}")
-    v = kernels.first_assoc_violation(cat._comp)
+        return ValidationReport(False, "identity", (ms[f],),
+                                f"{side} identity law fails at {ms[f]}")
+    v = kernels.first_assoc_violation(comp)
     if v is not None:
         f, g, h = v
-        ms = cat._morphisms
         return ValidationReport(False, "associativity", (ms[f], ms[g], ms[h]),
                                 f"h.(g.f) != (h.g).f at (f,g,h)=({ms[f]},{ms[g]},{ms[h]})")
     return cat

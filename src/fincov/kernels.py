@@ -1,13 +1,17 @@
-"""The enumeration kernels of fincov, in numpy.
+"""The enumeration kernels of fincov.
 
-The functions take the dense table representation of a finite category
-(``first_class_composites`` takes a composite index instead) and return
-plain ints or numpy arrays.  ``comp`` is morphism x morphism with -1
-for non-composable pairs, in any signed integer dtype (``FinCategory``
-stores the narrowest, see ``table_dtype``).  Hom sets come as a CSR pair
-``hom_ptr``/``hom_dat`` indexed by src*nobj+tgt.  Witnesses are always the
-lexicographically least in the documented loop order; the tests check them
-witness for witness against the reference loops in ``tests/oracles.py``.
+Most kernels read an explicit category's table as Python rows:
+``comp[g][f]`` is the index of g.f, or -1 where the pair does not
+compose; ``src`` and ``tgt`` are index lists, and ``homs[a * nobj + b]``
+is the ascending index tuple of hom(a, b).  A query reads a few rows of
+tables that mostly hold 1-12 morphisms, where a numpy call costs more
+than the loop it replaces, so these kernels are plain loops.  The three
+validation scans read every entry once per untrusted input, up to
+finite_top's 1476 x 1476, so they stay vectorized, on the rows packed
+into one numpy table of any signed integer dtype (``table_dtype``).
+Witnesses are always the lexicographically least in the documented loop
+order; the tests check them witness for witness against the reference
+loops in ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -23,11 +27,6 @@ def table_dtype(n):
         if n <= np.iinfo(dt).max:
             return dt
     return np.int64
-
-
-def _hom(hom_ptr, hom_dat, nobj, a, b):
-    k = a * nobj + b
-    return hom_dat[hom_ptr[k]:hom_ptr[k + 1]]
 
 
 # Table entries per block of rows in first_composability_violation: its
@@ -109,7 +108,7 @@ def first_assoc_violation(comp):
     return None
 
 
-def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
+def mono_epi_flags(comp, src, tgt, homs, nobj):
     """Per-morphism left/right cancellation flags, decided by enumeration.
 
     f is mono when the composites f.u, u into src(f), are distinct per
@@ -118,31 +117,25 @@ def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
     composites through different sources (targets) never coincide: f is
     mono when all the f.u are distinct, and epi when all the v.f are.
     Both read one block per object o, the composites of the morphisms out
-    of o with those into o, in the table's own dtype: a row of it is f.u
-    for one f, a column v.f for one f.  Each row and column is sorted and
-    checked for repeats.
+    of o with those into o: a row of it is f.u for one f, a column v.f
+    for one f.  Returns two lists of bools.
     """
-    n = comp.shape[0]
-    mono = np.ones(n, dtype=np.uint8)
-    epi = np.ones(n, dtype=np.uint8)
+    mono, epi = [True] * len(comp), [True] * len(comp)
     for o in range(nobj):
-        out, into = src == o, tgt == o
-        block = comp[out][:, into]
-        keys = np.sort(block, axis=1)
-        mono[out] = ~(keys[:, 1:] == keys[:, :-1]).any(axis=1)
-        keys = np.sort(block, axis=0)
-        epi[into] = ~(keys[1:] == keys[:-1]).any(axis=0)
+        out = [m for k in range(o * nobj, o * nobj + nobj) for m in homs[k]]
+        into = [m for k in range(o, nobj * nobj, nobj) for m in homs[k]]
+        block = [list(map(comp[g].__getitem__, into)) for g in out]
+        for g, row in zip(out, block):
+            mono[g] = len(set(row)) == len(row)
+        for f, col in zip(into, zip(*block)):
+            epi[f] = len(set(col)) == len(col)
     return mono, epi
 
 
 # (g in A, f in A, g.f in A) patterns that refute each composite flag
-_COMPOSITE_PATTERNS = {"system": (True, True, False),
+COMPOSITE_PATTERNS = {"system": (True, True, False),
                        "left_cancelable": (True, False, True),
                        "right_cancelable": (False, True, True)}
-
-# Table entries gathered at once by first_class_composites: its masks stay
-# well under a MB on the 666 x 666 block of the grown algebra ambient.
-_CHUNK = 1 << 14
 
 
 def first_class_composites(blocks, member, flags):
@@ -150,123 +143,107 @@ def first_class_composites(blocks, member, flags):
 
     ``blocks`` is a composite index: per middle object, (rows, cols,
     table) with rows and cols the ascending indices of the morphisms out
-    of and into it, and table[i, j] the index of rows[i] . cols[j].
-    ``member`` is the class's membership mask over all morphisms.  A flag
-    is refuted by a pair matching its pattern: "system" by g, f in A with
+    of and into it, and table[i][j] the index of rows[i] . cols[j].
+    ``member`` is the class's membership flag per morphism.  A flag is
+    refuted by a pair matching its pattern: "system" by g, f in A with
     g.f not, "left_cancelable" by g, g.f in A with f not, and
     "right_cancelable" by f, g.f in A with g not.  Returns {flag: (g, f)
     or None}, the least (g, f) in index order.
     """
     best = dict.fromkeys(flags)
     for rows, cols, table in blocks:
-        g_in = member[rows]
-        f_in = member[cols]
         for flag in flags:
-            want_g, want_f, want_gf = _COMPOSITE_PATTERNS[flag]
-            ri = np.flatnonzero(g_in == want_g)
-            ci = np.flatnonzero(f_in == want_f)
-            if not len(ri) or not len(ci):
+            want_g, want_f, want_gf = COMPOSITE_PATTERNS[flag]
+            ci = [j for j, f in enumerate(cols) if member[f] == want_f]
+            if not ci:
                 continue
-            step = max(1, _CHUNK // len(ci))
-            for lo in range(0, len(ri), step):
-                r = ri[lo:lo + step]
+            for g, trow in zip(rows, table):
                 # rows ascend, so a known witness with a smaller g stops it
-                if best[flag] is not None and best[flag][0] < rows[r[0]]:
+                if best[flag] is not None and best[flag][0] < g:
                     break
-                hit = member[table[np.ix_(r, ci)]] == want_gf
-                k = int(np.argmax(hit))
-                if hit.flat[k]:
-                    i, j = divmod(k, len(ci))
-                    pair = (int(rows[r[i]]), int(cols[ci[j]]))
-                    if best[flag] is None or pair < best[flag]:
-                        best[flag] = pair
-                    break
+                if member[g] != want_g:
+                    continue
+                j = next((j for j in ci if member[trow[j]] == want_gf), None)
+                if j is None:
+                    continue
+                pair = (g, cols[j])
+                if best[flag] is None or pair < best[flag]:
+                    best[flag] = pair
+                break
     return best
 
 
-def lift_report(comp, src, tgt, hom_ptr, hom_dat, nobj, e, m):
+def lift_report(comp, src, tgt, homs, nobj, e, m):
     """Unique-lift scan for the pair (e, m).
 
     Returns (ok, u, v, count): ok=1 when every commuting square (u, v) has
     exactly one diagonal; otherwise (u, v) is the least failing square and
     count its number of lifts.
     """
-    A, B = src[e], tgt[e]
-    X, Y = src[m], tgt[m]
-    us = _hom(hom_ptr, hom_dat, nobj, A, X)
-    vs = _hom(hom_ptr, hom_dat, nobj, B, Y)
-    hs = _hom(hom_ptr, hom_dat, nobj, B, X)
-    for u in us:
-        mu = comp[m, u]
-        for v in vs:
-            if comp[v, e] != mu:
-                continue
-            cnt = 0
-            for h in hs:
-                if comp[h, e] == u and comp[m, h] == v:
-                    cnt += 1
-            if cnt != 1:
-                return 0, int(u), int(v), int(cnt)
+    A, B, X, Y = src[e], tgt[e], src[m], tgt[m]
+    me = comp[m]
+    vs = [(v, comp[v][e]) for v in homs[B * nobj + Y]]
+    # (h.e, m.h) of every diagonal candidate h
+    lifts = [(comp[h][e], me[h]) for h in homs[B * nobj + X]]
+    for u in homs[A * nobj + X]:
+        mu = me[u]
+        for v, ve in vs:
+            if ve == mu:
+                cnt = lifts.count((u, v))
+                if cnt != 1:
+                    return 0, u, v, cnt
     return 1, -1, -1, 1
 
 
-def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
-    """All (p, q) with f.p = g.q, ordered by (apex object, p, q)."""
+def commuting_spans(comp, src, tgt, homs, nobj, f, g):
+    """All (p, q) with f.p = g.q as two lists, by (apex object, p, q)."""
+    fr, gr = comp[f], comp[g]
     a, b = src[f], src[g]
-    ps_all, qs_all = [], []
-    for w in range(nobj):
-        ps = _hom(hom_ptr, hom_dat, nobj, w, a)
-        qs = _hom(hom_ptr, hom_dat, nobj, w, b)
-        if len(ps) == 0 or len(qs) == 0:
-            continue
-        fp = comp[f, ps]
-        gq = comp[g, qs]
-        eq = fp[:, None] == gq[None, :]
-        pi, qi = np.nonzero(eq)
-        ps_all.append(ps[pi])
-        qs_all.append(qs[qi])
-    if not ps_all:
-        return (np.empty(0, dtype=comp.dtype),) * 2
-    return np.concatenate(ps_all), np.concatenate(qs_all)
+    ps, qs = [], []
+    for w in range(0, nobj * nobj, nobj):
+        hq = homs[w + b]
+        for p in homs[w + a]:
+            fp = fr[p]
+            for q in hq:
+                if gr[q] == fp:
+                    ps.append(p)
+                    qs.append(q)
+    return ps, qs
 
 
-def span_verify(comp, src, tgt, hom_ptr, hom_dat, nobj, p, q, cone_p, cone_q):
+def span_verify(comp, src, tgt, homs, nobj, p, q, cone_p, cone_q):
     """Check the span (p, q) is terminal among the given cones.
 
     Returns (ok, mediators): mediators[i] is the unique h with p.h=cone_p[i]
-    and q.h=cone_q[i]; on failure ok=0 and mediators[i] = -1 (no lift) or -2
-    (multiple) at the least failing cone, the rest unset.
+    and q.h=cone_q[i]; on failure ok=0 and the list ends at the least
+    failing cone with -1 (no lift) or -2 (several).
     """
     w = src[p]
-    med = np.full(len(cone_p), -1, dtype=np.int64)
-    for i in range(len(cone_p)):
-        cp, cq = cone_p[i], cone_q[i]
-        hs = _hom(hom_ptr, hom_dat, nobj, src[cp], w)
-        hit = hs[(comp[p, hs] == cp) & (comp[q, hs] == cq)]
-        if len(hit) == 1:
-            med[i] = hit[0]
-        else:
-            med[i] = -1 if len(hit) == 0 else -2
+    pr, qr = comp[p], comp[q]
+    med = []
+    for cp, cq in zip(cone_p, cone_q):
+        hit = [h for h in homs[src[cp] * nobj + w]
+               if pr[h] == cp and qr[h] == cq]
+        med.append(hit[0] if len(hit) == 1 else -2 if hit else -1)
+        if len(hit) != 1:
             return 0, med
     return 1, med
 
 
-def coequalizer_verify(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g, e):
+def coequalizer_verify(comp, src, tgt, homs, nobj, f, g, e):
     """Check e coequalizes (f, g) and is universal among all coequalizing
-    tests; returns (ok, mediators aligned with the tests, tests)."""
+    tests d out of tgt(f); returns (ok, mediators aligned with the tests,
+    tests), the mediators ending at the least failing test."""
     b = tgt[f]
-    outs = np.nonzero(src == b)[0]
-    tests = outs[comp[outs, f] == comp[outs, g]]
-    w = tgt[e]
-    med = np.full(len(tests), -1, dtype=np.int64)
-    if comp[e, f] != comp[e, g]:
+    tests = [d for d, row in enumerate(comp)
+             if src[d] == b and row[f] == row[g]]
+    med = []
+    if comp[e][f] != comp[e][g]:
         return 0, med, tests
-    for i, d in enumerate(tests):
-        hs = _hom(hom_ptr, hom_dat, nobj, w, tgt[d])
-        hit = hs[comp[hs, e] == d]
-        if len(hit) == 1:
-            med[i] = hit[0]
-        else:
-            med[i] = -1 if len(hit) == 0 else -2
+    w = tgt[e]
+    for d in tests:
+        hit = [h for h in homs[w * nobj + tgt[d]] if comp[h][e] == d]
+        med.append(hit[0] if len(hit) == 1 else -2 if hit else -1)
+        if len(hit) != 1:
             return 0, med, tests
     return 1, med, tests

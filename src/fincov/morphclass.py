@@ -173,17 +173,15 @@ def _class_properties(C, A, probe_cap):
 
 
 def _membership(C, A):
-    """C's morphisms and A's membership mask over them."""
+    """C's morphisms and A's membership flag per morphism."""
     ms = C.morphisms()
-    return ms, np.fromiter((A.contains(m) for m in ms), dtype=bool,
-                           count=len(ms))
+    return ms, list(map(A.contains, ms))
 
 
 def _composite_witnesses(C, ms, member, flags):
     """{flag: least refuting (g, f)} over C's composite index, for the
     refuted flags only."""
-    found = kernels.first_class_composites(C.composite_blocks(), member,
-                                           flags)
+    found = C.first_class_composites(member, flags)
     return {flag: (ms[hit[0]], ms[hit[1]])
             for flag, hit in found.items() if hit is not None}
 

@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
-from . import kernels
 from .fincat import slice_view, try_pullback
 
 
@@ -108,10 +105,8 @@ def _system_failure(C, members):
         if C.identity(o) not in members:
             return ("non-wide", o)
     ms = C.morphisms()
-    member = np.fromiter((m in members for m in ms), dtype=bool,
-                         count=len(ms))
-    hit = kernels.first_class_composites(C.composite_blocks(), member,
-                                         ("system",))["system"]
+    hit = C.first_class_composites([m in members for m in ms],
+                                   ("system",))["system"]
     if hit is not None:
         return ("not composition closed", ms[hit[0]], ms[hit[1]])
     return None

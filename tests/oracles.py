@@ -6,12 +6,13 @@ properties, orthogonality and extremality on small categories, and to
 rebuild a poset's table by the all-pairs closure fixpoint.
 
 The second half is a reference lane for the enumeration kernels: plain
-loops over the dense tables (``comp``, ``src``, ``tgt``, CSR hom sets).
-Their loop order is the witness-order contract of ``fincov.kernels``: the
+loops over the kernels' table arguments (``comp`` rows indexed
+``comp[g][f]``, ``src``, ``tgt``, per-pair hom sets ``homs``).  Their
+loop order is the witness-order contract of ``fincov.kernels``: the
 first violation these loops meet is the lexicographically least one, and
 the kernel tests require the kernels to return exactly it.  Beside them
-sits the explicit category's kernel pullback search without its iso-leg
-shortcut.
+sits the explicit category's pullback search without its iso-leg
+shortcut, through ``hom`` and ``compose`` alone.
 
 The later sections are references over package categories: the variance
 laws as plain per-morphism and per-pair loops, the covering enumeration
@@ -186,9 +187,8 @@ def poset_json(elements, le_pairs):
 # reference lane over dense tables
 # ---------------------------------------------------------------------------
 
-def _hom_list(hom_ptr, hom_dat, nobj, a, b):
-    k = int(a) * nobj + int(b)
-    return [int(x) for x in hom_dat[hom_ptr[k]:hom_ptr[k + 1]]]
+def _hom_list(homs, nobj, a, b):
+    return [int(x) for x in homs[int(a) * nobj + int(b)]]
 
 
 def first_composability_violation(comp, src, tgt):
@@ -233,71 +233,74 @@ def first_assoc_violation(comp):
     return None
 
 
-def mono_epi_flags(comp, src, tgt, hom_ptr, hom_dat, nobj):
-    n = comp.shape[0]
+def mono_epi_flags(comp, src, tgt, homs, nobj):
+    n = len(comp)
     mono = [1] * n
     epi = [1] * n
     for f in range(n):
         for z in range(nobj):
-            us = _hom_list(hom_ptr, hom_dat, nobj, z, src[f])
-            if len({int(comp[f, u]) for u in us}) != len(us):
+            us = _hom_list(homs, nobj, z, src[f])
+            if len({int(comp[f][u]) for u in us}) != len(us):
                 mono[f] = 0
-            vs = _hom_list(hom_ptr, hom_dat, nobj, tgt[f], z)
-            if len({int(comp[v, f]) for v in vs}) != len(vs):
+            vs = _hom_list(homs, nobj, tgt[f], z)
+            if len({int(comp[v][f]) for v in vs}) != len(vs):
                 epi[f] = 0
     return mono, epi
 
 
-def lift_report(comp, src, tgt, hom_ptr, hom_dat, nobj, e, m):
+def lift_report(comp, src, tgt, homs, nobj, e, m):
     A, B, X, Y = src[e], tgt[e], src[m], tgt[m]
-    for u in _hom_list(hom_ptr, hom_dat, nobj, A, X):
-        for v in _hom_list(hom_ptr, hom_dat, nobj, B, Y):
-            if comp[v, e] != comp[m, u]:
+    for u in _hom_list(homs, nobj, A, X):
+        for v in _hom_list(homs, nobj, B, Y):
+            if comp[v][e] != comp[m][u]:
                 continue
-            cnt = sum(1 for h in _hom_list(hom_ptr, hom_dat, nobj, B, X)
-                      if comp[h, e] == u and comp[m, h] == v)
+            cnt = sum(1 for h in _hom_list(homs, nobj, B, X)
+                      if comp[h][e] == u and comp[m][h] == v)
             if cnt != 1:
                 return 0, u, v, cnt
     return 1, -1, -1, 1
 
 
-def commuting_spans(comp, src, tgt, hom_ptr, hom_dat, nobj, f, g):
+def commuting_spans(comp, src, tgt, homs, nobj, f, g):
     ps, qs = [], []
     for w in range(nobj):
-        for p in _hom_list(hom_ptr, hom_dat, nobj, w, src[f]):
-            for q in _hom_list(hom_ptr, hom_dat, nobj, w, src[g]):
-                if comp[g, q] == comp[f, p]:
+        for p in _hom_list(homs, nobj, w, src[f]):
+            for q in _hom_list(homs, nobj, w, src[g]):
+                if comp[g][q] == comp[f][p]:
                     ps.append(p)
                     qs.append(q)
     return ps, qs
 
 
-def pullback_search(C, f, g):
-    """``FinCategory.find_pullback`` without its iso-leg shortcut, over
-    the package's kernels: the first commuting span, in
-    ``commuting_spans`` order, that passes the hom-count filter and
-    ``span_verify``.  Returns (apex, proj1, proj2, {cone: mediator}), or
-    None when the cospan has no pullback."""
-    import numpy as np
-
-    from fincov import kernels
-    comp, src, tgt, hp, hd, no = C._kernel_args()
-    ms = C.morphisms()
-    fi, gi = ms.index(f), ms.index(g)
-    cp, cq = kernels.commuting_spans(comp, src, tgt, hp, hd, no, fi, gi)
-    cones = np.bincount(src[cp], minlength=no)
-    homcount = np.zeros((no, no), dtype=np.int64)
-    np.add.at(homcount, (src, tgt), 1)
-    for i in range(len(cp)):
-        w = src[cp[i]]
-        if not np.array_equal(homcount[:, w], cones):
+def pullback_search(C, f, g, verified=None):
+    """``FinCategory.find_pullback`` without its iso-leg shortcut, through
+    ``C.hom`` and ``C.compose`` alone: the cones (p, q) of the cospan in
+    (apex object, p, q) order, and the first of them whose apex w passes
+    the cone-count filter (|hom(z, w)| is the number of cones out of z,
+    for every z) and that is terminal among all cones.  Appends each span
+    it tests for terminality to ``verified``.  Returns (apex, proj1,
+    proj2, {cone: mediator}), or None when the cospan has no pullback."""
+    a, b = C.src(f), C.src(g)
+    cones = [(p, q) for z in C.objects() for p in C.hom(z, a)
+             for q in C.hom(z, b) if C.compose(f, p) == C.compose(g, q)]
+    count = {z: 0 for z in C.objects()}
+    for p, _ in cones:
+        count[C.src(p)] += 1
+    for p1, p2 in cones:
+        w = C.src(p1)
+        if any(len(C.hom(z, w)) != k for z, k in count.items()):
             continue
-        ok, med = kernels.span_verify(comp, src, tgt, hp, hd, no,
-                                      int(cp[i]), int(cq[i]), cp, cq)
-        if ok:
-            meds = {(ms[a], ms[b]): ms[h] for a, b, h in
-                    zip(cp.tolist(), cq.tolist(), med.tolist())}
-            return C.objects()[w], ms[cp[i]], ms[cq[i]], meds
+        if verified is not None:
+            verified.append((p1, p2))
+        meds = {}
+        for p, q in cones:
+            hits = [h for h in C.hom(C.src(p), w)
+                    if C.compose(p1, h) == p and C.compose(p2, h) == q]
+            if len(hits) != 1:
+                break
+            meds[p, q] = hits[0]
+        else:
+            return w, p1, p2, meds
     return None
 
 

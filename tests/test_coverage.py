@@ -941,7 +941,9 @@ def test_image_compatibility_decides_each_piece_once(monkeypatch):
     """Within one call each distinct image functor is validated once,
     when the image table builds it (tau's membership reads the verdict
     kept on the functor), and each target covering is checked for
-    subordination at most once."""
+    subordination at most once: never when M is tau's own subordination
+    class, which every covering of tau is subordinated to, and exactly
+    once for another class."""
     from collections import Counter
 
     from fincov import coverage, variance
@@ -986,9 +988,11 @@ def test_image_compatibility_decides_each_piece_once(monkeypatch):
     covs, _ = tau.coverings_of(C, C.src(f))
     targets, _ = tau.coverings_of(C, C.tgt(f))
     subordinated.clear()
-    assert check_image_compatibility(C, f, tau, builtin_class(C, "isos"),
-                                     M).compatible
+    isos = builtin_class(C, "isos")
+    assert check_image_compatibility(C, f, tau, isos, M).compatible
     assert len(covs) > 1
+    assert tau.subordination_class(C) is M and not subordinated
+    check_image_compatibility(C, f, tau, isos, builtin_class(C, "all"))
     assert {id(g): 1 for g in targets} == dict(subordinated)
 
 

@@ -1,4 +1,8 @@
+import hashlib
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,119 @@ def test_opposite_involution_and_validity():
         assert opposite_category(op) == cat
 
 
+# to_json digests of the explicit corpus fixtures, recorded while the
+# composition table was one numpy array
+ROW_TABLE_DIGESTS = {
+    "diamond": "c8171ab95f111b55", "finite_top": "47cff8ddd5c42449",
+    "group_cat_D4": "26775ad0298652ca", "group_cat_Q8": "65d33358b2affb87",
+    "group_cat_V4": "ad29046b8ac4aea4", "group_cat_Z2": "58e21103252c8ec7",
+    "group_cat_Z2^3": "7080d7918bfff4be", "group_cat_Z4": "d8f377905ce5b53f",
+    "group_cat_Z4xZ2": "8cbf8c3bbd0c7c18", "group_cat_Z8": "3a921db8df69ca55",
+    "poset_2chain": "e218555a3a8efe59", "poset_3chain": "b65b0e6e292b8e8a",
+    "poset_4chain": "5b6c10820f53e2bf", "set_skeleton_2": "dc11ac803993af56",
+    "set_skeleton_3": "fb0c20774f168c4c", "sub_Z4": "25947f9686f1a4ef",
+    "sub_Z8": "666b3f89a04fdf3d"}
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _composite(C, g, f):
+    try:
+        return C.compose(g, f)
+    except CompositionError:
+        return None
+
+
+def test_row_table_keeps_the_composition_it_was_built_from(monkeypatch):
+    """On every explicit corpus fixture (finite_top included), the 64
+    closure-harness categories and random_category seeds 0-19: compose
+    answers every pair as the mapping the table was built from, and
+    composition() is that mapping; to_json prints the bytes recorded
+    while the table was a numpy array (here, and as the benchmark's
+    pinned inputs); the rows use the narrowest typecode holding
+    -1..n-1; and the opposite involution compares equal."""
+    from fincov.instances import _fixture_builders, random_category
+    built = {}
+    real = FinCategory.__init__
+
+    def recording(self, objects, morphisms, identities, composition,
+                  name="C"):
+        real(self, objects, morphisms, identities, composition, name)
+        built[id(self)] = dict(composition)
+
+    monkeypatch.setattr(FinCategory, "__init__", recording)
+    fixtures = {name: build()[0] for name, build in
+                _fixture_builders(3, 8, 4).items()}
+    fixtures = {name: C for name, C in fixtures.items()
+                if isinstance(C, FinCategory)}
+    harness = [random_category(s, (4, 12)) for s in range(64)]
+    seeded = [random_category(s) for s in range(20)]
+    refs = json.loads((PERFBENCH / "refs.json").read_text())
+
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    assert {name: _digest(canonical(C.to_json()))
+            for name, C in fixtures.items()} == ROW_TABLE_DIGESTS
+    for s, C in enumerate(harness):
+        assert _digest(canonical(C.to_json())) == \
+            refs["harness_inputs"][f"cat:{s}"]
+    for s, C in enumerate(seeded):
+        text = json.dumps({"category": C.to_json()}, sort_keys=True,
+                          indent=1) + "\n"
+        assert _digest(text) == refs["inputs"][f"rand-{s}"]
+    for C in [*fixtures.values(), *harness, *seeded]:
+        mapping = built[id(C)]
+        ms = C.morphisms()
+        assert C.composition() == mapping
+        assert all(_composite(C, g, f) == mapping.get((g, f))
+                   for g in ms for f in ms), C.name
+        codes = {"b": 2 ** 7, "h": 2 ** 15, "i": 2 ** 31}
+        typecode = min((k for k, top in codes.items() if len(ms) < top),
+                       key=codes.get)
+        assert {row.typecode for row in C._comp} == {typecode}, C.name
+        assert opposite_category(opposite_category(C)) == C
+    assert fixtures["finite_top"]._comp[0].typecode == "h"
+    D4 = fixtures["group_cat_D4"]
+    assert opposite_category(D4) != D4
+
+
+def test_broken_tables_report_law_and_witness():
+    """The four kinds of broken table the benchmark generates report the
+    law and witness they reported while the table was a numpy array."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import plan
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    want = {
+        "0-drop": ("composability", ("r1>2", "r0>1")),
+        "0-spurious": ("composability", ("r1>1", "r1>2")),
+        "0-dangling": ("structure", ("r2>2",)),
+        "0-identity": ("identity", ("g1",)),
+        "1-drop": ("composability", ("r1>0*g0", "r1>1*g1")),
+        "1-spurious": ("composability", ("r1>1*g1", "r0>0*g2")),
+        "1-dangling": ("structure", ("r1>1*g1",)),
+        "1-identity": ("identity", ("g2",)),
+        "2-drop": ("composability", ("r0>0", "r0>0")),
+        "2-spurious": ("composability", ("r0>0", "r0>0")),
+        "2-dangling": ("structure", ("r0>0",)),
+        "2-identity": ("identity", ("g2",)),
+        "3-drop": ("composability", ("r1>1", "r1>1")),
+        "3-spurious": ("composability", ("r1>1", "r0>0")),
+        "3-dangling": ("structure", ("r0>0",)),
+        "3-identity": ("identity", ("g3",))}
+    for key, (law, witness) in want.items():
+        body = json.loads(plan.make_input(f"broken-{key}"))["category"]
+        rep = validate_category(body)
+        assert (rep.law, tuple(rep.witness)) == (law, witness), key
+        assert law == plan.BREAKAGES[key.split("-")[1]]
+
+
 def test_opposite_swaps_flags():
     sk = set_skeleton(2)
     op = opposite_category(sk.category)
@@ -415,7 +532,7 @@ def test_iso_leg_pullbacks_match_unshortcut_search(corpus, monkeypatch):
     real = kernels.span_verify
 
     def counting(*args):
-        verified.append(args[6:8])
+        verified.append(args[5:7])
         return real(*args)
 
     monkeypatch.setattr(kernels, "span_verify", counting)
@@ -457,7 +574,7 @@ def test_pullbacks_match_per_candidate_filter(corpus, monkeypatch):
     real = kernels.span_verify
 
     def counting(*args):
-        verified.append(args[6:8])
+        verified.append(args[5:7])
         return real(*args)
 
     monkeypatch.setattr(kernels, "span_verify", counting)
@@ -471,13 +588,14 @@ def test_pullbacks_match_per_candidate_filter(corpus, monkeypatch):
             for g in C.morphisms_into(C.tgt(f)):
                 if C.is_iso(f) or C.is_iso(g):
                     continue
-                del verified[:]
-                want = oracles.pullback_search(C, f, g)
-                expected = list(verified)
+                expected = []
+                want = oracles.pullback_search(C, f, g, expected)
                 C._pullback_cache.pop((f, g), None)
                 del verified[:]
                 sq = C.find_pullback(f, g)
-                assert verified == expected, (C.name, f, g)
+                ms = C.morphisms()
+                assert [(ms[p], ms[q]) for p, q in verified] == expected, \
+                    (C.name, f, g)
                 if want is None:
                     assert sq is None, (C.name, f, g)
                     missing += 1

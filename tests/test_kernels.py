@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -9,11 +10,17 @@ from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               group_category, random_category, set_skeleton)
 
 # Each kernel is compared witness for witness with its reference loop in
-# oracles.py, the second lane these tests name.
+# oracles.py, the second lane these tests name.  The validation scans take
+# the rows packed into one numpy table; the other kernels take the rows.
 
 
 def args_of(C):
     return C._kernel_args()
+
+
+def packed_of(C):
+    """The packed table, src, tgt and identities, as writable copies."""
+    return tuple(x.copy() for x in C._packed())
 
 
 FIXTURES = [chain_poset(2), diamond_lattice(), set_skeleton(2).category,
@@ -29,9 +36,9 @@ def validation_witnesses(lane, comp, src, tgt, ident):
 
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
 def test_lanes_agree_on_validation(C):
-    a = args_of(C)
-    assert validation_witnesses(kernels, *a[:3], C._ident) == \
-        validation_witnesses(oracles, *a[:3], C._ident)
+    a = C._packed()
+    assert validation_witnesses(kernels, *a) == \
+        validation_witnesses(oracles, *a)
 
 
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
@@ -39,7 +46,7 @@ def test_lanes_agree_on_flags(C):
     a = args_of(C)
     m1, e1 = kernels.mono_epi_flags(*a)
     m2, e2 = oracles.mono_epi_flags(*a)
-    assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
+    assert m1 == m2 and e1 == e2
 
 
 @pytest.mark.parametrize("C", FIXTURES[:4], ids=lambda c: c.name)
@@ -54,23 +61,24 @@ def test_lanes_agree_on_lifts_and_spans(C):
         for g in range(n):
             if C._tgt[f] != C._tgt[g]:
                 continue
-            p1, q1 = kernels.commuting_spans(*a, f, g)
-            p2, q2 = oracles.commuting_spans(*a, f, g)
-            assert np.array_equal(np.sort(p1 * n + q1),
-                                  np.sort(np.asarray(p2) * n + q2))
+            assert kernels.commuting_spans(*a, f, g) == \
+                oracles.commuting_spans(*a, f, g)
 
 
 def test_numpy_lane_reads_narrow_tables():
-    # FinCategory tables use kernels.table_dtype, the narrowest type, and
-    # every kernel must answer as on an int64 copy
+    # FinCategory rows use the narrowest typecode, and its packed table the
+    # narrowest dtype (kernels.table_dtype); every kernel must answer as on
+    # int64 rows and an int64 table
     C = set_skeleton(3).category
     a = args_of(C)
-    w = (a[0].astype(np.int64), *a[1:])
+    w = ([array("q", row) for row in a[0]], *a[1:])
+    packed = C._packed()
+    assert a[0][0].typecode == "b" and packed[0].dtype == np.int8
     n = len(C.morphisms())
-    assert validation_witnesses(kernels, *a[:3], C._ident) == \
-        validation_witnesses(kernels, *w[:3], C._ident)
-    for x, y in zip(kernels.mono_epi_flags(*a), kernels.mono_epi_flags(*w)):
-        assert np.array_equal(x, y)
+    assert validation_witnesses(kernels, *packed) == \
+        validation_witnesses(kernels, packed[0].astype(np.int64),
+                             *packed[1:])
+    assert kernels.mono_epi_flags(*a) == kernels.mono_epi_flags(*w)
     for e in range(0, n, 5):
         for m in range(0, n, 5):
             assert tuple(kernels.lift_report(*a, e, m)) == \
@@ -78,17 +86,15 @@ def test_numpy_lane_reads_narrow_tables():
     for f in range(0, n, 3):
         for g in range(n):
             if C._tgt[f] == C._tgt[g]:
-                p1, q1 = kernels.commuting_spans(*a, f, g)
-                p2, q2 = kernels.commuting_spans(*w, f, g)
-                assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
+                assert kernels.commuting_spans(*a, f, g) == \
+                    kernels.commuting_spans(*w, f, g)
     for trial in range(20):
-        bad = a[0].copy()
+        bad = packed[0].copy()
         rng = random.Random(trial)
         g, f = rng.randrange(n), rng.randrange(n)
         bad[g, f] = rng.randrange(-1, n)
-        assert validation_witnesses(kernels, bad, *a[1:3], C._ident) == \
-            validation_witnesses(kernels, bad.astype(np.int64), *a[1:3],
-                                 C._ident)
+        assert validation_witnesses(kernels, bad, *packed[1:]) == \
+            validation_witnesses(kernels, bad.astype(np.int64), *packed[1:])
 
 
 def test_table_dtype_holds_every_index():
@@ -135,7 +141,7 @@ def test_lanes_agree_on_broken_composability():
     kinds = set()
     for t in range(300):
         C = FIXTURES[t % len(FIXTURES)]
-        comp, src, tgt = (x.copy() for x in args_of(C)[:3])
+        comp, src, tgt, _ = packed_of(C)
         n = comp.shape[0]
         for _ in range(rng.randint(1, 3)):
             g, f = rng.randrange(n), rng.randrange(n)
@@ -161,7 +167,7 @@ def test_lanes_agree_on_swapped_composites():
     found = 0
     for t in range(240):
         C = MULTI_OBJECT[t % len(MULTI_OBJECT)]
-        comp, src, tgt = (x.copy() for x in args_of(C)[:3])
+        comp, src, tgt, ident = packed_of(C)
         gs, fs = np.nonzero(comp >= 0)
         cands = [(g, f) for g, f in zip(gs, fs)
                  if len(C.hom(C.src(C._morphisms[f]),
@@ -170,8 +176,8 @@ def test_lanes_agree_on_swapped_composites():
         hom = [C._midx[m] for m in C.hom(C.src(C._morphisms[f]),
                                          C.tgt(C._morphisms[g]))]
         comp[g, f] = rng.choice([m for m in hom if m != comp[g, f]])
-        w = validation_witnesses(kernels, comp, src, tgt, C._ident)
-        assert w == validation_witnesses(oracles, comp, src, tgt, C._ident)
+        w = validation_witnesses(kernels, comp, src, tgt, ident)
+        assert w == validation_witnesses(oracles, comp, src, tgt, ident)
         assert w[0] is None
         found += w[2] is not None
     assert found >= 120
@@ -179,22 +185,32 @@ def test_lanes_agree_on_swapped_composites():
 
 def test_class_composites_least_pair_across_blocks():
     """Blocks interleave in g: the least (g, f) over all blocks wins, not
-    the first or the last block's hit."""
-    member = np.zeros(10, dtype=bool)
-    member[[0, 1, 2, 3, 4, 5, 6, 9]] = True
+    the first or the last block's hit, in the loop kernel and in the
+    algebra ambient's numpy scan of the same blocks."""
+    from fincov.algkit import AlgCategory
+    member = [k in (0, 1, 2, 3, 4, 5, 6, 9) for k in range(10)]
 
-    def block(rows, cols, table):
-        return np.array(rows), np.array(cols), np.array(table)
+    class Index:
+        def __init__(self, blocks):
+            self.blocks = [tuple(map(np.array, b)) for b in blocks]
 
-    first = block([0, 5], [2, 3], [[2, 3], [7, 2]])    # hit at (5, 2)
-    later = block([1, 9], [4, 6], [[4, 6], [8, 4]])    # hit at (9, 4)
-    earlier = block([1, 9], [4, 6], [[4, 8], [8, 4]])  # hit at (1, 6)
-    hit = kernels.first_class_composites
+        def composite_blocks(self):
+            return self.blocks
+
+    def hit(blocks, member, flags):
+        found = kernels.first_class_composites(blocks, member, flags)
+        assert found == AlgCategory.first_class_composites(
+            Index(blocks), member, flags)
+        return found
+
+    first = ([0, 5], [2, 3], [[2, 3], [7, 2]])    # hit at (5, 2)
+    later = ([1, 9], [4, 6], [[4, 6], [8, 4]])    # hit at (9, 4)
+    earlier = ([1, 9], [4, 6], [[4, 8], [8, 4]])  # hit at (1, 6)
     assert hit([first, later], member, ("system",)) == {"system": (5, 2)}
     assert hit([later, first], member, ("system",)) == {"system": (5, 2)}
     assert hit([first, earlier], member, ("system",)) == {"system": (1, 6)}
     # left: g, g.f in A with f not; right: f, g.f in A with g not
     member[7] = True
-    cancel = block([0, 8], [7, 8], [[1, 5], [2, 8]])
+    cancel = ([0, 8], [7, 8], [[1, 5], [2, 8]])
     assert hit([cancel], member, ("left_cancelable", "right_cancelable")) \
         == {"left_cancelable": (0, 8), "right_cancelable": (8, 7)}
