@@ -58,7 +58,14 @@ hypothesis is answered from the tables: the cost of asking a question
 again.  The last two rows run, on the 64 harness categories built fresh
 for each timed run, ``check_class_properties`` of the monos (mono flags,
 class composites and the stability scan's pullbacks) and
-``find_pullback`` on every cospan.
+``find_pullback`` on every cospan.  The last row times the four callers
+of the cospan walk (``morphclass.walk_cospans``) on the 64 harness
+categories, built fresh for each timed run: the stability scans of the
+monos and the epis, ``is_stably_in`` of the isos and
+``is_stably_extremal`` of the monos for the first 8 morphisms, and
+``check_mono_reflective`` of every object; then, on a fresh harness
+ambient, the stability scan of the surjections and ``is_stably_in`` of
+the surjections out of groups of order at most 4, at probe cap 60.
 """
 
 import os
@@ -74,11 +81,11 @@ from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
 from fincov.fincat import derived_memo
 from fincov.instances import abelian_groups_upto, cyclic_group, \
     finite_top_category, random_category, random_mixed_functor, set_skeleton
-from fincov.morphclass import FactorizationSystem, builtin_class, \
-    check_class_properties
+from fincov.morphclass import FactorizationSystem, _stability_scan, \
+    builtin_class, check_class_properties, is_stably_extremal, is_stably_in
 from fincov.protomod import check_protomodularity_pair
-from fincov.theorems import verify_closure_extensions, \
-    verify_closure_quotients
+from fincov.theorems import check_mono_reflective, \
+    verify_closure_extensions, verify_closure_quotients
 from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -335,6 +342,31 @@ def workloads():
                     found += C.find_pullback(f, g) is not None
         return f"{found} pullbacks"
 
+    walk_sets = [([random_category(s, (4, 12)) for s in range(64)],
+                  build_finalg_category(group_theory(), 8,
+                                        abelian_groups_upto(4)))
+                 for _ in range(3)]
+
+    def walk_callers():
+        cats, amb_w = walk_sets.pop()
+        restricted = 0
+        for C in cats:
+            monos, isos = builtin_class(C, "monos"), builtin_class(C, "isos")
+            answers = [_stability_scan(C, monos),
+                       _stability_scan(C, builtin_class(C, "epis"))]
+            for f in sorted(C.morphisms())[:8]:
+                answers += [is_stably_in(C, f, isos),
+                            is_stably_extremal(C, f, monos)]
+            restricted += sum(a[1] for a in answers)
+            restricted += sum(check_mono_reflective(C, c)["restricted"]
+                              for c in C.objects())
+        E = builtin_class(amb_w, "surjections")
+        restricted += _stability_scan(amb_w, E, 60)[1]
+        for f in [f for G in amb_w.objects() if G.size <= 4
+                  for f in amb_w.morphisms_from(G) if f.is_surjective()]:
+            restricted += is_stably_in(amb_w, f, E, 60)[1]
+        return f"{restricted} restricted answers"
+
     return [
         ("validate set<=3 (60 mor)", lambda: validation(sk3)),
         ("validate top<=3 (1476 mor)", lambda: validation(top)),
@@ -379,6 +411,7 @@ def workloads():
          mono_properties),
         ("find_pullback on every cospan, 64 harness categories",
          all_pullbacks),
+        ("cospan walk callers, 64 harness + ambient", walk_callers),
     ]
 
 

@@ -779,21 +779,10 @@ def classify_uniformity(f, t=None, normals=None):
         if not uniform:
             break
 
-    if normals is None:
-        normals = enumerate_normal_subalgebras(N)
-    strong = True
-    for m in M.carrier:
-        for I in normals:
-            pre = sorted(f.preimage(I))
-            left = {mulM(m, x) for x in pre}
-            fmI = {mulN(f(m), i) for i in I}
-            right = {y for y in M.carrier if f(y) in fmI}
-            if left != right:
-                strong = False
-                wit["strongly_t_uniform"] = (m, tuple(sorted(I)))
-                break
-        if not strong:
-            break
+    bad = _strong_uniformity_witness(f, mulM, mulN, normals)
+    strong = bad is None
+    if not strong:
+        wit["strongly_t_uniform"] = bad
 
     canc = True
     for m in M.carrier:
@@ -827,21 +816,26 @@ def classify_uniformity(f, t=None, normals=None):
 def is_strongly_t_uniform(f, t=None, normals=None):
     """Translation sets through t match preimages of translated normal
     subalgebras; the quantifier runs over normal subalgebras of the target."""
-    M, N = f.src, f.tgt
-    t = t or M.theory.default_t
-    mulM = _t_mul(M, t)
-    mulN = _t_mul(N, t)
+    t = t or f.src.theory.default_t
+    return _strong_uniformity_witness(f, _t_mul(f.src, t), _t_mul(f.tgt, t),
+                                      normals) is None
+
+
+def _strong_uniformity_witness(f, mulM, mulN, normals=None):
+    """The first (m, sorted I), m in the source and I a normal subalgebra
+    of the target (all of them when normals is None), with
+    t(m, f^-1(I)) != f^-1(t(f(m), I)); None when there is none."""
+    M = f.src
     if normals is None:
-        normals = enumerate_normal_subalgebras(N)
+        normals = enumerate_normal_subalgebras(f.tgt)
     for m in M.carrier:
         for I in normals:
-            pre = [x for x in M.carrier if f(x) in I]
-            left = {mulM(m, x) for x in pre}
+            left = {mulM(m, x) for x in f.preimage(I)}
             fmI = {mulN(f(m), i) for i in I}
             right = {y for y in M.carrier if f(y) in fmI}
             if left != right:
-                return False
-    return True
+                return m, tuple(sorted(I))
+    return None
 
 
 class _UniformityFlags:
@@ -1390,22 +1384,17 @@ class AlgCategory(CategoryBase):
 
     def compose(self, g, f):
         """g . f, read from the composite table of (src f, src g, tgt g)
-        when it is kept, or when its three hom sets are listed and it has
-        at most ``_TRIPLE_BUDGET`` entries; else composed image by image.
-        The roster's own hom whenever hom(src f, tgt g) is listed: compose
-        lists no hom set itself."""
+        when it is kept, else composed image by image.  The roster's own
+        hom whenever hom(src f, tgt g) is listed: compose lists no hom set
+        and computes no table itself."""
         if f.tgt is not g.src:
             raise CompositionError("algebra homs not composable")
         A, b, C = id(f.src), id(g.src), id(g.tgt)
         homs = self._hom_cache.get((A, C))
         table = self._triples.get((A, b, C))
         if table is None:
-            G, F = self._hom_cache.get((b, C)), self._hom_cache.get((A, b))
-            if (homs is None or G is None or F is None
-                    or len(G) * len(F) > _TRIPLE_BUDGET):
-                gf = compose_homs(g, f)
-                return gf if homs is None else homs[self._hom_pos[gf]]
-            table = self._composite_table(f.src, g.src, g.tgt)
+            gf = compose_homs(g, f)
+            return gf if homs is None else homs[self._hom_pos[gf]]
         return homs[table.item(self._hom_pos[g], self._hom_pos[f])]
 
     def is_iso(self, m):
@@ -1535,12 +1524,6 @@ _TABLE_CHUNK = 1 << 15
 # Index entries ``first_class_composites`` gathers at once: its masks stay
 # well under a MB on the 666 x 666 block of the grown ambient.
 _CHUNK = 1 << 14
-
-# Most entries of a composite table that ``AlgCategory.compose`` computes
-# for one call: the largest triple of the 8-object ambient, End(Z2^3) twice
-# (512 x 512).  The composite index computes its tables under its own
-# budget.
-_TRIPLE_BUDGET = 1 << 18
 
 # Most table entries (composable pairs) one composite index may hold: 64 MB
 # at int32 indices.  The 8-object ambient of the CLI needs about 0.5M.

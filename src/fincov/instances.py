@@ -1,13 +1,13 @@
 """Corpus builders: posets and lattices, set skeletons, finite topological
 spaces, algebra ambients and seeded random categories.
 
-Set skeletons and group tables route their tables through
-validate_category.  Posets, random preorders, finite spaces and products
-(``fincat.product_category``) satisfy the category laws by construction
-(thin orders, composition of maps, componentwise composition), so they
-call the trusted ``FinCategory`` constructor; posets and products first
-check that their ids are distinct.  The tests re-validate them through
-validate_category.
+Group tables route their tables through validate_category, since any
+algebra with a ``mul`` table is accepted.  Posets, random preorders, set
+skeletons, finite spaces and products (``fincat.product_category``)
+satisfy the category laws by construction (thin orders, composition of
+functions and maps, componentwise composition), so they call the trusted
+``FinCategory`` constructor; posets and products first check that their
+ids are distinct.  The tests re-validate them through validate_category.
 The grid and Klein variances are built once per shape.  Ids are
 zero-padded where order matters; all enumeration is deterministic.
 
@@ -135,7 +135,8 @@ class SetSkeleton:
 
 
 def set_skeleton(max_size, name=None):
-    """Sets of size 0..max_size and every function between them."""
+    """Sets of size 0..max_size and every function between them.  Functions
+    compose lawfully, so the table goes to the trusted constructor."""
     objs = [f"S{i}" for i in range(max_size + 1)]
     morphisms = {}
     maps = {}
@@ -154,8 +155,8 @@ def set_skeleton(max_size, name=None):
                 continue
             himg = tuple(gimg[x] for x in fimg)
             composition[(g, f)] = f"f{a}>{c}:" + "".join(map(str, himg))
-    cat = _must(validate_category((objs, morphisms, identities, composition),
-                                  name=name or f"set<= {max_size}"))
+    cat = FinCategory(objs, morphisms, identities, composition,
+                      name=name or f"set<= {max_size}")
     return SetSkeleton(cat, maps)
 
 
@@ -362,7 +363,8 @@ def _monoid_canonical(table, n):
 
 
 def group_category(A, name=None):
-    """One-object category of a group (or monoid) table."""
+    """One-object category of a group (or monoid) table.  Validated: any
+    algebra with a ``mul`` table is accepted, lawful or not."""
     n = A.size
     objs = ["*"]
     morphisms = {f"g{i}": ("*", "*") for i in range(n)}

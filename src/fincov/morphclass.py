@@ -186,15 +186,21 @@ def _composite_witnesses(C, ms, member, flags):
             for flag, hit in found.items() if hit is not None}
 
 
-def _stability_scan(C, A, probe_cap=None):
-    """(stable, restricted, witness): pullbacks of A-members stay in A."""
-    if _ambient_injective_only(C, A):
-        return _ambient_stability_scan(C, A)
+def walk_cospans(C, fs, refute, probe_cap=None):
+    """The cospan walk behind every pullback-stability question:
+    (verdict, restricted, witness) for the first witness
+    ``refute(f, g, square)`` returns (None for none) over the cospans
+    (f, g), f from fs in its order and g in ``C.morphisms_into(tgt f)``
+    order.
+
+    Pullbacks are taken through ``try_pullback``: a cospan without one
+    (none exists, or it is past the ambient's size cap) is skipped and
+    marks the answer restricted.  One budget of ``probe_cap`` cospans
+    serves the whole walk; reaching it with cospans left ends the walk
+    with (True, True, None)."""
     restricted = False
     probes = 0
-    for f in C.morphisms():
-        if not A.contains(f):
-            continue
+    for f in fs:
         for g in C.morphisms_into(C.tgt(f)):
             if probe_cap is not None and probes >= probe_cap:
                 return True, True, None
@@ -203,9 +209,21 @@ def _stability_scan(C, A, probe_cap=None):
             if sq is None:
                 restricted = True
                 continue
-            if not A.contains(sq.proj2):
-                return False, restricted, (f, g, sq.proj2)
+            wit = refute(f, g, sq)
+            if wit is not None:
+                return False, restricted, wit
     return True, restricted, None
+
+
+def _stability_scan(C, A, probe_cap=None):
+    """(stable, restricted, witness): pullbacks of A-members stay in A,
+    one probe budget for all the members' cospans."""
+    if _ambient_injective_only(C, A):
+        return _ambient_stability_scan(C, A)
+    return walk_cospans(
+        C, (f for f in C.morphisms() if A.contains(f)),
+        lambda f, g, sq: None if A.contains(sq.proj2) else (f, g, sq.proj2),
+        probe_cap)
 
 
 def _ambient_injective_only(C, A):
@@ -294,22 +312,13 @@ def _first_unstable_pullback(C, A, img, into):
 def is_stably_in(C, f, A, probe_cap=None):
     """Whether every (existing) pullback of f lies in A.
 
-    Returns (verdict, restricted, witness); verdict is over the pullbacks
-    that exist, restricted=True when some cospan had none.
+    Returns (verdict, restricted, witness) of the cospan walk over f
+    alone; verdict is over the pullbacks that exist, restricted=True when
+    some cospan had none or the probe cap was reached.
     """
-    restricted = False
-    probes = 0
-    for g in C.morphisms_into(C.tgt(f)):
-        if probe_cap is not None and probes >= probe_cap:
-            return True, True, None
-        probes += 1
-        sq = try_pullback(C, f, g)
-        if sq is None:
-            restricted = True
-            continue
-        if not A.contains(sq.proj2):
-            return False, restricted, (g, sq.proj2)
-    return True, restricted, None
+    return walk_cospans(
+        C, (f,), lambda f, g, sq: None if A.contains(sq.proj2)
+        else (g, sq.proj2), probe_cap)
 
 
 def is_extremal_wrt(C, family, M):
@@ -395,20 +404,11 @@ def _stably_extremal(C, f, M, probe_cap):
                 if pre <= img_m:
                     return False, False, (g, m)
         return True, False, None
-    restricted = False
-    probes = 0
-    for g in C.morphisms_into(C.tgt(f)):
-        if probe_cap is not None and probes >= probe_cap:
-            return True, True, None
-        probes += 1
-        sq = try_pullback(C, f, g)
-        if sq is None:
-            restricted = True
-            continue
+
+    def refute(f, g, sq):
         ok, wit = _is_extremal(C, sq.proj2, M)
-        if not ok:
-            return False, restricted, (g,) + wit
-    return True, restricted, None
+        return None if ok else (g,) + wit
+    return walk_cospans(C, (f,), refute, probe_cap)
 
 
 def check_orthogonal(C, e, m):
@@ -434,14 +434,17 @@ def check_orthogonal(C, e, m):
     return True, None
 
 
-def _factor_search(C, E, M, f):
-    """Least (e, m) with m.e = f, e in E, m in M, or None."""
-    for e in C.morphisms_from(C.src(f)):
-        if not E.contains(e):
+def _factor_search(C, in_E, in_M, f, es=None):
+    """The least-(e, m) search: the first (e, m) with m.e = f, in_E(e)
+    and in_M(m), or None.  e runs over es in its order (by default
+    ``C.morphisms_from(src f)``), asking in_E only of the e it reaches;
+    m runs over hom(tgt e, tgt f)."""
+    for e in C.morphisms_from(C.src(f)) if es is None else es:
+        if not in_E(e):
             continue
         for m in C.hom(C.tgt(e), C.tgt(f)):
-            if M.contains(m) and C.compose(m, e) == f:
-                return (e, m)
+            if in_M(m) and C.compose(m, e) == f:
+                return e, m
     return None
 
 
@@ -464,7 +467,8 @@ class FactorizationSystem:
 
     def factorize(self, f):
         if f not in self.table:
-            pair = _factor_search(self.category, self.E, self.M, f)
+            pair = _factor_search(self.category, self.E.contains,
+                                  self.M.contains, f)
             if pair is None:
                 raise KeyError(f"no (E, M) factorization of {f!r}")
             self.table[f] = pair
@@ -501,7 +505,7 @@ def check_factorization_system(C, E, M, probe_cap=None):
     """
     table = {}
     for f in C.morphisms():
-        pair = _factor_search(C, E, M, f)
+        pair = _factor_search(C, E.contains, M.contains, f)
         if pair is None:
             return FactorizationFailure("factorization", (f,))
         table[f] = pair
@@ -560,16 +564,6 @@ def check_regular(C, probe_cap=None):
         if ok:
             see.add(f)
     for f in C.morphisms():
-        found = False
-        for e in C.morphisms_from(C.src(f)):
-            if e not in see:
-                continue
-            for m in C.hom(C.tgt(e), C.tgt(f)):
-                if monos.contains(m) and C.compose(m, e) == f:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        if _factor_search(C, see.__contains__, monos.contains, f) is None:
             return RegularityReport(False, f, restricted)
     return RegularityReport(True, None, restricted)

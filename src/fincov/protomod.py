@@ -22,7 +22,8 @@ import numpy as np
 
 from .fincat import PullbackSquare, derived_memo, mor_key, try_pullback, \
     verify_pullback_square
-from .morphclass import MorphismClass, builtin_class, is_stably_extremal
+from .morphclass import MorphismClass, _factor_search, builtin_class, \
+    is_stably_extremal
 
 
 class InternalConsistencyError(AssertionError):
@@ -216,13 +217,10 @@ def _mono_part_plan(C, E):
 def _mono_part(C, theta, monos):
     """m0 of theta = m0.e0, from the first stably extremal e0 out of
     src(theta) that admits a mono m0; None when there is none."""
-    for e0 in sorted(C.morphisms_from(C.src(theta)), key=mor_key):
-        if not is_stably_extremal(C, e0, monos)[0]:
-            continue
-        for m0 in C.hom(C.tgt(e0), C.tgt(theta)):
-            if monos.contains(m0) and C.compose(m0, e0) == theta:
-                return m0
-    return None
+    pair = _factor_search(
+        C, lambda e0: is_stably_extremal(C, e0, monos)[0], monos.contains,
+        theta, sorted(C.morphisms_from(C.src(theta)), key=mor_key))
+    return pair and pair[1]
 
 
 def _initial_object(C):

@@ -16,7 +16,7 @@ from .coverage import RuleCoverage, check_coverage, \
     check_image_compatibility, check_subordination, decide_tau_compact
 from .fincat import derived_memo, try_pullback
 from .morphclass import MorphismClass, builtin_class, check_class_properties, \
-    is_stably_extremal, is_stably_in
+    is_stably_extremal, is_stably_in, walk_cospans
 from .protomod import check_protomodularity_pair
 
 
@@ -447,19 +447,15 @@ def check_mono_reflective(C, c, probe_cap=None):
     for f in sorted(C.morphisms_from(c), key=str):
         if C.is_mono(f):
             continue
-        probes = 0
-        for g in sorted(C.morphisms_into(C.tgt(f)), key=str):
-            if probe_cap is not None and probes >= probe_cap:
-                restricted = True
-                break
-            probes += 1
-            sq = try_pullback(C, f, g)
-            if sq is None:
-                restricted = True
-                continue
-            if C.is_mono(sq.proj2):
-                return {"reflective": False, "witness": (str(f), str(g)),
-                        "restricted": restricted}
+        # one probe budget per f: a capped f is restricted, the next f
+        # gets a fresh budget
+        ok, restr, wit = walk_cospans(
+            C, (f,), lambda f, g, sq: (str(f), str(g))
+            if C.is_mono(sq.proj2) else None, probe_cap)
+        restricted = restricted or restr
+        if not ok:
+            return {"reflective": False, "witness": wit,
+                    "restricted": restricted}
     return {"reflective": True, "witness": None, "restricted": restricted}
 
 

@@ -97,12 +97,12 @@ def test_triple_tables_past_int64_and_without_constants():
 
 
 def test_compose_within_its_budgets(monkeypatch):
-    """compose lists no hom set and computes no composite table past
-    ``_TRIPLE_BUDGET``: on Z2^4 (65536 endomorphisms, so the triple
-    (Z2^4, Z2^4, Z2^4) has 2^32 composites, and the index is past its
-    budget) it composes image by image, and returns the roster's hom
-    once End(Z2^4) is listed.  Under a zero budget a listed triple is
-    composed the same way."""
+    """compose lists no hom set and computes no composite table: on Z2^4
+    (65536 endomorphisms, so the triple (Z2^4, Z2^4, Z2^4) has 2^32
+    composites, and the index is past its budget) it composes image by
+    image, and returns the roster's hom once End(Z2^4) is listed.  On
+    the harness ambient it keeps no table it did not find, and reads a
+    kept table without composing images."""
     v4 = direct_product_group(cyclic_group(2), cyclic_group(2), "V4")
     amb = build_finalg_category(group_theory(), 16, [
         cyclic_group(1), direct_product_group(v4, v4, "V16")])
@@ -125,12 +125,16 @@ def test_compose_within_its_budgets(monkeypatch):
     objs = amb.objects()
     A, b, C = objs[-1], objs[-2], objs[-1]
     homs, G, F = amb.hom(A, C), amb.hom(b, C), amb.hom(A, b)
+    gf = amb.compose(G[-1], F[-1])
+    assert gf is homs[homs.index(compose_homs(G[-1], F[-1]))]
+    assert not amb._triples
+    amb._composite_table(A, b, C)
+
+    def no_images(g, f):
+        raise AssertionError("composed image by image past a kept table")
     with monkeypatch.context() as m:
-        m.setattr(algkit, "_TRIPLE_BUDGET", len(G) * len(F) - 1)
-        gf = amb.compose(G[-1], F[-1])
-        assert gf is homs[homs.index(compose_homs(G[-1], F[-1]))]
-        assert not amb._triples
-    assert amb.compose(G[-1], F[-1]) is gf
+        m.setattr(algkit, "compose_homs", no_images)
+        assert amb.compose(G[-1], F[-1]) is gf
     assert list(amb._triples) == [(id(A), id(b), id(C))]
 
 

@@ -565,7 +565,8 @@ def test_ambient_closure_sequence_matches_reference_stability_scan(
         monkeypatch):
     """The stability scan by distinct preimage gives the reports, roster
     and subobject names of the hom-by-hom scan over the benchmark's
-    ambient instances."""
+    ambient instances.  The roster names and the count of fresh names are
+    pinned: they change when the order of pullbacks does."""
     import fincov.morphclass as morphclass
     from fincov.algkit import build_finalg_category, group_theory
     from fincov.instances import abelian_groups_upto
@@ -582,6 +583,10 @@ def test_ambient_closure_sequence_matches_reference_stability_scan(
                         oracles.first_unstable_pullback)
     assert run() == got
     assert got[2] == 8
+    # the roster and fresh names that the closure_harness benchmark leaves
+    assert got[1] == ["Z1", "Z2", "Z3", "V4", "Z4", "pb#15", "pb#20",
+                      "pb#37"]
+    assert got[3] == "probe#46"
 
 
 def test_ambient_stability_registers_subobjects_in_scan_order(monkeypatch):
@@ -754,3 +759,93 @@ def test_predicate_asked_once_per_morphism_and_roster():
         ask_all(amb, M, E, [f for f in amb.morphisms()
                             if f.src.size <= 4 and f.is_surjective()])
     assert len(calls) > 100 and set(calls.values()) == {1}
+
+
+def _sets_one_to_three():
+    """The finite sets of sizes 1-3 and every function between them, with
+    no empty set: a cospan whose images miss each other has no pullback,
+    and one whose pullback has more than three elements has none either."""
+    import itertools
+    from fixtures_util import close_concrete
+    sizes = {"S1": 1, "S2": 2, "S3": 3}
+    gens = {f"f{sizes[a]}>{sizes[b]}:" + "".join(map(str, img)): (a, b, img)
+            for a in sizes for b in sizes
+            for img in itertools.product(range(sizes[b]), repeat=sizes[a])}
+    return close_concrete(sizes, gens, name="set1-3")
+
+
+def _walk_answer(ans):
+    ok, restricted, wit = ans
+    return ok, restricted, None if wit is None else tuple(map(str, wit))
+
+
+def test_cospan_walk_cap_rules():
+    """The four callers of the cospan walk under small probe caps, against
+    pinned answers.  The class scan keeps
+    one budget for all its members: the isos (265 cospans, at most 39
+    per member, all with pullbacks) are restricted up to cap 264.  The
+    other callers keep one per f, and mono-reflectivity moves on to the
+    next f when its budget runs out: at cap 1 its witness is the third
+    non-mono out of S3, past two restricted ones."""
+    from fincov.theorems import check_mono_reflective
+    C = _sets_one_to_three()
+
+    def stability(name, k):
+        rep = check_class_properties(C, builtin_class(C, name), k)
+        return (rep.stable, rep.restricted,
+                tuple(map(str, rep.witnesses.get("stable", ()))))
+    assert {k: stability("isos", k) for k in (0, 39, 40, 264, 265, None)} \
+        == {0: (True, True, ()), 39: (True, True, ()), 40: (True, True, ()),
+            264: (True, True, ()), 265: (True, False, ()),
+            None: (True, False, ())}
+    assert stability("identities", 0) == (True, True, ())
+    assert stability("identities", 1) == (
+        False, False, ("id_S1", "f2>1:00", "f2>2:10"))
+
+    epis, monos = builtin_class(C, "epis"), builtin_class(C, "monos")
+    wit = ("f2>2:10", "f2>2:11")
+    assert {k: _walk_answer(is_stably_in(C, "f2>2:00", epis, k))
+            for k in (0, 3, 4, None)} == {
+        0: (True, True, None), 3: (True, True, None), 4: (False, True, wit),
+        None: (False, True, wit)}
+    assert [_walk_answer(is_stably_in(C, "f3>1:000", monos, k))
+            for k in (2, 3)] == [(True, True, None),
+                                 (False, True, ("id_S1", "f3>1:000"))]
+    assert _walk_answer(is_stably_extremal(C, "f2>2:00", monos, 0)) == (
+        False, False, ("f1>2:0", "('f2>1:00',)"))
+    assert [_walk_answer(is_stably_extremal(C, "f3>1:000", monos, k))
+            for k in (0, 1, None)] == [(True, True, None)] * 3
+
+    def reflective(k):
+        rep = check_mono_reflective(C, "S3", probe_cap=k)
+        return rep["reflective"], rep["restricted"], rep["witness"]
+    assert [reflective(k) for k in (0, 1, 2, None)] == [
+        (True, True, None), (False, True, ("f3>2:011", "f1>2:0")),
+        (False, True, ("f3>2:001", "f1>2:1")),
+        (False, True, ("f3>2:001", "f1>2:1"))]
+
+
+def test_cospan_walk_cap_rules_on_the_ambient():
+    """On the abelian groups of order <= 4 under size cap 4 a pullback
+    past the cap marks the walk restricted.  The answers, the roster and
+    the count of fresh names are pinned: pullbacks register and name
+    apexes, so they pin the order of the walk's pullbacks."""
+    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.instances import abelian_groups_upto
+    amb = build_finalg_category(group_theory(), 4, abelian_groups_upto(4))
+    E = builtin_class(amb, "surjections")
+    for k in (0, 10, 100, None):
+        rep = check_class_properties(amb, E, k)
+        assert (rep.stable, rep.restricted) == (True, True)
+    assert [A.name for A in amb.objects()] == ["Z1", "Z2", "Z3", "V4", "Z4"]
+    assert amb.fresh_name("probe") == "probe#97"
+    R = builtin_class(amb, "retractions")
+    fs = [f for f in amb.morphisms()
+          if f.is_surjective() and not f.is_bijective()][:3]
+    assert [repr(f) for f in fs] == ["AlgHom(Z2->Z1, (0, 0))",
+                                     "AlgHom(Z3->Z1, (0, 0, 0))",
+                                     "AlgHom(V4->Z1, (0, 0, 0, 0))"]
+    for f in fs:
+        for k in (0, 2, None):
+            assert is_stably_in(amb, f, R, k) == (True, True, None)
+    assert amb.fresh_name("probe") == "probe#111"
