@@ -962,11 +962,11 @@ def verify_uniformity_theorem(cat, t=None, pullback_cap=24,
                     "pullbacks_checked": probes, "capped": capped}
 
     # part 3: rectangle conclusions
-    out["part3"] = _rectangle_clauses(cat, t, flags, rectangle_cap)
+    out["part3"] = _rectangle_clauses(cat, flags, rectangle_cap)
     return out
 
 
-def _rectangle_clauses(cat, t, flags, cap):
+def _rectangle_clauses(cat, flags, cap):
     homs = list(cat.morphisms())
     count = 0
     capped = False

@@ -3,7 +3,8 @@
 Loads JSON inputs (or named corpus fixtures via ``corpus:<name>``),
 dispatches a named check and emits a deterministic report.  Exit codes:
 0 pass, 1 definition failure or counterexample, 2 hypothesis failure,
-3 inconclusive (cap), 4 input error.  JSON reports carry no timing, so
+3 inconclusive (cap), 4 input error; every decided verdict takes its code
+from ``report.verdict_code``.  JSON reports carry no timing, so
 identical (inputs, flags, seed) are byte-identical; the text format
 appends wall time.
 """
@@ -317,10 +318,8 @@ def run_check(args):
             body = C.to_json()
         res = validate_category(body)
         ok = isinstance(res, FinCategory)
-        return rp.build_report(
-            name, rp.EXIT_PASS if ok else rp.EXIT_COUNTEREXAMPLE,
-            params, ok=ok,
-            report=None if ok else res.to_json())
+        return rp.build_report(name, rp.verdict_code(ok), params, ok=ok,
+                               report=None if ok else res.to_json())
 
     if name == "classify":
         if args.morphism:
@@ -339,29 +338,25 @@ def run_check(args):
         v = validate_variance(C, data["variance"]["cov"],
                               data["variance"]["contr"])
         ok = isinstance(v, Variance)
-        return rp.build_report(
-            name, rp.EXIT_PASS if ok else rp.EXIT_COUNTEREXAMPLE, params,
-            ok=ok, report=v.to_json())
+        return rp.build_report(name, rp.verdict_code(ok), params, ok=ok,
+                               report=v.to_json())
 
     if name == "class-properties":
         E = cls("E", "all")
         repq = check_class_properties(C, E)
-        code = rp.EXIT_PASS if repq.system else rp.EXIT_COUNTEREXAMPLE
-        return rp.build_report(name, code, params,
+        return rp.build_report(name, rp.verdict_code(repq.system), params,
                                report=repq.to_json())
 
     if name == "factorization-system":
         res = check_factorization_system(C, cls("E"), cls("M"))
         ok = bool(res)
-        return rp.build_report(
-            name, rp.EXIT_PASS if ok else rp.EXIT_COUNTEREXAMPLE, params,
-            ok=ok, report=res.to_json())
+        return rp.build_report(name, rp.verdict_code(ok), params, ok=ok,
+                               report=res.to_json())
 
     if name == "regular":
         res = check_regular(C)
-        return rp.build_report(
-            name, rp.EXIT_PASS if res.regular else rp.EXIT_COUNTEREXAMPLE,
-            params, report=res.to_json())
+        return rp.build_report(name, rp.verdict_code(res.regular), params,
+                               report=res.to_json())
 
     if name in ("protomodularity", "protomodularity-equivalent"):
         E = cls("E", "retractions")
@@ -369,8 +364,7 @@ def run_check(args):
         fn = check_protomodularity_pair if name == "protomodularity" \
             else check_protomodularity_equivalent
         res = fn(C, E, M)
-        code = rp.EXIT_PASS if res.satisfied else rp.EXIT_COUNTEREXAMPLE
-        return rp.build_report(name, code, params,
+        return rp.build_report(name, rp.verdict_code(res.satisfied), params,
                                report=res.to_json())
 
     if name == "compact":
@@ -383,21 +377,15 @@ def run_check(args):
         for c in objects:
             v = decide_tau_compact(C, c, tau, cap=args.cap)
             out[str(c)] = v.to_json()
-            if v.compact is None:
-                worst = max(worst, rp.EXIT_INCONCLUSIVE)
-            elif not v.compact:
-                worst = max(worst, rp.EXIT_COUNTEREXAMPLE)
+            worst = max(worst, rp.verdict_code(v.compact))
         return rp.build_report(name, worst, params, objects=out)
 
     if name == "coverage":
         M = cls("M", "monos")
         tau = resolve_coverage(C, entry, data, args, M)
         res = check_coverage(C, tau, cap=args.cap)
-        code = rp.EXIT_PASS if res.is_coverage else (
-            rp.EXIT_INCONCLUSIVE if res.is_coverage is None
-            else rp.EXIT_COUNTEREXAMPLE)
-        return rp.build_report(name, code, params,
-                               report=res.to_json())
+        return rp.build_report(name, rp.verdict_code(res.is_coverage),
+                               params, report=res.to_json())
 
     if name == "subordination":
         M = cls("M", "monos")
@@ -418,20 +406,15 @@ def run_check(args):
         tau = resolve_coverage(C, entry, data, args, M)
         f = resolve_morphism(C, args.morphism)
         res = check_image_compatibility(C, f, tau, E, M, cap=args.cap)
-        code = rp.EXIT_PASS if res.compatible else (
-            rp.EXIT_INCONCLUSIVE if res.compatible is None
-            else rp.EXIT_COUNTEREXAMPLE)
-        return rp.build_report(name, code, params,
-                               report=res.to_json())
+        return rp.build_report(name, rp.verdict_code(res.compatible),
+                               params, report=res.to_json())
 
     def closure_code(res):
         if "inconclusive" in res.details:
             return rp.EXIT_INCONCLUSIVE
         if not res.hypotheses_ok:
             return rp.EXIT_HYPOTHESIS
-        if res.conclusion_ok is None:
-            return rp.EXIT_INCONCLUSIVE
-        return rp.EXIT_PASS if res.conclusion_ok else rp.EXIT_COUNTEREXAMPLE
+        return rp.verdict_code(res.conclusion_ok)
 
     if name == "closure-subobjects":
         M = cls("M", "monos")
@@ -474,9 +457,8 @@ def run_check(args):
         E, M = cls("E", "epis"), cls("M", "monos")
         tau = resolve_coverage(C, entry, data, args, M)
         res = check_tau_well_behaved(C, tau, E, M, cap=args.cap)
-        code = rp.EXIT_PASS if res.well_behaved else rp.EXIT_COUNTEREXAMPLE
-        return rp.build_report(name, code, params,
-                               report=res.to_json())
+        return rp.build_report(name, rp.verdict_code(res.well_behaved),
+                               params, report=res.to_json())
 
     if name == "hopfian":
         M = cls("M", "monos")
@@ -496,8 +478,7 @@ def run_check(args):
         for c in objects:
             res = check_mono_reflective(C, c)
             out[str(c)] = res
-            if not res["reflective"]:
-                worst = rp.EXIT_COUNTEREXAMPLE
+            worst = max(worst, rp.verdict_code(res["reflective"]))
         return rp.build_report(name, worst, params, objects={
             k: {"reflective": v["reflective"],
                 "witness": list(v["witness"]) if v["witness"] else None,
@@ -513,11 +494,8 @@ def run_check(args):
         parts = run_image_closure_suite(C, FS, tau, K, cap=args.cap)
         oks = [parts[p].conclusion_ok for p in
                ("part1", "part2", "part3", "part4")]
-        if not parts["hypotheses"].hypotheses_ok or None in oks:
-            code = rp.EXIT_HYPOTHESIS if not parts["hypotheses"].hypotheses_ok \
-                else rp.EXIT_INCONCLUSIVE
-        else:
-            code = rp.EXIT_PASS if all(oks) else rp.EXIT_COUNTEREXAMPLE
+        code = rp.verdict_code(None if None in oks else all(oks)) \
+            if parts["hypotheses"].hypotheses_ok else rp.EXIT_HYPOTHESIS
         return rp.build_report(
             name, code, params,
             report={k: v.to_json() for k, v in parts.items()})
@@ -531,10 +509,8 @@ def run_check(args):
     if name == "monic-pullback":
         h, t, _, _ = resolve_hom(data, args.hom)
         res = check_monic_pullback_corollary(h, t)
-        if res["ok"] is None:
-            code = rp.EXIT_HYPOTHESIS
-        else:
-            code = rp.EXIT_PASS if res["ok"] else rp.EXIT_COUNTEREXAMPLE
+        code = rp.EXIT_HYPOTHESIS if res["ok"] is None else \
+            rp.verdict_code(res["ok"])
         return rp.build_report(name, code, params, report=res)
 
     raise InputError(f"unknown check {name!r}")

@@ -695,9 +695,10 @@ class SliceCategory(CategoryBase):
     """Slice over an anchor object, enumerated lazily from the base.
 
     Objects are the base morphisms into the anchor; a morphism p -> q is a
-    triple (h, p, q) with q . h = p in the base.  ``hom_sets`` keeps the
-    slice hom sets it is asked for (``SliceHomSets``), so the view shared
-    by ``slice_view`` holds the one table of them per category and anchor.
+    triple (h, p, q) with q . h = p in the base.  ``hom`` reads
+    ``hom_sets``, which keeps the slice hom sets it is asked for
+    (``SliceHomSets``), so the view shared by ``slice_view`` holds the one
+    table of them per category and anchor.
     """
 
     def __init__(self, base, anchor):
@@ -742,10 +743,7 @@ class SliceCategory(CategoryBase):
         return (self.base.compose(g[0], f[0]), f[1], g[2])
 
     def hom(self, p, q):
-        out = [(h, p, q) for h in self.base.hom(self.base.src(p), self.base.src(q))
-               if self.base.compose(q, h) == p]
-        out.sort(key=lambda t: self._okey(t[0]))
-        return tuple(out)
+        return self.hom_sets[p, q]
 
     def is_iso(self, m):
         # a triangle is iso in the slice iff its base leg is iso
@@ -791,7 +789,8 @@ def slice_view(C, c):
 
 
 def slice_category(C, c):
-    """The slice of C over c, with a validating projection functor."""
+    """A fresh slice of C over c, with its own table of slice hom sets
+    (``slice_view`` keeps the shared one)."""
     return SliceCategory(C, c)
 
 

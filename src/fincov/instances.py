@@ -317,8 +317,8 @@ def _unital_assoc_tables(n):
         table[i][0] = i
         table[0][i] = i
 
-    def assoc_ok(i, j):
-        # check all triples whose products are already known and involve (i,j)
+    def assoc_ok():
+        # every triple whose two products are already known associates
         for a in range(n):
             for b in range(n):
                 ab = table[a][b]
@@ -328,8 +328,7 @@ def _unital_assoc_tables(n):
                     bc = table[b][c]
                     if bc is None:
                         continue
-                    left = table[ab][c] if table[ab][c] is not None else None
-                    right = table[a][bc] if table[a][bc] is not None else None
+                    left, right = table[ab][c], table[a][bc]
                     if left is not None and right is not None and left != right:
                         return False
         return True
@@ -341,7 +340,7 @@ def _unital_assoc_tables(n):
         i, j = cells[k]
         for v in range(n):
             table[i][j] = v
-            if assoc_ok(i, j):
+            if assoc_ok():
                 yield from rec(k + 1)
         table[i][j] = None
 

@@ -17,6 +17,14 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INPUT = 4
 
 
+def verdict_code(v):
+    """Exit code of a decided verdict: True passes, False is a
+    counterexample and None was cut short by a cap."""
+    if v is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS if v else EXIT_COUNTEREXAMPLE
+
+
 def build_report(check, exit_code, params=None, **body):
     rep = {"schema": SCHEMA_VERSION, "check": check, "exit_code": exit_code,
            "params": params or {}}

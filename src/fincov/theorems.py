@@ -6,6 +6,13 @@ hypothesis yields a report (the theorems are conditionals and many fixtures
 violate them on purpose), while a failed conclusion under verified
 hypotheses populates the counterexample slot, which signals a checker bug
 and fails the build.
+
+The quotient, extension and product harnesses share two steps:
+``_coverage_hypotheses`` (M's class hypotheses, then "tau subordinated to
+M") and ``_compact_conclusion`` (once every hypothesis holds, decide the
+one object the theorem concludes is compact).  The subobject conclusion
+ranges over every M-member and keeps its own loop.  ``_first_incompatible``
+is the one scan of E for an incompatible image.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .coverage import RuleCoverage, check_coverage, \
     check_image_compatibility, check_subordination, decide_tau_compact
-from .fincat import derived_memo, try_pullback
+from .fincat import derived_memo, try_pullback, verify_pullback_square
 from .morphclass import MorphismClass, builtin_class, check_class_properties, \
     is_stably_extremal, is_stably_in, walk_cospans
 from .protomod import check_protomodularity_pair
@@ -65,19 +72,17 @@ def _protomodularity(C, E, M):
     return memo[M]
 
 
-def _class_hypotheses(rep, C, M, label, need=("system", "stable",
-                                              "left_cancelable")):
+def _class_hypotheses(rep, C, M):
     props = check_class_properties(C, M)
-    for prop in need:
-        rep.add_hypothesis(f"{label} {prop}", getattr(props, prop),
+    for prop in ("system", "stable", "left_cancelable"):
+        rep.add_hypothesis(f"{M.name} {prop}", getattr(props, prop),
                            props.witnesses.get(prop))
-    return props
 
 
 def verify_closure_subobjects(C, J, M, cap=None):
     """Targets of M-morphisms into compact objects stay compact."""
     rep = ClosureReport("closure-subobjects")
-    _class_hypotheses(rep, C, M, M.name)
+    _class_hypotheses(rep, C, M)
     if not rep.hypotheses_ok:
         return rep.finish(None)
     tau = RuleCoverage(J, M)
@@ -125,9 +130,24 @@ def _subordination(C, tau, M, cap):
     return True, None
 
 
-def _subordination_hypothesis(rep, C, tau, M, cap):
+def _coverage_hypotheses(rep, C, tau, M, cap):
+    """M's class hypotheses, then "tau subordinated to M"."""
+    _class_hypotheses(rep, C, M)
     ok, wit = _subordination(C, tau, M, cap)
     rep.add_hypothesis("tau subordinated to M", ok, wit)
+
+
+def _compact_conclusion(rep, C, x, tau, cap, witness):
+    """Finish rep with whether x is tau-compact, decided only once every
+    hypothesis holds; a failure reports witness with x's failing
+    covering."""
+    if not rep.hypotheses_ok:
+        return rep.finish(None)
+    v = decide_tau_compact(C, x, tau, cap=cap)
+    if v.compact is None:
+        return rep.finish(None)
+    return rep.finish(v.compact, None if v.compact else
+                      {**witness, "failing": v.failing.to_json()})
 
 
 def _right_cancelable_bundle(C, E, M, probe_cap, f=None):
@@ -144,8 +164,7 @@ def _right_cancelable_bundle(C, E, M, probe_cap, f=None):
 def verify_closure_quotients(C, tau, E, M, f, cap=None, probe_cap=None):
     """Compactness descends along f under either hypothesis bundle."""
     rep = ClosureReport("closure-quotients", details={"morphism": f})
-    _class_hypotheses(rep, C, M, M.name)
-    _subordination_hypothesis(rep, C, tau, M, cap)
+    _coverage_hypotheses(rep, C, tau, M, cap)
 
     okA, _, witA = is_stably_extremal(C, f, M, probe_cap)
     bundleB = not okA and _right_cancelable_bundle(C, E, M, probe_cap, f)
@@ -164,14 +183,8 @@ def verify_closure_quotients(C, tau, E, M, f, cap=None, probe_cap=None):
     rep.add_hypothesis("source compact", va.compact,
                        None if va.compact else
                        va.failing.key() if va.failing else "inconclusive")
-    if not rep.hypotheses_ok:
-        return rep.finish(None)
-    vb = decide_tau_compact(C, C.tgt(f), tau, cap=cap)
-    if vb.compact is None:
-        return rep.finish(None)
-    return rep.finish(vb.compact,
-                      None if vb.compact else
-                      {"morphism": str(f), "failing": vb.failing.to_json()})
+    return _compact_conclusion(rep, C, C.tgt(f), tau, cap,
+                               {"morphism": str(f)})
 
 
 def verify_closure_extensions(C, tau, E, M, square, cap=None, FS=None,
@@ -179,13 +192,11 @@ def verify_closure_extensions(C, tau, E, M, square, cap=None, FS=None,
     """Pullback square with compact apex and base corner: the middle object
     inherits compactness when E is M-protomodular and the base morphism is
     image compatible."""
-    from .fincat import verify_pullback_square
     rep = ClosureReport("closure-extensions")
     f, phi = square.f, square.g
     rep.details["f"] = f
     rep.details["phi"] = phi
-    _class_hypotheses(rep, C, M, M.name)
-    _subordination_hypothesis(rep, C, tau, M, cap)
+    _coverage_hypotheses(rep, C, tau, M, cap)
     rep.add_hypothesis("square is a pullback",
                        verify_pullback_square(C, square, cap=probe_cap))
     proto = _protomodularity(C, E, M)
@@ -199,15 +210,8 @@ def verify_closure_extensions(C, tau, E, M, square, cap=None, FS=None,
     rep.add_hypothesis("apex compact", va.compact)
     vc = decide_tau_compact(C, C.tgt(f), tau, cap=cap)
     rep.add_hypothesis("base corner compact", vc.compact)
-    if not rep.hypotheses_ok:
-        return rep.finish(None)
-    vb = decide_tau_compact(C, C.src(f), tau, cap=cap)
-    if vb.compact is None:
-        return rep.finish(None)
-    return rep.finish(vb.compact,
-                      None if vb.compact else
-                      {"square": (str(f), str(phi)),
-                       "failing": vb.failing.to_json()})
+    return _compact_conclusion(rep, C, C.src(f), tau, cap,
+                               {"square": (str(f), str(phi))})
 
 
 @dataclass
@@ -236,49 +240,50 @@ def check_tau_well_behaved(C, tau, E, M, cap=None, probe_cap=None, FS=None):
                            or props.witnesses or None))
 
     proto = _protomodularity(C, E, M)
-    compat_ok = True
-    compat_wit = None
-    for f in sorted(E.member_list(), key=str):
-        r = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=cap)
-        if r.compatible is False:
-            compat_ok, compat_wit = False, (f, r.witness)
-            break
+    f, wit = _first_incompatible(C, tau, E, M, FS, cap)
+    if f is not None:
+        wit = (f, wit)
+    elif proto.counterexample:
+        wit = proto.counterexample.to_json()
     rep.conditions.append(("protomodularity and E image compatible",
-                           proto.satisfied and compat_ok,
-                           compat_wit or (proto.counterexample.to_json()
-                                          if proto.counterexample else None)))
+                           proto.satisfied and f is None, wit))
 
-    all_ext = True
-    ext_wit = None
     for f in sorted(E.member_list(), key=str):
         ok, _, w = is_stably_extremal(C, f, M, probe_cap)
         if not ok:
-            all_ext, ext_wit = False, (f, w)
+            alt = _right_cancelable_bundle(C, E, M, probe_cap)
+            rep.conditions.append(("E-condition", alt,
+                                   "right-cancelable stable, E&M isos"
+                                   if alt else (f, w)))
             break
-    if all_ext:
-        rep.conditions.append(("E-condition", True, "all stably M-extremal"))
     else:
-        alt = _right_cancelable_bundle(C, E, M, probe_cap)
-        rep.conditions.append(("E-condition", alt,
-                               ext_wit if not alt else
-                               "right-cancelable stable, E&M isos"))
+        rep.conditions.append(("E-condition", True, "all stably M-extremal"))
     return rep
 
 
+def _first_incompatible(C, tau, E, M, FS, cap):
+    """The first E-member, in str order, whose image is not compatible
+    with tau, and its witness; (None, None) when there is none."""
+    for f in sorted(E.member_list(), key=str):
+        r = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=cap)
+        if r.compatible is False:
+            return f, r.witness
+    return None, None
+
+
 def _zero_object(C):
-    zero = None
-    for o in sorted(C.objects(), key=str):
-        if all(len(C.hom(o, z)) == 1 and len(C.hom(z, o)) == 1
-               for z in C.objects()):
-            zero = o
-            break
-    return zero
+    return next((o for o in sorted(C.objects(), key=str)
+                 if all(len(C.hom(o, z)) == 1 and len(C.hom(z, o)) == 1
+                        for z in C.objects())), None)
 
 
 def verify_product_closure(C, tau, E, M, a, b, cap=None, FS=None,
                            probe_cap=None):
     """In a pointed category, compactness of a and b propagates to a x b
-    through the pullback square over the zero object."""
+    through the pullback square over the zero object.
+
+    ``probe_cap`` bounds nothing here; it is accepted so that the
+    extension and product harnesses take the same keywords."""
     rep = ClosureReport("product-closure", details={"a": a, "b": b})
     zero = _zero_object(C)
     rep.add_hypothesis("zero object exists", zero is not None)
@@ -305,16 +310,8 @@ def verify_product_closure(C, tau, E, M, a, b, cap=None, FS=None,
     rep.add_hypothesis("first factor (as fiber) compact", va.compact)
     vb = decide_tau_compact(C, b, tau, cap=cap)
     rep.add_hypothesis("second factor compact", vb.compact)
-    _class_hypotheses(rep, C, M, M.name)
-    _subordination_hypothesis(rep, C, tau, M, cap)
-    if not rep.hypotheses_ok:
-        return rep.finish(None)
-    vp = decide_tau_compact(C, p, tau, cap=cap)
-    if vp.compact is None:
-        return rep.finish(None)
-    return rep.finish(vp.compact,
-                      None if vp.compact else
-                      {"product": str(p), "failing": vp.failing.to_json()})
+    _coverage_hypotheses(rep, C, tau, M, cap)
+    return _compact_conclusion(rep, C, p, tau, cap, {"product": str(p)})
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +422,7 @@ def run_hopfian_construction(C, M, f, pi0, N=8, probe_cap=None):
                       {"comparison": str(up[(0, 1)])}), chain
 
 
-def hopfian_naturality_ok(C, chain, samples=None):
+def hopfian_naturality_ok(C, chain):
     """The comparison/projection squares commute for all (m, n, k)."""
     N = len(chain.objects) - 1
     for m in range(N + 1):
@@ -534,8 +531,8 @@ def generated_system(C, K, name=None):
     return MorphismClass(C, name or f"<{K.name}>", members=members)
 
 
-def _images_closed(C, FS, E, M, K, source_class, cap=None):
-    """source_class members push to K along E through (E, M)-image squares;
+def _images_closed(C, E, M, K, cap=None):
+    """K's members push to K along E through (E, M)-image squares;
     quantifies all factorizations of f.k through E then M."""
     checked = 0
     e_members = sorted(E.member_list(), key=str)
@@ -543,7 +540,7 @@ def _images_closed(C, FS, E, M, K, source_class, cap=None):
     for fbar in e_members:
         by_src.setdefault(C.src(fbar), []).append(fbar)
     for f in e_members:
-        for k in sorted(source_class.member_list(), key=str):
+        for k in sorted(K.member_list(), key=str):
             if C.tgt(k) != C.src(f):
                 continue
             fk = C.compose(f, k)
@@ -582,10 +579,8 @@ def run_image_closure_suite(C, FS, tau, K, cap=None, probe_cap=None,
     part1.add_hypothesis("K stable", kprops.stable, kprops.witnesses.get("stable"))
     if part1.hypotheses_ok and hyp.hypotheses_ok:
         props = check_class_properties(C, kbar, probe_cap)
-        part1.finish(props.system and props.stable and props.left_cancelable,
-                     {"properties": props.to_json()}
-                     if not (props.system and props.stable
-                             and props.left_cancelable) else None)
+        ok = props.system and props.stable and props.left_cancelable
+        part1.finish(ok, None if ok else {"properties": props.to_json()})
     else:
         part1.finish(None)
     out["part1"] = part1
@@ -596,12 +591,7 @@ def run_image_closure_suite(C, FS, tau, K, cap=None, probe_cap=None,
     if part2.hypotheses_ok and hyp.hypotheses_ok:
         cov_rep = check_coverage(C, tau_prime, cap=cap,
                                  morphism_cap=coverage_morphism_cap)
-        sub_ok = True
-        for c in sorted(C.objects(), key=str):
-            covs, _ = tau_prime.coverings_of(C, c, cap=cap)
-            if not all(check_subordination(cov, kbar)[0] for cov in covs):
-                sub_ok = False
-                break
+        sub_ok, _ = _subordination(C, tau_prime, kbar, cap)
         part2.finish(bool(cov_rep.is_coverage) and sub_ok,
                      cov_rep.to_json() if not cov_rep.is_coverage else None)
     else:
@@ -609,10 +599,10 @@ def run_image_closure_suite(C, FS, tau, K, cap=None, probe_cap=None,
     out["part2"] = part2
 
     part3 = ClosureReport("image-closure-3")
-    closed_K, wit = _images_closed(C, FS, E, M, K, K, cap)
+    closed_K, wit = _images_closed(C, E, M, K, cap)
     part3.add_hypothesis("K closed under images along E", closed_K, wit)
     if part3.hypotheses_ok and hyp.hypotheses_ok and closed_K is not None:
-        closed_bar, witb = _images_closed(C, FS, E, M, kbar, kbar, cap)
+        closed_bar, witb = _images_closed(C, E, M, kbar, cap)
         part3.finish(closed_bar, {"witness": [str(w) for w in witb]}
                      if closed_bar is False else None)
     else:
@@ -621,25 +611,14 @@ def run_image_closure_suite(C, FS, tau, K, cap=None, probe_cap=None,
 
     part4 = ClosureReport("image-closure-4")
     part4.add_hypothesis("K closed under images along E", closed_K, wit)
-    e_compat = True
-    e_wit = None
-    for f in sorted(E.member_list(), key=str):
-        r = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=cap)
-        if r.compatible is False:
-            e_compat, e_wit = False, (f, r.witness)
-            break
-    part4.add_hypothesis("E image compatible with tau", e_compat, e_wit)
+    f, e_wit = _first_incompatible(C, tau, E, M, FS, cap)
+    part4.add_hypothesis("E image compatible with tau", f is None,
+                         None if f is None else (f, e_wit))
     if part4.hypotheses_ok and hyp.hypotheses_ok:
-        concl = True
-        cwit = None
-        for f in sorted(E.member_list(), key=str):
-            r = check_image_compatibility(C, f, tau_prime, E, kbar, FS=FS,
-                                          cap=cap)
-            if r.compatible is False:
-                concl, cwit = False, {"morphism": str(f),
-                                      "witness": [str(w) for w in r.witness]}
-                break
-        part4.finish(concl, cwit)
+        f, cwit = _first_incompatible(C, tau_prime, E, kbar, FS, cap)
+        part4.finish(f is None, None if f is None else
+                     {"morphism": str(f),
+                      "witness": [str(w) for w in cwit]})
     else:
         part4.finish(None)
     out["part4"] = part4

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -396,3 +397,70 @@ def test_classify_check_does_not_import_numpy_ma():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rsplit("\n", 1)[1] == "0 False"
+
+
+# Exit code and digest of the canonical stdout, recorded before
+# run_check took every decided verdict's code from report.verdict_code,
+# for the checks that no other test or benchmark pool operation runs.
+# They hold each exit code the checks can give on small fixtures: 0, 1,
+# 2 (a failed hypothesis, or image-closure's failed factorization
+# system) and 3 (a cap cut the decision short).
+UNCOVERED_CHECKS = [
+    (0, "7d9091b1b7c1a084", ["class-properties", "--input",
+      "corpus:set_skeleton_2", "--classes", "E=retractions"]),
+    (1, "73d0bb5d2432b5d7", ["protomodularity-equivalent", "--input",
+      "corpus:set_skeleton_2", "--classes", "E=retractions,M=all"]),
+    (0, "70a71854dd448d0c", ["subordination", "--input", "corpus:sub_Z8",
+      "--classes", "M=monos", "--chain-n", "2", "--chain-smalls", "1"]),
+    (0, "aa271fc097eb95f1", ["image-compatibility", "--input",
+      "corpus:sub_Z8", "--classes", "E=epis,M=monos", "--chain-n", "1",
+      "--chain-smalls", "1", "--morphism", "u0246<u01234567"]),
+    (3, "17a7aa52dc5b56fb", ["image-compatibility", "--input",
+      "corpus:sub_Z8", "--classes", "E=epis,M=monos", "--chain-n", "2",
+      "--chain-smalls", "1", "--morphism", "u0246<u01234567", "--cap",
+      "1"]),
+    (0, "291d28b6c8e0bd66", ["closure-subobjects", "--input",
+      "corpus:sub_Z8", "--classes", "M=monos", "--chain-n", "2",
+      "--chain-smalls", "1"]),
+    (3, "e681a2fa0b3df1d9", ["closure-subobjects", "--input",
+      "corpus:sub_Z8", "--classes", "M=monos", "--chain-n", "2",
+      "--chain-smalls", "1", "--cap", "1"]),
+    (2, "ae6830c58f563037", ["closure-subobjects", "--input",
+      "corpus:set_skeleton_2", "--classes", "M=retractions", "--chain-n",
+      "1", "--chain-smalls", "0"]),
+    (0, "9af5e905318a1f22", ["closure-quotients", "--input",
+      "corpus:set_skeleton_2", "--classes", "E=isos,M=monos", "--chain-n",
+      "1", "--chain-smalls", "1", "--morphism", "f2>2:10"]),
+    (2, "d42c21302b17f1ae", ["closure-quotients", "--input",
+      "corpus:set_skeleton_2", "--classes", "E=epis,M=monos", "--chain-n",
+      "1", "--chain-smalls", "0", "--morphism", "f0>1:"]),
+    (0, "64f3f25af61880fb", ["well-behaved", "--input",
+      "corpus:poset_3chain", "--classes", "E=isos,M=all", "--chain-n", "1",
+      "--chain-smalls", "1"]),
+    (1, "95ff2024d1d52f72", ["well-behaved", "--input", "corpus:sub_Z8",
+      "--classes", "E=epis,M=monos", "--chain-n", "1", "--chain-smalls",
+      "1"]),
+    (0, "16705ed56c95adeb", ["image-closure", "--input", "corpus:sub_Z8",
+      "--classes", "E=isos,M=all,K=monos", "--chain-n", "1",
+      "--chain-smalls", "1"]),
+    (2, "fc0478bc561701a5", ["image-closure", "--input",
+      "corpus:set_skeleton_2", "--classes", "E=epis,M=monos,K=all",
+      "--chain-n", "1", "--chain-smalls", "1"]),
+    (2, "89a20209743e3dcf", ["image-closure", "--input", "corpus:sub_Z8",
+      "--classes", "E=epis,M=monos,K=monos", "--chain-n", "1",
+      "--chain-smalls", "1"]),
+    (3, "914d13dab00fdb07", ["image-closure", "--input",
+      "corpus:set_skeleton_2", "--classes",
+      "E=surjections,M=injections,K=isos", "--chain-n", "1",
+      "--chain-smalls", "1", "--cap", "1"]),
+]
+
+
+@pytest.mark.parametrize("code,digest,args", UNCOVERED_CHECKS,
+                         ids=[f"{a[0]}-{a[2][7:]}-{c}"
+                              for c, _, a in UNCOVERED_CHECKS])
+def test_uncovered_checks_keep_exit_code_and_report(code, digest, args,
+                                                    capsys):
+    got, out = run_cli(["check", *args, "--format", "json"], capsys)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == \
+        (code, digest)
