@@ -150,6 +150,16 @@ def _compact_conclusion(rep, C, x, tau, cap, witness):
                       {**witness, "failing": v.failing.to_json()})
 
 
+def _first_incompatible(C, tau, E, M, FS, cap):
+    """The first E-member, in str order, whose image is not compatible
+    with tau, and its witness; (None, None) when there is none."""
+    for f in sorted(E.member_list(), key=str):
+        r = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=cap)
+        if r.compatible is False:
+            return f, r.witness
+    return None, None
+
+
 def _right_cancelable_bundle(C, E, M, probe_cap, f=None):
     """Whether E is a right-cancelable stable system whose members in M
     are all isos and, when f is given, f is stably in E."""
@@ -259,16 +269,6 @@ def check_tau_well_behaved(C, tau, E, M, cap=None, probe_cap=None, FS=None):
     else:
         rep.conditions.append(("E-condition", True, "all stably M-extremal"))
     return rep
-
-
-def _first_incompatible(C, tau, E, M, FS, cap):
-    """The first E-member, in str order, whose image is not compatible
-    with tau, and its witness; (None, None) when there is none."""
-    for f in sorted(E.member_list(), key=str):
-        r = check_image_compatibility(C, f, tau, E, M, FS=FS, cap=cap)
-        if r.compatible is False:
-            return f, r.witness
-    return None, None
 
 
 def _zero_object(C):
