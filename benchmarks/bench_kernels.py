@@ -3,10 +3,9 @@
 
 Runs the hot enumeration workloads (table validation, cancellation flags,
 lifting-square scans, pullback-span searches, class-composite scans) on
-corpus categories, each on the category's own tables: its Python rows,
-or for validation the rows packed into one numpy table of the narrowest
-dtype, and prints the best of three runs per workload.  The class-composite rows
-also run on the abelian-groups ambient grown by three products to 8
+corpus categories, each on the category's own tables (an explicit
+category's Python rows), and prints the best of three runs per
+workload.  The class-composite rows also run on the abelian-groups ambient grown by three products to 8
 objects and 1010 morphisms, as product closure grows it.  Beside them,
 the composite-index rows assemble that ambient's index again from its
 kept tables, build the index of a fresh 8-object ambient (its hom sets
@@ -111,10 +110,12 @@ def workloads():
     a3, atop = sk3._kernel_args(), top._kernel_args()
 
     def validation(C):
-        comp, src, tgt, ident = C._packed()
-        kernels.first_composability_violation(comp, src, tgt)
+        comp, src, tgt = C._comp, C._src, C._tgt
+        into, out = C._into_idx, C._out_idx
+        ident = [C._midx[C._identities[o]] for o in C._objects]
+        kernels.first_composability_violation(comp, src, tgt, into)
         kernels.first_identity_violation(comp, src, tgt, ident)
-        kernels.first_assoc_violation(comp)
+        kernels.first_assoc_violation(comp, src, tgt, into, out)
 
     def flags(a):
         kernels.mono_epi_flags(*a)

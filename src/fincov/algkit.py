@@ -1261,7 +1261,7 @@ class AlgCategory(CategoryBase):
                                   f"> budget {_INDEX_BUDGET}")
             start = (np.cumsum(sizes) - sizes.ravel()).reshape(r, r)
             ms = self.morphisms()
-            dtype = kernels.table_dtype(len(ms))
+            dtype = np.dtype(kernels.table_typecode(len(ms)))
             blocks = {}
             for bi, b in enumerate(roster):
                 # the homs out of b are contiguous in morphisms(), those
@@ -1331,7 +1331,7 @@ class AlgCategory(CategoryBase):
         levels = self._levels.get(key)
         if levels is None:
             H = self.hom_images(A, C)[:, list(generating_trace(A)[0])]
-            dtype = kernels.table_dtype(len(H))
+            dtype = np.dtype(kernels.table_typecode(len(H)))
             levels = self._levels[key] = []
             node = np.zeros(len(H), dtype=np.int32)
             fresh = np.zeros(len(H), dtype=bool)
@@ -1378,6 +1378,35 @@ class AlgCategory(CategoryBase):
                             best[flag] = pair
                         break
         return best
+
+    def first_unstable_pullback(self, A, img, into):
+        """Least (g, proj) among the morphisms g into the target of an
+        A-member with image img whose pullback projection proj is not in A.
+
+        ``into`` is walked one hom set hom(X, z) at a time (the roster may
+        grow during the scan), whose preimages of img are coded at once as
+        bitmasks.  Each distinct nonempty (X, preimage) is decided once, in
+        first-occurrence order, by its ``subalgebra_object`` projection and
+        A's membership memo, so the subobjects are registered, and named,
+        in the order of a hom-by-hom scan."""
+        z = into[0].tgt
+        inside = np.zeros(z.size, dtype=bool)
+        inside[list(img)] = True
+        lo = 0
+        while lo < len(into):
+            X = into[lo].src
+            homs = self.hom(X, z)
+            lo += len(homs)
+            dtype = np.int64 if X.size < 63 else object
+            bits = np.array([1 << k for k in range(X.size)], dtype=dtype)
+            codes = inside[self.hom_images(X, z)].astype(dtype) @ bits
+            for code in dict.fromkeys(codes.tolist()):
+                if not code:
+                    continue  # constant-free theories are outside the corpus
+                _, proj = self.subalgebra_object(X, code)
+                if not A.contains(proj):
+                    return homs[int(np.flatnonzero(codes == code)[0])], proj
+        return None
 
     def identity(self, A):
         return identity_hom(A)

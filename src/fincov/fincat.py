@@ -4,12 +4,11 @@ A ``FinCategory`` takes objects, morphisms, identities and the full
 composition table over string ids, and keeps the composition only as a
 dense morphism-index table of Python rows, one ``array.array`` per
 morphism, beside index lists of ends and one index tuple per hom set.
-Queries read a few rows of small tables, so compose, hom, pullbacks and
-the flag kernels loop over the rows; only validation packs them into one
-numpy table, for its whole-table scans.  All searches iterate ids in
-sorted (lexicographic) order, so every reported witness or canonical
-choice is deterministic.  ``CategoryBase`` is the minimal protocol
-shared with the lazily-enumerated categories (slices, algebra ambients).
+Queries, pullbacks, the flag kernels and validation all loop over the
+rows; the table has no second copy.  All searches iterate ids in sorted
+(lexicographic) order, so every reported witness or canonical choice is
+deterministic.  ``CategoryBase`` is the minimal protocol shared with the
+lazily-enumerated categories (slices, algebra ambients).
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-
-import numpy as np
 
 from . import kernels
 
@@ -321,7 +318,7 @@ class FinCategory(CategoryBase):
         # the rows are the only copy of the composition kept, in the
         # narrowest typecode that holds -1..n-1: a dict of id pairs costs
         # about as much again on large tables
-        row = array(np.dtype(kernels.table_dtype(n)).char, [-1]) * n
+        row = array(kernels.table_typecode(n), [-1]) * n
         comp = self._comp = [row[:] for _ in range(n)]
         for (g, f), gf in composition.items():
             comp[midx[g]][midx[f]] = midx[gf]
@@ -399,15 +396,6 @@ class FinCategory(CategoryBase):
     def _kernel_args(self):
         return (self._comp, self._src, self._tgt, self._hom_idx,
                 len(self._objects))
-
-    def _packed(self):
-        """The rows packed into one numpy table, and src, tgt and the
-        identities as index arrays: the validation scans' arguments."""
-        n = len(self._morphisms)
-        comp = np.frombuffer(b"".join(self._comp), kernels.table_dtype(n))
-        ident = [self._midx[self._identities[o]] for o in self._objects]
-        return (comp.reshape(n, n),
-                *map(np.array, (self._src, self._tgt, ident)))
 
     @cached_property
     def _flags(self):
@@ -559,19 +547,20 @@ def validate_category(raw, name="C"):
                                 "composition entry references unknown id")
 
     cat = FinCategory(objects, morphisms, identities, composition, name=name)
-    comp, src, tgt, ident = cat._packed()
-    ms = cat._morphisms
-    v = kernels.first_composability_violation(comp, src, tgt)
+    comp, src, tgt = cat._comp, cat._src, cat._tgt
+    into, out, ms = cat._into_idx, cat._out_idx, cat._morphisms
+    v = kernels.first_composability_violation(comp, src, tgt, into)
     if v is not None:
         g, f, code = v
         return ValidationReport(False, "composability", (ms[g], ms[f]),
                                 f"composition {code} at ({ms[g]}, {ms[f]})")
+    ident = [cat._midx[cat._identities[o]] for o in cat._objects]
     v = kernels.first_identity_violation(comp, src, tgt, ident)
     if v is not None:
         f, side = v
         return ValidationReport(False, "identity", (ms[f],),
                                 f"{side} identity law fails at {ms[f]}")
-    v = kernels.first_assoc_violation(comp)
+    v = kernels.first_assoc_violation(comp, src, tgt, into, out)
     if v is not None:
         f, g, h = v
         return ValidationReport(False, "associativity", (ms[f], ms[g], ms[h]),

@@ -1,110 +1,117 @@
-"""The enumeration kernels of fincov.
-
-Most kernels read an explicit category's table as Python rows:
-``comp[g][f]`` is the index of g.f, or -1 where the pair does not
-compose; ``src`` and ``tgt`` are index lists, and ``homs[a * nobj + b]``
-is the ascending index tuple of hom(a, b).  A query reads a few rows of
-tables that mostly hold 1-12 morphisms, where a numpy call costs more
-than the loop it replaces, so these kernels are plain loops.  The three
-validation scans read every entry once per untrusted input, up to
-finite_top's 1476 x 1476, so they stay vectorized, on the rows packed
-into one numpy table of any signed integer dtype (``table_dtype``).
-Witnesses are always the lexicographically least in the documented loop
-order; the tests check them witness for witness against the reference
-loops in ``tests/oracles.py``.
+"""The enumeration kernels of fincov, plain loops over an explicit
+category's Python rows: ``comp[g][f]`` is the index of g.f, or -1 where
+the pair does not compose; ``src`` and ``tgt`` are index lists,
+``homs[a * nobj + b]`` is the ascending index tuple of hom(a, b), and
+``into[a]`` and ``out[a]`` list the morphisms into and out of object a
+in ascending order.  Witnesses are always the lexicographically least in
+the documented loop order; the tests check them witness for witness
+against the reference loops in ``tests/oracles.py``.
 """
 
-import numpy as np
+from array import array
+from operator import itemgetter
 
 
-def table_dtype(n):
-    """Narrowest signed integer dtype of an n-morphism composition table.
-
-    It holds -1..n-1: the 1476-morphism finite_top table is 4.4 MB as int16
-    and 17.4 MB as int64.
-    """
-    for dt in (np.int8, np.int16, np.int32):
-        if n <= np.iinfo(dt).max:
-            return dt
-    return np.int64
+def table_typecode(n):
+    """Narrowest ``array`` typecode holding -1..n-1, the entries of an
+    n-morphism composition table (finite_top's is 4.4 MB as "h")."""
+    return next(c for c in "bhiq" if n < 1 << (8 * array(c).itemsize - 1))
 
 
-# Table entries per block of rows in first_composability_violation: its
-# temporaries stay a few MB on the 1476-morphism finite_top table instead of
-# a dozen n x n arrays.
-_BLOCK = 1 << 18
-
-
-def first_composability_violation(comp, src, tgt):
+def first_composability_violation(comp, src, tgt, into):
     """Least (g, f) where comp is defined off the composable pairs, missing on
     one, or has wrong endpoints.  Returns (g, f, code) or None.
 
-    Rows g are scanned in blocks, in order, so the first block with any
-    violation holds the least one.
+    Row g must be defined exactly on into[src g]: its -1 count and its
+    entries there settle that at C speed (``array.count``, ``itemgetter``)
+    before the ends are read.  A failing row is rescanned in f order.
     """
-    n = comp.shape[0]
-    step = max(1, _BLOCK // max(n, 1))
-    for lo in range(0, n, step):
-        rows = comp[lo:lo + step]
-        defined = rows >= 0
-        should = src[lo:lo + step, None] == tgt[None, :]
-        bad = defined != should
-        k = int(np.argmax(bad))
-        first = divmod(k, n) if bad.flat[k] else None
-        gs, fs = np.nonzero(defined & should)
-        vals = rows[gs, fs]
-        wrong = (src[vals] != src[fs]) | (tgt[vals] != tgt[gs + lo])
-        if wrong.any():
-            i = int(np.argmax(wrong))
-            if first is None or (gs[i], fs[i]) < first:
-                return int(gs[i]) + lo, int(fs[i]), "endpoints"
-        if first is not None:
-            g, f = first
-            return g + lo, f, ("missing" if should[g, f] else "spurious")
+    n = len(comp)
+    # fs[0] is read twice, so a getter returns a tuple even for one entry
+    picks = [itemgetter(fs[0], *fs) for fs in into]
+    srcs = [p(src) for p in picks]
+    for g, row in enumerate(comp):
+        a, b = src[g], tgt[g]
+        vals = picks[a](row)
+        if row.count(-1) == n - len(into[a]) and min(vals) >= 0:
+            ends = itemgetter(*vals)
+            if ends(src) == srcs[a] and ends(tgt).count(b) == len(vals):
+                continue
+        for f, gf in enumerate(row):
+            if tgt[f] == a:
+                if gf < 0:
+                    return g, f, "missing"
+                if src[gf] != src[f] or tgt[gf] != b:
+                    return g, f, "endpoints"
+            elif gf >= 0:
+                return g, f, "spurious"
     return None
 
 
 def first_identity_violation(comp, src, tgt, ident):
     """Least f breaking id_tgt(f) . f = f = f . id_src(f); (f, side) or None."""
-    n = comp.shape[0]
-    f = np.arange(n)
-    left = comp[ident[tgt], f]
-    if (left != f).any():
-        return int(np.nonzero(left != f)[0][0]), "left"
-    right = comp[f, ident[src]]
-    if (right != f).any():
-        return int(np.nonzero(right != f)[0][0]), "right"
+    for f, b in enumerate(tgt):
+        if comp[ident[b]][f] != f:
+            return f, "left"
+    for f, (row, a) in enumerate(zip(comp, src)):
+        if row[ident[a]] != f:
+            return f, "right"
     return None
 
 
-def first_assoc_violation(comp):
+def light_generators(comp, src, tgt, nobj):
+    """Generators, picked greedily in index order: each morphism the
+    closure has not reached.  The closure grows from a new generator x by
+    x.y for each reached y into src(x), and from each newly reached z by
+    w.z for each generator w out of tgt(z), so every morphism is a
+    generator or x.y with x a generator and y reached before it."""
+    reached = bytearray(len(comp))
+    gens_out = [[] for _ in range(nobj)]
+    reached_into = [[] for _ in range(nobj)]
+    gens = []
+    for x, row in enumerate(comp):
+        if reached[x]:
+            continue
+        gens.append(x)
+        gens_out[src[x]].append(x)
+        todo = [x] + [row[y] for y in reached_into[src[x]]]
+        while todo:
+            z = todo.pop()
+            if not reached[z]:
+                reached[z] = 1
+                reached_into[tgt[z]].append(z)
+                todo += [comp[w][z] for w in gens_out[tgt[z]]]
+    return gens
+
+
+def first_assoc_violation(comp, src, tgt, into, out):
     """Least (f, g, h) with h.(g.f) != (h.g).f, ordering (f, g, h).
 
-    Only composable triples are visited.  The composable (g, h) pairs
-    depend on f only through the defined-mask of column f (in a valid
-    table: through tgt(f)), so they are built once per distinct mask, in
-    (g, h) order, and each f checks all of its pairs at once.
+    Needs composability exactness, checked first: g.f is defined, with
+    the right ends, exactly when tgt(f) = src(g).  Light's associativity
+    test (Clifford and Preston, The Algebraic Theory of Semigroups, Vol.
+    1, 1961) then puts only ``light_generators`` in the middle.  Call m
+    good when h.(m.f) = (h.m).f for all composable f and h.  If the
+    generators are good, so is each x.y, x a generator and y reached
+    before it, by induction on reach order:
+
+        h.((x.y).f) = h.(x.(y.f)) = (h.x).(y.f)     y good, then x good
+                    = ((h.x).y).f = (h.(x.y)).f     y good, then x good
+
+    Identities are generators or composites too: the identity laws are
+    not assumed.  Each (g, h) is checked for all f at once; only a broken
+    table reaches the ordered scan (f, g out of tgt f, h out of tgt g).
     """
-    n = comp.shape[0]
-    pairs = {}
-    for f in range(n):
-        col = comp[:, f]
-        mask = col >= 0
-        key = mask.tobytes()
-        p = pairs.get(key)
-        if p is None:
-            gs = np.flatnonzero(mask)
-            hg = comp[:, gs].T                # g x h
-            gpos, h = np.nonzero(hg >= 0)
-            # kept in the table's dtype: the pairs of all masks together
-            # are as many as the composable pairs
-            p = pairs[key] = (gs[gpos].astype(comp.dtype),
-                              h.astype(comp.dtype), hg[gpos, h])
-        g, h, hg = p
-        bad = comp[h, col[g]] != comp[hg, f]
-        if bad.any():
-            i = int(np.argmax(bad))
-            return f, int(g[i]), int(h[i])
+    picks = [itemgetter(fs[0], *fs) for fs in into]
+    for g in light_generators(comp, src, tgt, len(into)):
+        right = picks[src[g]]
+        left = itemgetter(*right(comp[g]))
+        if any(left(hrow) != right(comp[hrow[g]])
+               for hrow in map(comp.__getitem__, out[tgt[g]])):
+            return next(((f, g, h) for f, b in enumerate(tgt)
+                         for g in out[b] for h in out[tgt[g]]
+                         if comp[h][comp[g][f]] != comp[comp[h][g]][f]),
+                        None)
     return None
 
 

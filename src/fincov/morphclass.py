@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from .fincat import FinCategory, derived_memo, mor_key, try_pullback
 
@@ -271,42 +269,11 @@ def _ambient_stability_scan(C, A):
         into = C.morphisms_into(f.tgt)
         key = (f.tgt, frozenset(f.images))
         if key not in scans or scans[key][0] is not into:
-            scans[key] = (into, _first_unstable_pullback(C, A, key[1], into))
+            scans[key] = (into, C.first_unstable_pullback(A, key[1], into))
         bad = scans[key][1]
         if bad is not None:
             return False, False, (f,) + bad
     return True, False, None
-
-
-def _first_unstable_pullback(C, A, img, into):
-    """Least (g, proj) among the morphisms g into the target of an
-    A-member with image img whose pullback projection proj is not in A.
-
-    ``into`` is walked one hom set hom(X, z) at a time (the roster may grow
-    during the scan).  The preimages of img along all of them are coded at
-    once as bitmasks from the hom set's images; each distinct nonempty
-    (X, preimage) is decided once, in first-occurrence order, from the
-    projection ``subalgebra_object`` keeps per (X, bitmask) for the
-    category's life and A's own membership memo.  So the subobjects are
-    registered, and named, in the order of a hom-by-hom scan."""
-    z = into[0].tgt
-    inside = np.zeros(z.size, dtype=bool)
-    inside[list(img)] = True
-    lo = 0
-    while lo < len(into):
-        X = into[lo].src
-        homs = C.hom(X, z)
-        lo += len(homs)
-        dtype = np.int64 if X.size < 63 else object
-        bits = np.array([1 << k for k in range(X.size)], dtype=dtype)
-        codes = inside[C.hom_images(X, z)].astype(dtype) @ bits
-        for code in dict.fromkeys(codes.tolist()):
-            if not code:
-                continue  # constant-free theories are outside the corpus
-            _, proj = C.subalgebra_object(X, code)
-            if not A.contains(proj):
-                return homs[int(np.flatnonzero(codes == code)[0])], proj
-    return None
 
 
 def is_stably_in(C, f, A, probe_cap=None):

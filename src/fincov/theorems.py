@@ -247,7 +247,8 @@ def check_tau_well_behaved(C, tau, E, M, cap=None, probe_cap=None, FS=None):
     rep.conditions.append(("subordinated to stable left-cancelable M",
                            cond1 and sub_ok,
                            (None if sub_ok else wit)
-                           or props.witnesses or None))
+                           or {k: w for k, w in props.witnesses.items()
+                               if k != "right_cancelable"} or None))
 
     proto = _protomodularity(C, E, M)
     f, wit = _first_incompatible(C, tau, E, M, FS, cap)

@@ -192,10 +192,10 @@ def _hom_list(homs, nobj, a, b):
 
 
 def first_composability_violation(comp, src, tgt):
-    n = comp.shape[0]
+    n = len(comp)
     for g in range(n):
         for f in range(n):
-            gf = comp[g, f]
+            gf = comp[g][f]
             if tgt[f] == src[g]:
                 if gf < 0:
                     return g, f, "missing"
@@ -207,28 +207,28 @@ def first_composability_violation(comp, src, tgt):
 
 
 def first_identity_violation(comp, src, tgt, ident):
-    n = comp.shape[0]
+    n = len(comp)
     for f in range(n):
-        if comp[ident[tgt[f]], f] != f:
+        if comp[ident[tgt[f]]][f] != f:
             return f, "left"
     for f in range(n):
-        if comp[f, ident[src[f]]] != f:
+        if comp[f][ident[src[f]]] != f:
             return f, "right"
     return None
 
 
 def first_assoc_violation(comp):
-    n = comp.shape[0]
+    n = len(comp)
     for f in range(n):
         for g in range(n):
-            gf = comp[g, f]
+            gf = comp[g][f]
             if gf < 0:
                 continue
             for h in range(n):
-                hg = comp[h, g]
+                hg = comp[h][g]
                 if hg < 0:
                     continue
-                if comp[h, gf] != comp[hg, f]:
+                if comp[h][gf] != comp[hg][f]:
                     return f, g, h
     return None
 
@@ -570,7 +570,7 @@ def first_unstable_pullback(C, A, img, into):
     """Least (g, proj) among the morphisms g in ``into`` whose pullback
     projection proj (the inclusion of the g-preimage of img) is not in A,
     one preimage and one ``subalgebra_object`` call per g.  The reference
-    for ``morphclass._first_unstable_pullback``."""
+    for ``AlgCategory.first_unstable_pullback``."""
     for g in into:
         pre = frozenset(b for b in g.src.carrier if g(b) in img)
         if not pre:
@@ -1236,7 +1236,7 @@ def build_composite_index(C):
             codes.append((pos[id(A)] * r + pos[id(B)]) * span
                          + img.astype(dtype) @ weights[A.size])
     codes = np.concatenate(codes)
-    index_dtype = kernels.table_dtype(len(ms))
+    index_dtype = np.dtype(kernels.table_typecode(len(ms)))
     blocks = {}
     for b in roster:
         outs = [images[id(b), id(c)] for c in roster]

@@ -211,6 +211,50 @@ def test_validate_from_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_validate_corpus_reads_its_tables(corpus, monkeypatch, capsys):
+    """validate on an explicit corpus fixture validates the category's own
+    tables, with no to_json round trip, and prints the bytes it printed
+    through one; on an algebra ambient it is an input error."""
+    from fincov.fincat import FinCategory
+
+    def refuse(self):
+        raise AssertionError("to_json called")
+
+    monkeypatch.setattr(FinCategory, "to_json", refuse)
+    explicit = [name for name in corpus.names()
+                if isinstance(corpus[name].category, FinCategory)]
+    assert len(explicit) == 17 and "finite_top" in explicit
+    for name in explicit:
+        code, out = run_cli(["check", "validate", "--input",
+                             f"corpus:{name}", "--format", "json"], capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == \
+            (0, "361b1c6afb9e5fbf"), name
+    code = main(["check", "validate", "--input", "corpus:abelian_ambient"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 4
+    assert err["error"] == ("validate reads explicit category tables, and "
+                            "corpus:abelian_ambient holds none")
+
+
+@pytest.mark.parametrize("classes,first", [
+    ("E=epis,M=monos", True),
+    ("E=isos,M=sections", False)])
+def test_well_behaved_first_condition_reports_failing_parts(classes, first,
+                                                            capsys):
+    """The first condition carries no witness when it holds, and only the
+    witnesses of its failing parts when not: never right-cancelability,
+    which it does not ask."""
+    code, out = run_cli(["check", "well-behaved", "--input",
+                         "corpus:set_skeleton_2", "--classes", classes,
+                         "--chain-n", "1", "--chain-smalls", "1",
+                         "--format", "json"], capsys)
+    cond = json.loads(out)["report"]["conditions"][0]
+    assert code == 1
+    assert cond == ["subordinated to stable left-cancelable M", first,
+                    None if first else
+                    "{'stable': ('f1>2:0', 'f1>2:1', 'f0>1:')}"]
+
+
 def test_classify_flag_form(capsys):
     code, out = run_cli(["check", "--check", "classify",
                          "--input", "corpus:poset_2chain",

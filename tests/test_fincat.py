@@ -426,6 +426,39 @@ def test_broken_tables_report_law_and_witness():
         assert law == plan.BREAKAGES[key.split("-")[1]]
 
 
+def test_finite_top_tuple_validates_and_swap_reports_least_triple(corpus):
+    """finite_top's own tuple form validates, by Light's test on its
+    generators.  One composite swapped for another member of its hom set
+    reports the associativity witness that the numpy kernel reported."""
+    C = corpus["finite_top"].category
+    comp = C.composition()
+    raw = (C.objects(), {m: (C.src(m), C.tgt(m)) for m in C.morphisms()},
+           {o: C.identity(o) for o in C.objects()}, comp)
+    assert isinstance(validate_category(raw), FinCategory)
+    assert comp["cX3.4>X3.3:111", "cX1.0>X3.4:0"] == "cX1.0>X3.3:1"
+    comp["cX3.4>X3.3:111", "cX1.0>X3.4:0"] = "cX1.0>X3.3:0"
+    rep = validate_category(raw)
+    assert (rep.law, rep.witness) == (
+        "associativity", ("cX1.0>X2.0:0", "cX2.0>X3.4:00", "cX3.4>X3.3:111"))
+
+
+def test_explicit_category_modules_do_not_import_numpy():
+    """Explicit categories keep Python rows and validate on them, so
+    fincat and morphclass load no numpy; only the algebra ambient does."""
+    import os
+    import subprocess
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "import fincov.fincat, fincov.morphclass\n"
+              "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_opposite_swaps_flags():
     sk = set_skeleton(2)
     op = opposite_category(sk.category)

@@ -10,17 +10,21 @@ from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               group_category, random_category, set_skeleton)
 
 # Each kernel is compared witness for witness with its reference loop in
-# oracles.py, the second lane these tests name.  The validation scans take
-# the rows packed into one numpy table; the other kernels take the rows.
+# oracles.py, the second lane these tests name.  Every kernel takes the
+# rows of a FinCategory table.
 
 
 def args_of(C):
     return C._kernel_args()
 
 
-def packed_of(C):
-    """The packed table, src, tgt and identities, as writable copies."""
-    return tuple(x.copy() for x in C._packed())
+def rows_of(C):
+    """Writable copies of C's rows."""
+    return [row[:] for row in C._comp]
+
+
+def identities(C):
+    return [C._midx[C._identities[o]] for o in C._objects]
 
 
 FIXTURES = [chain_poset(2), diamond_lattice(), set_skeleton(2).category,
@@ -28,17 +32,24 @@ FIXTURES = [chain_poset(2), diamond_lattice(), set_skeleton(2).category,
            [random_category(s) for s in range(6)]
 
 
-def validation_witnesses(lane, comp, src, tgt, ident):
-    return (lane.first_composability_violation(comp, src, tgt),
-            lane.first_identity_violation(comp, src, tgt, ident),
-            lane.first_assoc_violation(comp))
+def validation_witnesses(lane, comp, C):
+    """The three validation scans of one lane on the table comp, with C's
+    ends, hom sets and identities."""
+    src, tgt, ident = C._src, C._tgt, identities(C)
+    if lane is oracles:
+        return (oracles.first_composability_violation(comp, src, tgt),
+                oracles.first_identity_violation(comp, src, tgt, ident),
+                oracles.first_assoc_violation(comp))
+    into, out = C._into_idx, C._out_idx
+    return (kernels.first_composability_violation(comp, src, tgt, into),
+            kernels.first_identity_violation(comp, src, tgt, ident),
+            kernels.first_assoc_violation(comp, src, tgt, into, out))
 
 
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
 def test_lanes_agree_on_validation(C):
-    a = C._packed()
-    assert validation_witnesses(kernels, *a) == \
-        validation_witnesses(oracles, *a)
+    assert validation_witnesses(kernels, C._comp, C) == \
+        validation_witnesses(oracles, C._comp, C)
 
 
 @pytest.mark.parametrize("C", FIXTURES, ids=lambda c: c.name)
@@ -65,19 +76,16 @@ def test_lanes_agree_on_lifts_and_spans(C):
                 oracles.commuting_spans(*a, f, g)
 
 
-def test_numpy_lane_reads_narrow_tables():
-    # FinCategory rows use the narrowest typecode, and its packed table the
-    # narrowest dtype (kernels.table_dtype); every kernel must answer as on
-    # int64 rows and an int64 table
+def test_kernels_read_narrow_tables():
+    # FinCategory rows use the narrowest typecode (kernels.table_typecode);
+    # every kernel must answer on them as on "q" rows
     C = set_skeleton(3).category
     a = args_of(C)
     w = ([array("q", row) for row in a[0]], *a[1:])
-    packed = C._packed()
-    assert a[0][0].typecode == "b" and packed[0].dtype == np.int8
+    assert a[0][0].typecode == "b"
     n = len(C.morphisms())
-    assert validation_witnesses(kernels, *packed) == \
-        validation_witnesses(kernels, packed[0].astype(np.int64),
-                             *packed[1:])
+    assert validation_witnesses(kernels, a[0], C) == \
+        validation_witnesses(kernels, w[0], C)
     assert kernels.mono_epi_flags(*a) == kernels.mono_epi_flags(*w)
     for e in range(0, n, 5):
         for m in range(0, n, 5):
@@ -89,41 +97,47 @@ def test_numpy_lane_reads_narrow_tables():
                 assert kernels.commuting_spans(*a, f, g) == \
                     kernels.commuting_spans(*w, f, g)
     for trial in range(20):
-        bad = packed[0].copy()
+        bad = rows_of(C)
         rng = random.Random(trial)
         g, f = rng.randrange(n), rng.randrange(n)
-        bad[g, f] = rng.randrange(-1, n)
-        assert validation_witnesses(kernels, bad, *packed[1:]) == \
-            validation_witnesses(kernels, bad.astype(np.int64), *packed[1:])
+        bad[g][f] = rng.randrange(-1, n)
+        assert validation_witnesses(kernels, bad, C) == \
+            validation_witnesses(kernels, [array("q", r) for r in bad], C)
 
 
-def test_table_dtype_holds_every_index():
+def test_table_typecode_holds_every_index():
     for n in (1, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31):
-        info = np.iinfo(kernels.table_dtype(n))
-        assert info.min <= -1 and n - 1 <= info.max
-    assert kernels.table_dtype(1476) == np.int16
+        assert array(kernels.table_typecode(n), [-1, n - 1])
+    assert kernels.table_typecode(1476) == "h"
+
+
+def one_object(comp):
+    """The kernels' arguments for a one-object table with identity 0."""
+    n = len(comp)
+    whole = [list(range(n))]
+    return comp, [0] * n, [0] * n, whole, whole
 
 
 def test_assoc_violation_detected_by_both():
     # one-object table with identity a0 and a1.a1 = a2, a2.a2 = a1:
     # a1.(a1.a2) = a2 while (a1.a1).a2 = a1
-    comp_bad = np.array([[0, 1, 2], [1, 2, 1], [2, 1, 1]], dtype=np.int64)
-    assert kernels.first_assoc_violation(comp_bad) == \
+    comp_bad = [[0, 1, 2], [1, 2, 1], [2, 1, 1]]
+    assert kernels.first_assoc_violation(*one_object(comp_bad)) == \
         oracles.first_assoc_violation(comp_bad)
-    assert kernels.first_assoc_violation(comp_bad) is not None
+    assert kernels.first_assoc_violation(*one_object(comp_bad)) is not None
 
 
 def test_lanes_agree_on_random_broken_tables():
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(2, 5)
-        comp = np.zeros((n, n), dtype=np.int64)
+        comp = [[0] * n for _ in range(n)]
         for i in range(n):
-            comp[0, i] = comp[i, 0] = i
+            comp[0][i] = comp[i][0] = i
         for i in range(1, n):
             for j in range(1, n):
-                comp[i, j] = rng.randrange(n)
-        assert kernels.first_assoc_violation(comp) == \
+                comp[i][j] = rng.randrange(n)
+        assert kernels.first_assoc_violation(*one_object(comp)) == \
             oracles.first_assoc_violation(comp)
 
 
@@ -141,17 +155,18 @@ def test_lanes_agree_on_broken_composability():
     kinds = set()
     for t in range(300):
         C = FIXTURES[t % len(FIXTURES)]
-        comp, src, tgt, _ = packed_of(C)
-        n = comp.shape[0]
+        comp, src, tgt = rows_of(C), C._src, C._tgt
+        n = len(comp)
         for _ in range(rng.randint(1, 3)):
             g, f = rng.randrange(n), rng.randrange(n)
-            if comp[g, f] < 0:
-                comp[g, f] = rng.randrange(n)
+            if comp[g][f] < 0:
+                comp[g][f] = rng.randrange(n)
             elif rng.random() < 0.5:
-                comp[g, f] = -1
+                comp[g][f] = -1
             else:
-                comp[g, f] = rng.randrange(n)
-        w = kernels.first_composability_violation(comp, src, tgt)
+                comp[g][f] = rng.randrange(n)
+        w = kernels.first_composability_violation(comp, src, tgt,
+                                                  C._into_idx)
         assert w == oracles.first_composability_violation(comp, src, tgt)
         if w is not None:
             kinds.add(w[2])
@@ -161,26 +176,45 @@ def test_lanes_agree_on_broken_composability():
 def test_lanes_agree_on_swapped_composites():
     # a composite replaced by another member of its hom set keeps every
     # endpoint right, so only the identity and associativity scans (the
-    # latter bucketed by defined-mask) can find it
+    # latter by Light's test, then the ordered scan) can find it
     assert len(MULTI_OBJECT) >= 8
     rng = random.Random(3)
     found = 0
     for t in range(240):
         C = MULTI_OBJECT[t % len(MULTI_OBJECT)]
-        comp, src, tgt, ident = packed_of(C)
-        gs, fs = np.nonzero(comp >= 0)
-        cands = [(g, f) for g, f in zip(gs, fs)
-                 if len(C.hom(C.src(C._morphisms[f]),
-                              C.tgt(C._morphisms[g]))) >= 2]
+        comp = rows_of(C)
+        n = len(comp)
+        cands = [(g, f) for g in range(n) for f in range(n)
+                 if comp[g][f] >= 0
+                 and len(C.hom(C.src(C._morphisms[f]),
+                               C.tgt(C._morphisms[g]))) >= 2]
         g, f = rng.choice(cands)
         hom = [C._midx[m] for m in C.hom(C.src(C._morphisms[f]),
                                          C.tgt(C._morphisms[g]))]
-        comp[g, f] = rng.choice([m for m in hom if m != comp[g, f]])
-        w = validation_witnesses(kernels, comp, src, tgt, ident)
-        assert w == validation_witnesses(oracles, comp, src, tgt, ident)
+        comp[g][f] = rng.choice([m for m in hom if m != comp[g][f]])
+        w = validation_witnesses(kernels, comp, C)
+        assert w == validation_witnesses(oracles, comp, C)
         assert w[0] is None
         found += w[2] is not None
     assert found >= 120
+
+
+def test_light_generators_reach_every_morphism(corpus):
+    """Every morphism is a generator or x.y with x a generator and y
+    reached, so Light's test sees every middle; on finite_top the
+    generators are a sixth of the morphisms."""
+    top = corpus["finite_top"].category
+    for C in FIXTURES + MULTI_OBJECT + [top]:
+        comp, src, tgt = C._comp, C._src, C._tgt
+        gens = kernels.light_generators(comp, src, tgt, len(C.objects()))
+        reached, todo = set(), list(gens)
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                todo += [comp[x][y] for x in gens if src[x] == tgt[y]]
+        assert reached == set(range(len(comp))), C.name
+    assert len(gens) == 237 and len(comp) == 1476
 
 
 def test_class_composites_least_pair_across_blocks():

@@ -567,7 +567,6 @@ def test_ambient_closure_sequence_matches_reference_stability_scan(
     and subobject names of the hom-by-hom scan over the benchmark's
     ambient instances.  The roster names and the count of fresh names are
     pinned: they change when the order of pullbacks does."""
-    import fincov.morphclass as morphclass
     from fincov.algkit import build_finalg_category, group_theory
     from fincov.instances import abelian_groups_upto
 
@@ -579,7 +578,7 @@ def test_ambient_closure_sequence_matches_reference_stability_scan(
                 len(amb.objects()), amb.fresh_name("probe"))
 
     got = run()
-    monkeypatch.setattr(morphclass, "_first_unstable_pullback",
+    monkeypatch.setattr(AlgCategory, "first_unstable_pullback",
                         oracles.first_unstable_pullback)
     assert run() == got
     assert got[2] == 8
@@ -593,7 +592,6 @@ def test_ambient_stability_registers_subobjects_in_scan_order(monkeypatch):
     """Over rosters that lack the subgroups of their largest member, the
     injective-class stability scans register them: names, order and the
     witness of the unstable sections equal the hom-by-hom scan's."""
-    import fincov.morphclass as morphclass
     from fincov.algkit import build_finalg_category, group_theory
     from fincov.instances import direct_product_group
 
@@ -610,7 +608,7 @@ def test_ambient_stability_registers_subobjects_in_scan_order(monkeypatch):
         return out
 
     got = run()
-    monkeypatch.setattr(morphclass, "_first_unstable_pullback",
+    monkeypatch.setattr(AlgCategory, "first_unstable_pullback",
                         oracles.first_unstable_pullback)
     assert run() == got
     assert got[-1] == ["Z1", "sub#4", "sub#3", "sub#7", "Z2xZ4"]
