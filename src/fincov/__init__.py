@@ -2,7 +2,7 @@
 
 Every definition is decided by enumeration over explicit finite data, so each
 theorem of the underlying framework becomes a runnable consistency check.
-Subpackages follow the pipeline:
+Modules follow the pipeline:
 
 ``fincat``
     explicit finite categories, pullbacks, coequalizers, classification

@@ -6,6 +6,10 @@ function symbol is a variable.  Algebras carry their carriers as
 hashable and enumeration order is fixed.  "The theory proves phi" is
 replaced throughout by satisfaction in every algebra of a finite corpus;
 reports therefore say "holds on corpus", never "provable".
+
+The algebra ambient's tables and scans are numpy arrays.  ``np`` is bound
+on first use (``kernels.LazyNumpy``): the first ``np.x`` imports numpy,
+so a process that builds no algebra grid or ambient loads none.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from .fincat import CapExceeded, CategoryBase, CompositionError, \
     PullbackSquare, drop_derived_memos
+
+np = kernels.LazyNumpy(globals())
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Loads JSON inputs (or named corpus fixtures via ``corpus:<name>``),
 dispatches a named check and emits a deterministic report.  Exit codes:
 0 pass, 1 definition failure or counterexample, 2 hypothesis failure,
-3 inconclusive (cap), 4 input error; every decided verdict takes its code
-from ``report.verdict_code``.  JSON reports carry no timing, so
-identical (inputs, flags, seed) are byte-identical; the text format
-appends wall time.
+3 inconclusive (cap), 4 input error, a malformed command line included;
+every decided verdict takes its code from ``report.verdict_code``.  JSON
+reports carry no timing, so identical (inputs, flags, seed) are
+byte-identical; the text format appends wall time.
 """
 
 from __future__ import annotations
@@ -41,8 +41,17 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a bad type or choice, a missing or unknown flag) are
+    input errors, exit 4; argparse's own exit 2 means hypothesis failure
+    here.  Subcommand parsers take this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="fincov")
+    p = _Parser(prog="fincov")
     sub = p.add_subparsers(dest="command", required=True)
 
     chk = sub.add_parser("check", help="run a named check")
@@ -571,9 +580,9 @@ def run_suite(seed=0, cap=256):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "schema-version":
             rep = {"schema": rp.SCHEMA_VERSION}
             if args.format == "json":
@@ -605,27 +614,33 @@ def main(argv=None):
 
 
 def export_corpus(outdir):
+    """Write each explicit corpus fixture and a manifest to outdir; an
+    output directory that cannot be made or written is an input error."""
     import os
-    os.makedirs(outdir, exist_ok=True)
-    corpus = standard_corpus()
-    manifest = {"schema": rp.SCHEMA_VERSION, "fixtures": {}}
-    for nm in corpus.names():
-        entry = corpus[nm]
-        if not isinstance(entry.category, FinCategory):
-            continue  # ambient handles are constructed, not serialized
-        payload = {"category": entry.category.to_json(),
-                   "classes": [entry.classes[k].to_json()
-                               for k in sorted(entry.classes)
-                               if entry.classes[k].members is not None]}
-        path = os.path.join(outdir, f"{nm}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rp.dumps_canonical(payload))
-        manifest["fixtures"][nm] = {
-            "file": f"{nm}.json",
-            "classes": sorted(entry.classes)}
-    with open(os.path.join(outdir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(rp.dumps_canonical(manifest))
+
+    def write(name, obj):
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.write(rp.dumps_canonical(obj))
+
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        corpus = standard_corpus()
+        manifest = {"schema": rp.SCHEMA_VERSION, "fixtures": {}}
+        for nm in corpus.names():
+            entry = corpus[nm]
+            if not isinstance(entry.category, FinCategory):
+                continue  # ambient handles are constructed, not serialized
+            write(f"{nm}.json", {
+                "category": entry.category.to_json(),
+                "classes": [entry.classes[k].to_json()
+                            for k in sorted(entry.classes)
+                            if entry.classes[k].members is not None]})
+            manifest["fixtures"][nm] = {
+                "file": f"{nm}.json",
+                "classes": sorted(entry.classes)}
+        write("manifest.json", manifest)
+    except OSError as exc:
+        raise InputError(f"cannot write corpus to {outdir}: {exc}")
     print(f"wrote {len(manifest['fixtures'])} fixtures to {outdir}")
     return 0
 

@@ -12,6 +12,22 @@ from array import array
 from operator import itemgetter
 
 
+class LazyNumpy:
+    """numpy, bound on first use: the algebra modules set their global
+    ``np = LazyNumpy(globals())``, and the first ``np.x`` imports numpy and
+    rebinds that global to it, so later reads are plain global lookups.
+    Explicit categories never read ``np``, so their processes load no
+    numpy."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+
+    def __getattr__(self, name):
+        import numpy
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
 def table_typecode(n):
     """Narrowest ``array`` typecode holding -1..n-1, the entries of an
     n-morphism composition table (finite_top's is 4.4 MB as "h")."""

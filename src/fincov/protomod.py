@@ -10,7 +10,9 @@ let in.  Enumeration is (e, beta, theta)-lexicographic with canonical
 pullback choices, so the reported counterexample is deterministic.  For
 on-demand algebra ambients every form takes the scan anchored at the
 initial object (the equivalent form with I replaced by 0) and the verdict
-is "no violation within the size cap" rather than a proof.
+is "no violation within the size cap" rather than a proof.  Only that
+ambient scan reads numpy, and ``np`` is bound on its first use
+(``kernels.LazyNumpy``), so scans of explicit categories load none.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fincat import PullbackSquare, derived_memo, mor_key, try_pullback, \
     verify_pullback_square
+from .kernels import LazyNumpy
 from .morphclass import MorphismClass, _factor_search, builtin_class, \
     is_stably_extremal
+
+np = LazyNumpy(globals())
 
 
 class InternalConsistencyError(AssertionError):

@@ -312,6 +312,42 @@ def test_export_corpus(tmp_path, capsys):
     assert "category" in body and "classes" in body
 
 
+def test_export_corpus_unusable_outdir_is_input_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    outdir = str(afile / "sub")
+    assert main(["export-corpus", outdir]) == 4
+    rep = json.loads(capsys.readouterr().err)
+    assert rep["check"] == "input-error" and outdir in rep["error"]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["check", "compact", "--input", "corpus:sub_Z8", "--kappa", "abc"],
+     "invalid int value: 'abc'"),
+    (["check", "compact"], "required: --input"),
+    (["check", "compact", "--input", "corpus:sub_Z8", "--bogus"], "--bogus"),
+    (["check", "compact", "--input", "corpus:sub_Z8", "--format", "xml"],
+     "invalid choice: 'xml'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "required: command"),
+], ids=["bad-type", "missing-flag", "unknown-option", "bad-choice",
+        "unknown-command", "no-command"])
+def test_usage_errors_are_input_errors(argv, fragment, capsys):
+    """A malformed command line gets the canonical input-error report and
+    exit 4, as an unknown check name does; exit 2 is hypothesis failure."""
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    rep = json.loads(captured.err)
+    assert rep["check"] == "input-error" and rep["exit_code"] == 4
+    assert fragment in rep["error"] and captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0 and "--input" in capsys.readouterr().out
+
+
 def test_json_reports_byte_identical(capsys):
     args = ["check", "compact", "--input", "corpus:sub_Z4",
             "--classes", "M=monos", "--chain-n", "1", "--chain-smalls", "0",
@@ -423,24 +459,59 @@ def test_malformed_algebra_input_exit_code(tmp_path, capsys):
                  "A>A:01"]) == 0
 
 
-def test_classify_check_does_not_import_numpy_ma():
-    """The classify kernel sorts instead of calling np.unique, whose first
-    call imports numpy.ma (about 11-13 ms per process)."""
+def _run_fresh(argv, first=""):
+    """cli.main(argv) in a fresh interpreter that runs ``first`` before
+    importing fincov; returns (exit code, stdout before the last line,
+    whether numpy is in sys.modules at the end)."""
     import os
     import subprocess
     from pathlib import Path
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = ("import sys\n"
+    script = (f"import sys\n{first}\n"
               "from fincov.cli import main\n"
-              "code = main(['check', 'classify', '--input',\n"
-              "             'corpus:group_cat_D4', '--format', 'json'])\n"
-              "sys.stdout.write(f'\\n{code} {\"numpy.ma\" in sys.modules}')\n")
+              f"code = main({argv!r})\n"
+              "loaded = 'numpy' in sys.modules\n"
+              "sys.stdout.write('\\n%d %s' % (code, loaded))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rsplit("\n", 1)[1] == "0 False"
+    out, last = proc.stdout.rsplit("\n", 1)
+    code, loaded = last.split()
+    return int(code), out, loaded == "True"
+
+
+@pytest.mark.parametrize("expected, argv", [
+    (1, ["check", "compact", "--input", "corpus:sub_Z8", "--classes",
+         "M=monos", "--chain-n", "2", "--chain-smalls", "0"]),
+    (0, ["check", "validate", "--input", "EXPORTED"]),
+    (0, ["suite", "--seed", "7"]),
+    (0, ["check", "classify", "--input", "corpus:group_cat_D4", "--format",
+         "json"]),
+], ids=["compact", "validate-file", "suite", "classify"])
+def test_explicit_commands_do_not_import_numpy(expected, argv, tmp_path,
+                                               capsys):
+    """Explicit categories keep Python rows, and algkit and protomod bind
+    numpy on first use, so an explicit-category process loads none."""
+    if "EXPORTED" in argv:
+        assert main(["export-corpus", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = [str(tmp_path / "sub_Z8.json") if a == "EXPORTED" else a
+                for a in argv]
+    code, _, loaded = _run_fresh(argv)
+    assert (code, loaded) == (expected, False)
+
+
+def test_ambient_command_binds_numpy_on_first_use():
+    """An algebra-ambient command loads numpy on demand and prints the same
+    bytes as a process that imported numpy before fincov."""
+    argv = ["check", "classify", "--input", "corpus:abelian_ambient",
+            "--format", "json"]
+    lazy = _run_fresh(argv)
+    eager = _run_fresh(argv, first="import numpy")
+    assert lazy[0] == 0 and lazy[2]
+    assert lazy == eager
 
 
 # Exit code and digest of the canonical stdout, recorded before
