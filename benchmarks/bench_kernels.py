@@ -5,11 +5,14 @@ Runs the hot enumeration workloads (table validation, cancellation flags,
 lifting-square scans, pullback-span searches, class-composite scans) on
 corpus categories, each on the category's own tables (an explicit
 category's Python rows), and prints the best of three runs per
-workload.  The class-composite rows also run on the abelian-groups ambient grown by three products to 8
-objects and 1010 morphisms, as product closure grows it.  Beside them,
-the composite-index rows assemble that ambient's index again from its
-kept tables, build the index of a fresh 8-object ambient (its hom sets
-built beforehand), and build it again after Z8 is registered on an
+workload.  The class-composite rows also run on the abelian-groups
+ambient grown by three products to 8 objects and 1010 morphisms, as
+product closure grows it, and on the groups of order at most 8 (the
+``groups_ambient`` roster, 1852 morphisms, its index read beforehand).
+Beside them, the composite-index rows read every row of that ambient's
+index again from its kept tables, read the index of a fresh 8-object
+ambient and of a fresh groups ambient (their hom sets built
+beforehand), and read it again after Z8 is registered on an
 indexed one; the protomodularity row runs
 ``check_protomodularity_pair(surjections, injections)`` on a fresh
 8-object ambient whose index is built beforehand.  The last two
@@ -26,8 +29,12 @@ the posets themselves built beforehand.  The next three rows time
 construction: the powerset posets P(4) to P(7) themselves, the finite
 spaces of at most 3 points with their 1476 continuous maps, and the
 seeded mixed functors of seeds 0-99, each run from an empty variance
-shape cache.  The next five rows time the algebra ambient: the 64 hom
-sets of the grown ambient, enumerated afresh; the three product
+shape cache.  The next seven rows time the algebra ambient: the 64 hom
+sets of the grown ambient, enumerated afresh; ``hom_rows`` of the 121
+pairs of the ``abelian_ambient`` roster (the abelian groups of order at
+most 8); ``find_isomorphism`` over the 196 pairs of fresh groups of
+order at most 8, their element profiles computed in the run; the three
+product
 registrations that grow a fresh abelian-groups ambient (its seed hom
 sets built beforehand); the equation checks of ``FinAlgebra.validate``
 over the 8 algebras of the grown ambient; ``check_class_properties``
@@ -73,13 +80,14 @@ import time
 
 from fincov import instances, kernels
 from fincov.algkit import build_finalg_category, enumerate_homs, \
-    group_theory
+    find_isomorphism, group_theory, hom_rows
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
     RuleCoverage, _enumerate_functors, _powerset_poset, build_chain_type, \
     check_image_compatibility, decide_tau_compact
 from fincov.fincat import derived_memo
 from fincov.instances import abelian_groups_upto, cyclic_group, \
-    finite_top_category, random_category, random_mixed_functor, set_skeleton
+    finite_top_category, groups_upto, random_category, random_mixed_functor, \
+    set_skeleton
 from fincov.morphclass import FactorizationSystem, _stability_scan, \
     builtin_class, check_class_properties, is_stably_extremal, is_stably_in
 from fincov.protomod import check_protomodularity_pair
@@ -165,18 +173,40 @@ def workloads():
 
     def index(C):
         C._composites = None
-        C.composite_index()
+        read = sum(sum(map(len, table)) for *_, table in C.composite_blocks())
+        return f"{read} composites"
 
-    # fresh 8-object ambients, their hom sets built beforehand: one per
-    # timed run of each of the next three rows
+    # fresh ambients, their hom sets built beforehand: one per timed run
+    # of each of the next four rows
     def grown(with_index):
         C = grown_ambient(*FULL_GROWTH)
         C.morphisms()
         if with_index:
-            C.composite_index()
+            index(C)
         return C
 
     unindexed = [grown(False) for _ in range(3)]
+    groups = [build_finalg_category(group_theory(), 8, groups_upto(8))
+              for _ in range(3)]
+    for C in groups:
+        C.morphisms()
+    groups_amb = build_finalg_category(group_theory(), 8, groups_upto(8))
+    index(groups_amb)
+    surjective = [m.is_surjective() for m in groups_amb.morphisms()]
+    # the abelian_ambient roster, and fresh groups of order at most 8 per
+    # timed run (element profiles are kept on the algebras)
+    abelian = abelian_groups_upto(8)
+    group_sets = [groups_upto(8) for _ in range(3)]
+
+    def abelian_homs():
+        n = sum(len(hom_rows(A, B)) for A in abelian for B in abelian)
+        return f"{n} homs"
+
+    def isomorphisms():
+        gs = group_sets.pop()
+        found = sum(find_isomorphism(A, B) is not None for A in gs
+                    for B in gs)
+        return f"{found} isomorphisms"
     registered = []
     for _ in range(3):
         C = grown(True)
@@ -229,7 +259,7 @@ def workloads():
         ob = {A.name: A for A in C.objects()}
         C.find_pullback(C.hom(ob["Z2"], ob["Z1"])[0],
                         C.hom(ob["Z3"], ob["Z1"])[0])
-        C.composite_index()
+        index(C)
         return C
 
     # one fresh ambient per timed run: no subobject yet registered, no
@@ -379,13 +409,17 @@ def workloads():
          lambda: composites(top, top._flags[0])),
         ("composite index ambient (1010 mor)", lambda: index(amb)),
         ("composite index, fresh 8-object ambient",
-         lambda: unindexed.pop().composite_index()),
+         lambda: index(unindexed.pop())),
         ("composite index after registering Z8 (9 objects)",
-         lambda: registered.pop().composite_index()),
+         lambda: index(registered.pop())),
+        ("composite index build, groups_ambient (1852 mor)",
+         lambda: index(groups.pop())),
         ("protomodularity (surjections, injections), 8 objects",
          protomodularity),
         ("class composites ambient (injective)",
          lambda: composites(amb, injective)),
+        ("class composites, groups_ambient (surjections)",
+         lambda: composites(groups_amb, surjective)),
         ("coverings harness x 4 chains",
          lambda: enumeration(lambda C, c, dt, M:
                              _enumerate_functors(C, c, dt.variance, M))),
@@ -397,6 +431,8 @@ def workloads():
         ("build finite_top_category(3)", lambda: finite_top_category(3)),
         ("random_mixed_functor 0-99, cold shapes", mixed_functors),
         ("hom sets, ambient grown to 8 objects (64 pairs)", hom_sets),
+        ("hom_rows, abelian_ambient roster (121 pairs)", abelian_homs),
+        ("find_isomorphism, groups_upto(8) (196 pairs)", isomorphisms),
         ("register Z2xZ3, Z2xV4, Z2xZ4 on a fresh ambient", products),
         ("validate ambient algebras (8)",
          lambda: [A.validate() for A in amb.objects()]),

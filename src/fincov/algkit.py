@@ -7,22 +7,21 @@ hashable and enumeration order is fixed.  "The theory proves phi" is
 replaced throughout by satisfaction in every algebra of a finite corpus;
 reports therefore say "holds on corpus", never "provable".
 
-The algebra ambient's tables and scans are numpy arrays.  ``np`` is bound
-on first use (``kernels.LazyNumpy``): the first ``np.x`` imports numpy,
-so a process that builds no algebra grid or ambient loads none.
+The algebra ambient reads flat operation tables (``op_tables``), the hom
+sets' image tuples and composite tables kept as ``array`` rows in the
+narrowest typecode; no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from array import array
 from dataclasses import dataclass, field
+from operator import getitem
 
 from . import kernels
 from .fincat import CapExceeded, CategoryBase, CompositionError, \
     PullbackSquare, drop_derived_memos
-
-np = kernels.LazyNumpy(globals())
 
 
 # ---------------------------------------------------------------------------
@@ -126,45 +125,47 @@ def eval_term(A, term, env):
 
 
 def term_grid(A, term, vars_):
-    """The value of term at every assignment of vars_ over A's carrier.
-
-    An array with one axis of length |A| per variable, in the order of
-    vars_, so its C order is ``itertools.product`` order; as in
-    ``dict(zip(vars_, vals))``, a repeated variable takes its last axis.
-    Operations are read from ``A.op_tables()`` (so A must be total).
-    Raises eval_term's ValueErrors.
+    """The value of term at every assignment of vars_ over A's carrier,
+    as a list in ``itertools.product`` order; as in
+    ``dict(zip(vars_, vals))``, a repeated variable takes its last
+    position.  Operations are read from ``A.op_tables()`` (so A must be
+    total).  Raises eval_term's ValueErrors.
     """
-    k = len(vars_)
-    env = {}
-    for i, v in enumerate(vars_):
-        env[v] = np.arange(A.size).reshape((1,) * i + (A.size,)
-                                           + (1,) * (k - 1 - i))
+    n, k = A.size, len(vars_)
+    env = {v: [x for x in A.carrier for _ in range(n ** (k - 1 - i))]
+           * n ** i for i, v in enumerate(vars_)}
     tables = A.op_tables()
 
     def grid(t):
         head = t[0]
         if A.theory.has_symbol(head):
-            args = tuple(grid(s) for s in t[1:])
+            args = [grid(s) for s in t[1:]]
             if len(args) != A.theory.arity(head):
                 raise ValueError(f"arity mismatch at {head}")
-            return tables[head][2][args]
+            if not args:
+                return tables[head] * n ** k
+            codes = args[0]
+            for a in args[1:]:
+                codes = [c * n + x for c, x in zip(codes, a)]
+            return kernels.picker(codes)(tables[head])
         if t[1:]:
             raise ValueError(f"variable {head} applied to arguments")
         if head not in env:
             raise ValueError(f"unbound variable {head}")
         return env[head]
 
-    return np.broadcast_to(grid(term), (A.size,) * k)
+    return list(grid(term))
 
 
 def equation_failure(A, vars_, lhs, rhs):
     """First assignment of vars_, in ``itertools.product`` order over A's
     carrier, where lhs and rhs differ, as a tuple; None if none does."""
-    bad = np.flatnonzero(term_grid(A, lhs, vars_) != term_grid(A, rhs, vars_))
-    if not len(bad):
+    left, right = term_grid(A, lhs, vars_), term_grid(A, rhs, vars_)
+    if left == right:
         return None
-    return tuple(int(i) for i in np.unravel_index(bad[0],
-                                                  (A.size,) * len(vars_)))
+    i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+    return tuple(i // A.size ** k % A.size
+                 for k in reversed(range(len(vars_))))
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +189,22 @@ class FinAlgebra:
         return t
 
     @classmethod
-    def from_arrays(cls, theory, name, size, arrays):
-        """The algebra whose operation s has the intp array arrays[s], one
-        axis of length size per argument; ``op_tables()`` reads them as
-        given instead of rebuilding them from nested tuples."""
-        algebra = cls(theory, name, size,
-                      {s: t.tolist() for s, t in arrays.items()})
-        algebra._op_tables = {s: _op_table(t) for s, t in arrays.items()}
+    def from_tables(cls, theory, name, size, tables):
+        """The algebra whose operation s has the flat table tables[s], in
+        the form ``op_tables()`` returns, kept as given."""
+        algebra = cls(theory, name, size, {
+            s: _nested(tables[s], size, a) for s, a in theory.symbols})
+        algebra._op_tables = tables
         return algebra
 
     def op_tables(self):
-        """Per symbol (args, values, table): every argument tuple, as one
-        index array per argument position; the operation's value at each;
-        and its table as an array with one axis per argument.  Cached."""
+        """Per symbol, its table flattened in argument-tuple order: the
+        value at (x_1, ..., x_a) sits at x_1 * n^(a-1) + ... + x_a, and a
+        constant's table is (value,).  Cached."""
         tables = self.__dict__.get("_op_tables")
         if tables is None:
             tables = self._op_tables = {
-                s: _op_table(np.array(self.ops[s], dtype=np.intp).reshape(
-                    (self.size,) * a))
-                for s, a in self.theory.symbols}
+                s: _flat(self.ops[s], a) for s, a in self.theory.symbols}
         return tables
 
     def validate(self):
@@ -234,10 +232,21 @@ class FinAlgebra:
                 "ops": {s: _table_json(t) for s, t in self.ops.items()}}
 
 
-def _op_table(table):
-    """(args, values, table) of ``FinAlgebra.op_tables()`` for one table."""
-    args = tuple(np.indices(table.shape).reshape(table.ndim, table.size))
-    return args, table[args], table
+def _flat(t, arity):
+    """A nested operation table as one tuple in argument-tuple order."""
+    for _ in range(arity - 1):
+        t = tuple(itertools.chain.from_iterable(t))
+    return tuple(t) if arity else (t,)
+
+
+def _nested(flat, n, arity):
+    """The nested tuples of a flat table over n elements."""
+    if arity == 0:
+        return flat[0]
+    t = tuple(flat)
+    for _ in range(arity - 1):
+        t = tuple(t[i:i + n] for i in range(0, len(t), n)) if n else ()
+    return t
 
 
 def _as_table(t):
@@ -292,11 +301,15 @@ class AlgHom:
 
     def is_valid(self):
         """Whether the images commute with every operation, over all
-        argument tuples at once."""
-        im = np.array(self.images, dtype=np.intp)
+        argument tuples of each table."""
+        im, m = self.images, self.tgt.size
         tgt = self.tgt.op_tables()
-        for s, (args, values, _) in self.src.op_tables().items():
-            if (im[values] != tgt[s][2][tuple(im[x] for x in args)]).any():
+        for s, a in self.src.theory.symbols:
+            codes = [0]
+            for _ in range(a):
+                codes = [c * m + y for c in codes for y in im]
+            if kernels.picker(self.src.op_tables()[s])(im) != \
+                    kernels.picker(codes)(tgt[s]):
                 return False
         return True
 
@@ -320,7 +333,7 @@ def identity_hom(A):
 def compose_homs(g, f):
     if f.tgt is not g.src:
         raise CompositionError("algebra homs not composable")
-    return AlgHom(f.src, g.tgt, tuple(g.images[y] for y in f.images))
+    return AlgHom(f.src, g.tgt, kernels.picker(f.images)(g.images))
 
 
 def generating_trace(A):
@@ -367,65 +380,92 @@ def generating_trace(A):
     return A._trace
 
 
-# Most entries one chunk of a grid replay compares at once: rows times the
-# argument tuples of A's widest operation (0.5 MB of intp).
-_GRID_CHUNK = 1 << 16
+def _replay_plan(A):
+    """A's table entries in the stages of ``_replay``: stage 0 before the
+    first generator, stage i + 1 from generator i on.  A stage lists
+    (sym, args, elt, True) for each element the trace produces in it (a
+    constant with no args), then (sym, args, value, False) for every other
+    table entry whose elements are all produced by then.  Returns (gens,
+    stages), cached on A."""
+    cached = A.__dict__.get("_plan")
+    if cached is not None:
+        return cached
+    gens, trace = generating_trace(A)
+    stages = [[] for _ in range(len(gens) + 1)]
+    stage, i = {}, 0
+    for entry in trace:
+        if entry[0] == "gen":
+            i = entry[1] + 1
+        else:
+            stages[i].append((entry[1], entry[2] if entry[0] == "op" else (),
+                              entry[-1], True))
+        stage[entry[-1]] = i
+    defined = {(s, args) for step in stages for s, args, _, _ in step}
+    for s, a in A.theory.symbols:
+        for args, v in zip(itertools.product(A.carrier, repeat=a),
+                           A.op_tables()[s]):
+            if (s, args) not in defined:
+                stages[max(stage[x] for x in args + (v,))].append(
+                    (s, args, v, False))
+    A._plan = (gens, stages)
+    return A._plan
 
 
-def _replay_grid(A, B, choices):
-    """Replay A's generating trace into B over the generator-assignment
-    grid ``itertools.product(*choices)``, one bounded chunk at a time.
+def _replay(A, B, choices, bijective=False):
+    """The image tuples of the homomorphisms A -> B that send generator i
+    into choices[i], in ``itertools.product(*choices)`` order; with
+    ``bijective``, only the bijective ones.
 
-    Yields (images, valid) per chunk, in grid order: ``images`` has one
-    row per assignment, the image of each element of A under the map that
-    sends generator i to the assignment's i-th entry and is extended along
-    the trace; ``valid`` says which rows commute with every operation.
-    """
-    _, trace = generating_trace(A)
-    shape = tuple(len(c) for c in choices)
-    total = math.prod(shape)
-    choices = [np.asarray(c, dtype=np.intp) for c in choices]
-    src, tgt = A.op_tables(), B.op_tables()
-    width = max([A.size ** a for _, a in A.theory.symbols] + [A.size, 1])
-    step = max(1, _GRID_CHUNK // width)
-    for lo in range(0, total, step):
-        n = min(step, total - lo)
-        digits = np.unravel_index(np.arange(lo, lo + n), shape) \
-            if shape else ()
-        img = np.empty((n, A.size), dtype=np.intp)
-        for entry in trace:
-            if entry[0] == "const":
-                img[:, entry[2]] = tgt[entry[1]][2]
-            elif entry[0] == "gen":
-                img[:, entry[2]] = choices[entry[1]][digits[entry[1]]]
-            else:
-                _, s, args, v = entry
-                img[:, v] = tgt[s][2][tuple(img[:, x] for x in args)]
-        valid = np.ones(n, dtype=bool)
-        for s, (args, values, _) in src.items():
-            rhs = tgt[s][2][tuple(img[:, x] for x in args)]
-            valid &= (img[:, values] == rhs).reshape(n, -1).all(axis=1)
-        yield img, valid
+    A map is extended stage by stage along A's generating trace: a stage
+    assigns one generator and the elements produced from it, then tests
+    the table entries of A whose elements are all assigned, so a partial
+    assignment that already fails is never extended."""
+    gens, plan = _replay_plan(A)
+    m, tables = B.size, B.op_tables()
+    stages = [[(tables[s], args, v, step) for s, args, v, step in stage]
+              for stage in plan]
+    img = [0] * A.size
+
+    def extend(i):
+        for table, args, v, step in stages[i]:
+            c = 0
+            for x in args:
+                c = c * m + img[x]
+            if step:
+                img[v] = table[c]
+            elif table[c] != img[v]:
+                return False
+        return True
+
+    def search(i):
+        if i == len(gens):
+            if not bijective or len(set(img)) == len(img):
+                yield tuple(img)
+            return
+        for y in choices[i]:
+            img[gens[i]] = y
+            if extend(i + 1):
+                yield from search(i + 1)
+
+    if extend(0):
+        yield from search(0)
 
 
 def hom_rows(A, B):
-    """The image tuples of all homomorphisms A -> B, as an int64 array
-    with one row per hom, rows in ascending lexicographic order.
+    """The image tuples of all homomorphisms A -> B, in ascending
+    lexicographic order.
 
     Generator i is the least element that the constants and the earlier
     generators do not produce, so every element before it in the carrier
-    has its image fixed by the earlier generators.  Hence the grid's
-    product order over B's ascending carrier is already the lexicographic
-    order of the rows."""
-    rows = [img[valid] for img, valid in
-            _replay_grid(A, B, [B.carrier] * len(generating_trace(A)[0]))]
-    rows = np.concatenate(rows) if rows else np.empty((0, A.size), np.intp)
-    return rows.astype(np.int64, copy=False)
+    has its image fixed by the earlier generators.  Hence the product
+    order of the generators' images over B's ascending carrier is already
+    the lexicographic order of the image tuples."""
+    return list(_replay(A, B, [B.carrier] * len(generating_trace(A)[0])))
 
 
 def enumerate_homs(A, B):
     """All homomorphisms A -> B in deterministic (image-tuple) order."""
-    return [AlgHom(A, B, row) for row in hom_rows(A, B).tolist()]
+    return [AlgHom(A, B, row) for row in hom_rows(A, B)]
 
 
 def _element_profile(A):
@@ -436,30 +476,30 @@ def _element_profile(A):
     signature is its colour and, per symbol, whether it is the constant,
     the colour of its unary image, or the sorted colours of its binary row
     and of its binary column; the new colours number the distinct
-    signatures in lexicographic order (the rows are few: ranked as
-    tuples)."""
+    signatures in lexicographic order."""
     cached = A.__dict__.get("_profile")
     if cached is not None:
         return cached
     n = A.size
-    colors = np.zeros(n, dtype=np.intp)
+    colors = [0] * n
     tables = A.op_tables()
     for _ in range(3 if n else 0):
-        sig = [colors[:, None]]
+        sig = [[c] for c in colors]
         for s, a in A.theory.symbols:
-            table = tables[s][2]
-            if a == 0:
-                sig.append(np.arange(n)[:, None] == table)
-            elif a == 1:
-                sig.append(colors[table][:, None])
-            elif a == 2:
-                sig.append(np.sort(colors[table], axis=1))
-                sig.append(np.sort(colors[table.T], axis=1))
-        rows = list(map(tuple, np.concatenate(sig, axis=1,
-                                              dtype=np.intp).tolist()))
+            table = tables[s]
+            for x, row in enumerate(sig):
+                if a == 0:
+                    row.append(int(x == table[0]))
+                elif a == 1:
+                    row.append(colors[table[x]])
+                elif a == 2:
+                    row += sorted(map(colors.__getitem__,
+                                      table[x * n:x * n + n]))
+                    row += sorted(map(colors.__getitem__, table[x::n]))
+        rows = list(map(tuple, sig))
         rank = {r: i for i, r in enumerate(sorted(set(rows)))}
-        colors = np.array([rank[r] for r in rows], dtype=np.intp)
-    A._profile = tuple(colors.tolist())
+        colors = [rank[r] for r in rows]
+    A._profile = tuple(colors)
     return A._profile
 
 
@@ -477,13 +517,8 @@ def find_isomorphism(A, B):
     for y in B.carrier:
         by_color.setdefault(cb[y], []).append(y)
     choices = [by_color.get(ca[g], ()) for g in generating_trace(A)[0]]
-    carrier = np.arange(A.size)
-    for img, valid in _replay_grid(A, B, choices):
-        valid &= (np.sort(img, axis=1) == carrier).all(axis=1)
-        hit = np.flatnonzero(valid)
-        if len(hit):
-            return AlgHom(A, B, img[hit[0]].tolist())
-    return None
+    row = next(_replay(A, B, choices, bijective=True), None)
+    return None if row is None else AlgHom(A, B, row)
 
 
 # ---------------------------------------------------------------------------
@@ -581,42 +616,56 @@ def _coded_algebra(theory, name, factors, codes, relabel=None):
     """The algebra on ``codes``, the ascending codes of a subset of
     factors[0] x ... x factors[-1] that every operation maps into itself,
     operated coordinatewise; (x_1, ..., x_k) is coded in mixed radix, x_k
-    the last digit.  With ``relabel``, an array over the codes, it is the
+    the last digit.  With ``relabel``, a list over the codes, it is the
     quotient whose classes ``codes`` represents: a computed code c stands
     for the class of relabel[c], its representative.
 
-    Each operation table is one gather per coordinate through
-    ``FinAlgebra.op_tables()``, then one ``searchsorted`` into the codes.
+    Each flat operation table is read coordinate by coordinate from the
+    factors' ``FinAlgebra.op_tables()``, then each code is replaced by
+    its position among ``codes``.
     """
-    codes = np.asarray(codes, dtype=np.intp)
     n = len(codes)
-    coords = np.unravel_index(codes, [X.size for X in factors])
-    arrays = {}
+    position = {c: i for i, c in enumerate(codes)}
+    coords, weight = [], 1
+    for X in reversed(factors):
+        coords.insert(0, [c // weight % X.size for c in codes])
+        weight *= X.size
+    tables = {}
     for s, a in theory.symbols:
-        args = np.indices((n,) * a).reshape(a, n ** a)
-        value = 0
-        for X, c in zip(factors, coords):
-            value = value * X.size + X.op_tables()[s][2][tuple(c[args])]
+        value = [0] * n ** a
+        for X, xs in zip(factors, coords):
+            args = [0]
+            for _ in range(a):
+                args = [c * X.size + x for c in args for x in xs]
+            table = X.op_tables()[s]
+            value = [v * X.size + table[c] for v, c in zip(value, args)]
         if relabel is not None:
-            value = relabel[value]
-        arrays[s] = np.searchsorted(codes, value).reshape((n,) * a)
-    return FinAlgebra.from_arrays(theory, name, n, arrays)
+            value = map(relabel.__getitem__, value)
+        tables[s] = tuple(map(position.__getitem__, value))
+    return FinAlgebra.from_tables(theory, name, n, tables)
 
 
 def _pair_codes(f, g):
     """The pairs (a, b) with f(a) = g(b), coded a * |src g| + b, ascending."""
-    return np.flatnonzero(np.equal.outer(f.images, g.images))
+    over = {}
+    for b, y in enumerate(g.images):
+        over.setdefault(y, []).append(b)
+    n = g.src.size
+    return [a * n + b for a, y in enumerate(f.images) for b in over.get(y, ())]
 
 
 def quotient_algebra(A, theta, name=None):
     """Quotient by a congruence (a partition tuple), with the projection
     hom; its elements are the classes in the order of their least
     elements."""
-    _, first, label = np.unique(theta, return_index=True, return_inverse=True)
-    rep = first[label]  # the least element of each element's class
-    codes = np.sort(first)
+    first = {}
+    for x, label in enumerate(theta):
+        first.setdefault(label, x)
+    rep = [first[label] for label in theta]  # least element of the class
+    codes = sorted(first.values())
     Q = _coded_algebra(A.theory, name or f"{A.name}/~", (A,), codes, rep)
-    return Q, AlgHom(A, Q, np.searchsorted(codes, rep).tolist())
+    position = {c: i for i, c in enumerate(codes)}
+    return Q, AlgHom(A, Q, [position[r] for r in rep])
 
 
 def enumerate_normal_subalgebras(A):
@@ -743,8 +792,8 @@ class UniformityReport:
 
 def _t_mul(A, t):
     """The binary operation x, y -> t(x, y) on A, read from its table."""
-    table = term_grid(A, t, ("x", "y")).tolist()
-    return lambda x, y: table[x][y]
+    table, n = term_grid(A, t, ("x", "y")), A.size
+    return lambda x, y: table[x * n + y]
 
 
 def classify_uniformity(f, t=None, normals=None):
@@ -955,7 +1004,7 @@ def verify_uniformity_theorem(cat, t=None, pullback_cap=24,
             probes += 1
             codes = _pair_codes(f, h)
             P = _coded_algebra(cat.theory, "pb", (f.src, h.src), codes)
-            proj2 = AlgHom(P, h.src, (codes % h.src.size).tolist())
+            proj2 = AlgHom(P, h.src, [c % h.src.size for c in codes])
             if not is_strongly_t_uniform(proj2, t,
                                          flags.normals_of(h.src)):
                 ok, wit = False, ("pullback not strongly uniform", f, h)
@@ -1112,19 +1161,16 @@ def check_monic_pullback_corollary(f, t=None):
 class AlgPullbackSquare(PullbackSquare):
     """Pullback square over the algebra ambient with on-demand mediators.
 
-    The apex element i is coded proj1(i) * |src g| + proj2(i); the
-    mediator of a cone (p, q) sends x to the element coded
-    p(x) * |src g| + q(x).
+    The apex element i is the pair (proj1(i), proj2(i)); the mediator
+    of a cone (p, q) sends x to the element (p(x), q(x)).
     """
 
     def mediator(self, p, q):
         if (p, q) not in self.mediators:
-            n = self.proj2.tgt.size
-            apex = np.zeros(self.proj1.tgt.size * n, dtype=np.intp)
-            apex[np.array(self.proj1.images, dtype=np.intp) * n
-                 + self.proj2.images] = np.arange(self.apex.size)
-            images = apex[np.array(p.images, dtype=np.intp) * n + q.images]
-            self.mediators[(p, q)] = AlgHom(p.src, self.apex, images.tolist())
+            apex = {pair: i for i, pair in
+                    enumerate(zip(self.proj1.images, self.proj2.images))}
+            self.mediators[(p, q)] = AlgHom(p.src, self.apex, list(
+                map(apex.__getitem__, zip(p.images, q.images))))
         return self.mediators[(p, q)]
 
 
@@ -1146,8 +1192,7 @@ class AlgCategory(CategoryBase):
         self._roster = []
         self._hom_cache = {}
         self._hom_pos = {}       # hom -> its position in its hom set
-        self._images_cache = {}
-        self._levels = {}        # (id A, id C) -> _position_levels
+        self._tries = {}         # (id A, id C) -> _position_trie
         self._triples = {}       # (id A, id b, id C) -> _composite_table
         self._into_cache = {}
         self._from_cache = {}
@@ -1206,21 +1251,10 @@ class AlgCategory(CategoryBase):
         key = (id(A), id(B))
         homs = self._hom_cache.get(key)
         if homs is None:
-            rows = self._images_cache[key] = hom_rows(A, B)
             homs = self._hom_cache[key] = tuple(
-                AlgHom(A, B, row) for row in rows.tolist())
+                AlgHom(A, B, row) for row in hom_rows(A, B))
             self._hom_pos.update((h, i) for i, h in enumerate(homs))
         return homs
-
-    def hom_images(self, A, B):
-        """hom(A, B) as an int64 array with one row of images per hom, in
-        hom order; built with the hom set and cached, like it, for the
-        category's life."""
-        rows = self._images_cache.get((id(A), id(B)))
-        if rows is None:
-            self.hom(A, B)
-            rows = self._images_cache[id(A), id(B)]
-        return rows
 
     def morphisms_into(self, B):
         if id(B) not in self._into_cache:
@@ -1245,171 +1279,132 @@ class AlgCategory(CategoryBase):
         return m.tgt
 
     def composite_index(self):
-        """The roster's CompositeIndex, assembled from the kept composite
-        tables.  Dropped when the roster grows; the next one computes only
-        the tables of the hom-set triples that involve new objects.
-
-        Raises CapExceeded, before any table is computed or allocated,
-        when the index would hold more than ``_INDEX_BUDGET`` entries.
-        """
+        """The roster's CompositeIndex, dropped when the roster grows.
+        Raises CapExceeded, before any table is computed, when the index
+        would hold more than ``_INDEX_BUDGET`` entries."""
         if self._composites is None:
-            roster = self._roster
-            r = len(roster)
-            # sizes[a, c] = |hom(roster[a], roster[c])|; start[a, c] is
-            # where that hom set starts in morphisms()
-            sizes = np.array([len(self.hom(A, C)) for A in roster
-                              for C in roster], dtype=np.intp).reshape(r, r)
-            entries = int(sizes.sum(axis=1) @ sizes.sum(axis=0))
+            ms = self.morphisms()
+            entries = sum(len(self.morphisms_from(b))
+                          * len(self.morphisms_into(b)) for b in self._roster)
             if entries > _INDEX_BUDGET:
                 raise CapExceeded(f"composite index needs {entries} entries "
                                   f"> budget {_INDEX_BUDGET}")
-            start = (np.cumsum(sizes) - sizes.ravel()).reshape(r, r)
-            ms = self.morphisms()
-            dtype = np.dtype(kernels.table_typecode(len(ms)))
-            blocks = {}
-            for bi, b in enumerate(roster):
-                # the homs out of b are contiguous in morphisms(), those
-                # into b come one hom set per source A
-                rows = start[bi, 0] + np.arange(sizes[bi].sum())
-                cols = np.concatenate([start[a, bi] + np.arange(sizes[a, bi])
-                                       for a in range(r)])
-                table = np.empty((len(rows), len(cols)), dtype=dtype)
-                i = 0
-                for ci, C in enumerate(roster):
-                    stripe = table[i:i + sizes[bi, ci]]
-                    j = 0
-                    for A in roster:
-                        T = self._composite_table(A, b, C)
-                        stripe[:, j:j + T.shape[1]] = T
-                        j += T.shape[1]
-                    # positions in each hom(A, C) -> indices in morphisms()
-                    stripe += np.repeat(start[:, ci], sizes[:, bi]).astype(
-                        dtype)
-                    i += sizes[bi, ci]
-                blocks[id(b)] = (rows, cols, table)
-            self._composites = CompositeIndex(
-                ms, {m: i for i, m in enumerate(ms)}, blocks)
+            # morphisms() lists hom(A, C) for A, then C, in roster order
+            spans, n = {}, 0
+            for A in self._roster:
+                for C in self._roster:
+                    spans[id(A), id(C)] = range(n, n + len(self.hom(A, C)))
+                    n += len(self.hom(A, C))
+            self._composites = CompositeIndex(ms, spans)
         return self._composites
 
+    def composites(self, A, g):
+        """The positions in hom(A, tgt g) of g . f for each f in
+        hom(A, src g), in hom order, read off the kept composite table."""
+        n = len(self.hom(g.src, g.tgt))
+        return self._composite_table(A, g.src, g.tgt)[self._hom_pos[g]::n]
+
+    def composite_blocks(self):
+        """The composite-index protocol of ``CategoryBase``, one block per
+        hom-set triple (A, b, C) in (b, A, C) roster order: rows, cols and
+        targets are the contiguous indices of hom(b, C), hom(A, b) and
+        hom(A, C) in ``morphisms()``, and the table rows are the kept
+        composite table's, computed when the first row is read."""
+        spans, roster = self.composite_index().spans, self._roster
+        for b in roster:
+            out = [spans[id(b), id(C)] for C in roster]
+            for A in roster:
+                for C, rows in zip(roster, out):
+                    yield (rows, spans[id(A), id(b)], spans[id(A), id(C)],
+                           self._table_rows(A, b, C))
+
+    def _table_rows(self, A, b, C):
+        table = self._composite_table(A, b, C)
+        n = len(self.hom(b, C))
+        for i in range(n):
+            yield table[i::n]
+
     def _composite_table(self, A, b, C):
-        """Entry [i, j] is the position in hom(A, C) of hom(b, C)[i] .
-        hom(A, b)[j], read off the composite's images of A's generators
-        through ``_position_levels``.  Computed on first use and kept for
-        the category's life, like the hom sets."""
+        """Entry j * |hom(b, C)| + i is the position in hom(A, C) of
+        hom(b, C)[i] . hom(A, b)[j], in the narrowest typecode; kept for
+        the category's life.  Column j is read down ``_position_trie``
+        from the images of f = hom(A, b)[j]'s generator images under every
+        g at once; hom(A, b) is in generator-grid order, so consecutive
+        columns share the trie nodes of their common generator images."""
         key = (id(A), id(b), id(C))
         table = self._triples.get(key)
         if table is None:
-            levels = self._position_levels(A, C)
-            # G[y, i] = hom(b, C)[i](y); F[t, j] = hom(A, b)[j](generator t)
-            G = np.array(self.hom_images(b, C).T, dtype=np.int32)
-            F = self.hom_images(A, b)[:, list(generating_trace(A)[0])].T
-            if not levels:
+            root = self._position_trie(A, C)
+            G, F = self.hom(b, C), self.hom(A, b)
+            table = self._triples[key] = array(
+                kernels.table_typecode(len(self.hom(A, C))))
+            if root is None or not G:
                 # no generators: hom(A, C) has at most one hom
-                node = np.zeros((F.shape[1], G.shape[1]), dtype=np.int8)
-            else:
-                first = levels[0][G]
-                node = np.empty((F.shape[1], G.shape[1]),
-                                dtype=levels[-1].dtype)
-                step = max(1, _TABLE_CHUNK // max(G.shape[1], 1))
-                for lo in range(0, len(node), step):
-                    part = first[F[0, lo:lo + step]]
-                    for level, digit in zip(levels[1:], F[1:, lo:lo + step]):
-                        part += G[digit]
-                        part = level[part]
-                    node[lo:lo + step] = part
-            table = self._triples[key] = node.T
+                table.fromlist([0] * (len(G) * len(F)))
+                return table
+            # at[y][i] = hom(b, C)[i](y)
+            at = list(zip(*(g.images for g in G)))
+            gens = generating_trace(A)[0]
+            path = []  # (image of generator t, the nodes it reaches) per t
+            for f in F:
+                ys = [f.images[x] for x in gens]
+                t = 0
+                while t < len(path) and path[t][0] == ys[t]:
+                    t += 1
+                del path[t:]
+                for t in range(t, len(gens)):
+                    nodes = list(map(getitem, path[-1][1], at[ys[t]])
+                                 if path else map(root.__getitem__, at[ys[t]]))
+                    path.append((ys[t], nodes))
+                table.fromlist(path.pop()[1])
         return table
 
-    def _position_levels(self, A, C):
-        """The tables that read a hom A -> C's position in hom(A, C) off
-        its images of A's generators, one generator at a time.
-
-        hom(A, C) lists the homs in generator-grid order, so the homs that
-        agree on generators 0..t are contiguous; call each such run a node
-        of level t.  Level t maps node * |C| + the image of generator t,
-        from the level before (no node before generator 0), to its node,
-        times |C| below the last level; the nodes of the last level are
-        the positions, in the narrowest dtype that holds them.  Every entry
-        is below |hom(A, C)| * |C|.  Kept for the category's life."""
+    def _position_trie(self, A, C):
+        """A hom A -> C's position in hom(A, C), read off its images of
+        A's generators: node[y] is the child for generator image y, one
+        list of |C| children per level, and the last level holds the
+        positions.  None when A has no generators (hom(A, C) then has at
+        most one hom).  Kept for the category's life."""
         key = (id(A), id(C))
-        levels = self._levels.get(key)
-        if levels is None:
-            H = self.hom_images(A, C)[:, list(generating_trace(A)[0])]
-            dtype = np.dtype(kernels.table_typecode(len(H)))
-            levels = self._levels[key] = []
-            node = np.zeros(len(H), dtype=np.int32)
-            fresh = np.zeros(len(H), dtype=bool)
-            for t, digit in enumerate(H.T):
-                fresh[:1] = True
-                fresh[1:] |= digit[1:] != digit[:-1]
-                child = np.cumsum(fresh, dtype=np.int32) - 1
-                last = t == H.shape[1] - 1
-                level = np.zeros(C.size if t == 0 else
-                                 (node[-1] + C.size if len(H) else 0),
-                                 dtype=dtype if last else np.int32)
-                level[node + digit] = child if last else child * C.size
-                levels.append(level)
-                node = child * C.size
-        return levels
-
-    def composite_blocks(self):
-        return self.composite_index().blocks.values()
-
-    def first_class_composites(self, member, flags):
-        """The kernel's answer, read off the numpy composite index: blocks
-        of up to 666 x 666 are too large to turn into Python rows."""
-        member = np.array(member, dtype=bool)
-        best = dict.fromkeys(flags)
-        for rows, cols, table in self.composite_blocks():
-            for flag in flags:
-                want_g, want_f, want_gf = kernels.COMPOSITE_PATTERNS[flag]
-                ri = np.flatnonzero(member[rows] == want_g)
-                ci = np.flatnonzero(member[cols] == want_f)
-                if not len(ri) or not len(ci):
-                    continue
-                step = max(1, _CHUNK // len(ci))
-                for lo in range(0, len(ri), step):
-                    r = ri[lo:lo + step]
-                    # rows ascend: a witness with a smaller g stops it
-                    if best[flag] is not None and best[flag][0] < rows[r[0]]:
-                        break
-                    hit = member[table[np.ix_(r, ci)]] == want_gf
-                    k = int(np.argmax(hit))
-                    if hit.flat[k]:
-                        i, j = divmod(k, len(ci))
-                        pair = (int(rows[r[i]]), int(cols[ci[j]]))
-                        if best[flag] is None or pair < best[flag]:
-                            best[flag] = pair
-                        break
-        return best
+        if key not in self._tries:
+            gens = generating_trace(A)[0]
+            root = [None] * C.size if gens else None
+            for k, h in enumerate(self.hom(A, C)):
+                node = root
+                for x in gens[:-1]:
+                    if node[h.images[x]] is None:
+                        node[h.images[x]] = [None] * C.size
+                    node = node[h.images[x]]
+                if gens:
+                    node[h.images[gens[-1]]] = k
+            self._tries[key] = root
+        return self._tries[key]
 
     def first_unstable_pullback(self, A, img, into):
         """Least (g, proj) among the morphisms g into the target of an
         A-member with image img whose pullback projection proj is not in A.
 
         ``into`` is walked one hom set hom(X, z) at a time (the roster may
-        grow during the scan), whose preimages of img are coded at once as
-        bitmasks.  Each distinct nonempty (X, preimage) is decided once, in
+        grow during the scan), whose preimages of img are read as flags per
+        element of X.  Each distinct nonempty (X, preimage) is decided once, in
         first-occurrence order, by its ``subalgebra_object`` projection and
         A's membership memo, so the subobjects are registered, and named,
         in the order of a hom-by-hom scan."""
         z = into[0].tgt
-        inside = np.zeros(z.size, dtype=bool)
-        inside[list(img)] = True
+        inside = [y in img for y in z.carrier]
         lo = 0
         while lo < len(into):
             X = into[lo].src
             homs = self.hom(X, z)
             lo += len(homs)
-            dtype = np.int64 if X.size < 63 else object
-            bits = np.array([1 << k for k in range(X.size)], dtype=dtype)
-            codes = inside[self.hom_images(X, z)].astype(dtype) @ bits
-            for code in dict.fromkeys(codes.tolist()):
-                if not code:
+            pres = [tuple(map(inside.__getitem__, h.images)) for h in homs]
+            for pre in dict.fromkeys(pres):
+                if not any(pre):
                     continue  # constant-free theories are outside the corpus
-                _, proj = self.subalgebra_object(X, code)
+                _, proj = self.subalgebra_object(X, sum(
+                    itertools.compress([1 << k for k in X.carrier], pre)))
                 if not A.contains(proj):
-                    return homs[int(np.flatnonzero(codes == code)[0])], proj
+                    return homs[pres.index(pre)], proj
         return None
 
     def identity(self, A):
@@ -1428,7 +1423,8 @@ class AlgCategory(CategoryBase):
         if table is None:
             gf = compose_homs(g, f)
             return gf if homs is None else homs[self._hom_pos[gf]]
-        return homs[table.item(self._hom_pos[g], self._hom_pos[f])]
+        n = len(self._hom_cache[b, C])
+        return homs[table[self._hom_pos[f] * n + self._hom_pos[g]]]
 
     def is_iso(self, m):
         # a bijective hom between finite algebras has a hom inverse
@@ -1441,18 +1437,15 @@ class AlgCategory(CategoryBase):
         return m.is_surjective()
 
     def is_section(self, f):
-        """Some r in hom(b, a) has r.f = id_a, read off all of hom(b, a)
-        at once from its image rows."""
-        R = self.hom_images(f.tgt, f.src)
-        fim = np.array(f.images, dtype=np.intp)
-        return bool((R[:, fim] == np.arange(f.src.size)).all(axis=1).any())
+        """Some r in hom(b, a) has r.f = id_a, read off image tuples."""
+        at = kernels.picker(f.images)
+        return any(at(r.images) == f.src.carrier
+                   for r in self.hom(f.tgt, f.src))
 
     def is_retraction(self, f):
-        """Some s in hom(b, a) has f.s = id_b, read off all of hom(b, a)
-        at once from its image rows."""
-        S = self.hom_images(f.tgt, f.src)
-        fim = np.array(f.images, dtype=np.intp)
-        return bool((fim[S] == np.arange(f.tgt.size)).all(axis=1).any())
+        """Some s in hom(b, a) has f.s = id_b, read off image tuples."""
+        return any(kernels.picker(s.images)(f.images) == f.tgt.carrier
+                   for s in self.hom(f.tgt, f.src))
 
     def iso_inverse(self, m):
         if not m.is_bijective():
@@ -1501,11 +1494,11 @@ class AlgCategory(CategoryBase):
                 f"pullback of ({f!r}, {g!r}) has size {len(codes)} > cap")
         R, iso = self._admit(
             _coded_algebra(self.theory, name, (f.src, g.src), codes))
-        apex = codes[list(iso.images)]
+        apex = [codes[i] for i in iso.images]
         n = g.src.size
         return AlgPullbackSquare(self, f, g, R,
-                                 AlgHom(R, f.src, (apex // n).tolist()),
-                                 AlgHom(R, g.src, (apex % n).tolist()), {})
+                                 AlgHom(R, f.src, [c // n for c in apex]),
+                                 AlgHom(R, g.src, [c % n for c in apex]), {})
 
     def _preimage_pullback(self, f, g):
         """When a leg m is injective (g when both are), the apex is the
@@ -1537,29 +1530,17 @@ class AlgCategory(CategoryBase):
 
 @dataclass
 class CompositeIndex:
-    """Every composite of an algebra ambient, as morphism indices.
-
-    ``blocks`` maps id(b), per roster object b in roster order, to
-    (rows, cols, table): the ascending indices in ``morphisms`` of the
-    homs out of and into b, and table[i, j], the index of
-    rows[i] . cols[j] (the composite-index protocol of ``CategoryBase``).
-    """
+    """An algebra ambient's morphisms as indices: ``spans`` maps (id A,
+    id C) to the range of indices of hom(A, C), so hom(A, C)[k], and a
+    composite table's position k in hom(A, C), is
+    morphisms[spans[id A, id C][k]]."""
 
     morphisms: tuple
-    position: dict  # hom -> its index in morphisms
-    blocks: dict
+    spans: dict
 
 
-# Composites of one hom-set triple read at once: the temporaries stay
-# under a MB on the largest triple.
-_TABLE_CHUNK = 1 << 15
-
-# Index entries ``first_class_composites`` gathers at once: its masks stay
-# well under a MB on the 666 x 666 block of the grown ambient.
-_CHUNK = 1 << 14
-
-# Most table entries (composable pairs) one composite index may hold: 64 MB
-# at int32 indices.  The 8-object ambient of the CLI needs about 0.5M.
+# Most table entries (composable pairs) one composite index may hold: 16M
+# entries.  The 8-object ambient of the CLI needs about 0.5M.
 _INDEX_BUDGET = 1 << 24
 
 

@@ -25,8 +25,8 @@ from .coverage import ClosedFamilyCoverage, DiagramTypeFailure, \
     decide_tau_compact
 from .fincat import FinCategory, category_from_json, classify_morphism, \
     validate_category
-from .instances import FiniteTopCorpus, corpus_entry, corpus_names, \
-    standard_corpus
+from .instances import AMBIENT_FIXTURES, FiniteTopCorpus, corpus_entry, \
+    corpus_names
 from .morphclass import MorphismClass, builtin_class, \
     check_class_properties, check_factorization_system, check_regular
 from .protomod import check_protomodularity_equivalent, \
@@ -614,8 +614,9 @@ def main(argv=None):
 
 
 def export_corpus(outdir):
-    """Write each explicit corpus fixture and a manifest to outdir; an
-    output directory that cannot be made or written is an input error."""
+    """Write each explicit corpus fixture and a manifest to outdir, building
+    no algebra ambient; an output directory that cannot be made or written
+    is an input error."""
     import os
 
     def write(name, obj):
@@ -624,12 +625,11 @@ def export_corpus(outdir):
 
     try:
         os.makedirs(outdir, exist_ok=True)
-        corpus = standard_corpus()
         manifest = {"schema": rp.SCHEMA_VERSION, "fixtures": {}}
-        for nm in corpus.names():
-            entry = corpus[nm]
-            if not isinstance(entry.category, FinCategory):
-                continue  # ambient handles are constructed, not serialized
+        for nm in corpus_names():
+            if nm in AMBIENT_FIXTURES:
+                continue
+            entry = corpus_entry(nm)
             write(f"{nm}.json", {
                 "category": entry.category.to_json(),
                 "classes": [entry.classes[k].to_json()

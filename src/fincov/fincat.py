@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import weakref
 from array import array
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -165,18 +166,21 @@ class CategoryBase:
         return tuple(m for m in self.morphisms() if self.src(m) == o)
 
     def composite_blocks(self):
-        """The composite index: per object b, (rows, cols, table) with rows
-        and cols the ascending ``morphisms()`` indices of the morphisms out
-        of and into b, and table[i][j] the index of rows[i] . cols[j].
+        """The composite index: blocks (rows, cols, targets, table) that
+        cover every composable pair once, with rows and cols ascending
+        ``morphisms()`` indices, targets a range of them and
+        targets[table[i][j]] the index of rows[i] . cols[j], each table
+        row computed when it is read.
 
-        Generic path: composes every pair.  Explicit categories and
-        algebra ambients read the index from their own tables.
+        Generic path: one block per object b, composing every pair out of
+        and into b.  Explicit categories and algebra ambients read the
+        index from their own tables.
         """
         pos = {m: i for i, m in enumerate(self.morphisms())}
         for b in self.objects():
             gs, fs = self.morphisms_from(b), self.morphisms_into(b)
-            yield ([pos[g] for g in gs], [pos[f] for f in fs],
-                   [[pos[self.compose(g, f)] for f in fs] for g in gs])
+            yield ([pos[g] for g in gs], [pos[f] for f in fs], range(len(pos)),
+                   ([pos[self.compose(g, f)] for f in fs] for g in gs))
 
     def first_class_composites(self, member, flags):
         """``kernels.first_class_composites`` over ``composite_blocks``,
@@ -385,11 +389,11 @@ class FinCategory(CategoryBase):
         return self._from[o]
 
     def composite_blocks(self):
-        # computed block by block from the rows, never kept
-        comp = self._comp
+        # computed row by row from the rows, never kept
+        targets = range(len(self._comp))
         for rows, cols in zip(self._out_idx, self._into_idx):
-            yield rows, cols, [list(map(comp[g].__getitem__, cols))
-                               for g in rows]
+            yield rows, cols, targets, map(kernels.picker(cols),
+                                           map(self._comp.__getitem__, rows))
 
     # -- kernel-backed flags ---------------------------------------------------
 
@@ -596,14 +600,14 @@ def _coequalizes_universally(C, p1, p2, e):
         return bool(ok)
     if C.compose(e, p1) != C.compose(e, p2):
         return False
-    # every d out of b with d.p1 = d.p2 is h.e for exactly one h, read off
-    # whole hom sets hom(b, c) and hom(w, c) at once from their image rows
+    # every d out of b with d.p1 = d.p2 is h.e for exactly one h: count
+    # the image tuples of the h.e, h in hom(w, c), per target c
     b, w = C.tgt(p1), C.tgt(e)
+    at, at1, at2 = (kernels.picker(m.images) for m in (e, p1, p2))
     for c in C.objects():
-        D = C.hom_images(b, c)
-        D = D[(D[:, list(p1.images)] == D[:, list(p2.images)]).all(axis=1)]
-        HE = C.hom_images(w, c)[:, list(e.images)]
-        if ((D[:, None] == HE[None]).all(axis=2).sum(axis=1) != 1).any():
+        he = Counter(at(h.images) for h in C.hom(w, c))
+        if any(he[d.images] != 1 and at1(d.images) == at2(d.images)
+               for d in C.hom(b, c)):
             return False
     return True
 

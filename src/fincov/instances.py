@@ -882,14 +882,17 @@ def _fixture_builders(max_top_points, group_cap, monoid_cap):
         "sub_Z8": partial(_subgroup_fixture, 8, "sub_Z8"),
         "sub_Z4": partial(_subgroup_fixture, 4, "sub_Z4"),
         "finite_top": partial(_finite_top_fixture, max_top_points),
-        "groups_ambient": partial(_ambient_fixture, group_theory, group_cap,
-                                  groups_upto),
-        "abelian_ambient": partial(_ambient_fixture, group_theory,
-                                   group_cap, abelian_groups_upto),
-        "monoids_ambient": partial(_ambient_fixture, monoid_theory,
-                                   monoid_cap, monoids_upto),
     })
+    caps = {group_theory: group_cap, monoid_theory: monoid_cap}
+    builders.update({name: partial(_ambient_fixture, th, caps[th], roster)
+                     for name, (th, roster) in AMBIENT_FIXTURES.items()})
     return builders
+
+
+# The algebra-ambient fixtures, name -> (theory, roster): no table to export
+AMBIENT_FIXTURES = {"groups_ambient": (group_theory, groups_upto),
+                    "abelian_ambient": (group_theory, abelian_groups_upto),
+                    "monoids_ambient": (monoid_theory, monoids_upto)}
 
 
 # (name, max_top_points, group_cap, monoid_cap) -> CorpusEntry

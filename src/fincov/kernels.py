@@ -3,29 +3,23 @@ category's Python rows: ``comp[g][f]`` is the index of g.f, or -1 where
 the pair does not compose; ``src`` and ``tgt`` are index lists,
 ``homs[a * nobj + b]`` is the ascending index tuple of hom(a, b), and
 ``into[a]`` and ``out[a]`` list the morphisms into and out of object a
-in ascending order.  Witnesses are always the lexicographically least in
-the documented loop order; the tests check them witness for witness
-against the reference loops in ``tests/oracles.py``.
+in ascending order.  ``first_class_composites`` reads composite-index
+blocks, of explicit categories and of the algebra ambient alike.
+Witnesses are always the lexicographically least in the documented loop
+order; the tests check them witness for witness against the reference
+loops in ``tests/oracles.py``.
 """
 
+import itertools
 from array import array
 from operator import itemgetter
 
 
-class LazyNumpy:
-    """numpy, bound on first use: the algebra modules set their global
-    ``np = LazyNumpy(globals())``, and the first ``np.x`` imports numpy and
-    rebinds that global to it, so later reads are plain global lookups.
-    Explicit categories never read ``np``, so their processes load no
-    numpy."""
-
-    def __init__(self, namespace):
-        self._namespace = namespace
-
-    def __getattr__(self, name):
-        import numpy
-        self._namespace["np"] = numpy
-        return getattr(numpy, name)
+def picker(idx):
+    """row -> the tuple of row[i] for i in idx, gathered at C speed."""
+    if len(idx) == 1:
+        return lambda row: (row[idx[0]],)
+    return itemgetter(*idx) if idx else lambda row: ()
 
 
 def table_typecode(n):
@@ -39,18 +33,17 @@ def first_composability_violation(comp, src, tgt, into):
     one, or has wrong endpoints.  Returns (g, f, code) or None.
 
     Row g must be defined exactly on into[src g]: its -1 count and its
-    entries there settle that at C speed (``array.count``, ``itemgetter``)
+    entries there settle that at C speed (``array.count``, ``picker``)
     before the ends are read.  A failing row is rescanned in f order.
     """
     n = len(comp)
-    # fs[0] is read twice, so a getter returns a tuple even for one entry
-    picks = [itemgetter(fs[0], *fs) for fs in into]
+    picks = list(map(picker, into))
     srcs = [p(src) for p in picks]
     for g, row in enumerate(comp):
         a, b = src[g], tgt[g]
         vals = picks[a](row)
         if row.count(-1) == n - len(into[a]) and min(vals) >= 0:
-            ends = itemgetter(*vals)
+            ends = picker(vals)
             if ends(src) == srcs[a] and ends(tgt).count(b) == len(vals):
                 continue
         for f, gf in enumerate(row):
@@ -118,10 +111,10 @@ def first_assoc_violation(comp, src, tgt, into, out):
     not assumed.  Each (g, h) is checked for all f at once; only a broken
     table reaches the ordered scan (f, g out of tgt f, h out of tgt g).
     """
-    picks = [itemgetter(fs[0], *fs) for fs in into]
+    picks = list(map(picker, into))
     for g in light_generators(comp, src, tgt, len(into)):
         right = picks[src[g]]
-        left = itemgetter(*right(comp[g]))
+        left = picker(right(comp[g]))
         if any(left(hrow) != right(comp[hrow[g]])
                for hrow in map(comp.__getitem__, out[tgt[g]])):
             return next(((f, g, h) for f, b in enumerate(tgt)
@@ -147,7 +140,7 @@ def mono_epi_flags(comp, src, tgt, homs, nobj):
     for o in range(nobj):
         out = [m for k in range(o * nobj, o * nobj + nobj) for m in homs[k]]
         into = [m for k in range(o, nobj * nobj, nobj) for m in homs[k]]
-        block = [list(map(comp[g].__getitem__, into)) for g in out]
+        block = list(map(picker(into), map(comp.__getitem__, out)))
         for g, row in zip(out, block):
             mono[g] = len(set(row)) == len(row)
         for f, col in zip(into, zip(*block)):
@@ -164,31 +157,41 @@ COMPOSITE_PATTERNS = {"system": (True, True, False),
 def first_class_composites(blocks, member, flags):
     """Least composable (g, f) refuting each flag of a morphism class.
 
-    ``blocks`` is a composite index: per middle object, (rows, cols,
-    table) with rows and cols the ascending indices of the morphisms out
-    of and into it, and table[i][j] the index of rows[i] . cols[j].
-    ``member`` is the class's membership flag per morphism.  A flag is
-    refuted by a pair matching its pattern: "system" by g, f in A with
-    g.f not, "left_cancelable" by g, g.f in A with f not, and
-    "right_cancelable" by f, g.f in A with g not.  Returns {flag: (g, f)
-    or None}, the least (g, f) in index order.
+    ``blocks`` is a composite index: (rows, cols, targets, table) per
+    block of composable pairs, the blocks covering each pair once, with
+    rows and cols ascending morphism indices, targets a range of them and
+    targets[table[i][j]] the index of rows[i] . cols[j].  Blocks and
+    tables may be iterators: each block is read once, and its table rows
+    in order, only as far as some flag still needs one.  ``member`` is
+    the class's membership flag per morphism.  A flag is refuted by a
+    pair matching its pattern: "system" by g, f in A with g.f not,
+    "left_cancelable" by g, g.f in A with f not, and "right_cancelable"
+    by f, g.f in A with g not.  Returns {flag: (g, f) or None}, the least
+    (g, f) in index order.
     """
     best = dict.fromkeys(flags)
-    for rows, cols, table in blocks:
+    hits = {}  # (targets, v): the positions in targets whose membership is v
+    for rows, cols, targets, table in blocks:
+        table, read = iter(table), []
         for flag in flags:
             want_g, want_f, want_gf = COMPOSITE_PATTERNS[flag]
             ci = [j for j, f in enumerate(cols) if member[f] == want_f]
             if not ci:
                 continue
-            for g, trow in zip(rows, table):
+            if (targets, want_gf) not in hits:
+                hits[targets, want_gf] = {t for t, k in enumerate(targets)
+                                          if member[k] == want_gf}
+            hit, pick = hits[targets, want_gf], picker(ci)
+            for i, g in enumerate(rows):
                 # rows ascend, so a known witness with a smaller g stops it
                 if best[flag] is not None and best[flag][0] < g:
                     break
                 if member[g] != want_g:
                     continue
-                j = next((j for j in ci if member[trow[j]] == want_gf), None)
-                if j is None:
+                read += itertools.islice(table, max(0, i + 1 - len(read)))
+                if hit.isdisjoint(pick(read[i])):
                     continue
+                j = next(j for j in ci if read[i][j] in hit)
                 pair = (g, cols[j])
                 if best[flag] is None or pair < best[flag]:
                     best[flag] = pair

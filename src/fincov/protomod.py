@@ -10,9 +10,8 @@ let in.  Enumeration is (e, beta, theta)-lexicographic with canonical
 pullback choices, so the reported counterexample is deterministic.  For
 on-demand algebra ambients every form takes the scan anchored at the
 initial object (the equivalent form with I replaced by 0) and the verdict
-is "no violation within the size cap" rather than a proof.  Only that
-ambient scan reads numpy, and ``np`` is bound on its first use
-(``kernels.LazyNumpy``), so scans of explicit categories load none.
+is "no violation within the size cap" rather than a proof; that scan
+reads e.beta off the ambient's kept composite tables.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ from dataclasses import dataclass
 
 from .fincat import PullbackSquare, derived_memo, mor_key, try_pullback, \
     verify_pullback_square
-from .kernels import LazyNumpy
 from .morphclass import MorphismClass, _factor_search, builtin_class, \
     is_stably_extremal
-
-np = LazyNumpy(globals())
 
 
 class InternalConsistencyError(AssertionError):
@@ -242,91 +238,97 @@ def _check_ambient(C, E, M, form):
     value t of theta, beta maps {z : e(beta z) = t} bijectively onto
     {y : e(y) = t}.
 
-    e.beta is read from the composite index.  The candidate betas into
-    each b (non-bijective M-members) are listed once, before the scan
-    over e, with their image rows; all candidates that pass for one e
-    are decided at once.  ``morphisms()`` and ``morphisms_into`` are in
-    ``mor_key`` order on an ambient, so the scan is too.  Raises
-    ValueError when E is not closed under composition with isos, which
-    the reduction of the definition form needs.
+    e.beta is read off the composite table of its hom-set triple.  The
+    candidate betas into each b (non-bijective M-members) are listed
+    once, before the scan over e, per source with their positions in its
+    hom set.  ``morphisms()`` and ``morphisms_into`` are in ``mor_key``
+    order on an ambient, so the scan is too.  Raises ValueError when E is not closed under
+    composition with isos, which the reduction of the definition form
+    needs.
     """
     I0 = C.initial()
     if I0 is None:
         raise ValueError("ambient protomodularity scan needs an initial object")
     index = C.composite_index()
     ms = index.morphisms
-    in_E = np.fromiter((E.contains(m) for m in ms), dtype=bool,
-                       count=len(ms))
-    if not _closed_under_isos(C, E, index, in_E):
+    in_E = list(map(E.contains, ms))
+    if not _closed_under_isos(C, E):
         raise ValueError("ambient scan needs an iso-saturated E")
-    # per b: the candidate betas into b, their columns in b's block, and
-    # their image rows, padded with |b| to the widest source
-    width = max((A.size for A in C.objects()), default=0)
-    candidates = {}
-    for b in C.objects():
-        into = C.morphisms_into(b)
-        cols = [j for j, beta in enumerate(into)
-                if M.contains(beta) and not beta.is_bijective()]
-        images = np.full((len(into), width), b.size, dtype=np.intp)
-        lo = 0
-        for A in C.objects():
-            rows = C.hom_images(A, b)
-            images[lo:lo + len(rows), :A.size] = rows
-            lo += len(rows)
-        candidates[id(b)] = ([into[j] for j in cols],
-                             np.array(cols, dtype=np.intp), images[cols])
+    # per b and source A: the candidate betas in hom(A, b) with their
+    # positions there
+    candidates = {id(b): [(A, [(j, beta) for j, beta in enumerate(C.hom(A, b))
+                               if M.contains(beta)
+                               and not beta.is_bijective()])
+                          for A in C.objects()] for b in C.objects()}
     scope = f"within size cap {C.size_cap}"
     count = 0
     for e in itertools.compress(ms, in_E):
-        b, c = e.src, e.tgt
-        rows, _, table = index.blocks[id(b)]
-        betas, cols, images = candidates[id(b)]
-        ebs = table[index.position[e] - rows[0], cols]
         # the definition form asks for an iso gamma with gamma^-1.e.beta in
         # E; E is iso-saturated here, so that reduces to e.beta in E
-        passing = np.flatnonzero(in_E[ebs])
-        if not len(passing):
+        passing = []
+        for A, betas in candidates[id(e.src)]:
+            if betas:
+                col = C.composites(A, e)
+                span = index.spans[id(A), id(e.tgt)]
+                passing += [(span[col[j]], beta) for j, beta in betas
+                            if in_E[span[col[j]]]]
+        if not passing:
             continue
-        theta = C.hom(I0, c)[0]
-        beta_z = images[passing]
-        # e(beta z) per candidate and z, -1 past the end of src(beta)
-        e_beta_z = np.array(e.images + (-1,), dtype=np.intp)[beta_z]
-        kernel_iso = np.ones(len(passing), dtype=bool)
-        for t in set(theta.images):
-            size = e.images.count(t)
-            hit = e_beta_z == t
-            onto = np.zeros((len(passing), b.size + 1), dtype=bool)
-            onto[np.nonzero(hit)[0], beta_z[hit]] = True
-            kernel_iso &= (hit.sum(axis=1) == size) \
-                & (onto.sum(axis=1) == size)
-        k = int(np.argmax(kernel_iso))
-        if kernel_iso[k]:
-            count += k + 1
-            beta, eb = betas[passing[k]], ms[ebs[passing[k]]]
-            diag = ProtoDiagram(
-                e=e, theta=theta, m=None, p=None, beta=beta,
-                gamma=None, e_prime=eb, m_prime=None, alpha=None,
-                apex=f"ker({mor_key(e)})",
-                apex_prime=f"ker({mor_key(eb)})")
-            return ProtoReport(False, diag, count, False, scope=scope,
-                               form=form)
+        theta = C.hom(I0, e.tgt)[0]
+        fibres = [(t, e.images.count(t)) for t in set(theta.images)]
+        for k, (eb, beta) in enumerate(passing):
+            for t, size in fibres:
+                onto = [y for y in beta.images if e.images[y] == t]
+                if len(onto) != size or len(set(onto)) != size:
+                    break
+            else:
+                count += k + 1
+                diag = ProtoDiagram(
+                    e=e, theta=theta, m=None, p=None, beta=beta,
+                    gamma=None, e_prime=ms[eb], m_prime=None, alpha=None,
+                    apex=f"ker({mor_key(e)})",
+                    apex_prime=f"ker({mor_key(ms[eb])})")
+                return ProtoReport(False, diag, count, False, scope=scope,
+                                   form=form)
         count += len(passing)
     return ProtoReport(True, None, count, False, scope=scope, form=form)
 
 
-def _closed_under_isos(C, E, index, in_E):
-    """Whether iso . e and e . iso lie in E for every member e of E (in_E,
-    over the composite index's morphisms); decided once per roster."""
+def _closed_under_isos(C, E):
+    """Whether iso . e and e . iso lie in E for every member e of E;
+    decided once per roster.
+
+    Roster objects are pairwise non-isomorphic, so the isos are the
+    automorphisms, and each is a product of ``_aut_generators``: E is
+    closed under them when it is closed under the generators."""
     memo = derived_memo(C, "class_facts", E)
     hit = memo.get("closed_under_isos")
     if hit is None:
-        ms = index.morphisms
-        iso = np.fromiter(map(C.is_iso, ms), dtype=bool, count=len(ms))
+        gens = {id(b): _aut_generators(C, b) for b in C.objects()}
+        members = E.member_list()
         hit = memo["closed_under_isos"] = all(
-            in_E[table[np.ix_(iso[rows], in_E[cols])]].all()
-            and in_E[table[np.ix_(in_E[rows], iso[cols])]].all()
-            for rows, cols, table in index.blocks.values())
+            E.contains(C.compose(a, e)) for e in members
+            for a in gens[id(e.tgt)]) and all(
+            E.contains(C.compose(e, a)) for e in members
+            for a in gens[id(e.src)])
     return hit
+
+
+def _aut_generators(C, b):
+    """Automorphisms of b that generate them all, picked in hom order."""
+    gens, group = [], {b.carrier}
+    for a in C.hom(b, b):
+        if a.is_bijective() and a.images not in group:
+            gens.append(a)
+            todo = list(group)
+            while todo:
+                x = todo.pop()
+                for g in gens:
+                    y = tuple(x[i] for i in g.images)
+                    if y not in group:
+                        group.add(y)
+                        todo.append(y)
+    return gens
 
 
 def cross_validate_protomodularity(C, E, M):

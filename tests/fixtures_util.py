@@ -1,6 +1,7 @@
 """Shared test fixtures: concrete-function categories closed under
-composition, the hand-built non-regular category, and the abelian-groups
-ambient grown by products."""
+composition, the hand-built non-regular category, the abelian-groups
+ambient grown by products, and the composites that composite-index
+blocks list."""
 
 from fincov.fincat import FinCategory, validate_category
 
@@ -98,3 +99,23 @@ def grow_ambient(amb, pair):
 
 
 FULL_GROWTH = (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4"))
+
+
+def composite_pairs(blocks):
+    """Every composable (g, f) -> the index of g.f, read off
+    composite-index blocks (rows, cols, targets, table), which must cover
+    each pair once."""
+    out = {}
+    for rows, cols, targets, table in blocks:
+        for g, trow in zip(rows, table):
+            for f, t in zip(cols, trow):
+                assert (g, f) not in out
+                out[g, f] = targets[t]
+    return out
+
+
+def numpy_pairs(index):
+    """``composite_pairs`` of the numpy oracle's index."""
+    return composite_pairs((rows.tolist(), cols.tolist(),
+                            range(len(index.morphisms)), table.tolist())
+                           for rows, cols, table in index.blocks.values())

@@ -28,10 +28,15 @@ covering with nothing kept between coverings, and the three
 protomodularity forms on explicit categories as one loop each.  Then
 class members are listed and extremality decided with nothing kept
 between calls.  Then algebra hom sets are enumerated and isomorphisms
-searched one generator assignment at a time.  The last section builds
-the operation tables of derived algebras (pair pullbacks, subalgebras,
-quotients) one entry at a time.
+searched one generator assignment at a time, and again as numpy grids.
+Then the operation tables of derived algebras (pair pullbacks,
+subalgebras, quotients) are built one entry at a time.  The last section
+rebuilds the algebra ambient's composite index with numpy and runs the
+anchored protomodularity scan over it.  Of the tests, only this module
+imports numpy.
 """
+
+from collections import namedtuple
 
 from fincov.fincat import mor_key, try_pullback
 from fincov.protomod import ProtoDiagram, ProtoReport
@@ -1074,11 +1079,8 @@ def enumerate_homs(A, B):
 
 
 def hom_rows(A, B):
-    """``enumerate_homs`` as an int64 array of image rows."""
-    import numpy as np
-    homs = enumerate_homs(A, B)
-    return np.array([h.images for h in homs],
-                    dtype=np.int64).reshape(len(homs), A.size)
+    """The image tuples of ``enumerate_homs``."""
+    return [h.images for h in enumerate_homs(A, B)]
 
 
 def element_profile(A):
@@ -1139,6 +1141,116 @@ def coequalizes_universally(C, p1, p2, e):
                 for h in C.hom(C.tgt(e), C.tgt(d))) != 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# algebra hom sets and isomorphisms, as numpy grids
+# ---------------------------------------------------------------------------
+# The whole generator-assignment grid is replayed at once: one image row
+# per assignment, every operation checked over all argument tuples of
+# every row, and the element profile refined as array rows.  The numpy
+# references for ``algkit.hom_rows``, ``_element_profile`` and
+# ``find_isomorphism``; they share only ``generating_trace`` and the flat
+# ``op_tables()`` with the package.
+
+
+def numpy_op_tables(A):
+    """Per symbol (args, values, table): every argument tuple as one index
+    array per position, the values there, and the table as an array with
+    one axis per argument."""
+    import numpy as np
+    out = {}
+    for s, a in A.theory.symbols:
+        table = np.array(A.op_tables()[s],
+                         dtype=np.intp).reshape((A.size,) * a)
+        args = tuple(np.indices(table.shape).reshape(table.ndim, table.size))
+        out[s] = (args, table[args], table)
+    return out
+
+
+def numpy_replay_grid(A, B, choices):
+    """(images, valid) over the grid ``itertools.product(*choices)``: one
+    row of A's images per assignment of the generators, replayed along
+    the generating trace, and whether the row commutes with every
+    operation."""
+    import numpy as np
+
+    from fincov.algkit import generating_trace
+    _, trace = generating_trace(A)
+    shape = tuple(len(c) for c in choices)
+    n = int(np.prod(shape, dtype=np.int64))
+    choices = [np.asarray(c, dtype=np.intp) for c in choices]
+    src, tgt = numpy_op_tables(A), numpy_op_tables(B)
+    digits = np.unravel_index(np.arange(n), shape) if shape else ()
+    img = np.empty((n, A.size), dtype=np.intp)
+    for entry in trace:
+        if entry[0] == "const":
+            img[:, entry[2]] = tgt[entry[1]][2]
+        elif entry[0] == "gen":
+            img[:, entry[2]] = choices[entry[1]][digits[entry[1]]]
+        else:
+            _, s, args, v = entry
+            img[:, v] = tgt[s][2][tuple(img[:, x] for x in args)]
+    valid = np.ones(n, dtype=bool)
+    for s, (args, values, _) in src.items():
+        rhs = tgt[s][2][tuple(img[:, x] for x in args)]
+        valid &= (img[:, values] == rhs).reshape(n, -1).all(axis=1)
+    return img, valid
+
+
+def numpy_hom_rows(A, B):
+    """The image tuples of all homs A -> B, read off the whole grid."""
+    from fincov.algkit import generating_trace
+    img, valid = numpy_replay_grid(
+        A, B, [B.carrier] * len(generating_trace(A)[0]))
+    return list(map(tuple, img[valid].tolist()))
+
+
+def numpy_element_profile(A):
+    """Three rounds of colour refinement with the signatures as rows of
+    one array: colour, then per symbol the constant flag, the unary
+    image's colour, or the sorted colours of the binary row and column."""
+    import numpy as np
+    n = A.size
+    colors = np.zeros(n, dtype=np.intp)
+    tables = numpy_op_tables(A)
+    for _ in range(3 if n else 0):
+        sig = [colors[:, None]]
+        for s, a in A.theory.symbols:
+            table = tables[s][2]
+            if a == 0:
+                sig.append(np.arange(n)[:, None] == table)
+            elif a == 1:
+                sig.append(colors[table][:, None])
+            elif a == 2:
+                sig.append(np.sort(colors[table], axis=1))
+                sig.append(np.sort(colors[table.T], axis=1))
+        rows = list(map(tuple, np.concatenate(sig, axis=1,
+                                              dtype=np.intp).tolist()))
+        rank = {r: i for i, r in enumerate(sorted(set(rows)))}
+        colors = np.array([rank[r] for r in rows], dtype=np.intp)
+    return tuple(colors.tolist())
+
+
+def numpy_find_isomorphism(A, B):
+    """The image tuple of the first bijective row of the grid of
+    same-colour generator choices, or None."""
+    import numpy as np
+
+    from fincov.algkit import generating_trace
+    if A.size != B.size:
+        return None
+    ca, cb = numpy_element_profile(A), numpy_element_profile(B)
+    if sorted(ca) != sorted(cb):
+        return None
+    by_color = {}
+    for y in B.carrier:
+        by_color.setdefault(cb[y], []).append(y)
+    img, valid = numpy_replay_grid(A, B, [by_color.get(ca[g], ())
+                                          for g in generating_trace(A)[0]])
+    valid &= (np.sort(img, axis=1) == np.arange(A.size)).all(axis=1)
+    hit = np.flatnonzero(valid)
+    return tuple(img[hit[0]].tolist()) if len(hit) else None
 
 
 # ---------------------------------------------------------------------------
@@ -1209,15 +1321,17 @@ def build_composite_index(C):
     ``morphisms()``, so ``searchsorted`` finds a composite's index from its
     code.  The code of g.f is sum_y g(y) W[f, y], where W[f, y] sums the
     weights of the k with f(k) = y.  Python ints (object dtype) code past
-    int64; rows are coded a chunk at a time."""
+    int64; rows are coded a chunk at a time.  Returns (morphisms,
+    position, blocks), blocks mapping id(b) to (rows, cols, table) arrays:
+    the indices of the homs out of and into b, and table[i, j] the index
+    of rows[i] . cols[j]."""
     import numpy as np
 
     from fincov import kernels
-    from fincov.algkit import CompositeIndex
     roster = C.objects()
     ms = C.morphisms()
     if not roster:
-        return CompositeIndex(ms, {}, {})
+        return NumpyIndex(ms, {}, {})
     r = len(roster)
     pos = {id(A): i for i, A in enumerate(roster)}
     base = max(A.size for A in roster)
@@ -1230,7 +1344,10 @@ def build_composite_index(C):
     n = 0
     for A in roster:
         for B in roster:
-            img = images[id(A), id(B)] = C.hom_images(A, B)
+            homs = C.hom(A, B)
+            img = images[id(A), id(B)] = np.array(
+                [h.images for h in homs],
+                dtype=np.int64).reshape(len(homs), A.size)
             offset[id(A), id(B)] = n
             n += len(img)
             codes.append((pos[id(A)] * r + pos[id(B)]) * span
@@ -1264,7 +1381,10 @@ def build_composite_index(C):
                     + col_code[None, :])
             table[lo:lo + step] = np.searchsorted(codes, code)
         blocks[id(b)] = (rows, cols, table)
-    return CompositeIndex(ms, {m: i for i, m in enumerate(ms)}, blocks)
+    return NumpyIndex(ms, {m: i for i, m in enumerate(ms)}, blocks)
+
+
+NumpyIndex = namedtuple("NumpyIndex", "morphisms position blocks")
 
 
 def check_ambient(C, E, M, form, index=None):

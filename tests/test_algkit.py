@@ -348,13 +348,14 @@ def _one_entry_changed(A, rng, per_symbol=3):
     element."""
     out = []
     for s, a in A.theory.symbols:
-        table = A.op_tables()[s][2]
         for _ in range(per_symbol if A.size > 1 else 0):
-            t = table.copy()
+            t = list(A.op_tables()[s])
             at = tuple(rng.randrange(A.size) for _ in range(a))
-            t[at] = (t[at] + rng.randrange(1, A.size)) % A.size
-            out.append(FinAlgebra(A.theory, f"{A.name}~{s}{at}", A.size,
-                                  {**A.ops, s: t.tolist()}))
+            k = sum(x * A.size ** (a - 1 - i) for i, x in enumerate(at))
+            t[k] = (t[k] + rng.randrange(1, A.size)) % A.size
+            out.append(FinAlgebra.from_tables(
+                A.theory, f"{A.name}~{s}{at}", A.size,
+                {**A.op_tables(), s: tuple(t)}))
     return out
 
 
@@ -434,6 +435,6 @@ def test_term_grid_raises_eval_term_errors():
             eval_term(Z4, term, {"y": 0})
         with pytest.raises(ValueError, match=message):
             term_grid(Z4, term, ("y",))
-    assert term_grid(Z4, ("mul", ("x",), ("y",)), ("x", "y")).tolist() == \
-        [[eval_term(Z4, ("mul", ("x",), ("y",)), {"x": a, "y": b})
-          for b in range(4)] for a in range(4)]
+    assert term_grid(Z4, ("mul", ("x",), ("y",)), ("x", "y")) == \
+        [eval_term(Z4, ("mul", ("x",), ("y",)), {"x": a, "y": b})
+         for a in range(4) for b in range(4)]

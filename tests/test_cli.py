@@ -312,6 +312,45 @@ def test_export_corpus(tmp_path, capsys):
     assert "category" in body and "classes" in body
 
 
+# sha256 prefix of each file export-corpus wrote while it built every
+# corpus fixture, the algebra ambients included
+EXPORTED = {
+    "diamond.json": "40332c0b6b288229", "finite_top.json": "10aa76f27e006e41",
+    "group_cat_D4.json": "bbe5493789a9a5e1",
+    "group_cat_Q8.json": "d2a1121af390915f",
+    "group_cat_V4.json": "0ec1885ee0f55890",
+    "group_cat_Z2.json": "a8be54d9829f3e0f",
+    "group_cat_Z2^3.json": "c6527b6634a0d25e",
+    "group_cat_Z4.json": "4480de82680a3738",
+    "group_cat_Z4xZ2.json": "309dcdffe3a512e0",
+    "group_cat_Z8.json": "dc15d1c615a70205",
+    "manifest.json": "f559bbdbe02f69b1",
+    "poset_2chain.json": "e9c082297c9e9cd8",
+    "poset_3chain.json": "3ead145d4f7cc578",
+    "poset_4chain.json": "c89cfef10dd6b952",
+    "set_skeleton_2.json": "6a13ed4aa4697585",
+    "set_skeleton_3.json": "919bd4d20e8d6bc1",
+    "sub_Z4.json": "8d1fb854902c06e2", "sub_Z8.json": "7c79f50905fe9c5e",
+}
+
+
+def test_export_corpus_builds_no_ambient(tmp_path, monkeypatch, capsys):
+    """export-corpus writes the 17 explicit fixtures and the manifest with
+    the bytes it wrote while it built the whole corpus, and builds no
+    algebra ambient: it succeeds from an empty fixture cache with the
+    ambient constructor patched to raise."""
+    import fincov.algkit as algkit
+
+    def no_ambient(*args):
+        raise AssertionError("export-corpus built an algebra ambient")
+    monkeypatch.setattr(instances, "_corpus_cache", {})
+    monkeypatch.setattr(instances, "build_finalg_category", no_ambient)
+    monkeypatch.setattr(algkit, "build_finalg_category", no_ambient)
+    assert main(["export-corpus", str(tmp_path)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            for path in tmp_path.iterdir()} == EXPORTED
+
+
 def test_export_corpus_unusable_outdir_is_input_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -459,17 +498,16 @@ def test_malformed_algebra_input_exit_code(tmp_path, capsys):
                  "A>A:01"]) == 0
 
 
-def _run_fresh(argv, first=""):
-    """cli.main(argv) in a fresh interpreter that runs ``first`` before
-    importing fincov; returns (exit code, stdout before the last line,
-    whether numpy is in sys.modules at the end)."""
+def _run_fresh(argv):
+    """cli.main(argv) in a fresh interpreter; returns (exit code, stdout
+    before the last line, whether numpy is in sys.modules at the end)."""
     import os
     import subprocess
     from pathlib import Path
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = (f"import sys\n{first}\n"
+    script = ("import sys\n"
               "from fincov.cli import main\n"
               f"code = main({argv!r})\n"
               "loaded = 'numpy' in sys.modules\n"
@@ -492,8 +530,8 @@ def _run_fresh(argv, first=""):
 ], ids=["compact", "validate-file", "suite", "classify"])
 def test_explicit_commands_do_not_import_numpy(expected, argv, tmp_path,
                                                capsys):
-    """Explicit categories keep Python rows, and algkit and protomod bind
-    numpy on first use, so an explicit-category process loads none."""
+    """Explicit categories keep Python rows, so an explicit-category
+    process loads no numpy."""
     if "EXPORTED" in argv:
         assert main(["export-corpus", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -503,15 +541,53 @@ def test_explicit_commands_do_not_import_numpy(expected, argv, tmp_path,
     assert (code, loaded) == (expected, False)
 
 
-def test_ambient_command_binds_numpy_on_first_use():
-    """An algebra-ambient command loads numpy on demand and prints the same
-    bytes as a process that imported numpy before fincov."""
-    argv = ["check", "classify", "--input", "corpus:abelian_ambient",
-            "--format", "json"]
-    lazy = _run_fresh(argv)
-    eager = _run_fresh(argv, first="import numpy")
-    assert lazy[0] == 0 and lazy[2]
-    assert lazy == eager
+@pytest.mark.parametrize("digest, argv", [
+    ("b6f9fa59fed52c0f", ["check", "classify", "--input",
+                          "corpus:abelian_ambient"]),
+    ("6a2f367999d27eb3", ["check", "protomodularity", "--input",
+                          "corpus:groups_ambient", "--classes",
+                          "E=surjections,M=all"]),
+], ids=["classify", "protomodularity"])
+def test_ambient_commands_import_no_numpy(digest, argv):
+    """The algebra ambient keeps Python rows too: its commands leave numpy
+    out of sys.modules and print the bytes recorded while its tables were
+    numpy arrays."""
+    code, out, loaded = _run_fresh(argv + ["--format", "json"])
+    assert (code, loaded) == (0, False)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_harness_pass_imports_no_numpy(tmp_path):
+    """A whole ``perfbench/child.py harness`` pass (plan seed 1) in a fresh
+    interpreter leaves numpy out of sys.modules; its product closure of
+    Z2 x Z4 on the 8-object abelian-groups ambient keeps the digest
+    recorded while the ambient's tables were numpy arrays."""
+    import os
+    import subprocess
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    bench = str(root / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import plan as plans
+    finally:
+        sys.path.remove(bench)
+    (tmp_path / "plan.json").write_text(
+        json.dumps(plans.closure_harness_plan(1)), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), bench,
+                      os.environ.get("PYTHONPATH")]))}
+    script = ("import sys, child\n"
+              "child.main(['harness', 'plan.json', 'out.json', '-'])\n"
+              "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    out = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    results = {key: (status, dig)
+               for key, _, status, dig, _ in out["instances"]}
+    assert results["ambient-product:Z2xZ4"] == ("ok", "c264ac85fab64a3d")
+    assert all(status == "ok" for status, _ in results.values())
 
 
 # Exit code and digest of the canonical stdout, recorded before

@@ -4,11 +4,11 @@ from them, against compose_homs and the from-scratch index builder of
 ``tests/oracles.py``; the anchored protomodularity scan that reads them
 against the reference loop."""
 
-import numpy as np
 import pytest
 
 import oracles
 import fincov.algkit as algkit
+from fincov import kernels
 from fincov.algkit import FinAlgebra, Theory, build_finalg_category, \
     compose_homs, group_theory, hom_rows, monoid_theory
 from fincov.fincat import CapExceeded, CompositionError, mor_key
@@ -16,7 +16,8 @@ from fincov.instances import cyclic_group, direct_product_group, \
     monoids_upto
 from fincov.morphclass import BUILTIN_CLASS_NAMES, builtin_class
 from fincov.protomod import _check_ambient
-from fixtures_util import FULL_GROWTH, grow_ambient, grown_ambient
+from fixtures_util import FULL_GROWTH, composite_pairs, grow_ambient, \
+    grown_ambient, numpy_pairs
 
 AMBIENTS = ("abelian_ambient", "groups_ambient", "monoids_ambient")
 
@@ -52,22 +53,24 @@ def semilattices():
 
 
 def _assert_tables_compose(amb, literal=False):
-    """Every kept triple table names the composite's images: G[i][F[j]]
-    for all i, j at once; when literal, also compose_homs pair by pair,
-    and compose returns that roster hom."""
+    """Every kept triple table names the composite's images: entry
+    j * |G| + i has the images of G[i] after F[j], for all i, j; when
+    literal, also compose_homs pair by pair, and compose returns that
+    roster hom."""
     objs = amb.objects()
     for A in objs:
         for b in objs:
             for C in objs:
                 table = amb._composite_table(A, b, C)
-                G, F = amb.hom_images(b, C), amb.hom_images(A, b)
-                assert table.shape == (len(G), len(F))
-                assert np.array_equal(amb.hom_images(A, C)[table], G[:, F])
+                G, F, homs = amb.hom(b, C), amb.hom(A, b), amb.hom(A, C)
+                assert len(table) == len(G) * len(F)
+                assert [homs[k].images for k in table] == [
+                    tuple(g.images[y] for y in f.images)
+                    for f in F for g in G]
                 if literal:
-                    homs = amb.hom(A, C)
-                    for i, g in enumerate(amb.hom(b, C)):
-                        for j, f in enumerate(amb.hom(A, b)):
-                            gf = homs[table[i, j]]
+                    for i, g in enumerate(G):
+                        for j, f in enumerate(F):
+                            gf = homs[table[j * len(G) + i]]
                             assert gf == compose_homs(g, f)
                             assert amb.compose(g, f) is gf
 
@@ -108,7 +111,7 @@ def test_compose_within_its_budgets(monkeypatch):
         cyclic_group(1), direct_product_group(v4, v4, "V16")])
     v = amb.objects()[1]
     rows = hom_rows(v, v)
-    g, f = (algkit.AlgHom(v, v, rows[k].tolist()) for k in (12345, 54321))
+    g, f = (algkit.AlgHom(v, v, rows[k]) for k in (12345, 54321))
     gf = amb.compose(g, f)
     assert gf == compose_homs(g, f)
     assert not amb._hom_cache and not amb._triples
@@ -139,21 +142,20 @@ def test_compose_within_its_budgets(monkeypatch):
 
 
 def test_composite_index_extends_like_a_rebuild():
-    """After each registration the index assembled from the kept tables
-    equals the whole rebuild, array for array and dtype for dtype, and
-    only the triples with the new object are computed."""
+    """After each registration the blocks read off the kept tables equal
+    the whole rebuild, index for index, every kept table is in the
+    narrowest typecode of its target hom set, and only the triples with
+    the new object are computed."""
     sizes = []
     for amb in harness_stages():
         kept = set(amb._triples)
         index, ref = amb.composite_index(), oracles.build_composite_index(amb)
         assert index.morphisms == ref.morphisms
-        assert index.position == ref.position
-        assert list(index.blocks) == list(ref.blocks)
-        assert all(got is want for got, want in
-                   zip(amb.composite_blocks(), index.blocks.values()))
-        for k in ref.blocks:
-            for got, want in zip(index.blocks[k], ref.blocks[k]):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert composite_pairs(amb.composite_blocks()) == numpy_pairs(ref)
+        ob = {id(X): X for X in amb.objects()}
+        for (A, _, C), table in amb._triples.items():
+            assert table.typecode == kernels.table_typecode(
+                len(amb.hom(ob[A], ob[C])))
         objs = {id(X) for X in amb.objects()}
         new = set(amb._triples) - kept
         if sizes:
@@ -259,7 +261,7 @@ def test_kept_tables_stay_under_a_megabyte():
     composite wherever the target hom set has at most 127 homs: under a
     MB for its 475140 composites."""
     amb = grown_ambient(*FULL_GROWTH)
-    index = amb.composite_index()
-    kept = sum(t.nbytes for t in amb._triples.values())
-    entries = sum(t.size for _, _, t in index.blocks.values())
+    entries = sum(sum(map(len, table))
+                  for _, _, _, table in amb.composite_blocks())
+    kept = sum(len(t) * t.itemsize for t in amb._triples.values())
     assert entries == 475140 and kept < 1 << 20

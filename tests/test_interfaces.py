@@ -150,7 +150,7 @@ def test_no_attribute_probing_for_category_kinds():
 
 def _src_uses(banned):
     """Where src/fincov names any of ``banned``: as a name, attribute,
-    definition, argument or string constant."""
+    definition, argument, imported module or string constant."""
     import ast
     from pathlib import Path
 
@@ -160,7 +160,8 @@ def _src_uses(banned):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             names = {getattr(node, "id", None), getattr(node, "attr", None),
-                     getattr(node, "name", None), getattr(node, "arg", None)}
+                     getattr(node, "name", None), getattr(node, "arg", None),
+                     getattr(node, "module", None)}
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
             if names & banned:
@@ -172,10 +173,17 @@ def test_one_coded_construction_for_derived_algebras():
     """The per-entry table builder, the pullback pair dicts, the verdicts
     kept on class objects and the ambient form label are gone from
     src/fincov: derived algebras come from ``algkit._coded_algebra``,
-    mediators from the apex codes, stability verdicts from the
+    mediators from the apex pairs, stability verdicts from the
     subalgebra cache and the class's own memo."""
     assert _src_uses({"_induced_ops", "pair_to_apex", "_pullback_verdicts",
                       "ambient_form"}) == []
+
+
+def test_no_module_imports_numpy():
+    """No module under src/fincov imports numpy: no import statement or
+    ``from`` import names it, and no name, attribute or string constant
+    is ``numpy`` or ``np``, so nothing loads it by name either."""
+    assert _src_uses({"numpy", "np"}) == []
 
 
 def test_composite_index_has_no_chunked_coder():

@@ -302,8 +302,12 @@ def test_class_composites_kernel_matches_reference_scans():
                                    [m for m in ms if rng.random() < 0.5]
                                    + (isos if k % 2 else []))
                     for k in range(6)]
-        generic = list(CategoryBase.composite_blocks(C))
-        assert list(C.composite_blocks()) == generic
+        generic = [(rows, cols, targets, [list(trow) for trow in table])
+                   for rows, cols, targets, table in
+                   CategoryBase.composite_blocks(C)]
+        assert [(rows, cols, targets, [list(trow) for trow in table])
+                for rows, cols, targets, table in C.composite_blocks()] \
+            == generic
         for A in classes:
             member = [A.contains(m) for m in ms]
             _, wit = _reference_class_properties(C, A)
@@ -372,19 +376,18 @@ def test_ambient_composite_index_budget(monkeypatch):
         m.setattr(algkit, "_INDEX_BUDGET", entries - 1)
         with pytest.raises(CapExceeded, match=f"needs {entries} entries"):
             amb.composite_index()
-    index = amb.composite_index()
     assert entries <= algkit._INDEX_BUDGET
-    assert sum(table.size for _, _, table in index.blocks.values()) == entries
+    assert sum(sum(map(len, table))
+               for _, _, _, table in amb.composite_blocks()) == entries
 
 
 def _assert_index_composes(amb):
-    index = amb.composite_index()
-    assert index.morphisms == amb.morphisms()
-    for rows, cols, table in index.blocks.values():
-        for i, g in enumerate(rows):
-            for j, f in enumerate(cols):
-                gf = compose_homs(index.morphisms[g], index.morphisms[f])
-                assert index.morphisms[table[i, j]] == gf
+    ms = amb.composite_index().morphisms
+    assert ms == amb.morphisms()
+    for rows, cols, targets, table in amb.composite_blocks():
+        for g, trow in zip(rows, table):
+            for f, gf in zip(cols, trow):
+                assert ms[targets[gf]] == compose_homs(ms[g], ms[f])
 
 
 def test_ambient_class_properties_match_reference_scans():
