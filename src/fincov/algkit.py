@@ -2,10 +2,11 @@
 
 Terms are nested tuples ``(head, *args)``; a head that is not a declared
 function symbol is a variable.  Algebras carry their carriers as
-``range(n)`` and operation tables as nested tuples, so everything is
-hashable and enumeration order is fixed.  "The theory proves phi" is
-replaced throughout by satisfaction in every algebra of a finite corpus;
-reports therefore say "holds on corpus", never "provable".
+``range(n)`` and each operation as one flat tuple (``op_tables``), so
+everything is hashable and enumeration order is fixed; nested tables are
+the JSON form only.  "The theory proves phi" is replaced throughout by
+satisfaction in every algebra of a finite corpus; reports therefore say
+"holds on corpus", never "provable".
 
 The algebra ambient reads flat operation tables (``op_tables``), the hom
 sets' image tuples and composite tables kept as ``array`` rows in the
@@ -110,18 +111,12 @@ def monoid_theory():
 
 
 def eval_term(A, term, env):
-    """Evaluate a term in algebra A under a variable assignment."""
-    head = term[0]
-    if A.theory.has_symbol(head):
-        args = [eval_term(A, t, env) for t in term[1:]]
-        if len(args) != A.theory.arity(head):
-            raise ValueError(f"arity mismatch at {head}")
-        return A.apply(head, args)
-    if term[1:]:
-        raise ValueError(f"variable {head} applied to arguments")
-    if head not in env:
-        raise ValueError(f"unbound variable {head}")
-    return env[head]
+    """Evaluate a term in algebra A under a variable assignment: the
+    ``term_grid`` entry, over env's variables, of that assignment."""
+    vars_, i = tuple(env), 0
+    for v in vars_:
+        i = i * A.size + env[v]
+    return term_grid(A, term, vars_)[i]
 
 
 def term_grid(A, term, vars_):
@@ -129,7 +124,7 @@ def term_grid(A, term, vars_):
     as a list in ``itertools.product`` order; as in
     ``dict(zip(vars_, vals))``, a repeated variable takes its last
     position.  Operations are read from ``A.op_tables()`` (so A must be
-    total).  Raises eval_term's ValueErrors.
+    total).  Raises ValueError on an ill-formed term or unbound variable.
     """
     n, k = A.size, len(vars_)
     env = {v: [x for x in A.carrier for _ in range(n ** (k - 1 - i))]
@@ -173,47 +168,45 @@ def equation_failure(A, vars_, lhs, rhs):
 # ---------------------------------------------------------------------------
 
 class FinAlgebra:
-    """Finite model of a theory: carrier range(n) plus operation tables."""
+    """Finite model of a theory: carrier range(n), flat operation tables."""
 
     def __init__(self, theory, name, size, ops):
+        """``ops`` in the JSON form; a table of the wrong shape is left out."""
         self.theory = theory
         self.name = name
         self.size = size
         self.carrier = tuple(range(size))
-        self.ops = {s: _as_table(t) for s, t in ops.items()}
+        self._tables = {s: t for s, a in theory.symbols if s in ops and
+                        (t := _flat(ops[s], a, size)) is not None}
 
     def apply(self, sym, args):
-        t = self.ops[sym]
+        i = 0
         for a in args:
-            t = t[a]
-        return t
+            i = i * self.size + a
+        return self._tables[sym][i]
 
     @classmethod
     def from_tables(cls, theory, name, size, tables):
         """The algebra whose operation s has the flat table tables[s], in
         the form ``op_tables()`` returns, kept as given."""
-        algebra = cls(theory, name, size, {
-            s: _nested(tables[s], size, a) for s, a in theory.symbols})
-        algebra._op_tables = tables
+        algebra = cls(theory, name, size, {})
+        algebra._tables = tables
         return algebra
 
     def op_tables(self):
-        """Per symbol, its table flattened in argument-tuple order: the
-        value at (x_1, ..., x_a) sits at x_1 * n^(a-1) + ... + x_a, and a
-        constant's table is (value,).  Cached."""
-        tables = self.__dict__.get("_op_tables")
-        if tables is None:
-            tables = self._op_tables = {
-                s: _flat(self.ops[s], a) for s, a in self.theory.symbols}
-        return tables
+        """Per symbol, its flat table in argument-tuple order: the value at
+        (x_1, ..., x_a) sits at x_1 * n^(a-1) + ... + x_a, and a
+        constant's table is (value,)."""
+        return self._tables
 
     def validate(self):
         """None when every table is total and every equation holds under
         every assignment; else (kind, witness)."""
+        n = self.size
         for s, a in self.theory.symbols:
-            if s not in self.ops:
-                return ("totality", (s,))
-            if not _table_total(self.ops[s], a, self.size):
+            t = self._tables.get(s)
+            if t is None or len(t) != n ** a or \
+                    not all(0 <= v < n for v in t):
                 return ("totality", (s,))
         for i, (vars_, lhs, rhs) in enumerate(self.theory.equations):
             vals = equation_failure(self, vars_, lhs, rhs)
@@ -229,46 +222,32 @@ class FinAlgebra:
 
     def to_json(self):
         return {"name": self.name, "carrier": list(self.carrier),
-                "ops": {s: _table_json(t) for s, t in self.ops.items()}}
+                "ops": {s: _nested(t, self.size, self.theory.arity(s))
+                        for s, t in self._tables.items()}}
 
 
-def _flat(t, arity):
-    """A nested operation table as one tuple in argument-tuple order."""
-    for _ in range(arity - 1):
-        t = tuple(itertools.chain.from_iterable(t))
-    return tuple(t) if arity else (t,)
+def _flat(t, arity, n):
+    """A table nested ``arity`` deep with n entries per level, as one
+    tuple in argument-tuple order; None when it is not so nested.  Raises
+    ValueError at an entry that is neither an int nor a list."""
+    if isinstance(t, int):
+        return (t,) if arity == 0 else None
+    if not isinstance(t, (list, tuple)):
+        raise ValueError(f"operation table entry {t!r} is not an int")
+    rows = [_flat(x, arity - 1, n) for x in t]
+    if arity == 0 or len(t) != n or None in rows:
+        return None
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def _nested(flat, n, arity):
-    """The nested tuples of a flat table over n elements."""
+    """The nested lists of a flat table over n elements: its JSON form."""
     if arity == 0:
         return flat[0]
-    t = tuple(flat)
+    t = list(flat)
     for _ in range(arity - 1):
-        t = tuple(t[i:i + n] for i in range(0, len(t), n)) if n else ()
+        t = [t[i:i + n] for i in range(0, len(t), n)] if n else []
     return t
-
-
-def _as_table(t):
-    if isinstance(t, int):
-        return t
-    if isinstance(t, (list, tuple)):
-        return tuple(_as_table(x) for x in t)
-    raise ValueError(f"operation table entry {t!r} is not an int")
-
-
-def _table_json(t):
-    if isinstance(t, int):
-        return t
-    return [_table_json(x) for x in t]
-
-
-def _table_total(t, arity, n):
-    if arity == 0:
-        return isinstance(t, int) and 0 <= t < n
-    if not isinstance(t, tuple) or len(t) != n:
-        return False
-    return all(_table_total(x, arity - 1, n) for x in t)
 
 
 class AlgHom:

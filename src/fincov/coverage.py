@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import derived_memo, mor_key, slice_view
-from .instances import chain_poset, poset_category
+from .fincat import chain_poset, derived_memo, mor_key, poset_category, \
+    slice_view
 from .morphclass import builtin_class
 from .variance import ImageTable, MissingPullback, MixedFunctor, \
     Variance, broken_law, pullback_induced, standard_variances, \
@@ -117,7 +117,8 @@ _shape_cache = {}
 def _shape(kind, size):
     """(I, covariant, contravariant, types) for the chain 0 < ... < size
     or the powerset poset P(size), built once per shape and shared by
-    every diagram type of that shape; ``types`` keeps the chain types."""
+    every diagram type of that shape; ``types`` keeps its diagram types
+    by (smalls, direction) or (kappa, direction)."""
     if (kind, size) not in _shape_cache:
         I = chain_poset(size) if kind == "chain" else _powerset_poset(size)
         _shape_cache[kind, size] = (I,) + standard_variances(I) + ({},)
@@ -159,9 +160,6 @@ def _mask_name(mask, k):
     return "".join(str(i) for i in range(k) if mask & (1 << i)) or "_"
 
 
-_powerset_cache = {}
-
-
 def build_powerset_type(index_set, kappa, direction="cov"):
     """Poset of subsets with smalls of size < kappa; fails when the smalls
     are not directed (two maximal smalls lack a common small join)."""
@@ -176,20 +174,16 @@ def build_powerset_type(index_set, kappa, direction="cov"):
 
 
 def _powerset_type_relaxed(k, kappa, direction="cov"):
-    key = (k, kappa, direction)
-    if key in _powerset_cache:
-        return _powerset_cache[key]
-    I, cov, contr, _ = _shape("powerset", k)
-    v = cov if direction == "cov" else contr
-    smalls = frozenset(f"s{_mask_name(m, k)}" for m in range(1 << k)
-                       if bin(m).count("1") < kappa)
-    dt = DiagramType(I, smalls, v,
-                     name=f"P({k})kappa{kappa}{direction}",
-                     shape="powerset",
-                     shape_params={"size": k, "kappa": kappa,
-                                   "dir": direction})
-    _powerset_cache[key] = dt
-    return dt
+    I, cov, contr, types = _shape("powerset", k)
+    if (kappa, direction) not in types:
+        v = cov if direction == "cov" else contr
+        smalls = frozenset(f"s{_mask_name(m, k)}" for m in range(1 << k)
+                           if bin(m).count("1") < kappa)
+        types[kappa, direction] = DiagramType(
+            I, smalls, v, name=f"P({k})kappa{kappa}{direction}",
+            shape="powerset",
+            shape_params={"size": k, "kappa": kappa, "dir": direction})
+    return types[kappa, direction]
 
 
 # ---------------------------------------------------------------------------

@@ -787,6 +787,63 @@ def slice_category(C, c):
     return SliceCategory(C, c)
 
 
+def poset_category(elements, le_pairs, name="poset"):
+    """Thin category of a finite partial order.
+
+    ``le_pairs`` generates the order; the reflexive-transitive closure is
+    taken and antisymmetry is rejected, naming the least pair (a, b) with
+    a < b in id order, a <= b and b <= a.  A thin category's laws hold by
+    construction, so the table goes to the trusted constructor.
+    """
+    elems = sorted(str(x) for x in elements)
+    succ = {a: set() for a in elems}
+    if len(succ) != len(elems):
+        raise ValueError("poset elements are not distinct")
+    for a, b in le_pairs:
+        a, b = str(a), str(b)
+        if a not in succ or b not in succ:
+            raise ValueError(f"pair ({a}, {b}) names an unknown element")
+        succ[a].add(b)
+    up = _up_sets(succ)
+    for a in elems:
+        cycle = [b for b in up[a] if b > a and a in up[b]]
+        if cycle:
+            raise ValueError(f"relation is not antisymmetric at "
+                             f"({a}, {min(cycle)})")
+    down = {b: [] for b in elems}
+    for a in elems:
+        for b in up[a]:
+            down[b].append(a)
+    morphisms = {f"{a}<{b}": (a, b) for a in elems for b in up[a]}
+    if len(morphisms) != sum(map(len, up.values())):
+        raise ValueError("element ids containing '<' give two arrows one id")
+    identities = {a: f"{a}<{a}" for a in elems}
+    composition = {(f"{b}<{c}", f"{a}<{b}"): f"{a}<{c}"
+                   for b in elems for a in down[b] for c in up[b]}
+    return FinCategory(elems, morphisms, identities, composition, name=name)
+
+
+def _up_sets(succ):
+    """Reflexive-transitive closure of a successor relation {a: set of b}:
+    per a, in succ's order, every b reachable from a, a itself included."""
+    up = {}
+    for a in succ:
+        seen, todo = {a}, [a]
+        while todo:
+            for c in succ[todo.pop()] - seen:
+                seen.add(c)
+                todo.append(c)
+        up[a] = seen
+    return up
+
+
+def chain_poset(n, name=None):
+    """The chain o0 < o1 < ... < on."""
+    elems = [f"o{i}" for i in range(n + 1)]
+    pairs = [(elems[i], elems[i + 1]) for i in range(n)]
+    return poset_category(elems, pairs, name=name or f"chain{n}")
+
+
 def product_category(C, D, name=None):
     """Explicit product of two explicit categories, ids joined by ``*``.
 

@@ -3,13 +3,14 @@ spaces, algebra ambients and seeded random categories.
 
 Group tables route their tables through validate_category, since any
 algebra with a ``mul`` table is accepted.  Posets, random preorders, set
-skeletons, finite spaces and products (``fincat.product_category``)
-satisfy the category laws by construction (thin orders, composition of
-functions and maps, componentwise composition), so they call the trusted
-``FinCategory`` constructor; posets and products first check that their
-ids are distinct.  The tests re-validate them through validate_category.
-The grid and Klein variances are built once per shape.  Ids are
-zero-padded where order matters; all enumeration is deterministic.
+skeletons, finite spaces and products (posets and products from
+``fincat``) satisfy the category laws by construction (thin orders,
+composition of functions and maps, componentwise composition), so they
+call the trusted ``FinCategory`` constructor; posets and products first
+check that their ids are distinct.  The tests re-validate them through
+validate_category.  The grid and Klein variances are built once per
+shape.  Ids are zero-padded where order matters; all enumeration is
+deterministic.
 
 The standard corpus is a registry of named fixtures: one zero-argument
 builder per name, listed for given caps (``max_top_points``,
@@ -27,10 +28,13 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
-from .algkit import FinAlgebra, build_finalg_category, group_theory, \
-    monoid_theory, subalgebra_closure
-from .fincat import FinCategory, product_category, validate_category
+from .algkit import FinAlgebra, _coded_algebra, build_finalg_category, \
+    group_theory, monoid_theory, subalgebra_closure
+from .fincat import FinCategory, _up_sets, chain_poset, poset_category, \
+    product_category, validate_category
 from .morphclass import builtin_class, explicit_class
+from .variance import MixedFunctor, Variance, validate_mixed_functor, \
+    validate_variance
 
 
 def _must(cat):
@@ -42,63 +46,6 @@ def _must(cat):
 # ---------------------------------------------------------------------------
 # posets
 # ---------------------------------------------------------------------------
-
-def poset_category(elements, le_pairs, name="poset"):
-    """Thin category of a finite partial order.
-
-    ``le_pairs`` generates the order; the reflexive-transitive closure is
-    taken and antisymmetry is rejected, naming the least pair (a, b) with
-    a < b in id order, a <= b and b <= a.  A thin category's laws hold by
-    construction, so the table goes to the trusted constructor.
-    """
-    elems = sorted(str(x) for x in elements)
-    succ = {a: set() for a in elems}
-    if len(succ) != len(elems):
-        raise ValueError("poset elements are not distinct")
-    for a, b in le_pairs:
-        a, b = str(a), str(b)
-        if a not in succ or b not in succ:
-            raise ValueError(f"pair ({a}, {b}) names an unknown element")
-        succ[a].add(b)
-    up = _up_sets(succ)
-    for a in elems:
-        cycle = [b for b in up[a] if b > a and a in up[b]]
-        if cycle:
-            raise ValueError(f"relation is not antisymmetric at "
-                             f"({a}, {min(cycle)})")
-    down = {b: [] for b in elems}
-    for a in elems:
-        for b in up[a]:
-            down[b].append(a)
-    morphisms = {f"{a}<{b}": (a, b) for a in elems for b in up[a]}
-    if len(morphisms) != sum(map(len, up.values())):
-        raise ValueError("element ids containing '<' give two arrows one id")
-    identities = {a: f"{a}<{a}" for a in elems}
-    composition = {(f"{b}<{c}", f"{a}<{b}"): f"{a}<{c}"
-                   for b in elems for a in down[b] for c in up[b]}
-    return FinCategory(elems, morphisms, identities, composition, name=name)
-
-
-def _up_sets(succ):
-    """Reflexive-transitive closure of a successor relation {a: set of b}:
-    per a, in succ's order, every b reachable from a, a itself included."""
-    up = {}
-    for a in succ:
-        seen, todo = {a}, [a]
-        while todo:
-            for c in succ[todo.pop()] - seen:
-                seen.add(c)
-                todo.append(c)
-        up[a] = seen
-    return up
-
-
-def chain_poset(n, name=None):
-    """The chain o0 < o1 < ... < on."""
-    elems = [f"o{i}" for i in range(n + 1)]
-    pairs = [(elems[i], elems[i + 1]) for i in range(n)]
-    return poset_category(elems, pairs, name=name or f"chain{n}")
-
 
 def diamond_lattice(name="diamond"):
     return poset_category(["o0", "oa", "ob", "o1"],
@@ -192,16 +139,9 @@ def group_from_permutations(perms, name):
 
 
 def direct_product_group(A, B, name=None):
-    T = group_theory()
-    n, m = A.size, B.size
-    enc = lambda a, b: a * m + b
-    mul = tuple(tuple(enc(A.apply("mul", [i // m, j // m]),
-                          B.apply("mul", [i % m, j % m]))
-                      for j in range(n * m)) for i in range(n * m))
-    inv = tuple(enc(A.apply("inv", [i // m]), B.apply("inv", [i % m]))
-                for i in range(n * m))
-    return FinAlgebra(T, name or f"{A.name}x{B.name}", n * m,
-                      {"mul": mul, "inv": inv, "e": 0})
+    """A x B on the codes a * |B| + b, operated coordinatewise."""
+    return _coded_algebra(group_theory(), name or f"{A.name}x{B.name}",
+                          (A, B), range(A.size * B.size))
 
 
 def symmetric_group(n, name=None):
@@ -674,7 +614,6 @@ def grid_variance(rows, cols):
     per (rows, cols)."""
     key = ("grid", rows, cols)
     if key not in _variance_shapes:
-        from .variance import Variance, validate_variance
         A = chain_poset(rows)
         B = chain_poset(cols)
         I = product_category(A, B, name=f"grid{rows}x{cols}")
@@ -700,7 +639,6 @@ def klein_variance():
     built once."""
     key = ("klein",)
     if key not in _variance_shapes:
-        from .variance import Variance, validate_variance
         I = group_category(klein_four_group(), name="BV4")
         # elements: g0 = e, g1 = a, g2 = b, g3 = ab (product encoding)
         v = validate_variance(I, ["g0", "g2"], ["g0", "g1"])
@@ -720,7 +658,6 @@ _klein_target_categories = {}
 
 
 def _random_klein_functor(rng):
-    from .variance import MixedFunctor
     v = klein_variance()
     key = rng.choice(list(_KLEIN_TARGETS))
     if key not in _klein_target_categories:
@@ -742,7 +679,6 @@ def _random_klein_functor(rng):
 
 
 def _random_grid_functor(rng):
-    from .variance import MixedFunctor
     v = grid_variance(rng.randint(1, 2), rng.randint(1, 2))
     D = random_category(rng.randrange(10 ** 6), (4, 30))
     obj_map = {o: rng.choice(sorted(D.objects()))
@@ -764,7 +700,6 @@ def random_mixed_functor(seed):
     with the required homs is functorial); the Klein variance maps into a
     small one-object groupoid via a commuting pair of involutions.
     """
-    from .variance import validate_mixed_functor
     rng = random.Random(seed)
     for _ in range(400):
         if rng.random() < 0.25:

@@ -606,14 +606,29 @@ def stability_scan(C, A):
 # reference equation check
 # ---------------------------------------------------------------------------
 
+def eval_term(A, term, env):
+    """The value of term in A under the assignment env, one ``A.apply``
+    per operation: the reference for ``algkit.eval_term``."""
+    head = term[0]
+    if A.theory.has_symbol(head):
+        args = [eval_term(A, t, env) for t in term[1:]]
+        if len(args) != A.theory.arity(head):
+            raise ValueError(f"arity mismatch at {head}")
+        return A.apply(head, args)
+    if term[1:]:
+        raise ValueError(f"variable {head} applied to arguments")
+    if head not in env:
+        raise ValueError(f"unbound variable {head}")
+    return env[head]
+
+
 def equation_failure(A, vars_, lhs, rhs):
     """First assignment of vars_ in ``itertools.product`` order over A's
     carrier where lhs and rhs differ, evaluated one assignment at a time
-    with ``eval_term``; None when the equation holds.  The reference for
-    ``algkit.equation_failure``."""
+    with ``eval_term`` above; None when the equation holds.  The
+    reference for ``algkit.equation_failure``."""
     import itertools
 
-    from fincov.algkit import eval_term
     for vals in itertools.product(A.carrier, repeat=len(vars_)):
         env = dict(zip(vars_, vals))
         if eval_term(A, lhs, env) != eval_term(A, rhs, env):
@@ -1269,6 +1284,15 @@ def _induced_ops(theory, n, value):
             return value(s, prefix)
         return tuple(build(s, a, prefix + (i,)) for i in range(n))
     return {s: build(s, a, ()) for s, a in theory.symbols}
+
+
+def flat_ops(theory, ops):
+    """Nested operation tables as flat tuples in argument-tuple order, the
+    form ``FinAlgebra.op_tables()`` returns."""
+    def flat(t, a):
+        return (t,) if a == 0 else tuple(v for row in t
+                                         for v in flat(row, a - 1))
+    return {s: flat(ops[s], a) for s, a in theory.symbols}
 
 
 def pair_ops(X, Y, pairs):

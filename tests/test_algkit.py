@@ -438,3 +438,61 @@ def test_term_grid_raises_eval_term_errors():
     assert term_grid(Z4, ("mul", ("x",), ("y",)), ("x", "y")) == \
         [eval_term(Z4, ("mul", ("x",), ("y",)), {"x": a, "y": b})
          for a in range(4) for b in range(4)]
+
+
+def test_eval_term_matches_the_per_operation_reference():
+    """eval_term, read from term_grid, equals the reference that applies
+    one operation at a time, at every assignment of every equation's
+    variables of groups_upto(4) and monoids_upto(3), and on an env that
+    binds a variable the term does not use."""
+    import itertools
+
+    import oracles
+    for A in groups_upto(4) + monoids_upto(3):
+        for vars_, lhs, rhs in A.theory.equations:
+            for vals in itertools.product(A.carrier, repeat=len(vars_)):
+                env = dict(zip(vars_, vals))
+                for term in (lhs, rhs):
+                    assert eval_term(A, term, env) == \
+                        oracles.eval_term(A, term, env)
+    env = {"y": 3, "x": 2, "z": 1}
+    term = ("mul", ("x",), ("inv", ("y",)))
+    assert eval_term(Z4, term, env) == oracles.eval_term(Z4, term, env) == 3
+
+
+def test_json_tables_rebuild_the_flat_tables():
+    """Every algebra of groups_upto(8) and monoids_upto(3), rebuilt from
+    its ``to_json()["ops"]`` after a JSON round trip, has equal
+    ``op_tables()``; the nested lists hold ``apply``'s values."""
+    import json
+    for A in groups_upto(8) + monoids_upto(3):
+        ops = json.loads(json.dumps(A.to_json()))["ops"]
+        B = FinAlgebra(A.theory, A.name, A.size, ops)
+        assert B.op_tables() == A.op_tables()
+        assert B.validate() is None
+        assert ops["mul"] == [[A.apply("mul", [x, y]) for y in A.carrier]
+                              for x in A.carrier]
+        assert ops["e"] == A.apply("e", [])
+
+
+def test_table_shapes_keep_their_verdicts():
+    """A table that is not nested one level per argument with n entries
+    per level fails validate() as totality, also where its flattened
+    length would fit, and so does a flat table of the wrong length; an
+    entry that is not an int raises ValueError, whatever the shape around
+    it."""
+    one = FinAlgebra(T, "one", 1, {"mul": 0, "inv": [0], "e": 0})
+    assert one.validate() == ("totality", ("mul",))
+    two = {"mul": [[0, 1], [1, 0]], "inv": [0, 1], "e": 0}
+    assert FinAlgebra(T, "Z2", 2, two).validate() is None
+    for sym, bad in (("mul", [[0, 1, 1], [0]]), ("mul", [0, 1, 1, 0]),
+                     ("mul", [[[0], [1]], [[1], [0]]]), ("inv", [[0], [1]]),
+                     ("e", [0]), ("mul", [[0, 2], [1, 0]])):
+        A = FinAlgebra(T, "bad", 2, {**two, sym: bad})
+        assert A.validate() == ("totality", (sym,)), (sym, bad)
+    short = FinAlgebra.from_tables(T, "short", 2, {
+        "mul": (0, 1, 1), "inv": (0, 1), "e": (0,)})
+    assert short.validate() == ("totality", ("mul",))
+    for bad in ([[0, "z"], [1, 0]], [[0, 1, "z"], [0]], "z"):
+        with pytest.raises(ValueError, match="entry 'z' is not an int"):
+            FinAlgebra(T, "bad", 2, {**two, "mul": bad})

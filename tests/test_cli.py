@@ -482,6 +482,13 @@ def test_malformed_algebra_input_exit_code(tmp_path, capsys):
         (_z2_input(t="bad")[0], "malformed term: 'bad'"),
         (_z2_input(t=["mul", ["x"], ["z"]])[0], "unbound variable z"),
         (_z2_input(theory=no_t)[0], "no binary term t"),
+        (_z2_input(algebra={**algebra, "ops": {
+            **algebra["ops"], "mul": [[0, 1, 1], [0]]}})[0], "totality"),
+        (_z2_input(algebra={**algebra, "ops": {
+            **algebra["ops"], "mul": [[0, 2], [1, 0]]}})[0], "totality"),
+        (_z2_input(algebra={**algebra, "ops": {
+            k: v for k, v in algebra["ops"].items() if k != "inv"}})[0],
+         "totality"),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"alg{i}.json"

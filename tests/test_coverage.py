@@ -543,7 +543,6 @@ def test_chain_and_powerset_types_share_one_variance_build(monkeypatch):
         return real(I)
 
     monkeypatch.setattr(coverage, "_shape_cache", {})
-    monkeypatch.setattr(coverage, "_powerset_cache", {})
     monkeypatch.setattr(coverage, "standard_variances", counting)
     a = build_chain_type(2, 0, "cov")
     b = build_chain_type(2, 1, "contr")

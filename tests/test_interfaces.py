@@ -191,3 +191,32 @@ def test_composite_index_has_no_chunked_coder():
     src/fincov: no ``_CODE_CHUNK`` loop and no ``_build_composite_index``
     (the from-scratch builder lives on in ``tests/oracles.py``)."""
     assert _src_uses({"_CODE_CHUNK", "_build_composite_index"}) == []
+
+
+def test_only_cli_imports_the_fixture_module():
+    """Among the modules under src/fincov, only ``cli`` names
+    ``instances`` or ``fincov.instances`` in an import, a name or a
+    string, so only it imports the fixture module: the library layers
+    take posets and chains from ``fincat``."""
+    users = _src_uses({"instances", "fincov.instances"})
+    assert {u.split(":")[0] for u in users} == {"cli.py"}, users
+
+
+def test_coverage_loads_no_fixture_or_algebra_module():
+    """A fresh ``import fincov.coverage`` leaves ``fincov.instances`` and
+    ``fincov.algkit`` out of sys.modules."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "import fincov.coverage\n"
+              "print(sorted(m for m in ('fincov.instances', 'fincov.algkit')"
+              " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
