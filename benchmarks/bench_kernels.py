@@ -8,14 +8,19 @@ category's Python rows), and prints the best of three runs per
 workload.  The class-composite rows also run on the abelian-groups
 ambient grown by three products to 8 objects and 1010 morphisms, as
 product closure grows it, and on the groups of order at most 8 (the
-``groups_ambient`` roster, 1852 morphisms, its index read beforehand).
-Beside them, the composite-index rows read every row of that ambient's
-index again from its kept tables, read the index of a fresh 8-object
-ambient and of a fresh groups ambient (their hom sets built
-beforehand), and read it again after Z8 is registered on an
-indexed one; the protomodularity row runs
-``check_protomodularity_pair(surjections, injections)`` on a fresh
-8-object ambient whose index is built beforehand.  The last two
+``groups_ambient`` roster, 1852 morphisms, its index read beforehand);
+a class constant on automorphism orbits reads one row per right orbit.
+Beside them, the composite-index rows ask every block for every row:
+again of that ambient, whose rows are kept, of a fresh 8-object ambient
+and of a fresh groups ambient (their hom sets built beforehand), and
+again after Z8 is registered on an indexed one; the protomodularity row
+runs ``check_protomodularity_pair(surjections, injections)`` on a fresh
+8-object ambient whose index is built beforehand.  The product-closure
+tail row runs the ten ``verify_product_closure`` instances of the
+closure harness (first factors Z1 and Z2, E = surjections, M =
+injections, chain[1]k1, cap 64) on a fresh abelian-groups ambient, the
+harness's ambient quotient and extension instances run on it
+beforehand, as in a harness pass.  The last two
 rows enumerate the mono-subordinated coverings of every object of the 64
 closure-harness categories over the four chain types the harness uses:
 the depth-first enumerator, and the generate-and-test loop of
@@ -92,7 +97,8 @@ from fincov.morphclass import FactorizationSystem, _stability_scan, \
     builtin_class, check_class_properties, is_stably_extremal, is_stably_in
 from fincov.protomod import check_protomodularity_pair
 from fincov.theorems import check_mono_reflective, \
-    verify_closure_extensions, verify_closure_quotients
+    verify_closure_extensions, verify_closure_quotients, \
+    verify_product_closure
 from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -173,7 +179,8 @@ def workloads():
 
     def index(C):
         C._composites = None
-        read = sum(sum(map(len, table)) for *_, table in C.composite_blocks())
+        read = sum(len(row_of(i)) for rows, _, _, row_of in
+                   C.composite_blocks() for i in range(len(rows)))
         return f"{read} composites"
 
     # fresh ambients, their hom sets built beforehand: one per timed run
@@ -220,6 +227,35 @@ def workloads():
         rep = check_protomodularity_pair(C, builtin_class(C, "surjections"),
                                          builtin_class(C, "injections"))
         return f"{rep.diagrams_checked} diagrams"
+
+    def harness_tail_ambient():
+        """A fresh ambient after the harness's ambient quotient and
+        extension instances, with the ten product pairs and arguments."""
+        C = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
+        E = builtin_class(C, "surjections")
+        M = builtin_class(C, "injections")
+        tau = RuleCoverage([chains[1]], M)
+        FS = FactorizationSystem(C, E, M, {})
+        roster = C.objects()
+        z1 = next(A for A in roster if A.name == "Z1")
+        onto = [f for G in roster if G.size <= 4 for H in roster
+                for f in C.hom(G, H) if f.is_surjective()]
+        for f in onto:
+            verify_closure_quotients(C, tau, E, M, f, cap=512)
+        for f in onto:
+            verify_closure_extensions(
+                C, tau, E, M, C.find_pullback(f, C.hom(z1, f.tgt)[0]),
+                cap=64, FS=FS, probe_cap=60)
+        pairs = [(a, b) for a in roster if a.name in ("Z1", "Z2")
+                 for b in roster if a.size * b.size <= 8 and b.size <= 4]
+        return C, tau, E, M, FS, pairs
+
+    def product_tail():
+        C, tau, E, M, FS, pairs = tails.pop()
+        ok = sum(verify_product_closure(C, tau, E, M, a, b, cap=64, FS=FS,
+                                        probe_cap=60).hypotheses_ok
+                 for a, b in pairs)
+        return f"{len(pairs)} instances, {ok} with hypotheses holding"
 
     def composites(C, member):
         C.first_class_composites(
@@ -356,6 +392,7 @@ def workloads():
         return f"{len(closure_instances)} instances"
 
     closure_hypotheses()
+    tails = [harness_tail_ambient() for _ in range(3)]
 
     property_sets = fresh_harness(64)
 
@@ -449,6 +486,8 @@ def workloads():
         ("find_pullback on every cospan, 64 harness categories",
          all_pullbacks),
         ("cospan walk callers, 64 harness + ambient", walk_callers),
+        ("product-closure tail, harness ambient (10 products)",
+         product_tail),
     ]
 
 

@@ -9,8 +9,8 @@ satisfaction in every algebra of a finite corpus; reports therefore say
 "holds on corpus", never "provable".
 
 The algebra ambient reads flat operation tables (``op_tables``), the hom
-sets' image tuples and composite tables kept as ``array`` rows in the
-narrowest typecode; no numpy.
+sets' image tuples and composite rows kept per (source, hom) as
+``array`` rows in the narrowest typecode; no numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import methodcaller
 
 from . import kernels
 from .fincat import CapExceeded, CategoryBase, CompositionError, \
@@ -1171,11 +1171,11 @@ class AlgCategory(CategoryBase):
         self._roster = []
         self._hom_cache = {}
         self._hom_pos = {}       # hom -> its position in its hom set
-        self._tries = {}         # (id A, id C) -> _position_trie
-        self._triples = {}       # (id A, id b, id C) -> _composite_table
+        self._keys = {}          # (id A, id C) -> _hom_keys
+        self._rows = {}          # (id A, g) -> composites(A, g)
         self._into_cache = {}
         self._from_cache = {}
-        self._composites = None
+        self._composites = self._orbits = None
         self._sub_cache = {}
         self._fresh = 0
 
@@ -1206,7 +1206,7 @@ class AlgCategory(CategoryBase):
         self._roster.sort(key=lambda A: A.key())
         self._into_cache.clear()
         self._from_cache.clear()
-        self._composites = None
+        self._composites = self._orbits = None
         drop_derived_memos(self)
         return algebra, identity_hom(algebra)
 
@@ -1279,85 +1279,92 @@ class AlgCategory(CategoryBase):
 
     def composites(self, A, g):
         """The positions in hom(A, tgt g) of g . f for each f in
-        hom(A, src g), in hom order, read off the kept composite table."""
-        n = len(self.hom(g.src, g.tgt))
-        return self._composite_table(A, g.src, g.tgt)[self._hom_pos[g]::n]
+        hom(A, src g), in hom order and the narrowest typecode, from one
+        gather of g's images per generator x of A at every f(x); kept."""
+        row = self._rows.get((id(A), g))
+        if row is None:
+            pos, _, typecode = self._hom_keys(A, g.tgt)
+            ats = [at(g.images) for at in self._hom_keys(A, g.src)[1]]
+            row = self._rows[id(A), g] = array(
+                typecode, map(pos.__getitem__, zip(*ats)) if ats
+                else [0] * len(self.hom(A, g.src)))
+        return row
 
     def composite_blocks(self):
         """The composite-index protocol of ``CategoryBase``, one block per
         hom-set triple (A, b, C) in (b, A, C) roster order: rows, cols and
         targets are the contiguous indices of hom(b, C), hom(A, b) and
-        hom(A, C) in ``morphisms()``, and the table rows are the kept
-        composite table's, computed when the first row is read."""
+        hom(A, C) in ``morphisms()``, and row i is
+        ``composites(A, hom(b, C)[i])``."""
         spans, roster = self.composite_index().spans, self._roster
         for b in roster:
-            out = [spans[id(b), id(C)] for C in roster]
             for A in roster:
-                for C, rows in zip(roster, out):
-                    yield (rows, spans[id(A), id(b)], spans[id(A), id(C)],
-                           self._table_rows(A, b, C))
+                for C in roster:
+                    yield (spans[id(b), id(C)], spans[id(A), id(b)],
+                           spans[id(A), id(C)],
+                           lambda i, A=A, G=self.hom(b, C):
+                           self.composites(A, G[i]))
 
-    def _table_rows(self, A, b, C):
-        table = self._composite_table(A, b, C)
-        n = len(self.hom(b, C))
-        for i in range(n):
-            yield table[i::n]
-
-    def _composite_table(self, A, b, C):
-        """Entry j * |hom(b, C)| + i is the position in hom(A, C) of
-        hom(b, C)[i] . hom(A, b)[j], in the narrowest typecode; kept for
-        the category's life.  Column j is read down ``_position_trie``
-        from the images of f = hom(A, b)[j]'s generator images under every
-        g at once; hom(A, b) is in generator-grid order, so consecutive
-        columns share the trie nodes of their common generator images."""
-        key = (id(A), id(b), id(C))
-        table = self._triples.get(key)
-        if table is None:
-            root = self._position_trie(A, C)
-            G, F = self.hom(b, C), self.hom(A, b)
-            table = self._triples[key] = array(
-                kernels.table_typecode(len(self.hom(A, C))))
-            if root is None or not G:
-                # no generators: hom(A, C) has at most one hom
-                table.fromlist([0] * (len(G) * len(F)))
-                return table
-            # at[y][i] = hom(b, C)[i](y)
-            at = list(zip(*(g.images for g in G)))
-            gens = generating_trace(A)[0]
-            path = []  # (image of generator t, the nodes it reaches) per t
-            for f in F:
-                ys = [f.images[x] for x in gens]
-                t = 0
-                while t < len(path) and path[t][0] == ys[t]:
-                    t += 1
-                del path[t:]
-                for t in range(t, len(gens)):
-                    nodes = list(map(getitem, path[-1][1], at[ys[t]])
-                                 if path else map(root.__getitem__, at[ys[t]]))
-                    path.append((ys[t], nodes))
-                table.fromlist(path.pop()[1])
-        return table
-
-    def _position_trie(self, A, C):
-        """A hom A -> C's position in hom(A, C), read off its images of
-        A's generators: node[y] is the child for generator image y, one
-        list of |C| children per level, and the last level holds the
-        positions.  None when A has no generators (hom(A, C) then has at
-        most one hom).  Kept for the category's life."""
+    def _hom_keys(self, A, C):
+        """({images of A's generators: position} over hom(A, C), per
+        generator x of A the picker of the h(x), h in hom(A, C), and the
+        typecode of positions there); kept for the category's life.
+        Without generators hom(A, C) has at most one hom, keyed ()."""
         key = (id(A), id(C))
-        if key not in self._tries:
-            gens = generating_trace(A)[0]
-            root = [None] * C.size if gens else None
-            for k, h in enumerate(self.hom(A, C)):
-                node = root
-                for x in gens[:-1]:
-                    if node[h.images[x]] is None:
-                        node[h.images[x]] = [None] * C.size
-                    node = node[h.images[x]]
+        if key not in self._keys:
+            homs, gens = self.hom(A, C), generating_trace(A)[0]
+            at = kernels.picker(gens)
+            self._keys[key] = (
+                {at(h.images): k for k, h in enumerate(homs)},
+                [kernels.picker([h.images[x] for h in homs]) for x in gens],
+                kernels.table_typecode(len(homs)))
+        return self._keys[key]
+
+    @property
+    def orbit_reps(self):
+        """``CategoryBase.orbit_reps``, each orbit walked along the
+        generators of an automorphism group (``aut_generators``); kept
+        until the roster grows."""
+        if self._orbits is None:
+            spans = self.composite_index().spans
+            ident = list(range(len(self.morphisms())))
+            right, left = ident[:], ident[:]
+            for x in self._roster:
+                gens = self.aut_generators(x)
+                outs, ins = [{} for _ in gens], [{} for _ in gens]
+                for y in gens and self._roster:
+                    # h . a reads h's images at a's generator images;
+                    # a . h is a's composite row from y
+                    pos, out = self._hom_keys(x, y)[0], spans[id(x), id(y)]
+                    into = spans[id(y), id(x)]
+                    images = [h.images for h in self.hom(x, y)]
+                    for a, rmove, lmove in zip(gens, outs, ins):
+                        at = kernels.picker(kernels.picker(
+                            generating_trace(x)[0])(a.images))
+                        rmove.update(zip(out, map(out.__getitem__, map(
+                            pos.__getitem__, map(at, images)))))
+                        lmove.update(zip(into, map(
+                            into.__getitem__, self.composites(y, a))))
                 if gens:
-                    node[h.images[gens[-1]]] = k
-            self._tries[key] = root
-        return self._tries[key]
+                    kernels.orbit_reps(right, outs[0], outs)
+                    kernels.orbit_reps(left, ins[0], ins)
+            self._orbits = right != ident and (right, left)
+        return self._orbits or None
+
+    def aut_generators(self, b):
+        """Generators of Aut(b), picked greedily in reverse hom order."""
+        gens, group, picks = [], {b.carrier}, []
+        for a in reversed(self.hom(b, b)):
+            if a.images not in group and a.is_bijective():
+                gens.append(a)
+                picks.append(kernels.picker(a.images))
+                todo = list(group)
+                while todo:
+                    for y in map(methodcaller("__call__", todo.pop()), picks):
+                        if y not in group:
+                            group.add(y)
+                            todo.append(y)
+        return gens
 
     def first_unstable_pullback(self, A, img, into):
         """Least (g, proj) among the morphisms g into the target of an
@@ -1390,20 +1397,18 @@ class AlgCategory(CategoryBase):
         return identity_hom(A)
 
     def compose(self, g, f):
-        """g . f, read from the composite table of (src f, src g, tgt g)
-        when it is kept, else composed image by image.  The roster's own
-        hom whenever hom(src f, tgt g) is listed: compose lists no hom set
-        and computes no table itself."""
+        """g . f, read from the kept composite row of (src f, g) when
+        there is one, else composed image by image.  The roster's own hom
+        whenever hom(src f, tgt g) is listed: compose lists no hom set
+        and computes no row itself."""
         if f.tgt is not g.src:
             raise CompositionError("algebra homs not composable")
-        A, b, C = id(f.src), id(g.src), id(g.tgt)
-        homs = self._hom_cache.get((A, C))
-        table = self._triples.get((A, b, C))
-        if table is None:
+        homs = self._hom_cache.get((id(f.src), id(g.tgt)))
+        row = self._rows.get((id(f.src), g))
+        if row is None:
             gf = compose_homs(g, f)
             return gf if homs is None else homs[self._hom_pos[gf]]
-        n = len(self._hom_cache[b, C])
-        return homs[table[self._hom_pos[f] * n + self._hom_pos[g]]]
+        return homs[row[self._hom_pos[f]]]
 
     def is_iso(self, m):
         # a bijective hom between finite algebras has a hom inverse

@@ -253,6 +253,11 @@ def check_kappa(kappa):
         raise InputError(f"--kappa must be at least 0, got {kappa}")
 
 
+def check_max_size(max_size):
+    if max_size is not None and max_size < 1:
+        raise InputError(f"--max-size must be at least 1, got {max_size}")
+
+
 def resolve_hom(data, spec):
     if not data or "theory" not in data:
         raise InputError("algebra checks need a theory/algebras input file")
@@ -309,6 +314,7 @@ def run_check(args):
     params = {"seed": args.seed, "cap": args.cap, "kappa": args.kappa}
     check_cap(args.cap)
     check_kappa(args.kappa)
+    check_max_size(args.max_size)
     C, entry, data = load_input(args.input, args.max_size)
     bindings = parse_class_bindings(args.classes)
 

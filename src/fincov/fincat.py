@@ -166,11 +166,11 @@ class CategoryBase:
         return tuple(m for m in self.morphisms() if self.src(m) == o)
 
     def composite_blocks(self):
-        """The composite index: blocks (rows, cols, targets, table) that
+        """The composite index: blocks (rows, cols, targets, row) that
         cover every composable pair once, with rows and cols ascending
         ``morphisms()`` indices, targets a range of them and
-        targets[table[i][j]] the index of rows[i] . cols[j], each table
-        row computed when it is read.
+        targets[row(i)[j]] the index of rows[i] . cols[j], each row
+        computed when it is asked for.
 
         Generic path: one block per object b, composing every pair out of
         and into b.  Explicit categories and algebra ambients read the
@@ -180,13 +180,20 @@ class CategoryBase:
         for b in self.objects():
             gs, fs = self.morphisms_from(b), self.morphisms_into(b)
             yield ([pos[g] for g in gs], [pos[f] for f in fs], range(len(pos)),
-                   ([pos[self.compose(g, f)] for f in fs] for g in gs))
+                   lambda i, gs=gs, fs=fs: [pos[self.compose(gs[i], f)]
+                                            for f in fs])
+
+    # (right, left), per ``morphisms()`` index i of m: the least index of
+    # m . a over the automorphisms a of src m, and of a . m over those of
+    # tgt m; None when all are identities (or, generically, not looked for)
+    orbit_reps = None
 
     def first_class_composites(self, member, flags):
         """``kernels.first_class_composites`` over ``composite_blocks``,
-        with ``member`` a flag per morphism in ``morphisms()`` order."""
-        return kernels.first_class_composites(self.composite_blocks(),
-                                              member, flags)
+        with ``member`` a flag per morphism in ``morphisms()`` order, one
+        row per right orbit when ``member`` is constant on the orbits."""
+        return kernels.first_class_composites(
+            self.composite_blocks(), member, flags, self.orbit_reps)
 
     def iso_inverse(self, m):
         """Two-sided inverse of m, or None; cached."""
@@ -390,10 +397,29 @@ class FinCategory(CategoryBase):
 
     def composite_blocks(self):
         # computed row by row from the rows, never kept
-        targets = range(len(self._comp))
+        targets, comp = range(len(self._comp)), self._comp
         for rows, cols in zip(self._out_idx, self._into_idx):
-            yield rows, cols, targets, map(kernels.picker(cols),
-                                           map(self._comp.__getitem__, rows))
+            pick = kernels.picker(cols)
+            yield rows, cols, targets, \
+                lambda i, rows=rows, pick=pick: pick(comp[rows[i]])
+
+    @cached_property
+    def orbit_reps(self):
+        """From the iso rows of each hom(x, x): the a with a . b the
+        identity for some b (then b . a is too, End(x) being finite)."""
+        comp, n = self._comp, len(self._comp)
+        reps = list(range(n)), list(range(n))
+        for x, o in enumerate(self._objects):
+            endo = self._hom_idx[x * len(self._objects) + x]
+            ident = self._midx[self._identities[o]]
+            auts = [a for a in endo if a != ident
+                    and ident in kernels.picker(endo)(comp[a])]
+            if auts:
+                out, into = self._out_idx[x], self._into_idx[x]
+                kernels.orbit_reps(reps[0], out, [
+                    {m: comp[m][a] for m in out} for a in auts])
+                kernels.orbit_reps(reps[1], into, [comp[a] for a in auts])
+        return None if reps[0] == reps[1] == list(range(n)) else reps
 
     # -- kernel-backed flags ---------------------------------------------------
 

@@ -10,7 +10,6 @@ order; the tests check them witness for witness against the reference
 loops in ``tests/oracles.py``.
 """
 
-import itertools
 from array import array
 from operator import itemgetter
 
@@ -154,25 +153,36 @@ COMPOSITE_PATTERNS = {"system": (True, True, False),
                        "right_cancelable": (False, True, True)}
 
 
-def first_class_composites(blocks, member, flags):
+def iso_saturated(member, reps):
+    """Whether ``member`` is constant on the orbits of each least-member
+    list in ``reps`` (``CategoryBase.orbit_reps``)."""
+    return all(list(map(member.__getitem__, rep)) == member for rep in reps)
+
+
+def first_class_composites(blocks, member, flags, reps=None):
     """Least composable (g, f) refuting each flag of a morphism class.
 
-    ``blocks`` is a composite index: (rows, cols, targets, table) per
-    block of composable pairs, the blocks covering each pair once, with
-    rows and cols ascending morphism indices, targets a range of them and
-    targets[table[i][j]] the index of rows[i] . cols[j].  Blocks and
-    tables may be iterators: each block is read once, and its table rows
-    in order, only as far as some flag still needs one.  ``member`` is
-    the class's membership flag per morphism.  A flag is refuted by a
-    pair matching its pattern: "system" by g, f in A with g.f not,
-    "left_cancelable" by g, g.f in A with f not, and "right_cancelable"
-    by f, g.f in A with g not.  Returns {flag: (g, f) or None}, the least
-    (g, f) in index order.
+    ``blocks`` is a composite index: (rows, cols, targets, row) per block
+    of composable pairs, the blocks covering each pair once, with rows
+    and cols ascending morphism indices, targets a range of them and
+    targets[row(i)[j]] the index of rows[i] . cols[j].  Blocks may be an
+    iterator, and each ``row(i)`` is asked for only when some flag still
+    needs it.  ``member`` is the class's membership flag per morphism.  A
+    flag is refuted by a pair matching its pattern: "system" by g, f in A
+    with g.f not, "left_cancelable" by g, g.f in A with f not, and
+    "right_cancelable" by f, g.f in A with g not.  Returns {flag: (g, f)
+    or None}, the least (g, f) in index order.
+
+    ``reps``: None or ``CategoryBase.orbit_reps``.  A class constant on
+    its orbits skips each row g with right[g] = r != g, r in g's block:
+    g = r.a with a an automorphism, so (g, f) matches a pattern exactly
+    when (r, a.f) does, and r's row, read before, showed no witness or
+    stopped the scan.
     """
+    right = reps[0] if reps and iso_saturated(member, reps) else None
     best = dict.fromkeys(flags)
     hits = {}  # (targets, v): the positions in targets whose membership is v
-    for rows, cols, targets, table in blocks:
-        table, read = iter(table), []
+    for rows, cols, targets, row_of in blocks:
         for flag in flags:
             want_g, want_f, want_gf = COMPOSITE_PATTERNS[flag]
             ci = [j for j, f in enumerate(cols) if member[f] == want_f]
@@ -186,17 +196,32 @@ def first_class_composites(blocks, member, flags):
                 # rows ascend, so a known witness with a smaller g stops it
                 if best[flag] is not None and best[flag][0] < g:
                     break
-                if member[g] != want_g:
+                if member[g] != want_g or right and right[g] != g:
                     continue
-                read += itertools.islice(table, max(0, i + 1 - len(read)))
-                if hit.isdisjoint(pick(read[i])):
+                row = row_of(i)
+                if hit.isdisjoint(pick(row)):
                     continue
-                j = next(j for j in ci if read[i][j] in hit)
+                j = next(j for j in ci if row[j] in hit)
                 pair = (g, cols[j])
                 if best[flag] is None or pair < best[flag]:
                     best[flag] = pair
                 break
     return best
+
+
+def orbit_reps(rep, domain, moves):
+    """Set rep[i] to the least member of i's orbit under the group that
+    the permutations ``moves`` (mappings i -> index) of the ascending
+    ``domain`` generate: each orbit is walked from where it is met first."""
+    seen = set()
+    for i in domain:
+        todo = [] if i in seen else [i]
+        seen.update(todo)
+        for x in todo:
+            rep[x] = i
+            new = {move[x] for move in moves} - seen
+            seen |= new
+            todo += new
 
 
 def lift_report(comp, src, tgt, homs, nobj, e, m):

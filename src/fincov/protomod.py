@@ -11,7 +11,7 @@ pullback choices, so the reported counterexample is deterministic.  For
 on-demand algebra ambients every form takes the scan anchored at the
 initial object (the equivalent form with I replaced by 0) and the verdict
 is "no violation within the size cap" rather than a proof; that scan
-reads e.beta off the ambient's kept composite tables.
+reads e.beta off the ambient's composite rows, one e per orbit.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import PullbackSquare, derived_memo, mor_key, try_pullback, \
+from .fincat import PullbackSquare, mor_key, try_pullback, \
     verify_pullback_square
+from .kernels import iso_saturated
 from .morphclass import MorphismClass, _factor_search, builtin_class, \
     is_stably_extremal
 
@@ -238,13 +239,17 @@ def _check_ambient(C, E, M, form):
     value t of theta, beta maps {z : e(beta z) = t} bijectively onto
     {y : e(y) = t}.
 
-    e.beta is read off the composite table of its hom-set triple.  The
+    e.beta is read off the composite row of (src beta, e).  The
     candidate betas into each b (non-bijective M-members) are listed
     once, before the scan over e, per source with their positions in its
     hom set.  ``morphisms()`` and ``morphisms_into`` are in ``mor_key``
-    order on an ambient, so the scan is too.  Raises ValueError when E is not closed under
-    composition with isos, which the reduction of the definition form
-    needs.
+    order on an ambient, so the scan is too.  Raises ValueError when E is
+    not closed under composition with isos (the automorphisms, roster
+    objects being pairwise non-isomorphic), which the reduction of the
+    definition form needs.  E then holds a . e exactly when it holds e,
+    for a an automorphism of c, with the same betas passing and the
+    kernels carried over by a: one e per left orbit is decided, the
+    least, and the others count its diagrams.
     """
     I0 = C.initial()
     if I0 is None:
@@ -252,8 +257,10 @@ def _check_ambient(C, E, M, form):
     index = C.composite_index()
     ms = index.morphisms
     in_E = list(map(E.contains, ms))
-    if not _closed_under_isos(C, E):
+    reps = C.orbit_reps
+    if reps and not iso_saturated(in_E, reps):
         raise ValueError("ambient scan needs an iso-saturated E")
+    left = reps[1] if reps else range(len(ms))
     # per b and source A: the candidate betas in hom(A, b) with their
     # positions there
     candidates = {id(b): [(A, [(j, beta) for j, beta in enumerate(C.hom(A, b))
@@ -262,16 +269,21 @@ def _check_ambient(C, E, M, form):
                           for A in C.objects()] for b in C.objects()}
     scope = f"within size cap {C.size_cap}"
     count = 0
-    for e in itertools.compress(ms, in_E):
+    passed = {}  # the least e of a left orbit -> its passing count
+    for i in itertools.compress(range(len(ms)), in_E):
+        if left[i] != i:
+            count += passed[left[i]]
+            continue
         # the definition form asks for an iso gamma with gamma^-1.e.beta in
         # E; E is iso-saturated here, so that reduces to e.beta in E
-        passing = []
+        e, passing = ms[i], []
         for A, betas in candidates[id(e.src)]:
             if betas:
                 col = C.composites(A, e)
                 span = index.spans[id(A), id(e.tgt)]
                 passing += [(span[col[j]], beta) for j, beta in betas
                             if in_E[span[col[j]]]]
+        passed[i] = len(passing)
         if not passing:
             continue
         theta = C.hom(I0, e.tgt)[0]
@@ -292,43 +304,6 @@ def _check_ambient(C, E, M, form):
                                    form=form)
         count += len(passing)
     return ProtoReport(True, None, count, False, scope=scope, form=form)
-
-
-def _closed_under_isos(C, E):
-    """Whether iso . e and e . iso lie in E for every member e of E;
-    decided once per roster.
-
-    Roster objects are pairwise non-isomorphic, so the isos are the
-    automorphisms, and each is a product of ``_aut_generators``: E is
-    closed under them when it is closed under the generators."""
-    memo = derived_memo(C, "class_facts", E)
-    hit = memo.get("closed_under_isos")
-    if hit is None:
-        gens = {id(b): _aut_generators(C, b) for b in C.objects()}
-        members = E.member_list()
-        hit = memo["closed_under_isos"] = all(
-            E.contains(C.compose(a, e)) for e in members
-            for a in gens[id(e.tgt)]) and all(
-            E.contains(C.compose(e, a)) for e in members
-            for a in gens[id(e.src)])
-    return hit
-
-
-def _aut_generators(C, b):
-    """Automorphisms of b that generate them all, picked in hom order."""
-    gens, group = [], {b.carrier}
-    for a in C.hom(b, b):
-        if a.is_bijective() and a.images not in group:
-            gens.append(a)
-            todo = list(group)
-            while todo:
-                x = todo.pop()
-                for g in gens:
-                    y = tuple(x[i] for i in g.images)
-                    if y not in group:
-                        group.add(y)
-                        todo.append(y)
-    return gens
 
 
 def cross_validate_protomodularity(C, E, M):

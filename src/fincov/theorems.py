@@ -354,9 +354,12 @@ def run_hopfian_construction(C, M, f, pi0, N=8, probe_cap=None):
     """
     rep = ClosureReport("hopfian", details={"f": f, "pi0": pi0, "N": N})
     x = C.src(f)
-    rep.add_hypothesis("f endomorphism", C.tgt(f) == x)
+    endo = C.tgt(f) == x
+    rep.add_hypothesis("f endomorphism", endo)
     rep.add_hypothesis("pi0 in M", M.contains(pi0))
-    rep.add_hypothesis("pi0 fixed point", C.compose(f, pi0) == pi0)
+    # f . pi0 is composed only when f is an endomorphism of tgt(pi0)
+    rep.add_hypothesis("pi0 fixed point", endo and C.tgt(pi0) == x
+                       and C.compose(f, pi0) == pi0)
     if not rep.hypotheses_ok:
         return rep.finish(None), None
     sections = builtin_class(C, "sections")

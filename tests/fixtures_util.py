@@ -101,13 +101,18 @@ def grow_ambient(amb, pair):
 FULL_GROWTH = (("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4"))
 
 
+def block_table(rows, row_of):
+    """The rows of a composite-index block, each asked of ``row_of``."""
+    return [list(row_of(i)) for i in range(len(rows))]
+
+
 def composite_pairs(blocks):
     """Every composable (g, f) -> the index of g.f, read off
-    composite-index blocks (rows, cols, targets, table), which must cover
+    composite-index blocks (rows, cols, targets, row), which must cover
     each pair once."""
     out = {}
-    for rows, cols, targets, table in blocks:
-        for g, trow in zip(rows, table):
+    for rows, cols, targets, row_of in blocks:
+        for g, trow in zip(rows, block_table(rows, row_of)):
             for f, t in zip(cols, trow):
                 assert (g, f) not in out
                 out[g, f] = targets[t]
@@ -117,5 +122,6 @@ def composite_pairs(blocks):
 def numpy_pairs(index):
     """``composite_pairs`` of the numpy oracle's index."""
     return composite_pairs((rows.tolist(), cols.tolist(),
-                            range(len(index.morphisms)), table.tolist())
+                            range(len(index.morphisms)),
+                            table.tolist().__getitem__)
                            for rows, cols, table in index.blocks.values())

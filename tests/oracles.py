@@ -30,10 +30,11 @@ class members are listed and extremality decided with nothing kept
 between calls.  Then algebra hom sets are enumerated and isomorphisms
 searched one generator assignment at a time, and again as numpy grids.
 Then the operation tables of derived algebras (pair pullbacks,
-subalgebras, quotients) are built one entry at a time.  The last section
+subalgebras, quotients) are built one entry at a time.  The next section
 rebuilds the algebra ambient's composite index with numpy and runs the
-anchored protomodularity scan over it.  Of the tests, only this module
-imports numpy.
+anchored protomodularity scan over it.  The last one finds automorphism
+orbit representatives by applying every automorphism.  Of the tests,
+only this module imports numpy.
 """
 
 from collections import namedtuple
@@ -1462,3 +1463,44 @@ def check_ambient(C, E, M, form, index=None):
                 return ProtoReport(False, diag, count, False, scope=scope,
                                    form=form)
     return ProtoReport(True, None, count, False, scope=scope, form=form)
+
+
+# ---------------------------------------------------------------------------
+# automorphism orbits, every automorphism applied
+# ---------------------------------------------------------------------------
+
+def orbit_reps(C):
+    """``C.orbit_reps`` from every automorphism, not from generators:
+    Aut(x) is every iso in hom(x, x), by inverse search in the JSON
+    table of an explicit category and as the bijective homs of an algebra
+    ambient, and right[i] and left[i] are the least indices of m . a and
+    a . m over it, one composite at a time (image by image on an
+    ambient).  None when every automorphism is an identity."""
+    ms = list(C.morphisms())
+    if C.concrete:
+        index = {(id(m.src), id(m.tgt), m.images): i for i, m in enumerate(ms)}
+        ends = [(id(m.src), id(m.tgt)) for m in ms]
+
+        def compose(g, f):
+            g, f = ms[g], ms[f]
+            return index[id(f.src), id(g.tgt),
+                         tuple(g.images[y] for y in f.images)]
+        auts = {id(x): [i for i, m in enumerate(ms) if m.src is x
+                        and m.tgt is x and len(set(m.images)) == x.size]
+                for x in C.objects()}
+    else:
+        raw = RawCat(C.to_json())
+        index = {m: i for i, m in enumerate(ms)}
+        ends = [(raw.src[m], raw.tgt[m]) for m in ms]
+
+        def compose(g, f):
+            return index[raw.comp[ms[g], ms[f]]]
+        auts = {x: [index[m] for m in raw.hom(x, x) if is_iso(raw, m)]
+                for x in raw.objects}
+    if all(len(a) == 1 for a in auts.values()):
+        return None
+    right = [min(compose(i, a) for a in auts[s]) for i, (s, _) in
+             enumerate(ends)]
+    left = [min(compose(a, i) for a in auts[t]) for i, (_, t) in
+            enumerate(ends)]
+    return right, left

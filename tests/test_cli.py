@@ -196,6 +196,18 @@ def test_corpus_input_builds_only_its_fixture(monkeypatch):
     assert list(instances._corpus_cache) == [("sub_Z8", 3, 8, 4)]
 
 
+@pytest.mark.parametrize("check", ["protomodularity", "regular", "compact",
+                                   "class-properties"])
+def test_max_size_below_one_is_an_input_error(capsys, check):
+    """--max-size 0 would build an empty ambient: a traceback for
+    protomodularity, empty reports for the rest; it exits 4 instead."""
+    code = main(["check", check, "--input", "corpus:abelian_ambient",
+                 "--max-size", "0", "--format", "json"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "--max-size must be at least 1, got 0"
+
+
 def test_unknown_check_exit_code(capsys):
     code = main(["check", "definitely-not-a-check",
                  "--input", "corpus:poset_2chain"])
@@ -404,6 +416,21 @@ def test_hopfian_cli(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["chain"]["stable_index"] == 0
+
+
+def test_hopfian_cli_non_endomorphism_is_a_hypothesis_failure(capsys):
+    """A morphism that is no endomorphism, along itself: the hypotheses
+    fail (exit 2), with no traceback from composing f . pi0."""
+    code, out = run_cli(["check", "hopfian", "--input", "corpus:sub_Z8",
+                         "--classes", "M=monos", "--morphism", "u0<u01234567",
+                         "--along", "u0<u01234567", "--format", "json"],
+                        capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["chain"] is None
+    assert rep["report"]["hypotheses"] == [
+        ["f endomorphism", False, None], ["pi0 in M", True, None],
+        ["pi0 fixed point", False, None]]
 
 
 def test_variance_failure_witnesses_do_not_depend_on_hash_seed(tmp_path):

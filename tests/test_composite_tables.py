@@ -1,8 +1,8 @@
-"""The algebra ambient's kept composite tables: one table per hom-set
-triple, read off generator images, and the composite index assembled
-from them, against compose_homs and the from-scratch index builder of
-``tests/oracles.py``; the anchored protomodularity scan that reads them
-against the reference loop."""
+"""The algebra ambient's composite rows: one row per (source, hom),
+read off image tuples and kept, and the composite index whose blocks
+ask for them, against compose_homs and the from-scratch index builder
+of ``tests/oracles.py``; the anchored protomodularity scan that reads
+them against the reference loop."""
 
 import pytest
 
@@ -16,8 +16,8 @@ from fincov.instances import cyclic_group, direct_product_group, \
     monoids_upto
 from fincov.morphclass import BUILTIN_CLASS_NAMES, builtin_class
 from fincov.protomod import _check_ambient
-from fixtures_util import FULL_GROWTH, composite_pairs, grow_ambient, \
-    grown_ambient, numpy_pairs
+from fixtures_util import FULL_GROWTH, block_table, composite_pairs, \
+    grow_ambient, grown_ambient, numpy_pairs
 
 AMBIENTS = ("abelian_ambient", "groups_ambient", "monoids_ambient")
 
@@ -53,26 +53,24 @@ def semilattices():
 
 
 def _assert_tables_compose(amb, literal=False):
-    """Every kept triple table names the composite's images: entry
-    j * |G| + i has the images of G[i] after F[j], for all i, j; when
-    literal, also compose_homs pair by pair, and compose returns that
-    roster hom."""
+    """Over every hom-set triple (A, b, C), the composite row of (A, g)
+    for each g in hom(b, C) names the composites' images: entry j has the
+    images of g after hom(A, b)[j], in the narrowest typecode of
+    hom(A, C); when literal, also compose_homs pair by pair, and compose
+    returns that roster hom."""
     objs = amb.objects()
     for A in objs:
         for b in objs:
             for C in objs:
-                table = amb._composite_table(A, b, C)
                 G, F, homs = amb.hom(b, C), amb.hom(A, b), amb.hom(A, C)
-                assert len(table) == len(G) * len(F)
-                assert [homs[k].images for k in table] == [
-                    tuple(g.images[y] for y in f.images)
-                    for f in F for g in G]
-                if literal:
-                    for i, g in enumerate(G):
-                        for j, f in enumerate(F):
-                            gf = homs[table[j * len(G) + i]]
-                            assert gf == compose_homs(g, f)
-                            assert amb.compose(g, f) is gf
+                for g in G:
+                    row = amb.composites(A, g)
+                    assert row.typecode == kernels.table_typecode(len(homs))
+                    assert [homs[k].images for k in row] == [
+                        tuple(g.images[y] for y in f.images) for f in F]
+                    for f, k in zip(F, row) if literal else ():
+                        assert homs[k] == compose_homs(g, f)
+                        assert amb.compose(g, f) is homs[k]
 
 
 @pytest.mark.parametrize("name", AMBIENTS)
@@ -100,12 +98,12 @@ def test_triple_tables_past_int64_and_without_constants():
 
 
 def test_compose_within_its_budgets(monkeypatch):
-    """compose lists no hom set and computes no composite table: on Z2^4
+    """compose lists no hom set and computes no composite row: on Z2^4
     (65536 endomorphisms, so the triple (Z2^4, Z2^4, Z2^4) has 2^32
     composites, and the index is past its budget) it composes image by
     image, and returns the roster's hom once End(Z2^4) is listed.  On
-    the harness ambient it keeps no table it did not find, and reads a
-    kept table without composing images."""
+    the harness ambient it keeps no row it did not find, and reads a
+    kept row without composing images."""
     v4 = direct_product_group(cyclic_group(2), cyclic_group(2), "V4")
     amb = build_finalg_category(group_theory(), 16, [
         cyclic_group(1), direct_product_group(v4, v4, "V16")])
@@ -114,15 +112,15 @@ def test_compose_within_its_budgets(monkeypatch):
     g, f = (algkit.AlgHom(v, v, rows[k]) for k in (12345, 54321))
     gf = amb.compose(g, f)
     assert gf == compose_homs(g, f)
-    assert not amb._hom_cache and not amb._triples
+    assert not amb._hom_cache and not amb._rows
     homs = amb.hom(v, v)
     assert len(homs) == 1 << 16
     gf = amb.compose(homs[12345], homs[54321])
     assert gf == compose_homs(homs[12345], homs[54321])
-    assert any(h is gf for h in homs) and not amb._triples
+    assert any(h is gf for h in homs) and not amb._rows
     with pytest.raises(CapExceeded, match="composite index needs"):
         amb.composite_index()
-    assert not amb._triples
+    assert not amb._rows
 
     amb = grown_ambient(*FULL_GROWTH)
     objs = amb.objects()
@@ -130,37 +128,33 @@ def test_compose_within_its_budgets(monkeypatch):
     homs, G, F = amb.hom(A, C), amb.hom(b, C), amb.hom(A, b)
     gf = amb.compose(G[-1], F[-1])
     assert gf is homs[homs.index(compose_homs(G[-1], F[-1]))]
-    assert not amb._triples
-    amb._composite_table(A, b, C)
+    assert not amb._rows
+    amb.composites(A, G[-1])
 
     def no_images(g, f):
         raise AssertionError("composed image by image past a kept table")
     with monkeypatch.context() as m:
         m.setattr(algkit, "compose_homs", no_images)
         assert amb.compose(G[-1], F[-1]) is gf
-    assert list(amb._triples) == [(id(A), id(b), id(C))]
+    assert list(amb._rows) == [(id(A), G[-1])]
 
 
 def test_composite_index_extends_like_a_rebuild():
-    """After each registration the blocks read off the kept tables equal
-    the whole rebuild, index for index, every kept table is in the
-    narrowest typecode of its target hom set, and only the triples with
-    the new object are computed."""
+    """After each registration the blocks, asking for every row, equal
+    the whole rebuild, index for index, and only the rows with the new
+    object are computed: the kept rows stay valid as the roster grows."""
     sizes = []
     for amb in harness_stages():
-        kept = set(amb._triples)
+        kept = set(amb._rows)
         index, ref = amb.composite_index(), oracles.build_composite_index(amb)
         assert index.morphisms == ref.morphisms
         assert composite_pairs(amb.composite_blocks()) == numpy_pairs(ref)
-        ob = {id(X): X for X in amb.objects()}
-        for (A, _, C), table in amb._triples.items():
-            assert table.typecode == kernels.table_typecode(
-                len(amb.hom(ob[A], ob[C])))
         objs = {id(X) for X in amb.objects()}
-        new = set(amb._triples) - kept
+        new = set(amb._rows) - kept
         if sizes:
             fresh = objs - prev
-            assert new == {t for t in amb._triples if set(t) & fresh}
+            assert new == {(A, g) for A, g in amb._rows if A in fresh
+                           or {id(g.src), id(g.tgt)} & fresh}
         prev = objs
         sizes.append((len(amb.objects()), len(index.morphisms)))
     assert sizes == [(5, 60), (6, 90), (7, 782), (8, 1010)]
@@ -257,11 +251,11 @@ def test_ambient_scan_without_constants():
 
 
 def test_kept_tables_stay_under_a_megabyte():
-    """The kept tables of the 8-object harness ambient take one byte per
+    """The kept rows of the 8-object harness ambient take one byte per
     composite wherever the target hom set has at most 127 homs: under a
     MB for its 475140 composites."""
     amb = grown_ambient(*FULL_GROWTH)
-    entries = sum(sum(map(len, table))
-                  for _, _, _, table in amb.composite_blocks())
-    kept = sum(len(t) * t.itemsize for t in amb._triples.values())
+    entries = sum(sum(map(len, block_table(rows, row_of)))
+                  for rows, _, _, row_of in amb.composite_blocks())
+    kept = sum(len(r) * r.itemsize for r in amb._rows.values())
     assert entries == 475140 and kept < 1 << 20

@@ -218,21 +218,21 @@ def test_light_generators_reach_every_morphism(corpus):
 
 def test_class_composites_least_pair_across_blocks():
     """Blocks interleave in g: the least (g, f) over all blocks wins, not
-    the first or the last block's hit.  Table entries index the block's
-    targets, and a table given as an iterator is read row by row, only as
-    far as some flag still needs a row."""
+    the first or the last block's hit.  Row entries index the block's
+    targets, and a row is asked for only when some flag still needs
+    it."""
     member = [k in (0, 1, 2, 3, 4, 5, 6, 9) for k in range(10)]
     reads = []
 
     def hit(blocks, member, flags):
         found = kernels.first_class_composites(
-            [(rows, cols, range(10), table) for rows, cols, table in blocks],
-            member, flags)
+            [(rows, cols, range(10), table.__getitem__)
+             for rows, cols, table in blocks], member, flags)
         # the same blocks with every entry moved down by 2 and indexing
-        # targets 2..9, the rows handed out lazily and recorded as read
+        # targets 2..9, the rows recorded as asked for
         lazy = [(rows, cols, range(2, 10),
-                 (reads.append(g) or [t - 2 for t in trow]
-                  for g, trow in zip(rows, table)))
+                 lambda i, rows=rows, table=table: reads.append(rows[i])
+                 or [t - 2 for t in table[i]])
                 for rows, cols, table in blocks]
         del reads[:]
         assert kernels.first_class_composites(lazy, member, flags) == found

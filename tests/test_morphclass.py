@@ -13,6 +13,7 @@ from fincov.morphclass import (FactorizationFailure, MorphismClass,
                                check_regular, explicit_class, factorize,
                                is_extremal_wrt, is_stably_extremal,
                                is_stably_in)
+from fixtures_util import block_table
 
 
 @pytest.fixture(scope="module")
@@ -302,12 +303,14 @@ def test_class_composites_kernel_matches_reference_scans():
                                    [m for m in ms if rng.random() < 0.5]
                                    + (isos if k % 2 else []))
                     for k in range(6)]
-        generic = [(rows, cols, targets, [list(trow) for trow in table])
-                   for rows, cols, targets, table in
+        generic = [(rows, cols, targets, block_table(rows, row_of))
+                   for rows, cols, targets, row_of in
                    CategoryBase.composite_blocks(C)]
-        assert [(rows, cols, targets, [list(trow) for trow in table])
-                for rows, cols, targets, table in C.composite_blocks()] \
+        assert [(rows, cols, targets, block_table(rows, row_of))
+                for rows, cols, targets, row_of in C.composite_blocks()] \
             == generic
+        generic = [(rows, cols, targets, table.__getitem__)
+                   for rows, cols, targets, table in generic]
         for A in classes:
             member = [A.contains(m) for m in ms]
             _, wit = _reference_class_properties(C, A)
@@ -377,15 +380,15 @@ def test_ambient_composite_index_budget(monkeypatch):
         with pytest.raises(CapExceeded, match=f"needs {entries} entries"):
             amb.composite_index()
     assert entries <= algkit._INDEX_BUDGET
-    assert sum(sum(map(len, table))
-               for _, _, _, table in amb.composite_blocks()) == entries
+    assert sum(sum(map(len, block_table(rows, row_of)))
+               for rows, _, _, row_of in amb.composite_blocks()) == entries
 
 
 def _assert_index_composes(amb):
     ms = amb.composite_index().morphisms
     assert ms == amb.morphisms()
-    for rows, cols, targets, table in amb.composite_blocks():
-        for g, trow in zip(rows, table):
+    for rows, cols, targets, row_of in amb.composite_blocks():
+        for g, trow in zip(rows, block_table(rows, row_of)):
             for f, gf in zip(cols, trow):
                 assert ms[targets[gf]] == compose_homs(ms[g], ms[f])
 

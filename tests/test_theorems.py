@@ -280,6 +280,22 @@ def test_hopfian_non_surjective_hypothesis_failure(abelian8):
                if ok is False)
 
 
+def test_hopfian_fixed_point_fails_without_composing(abelian8):
+    """f not an endomorphism, or pi0 not landing in src(f): "pi0 fixed
+    point" fails as a hypothesis, with f . pi0 never composed, where it
+    used to raise CompositionError."""
+    amb, E, M = abelian8
+    Z1, Z2, Z4 = obj(amb, "Z1"), obj(amb, "Z2"), obj(amb, "Z4")
+    cases = [(amb.hom(Z2, Z4)[1], amb.hom(Z1, Z4)[0], False),
+             (amb.hom(Z4, Z4)[1], amb.hom(Z1, Z2)[0], True)]
+    for f, pi0, endo in cases:
+        rep, chain = run_hopfian_construction(amb, M, f, pi0, N=4)
+        assert chain is None and not rep.hypotheses_ok
+        assert rep.hypotheses[0][:2] == ("f endomorphism", endo)
+        assert rep.hypotheses[2][:2] == ("pi0 fixed point", False)
+        assert rep.conclusion_ok is None
+
+
 def test_noetherian_implies_hopfian_on_groups(abelian8):
     # every qualifying endomorphism of a finite group yields an isomorphic
     # pullback; exercises the full pipeline even though finiteness makes
