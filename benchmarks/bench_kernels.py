@@ -77,12 +77,21 @@ monos and the epis, ``is_stably_in`` of the isos and
 ``check_mono_reflective`` of every object; then, on a fresh harness
 ambient, the stability scan of the surjections and ``is_stably_in`` of
 the surjections out of groups of order at most 4, at probe cap 60.
+
+Before the kernel rows, two rows time fresh processes: the median of 11
+``python -c "import fincov.cli"`` beside the median of 11 ``python -c
+pass``, alternating.  The children write no bytecode, so the import row
+includes compiling fincov's modules (unless a ``__pycache__`` that an
+earlier run wrote is there to read).
 """
 
 import os
+import statistics
+import subprocess
 import sys
 import time
 
+import fincov
 from fincov import instances, kernels
 from fincov.algkit import build_finalg_category, enumerate_homs, \
     find_isomorphism, group_theory, hom_rows
@@ -491,8 +500,27 @@ def workloads():
     ]
 
 
+def fresh_processes(n=11):
+    """Median wall time of n fresh interpreters per ``-c`` program,
+    alternating between them.  The children import fincov from the
+    source tree this script imported and write no bytecode."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fincov.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    programs = {"python -c pass": "pass",
+                "python -c 'import fincov.cli'": "import fincov.cli"}
+    times = {name: [] for name in programs}
+    for _ in range(n):
+        for name, code in programs.items():
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(ts) for name, ts in times.items()}
+
+
 def main():
     print(f"{'workload':48s} {'time':>10s}")
+    for name, median in fresh_processes().items():
+        print(f"{name + ', median of 11':48s} {median * 1e3:9.1f}ms")
     for name, work in workloads():
         best, note = timeit(work)
         line = f"{name:48s} {best * 1e3:9.1f}ms"

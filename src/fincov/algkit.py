@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field
 from operator import methodcaller
 
 from . import kernels
@@ -39,14 +38,30 @@ def term_to_json(term):
     return [term[0]] + [term_to_json(a) for a in term[1:]]
 
 
-@dataclass(frozen=True)
 class Theory:
-    """Signature plus equations; equations are ((vars...), lhs, rhs)."""
+    """Signature plus equations; equations are ((vars...), lhs, rhs).
 
-    name: str
-    symbols: tuple  # ((name, arity), ...)
-    equations: tuple  # ((vars, lhs_term, rhs_term), ...)
-    default_t: tuple | None = None  # preferred binary term for uniformity
+    Equal and hashed as the tuple of its four fields, which are not
+    changed once built."""
+
+    __slots__ = ("name", "symbols", "equations", "default_t")
+
+    def __init__(self, name, symbols, equations, default_t=None):
+        self.name = name
+        self.symbols = symbols  # ((name, arity), ...)
+        self.equations = equations  # ((vars, lhs_term, rhs_term), ...)
+        self.default_t = default_t  # preferred binary term for uniformity
+
+    def _fields(self):
+        return (self.name, self.symbols, self.equations, self.default_t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def arity(self, sym):
         for s, a in self.symbols:
@@ -747,16 +762,18 @@ def derived_malcev_term(theta, thetas):
 # t-uniformity
 # ---------------------------------------------------------------------------
 
-@dataclass
 class UniformityReport:
-    hom: AlgHom
-    t: tuple
-    weakly_t_uniform: bool
-    t_uniform: bool
-    strongly_t_uniform: bool
-    t_cancelative: bool
-    weakly_t_cancelative: bool
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, hom, t, weakly_t_uniform, t_uniform,
+                 strongly_t_uniform, t_cancelative, weakly_t_cancelative,
+                 witnesses=None):
+        self.hom = hom
+        self.t = t
+        self.weakly_t_uniform = weakly_t_uniform
+        self.t_uniform = t_uniform
+        self.strongly_t_uniform = strongly_t_uniform
+        self.t_cancelative = t_cancelative
+        self.weakly_t_cancelative = weakly_t_cancelative
+        self.witnesses = {} if witnesses is None else witnesses
 
     def to_json(self):
         return {"hom": list(self.hom.images),
@@ -1512,15 +1529,15 @@ class AlgCategory(CategoryBase):
         return hit
 
 
-@dataclass
 class CompositeIndex:
     """An algebra ambient's morphisms as indices: ``spans`` maps (id A,
     id C) to the range of indices of hom(A, C), so hom(A, C)[k], and a
     composite table's position k in hom(A, C), is
     morphisms[spans[id A, id C][k]]."""
 
-    morphisms: tuple
-    spans: dict
+    def __init__(self, morphisms, spans):
+        self.morphisms = morphisms
+        self.spans = spans
 
 
 # Most table entries (composable pairs) one composite index may hold: 16M

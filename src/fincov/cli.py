@@ -110,11 +110,14 @@ def load_input(spec, max_size=None):
         name = spec.split(":", 1)[1]
         caps = {} if max_size is None else \
             {"group_cap": min(max_size, 8), "monoid_cap": min(max_size, 4)}
-        names = corpus_names(**caps)
-        if name not in names:
+        try:
+            entry = corpus_entry(name, **caps)
+        except KeyError:
+            names = corpus_names(**caps)
+            if name in names:
+                raise  # a known fixture's builder failed
             raise InputError(f"unknown corpus fixture {name!r}; "
                              f"known: {', '.join(names)}")
-        entry = corpus_entry(name, **caps)
         return entry.category, entry, None
     try:
         with open(spec, encoding="utf-8") as fh:
@@ -142,10 +145,29 @@ def load_input(spec, max_size=None):
 def resolve_class(C, entry, data, name):
     if entry is not None and name in entry.classes:
         return entry.classes[name]
-    if data:
-        for item in data.get("classes", []):
-            if item.get("class", {}).get("name") == name:
-                return MorphismClass.from_json(C, item)
+    shape = '{"class": {"name": ..., "members": [morphism ids]}}'
+    items = data.get("classes", []) if data else []
+    if not isinstance(items, list):
+        raise InputError(f"classes must be a list of {shape}")
+    for i, item in enumerate(items):
+        body = item.get("class") if isinstance(item, dict) else None
+        if not isinstance(body, dict):
+            raise InputError(f"classes[{i}] must be an object {shape}")
+        if body.get("name") != name:
+            continue
+        members = body.get("members")
+        where = f"classes[{i}].class.members"
+        if members == "<predicate>":
+            raise InputError(f"{where} is \"<predicate>\", which lists no "
+                             "members: bind a builtin class by its name "
+                             "instead, as in --classes E=monos")
+        if not isinstance(members, list) or \
+                not all(isinstance(m, str) for m in members):
+            raise InputError(f"{where} must be a list of morphism ids")
+        unknown = sorted(set(members).difference(C.morphisms()))
+        if unknown:
+            raise InputError(f"{where} names unknown morphism {unknown[0]!r}")
+        return MorphismClass.from_json(C, item)
     try:
         return builtin_class(C, name)
     except KeyError:

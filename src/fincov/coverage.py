@@ -11,27 +11,18 @@ coverings lazily under a hard cap; exceeding the cap yields the verdict
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import chain_poset, derived_memo, mor_key, poset_category, \
-    slice_view
+from .fincat import Failure, chain_poset, derived_memo, mor_key, \
+    poset_category, slice_view
 from .morphclass import builtin_class
 from .variance import ImageTable, MissingPullback, MixedFunctor, \
     Variance, broken_law, pullback_induced, standard_variances, \
     validate_mixed_functor, validate_variance
 
 
-@dataclass
-class DiagramTypeFailure:
-    reason: str
-    witness: tuple
-
-    def __bool__(self):
-        return False
-
-    def to_json(self):
-        return {"reason": self.reason, "witness": [str(w) for w in self.witness]}
+class DiagramTypeFailure(Failure):
+    """A diagram type that cannot be built as asked."""
 
 
 class DiagramType:
@@ -190,15 +181,17 @@ def _powerset_type_relaxed(k, kappa, direction="cov"):
 # coverings
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class Covering:
     """A tuple (F: I -> C/c, smalls, variance) with F a valid mixed functor."""
 
-    category: object
-    anchor: object
-    diagram_type: DiagramType
-    functor: MixedFunctor
-    flags: tuple = ()
+    __slots__ = ("category", "anchor", "diagram_type", "functor", "flags")
+
+    def __init__(self, category, anchor, diagram_type, functor, flags=()):
+        self.category = category
+        self.anchor = anchor
+        self.diagram_type = diagram_type
+        self.functor = functor
+        self.flags = flags
 
     def leg(self, i):
         """The underlying morphism into the anchor at index object i."""
@@ -461,13 +454,14 @@ def enumerate_coverings(C, c, J, M, cap=None):
 # coverage axiom, image compatibility, compactness
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CoverageCheckReport:
-    is_coverage: bool | None
-    witness: tuple = ()
-    reason: str = ""
-    checked: int = 0
-    capped: bool = False
+    def __init__(self, is_coverage, witness=(), reason="", checked=0,
+                 capped=False):
+        self.is_coverage = is_coverage
+        self.witness = witness
+        self.reason = reason
+        self.checked = checked
+        self.capped = capped
 
     def __bool__(self):
         return bool(self.is_coverage)
@@ -507,12 +501,12 @@ def check_coverage(C, tau, cap=None, morphism_cap=None):
     return CoverageCheckReport(True, (), "", checked, False)
 
 
-@dataclass
 class CompatibilityReport:
-    compatible: bool | None
-    witness: tuple = ()
-    checked: int = 0
-    capped: bool = False
+    def __init__(self, compatible, witness=(), checked=0, capped=False):
+        self.compatible = compatible
+        self.witness = witness
+        self.checked = checked
+        self.capped = capped
 
     def __bool__(self):
         return bool(self.compatible)
@@ -532,11 +526,10 @@ def check_image_compatibility(C, f, tau, E, M, FS=None, cap=None):
     callers.
     """
     memo = derived_memo(C, "image_compatibility", tau)
-    # FS is an unhashable dataclass: key it by id and keep it alive
-    key = (f, E, M, id(FS), cap)
+    key = (f, E, M, FS, cap)
     if key not in memo:
-        memo[key] = (FS, _image_compatibility(C, f, tau, E, M, FS, cap))
-    return memo[key][1]
+        memo[key] = _image_compatibility(C, f, tau, E, M, FS, cap)
+    return memo[key]
 
 
 def _image_compatibility(C, f, tau, E, M, FS, cap):
@@ -656,7 +649,6 @@ class _CompatibleSearch:
                    for k, ks, kt in F.variance.moving)
 
 
-@dataclass
 class CompactnessVerdict:
     """Per-covering stabilization witnesses, or the least failing covering.
 
@@ -664,12 +656,14 @@ class CompactnessVerdict:
     in enumeration order; ``witnesses`` holds (covering key, small) in its
     place, built on first access."""
 
-    compact: bool | None
-    stable: tuple = ()
-    failing: Covering | None = None
-    enumerated: int = 0
-    capped: bool = False
-    flags: tuple = ()
+    def __init__(self, compact, stable=(), failing=None, enumerated=0,
+                 capped=False, flags=()):
+        self.compact = compact
+        self.stable = stable
+        self.failing = failing
+        self.enumerated = enumerated
+        self.capped = capped
+        self.flags = flags
 
     def __bool__(self):
         return bool(self.compact)

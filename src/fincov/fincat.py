@@ -18,7 +18,6 @@ import weakref
 from array import array
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -86,14 +85,33 @@ def drop_derived_memos(C):
     C.__dict__.pop("_slice_views", None)
 
 
-@dataclass
+class Failure:
+    """A (reason, witness) record of a failed construction; false in a
+    boolean context."""
+
+    def __init__(self, reason, witness):
+        self.reason = reason
+        self.witness = witness
+
+    def __bool__(self):
+        return False
+
+    def to_json(self):
+        return {"reason": self.reason, "witness": [str(w) for w in self.witness]}
+
+
 class ValidationReport:
     """First violated category law, with the least witness."""
 
-    ok: bool
-    law: str = ""
-    witness: tuple = ()
-    message: str = ""
+    def __init__(self, ok, law="", witness=(), message=""):
+        self.ok = ok
+        self.law = law
+        self.witness = witness
+        self.message = message
+
+    def __repr__(self):
+        return (f"ValidationReport(ok={self.ok!r}, law={self.law!r}, "
+                f"witness={self.witness!r}, message={self.message!r})")
 
     def __bool__(self):
         return self.ok
@@ -247,7 +265,6 @@ class CategoryBase:
         return any(self.compose(f, s) == idb for s in self.hom(b, a))
 
 
-@dataclass
 class PullbackSquare:
     """A verified pullback: f.proj1 = g.proj2, terminal among all cones.
 
@@ -260,14 +277,16 @@ class PullbackSquare:
     inverse after p or q.
     """
 
-    category: CategoryBase
-    f: object
-    g: object
-    apex: object
-    proj1: object  # apex -> src(f)
-    proj2: object  # apex -> src(g)
-    mediators: dict = field(repr=False, compare=False, default_factory=dict)
-    cones: tuple = field(repr=False, compare=False, default=None)
+    def __init__(self, category, f, g, apex, proj1, proj2, mediators=None,
+                 cones=None):
+        self.category = category
+        self.f = f
+        self.g = g
+        self.apex = apex
+        self.proj1 = proj1  # apex -> src(f)
+        self.proj2 = proj2  # apex -> src(g)
+        self.mediators = {} if mediators is None else mediators
+        self.cones = cones
 
     def mediator(self, p, q):
         if self.cones is not None:
@@ -287,7 +306,6 @@ class PullbackSquare:
         return self.mediators[(p, q)]
 
 
-@dataclass
 class MorphismReport:
     """Exhaustively decided flags for one morphism.
 
@@ -295,13 +313,15 @@ class MorphismReport:
     in the category or would leave an ambient's size cap.
     """
 
-    morphism: object
-    iso: bool
-    mono: bool
-    epi: bool
-    section: bool
-    retraction: bool
-    regular_epi: bool | None
+    def __init__(self, morphism, iso, mono, epi, section, retraction,
+                 regular_epi):
+        self.morphism = morphism
+        self.iso = iso
+        self.mono = mono
+        self.epi = epi
+        self.section = section
+        self.retraction = retraction
+        self.regular_epi = regular_epi
 
     def to_json(self):
         return {"morphism": str(self.morphism), "iso": self.iso,
@@ -657,15 +677,15 @@ def opposite_category(C):
                        name=f"{C.name}^op")
 
 
-@dataclass
 class CatFunctor:
     """Explicit functor: object and morphism maps between category handles."""
 
-    source: CategoryBase
-    target: CategoryBase
-    obj_map: dict
-    mor_map: dict
-    name: str = "F"
+    def __init__(self, source, target, obj_map, mor_map, name="F"):
+        self.source = source
+        self.target = target
+        self.obj_map = obj_map
+        self.mor_map = mor_map
+        self.name = name
 
     def on_mor(self, m):
         return self.mor_map[m]

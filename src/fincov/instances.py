@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
 from functools import partial
 
 from .algkit import FinAlgebra, _coded_algebra, build_finalg_category, \
@@ -57,12 +56,12 @@ def diamond_lattice(name="diamond"):
 # set skeleton
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SetSkeleton:
     """Skeleton of finite sets S0..Sn with all functions as morphisms."""
 
-    category: FinCategory
-    maps: dict = field(repr=False)  # mor id -> (src size, tgt size, images)
+    def __init__(self, category, maps):
+        self.category = category
+        self.maps = maps  # mor id -> (src size, tgt size, images)
 
     def is_injective(self, m):
         s, _, img = self.maps[m]
@@ -342,7 +341,6 @@ def subgroup_lattice_poset(A, name=None):
 # finite topological spaces
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FiniteTopCorpus:
     """Finite spaces up to homeomorphism with all continuous maps.
 
@@ -350,9 +348,10 @@ class FiniteTopCorpus:
     tuple of point-bitmask ints; ``maps`` maps morphism id -> images tuple.
     """
 
-    category: FinCategory
-    spaces: dict
-    maps: dict = field(repr=False)
+    def __init__(self, category, spaces, maps):
+        self.category = category
+        self.spaces = spaces
+        self.maps = maps
 
     def opens(self, obj):
         return self.spaces[obj][1]
@@ -715,17 +714,17 @@ def random_mixed_functor(seed):
 # the standard corpus
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CorpusEntry:
-    name: str
-    category: object
-    classes: dict
-    extra: object = None
+    def __init__(self, name, category, classes, extra=None):
+        self.name = name
+        self.category = category
+        self.classes = classes
+        self.extra = extra
 
 
-@dataclass
 class Corpus:
-    entries: dict
+    def __init__(self, entries):
+        self.entries = entries
 
     def __getitem__(self, name):
         return self.entries[name]
@@ -853,9 +852,13 @@ def corpus_entry(name, max_top_points=3, group_cap=8, monoid_cap=4):
     """One standard fixture, built on first use for these caps.
 
     Raises KeyError for a name not in ``corpus_names`` at the same caps.
+    A cached entry is returned without listing the builders.
     """
     caps = (max_top_points, group_cap, monoid_cap)
-    return _cached_entry(name, caps, _fixture_builders(*caps)[name])
+    entry = _corpus_cache.get((name,) + caps)
+    if entry is None:
+        entry = _cached_entry(name, caps, _fixture_builders(*caps)[name])
+    return entry
 
 
 def standard_corpus(max_top_points=3, group_cap=8, monoid_cap=4):

@@ -10,10 +10,9 @@ incomplete categories yield a qualified verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import kernels
-from .fincat import FinCategory, derived_memo, mor_key, try_pullback
+from .fincat import Failure, FinCategory, derived_memo, mor_key, \
+    try_pullback
 
 
 class MorphismClass:
@@ -107,16 +106,18 @@ def explicit_class(C, name, members):
     return MorphismClass(C, name, members=frozenset(members))
 
 
-@dataclass
 class ClassPropertyReport:
     """Flags with a counterexample witness per false flag."""
 
-    system: bool
-    stable: bool
-    left_cancelable: bool
-    right_cancelable: bool
-    witnesses: dict = field(default_factory=dict)
-    restricted: bool = False  # stability judged over existing pullbacks only
+    def __init__(self, system, stable, left_cancelable, right_cancelable,
+                 witnesses=None, restricted=False):
+        self.system = system
+        self.stable = stable
+        self.left_cancelable = left_cancelable
+        self.right_cancelable = right_cancelable
+        self.witnesses = {} if witnesses is None else witnesses
+        # stability judged over existing pullbacks only
+        self.restricted = restricted
 
     def to_json(self):
         return {"system": self.system, "stable": self.stable,
@@ -415,7 +416,6 @@ def _factor_search(C, in_E, in_M, f, es=None):
     return None
 
 
-@dataclass
 class FactorizationSystem:
     """A validated orthogonal factorization system with its table of
     canonical (least-id) factorizations.
@@ -424,13 +424,15 @@ class FactorizationSystem:
     falls back to the canonical search and extends the table.
     """
 
-    category: object
-    E: MorphismClass
-    M: MorphismClass
-    table: dict
-    stable_E: bool = True
-    stable_M: bool = True
-    restricted: bool = False
+    def __init__(self, category, E, M, table, stable_E=True, stable_M=True,
+                 restricted=False):
+        self.category = category
+        self.E = E
+        self.M = M
+        self.table = table
+        self.stable_E = stable_E
+        self.stable_M = stable_M
+        self.restricted = restricted
 
     def factorize(self, f):
         if f not in self.table:
@@ -450,16 +452,8 @@ class FactorizationSystem:
                                                   key=lambda kv: str(kv[0]))}}
 
 
-@dataclass
-class FactorizationFailure:
-    reason: str
-    witness: tuple
-
-    def __bool__(self):
-        return False
-
-    def to_json(self):
-        return {"reason": self.reason, "witness": [str(x) for x in self.witness]}
+class FactorizationFailure(Failure):
+    """A pair (E, M) that is not an orthogonal factorization system."""
 
 
 def check_factorization_system(C, E, M, probe_cap=None):
@@ -506,11 +500,11 @@ def factorize(FS, f):
     return FS.factorize(f)
 
 
-@dataclass
 class RegularityReport:
-    regular: bool
-    witness: object = None
-    restricted: bool = False
+    def __init__(self, regular, witness=None, restricted=False):
+        self.regular = regular
+        self.witness = witness
+        self.restricted = restricted
 
     def __bool__(self):
         return self.regular

@@ -17,7 +17,6 @@ reads e.beta off the ambient's composite rows, one e per orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fincat import PullbackSquare, mor_key, try_pullback, \
     verify_pullback_square
@@ -30,21 +29,22 @@ class InternalConsistencyError(AssertionError):
     """The two formulations disagreed; one of the checkers is wrong."""
 
 
-@dataclass
 class ProtoDiagram:
     """The seven morphisms of a counterexample diagram plus its apexes."""
 
-    e: object
-    theta: object
-    m: object            # pullback projection a -> b
-    p: object            # pullback projection a -> I
-    beta: object
-    gamma: object
-    e_prime: object
-    m_prime: object      # pullback projection a' -> b'
-    alpha: object        # pullback projection a' -> a
-    apex: object
-    apex_prime: object
+    def __init__(self, e, theta, m, p, beta, gamma, e_prime, m_prime, alpha,
+                 apex, apex_prime):
+        self.e = e
+        self.theta = theta
+        self.m = m                # pullback projection a -> b
+        self.p = p                # pullback projection a -> I
+        self.beta = beta
+        self.gamma = gamma
+        self.e_prime = e_prime
+        self.m_prime = m_prime    # pullback projection a' -> b'
+        self.alpha = alpha        # pullback projection a' -> a
+        self.apex = apex
+        self.apex_prime = apex_prime
 
     def to_json(self):
         return {k: str(getattr(self, k)) for k in
@@ -52,14 +52,16 @@ class ProtoDiagram:
                  "m_prime", "alpha", "apex", "apex_prime")}
 
 
-@dataclass
 class ProtoReport:
-    satisfied: bool
-    counterexample: ProtoDiagram | None = None
-    diagrams_checked: int = 0
-    restricted: bool = False     # some cospans had no pullback and were skipped
-    scope: str = "exhaustive"
-    form: str = "definition"
+    def __init__(self, satisfied, counterexample=None, diagrams_checked=0,
+                 restricted=False, scope="exhaustive", form="definition"):
+        self.satisfied = satisfied
+        self.counterexample = counterexample
+        self.diagrams_checked = diagrams_checked
+        # some cospans had no pullback and were skipped
+        self.restricted = restricted
+        self.scope = scope
+        self.form = form
 
     def __bool__(self):
         return self.satisfied
@@ -321,12 +323,12 @@ def cross_validate_protomodularity(C, E, M):
 # transport along jointly conservative pullback-preserving functors
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TransportReport:
-    E_prime: MorphismClass | None
-    M_prime: MorphismClass | None
-    verdict: ProtoReport | None
-    precondition_failure: tuple | None = None
+    def __init__(self, E_prime, M_prime, verdict, precondition_failure=None):
+        self.E_prime = E_prime
+        self.M_prime = M_prime
+        self.verdict = verdict
+        self.precondition_failure = precondition_failure
 
     def to_json(self):
         return {"ok": self.precondition_failure is None,

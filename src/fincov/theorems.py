@@ -17,8 +17,6 @@ is the one scan of E for an incompatible image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coverage import RuleCoverage, check_coverage, \
     check_image_compatibility, check_subordination, decide_tau_compact
 from .fincat import derived_memo, try_pullback, verify_pullback_square
@@ -27,7 +25,6 @@ from .morphclass import MorphismClass, builtin_class, check_class_properties, \
 from .protomod import check_protomodularity_pair
 
 
-@dataclass
 class ClosureReport:
     """Hypothesis checklist plus conclusion verdict.
 
@@ -35,11 +32,13 @@ class ClosureReport:
     conclusion failed.
     """
 
-    check: str
-    hypotheses: list = field(default_factory=list)
-    conclusion_ok: bool | None = None
-    counterexample: dict | None = None
-    details: dict = field(default_factory=dict)
+    def __init__(self, check, hypotheses=None, conclusion_ok=None,
+                 counterexample=None, details=None):
+        self.check = check
+        self.hypotheses = [] if hypotheses is None else hypotheses
+        self.conclusion_ok = conclusion_ok
+        self.counterexample = counterexample
+        self.details = {} if details is None else details
 
     def add_hypothesis(self, name, ok, witness=None):
         self.hypotheses.append((name, ok, witness))
@@ -224,9 +223,9 @@ def verify_closure_extensions(C, tau, E, M, square, cap=None, FS=None,
                                {"square": (str(f), str(phi))})
 
 
-@dataclass
 class WellBehavedReport:
-    conditions: list = field(default_factory=list)
+    def __init__(self, conditions=None):
+        self.conditions = [] if conditions is None else conditions
 
     @property
     def well_behaved(self):
@@ -319,20 +318,21 @@ def verify_product_closure(C, tau, E, M, a, b, cap=None, FS=None,
 # the fixed-point pullback chain
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HopfianChain:
     """Objects I_n with projections to the base and to I_0, the comparison
     morphisms between stages, and the stabilization index."""
 
-    base: object
-    f: object
-    pi0: object
-    objects: list          # I_0 .. I_N
-    pi: list               # pi_n : I_n -> x
-    to_zero: list          # f_n^0 : I_n -> I_0
-    up: dict               # (n, n+k) -> phi_n^{n+k}
-    down: dict             # (n+k, n) -> f_{n+k}^n
-    stable_index: int | None = None
+    def __init__(self, base, f, pi0, objects, pi, to_zero, up, down,
+                 stable_index=None):
+        self.base = base
+        self.f = f
+        self.pi0 = pi0
+        self.objects = objects      # I_0 .. I_N
+        self.pi = pi                # pi_n : I_n -> x
+        self.to_zero = to_zero      # f_n^0 : I_n -> I_0
+        self.up = up                # (n, n+k) -> phi_n^{n+k}
+        self.down = down            # (n+k, n) -> f_{n+k}^n
+        self.stable_index = stable_index
 
     def to_json(self):
         return {"objects": [str(o) for o in self.objects],

@@ -12,10 +12,9 @@ full morphism map.  A variance compiles its hexagon laws once
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .fincat import slice_view, try_pullback
+from .fincat import Failure, slice_view, try_pullback
 
 
 class MissingPullback(Exception):
@@ -24,16 +23,8 @@ class MissingPullback(Exception):
         self.index_object = index_object
 
 
-@dataclass
-class VarianceFailure:
-    reason: str
-    witness: tuple
-
-    def __bool__(self):
-        return False
-
-    def to_json(self):
-        return {"reason": self.reason, "witness": [str(w) for w in self.witness]}
+class VarianceFailure(Failure):
+    """A variance that is not a two-sided factorization system."""
 
 
 class Variance:
@@ -183,7 +174,6 @@ def standard_variances(I):
 _UNDECIDED = object()
 
 
-@dataclass(slots=True)
 class MixedFunctor:
     """Functor of a variance into a target category.
 
@@ -191,18 +181,21 @@ class MixedFunctor:
     morphism k to a target morphism obj(source_stage k) -> obj(target_stage k).
     """
 
-    variance: Variance
-    target: object
-    obj_map: dict
-    mor_map: dict
-    name: str = "F"
-    # the non-identity index arrows sent to non-isomorphisms, decided by
-    # ``coverage.stabilization_small``; a functor is not changed once built
-    non_isos: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
-    # ``validate_mixed_functor``'s verdict, kept by it once decided
-    verdict: object = field(default=_UNDECIDED, init=False, repr=False,
-                            compare=False)
+    __slots__ = ("variance", "target", "obj_map", "mor_map", "name",
+                 "non_isos", "verdict")
+
+    def __init__(self, variance, target, obj_map, mor_map, name="F"):
+        self.variance = variance
+        self.target = target
+        self.obj_map = obj_map
+        self.mor_map = mor_map
+        self.name = name
+        # the non-identity index arrows sent to non-isomorphisms, decided
+        # by ``coverage.stabilization_small``; a functor is not changed
+        # once built
+        self.non_isos = None
+        # ``validate_mixed_functor``'s verdict, kept by it once decided
+        self.verdict = _UNDECIDED
 
     def on_mor(self, k):
         return self.mor_map[k]
@@ -362,13 +355,13 @@ def _functor_verdict(F):
     return None
 
 
-@dataclass
 class MixedNatTrans:
     """Object-indexed components between two functors of the same variance."""
 
-    source: MixedFunctor
-    target: MixedFunctor
-    components: dict
+    def __init__(self, source, target, components):
+        self.source = source
+        self.target = target
+        self.components = components
 
     def validate(self):
         V = self.source.variance
@@ -387,15 +380,15 @@ class MixedNatTrans:
         return {str(i): str(c) for i, c in self.components.items()}
 
 
-@dataclass
 class SplitPair:
     """Covariant restriction to Cov and contravariant restriction to Contr."""
 
-    variance: Variance
-    target: object
-    obj_map: dict
-    cov_map: dict
-    contr_map: dict
+    def __init__(self, variance, target, obj_map, cov_map, contr_map):
+        self.variance = variance
+        self.target = target
+        self.obj_map = obj_map
+        self.cov_map = cov_map
+        self.contr_map = contr_map
 
 
 def split_mixed_functor(F):
@@ -405,13 +398,8 @@ def split_mixed_functor(F):
     return SplitPair(V, F.target, dict(F.obj_map), cov_map, contr_map)
 
 
-@dataclass
-class AssembleFailure:
-    reason: str
-    witness: tuple
-
-    def __bool__(self):
-        return False
+class AssembleFailure(Failure):
+    """A split pair that does not assemble into a mixed functor."""
 
 
 def assemble_mixed_functor(pair):

@@ -134,6 +134,35 @@ def test_input_error_exit_code(capsys, tmp_path):
         assert err["exit_code"] == 4 and message in err["error"], argv
 
 
+@pytest.mark.parametrize("classes, message", [
+    ([5], "classes[0] must be an object"),
+    (["x"], "classes[0] must be an object"),
+    (None, "classes must be a list"),
+    ([{"class": {"name": "E", "members": None}}],
+     "classes[0].class.members must be a list of morphism ids"),
+    ([{"class": {"name": "E", "members": 3}}],
+     "classes[0].class.members must be a list of morphism ids"),
+    ([{"class": {"name": "E", "members": ["nope"]}}],
+     "classes[0].class.members names unknown morphism 'nope'"),
+    ([{"class": {"name": "E", "members": "<predicate>"}}],
+     "bind a builtin class by its name"),
+], ids=["int-item", "str-item", "null-classes", "null-members",
+        "int-members", "unknown-member", "predicate-members"])
+def test_bad_class_entries_are_input_errors(classes, message, tmp_path,
+                                            capsys):
+    """A malformed ``classes`` section of an input file ends with exit 4
+    and a message naming its JSON path, never a traceback or a verdict
+    on a class it did not mean."""
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({
+        "category": instances.set_skeleton(2).category.to_json(),
+        "classes": classes}), encoding="utf-8")
+    assert main(["check", "class-properties", "--input", str(path),
+                 "--classes", "E=E"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 4 and message in err["error"]
+
+
 def test_kappa_zero_keeps_empty_smalls_report(capsys):
     code, out = run_cli(["check", "compact", "--input", "corpus:finite_top",
                          "--coverage", "open-covers", "--kappa", "0",

@@ -470,6 +470,25 @@ def test_opposite_swaps_flags():
         assert rep.retraction == rep_op.section
 
 
+def test_duality_swaps_classify_flags(corpus):
+    """Duality relation: on ``opposite_category(C)``, mono swaps with
+    epi and section with retraction, and iso stays, for every morphism
+    of the explicit corpus fixtures and of ``random_category`` seeds
+    0-29."""
+    from fincov.instances import random_category
+    cats = [C for C in corpus.categories() if isinstance(C, FinCategory)]
+    cats += [random_category(s) for s in range(30)]
+    assert len(cats) == 17 + 30
+    for C in cats:
+        op = opposite_category(C)
+        for m in C.morphisms():
+            rep, dual = classify_morphism(C, m), classify_morphism(op, m)
+            assert (dual.morphism, dual.iso, dual.mono, dual.epi,
+                    dual.section, dual.retraction) == \
+                (rep.morphism, rep.iso, rep.epi, rep.mono, rep.retraction,
+                 rep.section), (C.name, m)
+
+
 def test_opposite_group_is_transposed_table():
     cat = group_category(cyclic_group(3))
     op = opposite_category(cat)

@@ -220,3 +220,41 @@ def test_coverage_loads_no_fixture_or_algebra_module():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    """Records under src/fincov are plain classes with hand-written
+    ``__init__`` methods: no module names ``dataclasses`` or
+    ``dataclass``, so none generates and compiles methods at import."""
+    assert _src_uses({"dataclasses", "dataclass"}) == []
+
+
+def test_cli_and_harness_pass_load_no_dataclasses_or_inspect(tmp_path):
+    """In a fresh interpreter, neither ``import fincov.cli`` nor a whole
+    ``perfbench/child.py harness`` pass after it loads ``dataclasses`` or
+    ``inspect``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")])}
+    script = ("import json, sys\n"
+              "def loaded():\n"
+              "    print(sorted(m for m in ('dataclasses', 'inspect')"
+              " if m in sys.modules))\n"
+              "import fincov.cli\n"
+              "loaded()\n"
+              "import child, plan\n"
+              "with open('plan.json', 'w') as fh:\n"
+              "    json.dump(plan.closure_harness_plan(1), fh)\n"
+              "assert child.main(['harness', 'plan.json', 'out.json', '-'])"
+              " == 0\n"
+              "loaded()\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+    out = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert {status for _, _, status, _, _ in out["instances"]} == {"ok"}
