@@ -78,17 +78,24 @@ monos and the epis, ``is_stably_in`` of the isos and
 ambient, the stability scan of the surjections and ``is_stably_in`` of
 the surjections out of groups of order at most 4, at probe cap 60.
 
-Before the kernel rows, two rows time fresh processes: the median of 11
-``python -c "import fincov.cli"`` beside the median of 11 ``python -c
-pass``, alternating.  The children write no bytecode, so the import row
-includes compiling fincov's modules (unless a ``__pycache__`` that an
-earlier run wrote is there to read).
+Before the kernel rows, five rows time fresh processes, the median of 11
+runs each, alternating: ``python -c pass``; ``python -c "import
+fincov.cli"``, which registers the heavy layers without running them, so
+it compiles ``cli``, ``report``, ``fincat`` and ``kernels`` only; and
+three ``python -m fincov.cli check`` commands: ``validate`` of the
+``sub_Z8`` tables in a file, and ``compact`` on the ``set_skeleton_2``
+and ``sub_Z8`` fixtures, each compiling the layers it reaches.  The
+children write no bytecode, so every row includes compiling fincov's
+modules (unless a ``__pycache__`` that an earlier run wrote is there to
+read).
 """
 
+import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import fincov
@@ -501,26 +508,44 @@ def workloads():
 
 
 def fresh_processes(n=11):
-    """Median wall time of n fresh interpreters per ``-c`` program,
-    alternating between them.  The children import fincov from the
-    source tree this script imported and write no bytecode."""
+    """Median wall time of n fresh interpreters per program, alternating
+    between them.  The children import fincov from the source tree this
+    script imported and write no bytecode."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fincov.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    programs = {"python -c pass": "pass",
-                "python -c 'import fincov.cli'": "import fincov.cli"}
-    times = {name: [] for name in programs}
-    for _ in range(n):
-        for name, code in programs.items():
-            t0 = time.perf_counter()
-            subprocess.run([sys.executable, "-c", code], env=env, check=True)
-            times[name].append(time.perf_counter() - t0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sub_Z8.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"category": instances.corpus_entry("sub_Z8")
+                       .category.to_json()}, fh)
+        cli = [sys.executable, "-m", "fincov.cli", "check"]
+        programs = {
+            "python -c pass": [sys.executable, "-c", "pass"],
+            "python -c 'import fincov.cli' (layers unrun)":
+                [sys.executable, "-c", "import fincov.cli"],
+            "check validate --input FILE (sub_Z8)":
+                cli + ["validate", "--input", path],
+            "check compact --input corpus:set_skeleton_2":
+                cli + ["compact", "--input", "corpus:set_skeleton_2"],
+            "check compact --input corpus:sub_Z8":
+                cli + ["compact", "--input", "corpus:sub_Z8"],
+        }
+        times = {name: [] for name in programs}
+        for _ in range(n):
+            for name, argv in programs.items():
+                t0 = time.perf_counter()
+                proc = subprocess.run(argv, env=env,
+                                      stdout=subprocess.DEVNULL)
+                times[name].append(time.perf_counter() - t0)
+                if proc.returncode not in (0, 1):
+                    raise RuntimeError(f"{name} exited {proc.returncode}")
     return {name: statistics.median(ts) for name, ts in times.items()}
 
 
 def main():
     print(f"{'workload':48s} {'time':>10s}")
     for name, median in fresh_processes().items():
-        print(f"{name + ', median of 11':48s} {median * 1e3:9.1f}ms")
+        print(f"{name:48s} {median * 1e3:9.1f}ms  (median of 11)")
     for name, work in workloads():
         best, note = timeit(work)
         line = f"{name:48s} {best * 1e3:9.1f}ms"

@@ -16,25 +16,21 @@ import json
 import sys
 import time
 
+from . import lazy_layer
 from . import report as rp
-from .algkit import AlgHom, FinAlgebra, Theory, classify_uniformity, \
-    check_monic_pullback_corollary, term_from_json, term_grid
-from .coverage import ClosedFamilyCoverage, DiagramTypeFailure, \
-    OpenCoverCoverage, RuleCoverage, build_chain_type, build_powerset_type, \
-    check_coverage, check_image_compatibility, check_subordination, \
-    decide_tau_compact
 from .fincat import FinCategory, category_from_json, classify_morphism, \
     validate_category
-from .instances import AMBIENT_FIXTURES, FiniteTopCorpus, corpus_entry, \
-    corpus_names
-from .morphclass import MorphismClass, builtin_class, \
-    check_class_properties, check_factorization_system, check_regular
-from .protomod import check_protomodularity_equivalent, \
-    check_protomodularity_pair
-from .theorems import check_mono_reflective, check_tau_well_behaved, \
-    run_hopfian_construction, run_image_closure_suite, \
-    verify_closure_extensions, verify_closure_quotients, \
-    verify_closure_subobjects, verify_product_closure
+
+# The layers a command may need.  Each is registered unexecuted and runs
+# its body when a command first reads one of its attributes, so a process
+# compiles only the layers its command reaches.
+algkit = lazy_layer("algkit")
+coverage = lazy_layer("coverage")
+instances = lazy_layer("instances")
+morphclass = lazy_layer("morphclass")
+protomod = lazy_layer("protomod")
+theorems = lazy_layer("theorems")
+variance = lazy_layer("variance")
 
 
 class InputError(Exception):
@@ -111,9 +107,9 @@ def load_input(spec, max_size=None):
         caps = {} if max_size is None else \
             {"group_cap": min(max_size, 8), "monoid_cap": min(max_size, 4)}
         try:
-            entry = corpus_entry(name, **caps)
+            entry = instances.corpus_entry(name, **caps)
         except KeyError:
-            names = corpus_names(**caps)
+            names = instances.corpus_names(**caps)
             if name in names:
                 raise  # a known fixture's builder failed
             raise InputError(f"unknown corpus fixture {name!r}; "
@@ -167,9 +163,9 @@ def resolve_class(C, entry, data, name):
         unknown = sorted(set(members).difference(C.morphisms()))
         if unknown:
             raise InputError(f"{where} names unknown morphism {unknown[0]!r}")
-        return MorphismClass.from_json(C, item)
+        return morphclass.MorphismClass.from_json(C, item)
     try:
-        return builtin_class(C, name)
+        return morphclass.builtin_class(C, name)
     except KeyError:
         raise InputError(f"unknown class {name!r}")
 
@@ -192,16 +188,17 @@ def diagram_type(spec):
     try:
         if "chain" in spec:
             c = spec["chain"]
-            return build_chain_type(c["n"], c["smalls"], c.get("dir", "cov"))
+            return coverage.build_chain_type(c["n"], c["smalls"],
+                                             c.get("dir", "cov"))
         if "powerset" in spec:
             pw = spec["powerset"]
-            dt = build_powerset_type(pw["index"], pw["kappa"],
-                                     pw.get("dir", "cov"))
+            dt = coverage.build_powerset_type(pw["index"], pw["kappa"],
+                                              pw.get("dir", "cov"))
         else:
             raise InputError(f"unknown diagram type spec {spec}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"diagram type spec {spec} invalid: {exc}")
-    if isinstance(dt, DiagramTypeFailure):
+    if isinstance(dt, coverage.DiagramTypeFailure):
         raise InputError(f"diagram type invalid: {dt.to_json()}")
     return dt
 
@@ -231,21 +228,20 @@ def resolve_coverage(C, entry, data, args, M):
     kind = args.coverage or "rule"
     if kind in ("open-covers", "closed-families"):
         top = entry.extra if entry is not None else None
-        if not isinstance(top, FiniteTopCorpus):
+        if not isinstance(top, instances.FiniteTopCorpus):
             raise InputError("topological coverages need the finite_top "
                              "corpus fixture")
-        cls = OpenCoverCoverage if kind == "open-covers" else \
-            ClosedFamilyCoverage
+        cls = coverage.OpenCoverCoverage if kind == "open-covers" else \
+            coverage.ClosedFamilyCoverage
         return cls(top, kappa=args.kappa)
     if data and "coverage" in data and args.coverage is None:
         body = data["coverage"]
         if "rule" in body:
             types = [diagram_type(spec) for spec in body["rule"]["J"]]
-            return RuleCoverage(types,
-                                resolve_class(C, entry, data,
-                                              body["rule"]["M"]))
+            return coverage.RuleCoverage(
+                types, resolve_class(C, entry, data, body["rule"]["M"]))
         raise InputError("coverage entry must carry a rule specification")
-    return RuleCoverage(parse_diagram_types(args), M)
+    return coverage.RuleCoverage(parse_diagram_types(args), M)
 
 
 def resolve_object(C, oid):
@@ -284,19 +280,20 @@ def resolve_hom(data, spec):
     if not data or "theory" not in data:
         raise InputError("algebra checks need a theory/algebras input file")
     try:
-        theory = Theory.from_json(data["theory"])
+        theory = algkit.Theory.from_json(data["theory"])
         algebras = {}
         for item in data.get("algebras", []):
-            A = FinAlgebra(theory, item["name"], len(item["carrier"]),
-                           item["ops"])
+            A = algkit.FinAlgebra(theory, item["name"],
+                                  len(item["carrier"]), item["ops"])
             err = A.validate()
             if err is not None:
                 raise InputError(f"algebra {A.name} invalid: {err}")
             algebras[A.name] = A
-        t = term_from_json(data["t"]) if "t" in data else theory.default_t
+        t = algkit.term_from_json(data["t"]) if "t" in data \
+            else theory.default_t
         if t is not None:
             for A in algebras.values():
-                term_grid(A, t, ("x", "y"))
+                algkit.term_grid(A, t, ("x", "y"))
     except (AttributeError, IndexError, KeyError, TypeError,
             ValueError) as exc:
         raise InputError(f"theory/algebras input invalid: "
@@ -316,7 +313,7 @@ def resolve_hom(data, spec):
     if len(images) != src.size or any(y >= tgt.size for y in images):
         raise InputError(f"hom spec {spec!r} needs {src.size} images, each "
                          f"below {tgt.size}")
-    h = AlgHom(src, tgt, images)
+    h = algkit.AlgHom(src, tgt, images)
     if not h.is_valid():
         raise InputError("hom spec does not preserve the operations")
     if t is None:
@@ -338,6 +335,13 @@ def run_check(args):
     check_kappa(args.kappa)
     check_max_size(args.max_size)
     C, entry, data = load_input(args.input, args.max_size)
+    # validate reads explicit tables; every other check but the two that
+    # read a theory and algebras reads a category, which an algebra-only
+    # file does not hold
+    if (C is None and name not in ("uniformity", "monic-pullback")) or \
+            (name == "validate" and not isinstance(C, FinCategory)):
+        raise InputError(f"{name} reads explicit category tables, and "
+                         f"{args.input} holds none")
     bindings = parse_class_bindings(args.classes)
 
     def cls(role, default=None):
@@ -349,9 +353,6 @@ def run_check(args):
     if name == "validate":
         # load_input has validated a file's table; a corpus fixture's own
         # tables are validated here, with no JSON round trip
-        if not isinstance(C, FinCategory):
-            raise InputError("validate reads explicit category tables, and "
-                             f"{args.input} holds none")
         res = C if entry is None else validate_category((
             C.objects(), {m: (C.src(m), C.tgt(m)) for m in C.morphisms()},
             {o: C.identity(o) for o in C.objects()}, C.composition()))
@@ -369,38 +370,38 @@ def run_check(args):
                                morphisms=out)
 
     if name == "variance":
-        from .variance import Variance, validate_variance
         if not data or "variance" not in data:
             raise InputError("variance check needs a variance entry "
                              "{\"cov\": [...], \"contr\": [...]}")
-        v = validate_variance(C, data["variance"]["cov"],
-                              data["variance"]["contr"])
-        ok = isinstance(v, Variance)
+        v = variance.validate_variance(C, data["variance"]["cov"],
+                                       data["variance"]["contr"])
+        ok = isinstance(v, variance.Variance)
         return rp.build_report(name, rp.verdict_code(ok), params, ok=ok,
                                report=v.to_json())
 
     if name == "class-properties":
         E = cls("E", "all")
-        repq = check_class_properties(C, E)
+        repq = morphclass.check_class_properties(C, E)
         return rp.build_report(name, rp.verdict_code(repq.system), params,
                                report=repq.to_json())
 
     if name == "factorization-system":
-        res = check_factorization_system(C, cls("E"), cls("M"))
+        res = morphclass.check_factorization_system(C, cls("E"), cls("M"))
         ok = bool(res)
         return rp.build_report(name, rp.verdict_code(ok), params, ok=ok,
                                report=res.to_json())
 
     if name == "regular":
-        res = check_regular(C)
+        res = morphclass.check_regular(C)
         return rp.build_report(name, rp.verdict_code(res.regular), params,
                                report=res.to_json())
 
     if name in ("protomodularity", "protomodularity-equivalent"):
         E = cls("E", "retractions")
         M = cls("M", "all")
-        fn = check_protomodularity_pair if name == "protomodularity" \
-            else check_protomodularity_equivalent
+        fn = protomod.check_protomodularity_pair \
+            if name == "protomodularity" \
+            else protomod.check_protomodularity_equivalent
         res = fn(C, E, M)
         return rp.build_report(name, rp.verdict_code(res.satisfied), params,
                                report=res.to_json())
@@ -413,7 +414,7 @@ def run_check(args):
         out = {}
         worst = rp.EXIT_PASS
         for c in objects:
-            v = decide_tau_compact(C, c, tau, cap=args.cap)
+            v = coverage.decide_tau_compact(C, c, tau, cap=args.cap)
             out[str(c)] = v.to_json()
             worst = max(worst, rp.verdict_code(v.compact))
         return rp.build_report(name, worst, params, objects=out)
@@ -421,7 +422,7 @@ def run_check(args):
     if name == "coverage":
         M = cls("M", "monos")
         tau = resolve_coverage(C, entry, data, args, M)
-        res = check_coverage(C, tau, cap=args.cap)
+        res = coverage.check_coverage(C, tau, cap=args.cap)
         return rp.build_report(name, rp.verdict_code(res.is_coverage),
                                params, report=res.to_json())
 
@@ -431,7 +432,7 @@ def run_check(args):
         for c in sorted(C.objects(), key=str):
             covs, _ = tau.coverings_of(C, c, cap=args.cap)
             for cov in covs:
-                ok, i = check_subordination(cov, M)
+                ok, i = coverage.check_subordination(cov, M)
                 if not ok:
                     return rp.build_report(
                         name, rp.EXIT_COUNTEREXAMPLE, params,
@@ -443,7 +444,8 @@ def run_check(args):
         E, M = cls("E"), cls("M")
         tau = resolve_coverage(C, entry, data, args, M)
         f = resolve_morphism(C, args.morphism)
-        res = check_image_compatibility(C, f, tau, E, M, cap=args.cap)
+        res = coverage.check_image_compatibility(C, f, tau, E, M,
+                                                 cap=args.cap)
         return rp.build_report(name, rp.verdict_code(res.compatible),
                                params, report=res.to_json())
 
@@ -456,8 +458,8 @@ def run_check(args):
 
     if name == "closure-subobjects":
         M = cls("M", "monos")
-        res = verify_closure_subobjects(C, parse_diagram_types(args), M,
-                                        cap=args.cap)
+        res = theorems.verify_closure_subobjects(
+            C, parse_diagram_types(args), M, cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
                                report=res.to_json())
 
@@ -465,7 +467,8 @@ def run_check(args):
         E, M = cls("E", "epis"), cls("M", "monos")
         tau = resolve_coverage(C, entry, data, args, M)
         f = resolve_morphism(C, args.morphism)
-        res = verify_closure_quotients(C, tau, E, M, f, cap=args.cap)
+        res = theorems.verify_closure_quotients(C, tau, E, M, f,
+                                                cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
                                report=res.to_json())
 
@@ -477,7 +480,8 @@ def run_check(args):
         square = C.find_pullback(f, phi)
         if square is None:
             raise InputError("the cospan has no pullback in the category")
-        res = verify_closure_extensions(C, tau, E, M, square, cap=args.cap)
+        res = theorems.verify_closure_extensions(C, tau, E, M, square,
+                                                 cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
                                report=res.to_json())
 
@@ -487,14 +491,15 @@ def run_check(args):
         if not args.objects or "," not in args.objects:
             raise InputError("product-closure needs --objects a,b")
         a, b = (resolve_object(C, o) for o in args.objects.split(",", 1))
-        res = verify_product_closure(C, tau, E, M, a, b, cap=args.cap)
+        res = theorems.verify_product_closure(C, tau, E, M, a, b,
+                                              cap=args.cap)
         return rp.build_report(name, closure_code(res), params,
                                report=res.to_json())
 
     if name == "well-behaved":
         E, M = cls("E", "epis"), cls("M", "monos")
         tau = resolve_coverage(C, entry, data, args, M)
-        res = check_tau_well_behaved(C, tau, E, M, cap=args.cap)
+        res = theorems.check_tau_well_behaved(C, tau, E, M, cap=args.cap)
         return rp.build_report(name, rp.verdict_code(res.well_behaved),
                                params, report=res.to_json())
 
@@ -502,8 +507,8 @@ def run_check(args):
         M = cls("M", "monos")
         f = resolve_morphism(C, args.morphism)
         pi0 = resolve_morphism(C, args.along)
-        res, chain = run_hopfian_construction(C, M, f, pi0,
-                                              N=args.truncation)
+        res, chain = theorems.run_hopfian_construction(C, M, f, pi0,
+                                                       N=args.truncation)
         return rp.build_report(
             name, closure_code(res), params, report=res.to_json(),
             chain=chain.to_json() if chain else None)
@@ -514,7 +519,7 @@ def run_check(args):
         out = {}
         worst = rp.EXIT_PASS
         for c in objects:
-            res = check_mono_reflective(C, c)
+            res = theorems.check_mono_reflective(C, c)
             out[str(c)] = res
             worst = max(worst, rp.verdict_code(res["reflective"]))
         return rp.build_report(name, worst, params, objects={
@@ -524,12 +529,12 @@ def run_check(args):
 
     if name == "image-closure":
         E, M, K = cls("E", "epis"), cls("M", "monos"), cls("K")
-        FS = check_factorization_system(C, E, M)
+        FS = morphclass.check_factorization_system(C, E, M)
         if not FS:
             return rp.build_report(name, rp.EXIT_HYPOTHESIS, params,
                                    report=FS.to_json())
         tau = resolve_coverage(C, entry, data, args, M)
-        parts = run_image_closure_suite(C, FS, tau, K, cap=args.cap)
+        parts = theorems.run_image_closure_suite(C, FS, tau, K, cap=args.cap)
         oks = [parts[p].conclusion_ok for p in
                ("part1", "part2", "part3", "part4")]
         code = rp.verdict_code(None if None in oks else all(oks)) \
@@ -540,13 +545,13 @@ def run_check(args):
 
     if name == "uniformity":
         h, t, _, _ = resolve_hom(data, args.hom)
-        res = classify_uniformity(h, t)
+        res = algkit.classify_uniformity(h, t)
         return rp.build_report(name, rp.EXIT_PASS, params,
                                report=res.to_json())
 
     if name == "monic-pullback":
         h, t, _, _ = resolve_hom(data, args.hom)
-        res = check_monic_pullback_corollary(h, t)
+        res = algkit.check_monic_pullback_corollary(h, t)
         code = rp.EXIT_HYPOTHESIS if res["ok"] is None else \
             rp.verdict_code(res["ok"])
         return rp.build_report(name, code, params, report=res)
@@ -560,47 +565,47 @@ def run_check(args):
 
 def run_suite(seed=0, cap=256):
     """Fixed battery over the corpus; one canonical JSON report."""
-    from .instances import random_category, random_mixed_functor
-    from .variance import assemble_mixed_functor, split_mixed_functor
     out = {"schema": rp.SCHEMA_VERSION, "check": "suite",
            "params": {"seed": seed, "cap": cap}}
 
     validations = {}
     for nm in ("poset_2chain", "diamond", "set_skeleton_2", "sub_Z8"):
-        cat = corpus_entry(nm).category
+        cat = instances.corpus_entry(nm).category
         validations[nm] = isinstance(validate_category(cat.to_json()),
                                      FinCategory)
     out["validations"] = validations
 
-    sk = corpus_entry("set_skeleton_2")
-    proto = check_protomodularity_pair(sk.category,
-                                       sk.classes["retractions"],
-                                       sk.classes["all"])
+    sk = instances.corpus_entry("set_skeleton_2")
+    proto = protomod.check_protomodularity_pair(sk.category,
+                                                sk.classes["retractions"],
+                                                sk.classes["all"])
     out["set2_protomodularity"] = proto.to_json()
 
-    sub = corpus_entry("sub_Z8")
-    tau = RuleCoverage([build_chain_type(2, 0, "cov")], "monos")
+    sub = instances.corpus_entry("sub_Z8")
+    tau = coverage.RuleCoverage([coverage.build_chain_type(2, 0, "cov")],
+                                "monos")
     verdicts = {}
     for c in sorted(sub.category.objects()):
-        verdicts[c] = decide_tau_compact(sub.category, c, tau,
-                                         cap=cap).to_json()
+        verdicts[c] = coverage.decide_tau_compact(sub.category, c, tau,
+                                                  cap=cap).to_json()
     out["sub_Z8_compact"] = verdicts
 
-    top = corpus_entry("finite_top").extra
-    occ = OpenCoverCoverage(top, kappa=2)
+    top = instances.corpus_entry("finite_top").extra
+    occ = coverage.OpenCoverCoverage(top, kappa=2)
     singles = {}
     for oid in sorted(top.spaces):
         if top.npoints(oid) <= 2:
-            singles[oid] = decide_tau_compact(top.category, oid, occ,
-                                              cap=cap).to_json()
+            singles[oid] = coverage.decide_tau_compact(top.category, oid, occ,
+                                                       cap=cap).to_json()
     out["top_compact"] = singles
 
     rng_reports = []
     for s in range(seed, seed + 25):
-        cat = random_category(s)
+        cat = instances.random_category(s)
         ok = isinstance(validate_category(cat.to_json()), FinCategory)
-        F = random_mixed_functor(s)
-        rt = assemble_mixed_functor(split_mixed_functor(F)) == F
+        F = instances.random_mixed_functor(s)
+        rt = variance.assemble_mixed_functor(
+            variance.split_mixed_functor(F)) == F
         rng_reports.append({"seed": s, "category_valid": ok,
                             "roundtrip": rt})
     out["seeded"] = rng_reports
@@ -654,10 +659,10 @@ def export_corpus(outdir):
     try:
         os.makedirs(outdir, exist_ok=True)
         manifest = {"schema": rp.SCHEMA_VERSION, "fixtures": {}}
-        for nm in corpus_names():
-            if nm in AMBIENT_FIXTURES:
+        for nm in instances.corpus_names():
+            if nm in instances.AMBIENT_FIXTURES:
                 continue
-            entry = corpus_entry(nm)
+            entry = instances.corpus_entry(nm)
             write(f"{nm}.json", {
                 "category": entry.category.to_json(),
                 "classes": [entry.classes[k].to_json()

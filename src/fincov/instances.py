@@ -27,13 +27,16 @@ import random
 from collections.abc import ItemsView, Mapping
 from functools import partial
 
-from .algkit import FinAlgebra, _coded_algebra, build_finalg_category, \
-    group_theory, monoid_theory, subalgebra_closure
+from . import lazy_layer
 from .fincat import FinCategory, _up_sets, chain_poset, poset_category, \
     product_category, validate_category
 from .morphclass import builtin_class, explicit_class
 from .variance import MixedFunctor, Variance, validate_mixed_functor, \
     validate_variance
+
+# group tables and algebra ambients; the posets, set skeletons and finite
+# spaces need no algebra, so their fixtures leave it unrun
+algkit = lazy_layer("algkit")
 
 
 def _must(cat):
@@ -111,15 +114,16 @@ def set_skeleton(max_size, name=None):
 # ---------------------------------------------------------------------------
 
 def cyclic_group(n, name=None):
-    T = group_theory()
+    T = algkit.group_theory()
     mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inv = tuple((-i) % n for i in range(n))
-    return FinAlgebra(T, name or f"Z{n}", n, {"mul": mul, "inv": inv, "e": 0})
+    return algkit.FinAlgebra(T, name or f"Z{n}", n,
+                             {"mul": mul, "inv": inv, "e": 0})
 
 
 def group_from_permutations(perms, name):
     """Group table from a closed set of permutations (identity first)."""
-    T = group_theory()
+    T = algkit.group_theory()
     perms = sorted(set(map(tuple, perms)))
     ident = tuple(range(len(perms[0])))
     perms.remove(ident)
@@ -134,13 +138,15 @@ def group_from_permutations(perms, name):
         for a, b in enumerate(p):
             q[b] = a
         inv.append(idx[tuple(q)])
-    return FinAlgebra(T, name, n, {"mul": mul, "inv": tuple(inv), "e": 0})
+    return algkit.FinAlgebra(T, name, n,
+                             {"mul": mul, "inv": tuple(inv), "e": 0})
 
 
 def direct_product_group(A, B, name=None):
     """A x B on the codes a * |B| + b, operated coordinatewise."""
-    return _coded_algebra(group_theory(), name or f"{A.name}x{B.name}",
-                          (A, B), range(A.size * B.size))
+    return algkit._coded_algebra(algkit.group_theory(),
+                                 name or f"{A.name}x{B.name}", (A, B),
+                                 range(A.size * B.size))
 
 
 def symmetric_group(n, name=None):
@@ -196,8 +202,8 @@ def quaternion_group():
     mul = tuple(tuple(idx[mulsym(a, b)] for b in names) for a in names)
     inv = tuple(next(j for j in range(8) if mul[idx[a]][j] == idx["1"])
                 for a in names)
-    T = group_theory()
-    return FinAlgebra(T, "Q8", 8, {"mul": mul, "inv": inv, "e": 0})
+    T = algkit.group_theory()
+    return algkit.FinAlgebra(T, "Q8", 8, {"mul": mul, "inv": inv, "e": 0})
 
 
 def klein_four_group():
@@ -230,7 +236,7 @@ def abelian_groups_upto(order_cap):
 
 def monoids_upto(order_cap):
     """All monoids of order <= cap up to isomorphism, by table search."""
-    T = monoid_theory()
+    T = algkit.monoid_theory()
     out = []
     for n in range(1, order_cap + 1):
         seen = set()
@@ -241,8 +247,8 @@ def monoids_upto(order_cap):
                 continue
             seen.add(canon)
             count += 1
-            out.append(FinAlgebra(T, f"M{n}_{count}", n,
-                                  {"mul": table, "e": 0}))
+            out.append(algkit.FinAlgebra(T, f"M{n}_{count}", n,
+                                         {"mul": table, "e": 0}))
     return out
 
 
@@ -319,14 +325,14 @@ def subgroup_lattice_poset(A, name=None):
     subs = set()
     for seed in itertools.chain([()], itertools.combinations(A.carrier, 1),
                                 itertools.combinations(A.carrier, 2)):
-        subs.add(subalgebra_closure(A, seed))
+        subs.add(algkit.subalgebra_closure(A, seed))
     # two generators suffice for carriers <= 8 except Z2^3-like; close again
     changed = True
     while changed:
         changed = False
         for s in list(subs):
             for x in A.carrier:
-                t = subalgebra_closure(A, set(s) | {x})
+                t = algkit.subalgebra_closure(A, set(s) | {x})
                 if t not in subs:
                     subs.add(t)
                     changed = True
@@ -789,10 +795,26 @@ def _finite_top_fixture(max_points):
 
 
 def _ambient_fixture(theory, cap, roster):
-    C = build_finalg_category(theory(), cap, roster(cap))
+    C = algkit.build_finalg_category(getattr(algkit, theory)(), cap,
+                                     roster(cap))
     return C, {n: builtin_class(C, n)
                for n in ("all", "isos", "injections", "surjections",
                          "sections", "retractions", "monos", "epis")}, None
+
+
+def _roster_free_builders(max_top_points):
+    """Name -> zero-argument builder for the fixtures that every cap
+    lists: the posets, the set skeletons and the finite spaces.  Listing
+    them builds no group."""
+    return {
+        "poset_2chain": partial(_plain, chain_poset, 1, name="poset_2chain"),
+        "poset_3chain": partial(_plain, chain_poset, 2, name="poset_3chain"),
+        "poset_4chain": partial(_plain, chain_poset, 3, name="poset_4chain"),
+        "diamond": partial(_plain, diamond_lattice),
+        "set_skeleton_2": partial(_set_skeleton_fixture, 2),
+        "set_skeleton_3": partial(_set_skeleton_fixture, 3),
+        "finite_top": partial(_finite_top_fixture, max_top_points),
+    }
 
 
 def _fixture_builders(max_top_points, group_cap, monoid_cap):
@@ -801,32 +823,25 @@ def _fixture_builders(max_top_points, group_cap, monoid_cap):
     Builds nothing; the group roster is listed because ``group_cap``
     decides which ``group_cat_*`` fixtures exist.
     """
-    builders = {
-        "poset_2chain": partial(_plain, chain_poset, 1, name="poset_2chain"),
-        "poset_3chain": partial(_plain, chain_poset, 2, name="poset_3chain"),
-        "poset_4chain": partial(_plain, chain_poset, 3, name="poset_4chain"),
-        "diamond": partial(_plain, diamond_lattice),
-        "set_skeleton_2": partial(_set_skeleton_fixture, 2),
-        "set_skeleton_3": partial(_set_skeleton_fixture, 3),
-    }
+    builders = _roster_free_builders(max_top_points)
     for A in groups_upto(group_cap):
         if A.size in (2, 4, 8):
             builders[f"group_cat_{A.name}"] = partial(_group_fixture, A)
     builders.update({
         "sub_Z8": partial(_subgroup_fixture, 8, "sub_Z8"),
         "sub_Z4": partial(_subgroup_fixture, 4, "sub_Z4"),
-        "finite_top": partial(_finite_top_fixture, max_top_points),
     })
-    caps = {group_theory: group_cap, monoid_theory: monoid_cap}
+    caps = {"group_theory": group_cap, "monoid_theory": monoid_cap}
     builders.update({name: partial(_ambient_fixture, th, caps[th], roster)
                      for name, (th, roster) in AMBIENT_FIXTURES.items()})
     return builders
 
 
-# The algebra-ambient fixtures, name -> (theory, roster): no table to export
-AMBIENT_FIXTURES = {"groups_ambient": (group_theory, groups_upto),
-                    "abelian_ambient": (group_theory, abelian_groups_upto),
-                    "monoids_ambient": (monoid_theory, monoids_upto)}
+# The algebra-ambient fixtures, name -> (theory, roster): no table to
+# export.  The theory is named by its ``algkit`` builder.
+AMBIENT_FIXTURES = {"groups_ambient": ("group_theory", groups_upto),
+                    "abelian_ambient": ("group_theory", abelian_groups_upto),
+                    "monoids_ambient": ("monoid_theory", monoids_upto)}
 
 
 # (name, max_top_points, group_cap, monoid_cap) -> CorpusEntry
@@ -852,12 +867,17 @@ def corpus_entry(name, max_top_points=3, group_cap=8, monoid_cap=4):
     """One standard fixture, built on first use for these caps.
 
     Raises KeyError for a name not in ``corpus_names`` at the same caps.
-    A cached entry is returned without listing the builders.
+    A cached entry is returned without listing the builders, and a
+    poset, set skeleton or finite-space fixture without listing the
+    group roster.
     """
     caps = (max_top_points, group_cap, monoid_cap)
     entry = _corpus_cache.get((name,) + caps)
     if entry is None:
-        entry = _cached_entry(name, caps, _fixture_builders(*caps)[name])
+        builders = _roster_free_builders(max_top_points)
+        if name not in builders:
+            builders = _fixture_builders(*caps)
+        entry = _cached_entry(name, caps, builders[name])
     return entry
 
 

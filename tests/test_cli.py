@@ -214,12 +214,14 @@ def test_lazy_corpus_input_matches_standard_corpus(monkeypatch, max_size):
 
 
 def test_corpus_input_builds_only_its_fixture(monkeypatch):
+    import fincov.algkit as algkit
+
     def refuse(*args, **kwargs):
         raise AssertionError("built a fixture that was not asked for")
 
     monkeypatch.setattr(instances, "_corpus_cache", {})
     monkeypatch.setattr(instances, "finite_top_category", refuse)
-    monkeypatch.setattr(instances, "build_finalg_category", refuse)
+    monkeypatch.setattr(algkit, "build_finalg_category", refuse)
     C, entry, _ = load_input("corpus:sub_Z8")
     assert entry.name == "sub_Z8" and len(C.objects()) == 4
     assert list(instances._corpus_cache) == [("sub_Z8", 3, 8, 4)]
@@ -235,6 +237,26 @@ def test_max_size_below_one_is_an_input_error(capsys, check):
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == \
         "--max-size must be at least 1, got 0"
+
+
+@pytest.mark.parametrize("check", [
+    "validate", "classify", "variance", "class-properties",
+    "factorization-system", "regular", "protomodularity",
+    "protomodularity-equivalent", "compact", "coverage", "subordination",
+    "image-compatibility", "closure-subobjects", "closure-quotients",
+    "closure-extensions", "product-closure", "well-behaved", "hopfian",
+    "mono-reflective", "image-closure"])
+def test_category_check_on_a_file_without_category_is_input_error(
+        check, tmp_path, capsys):
+    """Every check but uniformity and monic-pullback reads a category; on
+    a file that holds none it is an input error, exit 4, not a
+    traceback."""
+    path = tmp_path / "algebras.json"
+    path.write_text('{"algebras": {}}', encoding="utf-8")
+    assert main(["check", check, "--input", str(path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == (f"{check} reads explicit category tables, and "
+                            f"{path} holds none")
 
 
 def test_unknown_check_exit_code(capsys):
@@ -385,7 +407,6 @@ def test_export_corpus_builds_no_ambient(tmp_path, monkeypatch, capsys):
     def no_ambient(*args):
         raise AssertionError("export-corpus built an algebra ambient")
     monkeypatch.setattr(instances, "_corpus_cache", {})
-    monkeypatch.setattr(instances, "build_finalg_category", no_ambient)
     monkeypatch.setattr(algkit, "build_finalg_category", no_ambient)
     assert main(["export-corpus", str(tmp_path)]) == 0
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]

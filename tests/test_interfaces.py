@@ -222,6 +222,103 @@ def test_coverage_loads_no_fixture_or_algebra_module():
     assert proc.stdout == "[]\n"
 
 
+def _fresh_cli(argv, tmp_path, first=None):
+    """``cli.main(argv)`` in a fresh interpreter, after importing the
+    module ``first`` if given.  Returns (exit code, stdout, the fincov
+    modules whose body has run, whether ``first`` is still the module in
+    sys.modules and on ``cli``).  A layer that has not run is still a
+    ``_LazyModule``; one that has is a plain module."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import json, sys, types\n"
+              f"first = {first!r}\n"
+              "if first:\n"
+              "    __import__(first)\n"
+              "    early = sys.modules[first]\n"
+              "import fincov.cli as cli\n"
+              f"code = cli.main({argv!r})\n"
+              "same = not first or (sys.modules[first] is early and "
+              "getattr(cli, first.split('.')[1]) is early)\n"
+              "ran = sorted(n.split('.')[1] for n, m in sys.modules.items()"
+              " if n.startswith('fincov.') and type(m) is types.ModuleType)\n"
+              "with open('layers.json', 'w') as fh:\n"
+              "    json.dump([code, ran, same], fh)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, ran, same = json.loads((tmp_path / "layers.json").read_text())
+    return code, proc.stdout, set(ran), same
+
+
+def test_commands_run_only_the_layers_they_reach(tmp_path, capsys):
+    """In a fresh interpreter, ``import fincov.cli`` registers the heavy
+    layers unexecuted, and a command runs only the layers it reaches: a
+    file ``check validate`` runs ``cli``, ``report``, ``fincat`` and
+    ``kernels`` alone; protomodularity on ``set_skeleton_2`` runs neither
+    ``algkit`` nor ``theorems``; compact on ``sub_Z8`` runs neither
+    ``protomod`` nor ``theorems``."""
+    from fincov.cli import main
+    assert main(["export-corpus", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code, _, ran, _ = _fresh_cli(
+        ["check", "validate", "--input", str(tmp_path / "sub_Z8.json")],
+        tmp_path)
+    assert (code, ran) == (0, {"cli", "report", "fincat", "kernels"})
+    code, _, ran, _ = _fresh_cli(
+        ["check", "protomodularity", "--input", "corpus:set_skeleton_2"],
+        tmp_path)
+    assert code == 1 and "protomod" in ran
+    assert not ran & {"algkit", "theorems"}
+    code, _, ran, _ = _fresh_cli(
+        ["check", "compact", "--input", "corpus:sub_Z8"], tmp_path)
+    assert code == 1 and {"algkit", "coverage"} <= ran
+    assert not ran & {"protomod", "theorems"}
+
+
+def test_layer_imported_before_cli_stays_the_same_module(tmp_path):
+    """A layer imported before ``fincov.cli`` is not registered again:
+    sys.modules and ``cli`` keep that module object, and the command
+    prints the same bytes as without the early import."""
+    argv = ["check", "class-properties", "--input", "corpus:set_skeleton_2",
+            "--classes", "E=monos", "--format", "json"]
+    late = _fresh_cli(argv, tmp_path)
+    early = _fresh_cli(argv, tmp_path, first="fincov.morphclass")
+    assert early[3] is True
+    assert early[:2] == late[:2]
+
+
+def test_traced_cli_records_calls_in_lazy_layers(tmp_path):
+    """``perfbench/child.py cli`` wraps every layer after ``import
+    fincov.cli``; a traced README closure-extensions run counts calls in
+    layers whose bodies ran on first use."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")])}
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "cli",
+         str(trace), "check", "closure-extensions", "--input",
+         "corpus:set_skeleton_2", "--classes", "E=retractions,M=all",
+         "--chain-n", "1", "--chain-smalls", "1", "--morphism", "f2>1:00",
+         "--along", "f1>1:0", "--format", "json"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    stats = json.loads(trace.read_text(encoding="utf-8"))["stats"]
+    for name in ("theorems.verify_closure_extensions",
+                 "protomod.check_protomodularity_pair",
+                 "coverage.decide_tau_compact"):
+        assert stats[name][0] >= 1, name
+
+
 def test_no_module_imports_dataclasses():
     """Records under src/fincov are plain classes with hand-written
     ``__init__`` methods: no module names ``dataclasses`` or

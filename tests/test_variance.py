@@ -3,13 +3,13 @@ import random
 from collections import Counter
 
 import oracles
+from fincov.algkit import subalgebra_closure
 from fincov.coverage import _powerset_poset, build_chain_type
 from fincov.fincat import product_category, slice_view
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               grid_variance, group_category, klein_variance,
                               random_category, random_mixed_functor,
-                              set_skeleton, subalgebra_closure,
-                              symmetric_group)
+                              set_skeleton, symmetric_group)
 from fincov.morphclass import check_factorization_system
 from fincov.variance import (AssembleFailure, MixedFunctor,
                              Variance, _unique_factorizations,
