@@ -78,13 +78,15 @@ monos and the epis, ``is_stably_in`` of the isos and
 ambient, the stability scan of the surjections and ``is_stably_in`` of
 the surjections out of groups of order at most 4, at probe cap 60.
 
-Before the kernel rows, five rows time fresh processes, the median of 11
+Before the kernel rows, seven rows time fresh processes, the median of 11
 runs each, alternating: ``python -c pass``; ``python -c "import
 fincov.cli"``, which registers the heavy layers without running them, so
 it compiles ``cli``, ``report``, ``fincat`` and ``kernels`` only; and
-three ``python -m fincov.cli check`` commands: ``validate`` of the
-``sub_Z8`` tables in a file, and ``compact`` on the ``set_skeleton_2``
-and ``sub_Z8`` fixtures, each compiling the layers it reaches.  The
+five ``python -m fincov.cli check`` commands: ``validate`` of the
+``sub_Z8`` tables in a file, ``compact`` on the ``set_skeleton_2`` and
+``sub_Z8`` fixtures, ``classify`` on ``group_cat_Z8`` and
+``mono-reflective`` on ``group_cat_Q8``, each compiling the layers it
+reaches.  The
 children write no bytecode, so every row includes compiling fincov's
 modules (unless a ``__pycache__`` that an earlier run wrote is there to
 read).
@@ -100,8 +102,9 @@ import time
 
 import fincov
 from fincov import instances, kernels
-from fincov.algkit import build_finalg_category, enumerate_homs, \
-    find_isomorphism, group_theory, hom_rows
+from fincov.algebra import group_theory
+from fincov.algkit import (build_finalg_category, enumerate_homs,
+                           find_isomorphism, hom_rows)
 from fincov.coverage import ClosedFamilyCoverage, OpenCoverCoverage, \
     RuleCoverage, _enumerate_functors, _powerset_poset, build_chain_type, \
     check_image_compatibility, decide_tau_compact
@@ -110,11 +113,11 @@ from fincov.instances import abelian_groups_upto, cyclic_group, \
     finite_top_category, groups_upto, random_category, random_mixed_functor, \
     set_skeleton
 from fincov.morphclass import FactorizationSystem, _stability_scan, \
-    builtin_class, check_class_properties, is_stably_extremal, is_stably_in
+    builtin_class, check_class_properties, check_mono_reflective, \
+    is_stably_extremal, is_stably_in
 from fincov.protomod import check_protomodularity_pair
-from fincov.theorems import check_mono_reflective, \
-    verify_closure_extensions, verify_closure_quotients, \
-    verify_product_closure
+from fincov.theorems import verify_closure_extensions, \
+    verify_closure_quotients, verify_product_closure
 from fincov.variance import standard_variances
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -529,6 +532,10 @@ def fresh_processes(n=11):
                 cli + ["compact", "--input", "corpus:set_skeleton_2"],
             "check compact --input corpus:sub_Z8":
                 cli + ["compact", "--input", "corpus:sub_Z8"],
+            "check classify --input corpus:group_cat_Z8":
+                cli + ["classify", "--input", "corpus:group_cat_Z8"],
+            "check mono-reflective --input corpus:group_cat_Q8":
+                cli + ["mono-reflective", "--input", "corpus:group_cat_Q8"],
         }
         times = {name: [] for name in programs}
         for _ in range(n):

@@ -7,7 +7,8 @@ Modules follow the pipeline:
 ``fincat``
     explicit finite categories, pullbacks, coequalizers, classification
 ``morphclass``
-    morphism-class calculus and orthogonal factorization systems
+    morphism-class calculus, mono-reflectivity and orthogonal
+    factorization systems
 ``variance``
     two-sided strict factorization systems and mixed-variance functors
 ``coverage``
@@ -15,9 +16,11 @@ Modules follow the pipeline:
 ``protomod``
     the relative protomodularity condition and class transport
 ``theorems``
-    closure/Hopfian/mono-reflectivity harnesses with hypothesis checklists
+    closure/Hopfian/image-closure harnesses with hypothesis checklists
+``algebra``
+    finite equational theories and algebras on flat operation tables
 ``algkit``
-    finite equational theories, algebras, homs and t-uniformity
+    homs, congruences, t-uniformity and the algebra ambient
 ``instances``
     corpus builders (posets, set skeletons, finite spaces, algebra ambients)
 ``cli``

@@ -24,6 +24,7 @@ from .fincat import FinCategory, category_from_json, classify_morphism, \
 # The layers a command may need.  Each is registered unexecuted and runs
 # its body when a command first reads one of its attributes, so a process
 # compiles only the layers its command reaches.
+algebra = lazy_layer("algebra")
 algkit = lazy_layer("algkit")
 coverage = lazy_layer("coverage")
 instances = lazy_layer("instances")
@@ -280,20 +281,20 @@ def resolve_hom(data, spec):
     if not data or "theory" not in data:
         raise InputError("algebra checks need a theory/algebras input file")
     try:
-        theory = algkit.Theory.from_json(data["theory"])
+        theory = algebra.Theory.from_json(data["theory"])
         algebras = {}
         for item in data.get("algebras", []):
-            A = algkit.FinAlgebra(theory, item["name"],
-                                  len(item["carrier"]), item["ops"])
+            A = algebra.FinAlgebra(theory, item["name"],
+                                   len(item["carrier"]), item["ops"])
             err = A.validate()
             if err is not None:
                 raise InputError(f"algebra {A.name} invalid: {err}")
             algebras[A.name] = A
-        t = algkit.term_from_json(data["t"]) if "t" in data \
+        t = algebra.term_from_json(data["t"]) if "t" in data \
             else theory.default_t
         if t is not None:
             for A in algebras.values():
-                algkit.term_grid(A, t, ("x", "y"))
+                algebra.term_grid(A, t, ("x", "y"))
     except (AttributeError, IndexError, KeyError, TypeError,
             ValueError) as exc:
         raise InputError(f"theory/algebras input invalid: "
@@ -519,7 +520,7 @@ def run_check(args):
         out = {}
         worst = rp.EXIT_PASS
         for c in objects:
-            res = theorems.check_mono_reflective(C, c)
+            res = morphclass.check_mono_reflective(C, c)
             out[str(c)] = res
             worst = max(worst, rp.verdict_code(res["reflective"]))
         return rp.build_report(name, worst, params, objects={

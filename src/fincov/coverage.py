@@ -116,6 +116,16 @@ def _shape(kind, size):
     return _shape_cache[kind, size]
 
 
+def _directed_variance(cov, contr, direction):
+    """The shape's covariant variance for "cov", its contravariant one for
+    "contr"; any other direction raises ValueError."""
+    if direction == "cov":
+        return cov
+    if direction == "contr":
+        return contr
+    raise ValueError(f"direction must be 'cov' or 'contr', got {direction!r}")
+
+
 def build_chain_type(n, small_prefix, direction="cov"):
     """Finite chain 0 < ... < n with smalls {0..small_prefix}.
 
@@ -128,7 +138,7 @@ def build_chain_type(n, small_prefix, direction="cov"):
         raise ValueError("need 0 <= small_prefix <= n")
     I, cov, contr, types = _shape("chain", n)
     if (small_prefix, direction) not in types:
-        v = cov if direction == "cov" else contr
+        v = _directed_variance(cov, contr, direction)
         smalls = frozenset(f"o{i}" for i in range(small_prefix + 1))
         types[small_prefix, direction] = DiagramType(
             I, smalls, v, name=f"chain[{n}]k{small_prefix}{direction}",
@@ -167,7 +177,7 @@ def build_powerset_type(index_set, kappa, direction="cov"):
 def _powerset_type_relaxed(k, kappa, direction="cov"):
     I, cov, contr, types = _shape("powerset", k)
     if (kappa, direction) not in types:
-        v = cov if direction == "cov" else contr
+        v = _directed_variance(cov, contr, direction)
         smalls = frozenset(f"s{_mask_name(m, k)}" for m in range(1 << k)
                            if bin(m).count("1") < kappa)
         types[kappa, direction] = DiagramType(

@@ -31,12 +31,14 @@ from . import lazy_layer
 from .fincat import FinCategory, _up_sets, chain_poset, poset_category, \
     product_category, validate_category
 from .morphclass import builtin_class, explicit_class
-from .variance import MixedFunctor, Variance, validate_mixed_functor, \
-    validate_variance
 
-# group tables and algebra ambients; the posets, set skeletons and finite
-# spaces need no algebra, so their fixtures leave it unrun
+# group and monoid tables; the posets, set skeletons and finite spaces
+# need no algebra, so their fixtures leave it unrun
+algebra = lazy_layer("algebra")
+# the algebra ambients alone
 algkit = lazy_layer("algkit")
+# the seeded variances and mixed functors alone
+variance = lazy_layer("variance")
 
 
 def _must(cat):
@@ -114,16 +116,16 @@ def set_skeleton(max_size, name=None):
 # ---------------------------------------------------------------------------
 
 def cyclic_group(n, name=None):
-    T = algkit.group_theory()
+    T = algebra.group_theory()
     mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inv = tuple((-i) % n for i in range(n))
-    return algkit.FinAlgebra(T, name or f"Z{n}", n,
-                             {"mul": mul, "inv": inv, "e": 0})
+    return algebra.FinAlgebra(T, name or f"Z{n}", n,
+                              {"mul": mul, "inv": inv, "e": 0})
 
 
 def group_from_permutations(perms, name):
     """Group table from a closed set of permutations (identity first)."""
-    T = algkit.group_theory()
+    T = algebra.group_theory()
     perms = sorted(set(map(tuple, perms)))
     ident = tuple(range(len(perms[0])))
     perms.remove(ident)
@@ -138,15 +140,15 @@ def group_from_permutations(perms, name):
         for a, b in enumerate(p):
             q[b] = a
         inv.append(idx[tuple(q)])
-    return algkit.FinAlgebra(T, name, n,
-                             {"mul": mul, "inv": tuple(inv), "e": 0})
+    return algebra.FinAlgebra(T, name, n,
+                              {"mul": mul, "inv": tuple(inv), "e": 0})
 
 
 def direct_product_group(A, B, name=None):
     """A x B on the codes a * |B| + b, operated coordinatewise."""
-    return algkit._coded_algebra(algkit.group_theory(),
-                                 name or f"{A.name}x{B.name}", (A, B),
-                                 range(A.size * B.size))
+    return algebra._coded_algebra(algebra.group_theory(),
+                                  name or f"{A.name}x{B.name}", (A, B),
+                                  range(A.size * B.size))
 
 
 def symmetric_group(n, name=None):
@@ -202,8 +204,8 @@ def quaternion_group():
     mul = tuple(tuple(idx[mulsym(a, b)] for b in names) for a in names)
     inv = tuple(next(j for j in range(8) if mul[idx[a]][j] == idx["1"])
                 for a in names)
-    T = algkit.group_theory()
-    return algkit.FinAlgebra(T, "Q8", 8, {"mul": mul, "inv": inv, "e": 0})
+    T = algebra.group_theory()
+    return algebra.FinAlgebra(T, "Q8", 8, {"mul": mul, "inv": inv, "e": 0})
 
 
 def klein_four_group():
@@ -236,7 +238,7 @@ def abelian_groups_upto(order_cap):
 
 def monoids_upto(order_cap):
     """All monoids of order <= cap up to isomorphism, by table search."""
-    T = algkit.monoid_theory()
+    T = algebra.monoid_theory()
     out = []
     for n in range(1, order_cap + 1):
         seen = set()
@@ -247,8 +249,8 @@ def monoids_upto(order_cap):
                 continue
             seen.add(canon)
             count += 1
-            out.append(algkit.FinAlgebra(T, f"M{n}_{count}", n,
-                                         {"mul": table, "e": 0}))
+            out.append(algebra.FinAlgebra(T, f"M{n}_{count}", n,
+                                          {"mul": table, "e": 0}))
     return out
 
 
@@ -325,14 +327,14 @@ def subgroup_lattice_poset(A, name=None):
     subs = set()
     for seed in itertools.chain([()], itertools.combinations(A.carrier, 1),
                                 itertools.combinations(A.carrier, 2)):
-        subs.add(algkit.subalgebra_closure(A, seed))
+        subs.add(algebra.subalgebra_closure(A, seed))
     # two generators suffice for carriers <= 8 except Z2^3-like; close again
     changed = True
     while changed:
         changed = False
         for s in list(subs):
             for x in A.carrier:
-                t = algkit.subalgebra_closure(A, set(s) | {x})
+                t = algebra.subalgebra_closure(A, set(s) | {x})
                 if t not in subs:
                     subs.add(t)
                     changed = True
@@ -632,8 +634,8 @@ def grid_variance(rows, cols):
                 cov.append(m)
             if a0 == a1:
                 contr.append(m)
-        v = validate_variance(I, cov, contr)
-        assert isinstance(v, Variance)
+        v = variance.validate_variance(I, cov, contr)
+        assert isinstance(v, variance.Variance)
         _variance_shapes[key] = v
     return _variance_shapes[key]
 
@@ -646,8 +648,8 @@ def klein_variance():
     if key not in _variance_shapes:
         I = group_category(klein_four_group(), name="BV4")
         # elements: g0 = e, g1 = a, g2 = b, g3 = ab (product encoding)
-        v = validate_variance(I, ["g0", "g2"], ["g0", "g1"])
-        assert isinstance(v, Variance)
+        v = variance.validate_variance(I, ["g0", "g2"], ["g0", "g1"])
+        assert isinstance(v, variance.Variance)
         _variance_shapes[key] = v
     return _variance_shapes[key]
 
@@ -680,7 +682,7 @@ def _random_klein_functor(rng):
         gx = x if c1 == "g2" else ident
         hy = y if d1 == "g1" else ident
         mor_map[k] = G.compose(gx, hy)
-    return MixedFunctor(v, G, {"*": "*"}, mor_map)
+    return variance.MixedFunctor(v, G, {"*": "*"}, mor_map)
 
 
 def _random_grid_functor(rng):
@@ -695,7 +697,7 @@ def _random_grid_functor(rng):
         if not cands:
             return None
         mor_map[k] = rng.choice(cands)
-    return MixedFunctor(v, D, obj_map, mor_map)
+    return variance.MixedFunctor(v, D, obj_map, mor_map)
 
 
 def random_mixed_functor(seed):
@@ -711,7 +713,7 @@ def random_mixed_functor(seed):
             F = _random_klein_functor(rng)
         else:
             F = _random_grid_functor(rng)
-        if F is not None and validate_mixed_functor(F) is None:
+        if F is not None and variance.validate_mixed_functor(F) is None:
             return F
     raise AssertionError(f"no valid mixed functor found for seed {seed}")
 
@@ -795,7 +797,7 @@ def _finite_top_fixture(max_points):
 
 
 def _ambient_fixture(theory, cap, roster):
-    C = algkit.build_finalg_category(getattr(algkit, theory)(), cap,
+    C = algkit.build_finalg_category(getattr(algebra, theory)(), cap,
                                      roster(cap))
     return C, {n: builtin_class(C, n)
                for n in ("all", "isos", "injections", "surjections",
@@ -838,7 +840,7 @@ def _fixture_builders(max_top_points, group_cap, monoid_cap):
 
 
 # The algebra-ambient fixtures, name -> (theory, roster): no table to
-# export.  The theory is named by its ``algkit`` builder.
+# export.  The theory is named by its ``algebra`` builder.
 AMBIENT_FIXTURES = {"groups_ambient": ("group_theory", groups_upto),
                     "abelian_ambient": ("group_theory", abelian_groups_upto),
                     "monoids_ambient": ("monoid_theory", monoids_upto)}

@@ -1,5 +1,6 @@
 """Morphism-class calculus: systems, stability, cancelability, extremal
-(epi)morphisms, orthogonality and stable orthogonal factorization systems.
+(epi)morphisms, mono-reflectivity, orthogonality and stable orthogonal
+factorization systems.
 
 Classes are finite member sets or predicates.  A builtin keeps the name
 it is asked by; what a shortcut needs of a class (every member mono, iso
@@ -287,6 +288,42 @@ def is_stably_in(C, f, A, probe_cap=None):
     return walk_cospans(
         C, (f,), lambda f, g, sq: None if A.contains(sq.proj2)
         else (g, sq.proj2), probe_cap)
+
+
+def check_mono_reflective(C, c, probe_cap=None):
+    """No morphism out of c has a monic pullback without being monic."""
+    if C.concrete:
+        return _mono_reflective_ambient(C, c)
+    restricted = False
+    for f in sorted(C.morphisms_from(c), key=str):
+        if C.is_mono(f):
+            continue
+        # one probe budget per f: a capped f is restricted, the next f
+        # gets a fresh budget
+        ok, restr, wit = walk_cospans(
+            C, (f,), lambda f, g, sq: (str(f), str(g))
+            if C.is_mono(sq.proj2) else None, probe_cap)
+        restricted = restricted or restr
+        if not ok:
+            return {"reflective": False, "witness": wit,
+                    "restricted": restricted}
+    return {"reflective": True, "witness": None, "restricted": restricted}
+
+
+def _mono_reflective_ambient(C, c):
+    # pullback pairs are computed directly; no roster registration needed
+    for f in C.morphisms_from(c):
+        if f.is_injective():
+            continue
+        fibers = {}
+        for a in f.src.carrier:
+            fibers.setdefault(f(a), 0)
+            fibers[f(a)] += 1
+        for g in C.morphisms_into(f.tgt):
+            if all(fibers.get(g(b), 0) <= 1 for b in g.src.carrier):
+                return {"reflective": False, "witness": (str(f), str(g)),
+                        "restricted": False}
+    return {"reflective": True, "witness": None, "restricted": False}
 
 
 def is_extremal_wrt(C, family, M):

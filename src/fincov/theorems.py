@@ -1,5 +1,6 @@
-"""Executable harnesses for the closure, product, Hopfian, mono-reflectivity
-and image-closure results.
+"""Executable harnesses for the closure, product, Hopfian and image-closure
+results.  Mono-reflectivity, a cospan walk per morphism, is decided in
+``morphclass``.
 
 Every harness separates hypothesis checking from the conclusion: a failed
 hypothesis yields a report (the theorems are conditionals and many fixtures
@@ -21,7 +22,7 @@ from .coverage import RuleCoverage, check_coverage, \
     check_image_compatibility, check_subordination, decide_tau_compact
 from .fincat import derived_memo, try_pullback, verify_pullback_square
 from .morphclass import MorphismClass, builtin_class, check_class_properties, \
-    is_stably_extremal, is_stably_in, walk_cospans
+    is_stably_extremal, is_stably_in
 from .protomod import check_protomodularity_pair
 
 
@@ -438,42 +439,6 @@ def hopfian_naturality_ok(C, chain):
                 if lhs != rhs:
                     return False
     return True
-
-
-def check_mono_reflective(C, c, probe_cap=None):
-    """No morphism out of c has a monic pullback without being monic."""
-    if C.concrete:
-        return _mono_reflective_ambient(C, c)
-    restricted = False
-    for f in sorted(C.morphisms_from(c), key=str):
-        if C.is_mono(f):
-            continue
-        # one probe budget per f: a capped f is restricted, the next f
-        # gets a fresh budget
-        ok, restr, wit = walk_cospans(
-            C, (f,), lambda f, g, sq: (str(f), str(g))
-            if C.is_mono(sq.proj2) else None, probe_cap)
-        restricted = restricted or restr
-        if not ok:
-            return {"reflective": False, "witness": wit,
-                    "restricted": restricted}
-    return {"reflective": True, "witness": None, "restricted": restricted}
-
-
-def _mono_reflective_ambient(C, c):
-    # pullback pairs are computed directly; no roster registration needed
-    for f in C.morphisms_from(c):
-        if f.is_injective():
-            continue
-        fibers = {}
-        for a in f.src.carrier:
-            fibers.setdefault(f(a), 0)
-            fibers[f(a)] += 1
-        for g in C.morphisms_into(f.tgt):
-            if all(fibers.get(g(b), 0) <= 1 for b in g.src.carrier):
-                return {"reflective": False, "witness": (str(f), str(g)),
-                        "restricted": False}
-    return {"reflective": True, "witness": None, "restricted": False}
 
 
 # ---------------------------------------------------------------------------

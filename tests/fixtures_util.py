@@ -81,7 +81,8 @@ def grown_ambient(*products):
     products of the named pairs (as product closure grows it): after
     ("Z2", "Z3"), ("Z2", "V4"), ("Z2", "Z4") it has 8 objects and 1010
     morphisms."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
     for pair in products:

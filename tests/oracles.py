@@ -609,7 +609,7 @@ def stability_scan(C, A):
 
 def eval_term(A, term, env):
     """The value of term in A under the assignment env, one ``A.apply``
-    per operation: the reference for ``algkit.eval_term``."""
+    per operation: the reference for ``algebra.eval_term``."""
     head = term[0]
     if A.theory.has_symbol(head):
         args = [eval_term(A, t, env) for t in term[1:]]
@@ -627,7 +627,7 @@ def equation_failure(A, vars_, lhs, rhs):
     """First assignment of vars_ in ``itertools.product`` order over A's
     carrier where lhs and rhs differ, evaluated one assignment at a time
     with ``eval_term`` above; None when the equation holds.  The
-    reference for ``algkit.equation_failure``."""
+    reference for ``algebra.equation_failure``."""
     import itertools
 
     for vals in itertools.product(A.carrier, repeat=len(vars_)):
@@ -1273,7 +1273,7 @@ def numpy_find_isomorphism(A, B):
 # derived algebra tables, one entry at a time
 # ---------------------------------------------------------------------------
 # Each table entry is one Python call on the argument tuple; the reference
-# for ``algkit._coded_algebra``.
+# for ``algebra._coded_algebra``.
 
 
 def _induced_ops(theory, n, value):

@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import oracles
-from fincov.algkit import (build_finalg_category,
-                           classify_uniformity, _UniformityFlags,
-                           group_theory, is_right_unital, monoid_theory,
-                           subalgebra_closure, verify_uniformity_theorem)
+from fincov.algebra import group_theory, monoid_theory, subalgebra_closure
+from fincov.algkit import (build_finalg_category, classify_uniformity,
+                           _UniformityFlags, is_right_unital,
+                           verify_uniformity_theorem)
 from fincov.coverage import (ExplicitCoverage,
                              OpenCoverCoverage, RuleCoverage,
                              build_chain_type, check_coverage,

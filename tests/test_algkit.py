@@ -1,14 +1,14 @@
 
 import pytest
 
-from fincov.algkit import (AlgHom, CapExceeded, FinAlgebra, Theory,
-                           build_finalg_category, check_monic_pullback_corollary,
-                           classify_uniformity, congruences,
-                           derived_malcev_term, enumerate_homs,
-                           enumerate_normal_subalgebras, equation_failure,
-                           eval_term, find_isomorphism, group_theory,
-                           identity_hom, is_right_unital, monoid_theory,
-                           quotient_algebra, subalgebra_closure, term_grid,
+from fincov.algebra import (FinAlgebra, Theory, equation_failure, eval_term,
+                            group_theory, monoid_theory, subalgebra_closure,
+                            term_grid)
+from fincov.algkit import (AlgHom, CapExceeded, build_finalg_category,
+                           check_monic_pullback_corollary, classify_uniformity,
+                           congruences, derived_malcev_term, enumerate_homs,
+                           enumerate_normal_subalgebras, find_isomorphism,
+                           identity_hom, is_right_unital, quotient_algebra,
                            validate_theory_witnesses)
 from fincov.instances import (abelian_groups_upto, cyclic_group,
                               groups_upto, klein_four_group, monoids_upto)
@@ -366,7 +366,7 @@ def test_equation_tables_match_assignment_loop(monkeypatch):
     copies with one table entry changed."""
     import random
 
-    import fincov.algkit as algkit
+    import fincov.algebra as algebra
     import oracles
     from fincov.instances import corpus_entry
     rng = random.Random(0)
@@ -379,8 +379,8 @@ def test_equation_tables_match_assignment_loop(monkeypatch):
         return [(A.validate(), [lane(A, *eq) for eq in A.theory.equations])
                 for A in algebras]
 
-    got = witnesses(algkit.equation_failure)
-    monkeypatch.setattr(algkit, "equation_failure", oracles.equation_failure)
+    got = witnesses(algebra.equation_failure)
+    monkeypatch.setattr(algebra, "equation_failure", oracles.equation_failure)
     assert got == witnesses(oracles.equation_failure)
     assert sum(err is not None for err, _ in got) > len(algebras) // 2
 

@@ -79,7 +79,7 @@ def test_input_error_exit_code(capsys, tmp_path):
                            "n": 1, "smalls": 5}}], "M": "monos"}}})
     rule_path = tmp_path / "rule.json"
     rule_path.write_text(rule, encoding="utf-8")
-    from fincov.algkit import group_theory
+    from fincov.algebra import group_theory
     alg_path = tmp_path / "alg.json"
     alg_path.write_text(json.dumps({
         "theory": group_theory().to_json(),
@@ -132,6 +132,31 @@ def test_input_error_exit_code(capsys, tmp_path):
         assert main(argv) == 4, argv
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 4 and message in err["error"], argv
+
+
+@pytest.mark.parametrize("where", ["chain", "powerset", "file"])
+def test_unknown_diagram_direction_is_input_error(where, capsys, tmp_path):
+    """A diagram type whose direction is neither "cov" nor "contr" is an
+    input error, exit 4, whether given by --diagram-types or as a
+    ``coverage.rule.J`` entry of the input file: it is not read as
+    contravariant."""
+    spec = {"chain": {"n": 2, "smalls": 0, "dir": "sideways"}} \
+        if where != "powerset" else \
+        {"powerset": {"index": [1], "kappa": 1, "dir": "sideways"}}
+    if where == "file":
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({
+            "category": instances.corpus_entry("sub_Z8").category.to_json(),
+            "coverage": {"rule": {"J": [spec], "M": "monos"}}}),
+            encoding="utf-8")
+        argv = ["check", "compact", "--input", str(path)]
+    else:
+        argv = ["check", "compact", "--input", "corpus:sub_Z8",
+                "--diagram-types", json.dumps(spec)]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert "direction must be 'cov' or 'contr', got 'sideways'" \
+        in err["error"]
 
 
 @pytest.mark.parametrize("classes, message", [
@@ -336,7 +361,7 @@ def test_coverage_check_nonstable_class(capsys):
 
 
 def test_uniformity_check_from_file(tmp_path, capsys):
-    from fincov.algkit import group_theory
+    from fincov.algebra import group_theory
     from fincov.instances import cyclic_group
     data = {
         "theory": group_theory().to_json(),
@@ -353,7 +378,7 @@ def test_uniformity_check_from_file(tmp_path, capsys):
 
 
 def test_monic_pullback_check(tmp_path, capsys):
-    from fincov.algkit import group_theory
+    from fincov.algebra import group_theory
     from fincov.instances import cyclic_group
     data = {
         "theory": group_theory().to_json(),
@@ -521,7 +546,7 @@ def test_variance_failure_witnesses_do_not_depend_on_hash_seed(tmp_path):
 def _z2_input(**changes):
     """A groups theory with the algebra A = Z2, as JSON, with the named
     parts replaced: theory, algebra, t (None drops them)."""
-    from fincov.algkit import group_theory
+    from fincov.algebra import group_theory
     theory = group_theory().to_json()
     algebra = {"name": "A", "carrier": [0, 1],
                "ops": {"mul": [[0, 1], [1, 0]], "inv": [0, 1], "e": 0}}

@@ -7,10 +7,10 @@ mediators read from the apex codes."""
 import pytest
 
 import oracles
-from fincov import algkit
+from fincov import algebra, algkit
+from fincov.algebra import group_theory, monoid_theory, subalgebra_closure
 from fincov.algkit import (AlgCategory, AlgHom, build_finalg_category,
-                           congruences, group_theory, monoid_theory,
-                           quotient_algebra, subalgebra_closure,
+                           congruences, quotient_algebra,
                            verify_uniformity_theorem)
 from fincov.fincat import CapExceeded, try_pullback
 from fincov.instances import abelian_groups_upto, groups_upto, monoids_upto
@@ -117,7 +117,7 @@ def test_quotient_tables_match_entrywise_reference():
 
 def test_uniformity_pair_algebras_match_entrywise_reference(monkeypatch):
     built = []
-    coded = algkit._coded_algebra
+    coded = algebra._coded_algebra
 
     def recording(theory, name, factors, codes, relabel=None):
         P = coded(theory, name, factors, codes, relabel)

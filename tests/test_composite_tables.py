@@ -9,8 +9,8 @@ import pytest
 import oracles
 import fincov.algkit as algkit
 from fincov import kernels
-from fincov.algkit import FinAlgebra, Theory, build_finalg_category, \
-    compose_homs, group_theory, hom_rows, monoid_theory
+from fincov.algebra import FinAlgebra, Theory, group_theory, monoid_theory
+from fincov.algkit import build_finalg_category, compose_homs, hom_rows
 from fincov.fincat import CapExceeded, CompositionError, mor_key
 from fincov.instances import cyclic_group, direct_product_group, \
     monoids_upto

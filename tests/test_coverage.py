@@ -78,6 +78,16 @@ def test_chain_type_variants():
     assert art.variance.contr == frozenset(art.I.morphisms())
 
 
+@pytest.mark.parametrize("direction", ["sideways", "Cov", "", None])
+def test_unknown_direction_is_rejected(direction):
+    """Both builders raise ValueError on a direction other than "cov" or
+    "contr" instead of reading it as contravariant."""
+    with pytest.raises(ValueError, match="direction must be"):
+        build_chain_type(2, 0, direction)
+    with pytest.raises(ValueError, match="direction must be"):
+        build_powerset_type(["a", "b"], 3, direction)
+
+
 def test_enumerate_coverings_counts_pairs():
     # 2-chain subobject lattice: coverings over chain[1] are ordered pairs
     # s <= t of subobjects
@@ -630,7 +640,8 @@ def test_image_compatibility_memo_keys_fs_cap_and_coverage():
 
 
 def test_verdict_memos_dropped_when_the_ambient_grows():
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.morphclass import FactorizationSystem
     amb = build_finalg_category(group_theory(), 4,
                                 [cyclic_group(n) for n in (1, 2)])
@@ -690,7 +701,8 @@ def test_image_compatibility_matches_reference_on_abelian_ambient():
     """The image path with the closure harness's factorization system,
     for every surjection out of a group of order at most 4."""
     import oracles
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     from fincov.morphclass import FactorizationSystem
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
@@ -734,7 +746,8 @@ def test_image_compatibility_matches_reference_on_grown_ambient():
     the ambient, every surjection out of it gets the reference's
     report."""
     import oracles
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     from fincov.morphclass import FactorizationSystem
     from fincov.theorems import verify_product_closure
@@ -790,7 +803,8 @@ def test_image_table_matches_reference_functors():
     transformation the reference validates), on Set_2 with non-mono
     images and on the abelian ambient."""
     import oracles
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     from fincov.morphclass import FactorizationSystem
     from fincov.variance import ImageTable
@@ -1144,7 +1158,8 @@ def test_growing_the_ambient_drops_the_shared_functors(monkeypatch):
     the new maps."""
     import fincov.coverage as coverage
     import oracles
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     amb = build_finalg_category(group_theory(), 4,
                                 [cyclic_group(n) for n in (1, 2)])
     M = builtin_class(amb, "all")
@@ -1222,7 +1237,8 @@ def test_slice_hom_sets_match_the_plain_loop(corpus):
 def test_growing_the_ambient_drops_the_slice_hom_sets():
     """The slice view, and the hom sets kept on it, go with the other
     memos when the algebra ambient grows; the new view sees the new legs."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     amb = build_finalg_category(group_theory(), 4,
                                 [cyclic_group(n) for n in (1, 2)])
     Z1, Z2 = sorted(amb.objects(), key=lambda A: A.size)

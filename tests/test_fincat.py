@@ -210,8 +210,8 @@ def test_classify_surjection():
 def test_classify_ambient_kernel_pair_past_cap():
     """The kernel pair of V4 -> V4 zero has 16 elements, past the cap of
     8: classify reports regular_epi None instead of raising."""
-    from fincov.algkit import CapExceeded, build_finalg_category, \
-        group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import CapExceeded, build_finalg_category
     from fincov.instances import abelian_groups_upto
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
     V4 = next(A for A in amb.objects() if A.name == "V4")
@@ -228,8 +228,8 @@ def test_classify_ambient_kernel_pair_past_cap():
 def test_ambient_regular_epi_matches_composition_loop():
     """On algebra ambients, classify's regular-epi flag (read from hom
     image rows) equals the loop composing every candidate h with e."""
-    from fincov.algkit import build_finalg_category, group_theory, \
-        monoid_theory
+    from fincov.algebra import group_theory, monoid_theory
+    from fincov.algkit import build_finalg_category
     from fincov.fincat import try_pullback
     from fincov.instances import abelian_groups_upto, monoids_upto
     seen = set()
@@ -703,7 +703,8 @@ def test_derived_memo_one_owner_table_per_category():
     import gc
 
     from fincov import fincat
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import groups_upto
 
     class Owner:

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import oracles
-from fincov import algkit
-from fincov.algkit import (AlgCategory, FinAlgebra, Theory,
-                           build_finalg_category, enumerate_homs,
-                           find_isomorphism, group_theory, monoid_theory)
+from fincov import algebra, algkit
+from fincov.algebra import FinAlgebra, Theory, group_theory, monoid_theory
+from fincov.algkit import (AlgCategory, build_finalg_category, enumerate_homs,
+                           find_isomorphism)
 from fincov.instances import abelian_groups_upto, groups_upto, monoids_upto
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,7 +129,7 @@ def test_element_profile_of_coded_algebras():
             codes = algkit._pair_codes(f, g)
             if len(codes) > 8:
                 continue
-            P = algkit._coded_algebra(C.theory, "P", (f.src, g.src), codes)
+            P = algebra._coded_algebra(C.theory, "P", (f.src, g.src), codes)
             assert algkit._element_profile(P) == \
                 tuple(oracles.element_profile(P))
             pairs = [divmod(c, g.src.size) for c in codes]

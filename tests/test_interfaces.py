@@ -172,7 +172,7 @@ def _src_uses(banned):
 def test_one_coded_construction_for_derived_algebras():
     """The per-entry table builder, the pullback pair dicts, the verdicts
     kept on class objects and the ambient form label are gone from
-    src/fincov: derived algebras come from ``algkit._coded_algebra``,
+    src/fincov: derived algebras come from ``algebra._coded_algebra``,
     mediators from the apex pairs, stability verdicts from the
     subalgebra cache and the class's own memo."""
     assert _src_uses({"_induced_ops", "pair_to_apex", "_pullback_verdicts",
@@ -222,6 +222,28 @@ def test_coverage_loads_no_fixture_or_algebra_module():
     assert proc.stdout == "[]\n"
 
 
+def test_algebra_loads_only_kernels():
+    """A fresh ``import fincov.algebra`` loads no fincov module but
+    ``fincov``, ``fincov.algebra`` and ``fincov.kernels``: the table-level
+    algebra needs neither the categories nor the algebra ambient."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "import fincov.algebra\n"
+              "print(sorted(m for m in sys.modules"
+              " if m == 'fincov' or m.startswith('fincov.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == \
+        "['fincov', 'fincov.algebra', 'fincov.kernels']\n"
+
+
 def _fresh_cli(argv, tmp_path, first=None):
     """``cli.main(argv)`` in a fresh interpreter, after importing the
     module ``first`` if given.  Returns (exit code, stdout, the fincov
@@ -260,8 +282,11 @@ def test_commands_run_only_the_layers_they_reach(tmp_path, capsys):
     layers unexecuted, and a command runs only the layers it reaches: a
     file ``check validate`` runs ``cli``, ``report``, ``fincat`` and
     ``kernels`` alone; protomodularity on ``set_skeleton_2`` runs neither
-    ``algkit`` nor ``theorems``; compact on ``sub_Z8`` runs neither
-    ``protomod`` nor ``theorems``."""
+    ``algkit`` nor ``theorems``; classify on ``group_cat_Z8`` builds its
+    group from ``algebra`` and runs neither ``algkit`` nor ``variance``;
+    compact on ``sub_Z8`` runs ``algebra`` and ``coverage`` but neither
+    ``algkit``, ``protomod`` nor ``theorems``; mono-reflectivity on a
+    file runs neither ``theorems``, ``coverage`` nor ``protomod``."""
     from fincov.cli import main
     assert main(["export-corpus", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -275,9 +300,18 @@ def test_commands_run_only_the_layers_they_reach(tmp_path, capsys):
     assert code == 1 and "protomod" in ran
     assert not ran & {"algkit", "theorems"}
     code, _, ran, _ = _fresh_cli(
+        ["check", "classify", "--input", "corpus:group_cat_Z8"], tmp_path)
+    assert code == 0 and "algebra" in ran
+    assert not ran & {"algkit", "variance"}
+    code, _, ran, _ = _fresh_cli(
         ["check", "compact", "--input", "corpus:sub_Z8"], tmp_path)
-    assert code == 1 and {"algkit", "coverage"} <= ran
-    assert not ran & {"protomod", "theorems"}
+    assert code == 1 and {"algebra", "coverage"} <= ran
+    assert not ran & {"algkit", "protomod", "theorems"}
+    code, _, ran, _ = _fresh_cli(
+        ["check", "mono-reflective", "--input",
+         str(tmp_path / "group_cat_Q8.json")], tmp_path)
+    assert code == 0 and "morphclass" in ran
+    assert not ran & {"theorems", "coverage", "protomod"}
 
 
 def test_layer_imported_before_cli_stays_the_same_module(tmp_path):

@@ -327,7 +327,8 @@ def test_class_composites_kernel_matches_reference_scans():
 def test_ambient_composite_index_codes_past_int64():
     """Hom sets of 16-element algebras code image tuples past int64 (16^16
     > 2^63); the index then codes them as Python ints."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import cyclic_group
     amb = build_finalg_category(group_theory(), 16,
                                 [cyclic_group(n) for n in (1, 2, 16)])
@@ -341,7 +342,8 @@ def test_ambient_composite_index_without_constants():
     """Homs of a constant-free theory need not fix element 0, so every
     digit of an image code is used; the stability scans register the empty
     semilattice."""
-    from fincov.algkit import FinAlgebra, Theory, build_finalg_category
+    from fincov.algebra import FinAlgebra, Theory
+    from fincov.algkit import build_finalg_category
     x, y, z = ("x",), ("y",), ("z",)
 
     def join(a, b):
@@ -465,7 +467,8 @@ def test_ambient_stability_reads_members_not_class_name():
     judged by its members: its stability verdict and witness equal those
     of the same members under another name and those of the generic
     pullback scan, each asked on a fresh ambient."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
 
     def fresh_class(name):
         amb = build_finalg_category(group_theory(), 8,
@@ -517,7 +520,8 @@ def test_class_properties_memo_keyed_by_class_object_and_probe_cap():
 
 
 def test_class_properties_memo_dropped_when_ambient_grows():
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
     A = builtin_class(amb, "injections")
@@ -573,7 +577,8 @@ def test_ambient_closure_sequence_matches_reference_stability_scan(
     and subobject names of the hom-by-hom scan over the benchmark's
     ambient instances.  The roster names and the count of fresh names are
     pinned: they change when the order of pullbacks does."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
 
     def run():
@@ -598,7 +603,8 @@ def test_ambient_stability_registers_subobjects_in_scan_order(monkeypatch):
     """Over rosters that lack the subgroups of their largest member, the
     injective-class stability scans register them: names, order and the
     witness of the unstable sections equal the hom-by-hom scan's."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import direct_product_group
 
     def run():
@@ -625,7 +631,8 @@ def test_ambient_extremality_sees_subobjects_registered_later():
     """x -> 3x on Z6 factors through the subgroup {0, 3} once the
     stability scan has registered it, whether or not extremality was
     asked before the roster grew."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     verdicts = []
     for ask_first in (False, True):
         amb = build_finalg_category(group_theory(), 8,
@@ -791,7 +798,7 @@ def test_cospan_walk_cap_rules():
     other callers keep one per f, and mono-reflectivity moves on to the
     next f when its budget runs out: at cap 1 its witness is the third
     non-mono out of S3, past two restricted ones."""
-    from fincov.theorems import check_mono_reflective
+    from fincov.morphclass import check_mono_reflective
     C = _sets_one_to_three()
 
     def stability(name, k):
@@ -834,7 +841,8 @@ def test_cospan_walk_cap_rules_on_the_ambient():
     past the cap marks the walk restricted.  The answers, the roster and
     the count of fresh names are pinned: pullbacks register and name
     apexes, so they pin the order of the walk's pullbacks."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     amb = build_finalg_category(group_theory(), 4, abelian_groups_upto(4))
     E = builtin_class(amb, "surjections")

@@ -7,8 +7,9 @@ of order <= 3 at cap 3."""
 import pytest
 
 import oracles
-from fincov import algkit
-from fincov.algkit import build_finalg_category, group_theory, monoid_theory
+from fincov import algebra, algkit
+from fincov.algebra import group_theory, monoid_theory
+from fincov.algkit import build_finalg_category
 from fincov.instances import groups_upto, monoids_upto
 from fincov.morphclass import BUILTIN_CLASS_NAMES, builtin_class
 from fincov.protomod import _check_ambient
@@ -43,7 +44,7 @@ def test_isomorphisms_match_numpy_search(name):
     algebras = list(C.objects())
     for A in C.objects():
         n, tables = A.size, A.op_tables()
-        algebras.append(algkit.FinAlgebra.from_tables(
+        algebras.append(algebra.FinAlgebra.from_tables(
             A.theory, f"{A.name}'", n,
             {s: tuple(n - 1 - tables[s][_reversed_code(k, n, a)]
                       for k in range(n ** a))

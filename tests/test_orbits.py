@@ -177,7 +177,8 @@ def test_orbits_cost_nothing_without_automorphisms(monkeypatch):
     """An object whose only endomorphism is its identity, or whose only
     automorphism is, takes no orbit work: on a chain and on the ambient
     of Z1 and Z2 no orbit is walked and there are no orbits to read."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import chain_poset, cyclic_group
 
     def walked(*args):

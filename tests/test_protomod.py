@@ -8,7 +8,8 @@ from fincov.fincat import (CatFunctor, FinCategory, PullbackSquare,
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
                               group_category, klein_four_group,
                               random_category, set_skeleton)
-from fincov.morphclass import builtin_class, explicit_class
+from fincov.morphclass import builtin_class, check_mono_reflective, \
+    explicit_class
 from fincov.protomod import (ProtoReport,
                              check_protomodularity_equivalent,
                              check_protomodularity_mono_part,
@@ -16,7 +17,6 @@ from fincov.protomod import (ProtoReport,
                              cross_validate_protomodularity,
                              jointly_conservative, preserves_pullbacks,
                              transport_classes)
-from fincov.theorems import check_mono_reflective
 
 
 def retr(C):
@@ -361,7 +361,8 @@ def test_ambient_explicit_E_must_be_closed_under_isos():
     """An explicit copy of the surjections gives the builtin's report; the
     copy without one composite iso . e raises.  On a roster without
     nontrivial automorphisms, identities are closed and the scan runs."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import abelian_groups_upto
     amb = build_finalg_category(group_theory(), 8, abelian_groups_upto(4))
     E, M = builtin_class(amb, "surjections"), builtin_class(amb, "all")
@@ -387,7 +388,8 @@ def test_mono_part_on_ambient_reports_its_own_form():
     """On an algebra ambient every form takes the anchored shortcut; the
     mono-part report carries its own form label and otherwise equals the
     rectangle report."""
-    from fincov.algkit import build_finalg_category, group_theory
+    from fincov.algebra import group_theory
+    from fincov.algkit import build_finalg_category
     from fincov.instances import groups_upto
     C = build_finalg_category(group_theory(), 8, groups_upto(8))
     E, M = builtin_class(C, "retractions"), builtin_class(C, "all")
@@ -410,8 +412,8 @@ SMALL_AMBIENTS = {
 def _fresh_ambient(theory, cap, roster, order_cap, concrete=True):
     """A fresh algebra ambient; concrete=False on the instance sends every
     protomodularity form down the generic scan."""
-    from fincov import algkit, instances
-    C = algkit.build_finalg_category(getattr(algkit, theory)(), cap,
+    from fincov import algebra, algkit, instances
+    C = algkit.build_finalg_category(getattr(algebra, theory)(), cap,
                                      getattr(instances, roster)(order_cap))
     C.concrete = concrete
     return C, builtin_class(C, "surjections"), builtin_class(C, "injections")

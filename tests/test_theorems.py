@@ -1,8 +1,9 @@
 import pytest
 
+from fincov.algebra import group_theory, monoid_theory
 from fincov.algkit import (AlgHom, build_finalg_category,
-                           enumerate_normal_subalgebras, group_theory,
-                           monoid_theory, verify_uniformity_theorem)
+                           enumerate_normal_subalgebras,
+                           verify_uniformity_theorem)
 from fincov.coverage import (RuleCoverage, build_chain_type,
                              decide_tau_compact)
 from fincov.instances import (abelian_groups_upto, chain_poset, cyclic_group,
@@ -10,10 +11,10 @@ from fincov.instances import (abelian_groups_upto, chain_poset, cyclic_group,
                               set_skeleton, subgroup_lattice_poset)
 from fincov.morphclass import (FactorizationSystem, MorphismClass,
                                builtin_class, check_factorization_system,
-                               explicit_class)
+                               check_mono_reflective, explicit_class)
 from fincov.protomod import check_protomodularity_pair
-from fincov.theorems import (check_mono_reflective, check_tau_well_behaved,
-                             generated_system, hopfian_naturality_ok,
+from fincov.theorems import (check_tau_well_behaved, generated_system,
+                             hopfian_naturality_ok,
                              run_hopfian_construction,
                              run_image_closure_suite,
                              verify_closure_extensions,

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import oracles
-from fincov.algkit import subalgebra_closure
+from fincov.algebra import subalgebra_closure
 from fincov.coverage import _powerset_poset, build_chain_type
 from fincov.fincat import product_category, slice_view
 from fincov.instances import (chain_poset, cyclic_group, diamond_lattice,
